@@ -1,18 +1,22 @@
 """The ensemble adapter: additive attention over translation embeddings,
 fused into the source embedding through a gated residual.
 
-Forward and backward run in the kernels module (row-major internally); this
-module owns parameter containers, validation, initialization, counting, the
-non-learned fusion baselines, and the attention-score export schema.
+Forward and backward run in the kernels module, batched and row-major:
+:func:`forward_batch`/:func:`backward_batch` take (n, m+1, d) stacks, and
+:func:`forward`/:func:`backward` are their one-item views in the (d, m+1)
+column layout. This module also owns parameter containers, validation,
+initialization, counting, the non-learned fusion baselines, and the
+attention-score export schema.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import kernels
+from .kernels import ForwardTrace
 from .numkit import SeededRng, as_f64, l2_normalize
 
 STRATEGIES = ("ensad", "zero_shot", "translate_test", "mean_pool")
@@ -138,36 +142,40 @@ def param_count(cfg: EnsAdConfig) -> int:
     return 3 * cfg.d_hid * cfg.d + 2 * cfg.d_hid + 1 + cfg.d * cfg.d
 
 
-@dataclass
-class ForwardTrace:
-    """Every intermediate of one forward pass, row-major: ``*_rows`` arrays
-    hold one translation per row (shape (m, d) or (m, d_hid)).
+def forward_batch(
+    p: EnsAdParams, cfg: EnsAdConfig, h: np.ndarray
+) -> tuple[np.ndarray, ForwardTrace]:
+    """Run the adapter on a batch of ensembles in one kernel call.
 
-    Pre/post-normalization pairs: (vraw_rows, v_rows), (u_rows, uhat_rows),
-    (craw, c), (hraw, h_tilde); a_rows/t_rows are the attention preactivation
-    and its tanh; logits/s the scores before and after softmax.
+    ``h`` is (n, m+1, d): per item the source row, then the m translation
+    rows. Returns the (n, d) fused unit vectors and the batched trace.
+    Inputs are not checked here; parameters are validated where they enter
+    the program (loading, ``train``), and data where it is read.
     """
+    tr = kernels.adapter_forward(
+        h, p.wq, p.wk, p.wv, p.b, p.wp, float(p.bp), p.wo,
+        cfg.alpha, cfg.variant_v_equals_k,
+    )
+    return tr.h_tilde, tr
 
-    h_rows: np.ndarray
-    q: np.ndarray
-    k_rows: np.ndarray
-    vraw_rows: np.ndarray
-    vraw_norms: np.ndarray
-    v_rows: np.ndarray
-    a_rows: np.ndarray
-    t_rows: np.ndarray
-    logits: np.ndarray
-    s: np.ndarray
-    u_rows: np.ndarray
-    u_norms: np.ndarray
-    uhat_rows: np.ndarray
-    vo_rows: np.ndarray
-    craw: np.ndarray
-    craw_norm: float
-    c: np.ndarray
-    hraw: np.ndarray
-    hraw_norm: float
-    h_tilde: np.ndarray
+
+def backward_batch(
+    p: EnsAdParams, cfg: EnsAdConfig, trace: ForwardTrace, grad_h_tilde: np.ndarray
+) -> tuple[EnsAdParams, np.ndarray]:
+    """Exact reverse-mode gradients of :func:`forward_batch`.
+
+    ``grad_h_tilde`` is (n, d). Returns the parameter gradients summed over
+    the batch, and the gradient w.r.t. the (n, m+1, d) input rows.
+    """
+    grads, grad_h = kernels.adapter_backward(
+        trace, grad_h_tilde, p.wq, p.wk, p.wv, p.wp, p.wo,
+        cfg.alpha, cfg.variant_v_equals_k,
+    )
+    return EnsAdParams(*grads), grad_h
+
+
+def _map_trace(trace: ForwardTrace, fn) -> ForwardTrace:
+    return ForwardTrace(*(fn(getattr(trace, f.name)) for f in fields(ForwardTrace)))
 
 
 def forward(
@@ -177,60 +185,23 @@ def forward(
 
     ``h_matrix`` is (d, m+1): column 0 the source embedding, columns 1..m
     the translations, all unit-norm or zero. Returns the fused unit vector
-    and the full trace. With alpha == 0, or when the attention context
-    vanishes, the source column is returned bit-exactly.
+    and the trace of this one item (the batched trace without its batch
+    axis; ``trace.s`` holds the m attention weights). With alpha == 0, or
+    when the attention context vanishes, the source column is returned
+    bit-exactly.
     """
     h = as_f64(h_matrix, "ensemble matrix")
     if h.ndim != 2 or h.shape != (cfg.d, cfg.m + 1):
         raise ValueError(
             f"ensemble matrix has shape {h.shape}, expected {(cfg.d, cfg.m + 1)}"
         )
-    validate_params(p, cfg)
-    h_rows = np.ascontiguousarray(h.T)
-    out = kernels.adapter_forward(
-        h_rows,
-        p.wq,
-        p.wk,
-        p.wv,
-        p.b,
-        p.wp,
-        float(p.bp),
-        p.wo,
-        cfg.alpha,
-        cfg.variant_v_equals_k,
-    )
-    (
-        q, k_rows, vraw_rows, vraw_norms, v_rows, a_rows, t_rows, logits, s,
-        u_rows, u_norms, uhat_rows, vo_rows, craw, craw_norm, c, hraw,
-        hraw_norm, h_tilde,
-    ) = out
-    trace = ForwardTrace(
-        h_rows=h_rows,
-        q=q,
-        k_rows=k_rows,
-        vraw_rows=vraw_rows,
-        vraw_norms=vraw_norms,
-        v_rows=v_rows,
-        a_rows=a_rows,
-        t_rows=t_rows,
-        logits=logits,
-        s=s,
-        u_rows=u_rows,
-        u_norms=u_norms,
-        uhat_rows=uhat_rows,
-        vo_rows=vo_rows,
-        craw=craw,
-        craw_norm=float(craw_norm),
-        c=c,
-        hraw=hraw,
-        hraw_norm=float(hraw_norm),
-        h_tilde=h_tilde,
-    )
-    return h_tilde, trace
+    h_tilde, trace = forward_batch(p, cfg, h.T.copy()[None])
+    return h_tilde[0], _map_trace(trace, lambda a: a[0])
 
 
 def attention_scores(trace: ForwardTrace) -> np.ndarray:
-    """The softmax attention weights over translations, summing to 1."""
+    """The softmax attention weights over translations, summing to 1 (per
+    item, for a batched trace)."""
     return trace.s.copy()
 
 
@@ -240,7 +211,7 @@ def backward(
     trace: ForwardTrace,
     grad_h_tilde: np.ndarray,
 ) -> tuple[EnsAdParams, np.ndarray]:
-    """Exact reverse-mode gradients of the forward pass.
+    """Exact reverse-mode gradients of :func:`forward` for one item.
 
     Returns (parameter gradients in an EnsAdParams-shaped container,
     gradient w.r.t. the (d, m+1) input matrix). Normalizations that hit the
@@ -249,47 +220,9 @@ def backward(
     g = as_f64(grad_h_tilde, "grad_h_tilde")
     if g.shape != (cfg.d,):
         raise ValueError(f"grad_h_tilde has shape {g.shape}, expected {(cfg.d,)}")
-    out = kernels.adapter_backward(
-        g,
-        p.wq,
-        p.wk,
-        p.wv,
-        p.wp,
-        p.wo,
-        cfg.alpha,
-        cfg.variant_v_equals_k,
-        trace.q,
-        trace.k_rows,
-        trace.vraw_norms,
-        trace.v_rows,
-        trace.t_rows,
-        trace.s,
-        trace.u_rows,
-        trace.u_norms,
-        trace.uhat_rows,
-        trace.vo_rows,
-        trace.c,
-        trace.craw_norm,
-        trace.h_tilde,
-        trace.hraw_norm,
-    )
-    grad_wq, grad_wk, grad_wv, grad_b, grad_wp, grad_bp, grad_wo, g_h_rows = out
-    grads = EnsAdParams(
-        wq=grad_wq,
-        wk=grad_wk,
-        wv=grad_wv,
-        b=grad_b,
-        wp=grad_wp,
-        bp=np.asarray(grad_bp, dtype=np.float64),
-        wo=grad_wo,
-    )
-    for name, arr in grads.tensor_items():
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite gradient in {name}")
-    grad_h = np.ascontiguousarray(g_h_rows.T)
-    if not np.all(np.isfinite(grad_h)):
-        raise ValueError("non-finite gradient w.r.t. the input matrix")
-    return grads, grad_h
+    batched = _map_trace(trace, lambda a: np.asarray(a)[None])
+    grads, grad_h = backward_batch(p, cfg, batched, g[None])
+    return grads, grad_h[0].T.copy()
 
 
 def fuse_mean_pool(h_matrix: np.ndarray) -> np.ndarray:

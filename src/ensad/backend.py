@@ -1,10 +1,11 @@
 """Kernel backend selection.
 
-Hot numeric kernels are written once, in numba-compatible numpy, and wrapped
-with ``@numba.njit`` unless the ``ENSAD_NUMBA`` environment variable disables
-it (``0``/``false``/``off``/``no``) or numba is not importable.  Both paths
-run the same source, so results agree to floating-point noise and the pure
-numpy path stays usable on machines without a working JIT.
+The RNG and eigensolver kernels are written once, in numba-compatible numpy,
+and wrapped with ``@numba.njit`` unless the ``ENSAD_NUMBA`` environment
+variable disables it (``0``/``false``/``off``/``no``) or numba is not
+importable.  Both paths run the same source, so results agree to
+floating-point noise and the pure numpy path stays usable on machines
+without a working JIT.  The batched adapter kernels are plain numpy.
 
 The flag is read once at import time; flipping it mid-process has no effect.
 """

@@ -228,6 +228,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.resume and args.preset and PRESETS[args.preset].get("pipeline"):
+        raise UsageError(
+            f"--resume cannot be combined with preset {args.preset}: the "
+            "two-phase pipeline always starts from fresh parameters"
+        )
     config = _load_config(args.config)
     ds = load_jsonl(args.data)
     seed = _pick_seed(args, config)

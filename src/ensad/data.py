@@ -14,10 +14,11 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .numkit import SeededRng, as_f64, derive_seed, l2_normalize
+from .numkit import SeededRng, derive_seed, l2_normalize, l2_normalize_rows
 
 FORMAT_NAME = "ensad-jsonl"
 FORMAT_VERSION = 1
@@ -67,6 +68,22 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.items)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """(N, m+1, d): every item's source row then translation rows,
+        stacked once on first use."""
+        return stack_rows(ens for ens, _ in self.items)
+
+    @cached_property
+    def images(self) -> np.ndarray:
+        """(N, d_img): every item's image, stacked once on first use."""
+        return np.stack([img for _, img in self.items])
+
+
+def stack_rows(ensembles) -> np.ndarray:
+    """(n, m+1, d) batch of ensembles: per item the source row first."""
+    return np.stack([np.stack([e.h0, *e.translations]) for e in ensembles])
 
 
 @dataclass(frozen=True)
@@ -268,12 +285,30 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     return Dataset(d=spec.d, m=spec.m, d_img=spec.d_img, items=tuple(items))
 
 
-def _mix_with_noise(v: np.ndarray, p: float, rng: SeededRng) -> np.ndarray:
-    # p == 0 must be a bit-exact no-op, so it cannot touch the stream.
-    if p == 0.0:
-        return v.copy()
-    g = l2_normalize(rng.gaussian(v.shape[0]))
-    return l2_normalize((1.0 - p) * v + p * g)
+def augment_rows(
+    h: np.ndarray, p0: float, pt: float, rng: SeededRng
+) -> np.ndarray:
+    """Noise augmentation of an (n, m+1, d) batch: each row h becomes
+    l2n((1-p)h + p l2n(g)) for a fresh Gaussian g, with p = p0 on source
+    rows and pt on translation rows. Returns a new array.
+
+    The batch takes all its draws in one stream call, laid out as per-item
+    calls would take them: item by item, source first, then translations in
+    order, 2*ceil(d/2) words per row. A proportion of 0 leaves its rows
+    bit-exact and consumes no words for them.
+    """
+    if not 0.0 <= p0 <= 1.0 or not 0.0 <= pt <= 1.0:
+        raise ValueError("noise proportions must lie in [0, 1]")
+    n, width, d = h.shape
+    p = np.array([p0] + [pt] * (width - 1))
+    noisy = p != 0.0
+    out = h.copy()
+    k = int(np.count_nonzero(noisy))
+    if k:
+        g = l2_normalize_rows(rng.gaussian_rows(n * k, d).reshape(n, k, d))
+        pk = p[noisy][:, None]
+        out[:, noisy] = l2_normalize_rows((1.0 - pk) * h[:, noisy] + pk * g)
+    return out
 
 
 def augment_noise(
@@ -281,30 +316,44 @@ def augment_noise(
 ) -> EmbeddingEnsemble:
     """Blend each embedding with a fresh unit Gaussian direction and
     renormalize: h <- l2n((1-p)h + p l2n(g)). Source uses p0, translations
-    pt. Draw order: source first, then translations in order."""
-    if not 0.0 <= p0 <= 1.0 or not 0.0 <= pt <= 1.0:
-        raise ValueError("noise proportions must lie in [0, 1]")
-    h0 = _mix_with_noise(e.h0, p0, rng)
-    translations = tuple(_mix_with_noise(t, pt, rng) for t in e.translations)
+    pt. Draw order: source first, then translations in order. The one-item
+    view of :func:`augment_rows`."""
+    rows = augment_rows(stack_rows([e]), p0, pt, rng)[0]
     return EmbeddingEnsemble(
         id=e.id,
-        h0=h0,
-        translations=translations,
+        h0=rows[0],
+        translations=tuple(rows[1:]),
         source_text=e.source_text,
         translation_texts=e.translation_texts,
     )
 
 
-def batch_iter(ds: Dataset, n: int, rng: SeededRng):
-    """Endless stream of batches of ``n`` items, sampled uniformly without
-    replacement within each batch (independent across batches)."""
-    size = len(ds.items)
+def sample_indices(size: int, n: int, rng: SeededRng):
+    """Endless stream of index batches: ``n`` distinct indices in
+    [0, size) per batch, independent across batches.
+
+    Each batch is the first n slots of a partial Fisher-Yates shuffle of
+    range(size). Slot k takes one stream word, reduced modulo size-k, and
+    the n words come from one stream call. Only the swapped positions are
+    stored, so a batch costs O(n), not O(size).
+    """
     if not 1 <= n <= size:
         raise ValueError(f"batch size {n} out of range [1, {size}]")
+    bounds = np.arange(size, size - n, -1)
     while True:
-        idx = list(range(size))
-        # partial Fisher-Yates: first n slots become the batch
-        for k in range(n):
-            j = k + rng.randint_below(size - k)
-            idx[k], idx[j] = idx[j], idx[k]
-        yield [ds.items[idx[k]] for k in range(n)]
+        picks = (np.arange(n) + rng.randints_below(bounds)).tolist()
+        moved = {}
+        batch = []
+        for k, j in enumerate(picks):
+            # swap slots k and j; slot k is final, slot j keeps k's entry
+            batch.append(moved.get(j, j))
+            moved[j] = moved.get(k, k)
+        yield np.array(batch)
+
+
+def batch_iter(ds: Dataset, n: int, rng: SeededRng):
+    """Endless stream of batches of ``n`` (ensemble, image) items, sampled
+    uniformly without replacement within each batch (independent across
+    batches), by :func:`sample_indices`."""
+    for idx in sample_indices(len(ds.items), n, rng):
+        yield [ds.items[i] for i in idx]

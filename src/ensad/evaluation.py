@@ -91,8 +91,7 @@ def save_report(report: EvalReport, path: str) -> None:
 
 
 def _real_stats(ck: Checkpoint, ds: Dataset) -> FrechetStats:
-    imgs = np.stack([img for _, img in ds.items])
-    fd, _, _ = _disc_forward_batch(ck.gan_params, imgs)
+    fd, _, _ = _disc_forward_batch(ck.gan_params, ds.images)
     return fit_gaussian(fd)
 
 
@@ -102,10 +101,9 @@ def _fake_stats(
     """Generated-feature moments. The stream consumes item indices first,
     then one noise vector per item, so every strategy sees identical draws."""
     rng = SeededRng(seed)
-    idx = [rng.randint_below(len(ds)) for _ in range(n_gen)]
-    zs = np.stack([rng.gaussian(ck.gan_cfg.d_z) for _ in range(n_gen)])
-    ensembles = [ds.items[i][0] for i in idx]
-    conds, _ = _condition_batch(ensembles, ck.ensad_params, ck.ensad_cfg, strategy)
+    idx = rng.randints_below(np.full(n_gen, len(ds)))
+    zs = rng.gaussian_rows(n_gen, ck.gan_cfg.d_z)
+    conds, _ = _condition_batch(ds.rows[idx], ck.ensad_params, ck.ensad_cfg, strategy)
     fakes, _ = _generate_batch(ck.gan_params, conds, zs)
     fd, _, _ = _disc_forward_batch(ck.gan_params, fakes)
     return fit_gaussian(fd)

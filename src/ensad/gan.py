@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import adapter
-from .adapter import EnsAdConfig, EnsAdParams, forward, init_params
-from .data import Dataset, atomic_write_text, augment_noise, batch_iter
-from .numkit import NORM_EPS, SeededRng, as_f64, derive_seed
+from .adapter import EnsAdConfig, EnsAdParams, ForwardTrace, init_params
+from .data import Dataset, atomic_write_text, augment_rows, sample_indices, stack_rows
+from .numkit import NORM_EPS, SeededRng, as_f64, derive_seed, l2_normalize_rows
 
 TRAINABLE_COMPONENTS = ("ensad", "generator", "discriminator")
 CONDITIONING_MODES = ("ensad", "zero_shot", "translate_test", "mean_pool")
@@ -296,13 +296,21 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
+def _adv_ensad(x: np.ndarray) -> float:
+    return float(np.mean(_softplus(-x)))
+
+
+def _adv_disc(r: np.ndarray, f: np.ndarray) -> float:
+    return float(np.mean(_softplus(-r)) + np.mean(_softplus(f)))
+
+
 def loss_adv_ensad(logits_fake: np.ndarray) -> float:
     """Generator-side adversarial loss: mean softplus(-logit), the stable
     form of -mean log sigmoid(logit)."""
     x = as_f64(logits_fake, "fake logits")
     if x.ndim != 1 or x.size == 0:
         raise ValueError("fake logits must be a nonempty vector")
-    return float(np.mean(_softplus(-x)))
+    return _adv_ensad(x)
 
 
 def loss_adv_disc(logits_real: np.ndarray, logits_fake: np.ndarray) -> float:
@@ -312,7 +320,7 @@ def loss_adv_disc(logits_real: np.ndarray, logits_fake: np.ndarray) -> float:
     f = as_f64(logits_fake, "fake logits")
     if r.ndim != 1 or r.size == 0 or f.ndim != 1 or f.size == 0:
         raise ValueError("logits must be nonempty vectors")
-    return float(np.mean(_softplus(-r)) + np.mean(_softplus(f)))
+    return _adv_disc(r, f)
 
 
 def _feature_matrix(feats, name: str) -> np.ndarray:
@@ -345,17 +353,19 @@ def loss_contrastive(anchor_feats, positive_feats, tau: float) -> float:
     and the diagonal pair is the target. Cosines involving a zero vector
     are defined as 0.
     """
-    loss, _, _ = _contrastive_with_grads(anchor_feats, positive_feats, tau)
-    return loss
-
-
-def _contrastive_with_grads(anchor_feats, positive_feats, tau: float):
     if tau <= 0:
         raise ValueError("tau must be positive")
     a = _feature_matrix(anchor_feats, "anchor features")
     p = _feature_matrix(positive_feats, "positive features")
     if a.shape[0] != p.shape[0]:
         raise ValueError("anchor and positive counts differ")
+    loss, _, _ = _contrastive_with_grads(a, p, tau)
+    return loss
+
+
+def _contrastive_with_grads(a: np.ndarray, p: np.ndarray, tau: float):
+    """Loss of :func:`loss_contrastive` and its gradients w.r.t. the (n, k)
+    anchor and positive matrices, which the caller has checked."""
     n = a.shape[0]
     sim, ahat, phat, inv_a, inv_p = _cosine_parts(a, p)
     x = sim / tau
@@ -582,35 +592,18 @@ def load_checkpoint(path: str) -> Checkpoint:
         return checkpoint_from_jsonable(json.load(fh))
 
 
-def _zero_grads_like(tensors) -> list:
-    return [np.zeros_like(t) for t in tensors]
-
-
-def _accumulate(acc: list, extra) -> None:
-    for a, e in zip(acc, extra):
-        a += e
-
-
-def _condition_batch(ensembles, ep, ensad_cfg, mode):
-    """Fused conditioning per item. Returns (matrix of conditions, traces);
-    traces is None unless the adapter ran."""
-    conds = []
-    traces = None
+def _condition_batch(h, ep, ensad_cfg, mode):
+    """Fused conditioning of an (n, m+1, d) batch. Returns the (n, d)
+    conditions and the adapter's batched trace, None unless it ran."""
     if mode == "ensad":
-        traces = []
-        for ens in ensembles:
-            h_tilde, tr = forward(ep, ensad_cfg, ens.matrix())
-            conds.append(h_tilde)
-            traces.append(tr)
-    elif mode == "zero_shot":
-        conds = [ens.h0.copy() for ens in ensembles]
-    elif mode == "translate_test":
-        conds = [ens.translations[0].copy() for ens in ensembles]
-    elif mode == "mean_pool":
-        conds = [adapter.fuse_mean_pool(ens.matrix()) for ens in ensembles]
-    else:
-        raise ValueError(f"unknown conditioning mode {mode!r}")
-    return np.stack(conds), traces
+        return adapter.forward_batch(ep, ensad_cfg, h)
+    if mode == "zero_shot":
+        return h[:, 0].copy(), None
+    if mode == "translate_test":
+        return h[:, 1].copy(), None
+    if mode == "mean_pool":
+        return l2_normalize_rows(h.mean(axis=1)), None
+    raise ValueError(f"unknown conditioning mode {mode!r}")
 
 
 @dataclass
@@ -618,8 +611,14 @@ class StepGrads:
     """Losses and parameter gradients of one training step, before any
     optimizer update. Gradient lists are None for components outside the
     trainable set, and also when the step blew up: a non-finite loss skips
-    all gradients, and a non-finite backward pass leaves that component's
-    list None with the reason in grad_failure."""
+    all gradients, and a non-finite gradient reaching the adapter leaves
+    its list None with the reason in grad_failure.
+
+    ``trace`` is the adapter's batched forward trace (its ``h_tilde`` the
+    fused conditions, its ``s`` the attention weights) when the adapter
+    ran. When the adapter is trained, ``grad_conds`` (n, d) and ``grad_h``
+    (n, m+1, d) are the gradients of the adapter-side total w.r.t. the
+    fused conditions and the adapter's input rows."""
 
     parts: LossParts
     loss_ensad: float
@@ -628,6 +627,9 @@ class StepGrads:
     gen_grads: list | None = None
     disc_grads: list | None = None
     grad_failure: str | None = None
+    trace: ForwardTrace | None = None
+    grad_conds: np.ndarray | None = None
+    grad_h: np.ndarray | None = None
 
 
 def step_losses_and_grads(
@@ -645,10 +647,15 @@ def step_losses_and_grads(
     generator see the discriminator frozen; the discriminator half holds
     fakes and conditions constant. ``train`` applies these gradients with
     Adam; calling this directly gives the exact training gradients for
-    inspection or verification."""
-    n = len(ensembles)
+    inspection or verification.
+
+    ``ensembles`` is the (n, m+1, d) batch of rows (source first), or a
+    sequence of EmbeddingEnsemble. Inputs are not validated here.
+    """
+    h = ensembles if isinstance(ensembles, np.ndarray) else stack_rows(ensembles)
+    n = h.shape[0]
     d = ensad_cfg.d
-    htil, traces = _condition_batch(ensembles, ep, ensad_cfg, gan_cfg.conditioning)
+    htil, trace = _condition_batch(h, ep, ensad_cfg, gan_cfg.conditioning)
     fakes, gen_acts = _generate_batch(gp, htil, zs)
     fd_f, ds_f, acts_f = _disc_forward_batch(gp, fakes)
     fd_r, ds_r, acts_r = _disc_forward_batch(gp, imgs_real)
@@ -656,8 +663,8 @@ def step_losses_and_grads(
     logits_r = ds_r + np.sum(fd_r * htil, axis=1)
 
     parts = LossParts(
-        l_ad_ensad=loss_adv_ensad(logits_f),
-        l_ad_d=loss_adv_disc(logits_r, logits_f),
+        l_ad_ensad=_adv_ensad(logits_f),
+        l_ad_d=_adv_disc(logits_r, logits_f),
     )
     cl_a = cl_p = cldf_a = cldf_p = cldr_a = clg_a = clg_p = None
     if gan_cfg.lambda1 > 0:
@@ -678,7 +685,7 @@ def step_losses_and_grads(
             fd_r, htil, gan_cfg.tau
         )
     loss_e, loss_d = total_losses(parts, gan_cfg)
-    res = StepGrads(parts=parts, loss_ensad=loss_e, loss_disc=loss_d)
+    res = StepGrads(parts=parts, loss_ensad=loss_e, loss_disc=loss_d, trace=trace)
     if not (math.isfinite(loss_e) and math.isfinite(loss_d)):
         return res
 
@@ -705,18 +712,12 @@ def step_losses_and_grads(
         grad_htil += grad_x[:, :d]
 
         if "ensad" in gan_cfg.trainable:
+            res.grad_conds = grad_htil
             if np.all(np.isfinite(grad_htil)):
-                acc = _zero_grads_like([a for _, a in ep.tensor_items()])
-                try:
-                    for i in range(n):
-                        item_grads, _ = adapter.backward(
-                            ep, ensad_cfg, traces[i], grad_htil[i]
-                        )
-                        _accumulate(acc, [a for _, a in item_grads.tensor_items()])
-                    res.ensad_grads = acc
-                except ValueError as err:
-                    # the backward guard trips on overflowed internals
-                    res.grad_failure = str(err)
+                grads, res.grad_h = adapter.backward_batch(
+                    ep, ensad_cfg, trace, grad_htil
+                )
+                res.ensad_grads = [a for _, a in grads.tensor_items()]
             else:
                 res.grad_failure = "non-finite gradient reaching the adapter"
         if "generator" in gan_cfg.trainable:
@@ -759,11 +760,12 @@ def train(
     """Adversarial-contrastive training, deterministic given
     (dataset, configs, seed).
 
-    Each iteration: draw a batch, apply noise augmentation, fuse the
-    conditioning per gan_cfg.conditioning, synthesize one fake per item,
-    evaluate both totals on the same fakes, then update the adapter and/or
-    generator against the frozen discriminator, then the discriminator with
-    everything else held constant. Components outside gan_cfg.trainable are
+    Each iteration: draw a batch of indices, apply noise augmentation to its
+    (n, m+1, d) rows, fuse the conditioning per gan_cfg.conditioning,
+    synthesize one fake per item, evaluate both totals on the same fakes,
+    then update the adapter and/or generator against the frozen
+    discriminator, then the discriminator with everything else held
+    constant. Components outside gan_cfg.trainable are
     never touched.
 
     ``resume`` continues a checkpoint bit-exactly to gan_cfg.steps;
@@ -795,6 +797,8 @@ def train(
             raise ValueError("resume checkpoint has a different gan config")
         if resume.rng_seed != seed:
             raise ValueError("resume checkpoint was created with a different seed")
+        adapter.validate_params(resume.ensad_params, ensad_cfg)
+        validate_gan_params(resume.gan_params, gan_cfg, ensad_cfg.d)
         ep = resume.ensad_params.copy()
         gp = resume.gan_params.copy()
         adam = {comp: st.copy() for comp, st in resume.adam.items()}
@@ -833,7 +837,6 @@ def train(
     gen_tensors = gp.generator_tensors()
     disc_tensors = gp.discriminator_tensors()
     n = gan_cfg.batch
-    augmenting = gan_cfg.noise_p0 != 0.0 or gan_cfg.noise_pt != 0.0
 
     def snapshot(step_count: int) -> Checkpoint:
         return Checkpoint(
@@ -847,21 +850,14 @@ def train(
             step=step_count,
         )
 
-    batches = batch_iter(ds, n, rng)
+    batches = sample_indices(len(ds), n, rng)
     for step in range(start_step, gan_cfg.steps):
-        batch = next(batches)
-        if augmenting:
-            ensembles = [
-                augment_noise(ens, gan_cfg.noise_p0, gan_cfg.noise_pt, rng)
-                for ens, _ in batch
-            ]
-        else:
-            ensembles = [ens for ens, _ in batch]
-        imgs_real = np.stack([img for _, img in batch])
-        zs = np.stack([rng.gaussian(gan_cfg.d_z) for _ in range(n)])
+        idx = next(batches)
+        h = augment_rows(ds.rows[idx], gan_cfg.noise_p0, gan_cfg.noise_pt, rng)
+        zs = rng.gaussian_rows(n, gan_cfg.d_z)
 
         res = step_losses_and_grads(
-            ensembles, imgs_real, zs, ep, ensad_cfg, gp, gan_cfg, proxy
+            h, ds.images[idx], zs, ep, ensad_cfg, gp, gan_cfg, proxy
         )
         if not (math.isfinite(res.loss_ensad) and math.isfinite(res.loss_disc)):
             raise TrainingDiverged(

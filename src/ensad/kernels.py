@@ -1,20 +1,29 @@
-"""Hot numeric kernels, written once in numba-compatible numpy.
+"""Numeric kernels: the splitmix64 stream and its Box-Muller transform, the
+batched adapter forward/backward pass, and the Jacobi eigensolver.
 
-Every function here is wrapped by :func:`ensad.backend.jit`, so the same
-source runs either JIT-compiled or as plain CPython/numpy depending on the
-``ENSAD_NUMBA`` flag.  Keep the bodies restricted to constructs both paths
-support: contiguous arrays, basic slicing, literal-axis reductions, and
-``np.dot`` on contiguous operands.
+The adapter kernels work on a whole batch in plain numpy: an (n, m+1, d)
+stack of ensembles passes through each weight matrix as one 2-D product
+(weights used untransposed, ``x @ w.T``), and the parameter gradients are
+summed over the batch by the same kind of product.  Zero-norm conventions
+are applied with ``np.where`` on safe divisors, so every item of a batch
+follows the same code path.
 
-Matrix layout: ensembles and intermediates are handled row-major, one row
-per translation (shape ``(m, d)``), because C-contiguous rows make every
-norm, broadcast and matmul contiguous.  The public adapter API transposes
-at the boundary.
+The stream and eigensolver kernels loop or mix words elementwise; they are
+wrapped by :func:`ensad.backend.jit`, so they run JIT-compiled when numba
+is importable and ``ENSAD_NUMBA`` allows it, and as plain numpy otherwise.
+The batched adapter kernels are not wrapped: numba does not compile their
+einsum and reshape forms.
+
+Layout: vectors are rows, so an item is (m+1, d) with the source row first.
+The public adapter API transposes its (d, m+1) column layout at the
+boundary.  ``python3 perfbench/run.py --workload desk_finetune --trace 1``
+reports call counts and self time for each kernel here.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,9 +84,67 @@ def gaussian_from_bits(bits: np.ndarray) -> np.ndarray:
     return out
 
 
-@jit
+@dataclass
+class ForwardTrace:
+    """What the backward pass needs from one batched adapter forward pass.
+
+    The leading axis is the batch (n items); each item has m translation
+    rows. Shapes: ``h`` (n, m+1, d) the input rows, source first; ``v``
+    (n, m, d) the value rows and ``vraw_norm`` (n, m) their norms before
+    normalization; ``t`` (n, m, d_hid) the tanh of the attention
+    preactivation; ``s`` (n, m) the attention weights; ``u``/``uhat``
+    (n, m, d) the refined value rows before and after normalization, with
+    norms ``u_norm`` (n, m); ``vo`` (n, m, d) the gated value mix; ``c``
+    (n, d) the normalized context, ``craw_norm`` (n,) its raw norm;
+    ``hraw_norm`` (n,) the norm of the gated residual; ``h_tilde`` (n, d)
+    the fused output.
+    """
+
+    h: np.ndarray
+    vraw_norm: np.ndarray
+    v: np.ndarray
+    t: np.ndarray
+    s: np.ndarray
+    u: np.ndarray
+    u_norm: np.ndarray
+    uhat: np.ndarray
+    vo: np.ndarray
+    c: np.ndarray
+    craw_norm: np.ndarray
+    hraw_norm: np.ndarray
+    h_tilde: np.ndarray
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(x * x, axis=-1))
+
+
+def _divisor(norm: np.ndarray) -> np.ndarray:
+    """Norms as divisors, with norms below _NORM_EPS replaced by 1 so those
+    vectors pass through unscaled."""
+    return np.where(norm < _NORM_EPS, 1.0, norm)[..., None]
+
+
+def _normalize_backward(grad, unit, norm):
+    """Backward of x -> x/|x| given unit = x/|x|: (I - unit unit^T) grad / |x|,
+    and zero where |x| fell below _NORM_EPS."""
+    proj = grad - unit * np.sum(unit * grad, axis=-1, keepdims=True)
+    return np.where((norm < _NORM_EPS)[..., None], 0.0, proj / _divisor(norm))
+
+
+def _matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for a stack of rows x (..., k) and a (k, j) matrix, as one
+    2-D product."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
+
+
+def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over every leading index of the outer products a_i b_i^T."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
 def adapter_forward(
-    h_rows: np.ndarray,
+    h: np.ndarray,
     wq: np.ndarray,
     wk: np.ndarray,
     wv: np.ndarray,
@@ -87,106 +154,50 @@ def adapter_forward(
     wo: np.ndarray,
     alpha: float,
     v_eq_k: bool,
-):
-    """Fuse a source embedding with its translations via additive attention.
+) -> ForwardTrace:
+    """Fuse each source embedding with its translations via additive
+    attention, for a whole batch at once.
 
-    ``h_rows`` is ``(m+1, d)``: row 0 the source embedding, rows 1..m the
-    translations.  Value rows are the unit-normalized translation offsets
-    (or the translations themselves under ``v_eq_k``).  A gated residual
-    mixes the attention context back into the query with weight ``alpha``
-    and the result is re-normalized.
+    ``h`` is (n, m+1, d): per item, row 0 the source embedding and rows
+    1..m the translations.  Value rows are the unit-normalized translation
+    offsets (or the translations themselves under ``v_eq_k``).  A gated
+    residual mixes the attention context back into the query with weight
+    ``alpha`` and the result is re-normalized.
 
-    When ``alpha == 0`` or the context vector vanishes, the query passes
-    through bit-exactly.
-
-    Returns every intermediate needed for backprop and inspection; see
-    ``adapter.ForwardTrace`` for the field-by-field meaning.
+    When ``alpha == 0`` or an item's context vector vanishes, that item's
+    query passes through bit-exactly.
     """
-    d = h_rows.shape[1]
-    m = h_rows.shape[0] - 1
-    dh = wq.shape[0]
+    q = h[:, 0]
+    k = h[:, 1:]
+    vraw = k if v_eq_k else k - q[:, None, :]
+    vraw_norm = _norm(vraw)
+    v = vraw if v_eq_k else vraw / _divisor(vraw_norm)
 
-    q = h_rows[0].copy()
-    k_rows = h_rows[1:].copy()
+    a = _matmul(k, wk.T) + _matmul(v, wv.T) + (q @ wq.T + b)[:, None, :]
+    t = np.tanh(a)
+    logits = t @ wp + bp
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    s = e / e.sum(axis=1, keepdims=True)
 
-    if v_eq_k:
-        vraw_rows = k_rows.copy()
-        vraw_norms = np.sqrt(np.sum(vraw_rows * vraw_rows, axis=1))
-        v_rows = k_rows.copy()
-    else:
-        vraw_rows = k_rows - q.reshape(1, d)
-        vraw_norms = np.sqrt(np.sum(vraw_rows * vraw_rows, axis=1))
-        v_rows = np.empty((m, d))
-        for j in range(m):
-            nrm = vraw_norms[j]
-            if nrm < _NORM_EPS:
-                v_rows[j] = vraw_rows[j]
-            else:
-                v_rows[j] = vraw_rows[j] / nrm
-
-    wk_t = np.ascontiguousarray(wk.T)
-    wv_t = np.ascontiguousarray(wv.T)
-    base = np.dot(wq, q) + b
-    a_rows = np.dot(k_rows, wk_t) + np.dot(v_rows, wv_t) + base.reshape(1, dh)
-    t_rows = np.tanh(a_rows)
-    logits = np.dot(t_rows, wp) + bp
-
-    mx = np.max(logits)
-    e = np.exp(logits - mx)
-    s = e / np.sum(e)
-
-    wo_t = np.ascontiguousarray(wo.T)
-    u_rows = np.tanh(np.dot(v_rows, wo_t))
-    u_norms = np.sqrt(np.sum(u_rows * u_rows, axis=1))
-    uhat_rows = np.empty((m, d))
-    for j in range(m):
-        if u_norms[j] < _NORM_EPS:
-            uhat_rows[j] = u_rows[j]
-        else:
-            uhat_rows[j] = u_rows[j] / u_norms[j]
-
-    vo_rows = (1.0 - alpha) * v_rows + alpha * uhat_rows
-    craw = np.dot(s, vo_rows)
-    craw_norm = math.sqrt(np.sum(craw * craw))
-    if craw_norm < _NORM_EPS:
-        c = craw.copy()
-    else:
-        c = craw / craw_norm
+    u = np.tanh(_matmul(v, wo.T))
+    u_norm = _norm(u)
+    uhat = u / _divisor(u_norm)
+    vo = (1.0 - alpha) * v + alpha * uhat
+    craw = np.einsum("nm,nmd->nd", s, vo)
+    craw_norm = _norm(craw)
+    c = craw / _divisor(craw_norm)
 
     hraw = (1.0 - alpha) * q + alpha * c
-    hraw_norm = math.sqrt(np.sum(hraw * hraw))
-    if alpha == 0.0 or craw_norm < _NORM_EPS:
-        h_tilde = q.copy()
-    elif hraw_norm < _NORM_EPS:
-        h_tilde = hraw.copy()
-    else:
-        h_tilde = hraw / hraw_norm
-
-    return (
-        q,
-        k_rows,
-        vraw_rows,
-        vraw_norms,
-        v_rows,
-        a_rows,
-        t_rows,
-        logits,
-        s,
-        u_rows,
-        u_norms,
-        uhat_rows,
-        vo_rows,
-        craw,
-        craw_norm,
-        c,
-        hraw,
-        hraw_norm,
-        h_tilde,
+    hraw_norm = _norm(hraw)
+    passthrough = (alpha == 0.0) | (craw_norm < _NORM_EPS)
+    h_tilde = np.where(passthrough[:, None], q, hraw / _divisor(hraw_norm))
+    return ForwardTrace(
+        h, vraw_norm, v, t, s, u, u_norm, uhat, vo, c, craw_norm, hraw_norm, h_tilde
     )
 
 
-@jit
 def adapter_backward(
+    tr: ForwardTrace,
     g: np.ndarray,
     wq: np.ndarray,
     wk: np.ndarray,
@@ -195,95 +206,54 @@ def adapter_backward(
     wo: np.ndarray,
     alpha: float,
     v_eq_k: bool,
-    q: np.ndarray,
-    k_rows: np.ndarray,
-    vraw_norms: np.ndarray,
-    v_rows: np.ndarray,
-    t_rows: np.ndarray,
-    s: np.ndarray,
-    u_rows: np.ndarray,
-    u_norms: np.ndarray,
-    uhat_rows: np.ndarray,
-    vo_rows: np.ndarray,
-    c: np.ndarray,
-    craw_norm: float,
-    h_tilde: np.ndarray,
-    hraw_norm: float,
 ):
-    """Reverse-mode gradients of the adapter forward pass.
+    """Reverse-mode gradients of a batched adapter forward pass.
 
-    ``g`` is the loss gradient at the fused output.  Hand-derived chain:
-    each l2 normalization contributes (I - vv^T)/|raw| on its branch (zero
-    when the raw vector vanished), softmax contributes s*(g - s.g), tanh
-    contributes 1-y^2, and the affine attention map scatters into the six
-    weight tensors.  Returns parameter gradients in declaration order plus
-    the gradient w.r.t. the input rows.
+    ``g`` (n, d) is the loss gradient at each fused output.  Hand-derived
+    chain: each l2 normalization contributes (I - vv^T)/|raw| on its branch
+    (zero when the raw vector vanished), softmax contributes s*(g - s.g),
+    tanh contributes 1-y^2, and the affine attention map scatters into the
+    weight tensors.  Returns the parameter gradients summed over the batch,
+    in declaration order (wq, wk, wv, b, wp, bp, wo), and the gradient
+    w.r.t. the input rows, shaped like ``tr.h``.
     """
-    d = q.shape[0]
-    m = k_rows.shape[0]
-    dh = wq.shape[0]
+    q = tr.h[:, 0]
+    k = tr.h[:, 1:]
 
-    if hraw_norm < _NORM_EPS:
-        grad_hraw = np.zeros(d)
-    else:
-        grad_hraw = (g - h_tilde * np.dot(h_tilde, g)) / hraw_norm
+    grad_hraw = _normalize_backward(g, tr.h_tilde, tr.hraw_norm)
     grad_q = (1.0 - alpha) * grad_hraw
-    grad_c = alpha * grad_hraw
+    grad_craw = _normalize_backward(alpha * grad_hraw, tr.c, tr.craw_norm)
 
-    if craw_norm < _NORM_EPS:
-        grad_craw = np.zeros(d)
-    else:
-        grad_craw = (grad_c - c * np.dot(c, grad_c)) / craw_norm
+    grad_vo = tr.s[:, :, None] * grad_craw[:, None, :]
+    grad_s = np.einsum("nmd,nd->nm", tr.vo, grad_craw)
+    grad_u = _normalize_backward(alpha * grad_vo, tr.uhat, tr.u_norm)
+    grad_wov = grad_u * (1.0 - tr.u * tr.u)
+    grad_wo = _outer_sum(grad_wov, tr.v)
+    grad_v = (1.0 - alpha) * grad_vo + _matmul(grad_wov, wo)
 
-    grad_vo_rows = s.reshape(m, 1) * grad_craw.reshape(1, d)
-    grad_s = np.dot(vo_rows, grad_craw)
-    grad_v_rows = (1.0 - alpha) * grad_vo_rows
-    grad_uhat_rows = alpha * grad_vo_rows
+    grad_logits = tr.s * (grad_s - np.sum(tr.s * grad_s, axis=1, keepdims=True))
+    grad_wp = np.tensordot(grad_logits, tr.t, axes=2)
+    grad_bp = np.asarray(np.sum(grad_logits))
+    grad_a = grad_logits[:, :, None] * wp * (1.0 - tr.t * tr.t)
 
-    grad_u_rows = np.empty((m, d))
-    for j in range(m):
-        if u_norms[j] < _NORM_EPS:
-            grad_u_rows[j, :] = 0.0
-        else:
-            dj = np.dot(uhat_rows[j], grad_uhat_rows[j])
-            grad_u_rows[j] = (grad_uhat_rows[j] - uhat_rows[j] * dj) / u_norms[j]
-
-    grad_wov_rows = grad_u_rows * (1.0 - u_rows * u_rows)
-    grad_wo = np.dot(np.ascontiguousarray(grad_wov_rows.T), v_rows)
-    grad_v_rows = grad_v_rows + np.dot(grad_wov_rows, wo)
-
-    sg = np.dot(s, grad_s)
-    grad_logits = s * (grad_s - sg)
-    grad_wp = np.dot(grad_logits, t_rows)
-    grad_bp = np.sum(grad_logits)
-    grad_t_rows = grad_logits.reshape(m, 1) * wp.reshape(1, dh)
-    grad_a_rows = grad_t_rows * (1.0 - t_rows * t_rows)
-
-    colsum = np.sum(grad_a_rows, axis=0)
-    grad_wq = colsum.reshape(dh, 1) * q.reshape(1, d)
-    grad_q = grad_q + np.dot(colsum, wq)
-    ga_t = np.ascontiguousarray(grad_a_rows.T)
-    grad_wk = np.dot(ga_t, k_rows)
-    grad_wv = np.dot(ga_t, v_rows)
-    grad_b = colsum
-    grad_k_rows = np.dot(grad_a_rows, wk)
-    grad_v_rows = grad_v_rows + np.dot(grad_a_rows, wv)
+    colsum = np.sum(grad_a, axis=1)
+    grad_wq = colsum.T @ q
+    grad_q = grad_q + colsum @ wq
+    grad_wk = _outer_sum(grad_a, k)
+    grad_wv = _outer_sum(grad_a, tr.v)
+    grad_b = np.sum(colsum, axis=0)
+    grad_k = _matmul(grad_a, wk)
+    grad_v = grad_v + _matmul(grad_a, wv)
 
     if v_eq_k:
-        grad_k_rows = grad_k_rows + grad_v_rows
+        grad_k = grad_k + grad_v
     else:
-        for j in range(m):
-            if vraw_norms[j] < _NORM_EPS:
-                continue
-            dj = np.dot(v_rows[j], grad_v_rows[j])
-            gr = (grad_v_rows[j] - v_rows[j] * dj) / vraw_norms[j]
-            grad_k_rows[j] = grad_k_rows[j] + gr
-            grad_q = grad_q - gr
+        grad_vraw = _normalize_backward(grad_v, tr.v, tr.vraw_norm)
+        grad_k = grad_k + grad_vraw
+        grad_q = grad_q - np.sum(grad_vraw, axis=1)
 
-    g_h_rows = np.empty((m + 1, d))
-    g_h_rows[0] = grad_q
-    g_h_rows[1:] = grad_k_rows
-    return grad_wq, grad_wk, grad_wv, grad_b, grad_wp, grad_bp, grad_wo, g_h_rows
+    grad_h = np.concatenate([grad_q[:, None, :], grad_k], axis=1)
+    return (grad_wq, grad_wk, grad_wv, grad_b, grad_wp, grad_bp, grad_wo), grad_h
 
 
 @jit

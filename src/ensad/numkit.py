@@ -17,8 +17,9 @@ Vec = np.ndarray
 Mat = np.ndarray
 
 # Norms below this count as zero; normalization passes the vector through
-# and the corresponding Jacobian is zero by convention.
-NORM_EPS = 1e-12
+# and the corresponding Jacobian is zero by convention. Defined once, in
+# the kernels.
+NORM_EPS = kernels._NORM_EPS
 
 _U64 = 1 << 64
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -52,6 +53,13 @@ def l2_normalize(v: Vec) -> Vec:
     if nrm < NORM_EPS:
         return arr.copy()
     return arr / nrm
+
+
+def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
+    """:func:`l2_normalize` over the last axis of a stack of vectors, for
+    batched hot paths: the same zero-vector convention, no input checks."""
+    nrm = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
+    return x / np.where(nrm < NORM_EPS, 1.0, nrm)
 
 
 def softmax(v: Vec) -> Vec:
@@ -145,13 +153,30 @@ class SeededRng:
             raise ValueError("bound must be positive")
         return self.next_u64() % bound
 
+    def randints_below(self, bounds) -> np.ndarray:
+        """One uniform int in [0, bound) per entry of ``bounds``, from one
+        stream word each: the same values and words as that many successive
+        :meth:`randint_below` calls, in one fill."""
+        b = np.asarray(bounds, dtype=np.int64)
+        if b.ndim != 1 or np.any(b < 1):
+            raise ValueError("bounds must be a 1-D array of positive ints")
+        return (self._take(b.shape[0]) % b.astype(np.uint64)).astype(np.int64)
+
     def gaussian(self, n: int) -> Vec:
         """n i.i.d. standard normals. Consumes 2*ceil(n/2) stream words."""
+        return self.gaussian_rows(1, n)[0]
+
+    def gaussian_rows(self, rows: int, n: int) -> Mat:
+        """(rows, n) standard normals: the same numbers and stream words as
+        ``rows`` successive ``gaussian(n)`` calls, each row consuming
+        2*ceil(n/2) words, in one fill."""
         if n < 1:
             raise ValueError("sample count must be positive")
-        words = 2 * ((n + 1) // 2)
-        out = kernels.gaussian_from_bits(self._take(words))
-        return out[:n] if n == words else out[:n].copy()
+        if rows < 0:
+            raise ValueError("row count must be nonnegative")
+        width = 2 * ((n + 1) // 2)
+        out = kernels.gaussian_from_bits(self._take(rows * width))
+        return out.reshape(rows, width)[:, :n]
 
 
 def gaussian(rng: SeededRng, n: int) -> Vec:

@@ -1,0 +1,222 @@
+"""The batched training step against one-item references: the adapter
+kernels over a whole batch against n separate one-item calls and against
+the per-item loop code they replace, and the batched stream draws against
+the per-item draw order."""
+
+import numpy as np
+import pytest
+
+from ensad.adapter import EnsAdConfig, backward, forward, init_params
+from ensad.data import augment_rows, sample_indices
+from ensad.gan import GanConfig, init_gan_params, step_losses_and_grads
+from ensad.numkit import SeededRng, l2_normalize
+
+
+def close(got, want, tol=1e-12):
+    want = np.asarray(want, dtype=float)
+    return np.abs(np.asarray(got) - want).max() <= tol * max(1.0, np.abs(want).max())
+
+
+def mixed_batch(cfg, rng):
+    """(n, m+1, d) rows: ordinary items mixed with zero-norm edge cases."""
+    def unit():
+        return l2_normalize(rng.gaussian(cfg.d))
+
+    def ordinary():
+        return np.stack([unit() for _ in range(cfg.m + 1)])
+
+    q, t = unit(), unit()
+    return np.stack([
+        ordinary(),
+        # every translation equals the source: vraw, u and craw all vanish
+        np.stack([q] * (cfg.m + 1)),
+        ordinary(),
+        # identical translations
+        np.stack([q] + [t] * cfg.m),
+        # one translation equals the source: one vraw row vanishes
+        np.stack([q, q] + [unit() for _ in range(cfg.m - 1)]),
+        ordinary(),
+    ])
+
+
+def per_item_reference(p, cfg, rows, g):
+    """The adapter kernels as they were before batching, for one item: a
+    loop over translation rows with an explicit branch for each zero-norm
+    convention. ``rows`` is (m+1, d), ``g`` the gradient at the output.
+    Returns (h_tilde, s, parameter gradients, gradient w.r.t. rows)."""
+    eps, alpha = 1e-12, cfg.alpha
+    m = cfg.m
+
+    def unit(x):
+        n = np.sqrt(np.sum(x * x))
+        return (x.copy() if n < eps else x / n), n
+
+    def unit_backward(grad, u, n):
+        return np.zeros_like(grad) if n < eps else (grad - u * np.dot(u, grad)) / n
+
+    q, k = rows[0].copy(), rows[1:].copy()
+    v, vraw_n = np.empty_like(k), np.empty(m)
+    for j in range(m):
+        if cfg.variant_v_equals_k:
+            v[j], vraw_n[j] = k[j], np.sqrt(np.sum(k[j] * k[j]))
+        else:
+            v[j], vraw_n[j] = unit(k[j] - q)
+    t = np.tanh(k @ p.wk.T + v @ p.wv.T + (p.wq @ q + p.b))
+    logits = t @ p.wp + float(p.bp)
+    e = np.exp(logits - logits.max())
+    s = e / e.sum()
+    u = np.tanh(v @ p.wo.T)
+    uhat, u_n = np.empty_like(u), np.empty(m)
+    for j in range(m):
+        uhat[j], u_n[j] = unit(u[j])
+    vo = (1.0 - alpha) * v + alpha * uhat
+    c, craw_n = unit(s @ vo)
+    hraw = (1.0 - alpha) * q + alpha * c
+    h_tilde, hraw_n = unit(hraw)
+    if alpha == 0.0 or craw_n < eps:
+        h_tilde = q.copy()
+
+    grad_hraw = unit_backward(g, h_tilde, hraw_n)
+    grad_q = (1.0 - alpha) * grad_hraw
+    grad_craw = unit_backward(alpha * grad_hraw, c, craw_n)
+    grad_vo = np.outer(s, grad_craw)
+    grad_s = vo @ grad_craw
+    grad_u = np.stack([unit_backward(alpha * grad_vo[j], uhat[j], u_n[j])
+                       for j in range(m)])
+    grad_wov = grad_u * (1.0 - u * u)
+    grad_v = (1.0 - alpha) * grad_vo + grad_wov @ p.wo
+    grad_logits = s * (grad_s - np.dot(s, grad_s))
+    grad_a = np.outer(grad_logits, p.wp) * (1.0 - t * t)
+    colsum = grad_a.sum(axis=0)
+    grad_q = grad_q + colsum @ p.wq
+    grad_k = grad_a @ p.wk
+    grad_v = grad_v + grad_a @ p.wv
+    for j in range(m):
+        if cfg.variant_v_equals_k:
+            grad_k[j] += grad_v[j]
+        else:
+            gr = unit_backward(grad_v[j], v[j], vraw_n[j])
+            grad_k[j] += gr
+            grad_q -= gr
+    grads = [np.outer(colsum, q), grad_a.T @ k, grad_a.T @ v, colsum,
+             grad_logits @ t, np.asarray(grad_logits.sum()), grad_wov.T @ v]
+    return h_tilde, s, grads, np.vstack([grad_q, grad_k])
+
+
+@pytest.mark.parametrize("cfg", [
+    EnsAdConfig(d=7, d_hid=4, m=3, alpha=0.3),
+    EnsAdConfig(d=7, d_hid=4, m=3, alpha=0.0),
+    EnsAdConfig(d=7, d_hid=4, m=3, alpha=0.3, variant_v_equals_k=True),
+], ids=["ordinary", "alpha0", "v_eq_k"])
+def test_step_matches_per_item_adapter_calls(cfg):
+    rng = SeededRng(61)
+    h = mixed_batch(cfg, rng)
+    n = h.shape[0]
+    gcfg = GanConfig(d=cfg.d, d_z=3, d_img=5, gen_hidden=(6,), disc_hidden=(6,),
+                     batch=n, trainable=frozenset({"ensad", "discriminator"}))
+    ep = init_params(cfg, rng)
+    gp = init_gan_params(gcfg, cfg.d, rng)
+    imgs = np.tanh(rng.gaussian_rows(n, gcfg.d_img))
+    zs = rng.gaussian_rows(n, gcfg.d_z)
+
+    res = step_losses_and_grads(h, imgs, zs, ep, cfg, gp, gcfg)
+    assert res.ensad_grads is not None
+
+    grad_sum = [np.zeros_like(t) for _, t in ep.tensor_items()]
+    ref_sum = [np.zeros_like(t) for _, t in ep.tensor_items()]
+    for i in range(n):
+        out, tr = forward(ep, cfg, h[i].T)
+        grads, grad_h = backward(ep, cfg, tr, res.grad_conds[i])
+        ref_out, ref_s, ref_grads, ref_grad_h = per_item_reference(
+            ep, cfg, h[i], res.grad_conds[i])
+        for got in (res.trace.h_tilde[i], out):
+            assert close(got, ref_out), f"item {i}: condition"
+        for got in (res.trace.s[i], tr.s):
+            assert close(got, ref_s), f"item {i}: attention"
+        for got in (res.grad_h[i], grad_h.T):
+            assert close(got, ref_grad_h), f"item {i}: input gradient"
+        for acc, (_, g) in zip(grad_sum, grads.tensor_items()):
+            acc += g
+        for acc, g in zip(ref_sum, ref_grads):
+            acc += g
+    for (name, _), got, one, ref in zip(ep.tensor_items(), res.ensad_grads,
+                                        grad_sum, ref_sum):
+        assert close(got, ref), name
+        assert close(one, ref), name
+
+    # passthrough stays bit-exact inside a batch
+    if not cfg.variant_v_equals_k:
+        assert np.array_equal(res.trace.h_tilde[1], h[1, 0])
+    if cfg.alpha == 0.0:
+        assert np.array_equal(res.trace.h_tilde, h[:, 0])
+
+
+def reference_batches(size, n, rng):
+    """The list-based partial Fisher-Yates that sample_indices replaces:
+    a fresh size-N list per batch, one randint_below per slot."""
+    while True:
+        idx = list(range(size))
+        for k in range(n):
+            j = k + rng.randint_below(size - k)
+            idx[k], idx[j] = idx[j], idx[k]
+        yield idx[:n]
+
+
+@pytest.mark.parametrize("size,n", [(1, 1), (2, 2), (10, 1), (10, 10), (37, 5),
+                                    (2000, 16)])
+def test_sample_indices_matches_list_fisher_yates(size, n):
+    rng, ref_rng = SeededRng(41, 7), SeededRng(41, 7)
+    got = sample_indices(size, n, rng)
+    want = reference_batches(size, n, ref_rng)
+    for b in range(1, 121):
+        assert next(got).tolist() == next(want)
+        assert rng.position == 7 + b * n
+    assert rng.position == ref_rng.position
+
+
+@pytest.mark.parametrize("d", [1, 4, 7])
+def test_gaussian_rows_matches_successive_draws(d):
+    a, b = SeededRng(5, 3), SeededRng(5, 3)
+    rows = a.gaussian_rows(9, d)
+    want = np.stack([b.gaussian(d) for _ in range(9)])
+    assert np.array_equal(rows, want)
+    assert a.position == b.position == 3 + 9 * 2 * ((d + 1) // 2)
+
+
+def test_randints_below_matches_successive_draws():
+    a, b = SeededRng(8), SeededRng(8)
+    bounds = [1, 2, 3, 1000, 2**40, 7]
+    assert a.randints_below(bounds).tolist() == [b.randint_below(k) for k in bounds]
+    assert a.position == b.position == len(bounds)
+    with pytest.raises(ValueError):
+        a.randints_below([3, 0])
+
+
+def reference_augment(rows, p0, pt, rng):
+    """Per-vector augmentation as the one-item code drew it: source first,
+    then translations, one gaussian(d) call per noisy vector."""
+    out = []
+    for j, v in enumerate(rows):
+        p = p0 if j == 0 else pt
+        if p == 0.0:
+            out.append(v.copy())
+        else:
+            g = l2_normalize(rng.gaussian(v.shape[0]))
+            out.append(l2_normalize((1.0 - p) * v + p * g))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("p0,pt", [(0.1, 0.01), (0.0, 0.2), (0.3, 0.0), (0.0, 0.0)])
+def test_augment_rows_matches_per_vector_draws(p0, pt):
+    rng = SeededRng(70)
+    h = np.stack([np.stack([l2_normalize(rng.gaussian(5)) for _ in range(4)])
+                  for _ in range(6)])
+    a, b = SeededRng(71, 2), SeededRng(71, 2)
+    got = augment_rows(h, p0, pt, a)
+    want = np.stack([reference_augment(item, p0, pt, b) for item in h])
+    assert a.position == b.position
+    assert np.abs(got - want).max() <= 1e-14
+    if p0 == 0.0:
+        assert np.array_equal(got[:, 0], h[:, 0])
+    if pt == 0.0:
+        assert np.array_equal(got[:, 1:], h[:, 1:])

@@ -180,6 +180,19 @@ def test_train_pipeline_preset(workdir, dataset_path, capsys):
     assert json.loads(out.read_text())["step"] == 4
 
 
+def test_train_pipeline_preset_rejects_resume(workdir, dataset_path, ckpt_path,
+                                             capsys):
+    out = workdir / "pipe_resumed.json"
+    rc = main(["train", "--data", str(dataset_path), "--out", str(out),
+               "--config", str(workdir / "train.json"),
+               "--preset", "ensad_plus_finetune_g",
+               "--phase1-steps", "2", "--phase2-steps", "2",
+               "--resume", str(ckpt_path), "--seed", "2"])
+    assert rc == 2
+    assert "--resume" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_divergence_exit_code(workdir, dataset_path, capsys):
     cfg = workdir / "diverge.json"
     cfg.write_text(json.dumps({

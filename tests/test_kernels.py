@@ -2,40 +2,12 @@
 bodies must agree on identical inputs. Under ENSAD_NUMBA=0 both names
 bind the same function and these tests reduce to self-consistency."""
 
-import math
-
 import numpy as np
 import pytest
 
 from ensad.backend import NUMBA_ENABLED, python_impl
-from ensad.kernels import (
-    adapter_backward,
-    adapter_forward,
-    gaussian_from_bits,
-    jacobi_eigh,
-    splitmix64_fill,
-)
-from ensad.numkit import SeededRng, l2_normalize
-
-
-def make_rows(seed, m, d):
-    rng = SeededRng(seed)
-    rows = rng.gaussian((m + 1) * d).reshape(m + 1, d)
-    for j in range(m + 1):
-        rows[j] = l2_normalize(rows[j])
-    return rows
-
-
-def make_params(seed, d, dh):
-    rng = SeededRng(seed)
-    wq = rng.gaussian(dh * d).reshape(dh, d)
-    wk = rng.gaussian(dh * d).reshape(dh, d)
-    wv = rng.gaussian(dh * d).reshape(dh, d)
-    b = rng.gaussian(dh)
-    wp = rng.gaussian(dh)
-    bp = float(rng.gaussian(1)[0])
-    wo = rng.gaussian(d * d).reshape(d, d)
-    return wq, wk, wv, b, wp, bp, wo
+from ensad.kernels import gaussian_from_bits, jacobi_eigh, splitmix64_fill
+from ensad.numkit import SeededRng
 
 
 def test_splitmix64_backends_bit_identical():
@@ -73,40 +45,6 @@ def test_gaussian_from_bits_box_muller_radius():
     assert np.allclose(r2, -2.0 * np.log(u1), rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("v_eq_k", [False, True])
-def test_adapter_forward_backends_agree(v_eq_k):
-    py = python_impl(adapter_forward)
-    rows = make_rows(11, 4, 9)
-    params = make_params(12, 9, 5)
-    out_jit = adapter_forward(rows, *params[:5], params[5], params[6],
-                              0.35, v_eq_k)
-    out_py = py(rows.copy(), *params[:5], params[5], params[6],
-                0.35, v_eq_k)
-    assert len(out_jit) == 19
-    for got, want in zip(out_jit, out_py):
-        assert np.allclose(got, want, rtol=5e-14, atol=5e-14)
-
-
-@pytest.mark.parametrize("v_eq_k", [False, True])
-def test_adapter_backward_backends_agree(v_eq_k):
-    py = python_impl(adapter_backward)
-    rows = make_rows(21, 3, 7)
-    wq, wk, wv, b, wp, bp, wo = make_params(22, 7, 4)
-    (q, k_rows, vraw_rows, vraw_norms, v_rows, a_rows, t_rows, logits, s,
-     u_rows, u_norms, uhat_rows, vo_rows, craw, craw_norm, c, hraw,
-     hraw_norm, h_tilde) = adapter_forward(
-        rows, wq, wk, wv, b, wp, bp, wo, 0.4, v_eq_k)
-    g = SeededRng(23).gaussian(7)
-    args = (g, wq, wk, wv, wp, wo, 0.4, v_eq_k, q, k_rows, vraw_norms,
-            v_rows, t_rows, s, u_rows, u_norms, uhat_rows, vo_rows, c,
-            craw_norm, h_tilde, hraw_norm)
-    out_jit = adapter_backward(*args)
-    out_py = py(*args)
-    assert len(out_jit) == 8
-    for got, want in zip(out_jit, out_py):
-        assert np.allclose(got, want, rtol=5e-14, atol=5e-14)
-
-
 def test_jacobi_backends_agree():
     py = python_impl(jacobi_eigh)
     rng = SeededRng(31)
@@ -142,4 +80,4 @@ def test_jacobi_diag_is_fixed_point():
 
 @pytest.mark.skipif(not NUMBA_ENABLED, reason="numba path disabled")
 def test_jit_wrapping_active():
-    assert python_impl(adapter_forward) is not adapter_forward
+    assert python_impl(splitmix64_fill) is not splitmix64_fill
