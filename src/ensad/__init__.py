@@ -3,8 +3,8 @@
 A small attention module fuses a source sentence embedding with embeddings
 of its translations into a single conditioning vector, trained jointly
 with a toy conditional GAN under adversarial and contrastive losses. All
-numerics are hand-derived numpy (optionally numba-compiled); runs are
-deterministic given (dataset, configs, seed).
+numerics are hand-derived numpy, with LAPACK for the eigendecompositions;
+runs are deterministic given (dataset, configs, seed).
 """
 
 from .adapter import (
@@ -59,7 +59,7 @@ from .gan import (
     total_losses,
     train,
 )
-from .numkit import ConvergenceError, NotPsdError, SeededRng, derive_seed
+from .numkit import NotPsdError, SeededRng, derive_seed
 
 __version__ = "0.1.0"
 
@@ -67,7 +67,6 @@ __all__ = [
     "STRATEGIES",
     "AdamState",
     "Checkpoint",
-    "ConvergenceError",
     "DataFormatError",
     "Dataset",
     "EmbeddingEnsemble",

@@ -215,7 +215,7 @@ def backward(
 
     Returns (parameter gradients in an EnsAdParams-shaped container,
     gradient w.r.t. the (d, m+1) input matrix). Normalizations that hit the
-    zero-vector branch in the forward contribute zero Jacobian.
+    zero-vector branch in the forward contribute a zero gradient.
     """
     g = as_f64(grad_h_tilde, "grad_h_tilde")
     if g.shape != (cfg.d,):

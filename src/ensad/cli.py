@@ -15,7 +15,8 @@ import json
 import os
 import sys
 
-from . import backend
+import numpy as np
+
 from .adapter import (
     EnsAdConfig,
     attention_export_record,
@@ -24,7 +25,6 @@ from .adapter import (
     param_count,
 )
 from .data import (
-    DataFormatError,
     Dataset,
     SyntheticSpec,
     atomic_write_text,
@@ -41,7 +41,7 @@ from .gan import (
     save_checkpoint,
     train,
 )
-from .numkit import ConvergenceError, NotPsdError
+from .numkit import NotPsdError
 
 CSV_COLUMNS = (
     "step",
@@ -137,9 +137,7 @@ def _build_adapter_cfg(section: dict, ds: Dataset) -> EnsAdConfig:
         section[key] = value
     try:
         return EnsAdConfig(**section)
-    except TypeError as exc:
-        raise UsageError(f"bad adapter config: {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"bad adapter config: {exc}") from exc
 
 
@@ -186,9 +184,7 @@ def _build_gan_cfg(section: dict, ds: Dataset, preset: str | None, steps) -> tup
         explicit["steps"] = steps
     try:
         return GanConfig(**explicit), pipeline
-    except TypeError as exc:
-        raise UsageError(f"bad gan config: {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"bad gan config: {exc}") from exc
 
 
@@ -214,9 +210,7 @@ def _cmd_synth(args) -> int:
     section["seed"] = _pick_seed(args, {**config, **section})
     try:
         spec = SyntheticSpec(**section)
-    except TypeError as exc:
-        raise UsageError(f"bad synth config: {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"bad synth config: {exc}") from exc
     ds = generate_synthetic(spec)
     _ensure_parent(args.out)
@@ -254,10 +248,6 @@ def _cmd_train(args) -> int:
     _ensure_parent(args.out)
     _ensure_parent(csv_path)
 
-    def finish(ck) -> None:
-        save_checkpoint(ck, args.out)
-        atomic_write_text(csv_path, _format_csv(rows))
-
     try:
         if pipeline:
             missing = {"phase1_steps", "phase2_steps"} - set(train_section)
@@ -287,7 +277,8 @@ def _cmd_train(args) -> int:
         print(f"training diverged: {exc}; diagnostic checkpoint at {diag_path}",
               file=sys.stderr)
         return 3
-    finish(ck)
+    save_checkpoint(ck, args.out)
+    atomic_write_text(csv_path, _format_csv(rows))
     print(f"trained to step {ck.step}; checkpoint {args.out}, log {csv_path}")
     return 0
 
@@ -355,7 +346,6 @@ def _cmd_param_count(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="override the run seed")
-    parser.add_argument("--threads", type=int, help="cap worker threads")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,23 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be positive", file=sys.stderr)
-            return 2
-        backend.set_thread_cap(args.threads)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotPsdError, ConvergenceError) as exc:
+    except (NotPsdError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (DataFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (UsageError, ValueError, FileNotFoundError) as exc:
+        # DataFormatError and malformed checkpoints are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -108,9 +107,11 @@ class SyntheticSpec:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory plus atomic rename."""
+    """Write via a temp file in the same directory plus atomic rename. The
+    file is created with mode 0666 minus the umask, like ``open(path, "w")``."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(directory, f".tmp-{os.getpid()}-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -6,14 +6,14 @@ and generated feature clouds, compared across fusion strategies.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .adapter import STRATEGIES
 from .data import Dataset, atomic_write_text
 from .gan import Checkpoint, _condition_batch, _disc_forward_batch, _generate_batch
-from .numkit import SeededRng, sym_sqrt_psd
+from .numkit import SeededRng, psd_eigvalsh, sym_sqrt_psd
 
 FEATURE_SPACE = "disc_fd"
 SAMPLING = "with_replacement"
@@ -45,23 +45,28 @@ def fit_gaussian(feats) -> FrechetStats:
 
 
 def _frechet_raw(a: FrechetStats, b: FrechetStats) -> float:
+    """|mu_a - mu_b|^2 + tr(Sa) + tr(Sb) - 2 tr((Sa^1/2 Sb Sa^1/2)^1/2), with
+    the last trace taken as the sum of the square roots of the eigenvalues,
+    so each pair needs one matrix square root."""
     if a.mu.shape != b.mu.shape or a.sigma.shape != b.sigma.shape:
         raise ValueError("statistics have mismatched shapes")
     dmu = a.mu - b.mu
     root_a = sym_sqrt_psd(a.sigma)
-    cross = sym_sqrt_psd(root_a @ b.sigma @ root_a)
-    return float(
-        dmu @ dmu + np.trace(a.sigma) + np.trace(b.sigma) - 2.0 * np.trace(cross)
-    )
+    cross = np.sum(np.sqrt(psd_eigvalsh(root_a @ b.sigma @ root_a)))
+    return float(dmu @ dmu + np.trace(a.sigma) + np.trace(b.sigma) - 2.0 * cross)
+
+
+def _clamped(raw: float) -> float:
+    """Clamp tiny negative round-off to zero; reject anything lower."""
+    if raw < _CLAMP_FLOOR:
+        raise ValueError(f"frechet distance computed as {raw}, beyond round-off")
+    return max(raw, 0.0)
 
 
 def frechet_distance(a: FrechetStats, b: FrechetStats) -> float:
     """Squared Frechet distance between two Gaussians; tiny negative
     round-off is clamped to zero."""
-    raw = _frechet_raw(a, b)
-    if raw < _CLAMP_FLOOR:
-        raise ValueError(f"frechet distance computed as {raw}, beyond round-off")
-    return max(raw, 0.0)
+    return _clamped(_frechet_raw(a, b))
 
 
 @dataclass
@@ -74,14 +79,7 @@ class EvalReport:
     sampling: str = SAMPLING
 
     def to_jsonable(self) -> dict:
-        return {
-            "feature_space": self.feature_space,
-            "n_gen": self.n_gen,
-            "n_real": self.n_real,
-            "sampling": self.sampling,
-            "seed": self.seed,
-            "results": [dict(row) for row in self.results],
-        }
+        return asdict(self)
 
 
 def save_report(report: EvalReport, path: str) -> None:
@@ -145,9 +143,5 @@ def compare_strategies(ck: Checkpoint, ds: Dataset, n_gen: int, seed: int) -> Ev
     for strategy in STRATEGIES:
         fake = _fake_stats(ck, ds, n_gen, strategy, seed)
         raw = _frechet_raw(real, fake)
-        if raw < _CLAMP_FLOOR:
-            raise ValueError(f"frechet distance computed as {raw}, beyond round-off")
-        rows.append({"strategy": strategy, "fd": max(raw, 0.0), "fd_raw": raw})
-    return EvalReport(
-        n_gen=n_gen, n_real=len(ds), seed=seed, results=rows
-    )
+        rows.append({"strategy": strategy, "fd": _clamped(raw), "fd_raw": raw})
+    return EvalReport(n_gen=n_gen, n_real=len(ds), seed=seed, results=rows)

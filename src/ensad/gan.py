@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import adapter
-from .adapter import EnsAdConfig, EnsAdParams, ForwardTrace, init_params
+from .adapter import STRATEGIES, EnsAdConfig, EnsAdParams, ForwardTrace, init_params
 from .data import Dataset, atomic_write_text, augment_rows, sample_indices, stack_rows
 from .numkit import NORM_EPS, SeededRng, as_f64, derive_seed, l2_normalize_rows
 
 TRAINABLE_COMPONENTS = ("ensad", "generator", "discriminator")
-CONDITIONING_MODES = ("ensad", "zero_shot", "translate_test", "mean_pool")
 
 # Stream salt for the proxy visual encoder used by the generator-side
 # contrastive variant; independent of the training stream by construction.
@@ -80,7 +80,7 @@ class GanConfig:
         unknown = self.trainable - set(TRAINABLE_COMPONENTS)
         if unknown:
             raise ValueError(f"unknown trainable components {sorted(unknown)}")
-        if self.conditioning not in CONDITIONING_MODES:
+        if self.conditioning not in STRATEGIES:
             raise ValueError(f"unknown conditioning mode {self.conditioning!r}")
         if not (0 <= self.noise_p0 <= 1 and 0 <= self.noise_pt <= 1):
             raise ValueError("noise proportions must lie in [0, 1]")
@@ -435,12 +435,22 @@ class AdamState:
         }
 
     @staticmethod
-    def from_jsonable(obj: dict) -> "AdamState":
-        return AdamState(
+    def from_jsonable(obj: dict, params: list) -> "AdamState":
+        """Moments read back and checked against ``params``: the same shapes,
+        finite, and ``v`` nonnegative."""
+        st = AdamState(
             m=[np.asarray(x, dtype=np.float64) for x in obj["m"]],
             v=[np.asarray(x, dtype=np.float64) for x in obj["v"]],
-            t=int(obj["t"]),
+            t=_u64(obj["t"]),
         )
+        for name, moments in (("m", st.m), ("v", st.v)):
+            if [x.shape for x in moments] != [p.shape for p in params]:
+                raise ValueError(f"{name} does not match the parameter shapes")
+            if not all(np.all(np.isfinite(x)) for x in moments):
+                raise ValueError(f"{name} contains non-finite entries")
+        if any(np.any(x < 0) for x in st.v):
+            raise ValueError("v contains negative entries")
+        return st
 
 
 def adam_step(
@@ -493,37 +503,43 @@ class TrainingDiverged(RuntimeError):
         self.checkpoint = checkpoint
 
 
-def _ensad_cfg_to_jsonable(cfg: EnsAdConfig) -> dict:
+def _component_tensors(ep: EnsAdParams, gp: ToyGanParams) -> dict:
+    """The parameter tensors of each trainable component, in the order its
+    gradients and Adam moments use."""
     return {
-        "d": cfg.d,
-        "d_hid": cfg.d_hid,
-        "m": cfg.m,
-        "alpha": cfg.alpha,
-        "variant_v_equals_k": cfg.variant_v_equals_k,
+        "ensad": [a for _, a in ep.tensor_items()],
+        "generator": gp.generator_tensors(),
+        "discriminator": gp.discriminator_tensors(),
     }
 
 
-def _gan_cfg_to_jsonable(cfg: GanConfig) -> dict:
-    return {
-        "d": cfg.d,
-        "d_z": cfg.d_z,
-        "d_img": cfg.d_img,
-        "gen_hidden": list(cfg.gen_hidden),
-        "disc_hidden": list(cfg.disc_hidden),
-        "tau": cfg.tau,
-        "lambda1": cfg.lambda1,
-        "lambda2": cfg.lambda2,
-        "lr": cfg.lr,
-        "beta1": cfg.beta1,
-        "beta2": cfg.beta2,
-        "batch": cfg.batch,
-        "steps": cfg.steps,
-        "trainable": sorted(cfg.trainable),
-        "enable_clg": cfg.enable_clg,
-        "conditioning": cfg.conditioning,
-        "noise_p0": cfg.noise_p0,
-        "noise_pt": cfg.noise_pt,
-    }
+def _cfg_to_jsonable(cfg) -> dict:
+    """A config dataclass as JSON values: sets sorted, tuples as lists."""
+    obj = asdict(cfg)
+    for key, value in obj.items():
+        if isinstance(value, frozenset):
+            obj[key] = sorted(value)
+        elif isinstance(value, tuple):
+            obj[key] = list(value)
+    return obj
+
+
+def _u64(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 1 << 64:
+        raise ValueError(f"expected an integer in [0, 2**64), got {value!r}")
+    return value
+
+
+@contextmanager
+def _field(path: str):
+    """Re-raise what a malformed checkpoint field raises as a ValueError
+    naming the field."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"checkpoint field {path!r}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint field {path!r}: {exc}") from exc
 
 
 def checkpoint_to_jsonable(ck: Checkpoint) -> dict:
@@ -533,8 +549,8 @@ def checkpoint_to_jsonable(ck: Checkpoint) -> dict:
     return {
         "version": ck.version,
         "configs": {
-            "adapter": _ensad_cfg_to_jsonable(ck.ensad_cfg),
-            "gan": _gan_cfg_to_jsonable(ck.gan_cfg),
+            "adapter": _cfg_to_jsonable(ck.ensad_cfg),
+            "gan": _cfg_to_jsonable(ck.gan_cfg),
         },
         "params": {
             "ensad": ck.ensad_params.to_jsonable(),
@@ -551,35 +567,52 @@ def checkpoint_to_jsonable(ck: Checkpoint) -> dict:
 
 
 def checkpoint_from_jsonable(obj: dict) -> Checkpoint:
-    if obj.get("version") != 1:
-        raise ValueError(f"unsupported checkpoint version {obj.get('version')!r}")
-    cfg_obj = obj["configs"]
-    ensad_cfg = EnsAdConfig(**cfg_obj["adapter"])
-    gan_raw = dict(cfg_obj["gan"])
-    gan_raw["trainable"] = frozenset(gan_raw["trainable"])
-    gan_raw["gen_hidden"] = tuple(gan_raw["gen_hidden"])
-    gan_raw["disc_hidden"] = tuple(gan_raw["disc_hidden"])
-    gan_cfg = GanConfig(**gan_raw)
-    ensad_params = EnsAdParams.from_jsonable(obj["params"]["ensad"], ensad_cfg)
-    gan_params = ToyGanParams.from_jsonable(obj["params"]["gan"], gan_cfg, ensad_cfg.d)
+    """Parse and validate a checkpoint; a malformed field raises ValueError
+    naming it."""
+    with _field("version"):
+        if obj["version"] != 1:
+            raise ValueError(f"unsupported checkpoint version {obj['version']!r}")
+    with _field("configs.adapter"):
+        ensad_cfg = EnsAdConfig(**obj["configs"]["adapter"])
+    with _field("configs.gan"):
+        gan_cfg = GanConfig(**obj["configs"]["gan"])
+    with _field("params.ensad"):
+        ensad_params = EnsAdParams.from_jsonable(obj["params"]["ensad"], ensad_cfg)
+    with _field("params.gan"):
+        gan_params = ToyGanParams.from_jsonable(obj["params"]["gan"], gan_cfg, ensad_cfg.d)
+    tensors = _component_tensors(ensad_params, gan_params)
+    with _field("adam"):
+        adam_obj = dict(obj["adam"])
+        unknown = set(adam_obj) - set(TRAINABLE_COMPONENTS)
+        if unknown:
+            raise ValueError(f"unknown optimizer components {sorted(unknown)}")
+        missing = [c for c in TRAINABLE_COMPONENTS
+                   if c in gan_cfg.trainable and adam_obj.get(c) is None]
+        if missing:
+            raise ValueError(f"no optimizer state for trainable {missing}")
     adam = {}
-    for comp, st in obj["adam"].items():
-        if comp not in TRAINABLE_COMPONENTS:
-            raise ValueError(f"unknown optimizer component {comp!r}")
+    for comp, st in adam_obj.items():
         if st is not None:
-            adam[comp] = AdamState.from_jsonable(st)
-    rng_obj = obj["rng"]
-    if rng_obj["algorithm"] != SeededRng.ALGORITHM:
-        raise ValueError(f"unknown rng algorithm {rng_obj['algorithm']!r}")
+            with _field(f"adam.{comp}"):
+                adam[comp] = AdamState.from_jsonable(st, tensors[comp])
+    with _field("rng.algorithm"):
+        if obj["rng"]["algorithm"] != SeededRng.ALGORITHM:
+            raise ValueError(f"unknown rng algorithm {obj['rng']['algorithm']!r}")
+    with _field("rng.seed"):
+        rng_seed = _u64(obj["rng"]["seed"])
+    with _field("rng.position"):
+        rng_position = _u64(obj["rng"]["position"])
+    with _field("step"):
+        step = _u64(obj["step"])
     return Checkpoint(
         ensad_cfg=ensad_cfg,
         gan_cfg=gan_cfg,
         ensad_params=ensad_params,
         gan_params=gan_params,
         adam=adam,
-        rng_seed=int(rng_obj["seed"]),
-        rng_position=int(rng_obj["position"]),
-        step=int(obj["step"]),
+        rng_seed=rng_seed,
+        rng_position=rng_position,
+        step=step,
     )
 
 
@@ -815,15 +848,11 @@ def train(
         else:
             ep = init_params(ensad_cfg, rng)
             gp = init_gan_params(gan_cfg, ensad_cfg.d, rng)
-        adam = {}
-        for comp in TRAINABLE_COMPONENTS:
-            if comp in gan_cfg.trainable:
-                tensors = {
-                    "ensad": lambda: [a for _, a in ep.tensor_items()],
-                    "generator": gp.generator_tensors,
-                    "discriminator": gp.discriminator_tensors,
-                }[comp]()
-                adam[comp] = AdamState.init_like(tensors)
+        adam = {
+            comp: AdamState.init_like(tensors)
+            for comp, tensors in _component_tensors(ep, gp).items()
+            if comp in gan_cfg.trainable
+        }
         start_step = 0
 
     proxy = None
@@ -833,9 +862,7 @@ def train(
             ensad_cfg.d, gan_cfg.d_img
         ) / np.sqrt(gan_cfg.d_img)
 
-    ens_tensors = [a for _, a in ep.tensor_items()]
-    gen_tensors = gp.generator_tensors()
-    disc_tensors = gp.discriminator_tensors()
+    tensors = _component_tensors(ep, gp)
     n = gan_cfg.batch
 
     def snapshot(step_count: int) -> Checkpoint:
@@ -882,21 +909,12 @@ def train(
                     f"non-finite {comp} gradients at step {step}{detail}",
                 )
 
-        if "ensad" in gan_cfg.trainable:
-            adam_step(
-                ens_tensors, res.ensad_grads, adam["ensad"],
-                gan_cfg.lr, gan_cfg.beta1, gan_cfg.beta2,
-            )
-        if "generator" in gan_cfg.trainable:
-            adam_step(
-                gen_tensors, res.gen_grads, adam["generator"],
-                gan_cfg.lr, gan_cfg.beta1, gan_cfg.beta2,
-            )
-        if "discriminator" in gan_cfg.trainable:
-            adam_step(
-                disc_tensors, res.disc_grads, adam["discriminator"],
-                gan_cfg.lr, gan_cfg.beta1, gan_cfg.beta2,
-            )
+        for comp in TRAINABLE_COMPONENTS:
+            if comp in gan_cfg.trainable:
+                adam_step(
+                    tensors[comp], component_grads[comp], adam[comp],
+                    gan_cfg.lr, gan_cfg.beta1, gan_cfg.beta2,
+                )
 
         if log_fn is not None:
             parts = res.parts
@@ -950,14 +968,8 @@ def finetune_pipeline(
         trainable=frozenset({"ensad"}),
         conditioning="ensad",
     )
-    gp2 = ck1.gan_params.copy()
-    snapshot_disc = ck0.gan_params
-    gp2.disc_w = [w.copy() for w in snapshot_disc.disc_w]
-    gp2.disc_b = [b.copy() for b in snapshot_disc.disc_b]
-    gp2.fd_w = snapshot_disc.fd_w.copy()
-    gp2.fd_b = snapshot_disc.fd_b.copy()
-    gp2.ds_w = snapshot_disc.ds_w.copy()
-    gp2.ds_b = snapshot_disc.ds_b.copy()
+    # the tuned generator with the pre-phase-1 discriminator (train copies it)
+    gp2 = replace(ck0.gan_params, gen_w=ck1.gan_params.gen_w, gen_b=ck1.gan_params.gen_b)
 
     log2 = None
     if log_fn is not None:

@@ -1,18 +1,12 @@
-"""Numeric kernels: the splitmix64 stream and its Box-Muller transform, the
-batched adapter forward/backward pass, and the Jacobi eigensolver.
+"""Numeric kernels: the splitmix64 stream and its Box-Muller transform, and
+the batched adapter forward/backward pass, all plain numpy.
 
-The adapter kernels work on a whole batch in plain numpy: an (n, m+1, d)
-stack of ensembles passes through each weight matrix as one 2-D product
-(weights used untransposed, ``x @ w.T``), and the parameter gradients are
-summed over the batch by the same kind of product.  Zero-norm conventions
+The adapter kernels work on a whole batch: an (n, m+1, d) stack of
+ensembles passes through each weight matrix as one 2-D product (weights
+used untransposed, ``x @ w.T``), and the parameter gradients are summed
+over the batch by the same kind of product.  Zero-norm conventions
 are applied with ``np.where`` on safe divisors, so every item of a batch
 follows the same code path.
-
-The stream and eigensolver kernels loop or mix words elementwise; they are
-wrapped by :func:`ensad.backend.jit`, so they run JIT-compiled when numba
-is importable and ``ENSAD_NUMBA`` allows it, and as plain numpy otherwise.
-The batched adapter kernels are not wrapped: numba does not compile their
-einsum and reshape forms.
 
 Layout: vectors are rows, so an item is (m+1, d) with the source row first.
 The public adapter API transposes its (d, m+1) column layout at the
@@ -22,12 +16,9 @@ reports call counts and self time for each kernel here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .backend import jit
 
 # splitmix64 constants
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -43,18 +34,17 @@ _TWO_PI = 6.283185307179586
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
 
 # Norms below this are treated as zero: the vector passes through unscaled
-# and the matching backward branch contributes a zero Jacobian.
+# and the matching backward branch contributes a zero gradient.
 _NORM_EPS = 1e-12
 
 
-@jit
 def splitmix64_fill(seed: np.uint64, position: np.uint64, n: int) -> np.ndarray:
     """Outputs ``position .. position+n-1`` of the splitmix64 stream for ``seed``.
 
     Counter-based: output ``i`` mixes ``seed + (i+1)*GAMMA`` (uint64 wrap),
     which equals the sequential generator that advances its state by GAMMA
-    before each mix.  Pure integer arithmetic, so the stream is identical on
-    both backend paths and random access is O(1).
+    before each mix.  Pure integer arithmetic, so the stream is
+    platform-stable and random access is O(1).
     """
     idx = np.arange(n).astype(np.uint64)
     z = seed + (position + idx + _ONE) * _GAMMA
@@ -64,7 +54,6 @@ def splitmix64_fill(seed: np.uint64, position: np.uint64, n: int) -> np.ndarray:
     return z
 
 
-@jit
 def gaussian_from_bits(bits: np.ndarray) -> np.ndarray:
     """Box-Muller: 2k uint64 words -> 2k standard normals.
 
@@ -254,59 +243,3 @@ def adapter_backward(
 
     grad_h = np.concatenate([grad_q[:, None, :], grad_k], axis=1)
     return (grad_wq, grad_wk, grad_wv, grad_b, grad_wp, grad_bp, grad_wo), grad_h
-
-
-@jit
-def jacobi_eigh(a: np.ndarray, tol: float, max_sweeps: int):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix, in place.
-
-    Sweeps rotate every upper-triangle pair until the off-diagonal Frobenius
-    norm drops below ``tol`` or ``max_sweeps`` is hit.  Returns
-    ``(eigenvalues, eigenvectors, sweeps, offdiag)``; the caller checks
-    ``offdiag <= tol`` for convergence.  ``a`` is destroyed.
-    """
-    n = a.shape[0]
-    v = np.eye(n)
-
-    off = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            off += 2.0 * a[i, j] * a[i, j]
-    off = math.sqrt(off)
-
-    sweeps = 0
-    while off > tol and sweeps < max_sweeps:
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = a[p, r]
-                if apr == 0.0:
-                    continue
-                theta = 0.5 * math.atan2(2.0 * apr, a[r, r] - a[p, p])
-                cth = math.cos(theta)
-                sth = math.sin(theta)
-                for k in range(n):
-                    akp = a[k, p]
-                    akr = a[k, r]
-                    a[k, p] = cth * akp - sth * akr
-                    a[k, r] = sth * akp + cth * akr
-                for k in range(n):
-                    apk = a[p, k]
-                    ark = a[r, k]
-                    a[p, k] = cth * apk - sth * ark
-                    a[r, k] = sth * apk + cth * ark
-                for k in range(n):
-                    vkp = v[k, p]
-                    vkr = v[k, r]
-                    v[k, p] = cth * vkp - sth * vkr
-                    v[k, r] = sth * vkp + cth * vkr
-        sweeps += 1
-        off = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                off += 2.0 * a[i, j] * a[i, j]
-        off = math.sqrt(off)
-
-    w = np.empty(n)
-    for i in range(n):
-        w[i] = a[i, i]
-    return w, v, sweeps, off

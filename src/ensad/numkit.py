@@ -17,20 +17,20 @@ Vec = np.ndarray
 Mat = np.ndarray
 
 # Norms below this count as zero; normalization passes the vector through
-# and the corresponding Jacobian is zero by convention. Defined once, in
+# and the corresponding derivative is zero by convention. Defined once, in
 # the kernels.
 NORM_EPS = kernels._NORM_EPS
 
 _U64 = 1 << 64
 _GOLDEN = 0x9E3779B97F4A7C15
 
+# Eigenvalues of a PSD matrix in [_EIG_TOL, 0) are round-off; lower ones
+# mean the matrix is not PSD.
+_EIG_TOL = -1e-8
+
 
 class NotPsdError(ValueError):
     """Matrix has an eigenvalue below the PSD tolerance."""
-
-
-class ConvergenceError(RuntimeError):
-    """Iterative routine failed to reach its tolerance."""
 
 
 def as_f64(x, name: str = "input") -> np.ndarray:
@@ -62,39 +62,34 @@ def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / np.where(nrm < NORM_EPS, 1.0, nrm)
 
 
-def softmax(v: Vec) -> Vec:
-    """Stable softmax (max-subtracted). Empty input is an error."""
-    arr = as_f64(v, "softmax input")
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("softmax expects a nonempty 1-D vector")
-    e = np.exp(arr - np.max(arr))
-    return e / np.sum(e)
+def _symmetrized(a: Mat, name: str) -> Mat:
+    arr = as_f64(a, name)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        raise ValueError(f"{name} must be a nonempty square matrix")
+    return (arr + arr.T) / 2.0
 
 
-def sym_sqrt_psd(a: Mat, *, eig_tol: float = -1e-8) -> Mat:
-    """Symmetric square root of a PSD matrix via cyclic Jacobi rotations.
-
-    The input is symmetrized as (a + a^T)/2 first. Eigenvalues in
-    [eig_tol, 0) clamp to zero; anything lower raises :class:`NotPsdError`.
-    Rotations sweep until the off-diagonal Frobenius norm drops below 1e-12.
-    """
-    arr = as_f64(a, "sym_sqrt_psd input")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("sym_sqrt_psd expects a square matrix")
-    n = arr.shape[0]
-    if n == 0:
-        raise ValueError("sym_sqrt_psd expects a nonempty matrix")
-    sym = np.ascontiguousarray((arr + arr.T) / 2.0)
-    w, vecs, _, off = kernels.jacobi_eigh(sym, 1e-12, 128)
-    if off > 1e-12:
-        raise ConvergenceError(
-            f"jacobi sweep limit reached with off-diagonal norm {off:.3e}"
-        )
+def _clamp_psd(w: Vec) -> Vec:
+    """Eigenvalues in [_EIG_TOL, 0) clamp to zero; anything lower raises
+    :class:`NotPsdError`."""
     lo = float(np.min(w))
-    if lo < eig_tol:
-        raise NotPsdError(f"eigenvalue {lo:.3e} below PSD tolerance {eig_tol:.0e}")
-    w = np.maximum(w, 0.0)
-    root = (vecs * np.sqrt(w)) @ vecs.T
+    if lo < _EIG_TOL:
+        raise NotPsdError(f"eigenvalue {lo:.3e} below PSD tolerance {_EIG_TOL:.0e}")
+    return np.maximum(w, 0.0)
+
+
+def psd_eigvalsh(a: Mat) -> Vec:
+    """Eigenvalues of the PSD matrix (a + a^T)/2, by LAPACK, with round-off
+    negatives clamped to zero."""
+    return _clamp_psd(np.linalg.eigvalsh(_symmetrized(a, "psd_eigvalsh input")))
+
+
+def sym_sqrt_psd(a: Mat) -> Mat:
+    """Symmetric square root of the PSD matrix (a + a^T)/2, by LAPACK
+    eigendecomposition, with round-off negative eigenvalues clamped to
+    zero."""
+    w, vecs = np.linalg.eigh(_symmetrized(a, "sym_sqrt_psd input"))
+    root = (vecs * np.sqrt(_clamp_psd(w))) @ vecs.T
     return (root + root.T) / 2.0
 
 
@@ -117,7 +112,7 @@ class SeededRng:
     The state is just ``(seed, position)`` where position counts consumed
     64-bit words, so checkpoints can serialize and resume the stream
     exactly. Integer mixing is platform-stable; the normal transform uses
-    ordinary libm, identical across the two kernel backends on one machine.
+    ordinary libm, so normals are bit-identical on one machine.
 
     Single-owner mutable: share across threads only as disjoint instances.
     """
@@ -178,7 +173,3 @@ class SeededRng:
         out = kernels.gaussian_from_bits(self._take(rows * width))
         return out.reshape(rows, width)[:, :n]
 
-
-def gaussian(rng: SeededRng, n: int) -> Vec:
-    """Standard-normal samples from ``rng`` (Box-Muller)."""
-    return rng.gaussian(n)

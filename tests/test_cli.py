@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,9 +284,68 @@ def test_param_count_rejects_bad_dims(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_threads_flag_validation(capsys):
-    assert main(["param-count", "--threads", "0"]) == 2
-    assert "threads" in capsys.readouterr().err
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _drop(path):
+    def mutate(obj):
+        *parents, last = path
+        for key in parents:
+            obj = obj[key]
+        del obj[last]
+    return mutate
+
+
+def _set(path, value):
+    def mutate(obj):
+        *parents, last = path
+        for key in parents:
+            obj = obj[key]
+        obj[last] = value
+    return mutate
+
+
+def _truncate_adam_m(obj):
+    obj["adam"]["ensad"]["m"] = obj["adam"]["ensad"]["m"][:-1]
+
+
+def _negate_adam_v(obj):
+    obj["adam"]["generator"]["v"][0][0][0] = -1.0
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (_drop(["step"]), "step"),
+    (_drop(["params"]), "params.ensad"),
+    (_drop(["rng", "seed"]), "rng.seed"),
+    (_set(["configs", "adapter", "width"], 3), "configs.adapter"),
+    (_truncate_adam_m, "adam.ensad"),
+    (_negate_adam_v, "adam.generator"),
+    (_set(["step"], -5), "step"),
+    (_set(["rng", "position"], -3), "rng.position"),
+], ids=["missing_step", "missing_params", "missing_rng_seed",
+        "unknown_adapter_key", "truncated_adam_m", "negative_adam_v",
+        "negative_step",
+        "negative_rng_position"])
+def test_eval_rejects_malformed_checkpoint(tmp_path, capsys, mutate, field):
+    obj = json.loads((GOLDEN / "ckpt_step6.json").read_text())
+    mutate(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    rc = main(["eval", "--ckpt", str(bad), "--data", str(GOLDEN / "data.jsonl"),
+               "--n-gen", "8"])
+    assert rc == 2
+    assert f"checkpoint field '{field}'" in capsys.readouterr().err
+
+
+def test_linalg_failure_exits_3(workdir, dataset_path, ckpt_path, capsys,
+                                monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr("ensad.cli.compare_strategies", fail)
+    rc = main(["eval", "--ckpt", str(ckpt_path), "--data", str(dataset_path),
+               "--n-gen", "8"])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_config_errors(workdir, dataset_path, capsys):

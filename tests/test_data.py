@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ensad.data import (
     Dataset,
     EmbeddingEnsemble,
     SyntheticSpec,
+    atomic_write_text,
     augment_noise,
     batch_iter,
     dumps_jsonl,
@@ -303,6 +305,17 @@ def test_atomic_write_no_partial_file(tmp_path):
     path = str(tmp_path / "out.jsonl")
     save_jsonl(ds, path)
     assert sorted(os.listdir(tmp_path)) == ["out.jsonl"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_atomic_write_honours_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        atomic_write_text(str(tmp_path / "out.txt"), "x\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "out.txt").st_mode) == mode
 
 
 def test_ensemble_matrix_layout():

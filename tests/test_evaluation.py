@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from ensad.evaluation import (
     frechet_distance,
     save_report,
 )
-from ensad.numkit import SeededRng
+from ensad.numkit import NotPsdError, SeededRng
 
 
 def stats_1d(mu, var, n=2):
@@ -95,6 +96,29 @@ def test_frechet_orders_same_vs_shifted():
     shifted = fit_gaussian(rng.gaussian(9000).reshape(3000, 3) + 3.0)
     assert frechet_distance(base, same) < 0.5
     assert frechet_distance(base, shifted) > 20.0
+
+
+def test_frechet_commuting_covariances_d256_closed_form():
+    # covariances sharing eigenvectors Q: the distance reduces to
+    # sum (sqrt(a) - sqrt(b))^2 + |mu_a - mu_b|^2, and d=256 stays fast
+    d = 256
+    rng = SeededRng(12)
+    q, _ = np.linalg.qr(rng.gaussian(d * d).reshape(d, d))
+    ev_a = np.exp(0.5 * rng.gaussian(d))
+    ev_b = np.exp(0.5 * rng.gaussian(d))
+    a = FrechetStats(mu=rng.gaussian(d), sigma=(q * ev_a) @ q.T, n=d)
+    b = FrechetStats(mu=rng.gaussian(d), sigma=(q * ev_b) @ q.T, n=d)
+    want = np.sum((np.sqrt(ev_a) - np.sqrt(ev_b)) ** 2) + np.sum((a.mu - b.mu) ** 2)
+    start = time.monotonic()
+    got = frechet_distance(a, b)
+    assert time.monotonic() - start < 2.0
+    assert abs(got - want) <= 1e-8
+
+
+def test_frechet_rejects_non_psd_covariance():
+    # the cross term's eigenvalues carry the sign of the second covariance
+    with pytest.raises(NotPsdError):
+        frechet_distance(stats_1d(0.0, 1.0), stats_1d(0.0, -1.0))
 
 
 def test_frechet_rejects_shape_mismatch():

@@ -8,7 +8,6 @@ from ensad.numkit import (
     derive_seed,
     l2_normalize,
     mix64,
-    softmax,
     sym_sqrt_psd,
 )
 
@@ -39,31 +38,6 @@ def test_l2_normalize_subeps_unchanged():
     v = np.full(4, 1e-13)
     assert np.linalg.norm(v) < NORM_EPS
     assert np.array_equal(l2_normalize(v), v)
-
-
-def test_softmax_uniform():
-    out = softmax(np.zeros(7))
-    assert np.allclose(out, np.full(7, 1.0 / 7.0), atol=1e-15)
-
-
-def test_softmax_log_weights():
-    out = softmax(np.log(np.array([1.0, 2.0, 3.0])))
-    assert np.allclose(out, [1 / 6, 2 / 6, 3 / 6], atol=1e-12)
-
-
-def test_softmax_large_inputs_stable():
-    out = softmax(np.array([1000.0, 0.0]))
-    assert np.isfinite(out).all()
-    assert abs(out[0] - 1.0) < 1e-12
-    assert abs(out.sum() - 1.0) < 1e-12
-
-
-def test_softmax_sums_to_one():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        out = softmax(rng.normal(size=9) * 10)
-        assert abs(out.sum() - 1.0) < 1e-12
-        assert (out >= 0).all()
 
 
 def test_sym_sqrt_identity():
