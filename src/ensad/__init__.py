@@ -10,15 +10,14 @@ runs are deterministic given (dataset, configs, seed).
 from .adapter import (
     STRATEGIES,
     EnsAdConfig,
-    EnsAdParams,
     attention_export_record,
     attention_scores,
     backward,
     forward,
-    fuse_mean_pool,
-    fuse_select,
+    fuse_batch,
     init_params,
     param_count,
+    tensor_specs,
 )
 from .data import (
     DataFormatError,
@@ -44,22 +43,21 @@ from .gan import (
     Checkpoint,
     GanConfig,
     LossParts,
-    ToyGanParams,
     TrainingDiverged,
     adam_step,
     disc_logit,
     finetune_pipeline,
     generate,
-    init_gan_params,
     load_checkpoint,
     loss_adv_disc,
     loss_adv_ensad,
     loss_contrastive,
+    param_shapes,
     save_checkpoint,
     total_losses,
     train,
 )
-from .numkit import NotPsdError, SeededRng, derive_seed
+from .numkit import NotPsdError, SeededRng, TensorSpec, derive_seed, init_tensors
 
 __version__ = "0.1.0"
 
@@ -71,7 +69,6 @@ __all__ = [
     "Dataset",
     "EmbeddingEnsemble",
     "EnsAdConfig",
-    "EnsAdParams",
     "EvalReport",
     "FrechetStats",
     "GanConfig",
@@ -79,7 +76,7 @@ __all__ = [
     "NotPsdError",
     "SeededRng",
     "SyntheticSpec",
-    "ToyGanParams",
+    "TensorSpec",
     "TrainingDiverged",
     "adam_step",
     "attention_export_record",
@@ -94,21 +91,22 @@ __all__ = [
     "fit_gaussian",
     "forward",
     "frechet_distance",
-    "fuse_mean_pool",
-    "fuse_select",
+    "fuse_batch",
     "generate",
     "generate_synthetic",
-    "init_gan_params",
     "init_params",
+    "init_tensors",
     "load_checkpoint",
     "load_jsonl",
     "loss_adv_disc",
     "loss_adv_ensad",
     "loss_contrastive",
     "param_count",
+    "param_shapes",
     "save_checkpoint",
     "save_jsonl",
     "save_report",
+    "tensor_specs",
     "total_losses",
     "train",
 ]

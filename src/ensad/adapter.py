@@ -4,22 +4,22 @@ fused into the source embedding through a gated residual.
 Forward and backward run in the kernels module, batched and row-major:
 :func:`forward_batch`/:func:`backward_batch` take (n, m+1, d) stacks, and
 :func:`forward`/:func:`backward` are their one-item views in the (d, m+1)
-column layout. This module also owns parameter containers, validation,
-initialization, counting, the non-learned fusion baselines, and the
-attention-score export schema.
+column layout. This module also owns the adapter's tensor spec,
+initialization and counting, the batched fusion over all strategies (the
+adapter and the non-learned baselines), and the attention-score export
+schema. Parameters are ``{name: array}`` in :func:`tensor_specs` order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import kernels
 from .kernels import ForwardTrace
-from .numkit import SeededRng, as_f64, l2_normalize
-
-STRATEGIES = ("ensad", "zero_shot", "translate_test", "mean_pool")
+from .numkit import SeededRng, TensorSpec, as_f64, init_tensors, l2_normalize_rows
 
 
 @dataclass(frozen=True)
@@ -37,113 +37,37 @@ class EnsAdConfig:
             raise ValueError("alpha must lie in [0, 1]")
 
 
-@dataclass
-class EnsAdParams:
-    """Learnable tensors. ``wp`` is the single score-projection row and
-    ``bp`` its scalar bias, kept as a 0-d array so the optimizer can update
-    it in place like every other tensor."""
-
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    b: np.ndarray
-    wp: np.ndarray
-    bp: np.ndarray
-    wo: np.ndarray
-
-    def tensor_items(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            ("wq", self.wq),
-            ("wk", self.wk),
-            ("wv", self.wv),
-            ("b", self.b),
-            ("wp", self.wp),
-            ("bp", self.bp),
-            ("wo", self.wo),
-        ]
-
-    def copy(self) -> "EnsAdParams":
-        return EnsAdParams(*(arr.copy() for _, arr in self.tensor_items()))
-
-    def to_jsonable(self) -> dict:
-        return {
-            "wq": self.wq.tolist(),
-            "wk": self.wk.tolist(),
-            "wv": self.wv.tolist(),
-            "b": self.b.tolist(),
-            "wp": self.wp.tolist(),
-            "bp": float(self.bp),
-            "wo": self.wo.tolist(),
-        }
-
-    @staticmethod
-    def from_jsonable(obj: dict, cfg: EnsAdConfig) -> "EnsAdParams":
-        p = EnsAdParams(
-            wq=np.asarray(obj["wq"], dtype=np.float64),
-            wk=np.asarray(obj["wk"], dtype=np.float64),
-            wv=np.asarray(obj["wv"], dtype=np.float64),
-            b=np.asarray(obj["b"], dtype=np.float64),
-            wp=np.asarray(obj["wp"], dtype=np.float64),
-            bp=np.asarray(obj["bp"], dtype=np.float64),
-            wo=np.asarray(obj["wo"], dtype=np.float64),
-        )
-        validate_params(p, cfg)
-        return p
-
-
-def validate_params(p: EnsAdParams, cfg: EnsAdConfig) -> None:
-    shapes = {
-        "wq": (cfg.d_hid, cfg.d),
-        "wk": (cfg.d_hid, cfg.d),
-        "wv": (cfg.d_hid, cfg.d),
-        "b": (cfg.d_hid,),
-        "wp": (cfg.d_hid,),
-        "bp": (),
-        "wo": (cfg.d, cfg.d),
-    }
-    for name, arr in p.tensor_items():
-        if arr.shape != shapes[name]:
-            raise ValueError(f"{name} has shape {arr.shape}, expected {shapes[name]}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} contains non-finite entries")
-
-
-def init_params(cfg: EnsAdConfig, rng: SeededRng) -> EnsAdParams:
-    """Weights i.i.d. N(0, 1/fan_in), biases zero.
-
-    Draw order (frozen for reproducibility): wq, wk, wv, wp, wo, each
-    row-major.
-    """
+def tensor_specs(cfg: EnsAdConfig) -> dict:
+    """The adapter's tensors, in the order of their gradients, Adam moments
+    and initial draws. ``wp`` is the single score-projection row and ``bp``
+    its scalar bias, kept as a 0-d array so the optimizer can update it in
+    place like every other tensor."""
     d, dh = cfg.d, cfg.d_hid
+    return {
+        "wq": TensorSpec((dh, d)),
+        "wk": TensorSpec((dh, d)),
+        "wv": TensorSpec((dh, d)),
+        "b": TensorSpec((dh,), zero=True),
+        "wp": TensorSpec((dh,)),
+        "bp": TensorSpec((), zero=True),
+        "wo": TensorSpec((d, d)),
+    }
 
-    def draw(rows, cols, fan_in):
-        flat = rng.gaussian(rows * cols) / np.sqrt(fan_in)
-        return flat.reshape(rows, cols)
 
-    wq = draw(dh, d, d)
-    wk = draw(dh, d, d)
-    wv = draw(dh, d, d)
-    wp = rng.gaussian(dh) / np.sqrt(dh)
-    wo = draw(d, d, d)
-    return EnsAdParams(
-        wq=wq,
-        wk=wk,
-        wv=wv,
-        b=np.zeros(dh),
-        wp=wp,
-        bp=np.zeros(()),
-        wo=wo,
-    )
+def init_params(cfg: EnsAdConfig, rng: SeededRng) -> dict:
+    """``{name: array}`` with weights i.i.d. N(0, 1/fan_in) and biases zero,
+    drawn in :func:`tensor_specs` order (wq, wk, wv, wp, wo, row-major)."""
+    return init_tensors(tensor_specs(cfg), rng)
 
 
 def param_count(cfg: EnsAdConfig) -> int:
     """Total scalar count: three query/key/value maps, two hidden-width
     bias/projection vectors, one scalar score bias, one d x d output map."""
-    return 3 * cfg.d_hid * cfg.d + 2 * cfg.d_hid + 1 + cfg.d * cfg.d
+    return sum(math.prod(s.shape) for s in tensor_specs(cfg).values())
 
 
 def forward_batch(
-    p: EnsAdParams, cfg: EnsAdConfig, h: np.ndarray
+    p: dict, cfg: EnsAdConfig, h: np.ndarray
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Run the adapter on a batch of ensembles in one kernel call.
 
@@ -153,25 +77,47 @@ def forward_batch(
     the program (loading, ``train``), and data where it is read.
     """
     tr = kernels.adapter_forward(
-        h, p.wq, p.wk, p.wv, p.b, p.wp, float(p.bp), p.wo,
+        h, p["wq"], p["wk"], p["wv"], p["b"], p["wp"], float(p["bp"]), p["wo"],
         cfg.alpha, cfg.variant_v_equals_k,
     )
     return tr.h_tilde, tr
 
 
+# The conditioning strategies: the adapter, then the non-learned baselines
+# (source only, first translation only, renormalized mean of all m+1 rows).
+_FUSIONS = {
+    "ensad": lambda h, p, cfg: forward_batch(p, cfg, h),
+    "zero_shot": lambda h, p, cfg: (h[:, 0].copy(), None),
+    "translate_test": lambda h, p, cfg: (h[:, 1].copy(), None),
+    "mean_pool": lambda h, p, cfg: (l2_normalize_rows(h.mean(axis=1)), None),
+}
+STRATEGIES = tuple(_FUSIONS)
+
+
+def fuse_batch(
+    h: np.ndarray, p: dict, cfg: EnsAdConfig, strategy: str
+) -> tuple[np.ndarray, ForwardTrace | None]:
+    """Fused conditioning of an (n, m+1, d) batch under ``strategy``: the
+    (n, d) conditions and the adapter's batched trace, None unless the
+    adapter ran."""
+    if strategy not in _FUSIONS:
+        raise ValueError(f"unknown conditioning mode {strategy!r}")
+    return _FUSIONS[strategy](h, p, cfg)
+
+
 def backward_batch(
-    p: EnsAdParams, cfg: EnsAdConfig, trace: ForwardTrace, grad_h_tilde: np.ndarray
-) -> tuple[EnsAdParams, np.ndarray]:
+    p: dict, cfg: EnsAdConfig, trace: ForwardTrace, grad_h_tilde: np.ndarray
+) -> tuple[dict, np.ndarray]:
     """Exact reverse-mode gradients of :func:`forward_batch`.
 
     ``grad_h_tilde`` is (n, d). Returns the parameter gradients summed over
     the batch, and the gradient w.r.t. the (n, m+1, d) input rows.
     """
     grads, grad_h = kernels.adapter_backward(
-        trace, grad_h_tilde, p.wq, p.wk, p.wv, p.wp, p.wo,
+        trace, grad_h_tilde, p["wq"], p["wk"], p["wv"], p["wp"], p["wo"],
         cfg.alpha, cfg.variant_v_equals_k,
     )
-    return EnsAdParams(*grads), grad_h
+    return dict(zip(tensor_specs(cfg), grads)), grad_h
 
 
 def _map_trace(trace: ForwardTrace, fn) -> ForwardTrace:
@@ -179,7 +125,7 @@ def _map_trace(trace: ForwardTrace, fn) -> ForwardTrace:
 
 
 def forward(
-    p: EnsAdParams, cfg: EnsAdConfig, h_matrix: np.ndarray
+    p: dict, cfg: EnsAdConfig, h_matrix: np.ndarray
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Run the adapter on one ensemble.
 
@@ -206,14 +152,14 @@ def attention_scores(trace: ForwardTrace) -> np.ndarray:
 
 
 def backward(
-    p: EnsAdParams,
+    p: dict,
     cfg: EnsAdConfig,
     trace: ForwardTrace,
     grad_h_tilde: np.ndarray,
-) -> tuple[EnsAdParams, np.ndarray]:
+) -> tuple[dict, np.ndarray]:
     """Exact reverse-mode gradients of :func:`forward` for one item.
 
-    Returns (parameter gradients in an EnsAdParams-shaped container,
+    Returns (parameter gradients, ``{name: array}`` like ``p``,
     gradient w.r.t. the (d, m+1) input matrix). Normalizations that hit the
     zero-vector branch in the forward contribute a zero gradient.
     """
@@ -223,25 +169,6 @@ def backward(
     batched = _map_trace(trace, lambda a: np.asarray(a)[None])
     grads, grad_h = backward_batch(p, cfg, batched, g[None])
     return grads, grad_h[0].T.copy()
-
-
-def fuse_mean_pool(h_matrix: np.ndarray) -> np.ndarray:
-    """Unit-normalized columnwise mean of all m+1 embeddings."""
-    h = as_f64(h_matrix, "ensemble matrix")
-    if h.ndim != 2:
-        raise ValueError("ensemble matrix must be 2-D")
-    return l2_normalize(h.mean(axis=1))
-
-
-def fuse_select(h_matrix: np.ndarray, index: int) -> np.ndarray:
-    """Column ``index`` unchanged: 0 is the source embedding (zero-shot
-    conditioning), 1 the first translation (translate-test)."""
-    h = as_f64(h_matrix, "ensemble matrix")
-    if h.ndim != 2:
-        raise ValueError("ensemble matrix must be 2-D")
-    if not 0 <= index < h.shape[1]:
-        raise IndexError(f"column {index} out of range for {h.shape[1]} columns")
-    return h[:, index].copy()
 
 
 def attention_export_record(

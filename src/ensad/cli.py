@@ -319,7 +319,7 @@ def _cmd_inspect_attn(args) -> int:
         raise UsageError("limit must be positive")
     records = []
     for ens, _ in ds.items[:limit]:
-        _, trace = forward(ck.ensad_params, ck.ensad_cfg, ens.matrix())
+        _, trace = forward(ck.params["ensad"], ck.ensad_cfg, ens.matrix())
         rec = attention_export_record(
             ens.id, attention_scores(trace), ens.translation_texts
         )
@@ -413,8 +413,8 @@ def main(argv=None) -> int:
     except (NotPsdError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError, FileNotFoundError) as exc:
-        # DataFormatError and malformed checkpoints are ValueErrors
+    except (UsageError, ValueError, OSError) as exc:
+        # DataFormatError and bad checkpoints are ValueErrors; OSErrors name the path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -122,6 +122,14 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def json_uint(value, lo: int = 0) -> int:
+    """``value`` if it is a JSON integer in [lo, 2**64); floats such as 9.5
+    or 6.0, strings and booleans raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value < 1 << 64:
+        raise ValueError(f"expected an integer in [{lo}, 2**64), got {value!r}")
+    return value
+
+
 def _check_embedding(vec, d: int, line_no: int, what: str) -> np.ndarray:
     arr = np.asarray(vec, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] != d:
@@ -155,12 +163,13 @@ def load_jsonl(path: str) -> Dataset:
         raise DataFormatError(f"line 1: expected format {FORMAT_NAME!r}")
     if header.get("version") != FORMAT_VERSION:
         raise DataFormatError(f"line 1: unsupported version {header.get('version')!r}")
-    try:
-        d = int(header["d"])
-        m = int(header["m"])
-        d_img = int(header["d_img"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"line 1: header dimensions missing or bad: {exc}") from exc
+    dims = []
+    for key in ("d", "m", "d_img"):
+        try:
+            dims.append(json_uint(header[key], 1))
+        except (KeyError, ValueError) as exc:
+            raise DataFormatError(f"line 1: header {key!r} missing or bad: {exc}") from exc
+    d, m, d_img = dims
 
     items = []
     for offset, line in enumerate(lines[1:], start=2):
@@ -258,26 +267,28 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     scales sigma_source / sigma_trans (a zero sigma copies u bit-exactly,
     consuming no randomness); the paired image is tanh(M u) for one fixed
     seed-derived mixing matrix M shared by the whole dataset.
-    """
+    Item draws come from one call, in per-vector order: u, source noise,
+    translation noises."""
     rng_items = SeededRng(derive_seed(spec.seed, 1))
     rng_mix = SeededRng(derive_seed(spec.seed, 2))
     mix = rng_mix.gaussian(spec.d_img * spec.d).reshape(spec.d_img, spec.d)
+    k = 1 + (spec.sigma_source > 0) + spec.m * (spec.sigma_trans > 0)
+    draws = rng_items.gaussian_rows(spec.n_items * k, spec.d)
 
     items = []
     for i in range(spec.n_items):
-        u = l2_normalize(rng_items.gaussian(spec.d))
+        g = iter(draws[i * k:(i + 1) * k])
+        u = l2_normalize(next(g))
         if spec.sigma_source == 0.0:
             h0 = u.copy()
         else:
-            h0 = l2_normalize(u + spec.sigma_source * rng_items.gaussian(spec.d))
+            h0 = l2_normalize(u + spec.sigma_source * next(g))
         translations = []
         for _ in range(spec.m):
             if spec.sigma_trans == 0.0:
                 translations.append(u.copy())
             else:
-                translations.append(
-                    l2_normalize(u + spec.sigma_trans * rng_items.gaussian(spec.d))
-                )
+                translations.append(l2_normalize(u + spec.sigma_trans * next(g)))
         image = np.tanh(mix @ u)
         ens = EmbeddingEnsemble(
             id=f"syn-{i:06d}", h0=h0, translations=tuple(translations)

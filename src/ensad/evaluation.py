@@ -10,9 +10,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .adapter import STRATEGIES
+from .adapter import STRATEGIES, fuse_batch
 from .data import Dataset, atomic_write_text
-from .gan import Checkpoint, _condition_batch, _disc_forward_batch, _generate_batch
+from .gan import Checkpoint, _disc_forward_batch, _generate_batch
 from .numkit import SeededRng, psd_eigvalsh, sym_sqrt_psd
 
 FEATURE_SPACE = "disc_fd"
@@ -89,7 +89,7 @@ def save_report(report: EvalReport, path: str) -> None:
 
 
 def _real_stats(ck: Checkpoint, ds: Dataset) -> FrechetStats:
-    fd, _, _ = _disc_forward_batch(ck.gan_params, ds.images)
+    fd, _, _ = _disc_forward_batch(ck.params, ds.images)
     return fit_gaussian(fd)
 
 
@@ -101,9 +101,9 @@ def _fake_stats(
     rng = SeededRng(seed)
     idx = rng.randints_below(np.full(n_gen, len(ds)))
     zs = rng.gaussian_rows(n_gen, ck.gan_cfg.d_z)
-    conds, _ = _condition_batch(ds.rows[idx], ck.ensad_params, ck.ensad_cfg, strategy)
-    fakes, _ = _generate_batch(ck.gan_params, conds, zs)
-    fd, _, _ = _disc_forward_batch(ck.gan_params, fakes)
+    conds, _ = fuse_batch(ds.rows[idx], ck.params["ensad"], ck.ensad_cfg, strategy)
+    fakes, _ = _generate_batch(ck.params, conds, zs)
+    fd, _, _ = _disc_forward_batch(ck.params, fakes)
     return fit_gaussian(fd)
 
 

@@ -5,6 +5,9 @@ checkpoints.
 The discriminator is D(img, cond) = ds(backbone(img)) + cond . fd(backbone(img)):
 an unconditional realness head plus a condition-feature inner product over a
 shared backbone. fd doubles as the feature extractor for evaluation.
+
+Parameters are one ``{component: {tensor name: array}}`` mapping, keyed by
+TRAINABLE_COMPONENTS; :func:`param_shapes` says what each component holds.
 """
 
 from __future__ import annotations
@@ -12,15 +15,21 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import adapter
-from .adapter import STRATEGIES, EnsAdConfig, EnsAdParams, ForwardTrace, init_params
-from .data import Dataset, atomic_write_text, augment_rows, sample_indices, stack_rows
-from .numkit import NORM_EPS, SeededRng, as_f64, derive_seed, l2_normalize_rows
+from .adapter import STRATEGIES, EnsAdConfig, ForwardTrace
+from .data import (
+    Dataset, atomic_write_text, augment_rows, json_uint, sample_indices, stack_rows,
+)
+from .numkit import (
+    NORM_EPS, SeededRng, TensorSpec, as_f64, check_tensors, derive_seed, init_tensors,
+    map_tensors,
+)
 
+# The parameter components, in the order of param_shapes and init draws.
 TRAINABLE_COMPONENTS = ("ensad", "generator", "discriminator")
 
 # Stream salt for the proxy visual encoder used by the generator-side
@@ -86,204 +95,114 @@ class GanConfig:
             raise ValueError("noise proportions must lie in [0, 1]")
 
 
-@dataclass
-class ToyGanParams:
-    gen_w: list
-    gen_b: list
-    disc_w: list
-    disc_b: list
-    fd_w: np.ndarray
-    fd_b: np.ndarray
-    ds_w: np.ndarray
-    ds_b: np.ndarray
-
-    def generator_tensors(self) -> list:
-        out = []
-        for w, b in zip(self.gen_w, self.gen_b):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def discriminator_tensors(self) -> list:
-        out = []
-        for w, b in zip(self.disc_w, self.disc_b):
-            out.append(w)
-            out.append(b)
-        out.extend([self.fd_w, self.fd_b, self.ds_w, self.ds_b])
-        return out
-
-    def copy(self) -> "ToyGanParams":
-        return ToyGanParams(
-            gen_w=[w.copy() for w in self.gen_w],
-            gen_b=[b.copy() for b in self.gen_b],
-            disc_w=[w.copy() for w in self.disc_w],
-            disc_b=[b.copy() for b in self.disc_b],
-            fd_w=self.fd_w.copy(),
-            fd_b=self.fd_b.copy(),
-            ds_w=self.ds_w.copy(),
-            ds_b=self.ds_b.copy(),
-        )
-
-    def to_jsonable(self) -> dict:
-        return {
-            "gen_w": [w.tolist() for w in self.gen_w],
-            "gen_b": [b.tolist() for b in self.gen_b],
-            "disc_w": [w.tolist() for w in self.disc_w],
-            "disc_b": [b.tolist() for b in self.disc_b],
-            "fd_w": self.fd_w.tolist(),
-            "fd_b": self.fd_b.tolist(),
-            "ds_w": self.ds_w.tolist(),
-            "ds_b": float(self.ds_b),
-        }
-
-    @staticmethod
-    def from_jsonable(obj: dict, cfg: GanConfig, d: int) -> "ToyGanParams":
-        gp = ToyGanParams(
-            gen_w=[np.asarray(w, dtype=np.float64) for w in obj["gen_w"]],
-            gen_b=[np.asarray(b, dtype=np.float64) for b in obj["gen_b"]],
-            disc_w=[np.asarray(w, dtype=np.float64) for w in obj["disc_w"]],
-            disc_b=[np.asarray(b, dtype=np.float64) for b in obj["disc_b"]],
-            fd_w=np.asarray(obj["fd_w"], dtype=np.float64),
-            fd_b=np.asarray(obj["fd_b"], dtype=np.float64),
-            ds_w=np.asarray(obj["ds_w"], dtype=np.float64),
-            ds_b=np.asarray(obj["ds_b"], dtype=np.float64),
-        )
-        validate_gan_params(gp, cfg, d)
-        return gp
+def _mlp_specs(prefix: str, sizes: list) -> dict:
+    specs = {}
+    for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
+        specs[f"{prefix}_w.{i}"] = TensorSpec((n_out, n_in))
+        specs[f"{prefix}_b.{i}"] = TensorSpec((n_out,), zero=True)
+    return specs
 
 
-def _layer_sizes(cfg: GanConfig, d: int) -> tuple[list, list]:
-    gen = [d + cfg.d_z, *cfg.gen_hidden, cfg.d_img]
-    disc = [cfg.d_img, *cfg.disc_hidden]
-    return gen, disc
-
-
-def validate_gan_params(gp: ToyGanParams, cfg: GanConfig, d: int) -> None:
-    gen_sizes, disc_sizes = _layer_sizes(cfg, d)
-    if len(gp.gen_w) != len(gen_sizes) - 1 or len(gp.gen_b) != len(gen_sizes) - 1:
-        raise ValueError("generator layer count does not match config")
-    for i, (w, b) in enumerate(zip(gp.gen_w, gp.gen_b)):
-        if w.shape != (gen_sizes[i + 1], gen_sizes[i]) or b.shape != (gen_sizes[i + 1],):
-            raise ValueError(f"generator layer {i} has wrong shape")
-    if len(gp.disc_w) != len(disc_sizes) - 1 or len(gp.disc_b) != len(disc_sizes) - 1:
-        raise ValueError("discriminator layer count does not match config")
-    for i, (w, b) in enumerate(zip(gp.disc_w, gp.disc_b)):
-        if w.shape != (disc_sizes[i + 1], disc_sizes[i]) or b.shape != (disc_sizes[i + 1],):
-            raise ValueError(f"discriminator layer {i} has wrong shape")
+def param_shapes(ensad_cfg: EnsAdConfig, gan_cfg: GanConfig) -> dict:
+    """``{component: {tensor name: TensorSpec}}`` for every component, each
+    in the order of its gradients, Adam moments and initial draws. MLP
+    layers alternate weight and bias; ``gen_w.1`` is the checkpoint's
+    ``gen_w[1]``."""
+    d = ensad_cfg.d
+    disc_sizes = [gan_cfg.d_img, *gan_cfg.disc_hidden]
     h_last = disc_sizes[-1]
-    if gp.fd_w.shape != (d, h_last) or gp.fd_b.shape != (d,):
-        raise ValueError("feature head has wrong shape")
-    if gp.ds_w.shape != (h_last,) or gp.ds_b.shape != ():
-        raise ValueError("score head has wrong shape")
-    for arr in gp.generator_tensors() + gp.discriminator_tensors():
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("gan parameters contain non-finite entries")
+    return {
+        "ensad": adapter.tensor_specs(ensad_cfg),
+        "generator": _mlp_specs("gen", [d + gan_cfg.d_z, *gan_cfg.gen_hidden, gan_cfg.d_img]),
+        "discriminator": {
+            **_mlp_specs("disc", disc_sizes),
+            "fd_w": TensorSpec((d, h_last)),
+            "fd_b": TensorSpec((d,), zero=True),
+            "ds_w": TensorSpec((h_last,)),
+            "ds_b": TensorSpec((), zero=True),
+        },
+    }
 
 
-def init_gan_params(cfg: GanConfig, d: int, rng: SeededRng) -> ToyGanParams:
-    """Weights N(0, 1/fan_in), biases zero. Draw order: generator layers,
-    discriminator backbone layers, feature head, score head."""
-    gen_sizes, disc_sizes = _layer_sizes(cfg, d)
-
-    def draw(rows, cols):
-        return rng.gaussian(rows * cols).reshape(rows, cols) / np.sqrt(cols)
-
-    gen_w = [draw(gen_sizes[i + 1], gen_sizes[i]) for i in range(len(gen_sizes) - 1)]
-    gen_b = [np.zeros(gen_sizes[i + 1]) for i in range(len(gen_sizes) - 1)]
-    disc_w = [draw(disc_sizes[i + 1], disc_sizes[i]) for i in range(len(disc_sizes) - 1)]
-    disc_b = [np.zeros(disc_sizes[i + 1]) for i in range(len(disc_sizes) - 1)]
-    h_last = disc_sizes[-1]
-    fd_w = draw(d, h_last)
-    fd_b = np.zeros(d)
-    ds_w = rng.gaussian(h_last) / np.sqrt(h_last)
-    ds_b = np.zeros(())
-    return ToyGanParams(gen_w, gen_b, disc_w, disc_b, fd_w, fd_b, ds_w, ds_b)
-
-
-def _mlp_forward(ws, bs, x):
-    """Batched MLP with tanh after every layer. Returns output and the
-    per-layer post-activation list (index 0 is the input)."""
+def _mlp_forward(layers: list, x):
+    """Batched MLP with tanh after every layer; ``layers`` alternates
+    weights and biases. Returns output and the per-layer post-activation
+    list (index 0 is the input)."""
     acts = [x]
-    h = x
-    for w, b in zip(ws, bs):
-        h = np.tanh(h @ w.T + b)
-        acts.append(h)
-    return h, acts
+    for w, b in zip(layers[0::2], layers[1::2]):
+        x = np.tanh(x @ w.T + b)
+        acts.append(x)
+    return x, acts
 
 
-def _mlp_backward(ws, acts, grad_out):
-    """Gradients for _mlp_forward: per-layer (gw, gb) lists and the gradient
-    w.r.t. the input batch."""
-    gws = [None] * len(ws)
-    gbs = [None] * len(ws)
+def _mlp_backward(layers: list, acts, grad_out):
+    """Gradients for _mlp_forward, one per entry of ``layers``, and the
+    gradient w.r.t. the input batch."""
+    grads = [None] * len(layers)
     g = grad_out
-    for i in range(len(ws) - 1, -1, -1):
-        y = acts[i + 1]
+    for i in range(len(layers) - 2, -1, -2):
+        y = acts[i // 2 + 1]
         g = g * (1.0 - y * y)
-        gws[i] = g.T @ acts[i]
-        gbs[i] = g.sum(axis=0)
-        g = g @ ws[i]
-    return gws, gbs, g
+        grads[i] = g.T @ acts[i // 2]
+        grads[i + 1] = g.sum(axis=0)
+        g = g @ layers[i]
+    return grads, g
 
 
-def _generate_batch(gp: ToyGanParams, conds: np.ndarray, zs: np.ndarray):
+def _generate_batch(params: dict, conds: np.ndarray, zs: np.ndarray):
     x = np.concatenate([conds, zs], axis=1)
-    return _mlp_forward(gp.gen_w, gp.gen_b, x)
+    return _mlp_forward(list(params["generator"].values()), x)
 
 
-def _disc_forward_batch(gp: ToyGanParams, imgs: np.ndarray):
-    r, acts = _mlp_forward(gp.disc_w, gp.disc_b, imgs)
-    fd = r @ gp.fd_w.T + gp.fd_b
-    ds = r @ gp.ds_w + float(gp.ds_b)
+def _disc_forward_batch(params: dict, imgs: np.ndarray):
+    *backbone, fd_w, fd_b, ds_w, ds_b = params["discriminator"].values()
+    r, acts = _mlp_forward(backbone, imgs)
+    fd = r @ fd_w.T + fd_b
+    ds = r @ ds_w + float(ds_b)
     return fd, ds, acts
 
 
-def _disc_backward_batch(gp: ToyGanParams, acts, grad_fd, grad_ds):
-    """Backprop through both heads and the backbone. Returns gradients in
-    discriminator_tensors() order plus the gradient w.r.t. the images."""
+def _disc_backward_batch(params: dict, acts, grad_fd, grad_ds):
+    """Backprop through both heads and the backbone. Returns the
+    discriminator's gradients, ``{name: array}``, and the gradient w.r.t.
+    the images."""
+    *backbone, fd_w, _, ds_w, _ = params["discriminator"].values()
     r = acts[-1]
-    g_fd_w = grad_fd.T @ r
-    g_fd_b = grad_fd.sum(axis=0)
-    g_ds_w = r.T @ grad_ds
-    g_ds_b = np.asarray(grad_ds.sum())
-    grad_r = grad_fd @ gp.fd_w + grad_ds[:, None] * gp.ds_w[None, :]
-    gws, gbs, grad_imgs = _mlp_backward(gp.disc_w, acts, grad_r)
-    grads = []
-    for gw, gb in zip(gws, gbs):
-        grads.append(gw)
-        grads.append(gb)
-    grads.extend([g_fd_w, g_fd_b, g_ds_w, g_ds_b])
-    return grads, grad_imgs
+    grad_r = grad_fd @ fd_w + grad_ds[:, None] * ds_w[None, :]
+    grads, grad_imgs = _mlp_backward(backbone, acts, grad_r)
+    grads += [grad_fd.T @ r, grad_fd.sum(axis=0), r.T @ grad_ds, np.asarray(grad_ds.sum())]
+    return dict(zip(params["discriminator"], grads)), grad_imgs
 
 
-def generate(gp: ToyGanParams, h_tilde: np.ndarray, z: np.ndarray) -> np.ndarray:
+def generate(params: dict, h_tilde: np.ndarray, z: np.ndarray) -> np.ndarray:
     """One fake image vector from (condition, noise); entries in (-1, 1)."""
     cond = as_f64(h_tilde, "condition")
     noise = as_f64(z, "noise")
     if cond.ndim != 1 or noise.ndim != 1:
         raise ValueError("condition and noise must be 1-D")
-    expected = gp.gen_w[0].shape[1]
+    expected = params["generator"]["gen_w.0"].shape[1]
     if cond.shape[0] + noise.shape[0] != expected:
         raise ValueError(
             f"condition+noise dims {cond.shape[0]}+{noise.shape[0]} "
             f"do not match generator input {expected}"
         )
-    out, _ = _generate_batch(gp, cond[None, :], noise[None, :])
+    out, _ = _generate_batch(params, cond[None, :], noise[None, :])
     return out[0]
 
 
 def disc_logit(
-    gp: ToyGanParams, img: np.ndarray, h_tilde: np.ndarray
+    params: dict, img: np.ndarray, h_tilde: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Two-branch discriminator score and the feature vector it used:
     logit = ds(backbone(img)) + h_tilde . fd(backbone(img))."""
     image = as_f64(img, "image")
     cond = as_f64(h_tilde, "condition")
-    if image.ndim != 1 or image.shape[0] != gp.disc_w[0].shape[1]:
+    disc = params["discriminator"]
+    if image.ndim != 1 or image.shape[0] != disc["disc_w.0"].shape[1]:
         raise ValueError("image has wrong dimension")
-    if cond.ndim != 1 or cond.shape[0] != gp.fd_w.shape[0]:
+    if cond.ndim != 1 or cond.shape[0] != disc["fd_w"].shape[0]:
         raise ValueError("condition has wrong dimension")
-    fd, ds, _ = _disc_forward_batch(gp, image[None, :])
+    fd, ds, _ = _disc_forward_batch(params, image[None, :])
     logit = float(ds[0] + np.dot(fd[0], cond))
     return logit, fd[0]
 
@@ -411,67 +330,35 @@ def total_losses(parts: LossParts, cfg: GanConfig) -> tuple[float, float]:
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    """Adam state of one component: the moments, ``{name: array}`` like its
+    parameters, and the step count."""
+
+    m: dict
+    v: dict
     t: int = 0
-
-    @staticmethod
-    def init_like(tensors) -> "AdamState":
-        return AdamState(
-            m=[np.zeros_like(t) for t in tensors],
-            v=[np.zeros_like(t) for t in tensors],
-        )
-
-    def copy(self) -> "AdamState":
-        return AdamState(
-            m=[x.copy() for x in self.m], v=[x.copy() for x in self.v], t=self.t
-        )
-
-    def to_jsonable(self) -> dict:
-        return {
-            "m": [x.tolist() for x in self.m],
-            "v": [x.tolist() for x in self.v],
-            "t": self.t,
-        }
-
-    @staticmethod
-    def from_jsonable(obj: dict, params: list) -> "AdamState":
-        """Moments read back and checked against ``params``: the same shapes,
-        finite, and ``v`` nonnegative."""
-        st = AdamState(
-            m=[np.asarray(x, dtype=np.float64) for x in obj["m"]],
-            v=[np.asarray(x, dtype=np.float64) for x in obj["v"]],
-            t=_u64(obj["t"]),
-        )
-        for name, moments in (("m", st.m), ("v", st.v)):
-            if [x.shape for x in moments] != [p.shape for p in params]:
-                raise ValueError(f"{name} does not match the parameter shapes")
-            if not all(np.all(np.isfinite(x)) for x in moments):
-                raise ValueError(f"{name} contains non-finite entries")
-        if any(np.any(x < 0) for x in st.v):
-            raise ValueError("v contains negative entries")
-        return st
 
 
 def adam_step(
-    params: list,
-    grads: list,
+    params: dict,
+    grads: dict,
     state: AdamState,
     lr: float,
     beta1: float,
     beta2: float,
     eps: float = 1e-8,
-) -> list:
-    """Standard bias-corrected Adam, in place on the parameter arrays."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("parameter, gradient and state lengths differ")
-    for p, g in zip(params, grads):
-        if np.shape(p) != np.shape(g):
-            raise ValueError(f"gradient shape {np.shape(g)} != parameter {np.shape(p)}")
+) -> dict:
+    """Standard bias-corrected Adam, in place on the parameter arrays of one
+    component; ``grads`` and the moments have the same tensor names."""
+    if params.keys() != grads.keys() or params.keys() != state.m.keys():
+        raise ValueError("parameter, gradient and state names differ")
+    for name, p in params.items():
+        if np.shape(p) != np.shape(grads[name]):
+            raise ValueError(f"{name}: gradient shape {np.shape(grads[name])} != {np.shape(p)}")
     state.t += 1
     b1c = 1.0 - beta1 ** state.t
     b2c = 1.0 - beta2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for name, p in params.items():
+        g, m, v = grads[name], state.m[name], state.v[name]
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
@@ -480,13 +367,17 @@ def adam_step(
     return params
 
 
+def _copy_adam(adam: dict) -> dict:
+    return {comp: AdamState(map_tensors(np.copy, st.m), map_tensors(np.copy, st.v), st.t)
+            for comp, st in adam.items()}
+
+
 @dataclass
 class Checkpoint:
     ensad_cfg: EnsAdConfig
     gan_cfg: GanConfig
-    ensad_params: EnsAdParams
-    gan_params: ToyGanParams
-    adam: dict
+    params: dict  # {component: {tensor name: array}}, see param_shapes
+    adam: dict  # {component: AdamState}, for the trainable components
     rng_seed: int
     rng_position: int
     step: int
@@ -503,16 +394,6 @@ class TrainingDiverged(RuntimeError):
         self.checkpoint = checkpoint
 
 
-def _component_tensors(ep: EnsAdParams, gp: ToyGanParams) -> dict:
-    """The parameter tensors of each trainable component, in the order its
-    gradients and Adam moments use."""
-    return {
-        "ensad": [a for _, a in ep.tensor_items()],
-        "generator": gp.generator_tensors(),
-        "discriminator": gp.discriminator_tensors(),
-    }
-
-
 def _cfg_to_jsonable(cfg) -> dict:
     """A config dataclass as JSON values: sets sorted, tuples as lists."""
     obj = asdict(cfg)
@@ -522,12 +403,6 @@ def _cfg_to_jsonable(cfg) -> dict:
         elif isinstance(value, tuple):
             obj[key] = list(value)
     return obj
-
-
-def _u64(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 1 << 64:
-        raise ValueError(f"expected an integer in [0, 2**64), got {value!r}")
-    return value
 
 
 @contextmanager
@@ -542,10 +417,56 @@ def _field(path: str):
         raise ValueError(f"checkpoint field {path!r}: {exc}") from exc
 
 
+# Checkpoint format 1 stores a component's tensors under their names, with
+# the layers of ``gen_w.0, gen_w.1, ...`` as one list ``gen_w`` and 0-d
+# tensors as plain floats; the generator and the discriminator share the
+# object ``params.gan``. Adam moments are lists in param_shapes order.
+
+
+def _tensors_to_jsonable(tensors: dict) -> dict:
+    obj = {}
+    for name, arr in tensors.items():
+        key, layered, _ = name.partition(".")
+        if layered:
+            obj.setdefault(key, []).append(arr.tolist())
+        else:
+            obj[key] = arr.tolist()
+    return obj
+
+
+def _tensors_from_jsonable(obj: dict, spec: dict) -> dict:
+    tensors = {}
+    for name in spec:
+        key, layered, i = name.partition(".")
+        if i == "0":  # the first layer of a list: check the list's length once
+            layers = sum(n.startswith(key + ".") for n in spec)
+            if len(obj[key]) != layers:
+                raise ValueError(f"{key} has {len(obj[key])} layers, expected {layers}")
+        tensors[name] = np.asarray(obj[key][int(i)] if layered else obj[key], dtype=np.float64)
+    check_tensors(tensors, spec)
+    return tensors
+
+
+def _adam_from_jsonable(obj: dict, spec: dict) -> AdamState:
+    """Moments read back and checked against the component's ``spec``: the
+    same shapes, finite, and ``v`` nonnegative."""
+    moments = {}
+    for key in ("m", "v"):
+        if len(obj[key]) != len(spec):
+            raise ValueError(f"{key} has {len(obj[key])} tensors, expected {len(spec)}")
+        moments[key] = {name: np.asarray(x, dtype=np.float64)
+                        for name, x in zip(spec, obj[key])}
+        check_tensors(moments[key], spec, key)
+    if any(np.any(x < 0) for x in moments["v"].values()):
+        raise ValueError("v contains negative entries")
+    return AdamState(moments["m"], moments["v"], json_uint(obj["t"]))
+
+
 def checkpoint_to_jsonable(ck: Checkpoint) -> dict:
     adam_obj = {comp: None for comp in TRAINABLE_COMPONENTS}
     for comp, st in ck.adam.items():
-        adam_obj[comp] = st.to_jsonable()
+        adam_obj[comp] = {"m": [x.tolist() for x in st.m.values()],
+                          "v": [x.tolist() for x in st.v.values()], "t": st.t}
     return {
         "version": ck.version,
         "configs": {
@@ -553,8 +474,10 @@ def checkpoint_to_jsonable(ck: Checkpoint) -> dict:
             "gan": _cfg_to_jsonable(ck.gan_cfg),
         },
         "params": {
-            "ensad": ck.ensad_params.to_jsonable(),
-            "gan": ck.gan_params.to_jsonable(),
+            "ensad": _tensors_to_jsonable(ck.params["ensad"]),
+            "gan": _tensors_to_jsonable(
+                {**ck.params["generator"], **ck.params["discriminator"]}
+            ),
         },
         "adam": adam_obj,
         "rng": {
@@ -576,11 +499,12 @@ def checkpoint_from_jsonable(obj: dict) -> Checkpoint:
         ensad_cfg = EnsAdConfig(**obj["configs"]["adapter"])
     with _field("configs.gan"):
         gan_cfg = GanConfig(**obj["configs"]["gan"])
+    shapes = param_shapes(ensad_cfg, gan_cfg)
     with _field("params.ensad"):
-        ensad_params = EnsAdParams.from_jsonable(obj["params"]["ensad"], ensad_cfg)
+        params = {"ensad": _tensors_from_jsonable(obj["params"]["ensad"], shapes["ensad"])}
     with _field("params.gan"):
-        gan_params = ToyGanParams.from_jsonable(obj["params"]["gan"], gan_cfg, ensad_cfg.d)
-    tensors = _component_tensors(ensad_params, gan_params)
+        for comp in ("generator", "discriminator"):
+            params[comp] = _tensors_from_jsonable(obj["params"]["gan"], shapes[comp])
     with _field("adam"):
         adam_obj = dict(obj["adam"])
         unknown = set(adam_obj) - set(TRAINABLE_COMPONENTS)
@@ -594,21 +518,20 @@ def checkpoint_from_jsonable(obj: dict) -> Checkpoint:
     for comp, st in adam_obj.items():
         if st is not None:
             with _field(f"adam.{comp}"):
-                adam[comp] = AdamState.from_jsonable(st, tensors[comp])
+                adam[comp] = _adam_from_jsonable(st, shapes[comp])
     with _field("rng.algorithm"):
         if obj["rng"]["algorithm"] != SeededRng.ALGORITHM:
             raise ValueError(f"unknown rng algorithm {obj['rng']['algorithm']!r}")
     with _field("rng.seed"):
-        rng_seed = _u64(obj["rng"]["seed"])
+        rng_seed = json_uint(obj["rng"]["seed"])
     with _field("rng.position"):
-        rng_position = _u64(obj["rng"]["position"])
+        rng_position = json_uint(obj["rng"]["position"])
     with _field("step"):
-        step = _u64(obj["step"])
+        step = json_uint(obj["step"])
     return Checkpoint(
         ensad_cfg=ensad_cfg,
         gan_cfg=gan_cfg,
-        ensad_params=ensad_params,
-        gan_params=gan_params,
+        params=params,
         adam=adam,
         rng_seed=rng_seed,
         rng_position=rng_position,
@@ -625,27 +548,13 @@ def load_checkpoint(path: str) -> Checkpoint:
         return checkpoint_from_jsonable(json.load(fh))
 
 
-def _condition_batch(h, ep, ensad_cfg, mode):
-    """Fused conditioning of an (n, m+1, d) batch. Returns the (n, d)
-    conditions and the adapter's batched trace, None unless it ran."""
-    if mode == "ensad":
-        return adapter.forward_batch(ep, ensad_cfg, h)
-    if mode == "zero_shot":
-        return h[:, 0].copy(), None
-    if mode == "translate_test":
-        return h[:, 1].copy(), None
-    if mode == "mean_pool":
-        return l2_normalize_rows(h.mean(axis=1)), None
-    raise ValueError(f"unknown conditioning mode {mode!r}")
-
-
 @dataclass
 class StepGrads:
     """Losses and parameter gradients of one training step, before any
-    optimizer update. Gradient lists are None for components outside the
-    trainable set, and also when the step blew up: a non-finite loss skips
-    all gradients, and a non-finite gradient reaching the adapter leaves
-    its list None with the reason in grad_failure.
+    optimizer update. ``grads`` maps each trainable component to its
+    gradients, ``{name: array}`` like its parameters. It is empty when a
+    loss is non-finite, and a non-finite gradient reaching the adapter
+    leaves ``"ensad"`` out, with the reason in grad_failure.
 
     ``trace`` is the adapter's batched forward trace (its ``h_tilde`` the
     fused conditions, its ``s`` the attention weights) when the adapter
@@ -656,9 +565,7 @@ class StepGrads:
     parts: LossParts
     loss_ensad: float
     loss_disc: float
-    ensad_grads: list | None = None
-    gen_grads: list | None = None
-    disc_grads: list | None = None
+    grads: dict = field(default_factory=dict)
     grad_failure: str | None = None
     trace: ForwardTrace | None = None
     grad_conds: np.ndarray | None = None
@@ -669,9 +576,8 @@ def step_losses_and_grads(
     ensembles,
     imgs_real: np.ndarray,
     zs: np.ndarray,
-    ep: EnsAdParams,
+    params: dict,
     ensad_cfg: EnsAdConfig,
-    gp: ToyGanParams,
     gan_cfg: GanConfig,
     proxy: np.ndarray | None = None,
 ) -> StepGrads:
@@ -688,10 +594,10 @@ def step_losses_and_grads(
     h = ensembles if isinstance(ensembles, np.ndarray) else stack_rows(ensembles)
     n = h.shape[0]
     d = ensad_cfg.d
-    htil, trace = _condition_batch(h, ep, ensad_cfg, gan_cfg.conditioning)
-    fakes, gen_acts = _generate_batch(gp, htil, zs)
-    fd_f, ds_f, acts_f = _disc_forward_batch(gp, fakes)
-    fd_r, ds_r, acts_r = _disc_forward_batch(gp, imgs_real)
+    htil, trace = adapter.fuse_batch(h, params["ensad"], ensad_cfg, gan_cfg.conditioning)
+    fakes, gen_acts = _generate_batch(params, htil, zs)
+    fd_f, ds_f, acts_f = _disc_forward_batch(params, fakes)
+    fd_r, ds_r, acts_r = _disc_forward_batch(params, imgs_real)
     logits_f = ds_f + np.sum(fd_f * htil, axis=1)
     logits_r = ds_r + np.sum(fd_r * htil, axis=1)
 
@@ -739,26 +645,22 @@ def step_losses_and_grads(
         if gan_cfg.lambda2 > 0:
             grad_fd_f += gan_cfg.lambda2 * cldf_a
             grad_htil += gan_cfg.lambda2 * cldf_p
-        _, grad_imgs = _disc_backward_batch(gp, acts_f, grad_fd_f, grad_ds_f)
+        _, grad_imgs = _disc_backward_batch(params, acts_f, grad_fd_f, grad_ds_f)
         grad_fakes += grad_imgs
-        gen_gws, gen_gbs, grad_x = _mlp_backward(gp.gen_w, gen_acts, grad_fakes)
+        gen = params["generator"]
+        gen_grads, grad_x = _mlp_backward(list(gen.values()), gen_acts, grad_fakes)
         grad_htil += grad_x[:, :d]
 
         if "ensad" in gan_cfg.trainable:
             res.grad_conds = grad_htil
             if np.all(np.isfinite(grad_htil)):
-                grads, res.grad_h = adapter.backward_batch(
-                    ep, ensad_cfg, trace, grad_htil
+                res.grads["ensad"], res.grad_h = adapter.backward_batch(
+                    params["ensad"], ensad_cfg, trace, grad_htil
                 )
-                res.ensad_grads = [a for _, a in grads.tensor_items()]
             else:
                 res.grad_failure = "non-finite gradient reaching the adapter"
         if "generator" in gan_cfg.trainable:
-            gen_grads = []
-            for gw, gb in zip(gen_gws, gen_gbs):
-                gen_grads.append(gw)
-                gen_grads.append(gb)
-            res.gen_grads = gen_grads
+            res.grads["generator"] = dict(zip(gen, gen_grads))
 
     if "discriminator" in gan_cfg.trainable:
         # discriminator half-step: fakes and conditions held constant
@@ -773,9 +675,9 @@ def step_losses_and_grads(
             grad_fd_f2 += gan_cfg.lambda1 * cl_p
         if gan_cfg.lambda2 > 0:
             grad_fd_r2 += gan_cfg.lambda2 * cldr_a
-        grads_f, _ = _disc_backward_batch(gp, acts_f, grad_fd_f2, grad_ds_f2)
-        grads_r, _ = _disc_backward_batch(gp, acts_r, grad_fd_r2, grad_ds_r2)
-        res.disc_grads = [a + b for a, b in zip(grads_f, grads_r)]
+        grads_f, _ = _disc_backward_batch(params, acts_f, grad_fd_f2, grad_ds_f2)
+        grads_r, _ = _disc_backward_batch(params, acts_r, grad_fd_r2, grad_ds_r2)
+        res.grads["discriminator"] = {k: grads_f[k] + grads_r[k] for k in grads_f}
 
     return res
 
@@ -787,7 +689,7 @@ def train(
     seed: int,
     *,
     resume: Checkpoint | None = None,
-    init_from: tuple[EnsAdParams, ToyGanParams] | None = None,
+    init_from: dict | None = None,
     log_fn=None,
 ) -> Checkpoint:
     """Adversarial-contrastive training, deterministic given
@@ -802,7 +704,8 @@ def train(
     never touched.
 
     ``resume`` continues a checkpoint bit-exactly to gan_cfg.steps;
-    ``init_from`` seeds parameters (optimizer and stream start fresh).
+    ``init_from`` seeds parameters, a mapping like ``Checkpoint.params``
+    (optimizer and stream start fresh).
     ``log_fn`` receives one row dict per step.
     """
     if ds.d != ensad_cfg.d or ds.m != ensad_cfg.m:
@@ -823,6 +726,7 @@ def train(
     if resume is not None and init_from is not None:
         raise ValueError("resume and init_from are mutually exclusive")
 
+    shapes = param_shapes(ensad_cfg, gan_cfg)
     if resume is not None:
         if resume.ensad_cfg != ensad_cfg:
             raise ValueError("resume checkpoint has a different adapter config")
@@ -830,29 +734,21 @@ def train(
             raise ValueError("resume checkpoint has a different gan config")
         if resume.rng_seed != seed:
             raise ValueError("resume checkpoint was created with a different seed")
-        adapter.validate_params(resume.ensad_params, ensad_cfg)
-        validate_gan_params(resume.gan_params, gan_cfg, ensad_cfg.d)
-        ep = resume.ensad_params.copy()
-        gp = resume.gan_params.copy()
-        adam = {comp: st.copy() for comp, st in resume.adam.items()}
+        check_tensors(resume.params, shapes)
+        params = map_tensors(np.copy, resume.params)
+        adam = _copy_adam(resume.adam)
         rng = SeededRng(resume.rng_seed, resume.rng_position)
         start_step = resume.step
     else:
         rng = SeededRng(seed)
         if init_from is not None:
-            ep_init, gp_init = init_from
-            adapter.validate_params(ep_init, ensad_cfg)
-            validate_gan_params(gp_init, gan_cfg, ensad_cfg.d)
-            ep = ep_init.copy()
-            gp = gp_init.copy()
+            check_tensors(init_from, shapes)
+            params = map_tensors(lambda a: np.array(a, dtype=np.float64), init_from)
         else:
-            ep = init_params(ensad_cfg, rng)
-            gp = init_gan_params(gan_cfg, ensad_cfg.d, rng)
-        adam = {
-            comp: AdamState.init_like(tensors)
-            for comp, tensors in _component_tensors(ep, gp).items()
-            if comp in gan_cfg.trainable
-        }
+            params = init_tensors(shapes, rng)
+        adam = {comp: AdamState(map_tensors(np.zeros_like, params[comp]),
+                                map_tensors(np.zeros_like, params[comp]))
+                for comp in TRAINABLE_COMPONENTS if comp in gan_cfg.trainable}
         start_step = 0
 
     proxy = None
@@ -862,16 +758,14 @@ def train(
             ensad_cfg.d, gan_cfg.d_img
         ) / np.sqrt(gan_cfg.d_img)
 
-    tensors = _component_tensors(ep, gp)
     n = gan_cfg.batch
 
     def snapshot(step_count: int) -> Checkpoint:
         return Checkpoint(
             ensad_cfg=ensad_cfg,
             gan_cfg=gan_cfg,
-            ensad_params=ep.copy(),
-            gan_params=gp.copy(),
-            adam={comp: st.copy() for comp, st in adam.items()},
+            params=map_tensors(np.copy, params),
+            adam=_copy_adam(adam),
             rng_seed=seed,
             rng_position=rng.position,
             step=step_count,
@@ -884,7 +778,7 @@ def train(
         zs = rng.gaussian_rows(n, gan_cfg.d_z)
 
         res = step_losses_and_grads(
-            h, ds.images[idx], zs, ep, ensad_cfg, gp, gan_cfg, proxy
+            h, ds.images[idx], zs, params, ensad_cfg, gan_cfg, proxy
         )
         if not (math.isfinite(res.loss_ensad) and math.isfinite(res.loss_disc)):
             raise TrainingDiverged(
@@ -894,14 +788,9 @@ def train(
                 f"adapter-side {res.loss_ensad!r}, "
                 f"discriminator-side {res.loss_disc!r}",
             )
-        component_grads = {
-            "ensad": res.ensad_grads,
-            "generator": res.gen_grads,
-            "discriminator": res.disc_grads,
-        }
         for comp in gan_cfg.trainable:
-            grads = component_grads[comp]
-            if grads is None or not all(np.all(np.isfinite(g)) for g in grads):
+            grads = res.grads.get(comp)
+            if grads is None or not all(np.all(np.isfinite(g)) for g in grads.values()):
                 detail = f": {res.grad_failure}" if res.grad_failure else ""
                 raise TrainingDiverged(
                     step,
@@ -912,7 +801,7 @@ def train(
         for comp in TRAINABLE_COMPONENTS:
             if comp in gan_cfg.trainable:
                 adam_step(
-                    tensors[comp], component_grads[comp], adam[comp],
+                    params[comp], res.grads[comp], adam[comp],
                     gan_cfg.lr, gan_cfg.beta1, gan_cfg.beta2,
                 )
 
@@ -968,8 +857,9 @@ def finetune_pipeline(
         trainable=frozenset({"ensad"}),
         conditioning="ensad",
     )
-    # the tuned generator with the pre-phase-1 discriminator (train copies it)
-    gp2 = replace(ck0.gan_params, gen_w=ck1.gan_params.gen_w, gen_b=ck1.gan_params.gen_b)
+    # the tuned generator with the pre-phase-1 discriminator; phase 1 leaves
+    # the adapter untouched (train copies all three)
+    init = {**ck0.params, "generator": ck1.params["generator"]}
 
     log2 = None
     if log_fn is not None:
@@ -983,6 +873,6 @@ def finetune_pipeline(
         ensad_cfg,
         g2,
         derive_seed(seed, _PHASE2_SALT),
-        init_from=(ck1.ensad_params, gp2),
+        init_from=init,
         log_fn=log2,
     )

@@ -3,11 +3,16 @@
 Vectors and matrices are plain float64 numpy arrays (``Vec``/``Mat`` are
 aliases, 1-D and 2-D row-major respectively). Everything here is pure except
 :class:`SeededRng`, which owns a mutable stream position.
+
+Parameter sets are ordered ``{name: array}`` mappings, nested per component,
+described by matching ``{name: TensorSpec}`` mappings; :func:`init_tensors`,
+:func:`map_tensors` and :func:`check_tensors` initialize, copy and validate.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,3 +178,49 @@ class SeededRng:
         out = kernels.gaussian_from_bits(self._take(rows * width))
         return out.reshape(rows, width)[:, :n]
 
+
+class TensorSpec(NamedTuple):
+    """One parameter tensor: its shape, and whether it starts at zero (a
+    bias) instead of i.i.d. N(0, 1/last dim)."""
+
+    shape: tuple
+    zero: bool = False
+
+
+def init_tensors(spec: dict, rng: SeededRng) -> dict:
+    """Fresh tensors for a (nested) ``{name: TensorSpec}`` mapping, drawn in
+    its order: zeros, or one ``rng.gaussian(size)`` divided by the square
+    root of the last dimension."""
+    out = {}
+    for name, s in spec.items():
+        if isinstance(s, dict):
+            out[name] = init_tensors(s, rng)
+        elif s.zero:
+            out[name] = np.zeros(s.shape)
+        else:
+            flat = rng.gaussian(math.prod(s.shape))
+            out[name] = flat.reshape(s.shape) / np.sqrt(s.shape[-1])
+    return out
+
+
+def map_tensors(fn, tree: dict) -> dict:
+    """``fn`` applied to every array of a (nested) ``{name: array}`` mapping,
+    keeping names and order: ``np.copy`` copies it, ``np.zeros_like`` gives
+    zeros of the same shapes."""
+    return {k: map_tensors(fn, v) if isinstance(v, dict) else fn(v)
+            for k, v in tree.items()}
+
+
+def check_tensors(tree: dict, spec: dict, path: str = "") -> None:
+    """Raise ValueError naming the first tensor of ``tree`` that is not
+    what ``spec`` says: names and their order, shapes, finite entries."""
+    if list(tree) != list(spec):
+        raise ValueError(f"{path or 'tensors'}: names {list(tree)}, expected {list(spec)}")
+    for name, s in spec.items():
+        where = f"{path}.{name}" if path else name
+        if isinstance(s, dict):
+            check_tensors(tree[name], s, where)
+        elif np.shape(tree[name]) != s.shape:
+            raise ValueError(f"{where} has shape {np.shape(tree[name])}, expected {s.shape}")
+        elif not np.all(np.isfinite(tree[name])):
+            raise ValueError(f"{where} contains non-finite entries")

@@ -59,7 +59,7 @@ def test_criterion_01_parameter_count(verdict):
     cfg = EnsAdConfig(d=512, d_hid=256, m=3)
     assert param_count(cfg) == 655873
     params = init_params(cfg, SeededRng(0))
-    assert sum(a.size for _, a in params.tensor_items()) == 655873
+    assert sum(a.size for a in params.values()) == 655873
     verdict["ok"] = True
 
 
@@ -116,8 +116,7 @@ def test_criterion_03_gradients_vs_finite_differences(verdict):
         _, trace = forward(params, cfg, h)
         grads, grad_h = backward(params, cfg, trace, w)
 
-        for (_, tensor), (_, grad) in zip(params.tensor_items(),
-                                          grads.tensor_items()):
+        for tensor, grad in zip(params.values(), grads.values()):
             flat = tensor.reshape(-1)
             gflat = np.asarray(grad, dtype=float).reshape(-1)
             for i in range(flat.shape[0]):
@@ -147,22 +146,22 @@ def test_criterion_03_gradients_vs_finite_differences(verdict):
     gcfg = GanConfig(d=8, d_z=4, d_img=6, gen_hidden=(8, 8), disc_hidden=(8,),
                      batch=4, trainable=frozenset({"ensad", "discriminator"}))
     rng = SeededRng(51)
-    ep = init_params(ecfg, rng)
-    from ensad.gan import init_gan_params
-    gp = init_gan_params(gcfg, 8, rng)
+    from ensad.gan import param_shapes
+    from ensad.numkit import init_tensors
+    params = init_tensors(param_shapes(ecfg, gcfg), rng)
     ensembles = [ens for ens, _ in ds.items[:4]]
     imgs = np.stack([img for _, img in ds.items[:4]])
     zs = np.stack([rng.gaussian(4) for _ in range(4)])
 
-    res = step_losses_and_grads(ensembles, imgs, zs, ep, ecfg, gp, gcfg)
+    res = step_losses_and_grads(ensembles, imgs, zs, params, ecfg, gcfg)
     frozen = replace(gcfg, trainable=frozenset())
 
     def loss():
         return step_losses_and_grads(
-            ensembles, imgs, zs, ep, ecfg, gp, frozen).loss_ensad
+            ensembles, imgs, zs, params, ecfg, frozen).loss_ensad
 
-    for tensor, grad in zip([a for _, a in ep.tensor_items()],
-                            res.ensad_grads):
+    for tensor, grad in zip(params["ensad"].values(),
+                            res.grads["ensad"].values()):
         flat = tensor.reshape(-1)
         gflat = np.asarray(grad, dtype=float).reshape(-1)
         for i in range(flat.shape[0]):
@@ -282,7 +281,8 @@ def toy_training_setup():
 def test_criterion_07_determinism_and_freezing(verdict):
     verdict["n"] = 7
     start = time.monotonic()
-    from ensad.gan import checkpoint_to_jsonable, init_gan_params
+    from ensad.gan import checkpoint_to_jsonable, param_shapes
+    from ensad.numkit import init_tensors
 
     ds, ecfg, gcfg = toy_training_setup()
     ck1 = train(ds, ecfg, gcfg, 42)
@@ -292,19 +292,18 @@ def test_criterion_07_determinism_and_freezing(verdict):
     # the frozen-G setup must leave every generator tensor bitwise intact
     # while the trainable components move
     rng = SeededRng(42)
-    ep0 = init_params(ecfg, rng)
-    gp0 = init_gan_params(gcfg, 6, rng)
-    for a, b in zip(ck1.gan_params.generator_tensors(),
-                    gp0.generator_tensors()):
+    p0 = init_tensors(param_shapes(ecfg, gcfg), rng)
+    for a, b in zip(ck1.params["generator"].values(),
+                    p0["generator"].values()):
         assert np.array_equal(a, b)
     assert any(
         not np.array_equal(a, b)
-        for (_, a), (_, b) in zip(ck1.ensad_params.tensor_items(),
-                                  ep0.tensor_items()))
+        for a, b in zip(ck1.params["ensad"].values(),
+                        p0["ensad"].values()))
     assert any(
         not np.array_equal(a, b)
-        for a, b in zip(ck1.gan_params.discriminator_tensors(),
-                        gp0.discriminator_tensors()))
+        for a, b in zip(ck1.params["discriminator"].values(),
+                        p0["discriminator"].values()))
 
     assert time.monotonic() - start < 60.0
     verdict["ok"] = True
@@ -340,7 +339,7 @@ def desk_scale_runs():
             trainable=frozenset({"ensad", "discriminator"}),
             conditioning="ensad")
         ck = train(corpus_b, ecfg, ft_cfg, seed + 500,
-                   init_from=(ck_pre.ensad_params, ck_pre.gan_params),
+                   init_from=ck_pre.params,
                    log_fn=rows.append)
 
         all_finite = all(
@@ -348,8 +347,8 @@ def desk_scale_runs():
             for key in ("loss_ensad", "loss_disc"))
         moved = any(
             not np.array_equal(a, b)
-            for (_, a), (_, b) in zip(ck.ensad_params.tensor_items(),
-                                      ck_pre.ensad_params.tensor_items()))
+            for a, b in zip(ck.params["ensad"].values(),
+                            ck_pre.params["ensad"].values()))
         report = compare_strategies(ck, corpus_b, 512, 777)
         fds = {row["strategy"]: row["fd"] for row in report.results}
         runs.append({"seed": seed, "fds": fds, "all_finite": all_finite,

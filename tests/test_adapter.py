@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from ensad.adapter import (
+    STRATEGIES,
     EnsAdConfig,
-    EnsAdParams,
     attention_export_record,
     attention_scores,
     backward,
     forward,
-    fuse_mean_pool,
-    fuse_select,
+    fuse_batch,
     init_params,
     param_count,
 )
@@ -33,12 +32,12 @@ def reference_forward(p, cfg, h_matrix):
             n = np.linalg.norm(diff)
             v[:, j] = diff if n < 1e-12 else diff / n
 
-    a = (p.wq @ q)[:, None] + p.wk @ k + p.wv @ v + p.b[:, None]
-    logits = p.wp @ np.tanh(a) + float(p.bp)
+    a = (p["wq"] @ q)[:, None] + p["wk"] @ k + p["wv"] @ v + p["b"][:, None]
+    logits = p["wp"] @ np.tanh(a) + float(p["bp"])
     e = np.exp(logits - logits.max())
     s = e / e.sum()
 
-    u = np.tanh(p.wo @ v)
+    u = np.tanh(p["wo"] @ v)
     uhat = np.zeros_like(u)
     for j in range(m):
         n = np.linalg.norm(u[:, j])
@@ -72,7 +71,7 @@ def test_param_count_matches_tensor_sizes():
     for d, dh, m in [(4, 3, 2), (8, 4, 3), (16, 8, 4)]:
         cfg = EnsAdConfig(d=d, d_hid=dh, m=m)
         p = init_params(cfg, SeededRng(0))
-        total = sum(t.size for _, t in p.tensor_items())
+        total = sum(t.size for t in p.values())
         assert total == param_count(cfg)
 
 
@@ -80,18 +79,18 @@ def test_init_determinism_and_zero_biases():
     cfg = EnsAdConfig(d=8, d_hid=4, m=3)
     p1 = init_params(cfg, SeededRng(9))
     p2 = init_params(cfg, SeededRng(9))
-    for (n1, t1), (n2, t2) in zip(p1.tensor_items(), p2.tensor_items()):
+    for (n1, t1), (n2, t2) in zip(p1.items(), p2.items()):
         assert n1 == n2
         assert np.array_equal(t1, t2)
-    assert np.array_equal(p1.b, np.zeros(4))
-    assert float(p1.bp) == 0.0
+    assert np.array_equal(p1["b"], np.zeros(4))
+    assert float(p1["bp"]) == 0.0
 
 
 def test_init_variance_band():
     # rows of wq are N(0, 1/d): var * d within 20% of 1 at d=64
     cfg = EnsAdConfig(d=64, d_hid=64, m=2)
     p = init_params(cfg, SeededRng(3))
-    scaled = p.wq.var() * 64
+    scaled = p["wq"].var() * 64
     assert 0.8 < scaled < 1.2
 
 
@@ -207,7 +206,7 @@ def test_backward_zero_upstream_gradient():
     h = random_ensemble(cfg, rng)
     _, trace = forward(p, cfg, h)
     grads, grad_h = backward(p, cfg, trace, np.zeros(8))
-    for _, t in grads.tensor_items():
+    for t in grads.values():
         assert np.all(t == 0.0)
     assert np.all(grad_h == 0.0)
 
@@ -222,7 +221,7 @@ def test_backward_alpha_zero_convention():
     _, trace = forward(p, cfg, h)
     g = rng.gaussian(8)
     grads, grad_h = backward(p, cfg, trace, g)
-    for _, t in grads.tensor_items():
+    for t in grads.values():
         assert np.all(t == 0.0)
     q = h[:, 0]
     want = g - q * float(q @ g)
@@ -254,8 +253,8 @@ def test_gradients_match_finite_differences(seed):
     grads, grad_h = backward(p, cfg, trace, w)
 
     eps = 1e-5
-    for name, tensor in p.tensor_items():
-        g_analytic = dict(grads.tensor_items())[name]
+    for name, tensor in p.items():
+        g_analytic = grads[name]
         flat = tensor.reshape(-1)
         ga = np.asarray(g_analytic, dtype=float).reshape(-1)
         for i in range(flat.shape[0]):
@@ -292,8 +291,8 @@ def test_gradients_variant_v_equals_k():
     _, trace = forward(p, cfg, h)
     grads, grad_h = backward(p, cfg, trace, w)
     eps = 1e-5
-    for name, tensor in p.tensor_items():
-        ga = dict(grads.tensor_items())[name].reshape(-1)
+    for name, tensor in p.items():
+        ga = grads[name].reshape(-1)
         flat = tensor.reshape(-1)
         for i in range(flat.shape[0]):
             orig = flat[i]
@@ -307,27 +306,43 @@ def test_gradients_variant_v_equals_k():
 
 
 def test_fuse_mean_pool_oracle():
-    h = np.array([[1.0, 0.0], [0.0, 1.0]])  # two-column d=2 matrix
-    out = fuse_mean_pool(h)
-    assert np.allclose(out, [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-12)
+    h = np.array([[[1.0, 0.0], [0.0, 1.0]]])  # one item, two d=2 rows
+    out, trace = fuse_batch(h, None, None, "mean_pool")
+    assert np.allclose(out, [[np.sqrt(0.5), np.sqrt(0.5)]], atol=1e-12)
+    assert trace is None
 
 
 def test_fuse_mean_pool_unit_norm():
     rng = SeededRng(14)
-    h = np.stack([l2_normalize(rng.gaussian(8)) for _ in range(4)], axis=1)
-    out = fuse_mean_pool(h)
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+    h = np.stack([[l2_normalize(rng.gaussian(8)) for _ in range(4)]
+                  for _ in range(3)])
+    out, _ = fuse_batch(h, None, None, "mean_pool")
+    assert np.abs(np.linalg.norm(out, axis=1) - 1.0).max() < 1e-12
 
 
 def test_fuse_select():
     rng = SeededRng(15)
-    h = np.stack([l2_normalize(rng.gaussian(5)) for _ in range(3)], axis=1)
-    assert np.array_equal(fuse_select(h, 0), h[:, 0])
-    assert np.array_equal(fuse_select(h, 2), h[:, 2])
-    with pytest.raises(IndexError):
-        fuse_select(h, 3)
-    with pytest.raises(IndexError):
-        fuse_select(h, -1)
+    h = np.stack([[l2_normalize(rng.gaussian(5)) for _ in range(3)]
+                  for _ in range(2)])
+    src, _ = fuse_batch(h, None, None, "zero_shot")
+    first, _ = fuse_batch(h, None, None, "translate_test")
+    assert np.array_equal(src, h[:, 0])
+    assert np.array_equal(first, h[:, 1])
+    with pytest.raises(ValueError, match="unknown"):
+        fuse_batch(h, None, None, "select_2")
+
+
+def test_fuse_ensad_is_the_batched_adapter():
+    cfg = EnsAdConfig(d=6, d_hid=3, m=2, alpha=0.3)
+    rng = SeededRng(16)
+    p = init_params(cfg, rng)
+    h = np.stack([random_ensemble(cfg, rng).T for _ in range(3)])
+    out, trace = fuse_batch(h, p, cfg, "ensad")
+    assert STRATEGIES == ("ensad", "zero_shot", "translate_test", "mean_pool")
+    for i in range(3):
+        want, _ = reference_forward(p, cfg, h[i].T)
+        assert np.abs(out[i] - want).max() <= 1e-12
+    assert trace.s.shape == (3, 2)
 
 
 def test_attention_export_record_sorting():

@@ -8,8 +8,8 @@ import pytest
 
 from ensad.adapter import EnsAdConfig, backward, forward, init_params
 from ensad.data import augment_rows, sample_indices
-from ensad.gan import GanConfig, init_gan_params, step_losses_and_grads
-from ensad.numkit import SeededRng, l2_normalize
+from ensad.gan import GanConfig, param_shapes, step_losses_and_grads
+from ensad.numkit import SeededRng, init_tensors, l2_normalize
 
 
 def close(got, want, tol=1e-12):
@@ -61,11 +61,11 @@ def per_item_reference(p, cfg, rows, g):
             v[j], vraw_n[j] = k[j], np.sqrt(np.sum(k[j] * k[j]))
         else:
             v[j], vraw_n[j] = unit(k[j] - q)
-    t = np.tanh(k @ p.wk.T + v @ p.wv.T + (p.wq @ q + p.b))
-    logits = t @ p.wp + float(p.bp)
+    t = np.tanh(k @ p["wk"].T + v @ p["wv"].T + (p["wq"] @ q + p["b"]))
+    logits = t @ p["wp"] + float(p["bp"])
     e = np.exp(logits - logits.max())
     s = e / e.sum()
-    u = np.tanh(v @ p.wo.T)
+    u = np.tanh(v @ p["wo"].T)
     uhat, u_n = np.empty_like(u), np.empty(m)
     for j in range(m):
         uhat[j], u_n[j] = unit(u[j])
@@ -84,13 +84,13 @@ def per_item_reference(p, cfg, rows, g):
     grad_u = np.stack([unit_backward(alpha * grad_vo[j], uhat[j], u_n[j])
                        for j in range(m)])
     grad_wov = grad_u * (1.0 - u * u)
-    grad_v = (1.0 - alpha) * grad_vo + grad_wov @ p.wo
+    grad_v = (1.0 - alpha) * grad_vo + grad_wov @ p["wo"]
     grad_logits = s * (grad_s - np.dot(s, grad_s))
-    grad_a = np.outer(grad_logits, p.wp) * (1.0 - t * t)
+    grad_a = np.outer(grad_logits, p["wp"]) * (1.0 - t * t)
     colsum = grad_a.sum(axis=0)
-    grad_q = grad_q + colsum @ p.wq
-    grad_k = grad_a @ p.wk
-    grad_v = grad_v + grad_a @ p.wv
+    grad_q = grad_q + colsum @ p["wq"]
+    grad_k = grad_a @ p["wk"]
+    grad_v = grad_v + grad_a @ p["wv"]
     for j in range(m):
         if cfg.variant_v_equals_k:
             grad_k[j] += grad_v[j]
@@ -114,16 +114,16 @@ def test_step_matches_per_item_adapter_calls(cfg):
     n = h.shape[0]
     gcfg = GanConfig(d=cfg.d, d_z=3, d_img=5, gen_hidden=(6,), disc_hidden=(6,),
                      batch=n, trainable=frozenset({"ensad", "discriminator"}))
-    ep = init_params(cfg, rng)
-    gp = init_gan_params(gcfg, cfg.d, rng)
+    params = init_tensors(param_shapes(cfg, gcfg), rng)
+    ep = params["ensad"]
     imgs = np.tanh(rng.gaussian_rows(n, gcfg.d_img))
     zs = rng.gaussian_rows(n, gcfg.d_z)
 
-    res = step_losses_and_grads(h, imgs, zs, ep, cfg, gp, gcfg)
-    assert res.ensad_grads is not None
+    res = step_losses_and_grads(h, imgs, zs, params, cfg, gcfg)
+    assert "ensad" in res.grads
 
-    grad_sum = [np.zeros_like(t) for _, t in ep.tensor_items()]
-    ref_sum = [np.zeros_like(t) for _, t in ep.tensor_items()]
+    grad_sum = [np.zeros_like(t) for t in ep.values()]
+    ref_sum = [np.zeros_like(t) for t in ep.values()]
     for i in range(n):
         out, tr = forward(ep, cfg, h[i].T)
         grads, grad_h = backward(ep, cfg, tr, res.grad_conds[i])
@@ -135,12 +135,12 @@ def test_step_matches_per_item_adapter_calls(cfg):
             assert close(got, ref_s), f"item {i}: attention"
         for got in (res.grad_h[i], grad_h.T):
             assert close(got, ref_grad_h), f"item {i}: input gradient"
-        for acc, (_, g) in zip(grad_sum, grads.tensor_items()):
+        for acc, g in zip(grad_sum, grads.values()):
             acc += g
         for acc, g in zip(ref_sum, ref_grads):
             acc += g
-    for (name, _), got, one, ref in zip(ep.tensor_items(), res.ensad_grads,
-                                        grad_sum, ref_sum):
+    for name, got, one, ref in zip(ep, res.grads["ensad"].values(),
+                                   grad_sum, ref_sum):
         assert close(got, ref), name
         assert close(one, ref), name
 

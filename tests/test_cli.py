@@ -337,6 +337,16 @@ def test_eval_rejects_malformed_checkpoint(tmp_path, capsys, mutate, field):
     assert f"checkpoint field '{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ["ckpt", "data"])
+def test_eval_rejects_directory_path(tmp_path, capsys, which):
+    paths = {"ckpt": str(GOLDEN / "ckpt_step6.json"),
+             "data": str(GOLDEN / "data.jsonl"), which: str(tmp_path)}
+    rc = main(["eval", "--ckpt", paths["ckpt"], "--data", paths["data"],
+               "--n-gen", "8"])
+    assert rc == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
 def test_linalg_failure_exits_3(workdir, dataset_path, ckpt_path, capsys,
                                 monkeypatch):
     def fail(*args, **kwargs):

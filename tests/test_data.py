@@ -18,7 +18,7 @@ from ensad.data import (
     load_jsonl,
     save_jsonl,
 )
-from ensad.numkit import SeededRng
+from ensad.numkit import SeededRng, derive_seed, l2_normalize
 
 
 def small_spec(**kw):
@@ -50,6 +50,37 @@ def test_synthetic_determinism():
         assert np.array_equal(ia, ib)
         for ta, tb in zip(ea.translations, eb.translations):
             assert np.array_equal(ta, tb)
+
+
+def per_vector_synthetic(spec):
+    """The generator as it drew its item stream before batching: one
+    gaussian(d) call per vector."""
+    rng_items = SeededRng(derive_seed(spec.seed, 1))
+    rng_mix = SeededRng(derive_seed(spec.seed, 2))
+    mix = rng_mix.gaussian(spec.d_img * spec.d).reshape(spec.d_img, spec.d)
+    items = []
+    for i in range(spec.n_items):
+        u = l2_normalize(rng_items.gaussian(spec.d))
+        h0 = u.copy() if spec.sigma_source == 0.0 else l2_normalize(
+            u + spec.sigma_source * rng_items.gaussian(spec.d))
+        translations = tuple(
+            u.copy() if spec.sigma_trans == 0.0 else l2_normalize(
+                u + spec.sigma_trans * rng_items.gaussian(spec.d))
+            for _ in range(spec.m))
+        ens = EmbeddingEnsemble(id=f"syn-{i:06d}", h0=h0,
+                                translations=translations)
+        items.append((ens, np.tanh(mix @ u)))
+    return Dataset(d=spec.d, m=spec.m, d_img=spec.d_img, items=tuple(items))
+
+
+@pytest.mark.parametrize("sigma_source, sigma_trans",
+                         [(0.0, 0.0), (0.3, 0.0), (0.0, 0.2), (0.4, 0.2)])
+def test_synthetic_matches_per_vector_draws(sigma_source, sigma_trans):
+    for d in (7, 8):
+        spec = small_spec(d=d, sigma_source=sigma_source,
+                          sigma_trans=sigma_trans, seed=11)
+        assert dumps_jsonl(generate_synthetic(spec)) == dumps_jsonl(
+            per_vector_synthetic(spec))
 
 
 def test_synthetic_seed_sensitivity():
@@ -154,6 +185,12 @@ def test_load_rejects_bad_header(tmp_path):
     path = write_lines(tmp_path, ["{not json", GOOD_ITEM])
     with pytest.raises(DataFormatError, match="line 1"):
         load_jsonl(path)
+    # dimensions must be positive JSON integers: 9.5 used to load as 9
+    for key, value in (("d", 2.5), ("m", "1"), ("d_img", True), ("m", 0)):
+        hdr = {**json.loads(HEADER), key: value}
+        path = write_lines(tmp_path, [json.dumps(hdr), GOOD_ITEM])
+        with pytest.raises(DataFormatError, match=f"line 1: header '{key}'"):
+            load_jsonl(path)
 
 
 def test_load_rejects_wrong_format_name(tmp_path):

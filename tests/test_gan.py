@@ -1,16 +1,17 @@
+import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ensad.adapter import EnsAdConfig, init_params
+from ensad.adapter import EnsAdConfig
 from ensad.data import SyntheticSpec, generate_synthetic
 from ensad.gan import (
     AdamState,
     Checkpoint,
     GanConfig,
-    ToyGanParams,
     TrainingDiverged,
     adam_step,
     checkpoint_from_jsonable,
@@ -18,18 +19,18 @@ from ensad.gan import (
     disc_logit,
     finetune_pipeline,
     generate,
-    init_gan_params,
     load_checkpoint,
     loss_adv_disc,
     loss_adv_ensad,
     loss_contrastive,
     LossParts,
+    param_shapes,
     save_checkpoint,
     step_losses_and_grads,
     total_losses,
     train,
 )
-from ensad.numkit import SeededRng, l2_normalize
+from ensad.numkit import SeededRng, init_tensors, l2_normalize, map_tensors
 
 
 TOY_GAN = dict(d=6, d_z=4, d_img=5, gen_hidden=(8, 8), disc_hidden=(8,),
@@ -42,9 +43,8 @@ def toy_setup(seed=0, **gan_kw):
     kw.update(gan_kw)
     gcfg = GanConfig(**kw)
     rng = SeededRng(seed)
-    ep = init_params(ecfg, rng)
-    gp = init_gan_params(gcfg, 6, rng)
-    return ecfg, gcfg, ep, gp, rng
+    gp = init_tensors(param_shapes(ecfg, gcfg), rng)
+    return ecfg, gcfg, gp["ensad"], gp, rng
 
 
 def toy_dataset(n_items=10, seed=7, d=6, m=2, d_img=5):
@@ -55,19 +55,20 @@ def toy_dataset(n_items=10, seed=7, d=6, m=2, d_img=5):
 
 def test_init_gan_params_shapes_and_determinism():
     ecfg, gcfg, ep, gp, _ = toy_setup(3)
-    assert gp.gen_w[0].shape == (8, 6 + 4)
-    assert gp.gen_w[-1].shape == (5, 8)
-    assert gp.disc_w[0].shape == (8, 5)
-    assert gp.fd_w.shape == (6, 8)
-    assert gp.ds_w.shape == (8,)
-    for b in gp.gen_b + gp.disc_b:
+    gen, disc = gp["generator"], gp["discriminator"]
+    assert gen["gen_w.0"].shape == (8, 6 + 4)
+    assert gen["gen_w.2"].shape == (5, 8)
+    assert disc["disc_w.0"].shape == (8, 5)
+    assert disc["fd_w"].shape == (6, 8)
+    assert disc["ds_w"].shape == (8,)
+    for b in [gen["gen_b.0"], gen["gen_b.1"], gen["gen_b.2"], disc["disc_b.0"]]:
         assert np.all(b == 0.0)
-    assert np.all(gp.fd_b == 0.0)
-    assert float(gp.ds_b) == 0.0
+    assert np.all(disc["fd_b"] == 0.0)
+    assert float(disc["ds_b"]) == 0.0
 
     _, _, _, gp2, _ = toy_setup(3)
-    for a, b in zip(gp.generator_tensors() + gp.discriminator_tensors(),
-                    gp2.generator_tensors() + gp2.discriminator_tensors()):
+    for a, b in zip([*gen.values(), *disc.values()],
+                    [*gp2["generator"].values(), *gp2["discriminator"].values()]):
         assert np.array_equal(a, b)
 
 
@@ -190,30 +191,34 @@ def test_total_losses_clg_switch():
     assert ld == 0.7 + 4 * 0.9
 
 
+def fresh_adam(p):
+    return AdamState(map_tensors(np.zeros_like, p), map_tensors(np.zeros_like, p))
+
+
 def test_adam_zero_grad_keeps_params():
-    p = [np.array([1.0, 2.0]), np.array([[3.0]])]
-    st = AdamState.init_like(p)
-    before = [t.copy() for t in p]
-    adam_step(p, [np.zeros(2), np.zeros((1, 1))], st, 5e-4, 0.0, 0.99)
-    for a, b in zip(p, before):
+    p = {"a": np.array([1.0, 2.0]), "b": np.array([[3.0]])}
+    st = fresh_adam(p)
+    before = [t.copy() for t in p.values()]
+    adam_step(p, {"a": np.zeros(2), "b": np.zeros((1, 1))}, st, 5e-4, 0.0, 0.99)
+    for a, b in zip(p.values(), before):
         assert np.array_equal(a, b)
     assert st.t == 1
 
 
 def test_adam_single_step_oracle():
     # t=1, beta1=0, beta2=0.99, g=1: mhat=1, vhat=1, update=lr/(1+eps)
-    p = [np.array([1.0])]
-    st = AdamState.init_like(p)
-    adam_step(p, [np.array([1.0])], st, 5e-4, 0.0, 0.99)
+    p = {"a": np.array([1.0])}
+    st = fresh_adam(p)
+    adam_step(p, {"a": np.array([1.0])}, st, 5e-4, 0.0, 0.99)
     want = 1.0 - 5e-4 * (1.0 / (1.0 + 1e-8))
-    assert p[0][0] == want
+    assert p["a"][0] == want
 
 
 def test_adam_rejects_mismatched_shapes():
-    p = [np.zeros(2)]
-    st = AdamState.init_like(p)
+    p = {"a": np.zeros(2)}
+    st = fresh_adam(p)
     with pytest.raises(ValueError):
-        adam_step(p, [np.zeros(3)], st, 1e-3, 0.0, 0.99)
+        adam_step(p, {"a": np.zeros(3)}, st, 1e-3, 0.0, 0.99)
 
 
 def test_train_zero_steps_matches_manual_init():
@@ -222,13 +227,11 @@ def test_train_zero_steps_matches_manual_init():
     gcfg = replace(gcfg, steps=0, trainable=frozenset({"ensad", "discriminator"}))
     ck = train(ds, ecfg, gcfg, 42)
     rng = SeededRng(42)
-    ep_want = init_params(ecfg, rng)
-    gp_want = init_gan_params(gcfg, 6, rng)
-    for (_, a), (_, b) in zip(ck.ensad_params.tensor_items(),
-                              ep_want.tensor_items()):
+    want = init_tensors(param_shapes(ecfg, gcfg), rng)
+    for a, b in zip(ck.params["ensad"].values(), want["ensad"].values()):
         assert np.array_equal(a, b)
-    for a, b in zip(ck.gan_params.generator_tensors(),
-                    gp_want.generator_tensors()):
+    for a, b in zip(ck.params["generator"].values(),
+                    want["generator"].values()):
         assert np.array_equal(a, b)
     assert ck.rng_position == rng.position
     assert ck.step == 0
@@ -250,17 +253,14 @@ def test_train_losses_finite_and_params_move():
     assert rows[0]["step"] == 1
     assert rows[-1]["step"] == 300
 
-    rng = SeededRng(1)
-    ep0 = init_params(ecfg, rng)
-    gp0 = init_gan_params(gcfg, 6, rng)
+    p0 = init_tensors(param_shapes(ecfg, gcfg), SeededRng(1))
     moved_e = any(
         not np.array_equal(a, b)
-        for (_, a), (_, b) in zip(ck.ensad_params.tensor_items(),
-                                  ep0.tensor_items()))
+        for a, b in zip(ck.params["ensad"].values(), p0["ensad"].values()))
     moved_g = any(
         not np.array_equal(a, b)
-        for a, b in zip(ck.gan_params.generator_tensors(),
-                        gp0.generator_tensors()))
+        for a, b in zip(ck.params["generator"].values(),
+                        p0["generator"].values()))
     assert moved_e and moved_g
 
 
@@ -318,25 +318,20 @@ def test_frozen_components_bitwise_unchanged():
     g1 = replace(gcfg, steps=30,
                  trainable=frozenset({"ensad", "discriminator"}))
     ck = train(ds, ecfg, g1, 5)
-    rng = SeededRng(5)
-    ep0 = init_params(ecfg, rng)
-    gp0 = init_gan_params(g1, 6, rng)
-    for a, b in zip(ck.gan_params.generator_tensors(),
-                    gp0.generator_tensors()):
+    p0 = init_tensors(param_shapes(ecfg, g1), SeededRng(5))
+    for a, b in zip(ck.params["generator"].values(),
+                    p0["generator"].values()):
         assert np.array_equal(a, b)
     # and the trained components moved
-    assert any(not np.array_equal(a, b) for (_, a), (_, b) in
-               zip(ck.ensad_params.tensor_items(), ep0.tensor_items()))
+    assert any(not np.array_equal(a, b) for a, b in
+               zip(ck.params["ensad"].values(), p0["ensad"].values()))
 
     # generator + discriminator trainable: adapter frozen
     g2 = replace(gcfg, steps=30, conditioning="zero_shot",
                  trainable=frozenset({"generator", "discriminator"}))
     ck2 = train(ds, ecfg, g2, 5)
-    rng = SeededRng(5)
-    ep0 = init_params(ecfg, rng)
-    init_gan_params(g2, 6, rng)
-    for (_, a), (_, b) in zip(ck2.ensad_params.tensor_items(),
-                              ep0.tensor_items()):
+    p0 = init_tensors(param_shapes(ecfg, g2), SeededRng(5))
+    for a, b in zip(ck2.params["ensad"].values(), p0["ensad"].values()):
         assert np.array_equal(a, b)
 
 
@@ -389,6 +384,16 @@ def test_checkpoint_roundtrip(tmp_path):
     assert checkpoint_to_jsonable(cont1) == checkpoint_to_jsonable(cont2)
 
 
+def test_golden_checkpoint_reserializes_to_the_same_bytes():
+    # pins checkpoint format 1: the file was written by an earlier version
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "golden", "ckpt_step6.json")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    ck = load_checkpoint(path)
+    assert json.dumps(checkpoint_to_jsonable(ck), sort_keys=True) + "\n" == text
+
+
 def test_checkpoint_rejects_bad_version():
     ds = toy_dataset()
     ecfg, gcfg, _, _, _ = toy_setup()
@@ -407,12 +412,19 @@ def test_init_from_starts_fresh_stream():
         trainable=frozenset({"generator", "discriminator"})), 4)
     warm = train(ds, ecfg, replace(
         gcfg, steps=0, trainable=frozenset({"ensad", "discriminator"})), 11,
-        init_from=(donor.ensad_params, donor.gan_params))
+        init_from=donor.params)
     assert warm.rng_position == 0
     assert warm.step == 0
-    for a, b in zip(warm.gan_params.generator_tensors(),
-                    donor.gan_params.generator_tensors()):
+    for a, b in zip(warm.params["generator"].values(),
+                    donor.params["generator"].values()):
         assert np.array_equal(a, b)
+    # integer arrays are taken as float64 parameters (they failed at the
+    # first Adam update before)
+    ints = map_tensors(lambda a: np.rint(4 * a).astype(np.int64), donor.params)
+    ck = train(ds, ecfg, replace(
+        gcfg, steps=2, trainable=frozenset({"ensad", "discriminator"})), 11,
+        init_from=ints)
+    assert ck.params["ensad"]["wq"].dtype == np.float64
 
 
 def test_pipeline_phase_splice():
@@ -427,11 +439,11 @@ def test_pipeline_phase_splice():
                  trainable=frozenset({"generator", "discriminator"}))
     ck0 = train(ds, ecfg, replace(g1, steps=0), 8)
     ck1 = train(ds, ecfg, g1, 8, resume=ck0)
-    for a, b in zip(ck.gan_params.generator_tensors(),
-                    ck1.gan_params.generator_tensors()):
+    for a, b in zip(ck.params["generator"].values(),
+                    ck1.params["generator"].values()):
         assert np.array_equal(a, b)
-    for a, b in zip(ck.gan_params.discriminator_tensors(),
-                    ck0.gan_params.discriminator_tensors()):
+    for a, b in zip(ck.params["discriminator"].values(),
+                    ck0.params["discriminator"].values()):
         assert np.array_equal(a, b)
 
 
@@ -489,28 +501,27 @@ def test_step_grads_adapter_end_to_end_vs_fd(enable_clg):
                      trainable=frozenset({"ensad", "discriminator"}),
                      enable_clg=enable_clg)
     rng = SeededRng(30)
-    ep = init_params(ecfg, rng)
-    gp = init_gan_params(gcfg, 8, rng)
+    gp = init_tensors(param_shapes(ecfg, gcfg), rng)
+    ep = gp["ensad"]
     proxy = None
     if enable_clg:
         proxy = SeededRng(99).gaussian(8 * 6).reshape(8, 6) / np.sqrt(6.0)
     ensembles, imgs, zs = batch_inputs(ds, ecfg, gcfg, 31)
 
-    res = step_losses_and_grads(ensembles, imgs, zs, ep, ecfg, gp, gcfg,
+    res = step_losses_and_grads(ensembles, imgs, zs, gp, ecfg, gcfg,
                                 proxy)
-    grads = res.ensad_grads
-    assert grads is not None
+    grads = res.grads["ensad"]
 
     def value():
-        r = step_losses_and_grads(ensembles, imgs, zs, ep, ecfg, gp,
+        r = step_losses_and_grads(ensembles, imgs, zs, gp, ecfg,
                                   replace(gcfg, trainable=frozenset()),
                                   proxy)
         return r.loss_ensad
 
     eps = 1e-5
-    names = [n for n, _ in ep.tensor_items()]
-    tensors = [t for _, t in ep.tensor_items()]
-    for name, tensor, grad in zip(names, tensors, grads):
+    names = list(ep)
+    tensors = list(ep.values())
+    for name, tensor, grad in zip(names, tensors, grads.values()):
         flat = tensor.reshape(-1)
         gflat = np.asarray(grad, dtype=float).reshape(-1)
         for i in range(flat.shape[0]):
@@ -536,11 +547,10 @@ def test_step_grads_generator_and_disc_vs_fd():
         trainable=frozenset({"generator", "discriminator"}),
         conditioning="zero_shot")
     rng = SeededRng(33)
-    ep = init_params(ecfg, rng)
-    gp = init_gan_params(gcfg, 8, rng)
+    gp = init_tensors(param_shapes(ecfg, gcfg), rng)
     ensembles, imgs, zs = batch_inputs(ds, ecfg, gcfg, 34)
 
-    res = step_losses_and_grads(ensembles, imgs, zs, ep, ecfg, gp, gcfg)
+    res = step_losses_and_grads(ensembles, imgs, zs, gp, ecfg, gcfg)
     frozen = replace(gcfg, trainable=frozenset())
     eps = 1e-5
 
@@ -552,10 +562,10 @@ def test_step_grads_generator_and_disc_vs_fd():
                 orig = flat[i]
                 flat[i] = orig + eps
                 up = pick_loss(step_losses_and_grads(
-                    ensembles, imgs, zs, ep, ecfg, gp, frozen))
+                    ensembles, imgs, zs, gp, ecfg, frozen))
                 flat[i] = orig - eps
                 dn = pick_loss(step_losses_and_grads(
-                    ensembles, imgs, zs, ep, ecfg, gp, frozen))
+                    ensembles, imgs, zs, gp, ecfg, frozen))
                 flat[i] = orig
                 num = (up - dn) / (2 * eps)
                 scale = max(abs(gflat[i]), abs(num))
@@ -563,8 +573,10 @@ def test_step_grads_generator_and_disc_vs_fd():
                     continue
                 assert abs(gflat[i] - num) <= 1e-3 * scale
 
-    check(gp.generator_tensors(), res.gen_grads, lambda r: r.loss_ensad)
-    check(gp.discriminator_tensors(), res.disc_grads, lambda r: r.loss_disc)
+    check(gp["generator"].values(), res.grads["generator"].values(),
+          lambda r: r.loss_ensad)
+    check(gp["discriminator"].values(), res.grads["discriminator"].values(),
+          lambda r: r.loss_disc)
 
 
 def test_step_grads_match_train_first_update():
@@ -579,18 +591,17 @@ def test_step_grads_match_train_first_update():
     ck = train(ds, ecfg, gcfg, seed)
 
     rng = SeededRng(seed)
-    ep0 = init_params(ecfg, rng)
-    gp0 = init_gan_params(gcfg, 6, rng)
+    p0 = init_tensors(param_shapes(ecfg, gcfg), rng)
     from ensad.data import batch_iter
     batch = next(batch_iter(ds, gcfg.batch, rng))
     ensembles = [ens for ens, _ in batch]
     imgs = np.stack([img for _, img in batch])
     zs = np.stack([rng.gaussian(gcfg.d_z) for _ in range(gcfg.batch)])
-    res = step_losses_and_grads(ensembles, imgs, zs, ep0, ecfg, gp0, gcfg)
+    res = step_losses_and_grads(ensembles, imgs, zs, p0, ecfg, gcfg)
 
-    before = [t.copy() for _, t in ep0.tensor_items()]
-    after = [t for _, t in ck.ensad_params.tensor_items()]
+    before = [t.copy() for t in p0["ensad"].values()]
+    after = [t for t in ck.params["ensad"].values()]
     # beta1=0 at t=1: mhat=g, vhat=g^2, so the update is lr*g/(|g|+eps)
-    for b, a, g in zip(before, after, res.ensad_grads):
+    for b, a, g in zip(before, after, res.grads["ensad"].values()):
         want = b - gcfg.lr * g / (np.abs(g) + 1e-8)
         assert np.allclose(a, want, atol=1e-15, rtol=0)
