@@ -22,9 +22,7 @@ from .adapter import (
 from .data import (
     DataFormatError,
     Dataset,
-    EmbeddingEnsemble,
     SyntheticSpec,
-    augment_noise,
     generate_synthetic,
     load_jsonl,
     save_jsonl,
@@ -45,9 +43,9 @@ from .gan import (
     LossParts,
     TrainingDiverged,
     adam_step,
-    disc_logit,
+    disc_forward_batch,
     finetune_pipeline,
-    generate,
+    generate_batch,
     load_checkpoint,
     loss_adv_disc,
     loss_adv_ensad,
@@ -67,7 +65,6 @@ __all__ = [
     "Checkpoint",
     "DataFormatError",
     "Dataset",
-    "EmbeddingEnsemble",
     "EnsAdConfig",
     "EvalReport",
     "FrechetStats",
@@ -81,18 +78,17 @@ __all__ = [
     "adam_step",
     "attention_export_record",
     "attention_scores",
-    "augment_noise",
     "backward",
     "compare_strategies",
     "derive_seed",
-    "disc_logit",
+    "disc_forward_batch",
     "evaluate",
     "finetune_pipeline",
     "fit_gaussian",
     "forward",
     "frechet_distance",
     "fuse_batch",
-    "generate",
+    "generate_batch",
     "generate_synthetic",
     "init_params",
     "init_tensors",

@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import kernels
+from .data import set_uint_fields
 from .kernels import ForwardTrace
 from .numkit import SeededRng, TensorSpec, as_f64, init_tensors, l2_normalize_rows
 
@@ -31,8 +32,7 @@ class EnsAdConfig:
     variant_v_equals_k: bool = False
 
     def __post_init__(self):
-        if self.d < 1 or self.d_hid < 1 or self.m < 1:
-            raise ValueError("d, d_hid and m must be positive")
+        set_uint_fields(self, {"d": 1, "d_hid": 1, "m": 1})
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
 

@@ -21,7 +21,7 @@ from .adapter import (
     EnsAdConfig,
     attention_export_record,
     attention_scores,
-    forward,
+    forward_batch,
     param_count,
 )
 from .data import (
@@ -29,6 +29,7 @@ from .data import (
     SyntheticSpec,
     atomic_write_text,
     generate_synthetic,
+    json_uint,
     load_jsonl,
     save_jsonl,
 )
@@ -36,6 +37,7 @@ from .evaluation import compare_strategies, save_report
 from .gan import (
     GanConfig,
     TrainingDiverged,
+    check_dataset,
     finetune_pipeline,
     load_checkpoint,
     save_checkpoint,
@@ -115,15 +117,22 @@ def _ensure_parent(path: str) -> None:
     os.makedirs(parent, exist_ok=True)
 
 
+def _check_writable(path: str) -> None:
+    """Reject an output path that is a directory, or whose nearest existing
+    ancestor is not a writable directory, before any work is done."""
+    if os.path.isdir(path):
+        raise UsageError(f"output path {path} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent) or not os.access(parent, os.W_OK | os.X_OK):
+        raise UsageError(f"cannot write {path}: {parent} is not a writable directory")
+
+
 def _pick_seed(args, config: dict) -> int:
     if getattr(args, "seed", None) is not None:
-        return args.seed
-    if "seed" in config:
-        seed = config["seed"]
-        if not isinstance(seed, int) or seed < 0:
-            raise UsageError("config seed must be a nonnegative integer")
-        return seed
-    return 0
+        return json_uint(args.seed, 0, "--seed")
+    return json_uint(config.get("seed", 0), 0, "config seed")
 
 
 def _build_adapter_cfg(section: dict, ds: Dataset) -> EnsAdConfig:
@@ -227,6 +236,10 @@ def _cmd_train(args) -> int:
             f"--resume cannot be combined with preset {args.preset}: the "
             "two-phase pipeline always starts from fresh parameters"
         )
+    csv_path = args.log if args.log else os.path.splitext(args.out)[0] + ".csv"
+    diag_path = os.path.splitext(args.out)[0] + ".diverged.json"
+    for path in (args.out, csv_path, diag_path):
+        _check_writable(path)
     config = _load_config(args.config)
     ds = load_jsonl(args.data)
     seed = _pick_seed(args, config)
@@ -244,7 +257,6 @@ def _cmd_train(args) -> int:
         train_section["phase2_steps"] = args.phase2_steps
 
     rows = []
-    csv_path = args.log if args.log else os.path.splitext(args.out)[0] + ".csv"
     _ensure_parent(args.out)
     _ensure_parent(csv_path)
 
@@ -261,8 +273,8 @@ def _cmd_train(args) -> int:
                 adapter_cfg,
                 gan_cfg,
                 seed,
-                phase1_steps=int(train_section["phase1_steps"]),
-                phase2_steps=int(train_section["phase2_steps"]),
+                phase1_steps=json_uint(train_section["phase1_steps"], 0, "phase1_steps"),
+                phase2_steps=json_uint(train_section["phase2_steps"], 0, "phase2_steps"),
                 log_fn=rows.append,
             )
         else:
@@ -271,7 +283,6 @@ def _cmd_train(args) -> int:
                 ds, adapter_cfg, gan_cfg, seed, resume=resume, log_fn=rows.append
             )
     except TrainingDiverged as exc:
-        diag_path = os.path.splitext(args.out)[0] + ".diverged.json"
         save_checkpoint(exc.checkpoint, diag_path)
         atomic_write_text(csv_path, _format_csv(rows))
         print(f"training diverged: {exc}; diagnostic checkpoint at {diag_path}",
@@ -292,7 +303,9 @@ def _cmd_eval(args) -> int:
     unknown = set(eval_section) - {"n_gen"}
     if unknown:
         raise UsageError(f"unknown eval-section keys {sorted(unknown)}")
-    n_gen = args.n_gen if args.n_gen is not None else int(eval_section.get("n_gen", 512))
+    n_gen = args.n_gen
+    if n_gen is None:
+        n_gen = json_uint(eval_section.get("n_gen", 512), 0, "eval n_gen")
     report = compare_strategies(ck, ds, n_gen, seed)
     if args.out:
         _ensure_parent(args.out)
@@ -309,21 +322,14 @@ def _cmd_eval(args) -> int:
 def _cmd_inspect_attn(args) -> int:
     ck = load_checkpoint(args.ckpt)
     ds = load_jsonl(args.data)
-    if ds.d != ck.ensad_cfg.d or ds.m != ck.ensad_cfg.m:
-        raise UsageError(
-            f"dataset (d={ds.d}, m={ds.m}) does not match checkpoint "
-            f"(d={ck.ensad_cfg.d}, m={ck.ensad_cfg.m})"
-        )
+    check_dataset(ds, ck.ensad_cfg, ck.gan_cfg)
     limit = args.limit if args.limit is not None else len(ds)
     if limit < 1:
         raise UsageError("limit must be positive")
-    records = []
-    for ens, _ in ds.items[:limit]:
-        _, trace = forward(ck.params["ensad"], ck.ensad_cfg, ens.matrix())
-        rec = attention_export_record(
-            ens.id, attention_scores(trace), ens.translation_texts
-        )
-        records.append(rec)
+    _, trace = forward_batch(ck.params["ensad"], ck.ensad_cfg, ds.rows[:limit])
+    records = [attention_export_record(item_id, scores, texts) for item_id, scores, texts
+               in zip(ds.ids, attention_scores(trace), ds.translation_texts)]
+    for rec in records:
         print(json.dumps(rec))
     if args.out:
         _ensure_parent(args.out)

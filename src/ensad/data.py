@@ -13,7 +13,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,55 +33,51 @@ class DataFormatError(ValueError):
 
 
 @dataclass
-class EmbeddingEnsemble:
-    """One source embedding plus the embeddings of its m translations."""
+class Dataset:
+    """N items as arrays. ``rows`` (N, m+1, d) holds per item the source
+    embedding, then its m translations; ``images`` (N, d_img) the paired
+    images. ``source_texts`` and ``translation_texts`` hold one entry per
+    item, None where that item has none (every entry, when not given)."""
 
-    id: str
-    h0: np.ndarray
-    translations: tuple[np.ndarray, ...]
-    source_text: str | None = None
-    translation_texts: tuple[str, ...] | None = None
+    ids: tuple
+    rows: np.ndarray
+    images: np.ndarray
+    source_texts: tuple | None = None
+    translation_texts: tuple | None = None
+
+    def __post_init__(self):
+        self.ids = tuple(self.ids)
+        self.rows = np.asarray(self.rows, dtype=np.float64)
+        self.images = np.asarray(self.images, dtype=np.float64)
+        n = len(self.ids)
+        if n == 0:
+            raise ValueError("dataset must be nonempty")
+        if (self.rows.ndim != 3 or self.images.ndim != 2
+                or self.rows.shape[0] != n or self.images.shape[0] != n):
+            raise ValueError(f"expected {n} rows of shape (m+1, d) and {n} images")
+        if self.d < 1 or self.m < 1 or self.d_img < 1:
+            raise ValueError("dataset dimensions must be positive")
+        for name in ("source_texts", "translation_texts"):
+            texts = getattr(self, name)
+            texts = (None,) * n if texts is None else tuple(texts)
+            if len(texts) != n:
+                raise ValueError(f"expected {n} {name}, got {len(texts)}")
+            setattr(self, name, texts)
+
+    @property
+    def d(self) -> int:
+        return self.rows.shape[2]
 
     @property
     def m(self) -> int:
-        return len(self.translations)
+        return self.rows.shape[1] - 1
 
-    def matrix(self) -> np.ndarray:
-        """Stack into the (d, m+1) column layout: source first."""
-        return np.stack([self.h0, *self.translations], axis=1)
-
-
-@dataclass
-class Dataset:
-    d: int
-    m: int
-    d_img: int
-    items: tuple[tuple[EmbeddingEnsemble, np.ndarray], ...]
-
-    def __post_init__(self):
-        if self.d < 1 or self.m < 1 or self.d_img < 1:
-            raise ValueError("dataset dimensions must be positive")
-        if not self.items:
-            raise ValueError("dataset must be nonempty")
+    @property
+    def d_img(self) -> int:
+        return self.images.shape[1]
 
     def __len__(self) -> int:
-        return len(self.items)
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """(N, m+1, d): every item's source row then translation rows,
-        stacked once on first use."""
-        return stack_rows(ens for ens, _ in self.items)
-
-    @cached_property
-    def images(self) -> np.ndarray:
-        """(N, d_img): every item's image, stacked once on first use."""
-        return np.stack([img for _, img in self.items])
-
-
-def stack_rows(ensembles) -> np.ndarray:
-    """(n, m+1, d) batch of ensembles: per item the source row first."""
-    return np.stack([np.stack([e.h0, *e.translations]) for e in ensembles])
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -96,14 +91,9 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_items < 1:
-            raise ValueError("n_items must be positive")
-        if self.d < 1 or self.m < 1 or self.d_img < 1:
-            raise ValueError("dimensions must be positive")
+        set_uint_fields(self, {"n_items": 1, "d": 1, "m": 1, "d_img": 1, "seed": 0})
         if self.sigma_source < 0 or self.sigma_trans < 0:
             raise ValueError("sigmas must be nonnegative")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -122,16 +112,39 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def json_uint(value, lo: int = 0) -> int:
-    """``value`` if it is a JSON integer in [lo, 2**64); floats such as 9.5
-    or 6.0, strings and booleans raise ValueError."""
-    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value < 1 << 64:
-        raise ValueError(f"expected an integer in [{lo}, 2**64), got {value!r}")
-    return value
+def json_uint(value, lo: int = 0, name: str | None = None) -> int:
+    """``value`` as an int if it is an integer in [lo, 2**64): a JSON one or
+    a numpy scalar. Floats such as 9.5 or 6.0, strings and booleans raise
+    ValueError, naming ``name`` when given."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if lo <= int(value) < 1 << 64:
+            return int(value)
+    prefix = f"{name}: " if name else ""
+    raise ValueError(f"{prefix}expected an integer in [{lo}, 2**64), got {value!r}")
+
+
+def set_uint_fields(cfg, lows: dict) -> None:
+    """Check each integer field ``name`` of the frozen dataclass ``cfg`` by
+    :func:`json_uint` against its lower bound ``lows[name]``, and store it as
+    an int; a tuple field is checked entry by entry."""
+    for name, lo in lows.items():
+        value = getattr(cfg, name)
+        if isinstance(value, tuple):
+            value = tuple(json_uint(v, lo, name) for v in value)
+        else:
+            value = json_uint(value, lo, name)
+        object.__setattr__(cfg, name, value)
+
+
+def _floats(value, line_no: int, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataFormatError(f"line {line_no}: {what} must be a list of numbers") from exc
 
 
 def _check_embedding(vec, d: int, line_no: int, what: str) -> np.ndarray:
-    arr = np.asarray(vec, dtype=np.float64)
+    arr = _floats(vec, line_no, what)
     if arr.ndim != 1 or arr.shape[0] != d:
         raise DataFormatError(f"line {line_no}: {what} has wrong dimension")
     if not np.all(np.isfinite(arr)):
@@ -170,8 +183,12 @@ def load_jsonl(path: str) -> Dataset:
         except (KeyError, ValueError) as exc:
             raise DataFormatError(f"line 1: header {key!r} missing or bad: {exc}") from exc
     d, m, d_img = dims
+    if len(lines) == 1:
+        raise DataFormatError("line 2: file has a header but no items")
 
-    items = []
+    # per-item lists, stacked at the end: the header's dimensions are only
+    # trusted once a line has vectors of that size
+    ids, rows, images, source_texts, translation_texts = [], [], [], [], []
     for offset, line in enumerate(lines[1:], start=2):
         try:
             obj = json.loads(line)
@@ -198,12 +215,10 @@ def load_jsonl(path: str) -> Dataset:
                 f"line {offset}: expected {m} translations, got "
                 f"{len(trans_raw) if isinstance(trans_raw, list) else type(trans_raw).__name__}"
             )
-        h0 = _check_embedding(h0_raw, d, offset, "h0")
-        translations = tuple(
-            _check_embedding(t, d, offset, f"translation {i}")
-            for i, t in enumerate(trans_raw)
-        )
-        image = np.asarray(img_raw, dtype=np.float64)
+        item = [_check_embedding(h0_raw, d, offset, "h0")]
+        for j, t in enumerate(trans_raw):
+            item.append(_check_embedding(t, d, offset, f"translation {j}"))
+        image = _floats(img_raw, offset, "image")
         if image.ndim != 1 or image.shape[0] != d_img:
             raise DataFormatError(f"line {offset}: image has wrong dimension")
         if not np.all(np.isfinite(image)) or np.any(np.abs(image) > 1.0):
@@ -218,17 +233,12 @@ def load_jsonl(path: str) -> Dataset:
         source_text = obj.get("source_text")
         if source_text is not None and not isinstance(source_text, str):
             raise DataFormatError(f"line {offset}: source_text must be a string")
-        ens = EmbeddingEnsemble(
-            id=item_id,
-            h0=h0,
-            translations=translations,
-            source_text=source_text,
-            translation_texts=texts,
-        )
-        items.append((ens, image))
-    if not items:
-        raise DataFormatError("line 2: file has a header but no items")
-    return Dataset(d=d, m=m, d_img=d_img, items=tuple(items))
+        ids.append(item_id)
+        rows.append(item)
+        images.append(image)
+        source_texts.append(source_text)
+        translation_texts.append(texts)
+    return Dataset(ids, np.array(rows), np.array(images), source_texts, translation_texts)
 
 
 def dumps_jsonl(ds: Dataset) -> str:
@@ -240,17 +250,14 @@ def dumps_jsonl(ds: Dataset) -> str:
         "d_img": ds.d_img,
     }
     out = [json.dumps(header)]
-    for ens, image in ds.items:
-        obj = {
-            "id": ens.id,
-            "h0": ens.h0.tolist(),
-            "translations": [t.tolist() for t in ens.translations],
-            "image": image.tolist(),
-        }
-        if ens.source_text is not None:
-            obj["source_text"] = ens.source_text
-        if ens.translation_texts is not None:
-            obj["translation_texts"] = list(ens.translation_texts)
+    for item_id, rows, image, source_text, texts in zip(
+        ds.ids, ds.rows.tolist(), ds.images.tolist(), ds.source_texts, ds.translation_texts
+    ):
+        obj = {"id": item_id, "h0": rows[0], "translations": rows[1:], "image": image}
+        if source_text is not None:
+            obj["source_text"] = source_text
+        if texts is not None:
+            obj["translation_texts"] = list(texts)
         out.append(json.dumps(obj))
     return "\n".join(out) + "\n"
 
@@ -268,33 +275,25 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     consuming no randomness); the paired image is tanh(M u) for one fixed
     seed-derived mixing matrix M shared by the whole dataset.
     Item draws come from one call, in per-vector order: u, source noise,
-    translation noises."""
+    translation noises. Vectors are normalized one at a time: the row form
+    l2_normalize_rows differs from l2_normalize in the last bit."""
     rng_items = SeededRng(derive_seed(spec.seed, 1))
     rng_mix = SeededRng(derive_seed(spec.seed, 2))
     mix = rng_mix.gaussian(spec.d_img * spec.d).reshape(spec.d_img, spec.d)
     k = 1 + (spec.sigma_source > 0) + spec.m * (spec.sigma_trans > 0)
     draws = rng_items.gaussian_rows(spec.n_items * k, spec.d)
 
-    items = []
+    rows = np.empty((spec.n_items, spec.m + 1, spec.d))
+    images = np.empty((spec.n_items, spec.d_img))
+    sigmas = [spec.sigma_source] + [spec.sigma_trans] * spec.m
     for i in range(spec.n_items):
         g = iter(draws[i * k:(i + 1) * k])
         u = l2_normalize(next(g))
-        if spec.sigma_source == 0.0:
-            h0 = u.copy()
-        else:
-            h0 = l2_normalize(u + spec.sigma_source * next(g))
-        translations = []
-        for _ in range(spec.m):
-            if spec.sigma_trans == 0.0:
-                translations.append(u.copy())
-            else:
-                translations.append(l2_normalize(u + spec.sigma_trans * next(g)))
-        image = np.tanh(mix @ u)
-        ens = EmbeddingEnsemble(
-            id=f"syn-{i:06d}", h0=h0, translations=tuple(translations)
-        )
-        items.append((ens, image))
-    return Dataset(d=spec.d, m=spec.m, d_img=spec.d_img, items=tuple(items))
+        for j, sigma in enumerate(sigmas):
+            rows[i, j] = u if sigma == 0.0 else l2_normalize(u + sigma * next(g))
+        images[i] = np.tanh(mix @ u)
+    ids = [f"syn-{i:06d}" for i in range(spec.n_items)]
+    return Dataset(ids=ids, rows=rows, images=images)
 
 
 def augment_rows(
@@ -323,23 +322,6 @@ def augment_rows(
     return out
 
 
-def augment_noise(
-    e: EmbeddingEnsemble, p0: float, pt: float, rng: SeededRng
-) -> EmbeddingEnsemble:
-    """Blend each embedding with a fresh unit Gaussian direction and
-    renormalize: h <- l2n((1-p)h + p l2n(g)). Source uses p0, translations
-    pt. Draw order: source first, then translations in order. The one-item
-    view of :func:`augment_rows`."""
-    rows = augment_rows(stack_rows([e]), p0, pt, rng)[0]
-    return EmbeddingEnsemble(
-        id=e.id,
-        h0=rows[0],
-        translations=tuple(rows[1:]),
-        source_text=e.source_text,
-        translation_texts=e.translation_texts,
-    )
-
-
 def sample_indices(size: int, n: int, rng: SeededRng):
     """Endless stream of index batches: ``n`` distinct indices in
     [0, size) per batch, independent across batches.
@@ -362,10 +344,3 @@ def sample_indices(size: int, n: int, rng: SeededRng):
             moved[j] = moved.get(k, k)
         yield np.array(batch)
 
-
-def batch_iter(ds: Dataset, n: int, rng: SeededRng):
-    """Endless stream of batches of ``n`` (ensemble, image) items, sampled
-    uniformly without replacement within each batch (independent across
-    batches), by :func:`sample_indices`."""
-    for idx in sample_indices(len(ds.items), n, rng):
-        yield [ds.items[i] for i in idx]

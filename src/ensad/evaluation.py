@@ -12,7 +12,7 @@ import numpy as np
 
 from .adapter import STRATEGIES, fuse_batch
 from .data import Dataset, atomic_write_text
-from .gan import Checkpoint, _disc_forward_batch, _generate_batch
+from .gan import Checkpoint, check_dataset, disc_forward_batch, generate_batch
 from .numkit import SeededRng, psd_eigvalsh, sym_sqrt_psd
 
 FEATURE_SPACE = "disc_fd"
@@ -89,7 +89,7 @@ def save_report(report: EvalReport, path: str) -> None:
 
 
 def _real_stats(ck: Checkpoint, ds: Dataset) -> FrechetStats:
-    fd, _, _ = _disc_forward_batch(ck.params, ds.images)
+    fd, _, _ = disc_forward_batch(ck.params, ds.images)
     return fit_gaussian(fd)
 
 
@@ -102,8 +102,8 @@ def _fake_stats(
     idx = rng.randints_below(np.full(n_gen, len(ds)))
     zs = rng.gaussian_rows(n_gen, ck.gan_cfg.d_z)
     conds, _ = fuse_batch(ds.rows[idx], ck.params["ensad"], ck.ensad_cfg, strategy)
-    fakes, _ = _generate_batch(ck.params, conds, zs)
-    fd, _, _ = _disc_forward_batch(ck.params, fakes)
+    fakes, _ = generate_batch(ck.params, conds, zs)
+    fd, _, _ = disc_forward_batch(ck.params, fakes)
     return fit_gaussian(fd)
 
 
@@ -112,14 +112,7 @@ def _check_eval_args(ck: Checkpoint, ds: Dataset, n_gen: int, strategy: str) -> 
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     if n_gen < 2:
         raise ValueError("n_gen must be at least 2 to fit moments")
-    if len(ds) == 0:
-        raise ValueError("dataset is empty")
-    if ds.d != ck.ensad_cfg.d or ds.m != ck.ensad_cfg.m or ds.d_img != ck.gan_cfg.d_img:
-        raise ValueError(
-            f"dataset (d={ds.d}, m={ds.m}, d_img={ds.d_img}) does not match "
-            f"checkpoint (d={ck.ensad_cfg.d}, m={ck.ensad_cfg.m}, "
-            f"d_img={ck.gan_cfg.d_img})"
-        )
+    check_dataset(ds, ck.ensad_cfg, ck.gan_cfg)
 
 
 def evaluate(

@@ -22,7 +22,7 @@ import numpy as np
 from . import adapter
 from .adapter import STRATEGIES, EnsAdConfig, ForwardTrace
 from .data import (
-    Dataset, atomic_write_text, augment_rows, json_uint, sample_indices, stack_rows,
+    Dataset, atomic_write_text, augment_rows, json_uint, sample_indices, set_uint_fields,
 )
 from .numkit import (
     NORM_EPS, SeededRng, TensorSpec, as_f64, check_tensors, derive_seed, init_tensors,
@@ -65,13 +65,11 @@ class GanConfig:
     noise_pt: float = 0.01
 
     def __post_init__(self):
-        object.__setattr__(self, "gen_hidden", tuple(int(w) for w in self.gen_hidden))
-        object.__setattr__(self, "disc_hidden", tuple(int(w) for w in self.disc_hidden))
+        object.__setattr__(self, "gen_hidden", tuple(self.gen_hidden))
+        object.__setattr__(self, "disc_hidden", tuple(self.disc_hidden))
         object.__setattr__(self, "trainable", frozenset(self.trainable))
-        if self.d < 1 or self.d_z < 1 or self.d_img < 1:
-            raise ValueError("dimensions must be positive")
-        if any(w < 1 for w in self.gen_hidden) or any(w < 1 for w in self.disc_hidden):
-            raise ValueError("hidden widths must be positive")
+        set_uint_fields(self, {"d": 1, "d_z": 1, "d_img": 1, "gen_hidden": 1,
+                               "disc_hidden": 1, "batch": 1, "steps": 0})
         if len(self.disc_hidden) < 1:
             raise ValueError("discriminator needs at least one hidden layer")
         if self.tau <= 0:
@@ -82,10 +80,6 @@ class GanConfig:
             raise ValueError("lr must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("betas must lie in [0, 1)")
-        if self.batch < 1:
-            raise ValueError("batch must be positive")
-        if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
         unknown = self.trainable - set(TRAINABLE_COMPONENTS)
         if unknown:
             raise ValueError(f"unknown trainable components {sorted(unknown)}")
@@ -149,12 +143,17 @@ def _mlp_backward(layers: list, acts, grad_out):
     return grads, g
 
 
-def _generate_batch(params: dict, conds: np.ndarray, zs: np.ndarray):
+def generate_batch(params: dict, conds: np.ndarray, zs: np.ndarray):
+    """Fake images, (n, d_img) with entries in (-1, 1), from (n, d) conditions
+    and (n, d_z) noise, and the generator's per-layer activations."""
     x = np.concatenate([conds, zs], axis=1)
     return _mlp_forward(list(params["generator"].values()), x)
 
 
-def _disc_forward_batch(params: dict, imgs: np.ndarray):
+def disc_forward_batch(params: dict, imgs: np.ndarray):
+    """Discriminator heads on (n, d_img) images: the (n, d) condition features
+    fd, the (n,) realness scores ds, and the backbone activations. The logit
+    for condition h is ds + h . fd."""
     *backbone, fd_w, fd_b, ds_w, ds_b = params["discriminator"].values()
     r, acts = _mlp_forward(backbone, imgs)
     fd = r @ fd_w.T + fd_b
@@ -172,39 +171,6 @@ def _disc_backward_batch(params: dict, acts, grad_fd, grad_ds):
     grads, grad_imgs = _mlp_backward(backbone, acts, grad_r)
     grads += [grad_fd.T @ r, grad_fd.sum(axis=0), r.T @ grad_ds, np.asarray(grad_ds.sum())]
     return dict(zip(params["discriminator"], grads)), grad_imgs
-
-
-def generate(params: dict, h_tilde: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """One fake image vector from (condition, noise); entries in (-1, 1)."""
-    cond = as_f64(h_tilde, "condition")
-    noise = as_f64(z, "noise")
-    if cond.ndim != 1 or noise.ndim != 1:
-        raise ValueError("condition and noise must be 1-D")
-    expected = params["generator"]["gen_w.0"].shape[1]
-    if cond.shape[0] + noise.shape[0] != expected:
-        raise ValueError(
-            f"condition+noise dims {cond.shape[0]}+{noise.shape[0]} "
-            f"do not match generator input {expected}"
-        )
-    out, _ = _generate_batch(params, cond[None, :], noise[None, :])
-    return out[0]
-
-
-def disc_logit(
-    params: dict, img: np.ndarray, h_tilde: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Two-branch discriminator score and the feature vector it used:
-    logit = ds(backbone(img)) + h_tilde . fd(backbone(img))."""
-    image = as_f64(img, "image")
-    cond = as_f64(h_tilde, "condition")
-    disc = params["discriminator"]
-    if image.ndim != 1 or image.shape[0] != disc["disc_w.0"].shape[1]:
-        raise ValueError("image has wrong dimension")
-    if cond.ndim != 1 or cond.shape[0] != disc["fd_w"].shape[0]:
-        raise ValueError("condition has wrong dimension")
-    fd, ds, _ = _disc_forward_batch(params, image[None, :])
-    logit = float(ds[0] + np.dot(fd[0], cond))
-    return logit, fd[0]
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -573,7 +539,7 @@ class StepGrads:
 
 
 def step_losses_and_grads(
-    ensembles,
+    h: np.ndarray,
     imgs_real: np.ndarray,
     zs: np.ndarray,
     params: dict,
@@ -588,16 +554,15 @@ def step_losses_and_grads(
     Adam; calling this directly gives the exact training gradients for
     inspection or verification.
 
-    ``ensembles`` is the (n, m+1, d) batch of rows (source first), or a
-    sequence of EmbeddingEnsemble. Inputs are not validated here.
+    ``h`` is the (n, m+1, d) batch of rows, source first. Inputs are not
+    validated here.
     """
-    h = ensembles if isinstance(ensembles, np.ndarray) else stack_rows(ensembles)
     n = h.shape[0]
     d = ensad_cfg.d
     htil, trace = adapter.fuse_batch(h, params["ensad"], ensad_cfg, gan_cfg.conditioning)
-    fakes, gen_acts = _generate_batch(params, htil, zs)
-    fd_f, ds_f, acts_f = _disc_forward_batch(params, fakes)
-    fd_r, ds_r, acts_r = _disc_forward_batch(params, imgs_real)
+    fakes, gen_acts = generate_batch(params, htil, zs)
+    fd_f, ds_f, acts_f = disc_forward_batch(params, fakes)
+    fd_r, ds_r, acts_r = disc_forward_batch(params, imgs_real)
     logits_f = ds_f + np.sum(fd_f * htil, axis=1)
     logits_r = ds_r + np.sum(fd_r * htil, axis=1)
 
@@ -682,6 +647,17 @@ def step_losses_and_grads(
     return res
 
 
+def check_dataset(ds: Dataset, ensad_cfg: EnsAdConfig, gan_cfg: GanConfig) -> None:
+    """Raise ValueError unless the dataset's d, m and d_img are those of the
+    adapter and gan configs."""
+    if (ds.d, ds.m, ds.d_img) != (ensad_cfg.d, ensad_cfg.m, gan_cfg.d_img) or gan_cfg.d != ds.d:
+        raise ValueError(
+            f"dataset (d={ds.d}, m={ds.m}, d_img={ds.d_img}) does not match the "
+            f"configs (adapter d={ensad_cfg.d}, m={ensad_cfg.m}; "
+            f"gan d={gan_cfg.d}, d_img={gan_cfg.d_img})"
+        )
+
+
 def train(
     ds: Dataset,
     ensad_cfg: EnsAdConfig,
@@ -708,16 +684,7 @@ def train(
     (optimizer and stream start fresh).
     ``log_fn`` receives one row dict per step.
     """
-    if ds.d != ensad_cfg.d or ds.m != ensad_cfg.m:
-        raise ValueError(
-            f"dataset (d={ds.d}, m={ds.m}) does not match adapter config "
-            f"(d={ensad_cfg.d}, m={ensad_cfg.m})"
-        )
-    if gan_cfg.d != ds.d or gan_cfg.d_img != ds.d_img:
-        raise ValueError(
-            f"dataset (d={ds.d}, d_img={ds.d_img}) does not match gan config "
-            f"(d={gan_cfg.d}, d_img={gan_cfg.d_img})"
-        )
+    check_dataset(ds, ensad_cfg, gan_cfg)
     if "ensad" in gan_cfg.trainable and gan_cfg.conditioning != "ensad":
         raise ValueError(
             "training the adapter requires conditioning='ensad' "

@@ -149,8 +149,8 @@ def test_criterion_03_gradients_vs_finite_differences(verdict):
     from ensad.gan import param_shapes
     from ensad.numkit import init_tensors
     params = init_tensors(param_shapes(ecfg, gcfg), rng)
-    ensembles = [ens for ens, _ in ds.items[:4]]
-    imgs = np.stack([img for _, img in ds.items[:4]])
+    ensembles = ds.rows[:4]
+    imgs = ds.images[:4]
     zs = np.stack([rng.gaussian(4) for _ in range(4)])
 
     res = step_losses_and_grads(ensembles, imgs, zs, params, ecfg, gcfg)

@@ -375,6 +375,64 @@ def test_config_errors(workdir, dataset_path, capsys):
     assert "unknown sections" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, field", [
+    ("train", {"gan": {"steps": 3.5}}, "steps"),
+    ("train", {"gan": {"batch": 4.5}}, "batch"),
+    ("train", {"adapter": {"d_hid": 4.5}}, "d_hid"),
+    ("train", {"gan": {"gen_hidden": [8.7]}}, "gen_hidden"),
+    ("train", {"seed": True}, "seed"),
+    ("train", {"gan": {"steps": True}}, "steps"),
+    ("pipeline", {"train": {"phase1_steps": 2.9, "phase2_steps": 1}}, "phase1_steps"),
+    ("eval", {"eval": {"n_gen": 9.5}}, "n_gen"),
+    ("eval", {"eval": {"n_gen": "12"}}, "n_gen"),
+    ("synth", {"synth": {"n_items": 3.0, "d": 6, "m": 2, "d_img": 5}}, "n_items"),
+], ids=["steps_float", "batch_float", "d_hid_float", "gen_hidden_float",
+        "seed_bool", "steps_bool", "phase1_float", "n_gen_float", "n_gen_string",
+        "n_items_float"])
+def test_integer_config_fields_rejected(workdir, dataset_path, ckpt_path,
+                                        tmp_path, capsys, command, config, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.json"
+    argv = {
+        "train": ["train", "--data", str(dataset_path), "--out", str(out),
+                  "--preset", "ensad_frozen_g"],
+        "pipeline": ["train", "--data", str(dataset_path), "--out", str(out),
+                     "--preset", "ensad_plus_finetune_g"],
+        "eval": ["eval", "--ckpt", str(ckpt_path), "--data", str(dataset_path)],
+        "synth": ["synth", "--out", str(out)],
+    }[command]
+    rc = main(argv + ["--config", str(cfg)])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["out_is_directory", "log_is_directory",
+                                   "parent_is_file"])
+def test_train_rejects_unwritable_output_before_training(
+        workdir, dataset_path, tmp_path, capsys, monkeypatch, where):
+    def fail(*args, **kwargs):
+        raise AssertionError("training started")
+    monkeypatch.setattr("ensad.cli.load_jsonl", fail)
+    monkeypatch.setattr("ensad.cli.train", fail)
+    (tmp_path / "file").write_text("")
+    out, log = tmp_path / "run.json", tmp_path / "run.csv"
+    if where == "out_is_directory":
+        out.mkdir()
+    elif where == "log_is_directory":
+        log.mkdir()
+    else:
+        out, log = tmp_path / "file" / "run.json", tmp_path / "file" / "run.csv"
+    rc = main(["train", "--data", str(dataset_path), "--out", str(out),
+               "--log", str(log), "--steps", "30"])
+    assert rc == 2
+    assert str(log if where == "log_is_directory" else out) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["file", *(["run.json"] * (where == "out_is_directory")),
+         *(["run.csv"] * (where == "log_is_directory"))])
+
+
 def test_missing_data_file(workdir, capsys):
     rc = main(["train", "--data", str(workdir / "nope.jsonl"),
                "--out", str(workdir / "x.json"), "--steps", "1"])

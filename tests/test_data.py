@@ -8,14 +8,13 @@ import pytest
 from ensad.data import (
     DataFormatError,
     Dataset,
-    EmbeddingEnsemble,
     SyntheticSpec,
     atomic_write_text,
-    augment_noise,
-    batch_iter,
+    augment_rows,
     dumps_jsonl,
     generate_synthetic,
     load_jsonl,
+    sample_indices,
     save_jsonl,
 )
 from ensad.numkit import SeededRng, derive_seed, l2_normalize
@@ -28,28 +27,28 @@ def small_spec(**kw):
     return SyntheticSpec(**base)
 
 
+def same_dataset(a, b):
+    """Field-for-field equality; arrays must match dtype, shape and bits."""
+    return (a.ids == b.ids and a.source_texts == b.source_texts
+            and a.translation_texts == b.translation_texts
+            and all(x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+                    for x, y in ((a.rows, b.rows), (a.images, b.images))))
+
+
 def test_synthetic_shapes_and_norms():
     ds = generate_synthetic(small_spec())
     assert (ds.d, ds.m, ds.d_img) == (8, 3, 6)
     assert len(ds) == 12
-    for ens, img in ds.items:
-        assert ens.h0.shape == (8,)
-        assert len(ens.translations) == 3
-        assert abs(np.linalg.norm(ens.h0) - 1.0) < 1e-12
-        for t in ens.translations:
-            assert abs(np.linalg.norm(t) - 1.0) < 1e-12
-        assert img.shape == (6,)
-        assert np.all(np.abs(img) < 1.0)  # tanh output
+    assert ds.rows.shape == (12, 4, 8)
+    assert ds.images.shape == (12, 6)
+    assert np.abs(np.linalg.norm(ds.rows, axis=2) - 1.0).max() < 1e-12
+    assert np.all(np.abs(ds.images) < 1.0)  # tanh output
 
 
 def test_synthetic_determinism():
     a = generate_synthetic(small_spec())
     b = generate_synthetic(small_spec())
-    for (ea, ia), (eb, ib) in zip(a.items, b.items):
-        assert np.array_equal(ea.h0, eb.h0)
-        assert np.array_equal(ia, ib)
-        for ta, tb in zip(ea.translations, eb.translations):
-            assert np.array_equal(ta, tb)
+    assert same_dataset(a, b)
 
 
 def per_vector_synthetic(spec):
@@ -58,19 +57,19 @@ def per_vector_synthetic(spec):
     rng_items = SeededRng(derive_seed(spec.seed, 1))
     rng_mix = SeededRng(derive_seed(spec.seed, 2))
     mix = rng_mix.gaussian(spec.d_img * spec.d).reshape(spec.d_img, spec.d)
-    items = []
+    rows, images = [], []
     for i in range(spec.n_items):
         u = l2_normalize(rng_items.gaussian(spec.d))
         h0 = u.copy() if spec.sigma_source == 0.0 else l2_normalize(
             u + spec.sigma_source * rng_items.gaussian(spec.d))
-        translations = tuple(
+        translations = [
             u.copy() if spec.sigma_trans == 0.0 else l2_normalize(
                 u + spec.sigma_trans * rng_items.gaussian(spec.d))
-            for _ in range(spec.m))
-        ens = EmbeddingEnsemble(id=f"syn-{i:06d}", h0=h0,
-                                translations=translations)
-        items.append((ens, np.tanh(mix @ u)))
-    return Dataset(d=spec.d, m=spec.m, d_img=spec.d_img, items=tuple(items))
+            for _ in range(spec.m)]
+        rows.append(np.stack([h0, *translations]))
+        images.append(np.tanh(mix @ u))
+    ids = [f"syn-{i:06d}" for i in range(spec.n_items)]
+    return Dataset(ids=ids, rows=np.stack(rows), images=np.stack(images))
 
 
 @pytest.mark.parametrize("sigma_source, sigma_trans",
@@ -86,15 +85,15 @@ def test_synthetic_matches_per_vector_draws(sigma_source, sigma_trans):
 def test_synthetic_seed_sensitivity():
     a = generate_synthetic(small_spec(seed=5))
     b = generate_synthetic(small_spec(seed=6))
-    assert not np.array_equal(a.items[0][0].h0, b.items[0][0].h0)
+    assert not np.array_equal(a.rows[0, 0], b.rows[0, 0])
 
 
 def test_synthetic_zero_noise_collapse():
     # sigma 0 for both: source equals every translation exactly
     ds = generate_synthetic(small_spec(sigma_source=0.0, sigma_trans=0.0))
-    for ens, _ in ds.items:
-        for t in ens.translations:
-            assert np.array_equal(t, ens.h0)
+    for item in ds.rows:
+        for t in item[1:]:
+            assert np.array_equal(t, item[0])
 
 
 def test_synthetic_first_item_latent_shared_across_sigmas():
@@ -104,10 +103,10 @@ def test_synthetic_first_item_latent_shared_across_sigmas():
     # the latent, matches bitwise
     clean = generate_synthetic(small_spec(sigma_source=0.0, sigma_trans=0.0))
     noisy = generate_synthetic(small_spec(sigma_source=0.4, sigma_trans=0.2))
-    assert np.array_equal(clean.items[0][1], noisy.items[0][1])
-    assert not np.array_equal(clean.items[0][0].h0, noisy.items[0][0].h0)
+    assert np.array_equal(clean.images[0], noisy.images[0])
+    assert not np.array_equal(clean.rows[0, 0], noisy.rows[0, 0])
     # later items see shifted streams
-    assert not np.array_equal(clean.items[1][1], noisy.items[1][1])
+    assert not np.array_equal(clean.images[1], noisy.images[1])
 
 
 def test_synthetic_mean_cosine_band():
@@ -119,9 +118,9 @@ def test_synthetic_mean_cosine_band():
         n_items=400, d=16, m=4, d_img=8,
         sigma_source=0.1, sigma_trans=0.1, seed=3))
     cos = []
-    for ens, _ in ds.items:
-        for t in ens.translations:
-            cos.append(float(ens.h0 @ t))
+    for item in ds.rows:
+        for t in item[1:]:
+            cos.append(float(item[0] @ t))
     mean = np.mean(cos)
     assert mean > 0.84
     assert mean < 0.95
@@ -129,8 +128,8 @@ def test_synthetic_mean_cosine_band():
 
 def test_synthetic_ids():
     ds = generate_synthetic(small_spec())
-    assert ds.items[0][0].id == "syn-000000"
-    assert ds.items[11][0].id == "syn-000011"
+    assert ds.ids[0] == "syn-000000"
+    assert ds.ids[11] == "syn-000011"
 
 
 def test_jsonl_roundtrip(tmp_path):
@@ -140,23 +139,22 @@ def test_jsonl_roundtrip(tmp_path):
     back = load_jsonl(path)
     assert (back.d, back.m, back.d_img) == (ds.d, ds.m, ds.d_img)
     assert len(back) == len(ds)
-    for (ea, ia), (eb, ib) in zip(ds.items, back.items):
-        assert ea.id == eb.id
-        assert np.allclose(ea.h0, eb.h0, atol=1e-12)
-        assert np.allclose(ia, ib, atol=1e-12)
+    assert back.ids == ds.ids
+    assert np.allclose(back.rows, ds.rows, atol=1e-12)
+    assert np.allclose(back.images, ds.images, atol=1e-12)
 
 
 def test_jsonl_roundtrip_texts(tmp_path):
-    ens = EmbeddingEnsemble(
-        id="x", h0=np.array([1.0, 0.0]),
-        translations=(np.array([0.0, 1.0]),),
-        source_text="hello", translation_texts=("bonjour",))
-    ds = Dataset(d=2, m=1, d_img=2, items=((ens, np.zeros(2)),))
+    ds = Dataset(ids=["x", "y"], rows=[[[1.0, 0.0], [0.0, 1.0]]] * 2,
+                 images=np.zeros((2, 2)), source_texts=("hello", None),
+                 translation_texts=(None, ("bonjour",)))
     path = str(tmp_path / "t.jsonl")
     save_jsonl(ds, path)
     back = load_jsonl(path)
-    assert back.items[0][0].source_text == "hello"
-    assert back.items[0][0].translation_texts == ("bonjour",)
+    assert back.source_texts == ("hello", None)
+    assert back.translation_texts == (None, ("bonjour",))
+    without = load_jsonl(write_lines(tmp_path, [HEADER, GOOD_ITEM]))
+    assert without.source_texts == without.translation_texts == (None,)
 
 
 def test_save_is_byte_stable(tmp_path):
@@ -265,23 +263,20 @@ def test_dumps_header_first_line():
 
 def test_augment_noop_at_zero():
     ds = generate_synthetic(small_spec())
-    ens = ds.items[0][0]
     rng = SeededRng(1)
-    out = augment_noise(ens, 0.0, 0.0, rng)
-    assert np.array_equal(out.h0, ens.h0)
-    for a, b in zip(out.translations, ens.translations):
-        assert np.array_equal(a, b)
+    out = augment_rows(ds.rows, 0.0, 0.0, rng)
+    assert np.array_equal(out, ds.rows)
+    assert out is not ds.rows
     assert rng.position == 0  # stream untouched
 
 
 def test_augment_unit_norm_and_determinism():
     ds = generate_synthetic(small_spec())
-    ens = ds.items[0][0]
-    out1 = augment_noise(ens, 0.1, 0.05, SeededRng(2))
-    out2 = augment_noise(ens, 0.1, 0.05, SeededRng(2))
-    assert abs(np.linalg.norm(out1.h0) - 1.0) < 1e-12
-    assert np.array_equal(out1.h0, out2.h0)
-    assert not np.array_equal(out1.h0, ens.h0)
+    out1 = augment_rows(ds.rows, 0.1, 0.05, SeededRng(2))
+    out2 = augment_rows(ds.rows, 0.1, 0.05, SeededRng(2))
+    assert np.abs(np.linalg.norm(out1, axis=2) - 1.0).max() < 1e-12
+    assert np.array_equal(out1, out2)
+    assert not np.any(np.all(out1 == ds.rows, axis=2))
 
 
 def test_augment_cosine_band():
@@ -289,49 +284,37 @@ def test_augment_cosine_band():
     # in [0.9930, 0.9948] (64-trial measurement: 0.99381..0.99435)
     rng_data = SeededRng(40)
     rng_aug = SeededRng(41)
-    cos = []
-    for _ in range(64):
-        from ensad.numkit import l2_normalize
-        v = l2_normalize(rng_data.gaussian(512))
-        ens = EmbeddingEnsemble(id="x", h0=v, translations=(v.copy(),))
-        out = augment_noise(ens, 0.1, 0.1, rng_aug)
-        cos.append(float(out.h0 @ v))
-    mean = np.mean(cos)
+    v = np.stack([l2_normalize(rng_data.gaussian(512)) for _ in range(64)])
+    out = augment_rows(np.stack([v, v], axis=1), 0.1, 0.1, rng_aug)
+    mean = np.mean(np.sum(out[:, 0] * v, axis=1))
     assert 0.9930 < mean < 0.9948
 
 
-def test_batch_iter_contents_and_determinism():
-    ds = generate_synthetic(small_spec())
-    it1 = batch_iter(ds, 4, SeededRng(3))
-    it2 = batch_iter(ds, 4, SeededRng(3))
-    all_ids = {ens.id for ens, _ in ds.items}
+def test_sample_indices_contents_and_determinism():
+    it1 = sample_indices(12, 4, SeededRng(3))
+    it2 = sample_indices(12, 4, SeededRng(3))
     for _ in range(10):
         b1, b2 = next(it1), next(it2)
-        ids1 = [ens.id for ens, _ in b1]
-        ids2 = [ens.id for ens, _ in b2]
-        assert ids1 == ids2
-        assert len(ids1) == 4
-        assert len(set(ids1)) == 4  # no repeats within a batch
-        assert set(ids1) <= all_ids
+        assert np.array_equal(b1, b2)
+        assert len(b1) == 4
+        assert len(set(b1.tolist())) == 4  # no repeats within a batch
+        assert set(b1.tolist()) <= set(range(12))
 
 
-def test_batch_iter_rejects_bad_sizes():
-    ds = generate_synthetic(small_spec())
+def test_sample_indices_rejects_bad_sizes():
     with pytest.raises(ValueError):
-        next(batch_iter(ds, 0, SeededRng(0)))
+        next(sample_indices(12, 0, SeededRng(0)))
     with pytest.raises(ValueError):
-        next(batch_iter(ds, 13, SeededRng(0)))
+        next(sample_indices(12, 13, SeededRng(0)))
 
 
-def test_batch_iter_uniform_frequency():
+def test_sample_indices_uniform_frequency():
     # 1e4 batches of 2 from 10 items: each index ~ Binomial(1e4, 0.2),
     # expectation 2000, 3 sigma ~ 120; use +-150 for seed robustness
-    ds = generate_synthetic(small_spec(n_items=10))
     counts = np.zeros(10, dtype=int)
-    it = batch_iter(ds, 2, SeededRng(17))
+    it = sample_indices(10, 2, SeededRng(17))
     for _ in range(10_000):
-        for ens, _ in next(it):
-            counts[int(ens.id.split("-")[1])] += 1
+        np.add.at(counts, next(it), 1)
     assert counts.sum() == 20_000
     assert np.all(np.abs(counts - 2000) <= 150)
 
@@ -355,11 +338,18 @@ def test_atomic_write_honours_umask(tmp_path, umask, mode):
     assert stat.S_IMODE(os.stat(tmp_path / "out.txt").st_mode) == mode
 
 
-def test_ensemble_matrix_layout():
-    ds = generate_synthetic(small_spec())
-    ens = ds.items[0][0]
-    mat = ens.matrix()
-    assert mat.shape == (8, 4)
-    assert np.array_equal(mat[:, 0], ens.h0)
-    for j, t in enumerate(ens.translations, start=1):
-        assert np.array_equal(mat[:, j], t)
+def test_ensemble_matrix_layout(tmp_path):
+    # rows hold per item the source row, then the translations in file
+    # order; rows[i].T is the (d, m+1) column layout adapter.forward takes
+    item = {"id": "a", "h0": [1.0, 0.0], "translations": [[0.0, 1.0], [0.6, 0.8]],
+            "image": [0.5, -0.5]}
+    hdr = {**json.loads(HEADER), "m": 2}
+    ds = load_jsonl(write_lines(tmp_path, [json.dumps(hdr), json.dumps(item)]))
+    assert ds.rows.tolist() == [[item["h0"], *item["translations"]]]
+    assert ds.images.tolist() == [item["image"]]
+    assert ds.ids == ("a",)
+    mat = ds.rows[0].T
+    assert mat.shape == (2, 3)
+    assert mat[:, 0].tolist() == item["h0"]
+    for j, t in enumerate(item["translations"], start=1):
+        assert mat[:, j].tolist() == t

@@ -16,9 +16,9 @@ from ensad.gan import (
     adam_step,
     checkpoint_from_jsonable,
     checkpoint_to_jsonable,
-    disc_logit,
+    disc_forward_batch,
     finetune_pipeline,
-    generate,
+    generate_batch,
     load_checkpoint,
     loss_adv_disc,
     loss_adv_ensad,
@@ -74,43 +74,48 @@ def test_init_gan_params_shapes_and_determinism():
 
 def test_generate_deterministic_and_bounded():
     ecfg, gcfg, ep, gp, rng = toy_setup(1)
-    cond = l2_normalize(rng.gaussian(6))
-    z = rng.gaussian(4)
-    img1 = generate(gp, cond, z)
-    img2 = generate(gp, cond, z)
+    conds = np.stack([l2_normalize(rng.gaussian(6)) for _ in range(3)])
+    zs = rng.gaussian_rows(3, 4)
+    img1, acts = generate_batch(gp, conds, zs)
+    img2, _ = generate_batch(gp, conds, zs)
     assert np.array_equal(img1, img2)
-    assert img1.shape == (5,)
+    assert img1.shape == (3, 5)
     assert np.all(np.abs(img1) < 1.0)  # final tanh
+    assert np.array_equal(acts[-1], img1)
+    # each row depends on its own condition and noise only
+    one, _ = generate_batch(gp, conds[1:2], zs[1:2])
+    assert np.allclose(one[0], img1[1], rtol=0, atol=1e-15)
 
 
 def test_generate_noise_sensitivity():
     ecfg, gcfg, ep, gp, rng = toy_setup(2)
-    cond = l2_normalize(rng.gaussian(6))
-    img1 = generate(gp, cond, rng.gaussian(4))
-    img2 = generate(gp, cond, rng.gaussian(4))
-    assert not np.array_equal(img1, img2)
+    conds = np.stack([l2_normalize(rng.gaussian(6))] * 2)
+    imgs, _ = generate_batch(gp, conds, rng.gaussian_rows(2, 4))
+    assert not np.array_equal(imgs[0], imgs[1])
 
 
 def test_generate_rejects_bad_dims():
     ecfg, gcfg, ep, gp, rng = toy_setup(4)
     with pytest.raises(ValueError):
-        generate(gp, np.zeros(5), np.zeros(4))
+        generate_batch(gp, np.zeros((1, 5)), np.zeros((1, 4)))
     with pytest.raises(ValueError):
-        generate(gp, np.zeros((6, 1)), np.zeros(4))
+        generate_batch(gp, np.zeros((2, 6)), np.zeros((3, 4)))
 
 
-def test_disc_logit_zero_condition_is_unconditional_head():
+def test_disc_forward_batch_heads_per_row():
     ecfg, gcfg, ep, gp, rng = toy_setup(5)
-    img = np.tanh(rng.gaussian(5))
-    logit0, fd = disc_logit(gp, img, np.zeros(6))
-    assert fd.shape == (6,)
-    # condition branch is an inner product: doubling the condition adds
-    # exactly one more h . fd on top
-    h = l2_normalize(rng.gaussian(6))
-    l1, fd1 = disc_logit(gp, img, h)
-    l2, _ = disc_logit(gp, img, 2 * h)
-    assert abs((l2 - l1) - float(h @ fd1)) < 1e-12
-    assert abs(l1 - (logit0 + float(h @ fd1))) < 1e-12
+    imgs = np.tanh(rng.gaussian_rows(3, 5))
+    fd, ds, acts = disc_forward_batch(gp, imgs)
+    assert fd.shape == (3, 6) and ds.shape == (3,)
+    assert np.array_equal(acts[0], imgs)
+    # the realness head is ds_w . r + ds_b over the last backbone layer
+    disc = gp["discriminator"]
+    assert np.allclose(ds, acts[-1] @ disc["ds_w"] + float(disc["ds_b"]),
+                       rtol=0, atol=1e-15)
+    for i in range(3):
+        fd1, ds1, _ = disc_forward_batch(gp, imgs[i:i + 1])
+        assert np.allclose(fd1[0], fd[i], rtol=0, atol=1e-15)
+        assert np.allclose(ds1[0], ds[i], rtol=0, atol=1e-15)
 
 
 def test_adv_loss_oracles():
@@ -462,9 +467,8 @@ def test_pipeline_determinism_and_logging():
 
 def batch_inputs(ds, ecfg, gcfg, seed):
     rng = SeededRng(seed)
-    items = ds.items[: gcfg.batch]
-    ensembles = [ens for ens, _ in items]
-    imgs = np.stack([img for _, img in items])
+    ensembles = ds.rows[: gcfg.batch]
+    imgs = ds.images[: gcfg.batch]
     zs = np.stack([rng.gaussian(gcfg.d_z) for _ in range(gcfg.batch)])
     return ensembles, imgs, zs
 
@@ -592,10 +596,10 @@ def test_step_grads_match_train_first_update():
 
     rng = SeededRng(seed)
     p0 = init_tensors(param_shapes(ecfg, gcfg), rng)
-    from ensad.data import batch_iter
-    batch = next(batch_iter(ds, gcfg.batch, rng))
-    ensembles = [ens for ens, _ in batch]
-    imgs = np.stack([img for _, img in batch])
+    from ensad.data import sample_indices
+    idx = next(sample_indices(len(ds), gcfg.batch, rng))
+    ensembles = ds.rows[idx]
+    imgs = ds.images[idx]
     zs = np.stack([rng.gaussian(gcfg.d_z) for _ in range(gcfg.batch)])
     res = step_losses_and_grads(ensembles, imgs, zs, p0, ecfg, gcfg)
 
