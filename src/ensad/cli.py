@@ -236,8 +236,9 @@ def _cmd_train(args) -> int:
             f"--resume cannot be combined with preset {args.preset}: the "
             "two-phase pipeline always starts from fresh parameters"
         )
-    csv_path = args.log if args.log else os.path.splitext(args.out)[0] + ".csv"
-    diag_path = os.path.splitext(args.out)[0] + ".diverged.json"
+    stem, ext = os.path.splitext(args.out)
+    csv_path = args.log if args.log else stem + ".csv"
+    diag_path = f"{stem}.diverged{ext}"
     for path in (args.out, csv_path, diag_path):
         _check_writable(path)
     config = _load_config(args.config)
@@ -375,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run adversarial-contrastive training")
     _add_common(p)
     p.add_argument("--data", required=True, help="dataset path (.jsonl)")
-    p.add_argument("--out", required=True, help="output checkpoint path (.json)")
+    p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--preset", choices=sorted(PRESETS), help="named training setup")
     p.add_argument("--steps", type=int, help="training steps")
     p.add_argument("--log", help="loss CSV path (default: checkpoint sibling)")

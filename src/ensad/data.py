@@ -28,6 +28,10 @@ NORM_INVARIANT = 1e-9
 NORM_REJECT = 1e-6
 
 
+# The types json.loads gives a number; bool, a subclass of int, is not one.
+_NUMBER_TYPES = frozenset({int, float})
+
+
 class DataFormatError(ValueError):
     """Malformed dataset file; message names the offending line."""
 
@@ -96,15 +100,18 @@ class SyntheticSpec:
             raise ValueError("sigmas must be nonnegative")
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory plus atomic rename. The
-    file is created with mode 0666 minus the umask, like ``open(path, "w")``."""
+def atomic_write_text(path: str, data) -> None:
+    """Write ``data``, a str (as UTF-8) or bytes-like, via a temp file in the
+    same directory plus atomic rename. The file is created with mode 0666
+    minus the umask, like ``open(path, "w")``."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.getpid()}-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -137,15 +144,19 @@ def set_uint_fields(cfg, lows: dict) -> None:
 
 
 def _floats(value, line_no: int, what: str) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataFormatError(f"line {line_no}: {what} must be a list of numbers") from exc
+    """A JSON list of numbers as a float64 vector; strings, booleans and
+    nested lists are rejected, not converted."""
+    if isinstance(value, list) and _NUMBER_TYPES.issuperset(map(type, value)):
+        try:
+            return np.asarray(value, dtype=np.float64)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise DataFormatError(f"line {line_no}: {what} has an entry out of range") from exc
+    raise DataFormatError(f"line {line_no}: {what} must be a list of numbers")
 
 
 def _check_embedding(vec, d: int, line_no: int, what: str) -> np.ndarray:
     arr = _floats(vec, line_no, what)
-    if arr.ndim != 1 or arr.shape[0] != d:
+    if arr.shape[0] != d:
         raise DataFormatError(f"line {line_no}: {what} has wrong dimension")
     if not np.all(np.isfinite(arr)):
         raise DataFormatError(f"line {line_no}: {what} has non-finite entries")
@@ -157,12 +168,28 @@ def _check_embedding(vec, d: int, line_no: int, what: str) -> np.ndarray:
     raise DataFormatError(f"line {line_no}: {what} norm deviates by {dev:.2e}")
 
 
+def _read_lines(path: str) -> list:
+    """The file's lines, decoded as UTF-8 with universal newlines like a
+    text-mode read; a byte that is not UTF-8 raises DataFormatError naming
+    its line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"line {line_no}: not valid UTF-8: {exc.reason}") from exc
+    del raw  # at most two copies of the file at a time, as a text-mode read
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def load_jsonl(path: str) -> Dataset:
     """Read and validate a dataset file; see the module docstring for the
     schema. Embeddings off the sphere by more than 1e-6 are rejected,
     smaller drift is renormalized."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    lines = _read_lines(path)
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -219,7 +246,7 @@ def load_jsonl(path: str) -> Dataset:
         for j, t in enumerate(trans_raw):
             item.append(_check_embedding(t, d, offset, f"translation {j}"))
         image = _floats(img_raw, offset, "image")
-        if image.ndim != 1 or image.shape[0] != d_img:
+        if image.shape[0] != d_img:
             raise DataFormatError(f"line {offset}: image has wrong dimension")
         if not np.all(np.isfinite(image)) or np.any(np.abs(image) > 1.0):
             raise DataFormatError(f"line {offset}: image entries must lie in [-1, 1]")

@@ -1,5 +1,5 @@
 """Toy conditional GAN: generator and two-branch discriminator MLPs, the
-adversarial and contrastive losses, Adam, the training loop, and JSON
+adversarial and contrastive losses, Adam, the training loop, and
 checkpoints.
 
 The discriminator is D(img, cond) = ds(backbone(img)) + cond . fd(backbone(img)):
@@ -12,8 +12,11 @@ TRAINABLE_COMPONENTS; :func:`param_shapes` says what each component holds.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import tokenize
+import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
@@ -347,7 +350,6 @@ class Checkpoint:
     rng_seed: int
     rng_position: int
     step: int
-    version: int = 1
     rng_algorithm: str = SeededRng.ALGORITHM
 
 
@@ -383,10 +385,63 @@ def _field(path: str):
         raise ValueError(f"checkpoint field {path!r}: {exc}") from exc
 
 
-# Checkpoint format 1 stores a component's tensors under their names, with
-# the layers of ``gen_w.0, gen_w.1, ...`` as one list ``gen_w`` and 0-d
-# tensors as plain floats; the generator and the discriminator share the
-# object ``params.gan``. Adam moments are lists in param_shapes order.
+def _meta_to_jsonable(ck: Checkpoint) -> dict:
+    """The fields both checkpoint formats store as JSON: configs, rng, step."""
+    return {
+        "configs": {
+            "adapter": _cfg_to_jsonable(ck.ensad_cfg),
+            "gan": _cfg_to_jsonable(ck.gan_cfg),
+        },
+        "rng": {
+            "algorithm": ck.rng_algorithm,
+            "seed": ck.rng_seed,
+            "position": ck.rng_position,
+        },
+        "step": ck.step,
+    }
+
+
+def _meta_from_jsonable(obj: dict) -> dict:
+    """Parse what :func:`_meta_to_jsonable` writes, as Checkpoint keyword
+    arguments."""
+    with _field("configs.adapter"):
+        ensad_cfg = EnsAdConfig(**obj["configs"]["adapter"])
+    with _field("configs.gan"):
+        gan_cfg = GanConfig(**obj["configs"]["gan"])
+    with _field("rng.algorithm"):
+        if obj["rng"]["algorithm"] != SeededRng.ALGORITHM:
+            raise ValueError(f"unknown rng algorithm {obj['rng']['algorithm']!r}")
+    with _field("rng.seed"):
+        rng_seed = json_uint(obj["rng"]["seed"])
+    with _field("rng.position"):
+        rng_position = json_uint(obj["rng"]["position"])
+    with _field("step"):
+        step = json_uint(obj["step"])
+    return dict(ensad_cfg=ensad_cfg, gan_cfg=gan_cfg, rng_seed=rng_seed,
+                rng_position=rng_position, step=step)
+
+
+def _check_version(obj: dict, version: int) -> None:
+    with _field("version"):
+        if obj["version"] != version:
+            raise ValueError(f"unsupported checkpoint version {obj['version']!r}")
+
+
+def _adam_state(m: dict, v: dict, t, spec: dict) -> AdamState:
+    """Moments checked against the component's ``spec``: the same shapes,
+    finite, and ``v`` nonnegative."""
+    check_tensors(m, spec, "m")
+    check_tensors(v, spec, "v")
+    if any(np.any(x < 0) for x in v.values()):
+        raise ValueError("v contains negative entries")
+    return AdamState(m, v, json_uint(t))
+
+
+# Checkpoint format 1 is the JSON object of checkpoint_to_jsonable. It stores
+# a component's tensors under their names, with the layers of ``gen_w.0,
+# gen_w.1, ...`` as one list ``gen_w`` and 0-d tensors as plain floats; the
+# generator and the discriminator share the object ``params.gan``. Adam
+# moments are lists in param_shapes order. It is read, no longer written.
 
 
 def _tensors_to_jsonable(tensors: dict) -> dict:
@@ -414,31 +469,24 @@ def _tensors_from_jsonable(obj: dict, spec: dict) -> dict:
 
 
 def _adam_from_jsonable(obj: dict, spec: dict) -> AdamState:
-    """Moments read back and checked against the component's ``spec``: the
-    same shapes, finite, and ``v`` nonnegative."""
-    moments = {}
+    moments = []
     for key in ("m", "v"):
         if len(obj[key]) != len(spec):
             raise ValueError(f"{key} has {len(obj[key])} tensors, expected {len(spec)}")
-        moments[key] = {name: np.asarray(x, dtype=np.float64)
-                        for name, x in zip(spec, obj[key])}
-        check_tensors(moments[key], spec, key)
-    if any(np.any(x < 0) for x in moments["v"].values()):
-        raise ValueError("v contains negative entries")
-    return AdamState(moments["m"], moments["v"], json_uint(obj["t"]))
+        moments.append({name: np.asarray(x, dtype=np.float64)
+                        for name, x in zip(spec, obj[key])})
+    return _adam_state(*moments, obj["t"], spec)
 
 
 def checkpoint_to_jsonable(ck: Checkpoint) -> dict:
+    """``ck`` as a format-1 JSON object."""
     adam_obj = {comp: None for comp in TRAINABLE_COMPONENTS}
     for comp, st in ck.adam.items():
         adam_obj[comp] = {"m": [x.tolist() for x in st.m.values()],
                           "v": [x.tolist() for x in st.v.values()], "t": st.t}
     return {
-        "version": ck.version,
-        "configs": {
-            "adapter": _cfg_to_jsonable(ck.ensad_cfg),
-            "gan": _cfg_to_jsonable(ck.gan_cfg),
-        },
+        "version": 1,
+        **_meta_to_jsonable(ck),
         "params": {
             "ensad": _tensors_to_jsonable(ck.params["ensad"]),
             "gan": _tensors_to_jsonable(
@@ -446,26 +494,15 @@ def checkpoint_to_jsonable(ck: Checkpoint) -> dict:
             ),
         },
         "adam": adam_obj,
-        "rng": {
-            "algorithm": ck.rng_algorithm,
-            "seed": ck.rng_seed,
-            "position": ck.rng_position,
-        },
-        "step": ck.step,
     }
 
 
 def checkpoint_from_jsonable(obj: dict) -> Checkpoint:
-    """Parse and validate a checkpoint; a malformed field raises ValueError
-    naming it."""
-    with _field("version"):
-        if obj["version"] != 1:
-            raise ValueError(f"unsupported checkpoint version {obj['version']!r}")
-    with _field("configs.adapter"):
-        ensad_cfg = EnsAdConfig(**obj["configs"]["adapter"])
-    with _field("configs.gan"):
-        gan_cfg = GanConfig(**obj["configs"]["gan"])
-    shapes = param_shapes(ensad_cfg, gan_cfg)
+    """Parse and validate a format-1 checkpoint; a malformed field raises
+    ValueError naming it."""
+    _check_version(obj, 1)
+    meta = _meta_from_jsonable(obj)
+    shapes = param_shapes(meta["ensad_cfg"], meta["gan_cfg"])
     with _field("params.ensad"):
         params = {"ensad": _tensors_from_jsonable(obj["params"]["ensad"], shapes["ensad"])}
     with _field("params.gan"):
@@ -477,7 +514,7 @@ def checkpoint_from_jsonable(obj: dict) -> Checkpoint:
         if unknown:
             raise ValueError(f"unknown optimizer components {sorted(unknown)}")
         missing = [c for c in TRAINABLE_COMPONENTS
-                   if c in gan_cfg.trainable and adam_obj.get(c) is None]
+                   if c in meta["gan_cfg"].trainable and adam_obj.get(c) is None]
         if missing:
             raise ValueError(f"no optimizer state for trainable {missing}")
     adam = {}
@@ -485,33 +522,111 @@ def checkpoint_from_jsonable(obj: dict) -> Checkpoint:
         if st is not None:
             with _field(f"adam.{comp}"):
                 adam[comp] = _adam_from_jsonable(st, shapes[comp])
-    with _field("rng.algorithm"):
-        if obj["rng"]["algorithm"] != SeededRng.ALGORITHM:
-            raise ValueError(f"unknown rng algorithm {obj['rng']['algorithm']!r}")
-    with _field("rng.seed"):
-        rng_seed = json_uint(obj["rng"]["seed"])
-    with _field("rng.position"):
-        rng_position = json_uint(obj["rng"]["position"])
-    with _field("step"):
-        step = json_uint(obj["step"])
-    return Checkpoint(
-        ensad_cfg=ensad_cfg,
-        gan_cfg=gan_cfg,
-        params=params,
-        adam=adam,
-        rng_seed=rng_seed,
-        rng_position=rng_position,
-        step=step,
-    )
+    return Checkpoint(params=params, adam=adam, **meta)
+
+
+# Checkpoint format 2, what save_checkpoint writes, is an uncompressed
+# np.savez archive of exactly two members:
+#   header   the UTF-8 bytes of a JSON object, as a uint8 vector: "version"
+#            (2), "configs", "rng" and "step" as in format 1, and "adam",
+#            the Adam step count t of each trainable component;
+#   tensors  one float64 vector: every parameter in param_shapes order,
+#            then the m and then the v moments of each trainable component.
+# A file is read as format 2 when it starts with the zip magic, else as
+# format 1. Equal checkpoints give equal bytes (np.savez fixes the zip
+# timestamps).
+_ZIP_MAGIC = b"PK\x03\x04"
+_MEMBERS = ["header", "tensors"]
+# What np.load raises on a truncated or corrupted archive: the zip reader's
+# errors, a member that runs past the end of the file (EOFError), a seek
+# before its start (OSError), a compression or encryption flag it cannot
+# honour (RuntimeError), and an npy header that does not parse (SyntaxError,
+# TokenError)
+_ARCHIVE_ERRORS = (zipfile.BadZipFile, EOFError, OSError, RuntimeError, SyntaxError,
+                   ValueError, tokenize.TokenError)
+
+
+def _trained(gan_cfg: GanConfig) -> list:
+    return [comp for comp in TRAINABLE_COMPONENTS if comp in gan_cfg.trainable]
+
+
+def _flat_specs(shapes: dict, trained: list) -> list:
+    """The specs of format 2's tensor vector, in order."""
+    return [shapes[comp] for comp in TRAINABLE_COMPONENTS] + [
+        shapes[comp] for comp in trained for _ in ("m", "v")]
 
 
 def save_checkpoint(ck: Checkpoint, path: str) -> None:
-    atomic_write_text(path, json.dumps(checkpoint_to_jsonable(ck), sort_keys=True) + "\n")
+    """Write ``ck`` to ``path`` in format 2, atomically, with the Adam state
+    of the components its config trains."""
+    trained = _trained(ck.gan_cfg)
+    trees = [ck.params[comp] for comp in TRAINABLE_COMPONENTS] + [
+        moments for comp in trained for moments in (ck.adam[comp].m, ck.adam[comp].v)]
+    specs = _flat_specs(param_shapes(ck.ensad_cfg, ck.gan_cfg), trained)
+    tensors = np.concatenate([np.ravel(tree[name]) for tree, spec in zip(trees, specs)
+                              for name in spec], dtype=np.float64)
+    header = json.dumps({"version": 2, **_meta_to_jsonable(ck),
+                         "adam": {comp: ck.adam[comp].t for comp in trained}}, sort_keys=True)
+    buf = io.BytesIO()
+    np.savez(buf, header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
+             tensors=tensors)  # to a path, np.savez would append ".npz"
+    atomic_write_text(path, buf.getbuffer())
+
+
+def _checkpoint_from_archive(fh, path: str) -> Checkpoint:
+    """Parse and validate a format-2 checkpoint read from ``fh``."""
+    try:
+        with np.load(fh, allow_pickle=False) as archive:
+            if sorted(archive.files) != _MEMBERS:
+                raise ValueError(f"members {sorted(archive.files)}, expected {_MEMBERS}")
+            header, tensors = archive["header"], archive["tensors"]
+    except _ARCHIVE_ERRORS as exc:
+        raise ValueError(f"checkpoint {path}: not a readable archive: {exc}") from exc
+    with _field("header"):
+        if header.dtype != np.uint8 or header.ndim != 1:
+            raise ValueError(f"expected a uint8 vector, got {header.dtype} {header.shape}")
+        obj = json.loads(header.tobytes().decode("utf-8"))
+    _check_version(obj, 2)
+    meta = _meta_from_jsonable(obj)
+    trained = _trained(meta["gan_cfg"])
+    with _field("adam"):
+        steps = dict(obj["adam"])
+        if sorted(steps) != sorted(trained):
+            raise ValueError(f"optimizer state for {sorted(steps)}, expected the "
+                             f"trainable {sorted(trained)}")
+    shapes = param_shapes(meta["ensad_cfg"], meta["gan_cfg"])
+    specs = _flat_specs(shapes, trained)
+    sizes = [math.prod(s.shape) for spec in specs for s in spec.values()]
+    with _field("tensors"):
+        if tensors.dtype != np.float64 or tensors.shape != (sum(sizes),):
+            raise ValueError(f"expected {sum(sizes)} float64 values, got "
+                             f"{tensors.dtype} {tensors.shape}")
+    # a fresh array per tensor, not a view into the vector, as format 1 and
+    # training allocate them
+    pieces = iter(np.split(tensors, np.cumsum(sizes)[:-1]))
+    trees = [{name: next(pieces).reshape(s.shape).copy() for name, s in spec.items()}
+             for spec in specs]
+    params = dict(zip(TRAINABLE_COMPONENTS, trees))
+    for comp, tree in params.items():
+        with _field("params.ensad" if comp == "ensad" else "params.gan"):
+            check_tensors(tree, shapes[comp])
+    adam = {}
+    moments = iter(trees[len(TRAINABLE_COMPONENTS):])
+    for comp in trained:
+        with _field(f"adam.{comp}"):
+            adam[comp] = _adam_state(next(moments), next(moments), steps[comp], shapes[comp])
+    return Checkpoint(params=params, adam=adam, **meta)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    with open(path, "r", encoding="utf-8") as fh:
-        return checkpoint_from_jsonable(json.load(fh))
+    """Read a checkpoint of either format; a malformed file raises
+    ValueError naming the path or the field."""
+    with open(path, "rb") as fh:
+        if fh.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
+            fh.seek(0)
+            return _checkpoint_from_archive(fh, path)
+        fh.seek(0)
+        return checkpoint_from_jsonable(json.loads(fh.read().decode("utf-8")))
 
 
 @dataclass

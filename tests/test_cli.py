@@ -1,4 +1,6 @@
+import io
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from ensad.cli import CSV_COLUMNS, main
+from ensad.gan import checkpoint_to_jsonable, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +86,8 @@ def test_synth_config_section(workdir):
 
 
 def test_train_writes_checkpoint_and_log(workdir, ckpt_path):
-    ck = json.loads(ckpt_path.read_text())
-    assert ck["version"] == 1
+    assert ckpt_path.read_bytes().startswith(b"PK\x03\x04")
+    ck = checkpoint_to_jsonable(load_checkpoint(ckpt_path))
     assert ck["step"] == 5
     rows = read_csv(workdir / "base.csv")
     assert [row["step"] for row in rows] == ["1", "2", "3", "4", "5"]
@@ -102,8 +105,8 @@ def test_train_frozen_generator_preset(workdir, dataset_path, ckpt_path):
                "--config", str(cfg), "--preset", "ensad_frozen_g",
                "--steps", "0", "--seed", "1"])
     assert rc == 0
-    ck0 = json.loads(ck0_path.read_text())
-    ck5 = json.loads(ckpt_path.read_text())
+    ck0 = checkpoint_to_jsonable(load_checkpoint(ck0_path))
+    ck5 = checkpoint_to_jsonable(load_checkpoint(ckpt_path))
     assert ck5["params"]["gan"]["gen_w"] == ck0["params"]["gan"]["gen_w"]
     assert ck5["params"]["gan"]["gen_b"] == ck0["params"]["gan"]["gen_b"]
     assert ck5["params"]["ensad"] != ck0["params"]["ensad"]
@@ -160,8 +163,27 @@ def test_train_resume_matches_straight_run(workdir, dataset_path):
     assert main(base + ["--out", str(part), "--steps", "3"]) == 0
     assert main(base + ["--out", str(cont), "--steps", "8",
                         "--resume", str(part)]) == 0
-    assert json.loads(cont.read_text()) == json.loads(full.read_text())
+    assert (checkpoint_to_jsonable(load_checkpoint(cont))
+            == checkpoint_to_jsonable(load_checkpoint(full)))
 
+
+
+def test_resume_from_format1_and_format2_agree(workdir, dataset_path, ckpt_path):
+    base = ["train", "--data", str(dataset_path), "--config", str(workdir / "train.json"),
+            "--preset", "ensad_frozen_g", "--seed", "6"]
+    part2 = workdir / "part_f2.json"
+    assert main(base + ["--out", str(part2), "--steps", "3"]) == 0
+    part1 = workdir / "part_f1.json"
+    part1.write_text(json.dumps(checkpoint_to_jsonable(load_checkpoint(part2)),
+                                sort_keys=True) + "\n")
+    outs = [workdir / f"resumed_from_{part.stem}.json" for part in (part1, part2)]
+    for part, out in zip((part1, part2), outs):
+        assert main(base + ["--out", str(out), "--steps", "8", "--resume", str(part)]) == 0
+    assert (workdir / "resumed_from_part_f1.csv").read_bytes() == (
+        workdir / "resumed_from_part_f2.csv").read_bytes()
+    assert (checkpoint_to_jsonable(load_checkpoint(outs[0]))
+            == checkpoint_to_jsonable(load_checkpoint(outs[1])))
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 def test_train_pipeline_preset(workdir, dataset_path, capsys):
     cfg = workdir / "train.json"
@@ -178,7 +200,7 @@ def test_train_pipeline_preset(workdir, dataset_path, capsys):
     assert rc == 0
     rows = read_csv(workdir / "pipe.csv")
     assert [row["step"] for row in rows] == [str(i) for i in range(1, 8)]
-    assert json.loads(out.read_text())["step"] == 4
+    assert checkpoint_to_jsonable(load_checkpoint(out))["step"] == 4
 
 
 def test_train_pipeline_preset_rejects_resume(workdir, dataset_path, ckpt_path,
@@ -210,9 +232,28 @@ def test_train_divergence_exit_code(workdir, dataset_path, capsys):
     assert "diverged" in capsys.readouterr().err
     assert (workdir / "boom.diverged.json").exists()
     assert not out.exists()
-    diag = json.loads((workdir / "boom.diverged.json").read_text())
+    diag = checkpoint_to_jsonable(load_checkpoint(workdir / "boom.diverged.json"))
     assert diag["step"] >= 1
 
+
+
+@pytest.mark.parametrize("out, diag", [("boom.ckpt", "boom.diverged.ckpt"),
+                                       ("boom", "boom.diverged")])
+def test_train_divergence_path_keeps_extension(tmp_path, dataset_path, capsys, out, diag):
+    cfg = tmp_path / "diverge.json"
+    cfg.write_text(json.dumps({
+        "adapter": {"d_hid": 3},
+        "gan": {"d_z": 4, "gen_hidden": [8], "disc_hidden": [8],
+                "batch": 4, "lr": 1e300},
+    }))
+    with np.errstate(all="ignore"):
+        rc = main(["train", "--data", str(dataset_path), "--out", str(tmp_path / out),
+                   "--config", str(cfg), "--preset", "ensad_frozen_g",
+                   "--steps", "30", "--seed", "1"])
+    assert rc == 3
+    assert str(tmp_path / diag) in capsys.readouterr().err
+    assert load_checkpoint(tmp_path / diag).step >= 1
+    assert not (tmp_path / out).exists()
 
 def test_eval_prints_and_saves(workdir, dataset_path, ckpt_path, capsys):
     report_path = workdir / "report.json"
@@ -336,6 +377,113 @@ def test_eval_rejects_malformed_checkpoint(tmp_path, capsys, mutate, field):
     assert rc == 2
     assert f"checkpoint field '{field}'" in capsys.readouterr().err
 
+
+
+def _members(mutate):
+    """A format-2 mutation that rewrites the archive: ``mutate`` takes the
+    header (a dict) and the tensor vector, and returns the members to write;
+    a dict header is encoded back to JSON bytes."""
+    def apply(raw):
+        with np.load(io.BytesIO(raw)) as archive:
+            header = json.loads(archive["header"].tobytes())
+            tensors = archive["tensors"]
+        members = mutate(header, tensors)
+        if isinstance(members.get("header"), dict):
+            members["header"] = np.frombuffer(json.dumps(members["header"]).encode(), np.uint8)
+        buf = io.BytesIO()
+        np.savez(buf, **members)
+        return buf.getvalue()
+    return apply
+
+
+def _header(mutate):
+    def edit(header, tensors):
+        mutate(header)
+        return {"header": header, "tensors": tensors}
+    return _members(edit)
+
+
+def _tensors(mutate):
+    return _members(lambda header, tensors: {"header": header, "tensors": mutate(tensors.copy())})
+
+
+def _set_entry(i, value):
+    def mutate(tensors):
+        tensors[i] = value
+        return tensors
+    return mutate
+
+
+def _poke(signature, offset, change):
+    """Change the byte ``offset`` bytes after the last ``signature``."""
+    def apply(raw):
+        at = raw.rindex(signature) + offset
+        return raw[:at] + bytes([change(raw[at])]) + raw[at + 1:]
+    return apply
+
+
+_CENTRAL_DIR = b"PK\x01\x02"
+_END_OF_DIR = b"PK\x05\x06"
+
+
+def _overlong_tensors(raw):
+    """The tensor vector claims more values, and its member more bytes, than
+    the file holds."""
+    at = raw.rindex(b"'shape': (") + len(b"'shape': (")
+    raw = raw[:at] + b"9" + raw[at + 1:]
+    at = raw.rindex(_CENTRAL_DIR) + 20  # compressed, then uncompressed size
+    return raw[:at] + struct.pack("<II", len(raw), len(raw)) + raw[at + 8:]
+
+# (mutation of the archive's bytes, the field the message names; None: the path)
+FORMAT2_CASES = {
+    "truncated": (lambda raw: raw[: len(raw) // 2], None),
+    "magic_only": (lambda raw: raw[:4], None),
+    "crc_mismatch": (lambda raw: raw[:200] + bytes([raw[200] ^ 1]) + raw[201:], None),
+    # what the zip and npy readers raise besides BadZipFile and ValueError
+    "encrypted_flag": (_poke(_CENTRAL_DIR, 8, lambda b: b | 1), None),
+    "zip_version_10_9": (_poke(_CENTRAL_DIR, 6, lambda b: 109), None),
+    "directory_offset_plus_1": (_poke(_END_OF_DIR, 16, lambda b: b + 1), None),
+    "npy_header_cut_short": (_poke(b"\x93NUMPY", 8, lambda b: 54), None),
+    "npy_descr_syntax": (lambda raw: raw.replace(b"'<f8'", b"',f8'", 1), None),
+    "member_past_end": (_overlong_tensors, None),
+    "missing_header": (_members(lambda h, t: {"tensors": t}), None),
+    "extra_member": (_members(lambda h, t: {"header": h, "tensors": t, "x": t}), None),
+    "pickled_tensors": (_members(lambda h, t: {"header": h, "tensors": t.astype(object)}),
+                        None),
+    "header_not_json": (_members(lambda h, t: {"header": np.frombuffer(b"{", np.uint8),
+                                               "tensors": t}), "header"),
+    "header_float64": (_members(lambda h, t: {"header": np.zeros(3), "tensors": t}),
+                       "header"),
+    "version_1": (_header(lambda h: h.update(version=1)), "version"),
+    "missing_step": (_header(lambda h: h.pop("step")), "step"),
+    "negative_rng_position": (_header(lambda h: h["rng"].update(position=-3)),
+                              "rng.position"),
+    "unknown_gan_key": (_header(lambda h: h["configs"]["gan"].update(width=3)),
+                        "configs.gan"),
+    "missing_adam_component": (_header(lambda h: h["adam"].pop("generator")), "adam"),
+    "negative_adam_t": (_header(lambda h: h["adam"].update(ensad=-1)), "adam.ensad"),
+    "tensors_float32": (_tensors(lambda t: t.astype(np.float32)), "tensors"),
+    "tensors_short": (_tensors(lambda t: t[:-1]), "tensors"),
+    "tensors_2d": (_tensors(lambda t: t.reshape(1, -1)), "tensors"),
+    "nan_parameter": (_tensors(_set_entry(0, np.nan)), "params.ensad"),
+    "inf_generator": (_tensors(_set_entry(200, np.inf)), "params.gan"),
+    # the vector ends with the discriminator's v
+    "negative_adam_v": (_tensors(_set_entry(-1, -1.0)), "adam.discriminator"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORMAT2_CASES))
+def test_eval_rejects_malformed_format2_checkpoint(tmp_path, capsys, case):
+    mutate, field = FORMAT2_CASES[case]
+    good = tmp_path / "good.json"
+    save_checkpoint(load_checkpoint(GOLDEN / "ckpt_step6.json"), str(good))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(mutate(good.read_bytes()))
+    rc = main(["eval", "--ckpt", str(bad), "--data", str(GOLDEN / "data.jsonl"),
+               "--n-gen", "8"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert (f"checkpoint field '{field}'" if field else str(bad)) in err, err
 
 @pytest.mark.parametrize("which", ["ckpt", "data"])
 def test_eval_rejects_directory_path(tmp_path, capsys, which):

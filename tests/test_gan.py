@@ -409,6 +409,62 @@ def test_checkpoint_rejects_bad_version():
         checkpoint_from_jsonable(obj)
 
 
+GOLDEN_CKPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "golden", "ckpt_step6.json")
+
+
+def tensor_leaves(ck):
+    """Every tensor of a checkpoint, parameters and Adam moments, by path."""
+    leaves = {("params", comp, name): arr
+              for comp, tree in ck.params.items() for name, arr in tree.items()}
+    for comp, st in ck.adam.items():
+        for key in ("m", "v"):
+            leaves.update({(key, comp, name): arr for name, arr in getattr(st, key).items()})
+    return leaves
+
+
+def test_format2_round_trip_is_bit_exact(tmp_path):
+    # the golden checkpoint (format 1) trains all three components, so the
+    # 0-d bp and ds_b have Adam moments too; a negative zero keeps its sign
+    ck = load_checkpoint(GOLDEN_CKPT)
+    ck.params["ensad"]["bp"] = np.array(-0.0)
+    path = str(tmp_path / "ck.json")
+    save_checkpoint(ck, path)
+    with open(path, "rb") as fh:
+        assert fh.read(4) == b"PK\x03\x04"
+    back = load_checkpoint(path)
+    want, got = tensor_leaves(ck), tensor_leaves(back)
+    assert got.keys() == want.keys()
+    assert ("params", "discriminator", "ds_b") in got and ("v", "ensad", "bp") in got
+    for key, arr in want.items():
+        assert got[key].dtype == np.float64 and got[key].shape == arr.shape, key
+        assert got[key].tobytes() == arr.tobytes(), key
+    assert {c: st.t for c, st in back.adam.items()} == {c: st.t for c, st in ck.adam.items()}
+    assert (back.ensad_cfg, back.gan_cfg, back.rng_seed, back.rng_position, back.step) == (
+        ck.ensad_cfg, ck.gan_cfg, ck.rng_seed, ck.rng_position, ck.step)
+
+
+def test_golden_checkpoint_through_format2_reserializes_to_the_same_bytes(tmp_path):
+    with open(GOLDEN_CKPT, encoding="utf-8") as fh:
+        text = fh.read()
+    path = str(tmp_path / "ck.json")
+    save_checkpoint(load_checkpoint(GOLDEN_CKPT), path)
+    assert json.dumps(checkpoint_to_jsonable(load_checkpoint(path)), sort_keys=True) + "\n" == text
+
+
+def test_format2_equal_checkpoints_give_equal_bytes(tmp_path):
+    ck = load_checkpoint(GOLDEN_CKPT)
+    paths = [str(tmp_path / name) for name in ("a.json", "b.json", "c.json")]
+    save_checkpoint(ck, paths[0])
+    save_checkpoint(ck, paths[1])
+    save_checkpoint(load_checkpoint(paths[0]), paths[2])
+    contents = []
+    for path in paths:
+        with open(path, "rb") as fh:
+            contents.append(fh.read())
+    assert contents[0] == contents[1] == contents[2]
+
+
 def test_init_from_starts_fresh_stream():
     ds = toy_dataset()
     ecfg, gcfg, _, _, _ = toy_setup()
