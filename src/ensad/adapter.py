@@ -1,13 +1,19 @@
 """The ensemble adapter: additive attention over translation embeddings,
 fused into the source embedding through a gated residual.
 
-Forward and backward run in the kernels module, batched and row-major:
-:func:`forward_batch`/:func:`backward_batch` take (n, m+1, d) stacks, and
-:func:`forward`/:func:`backward` are their one-item views in the (d, m+1)
-column layout. This module also owns the adapter's tensor spec,
-initialization and counting, the batched fusion over all strategies (the
-adapter and the non-learned baselines), and the attention-score export
-schema. Parameters are ``{name: array}`` in :func:`tensor_specs` order.
+The math is batched and row-major: :func:`forward_batch` and
+:func:`backward_batch` take an (n, m+1, d) stack of ensembles, per item the
+source row first, and pass it through each weight matrix as one 2-D
+product (weights used untransposed, ``x @ w.T``); the parameter gradients
+are summed over the batch by the same kind of product. Zero-norm
+conventions are applied with ``np.where`` on safe divisors, so every item
+of a batch follows the same code path. :func:`forward`/:func:`backward`
+are their one-item views in the paper's (d, m+1) column layout.
+
+This module also owns the adapter's tensor spec, initialization and
+counting, the batched fusion over all strategies (the adapter and the
+non-learned baselines), and the attention-score export schema. Parameters
+and their gradients are ``{name: array}`` in :func:`tensor_specs` order.
 """
 
 from __future__ import annotations
@@ -17,10 +23,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import kernels
 from .data import set_uint_fields
-from .kernels import ForwardTrace
-from .numkit import SeededRng, TensorSpec, as_f64, init_tensors, l2_normalize_rows
+from .numkit import NORM_EPS, SeededRng, TensorSpec, as_f64, init_tensors, l2_normalize_rows
 
 
 @dataclass(frozen=True)
@@ -66,21 +70,111 @@ def param_count(cfg: EnsAdConfig) -> int:
     return sum(math.prod(s.shape) for s in tensor_specs(cfg).values())
 
 
+@dataclass
+class ForwardTrace:
+    """What the backward pass needs from one batched adapter forward pass.
+
+    The leading axis is the batch (n items); each item has m translation
+    rows. Shapes: ``h`` (n, m+1, d) the input rows, source first; ``v``
+    (n, m, d) the value rows and ``vraw_norm`` (n, m) their norms before
+    normalization; ``t`` (n, m, d_hid) the tanh of the attention
+    preactivation; ``s`` (n, m) the attention weights; ``u``/``uhat``
+    (n, m, d) the refined value rows before and after normalization, with
+    norms ``u_norm`` (n, m); ``vo`` (n, m, d) the gated value mix; ``c``
+    (n, d) the normalized context, ``craw_norm`` (n,) its raw norm;
+    ``hraw_norm`` (n,) the norm of the gated residual; ``h_tilde`` (n, d)
+    the fused output.
+    """
+
+    h: np.ndarray
+    vraw_norm: np.ndarray
+    v: np.ndarray
+    t: np.ndarray
+    s: np.ndarray
+    u: np.ndarray
+    u_norm: np.ndarray
+    uhat: np.ndarray
+    vo: np.ndarray
+    c: np.ndarray
+    craw_norm: np.ndarray
+    hraw_norm: np.ndarray
+    h_tilde: np.ndarray
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(x * x, axis=-1))
+
+
+def _divisor(norm: np.ndarray) -> np.ndarray:
+    """Norms as divisors, with norms below NORM_EPS replaced by 1 so those
+    vectors pass through unscaled."""
+    return np.where(norm < NORM_EPS, 1.0, norm)[..., None]
+
+
+def _normalize_backward(grad, unit, norm):
+    """Backward of x -> x/|x| given unit = x/|x|: (I - unit unit^T) grad / |x|,
+    and zero where |x| fell below NORM_EPS."""
+    proj = grad - unit * np.sum(unit * grad, axis=-1, keepdims=True)
+    return np.where((norm < NORM_EPS)[..., None], 0.0, proj / _divisor(norm))
+
+
+def _matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for a stack of rows x (..., k) and a (k, j) matrix, as one
+    2-D product."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
+
+
+def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over every leading index of the outer products a_i b_i^T."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
 def forward_batch(
     p: dict, cfg: EnsAdConfig, h: np.ndarray
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """Run the adapter on a batch of ensembles in one kernel call.
+    """Fuse each source embedding with its translations via additive
+    attention, for a whole batch at once.
 
-    ``h`` is (n, m+1, d): per item the source row, then the m translation
-    rows. Returns the (n, d) fused unit vectors and the batched trace.
-    Inputs are not checked here; parameters are validated where they enter
-    the program (loading, ``train``), and data where it is read.
+    ``h`` is (n, m+1, d): per item, row 0 the source embedding and rows
+    1..m the translations. Value rows are the unit-normalized translation
+    offsets (or the translations themselves under ``variant_v_equals_k``).
+    A gated residual mixes the attention context back into the query with
+    weight ``alpha`` and the result is re-normalized. Returns the (n, d)
+    fused unit vectors and the batched trace.
+
+    When ``alpha == 0`` or an item's context vector vanishes, that item's
+    query passes through bit-exactly. Inputs are not checked here;
+    parameters are validated where they enter the program (loading,
+    ``train``), and data where it is read.
     """
-    tr = kernels.adapter_forward(
-        h, p["wq"], p["wk"], p["wv"], p["b"], p["wp"], float(p["bp"]), p["wo"],
-        cfg.alpha, cfg.variant_v_equals_k,
+    alpha, v_eq_k = cfg.alpha, cfg.variant_v_equals_k
+    q = h[:, 0]
+    k = h[:, 1:]
+    vraw = k if v_eq_k else k - q[:, None, :]
+    vraw_norm = _norm(vraw)
+    v = vraw if v_eq_k else vraw / _divisor(vraw_norm)
+
+    a = _matmul(k, p["wk"].T) + _matmul(v, p["wv"].T) + (q @ p["wq"].T + p["b"])[:, None, :]
+    t = np.tanh(a)
+    logits = t @ p["wp"] + float(p["bp"])
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    s = e / e.sum(axis=1, keepdims=True)
+
+    u = np.tanh(_matmul(v, p["wo"].T))
+    u_norm = _norm(u)
+    uhat = u / _divisor(u_norm)
+    vo = (1.0 - alpha) * v + alpha * uhat
+    craw = np.einsum("nm,nmd->nd", s, vo)
+    craw_norm = _norm(craw)
+    c = craw / _divisor(craw_norm)
+
+    hraw = (1.0 - alpha) * q + alpha * c
+    hraw_norm = _norm(hraw)
+    passthrough = (alpha == 0.0) | (craw_norm < NORM_EPS)
+    h_tilde = np.where(passthrough[:, None], q, hraw / _divisor(hraw_norm))
+    return h_tilde, ForwardTrace(
+        h, vraw_norm, v, t, s, u, u_norm, uhat, vo, c, craw_norm, hraw_norm, h_tilde
     )
-    return tr.h_tilde, tr
 
 
 # The conditioning strategies: the adapter, then the non-learned baselines
@@ -106,18 +200,58 @@ def fuse_batch(
 
 
 def backward_batch(
-    p: dict, cfg: EnsAdConfig, trace: ForwardTrace, grad_h_tilde: np.ndarray
+    p: dict, cfg: EnsAdConfig, trace: ForwardTrace, g: np.ndarray
 ) -> tuple[dict, np.ndarray]:
     """Exact reverse-mode gradients of :func:`forward_batch`.
 
-    ``grad_h_tilde`` is (n, d). Returns the parameter gradients summed over
-    the batch, and the gradient w.r.t. the (n, m+1, d) input rows.
+    ``g`` (n, d) is the loss gradient at each fused output. Hand-derived
+    chain: each l2 normalization contributes (I - vv^T)/|raw| on its branch
+    (zero when the raw vector vanished), softmax contributes s*(g - s.g),
+    tanh contributes 1-y^2, and the affine attention map scatters into the
+    weight tensors. Returns the parameter gradients summed over the batch,
+    ``{name: array}`` in :func:`tensor_specs` order, and the gradient
+    w.r.t. the input rows, shaped like ``trace.h``.
     """
-    grads, grad_h = kernels.adapter_backward(
-        trace, grad_h_tilde, p["wq"], p["wk"], p["wv"], p["wp"], p["wo"],
-        cfg.alpha, cfg.variant_v_equals_k,
-    )
-    return dict(zip(tensor_specs(cfg), grads)), grad_h
+    alpha = cfg.alpha
+    q = trace.h[:, 0]
+    k = trace.h[:, 1:]
+
+    grad_hraw = _normalize_backward(g, trace.h_tilde, trace.hraw_norm)
+    grad_q = (1.0 - alpha) * grad_hraw
+    grad_craw = _normalize_backward(alpha * grad_hraw, trace.c, trace.craw_norm)
+
+    grad_vo = trace.s[:, :, None] * grad_craw[:, None, :]
+    grad_s = np.einsum("nmd,nd->nm", trace.vo, grad_craw)
+    grad_u = _normalize_backward(alpha * grad_vo, trace.uhat, trace.u_norm)
+    grad_wov = grad_u * (1.0 - trace.u * trace.u)
+    grad_wo = _outer_sum(grad_wov, trace.v)
+    grad_v = (1.0 - alpha) * grad_vo + _matmul(grad_wov, p["wo"])
+
+    grad_logits = trace.s * (grad_s - np.sum(trace.s * grad_s, axis=1, keepdims=True))
+    grad_wp = np.tensordot(grad_logits, trace.t, axes=2)
+    grad_bp = np.asarray(np.sum(grad_logits))
+    grad_a = grad_logits[:, :, None] * p["wp"] * (1.0 - trace.t * trace.t)
+
+    colsum = np.sum(grad_a, axis=1)
+    grad_wq = colsum.T @ q
+    grad_q = grad_q + colsum @ p["wq"]
+    grad_wk = _outer_sum(grad_a, k)
+    grad_wv = _outer_sum(grad_a, trace.v)
+    grad_b = np.sum(colsum, axis=0)
+    grad_k = _matmul(grad_a, p["wk"])
+    grad_v = grad_v + _matmul(grad_a, p["wv"])
+
+    if cfg.variant_v_equals_k:
+        grad_k = grad_k + grad_v
+    else:
+        grad_vraw = _normalize_backward(grad_v, trace.v, trace.vraw_norm)
+        grad_k = grad_k + grad_vraw
+        grad_q = grad_q - np.sum(grad_vraw, axis=1)
+
+    grad_h = np.concatenate([grad_q[:, None, :], grad_k], axis=1)
+    grads = {"wq": grad_wq, "wk": grad_wk, "wv": grad_wv, "b": grad_b,
+             "wp": grad_wp, "bp": grad_bp, "wo": grad_wo}
+    return grads, grad_h
 
 
 def _map_trace(trace: ForwardTrace, fn) -> ForwardTrace:

@@ -25,6 +25,7 @@ from .adapter import (
     param_count,
 )
 from .data import (
+    JSON_ERRORS,
     Dataset,
     SyntheticSpec,
     atomic_write_text,
@@ -96,7 +97,7 @@ def _load_config(path: str | None) -> dict:
             obj = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except JSON_ERRORS as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise UsageError(f"config {path} must be a JSON object")

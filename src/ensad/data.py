@@ -32,6 +32,11 @@ NORM_REJECT = 1e-6
 _NUMBER_TYPES = frozenset({int, float})
 
 
+# What json.loads raises on text it cannot parse, nesting too deep for its
+# recursion limit included.
+JSON_ERRORS = (json.JSONDecodeError, RecursionError)
+
+
 class DataFormatError(ValueError):
     """Malformed dataset file; message names the offending line."""
 
@@ -197,11 +202,12 @@ def load_jsonl(path: str) -> Dataset:
 
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except JSON_ERRORS as exc:
         raise DataFormatError(f"line 1: bad JSON header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise DataFormatError(f"line 1: expected format {FORMAT_NAME!r}")
-    if header.get("version") != FORMAT_VERSION:
+    # a JSON integer: true and 1.0 compare equal to 1 but are not versions
+    if type(header.get("version")) is not int or header["version"] != FORMAT_VERSION:
         raise DataFormatError(f"line 1: unsupported version {header.get('version')!r}")
     dims = []
     for key in ("d", "m", "d_img"):
@@ -219,7 +225,7 @@ def load_jsonl(path: str) -> Dataset:
     for offset, line in enumerate(lines[1:], start=2):
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except JSON_ERRORS as exc:
             raise DataFormatError(f"line {offset}: bad JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise DataFormatError(f"line {offset}: expected a JSON object")

@@ -25,7 +25,8 @@ import numpy as np
 from . import adapter
 from .adapter import STRATEGIES, EnsAdConfig, ForwardTrace
 from .data import (
-    Dataset, atomic_write_text, augment_rows, json_uint, sample_indices, set_uint_fields,
+    JSON_ERRORS, Dataset, atomic_write_text, augment_rows, json_uint, sample_indices,
+    set_uint_fields,
 )
 from .numkit import (
     NORM_EPS, SeededRng, TensorSpec, as_f64, check_tensors, derive_seed, init_tensors,
@@ -381,7 +382,7 @@ def _field(path: str):
         yield
     except KeyError as exc:
         raise ValueError(f"checkpoint field {path!r}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"checkpoint field {path!r}: {exc}") from exc
 
 
@@ -423,7 +424,8 @@ def _meta_from_jsonable(obj: dict) -> dict:
 
 def _check_version(obj: dict, version: int) -> None:
     with _field("version"):
-        if obj["version"] != version:
+        # a JSON integer: true and 1.0 compare equal to 1 but are not versions
+        if type(obj["version"]) is not int or obj["version"] != version:
             raise ValueError(f"unsupported checkpoint version {obj['version']!r}")
 
 
@@ -626,7 +628,11 @@ def load_checkpoint(path: str) -> Checkpoint:
             fh.seek(0)
             return _checkpoint_from_archive(fh, path)
         fh.seek(0)
-        return checkpoint_from_jsonable(json.loads(fh.read().decode("utf-8")))
+        try:
+            obj = json.loads(fh.read().decode("utf-8"))
+        except JSON_ERRORS as exc:
+            raise ValueError(f"checkpoint {path}: not valid JSON: {exc}") from exc
+        return checkpoint_from_jsonable(obj)
 
 
 @dataclass

@@ -2,7 +2,9 @@
 
 Vectors and matrices are plain float64 numpy arrays (``Vec``/``Mat`` are
 aliases, 1-D and 2-D row-major respectively). Everything here is pure except
-:class:`SeededRng`, which owns a mutable stream position.
+:class:`SeededRng`, the counter-based splitmix64 stream with its Box-Muller
+normals, which owns a mutable stream position. :data:`NORM_EPS`, the norm
+below which a vector counts as zero, is defined here for the whole package.
 
 Parameter sets are ordered ``{name: array}`` mappings, nested per component,
 described by matching ``{name: TensorSpec}`` mappings; :func:`init_tensors`,
@@ -16,18 +18,27 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
-
 Vec = np.ndarray
 Mat = np.ndarray
 
 # Norms below this count as zero; normalization passes the vector through
-# and the corresponding derivative is zero by convention. Defined once, in
-# the kernels.
-NORM_EPS = kernels._NORM_EPS
+# and the corresponding derivative is zero by convention.
+NORM_EPS = 1e-12
 
 _U64 = 1 << 64
-_GOLDEN = 0x9E3779B97F4A7C15
+
+# splitmix64 constants: the state increment and the two finalizer multipliers
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_R30 = np.uint64(30)
+_R27 = np.uint64(27)
+_R31 = np.uint64(31)
+_R11 = np.uint64(11)
+_ONE = np.uint64(1)
+
+_TWO_PI = 6.283185307179586
+_INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
 
 # Eigenvalues of a PSD matrix in [_EIG_TOL, 0) are round-off; lower ones
 # mean the matrix is not PSD.
@@ -98,17 +109,9 @@ def sym_sqrt_psd(a: Mat) -> Mat:
     return (root + root.T) / 2.0
 
 
-def mix64(x: int) -> int:
-    """Finalizer of the splitmix64 generator, on plain Python ints."""
-    x &= _U64 - 1
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) % _U64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) % _U64
-    return x ^ (x >> 31)
-
-
 def derive_seed(seed: int, salt: int) -> int:
     """Independent child seed: word ``salt`` of the parent's stream."""
-    return mix64((seed + (salt + 1) * _GOLDEN) % _U64)
+    return SeededRng(seed, salt).next_u64()
 
 
 class SeededRng:
@@ -138,11 +141,19 @@ class SeededRng:
         return f"SeededRng(seed={self.seed}, position={self.position})"
 
     def _take(self, n: int) -> np.ndarray:
-        words = kernels.splitmix64_fill(
-            np.uint64(self.seed), np.uint64(self.position), n
-        )
+        """The next ``n`` words of the stream, as uint64.
+
+        Counter-based: word ``i`` mixes ``seed + (i+1)*GAMMA`` (uint64 wrap),
+        which equals the sequential generator that advances its state by
+        GAMMA before each mix, so random access is O(1).
+        """
+        idx = np.arange(n).astype(np.uint64)
+        z = np.uint64(self.seed) + (np.uint64(self.position) + idx + _ONE) * _GAMMA
+        z = (z ^ (z >> _R30)) * _MIX1
+        z = (z ^ (z >> _R27)) * _MIX2
+        z = z ^ (z >> _R31)
         self.position += n
-        return words
+        return z
 
     def next_u64(self) -> int:
         return int(self._take(1)[0])
@@ -175,7 +186,18 @@ class SeededRng:
         if rows < 0:
             raise ValueError("row count must be nonnegative")
         width = 2 * ((n + 1) // 2)
-        out = kernels.gaussian_from_bits(self._take(rows * width))
+        bits = self._take(rows * width)
+        # Box-Muller: each word pair maps by its top 53 bits to (u1, u2) in
+        # (0, 1] x [0, 1); u1 excludes zero so the log never sees it
+        hi = (bits[0::2] >> _R11).astype(np.float64)
+        lo = (bits[1::2] >> _R11).astype(np.float64)
+        u1 = (hi + 1.0) * _INV_2_53
+        u2 = lo * _INV_2_53
+        r = np.sqrt(-2.0 * np.log(u1))
+        t = _TWO_PI * u2
+        out = np.empty(rows * width)
+        out[0::2] = r * np.cos(t)
+        out[1::2] = r * np.sin(t)
         return out.reshape(rows, width)[:, :n]
 
 

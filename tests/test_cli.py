@@ -28,15 +28,20 @@ def dataset_path(workdir):
 
 
 @pytest.fixture(scope="module")
-def ckpt_path(workdir, dataset_path):
-    path = workdir / "base.json"
+def train_config(workdir):
     cfg = workdir / "train.json"
     cfg.write_text(json.dumps({
         "adapter": {"d_hid": 3, "alpha": 0.3},
         "gan": {"d_z": 4, "gen_hidden": [8], "disc_hidden": [8], "batch": 4},
     }))
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def ckpt_path(workdir, dataset_path, train_config):
+    path = workdir / "base.json"
     rc = main(["train", "--data", str(dataset_path), "--out", str(path),
-               "--config", str(cfg), "--preset", "ensad_frozen_g",
+               "--config", str(train_config), "--preset", "ensad_frozen_g",
                "--steps", "5", "--seed", "1"])
     assert rc == 0
     return path
@@ -96,13 +101,12 @@ def test_train_writes_checkpoint_and_log(workdir, ckpt_path):
             assert np.isfinite(float(row[col]))
 
 
-def test_train_frozen_generator_preset(workdir, dataset_path, ckpt_path):
+def test_train_frozen_generator_preset(workdir, dataset_path, train_config, ckpt_path):
     # 0-step run captures the init; the 5-step run with the adapter preset
     # must leave every generator tensor bitwise identical to it
-    cfg = workdir / "train.json"
     ck0_path = workdir / "init.json"
     rc = main(["train", "--data", str(dataset_path), "--out", str(ck0_path),
-               "--config", str(cfg), "--preset", "ensad_frozen_g",
+               "--config", str(train_config), "--preset", "ensad_frozen_g",
                "--steps", "0", "--seed", "1"])
     assert rc == 0
     ck0 = checkpoint_to_jsonable(load_checkpoint(ck0_path))
@@ -112,11 +116,10 @@ def test_train_frozen_generator_preset(workdir, dataset_path, ckpt_path):
     assert ck5["params"]["ensad"] != ck0["params"]["ensad"]
 
 
-def test_train_ablation_zeroes_contrastive_columns(workdir, dataset_path):
-    cfg = workdir / "train.json"
+def test_train_ablation_zeroes_contrastive_columns(workdir, dataset_path, train_config):
     out = workdir / "ablate.json"
     rc = main(["train", "--data", str(dataset_path), "--out", str(out),
-               "--config", str(cfg), "--preset", "ablate_none",
+               "--config", str(train_config), "--preset", "ablate_none",
                "--steps", "4", "--seed", "1"])
     assert rc == 0
     for row in read_csv(workdir / "ablate.csv"):
@@ -126,11 +129,10 @@ def test_train_ablation_zeroes_contrastive_columns(workdir, dataset_path):
         assert float(row["l_ad_ensad"]) != 0.0
 
 
-def test_train_clg_preset_logs_generator_term(workdir, dataset_path):
-    cfg = workdir / "train.json"
+def test_train_clg_preset_logs_generator_term(workdir, dataset_path, train_config):
     out = workdir / "clg.json"
     rc = main(["train", "--data", str(dataset_path), "--out", str(out),
-               "--config", str(cfg), "--preset", "lafite_setup",
+               "--config", str(train_config), "--preset", "lafite_setup",
                "--steps", "4", "--seed", "1"])
     assert rc == 0
     for row in read_csv(workdir / "clg.csv"):
@@ -152,12 +154,11 @@ def test_train_preset_config_conflict(workdir, dataset_path, capsys):
     assert "conflict" in capsys.readouterr().err
 
 
-def test_train_resume_matches_straight_run(workdir, dataset_path):
-    cfg = workdir / "train.json"
+def test_train_resume_matches_straight_run(workdir, dataset_path, train_config):
     full = workdir / "full.json"
     part = workdir / "part.json"
     cont = workdir / "cont.json"
-    base = ["train", "--data", str(dataset_path), "--config", str(cfg),
+    base = ["train", "--data", str(dataset_path), "--config", str(train_config),
             "--preset", "ensad_frozen_g", "--seed", "6"]
     assert main(base + ["--out", str(full), "--steps", "8"]) == 0
     assert main(base + ["--out", str(part), "--steps", "3"]) == 0
@@ -168,8 +169,9 @@ def test_train_resume_matches_straight_run(workdir, dataset_path):
 
 
 
-def test_resume_from_format1_and_format2_agree(workdir, dataset_path, ckpt_path):
-    base = ["train", "--data", str(dataset_path), "--config", str(workdir / "train.json"),
+def test_resume_from_format1_and_format2_agree(workdir, dataset_path, train_config,
+                                               ckpt_path):
+    base = ["train", "--data", str(dataset_path), "--config", str(train_config),
             "--preset", "ensad_frozen_g", "--seed", "6"]
     part2 = workdir / "part_f2.json"
     assert main(base + ["--out", str(part2), "--steps", "3"]) == 0
@@ -185,17 +187,16 @@ def test_resume_from_format1_and_format2_agree(workdir, dataset_path, ckpt_path)
             == checkpoint_to_jsonable(load_checkpoint(outs[1])))
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
-def test_train_pipeline_preset(workdir, dataset_path, capsys):
-    cfg = workdir / "train.json"
+def test_train_pipeline_preset(workdir, dataset_path, train_config, capsys):
     out = workdir / "pipe.json"
     rc = main(["train", "--data", str(dataset_path), "--out", str(out),
-               "--config", str(cfg), "--preset", "ensad_plus_finetune_g",
+               "--config", str(train_config), "--preset", "ensad_plus_finetune_g",
                "--steps", "1", "--seed", "2"])
     assert rc == 2  # missing phase budgets
     assert "phase" in capsys.readouterr().err
 
     rc = main(["train", "--data", str(dataset_path), "--out", str(out),
-               "--config", str(cfg), "--preset", "ensad_plus_finetune_g",
+               "--config", str(train_config), "--preset", "ensad_plus_finetune_g",
                "--phase1-steps", "3", "--phase2-steps", "4", "--seed", "2"])
     assert rc == 0
     rows = read_csv(workdir / "pipe.csv")
@@ -203,11 +204,11 @@ def test_train_pipeline_preset(workdir, dataset_path, capsys):
     assert checkpoint_to_jsonable(load_checkpoint(out))["step"] == 4
 
 
-def test_train_pipeline_preset_rejects_resume(workdir, dataset_path, ckpt_path,
-                                             capsys):
+def test_train_pipeline_preset_rejects_resume(workdir, dataset_path, train_config,
+                                             ckpt_path, capsys):
     out = workdir / "pipe_resumed.json"
     rc = main(["train", "--data", str(dataset_path), "--out", str(out),
-               "--config", str(workdir / "train.json"),
+               "--config", str(train_config),
                "--preset", "ensad_plus_finetune_g",
                "--phase1-steps", "2", "--phase2-steps", "2",
                "--resume", str(ckpt_path), "--seed", "2"])
@@ -326,6 +327,8 @@ def test_param_count_rejects_bad_dims(capsys):
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# Nesting deeper than the JSON parser's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 def _drop(path):
@@ -354,6 +357,11 @@ def _negate_adam_v(obj):
     obj["adam"]["generator"]["v"][0][0][0] = -1.0
 
 
+def _deeply_nested(obj):
+    """Replaces the whole file."""
+    return DEEP_JSON
+
+
 @pytest.mark.parametrize("mutate, field", [
     (_drop(["step"]), "step"),
     (_drop(["params"]), "params.ensad"),
@@ -363,19 +371,25 @@ def _negate_adam_v(obj):
     (_negate_adam_v, "adam.generator"),
     (_set(["step"], -5), "step"),
     (_set(["rng", "position"], -3), "rng.position"),
+    (_set(["version"], True), "version"),
+    (_set(["version"], 1.0), "version"),
+    (_deeply_nested, None),
 ], ids=["missing_step", "missing_params", "missing_rng_seed",
         "unknown_adapter_key", "truncated_adam_m", "negative_adam_v",
         "negative_step",
-        "negative_rng_position"])
+        "negative_rng_position", "version_true", "version_float", "deeply_nested"])
 def test_eval_rejects_malformed_checkpoint(tmp_path, capsys, mutate, field):
+    """``mutate`` edits the checkpoint object, or returns the file's text;
+    ``field`` is the field the message names, None: the path."""
     obj = json.loads((GOLDEN / "ckpt_step6.json").read_text())
-    mutate(obj)
+    text = mutate(obj)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj))
+    bad.write_text(json.dumps(obj) if text is None else text)
     rc = main(["eval", "--ckpt", str(bad), "--data", str(GOLDEN / "data.jsonl"),
                "--n-gen", "8"])
     assert rc == 2
-    assert f"checkpoint field '{field}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert (f"checkpoint field '{field}'" if field else str(bad)) in err, err
 
 
 
@@ -455,6 +469,9 @@ FORMAT2_CASES = {
     "header_float64": (_members(lambda h, t: {"header": np.zeros(3), "tensors": t}),
                        "header"),
     "version_1": (_header(lambda h: h.update(version=1)), "version"),
+    "version_float": (_header(lambda h: h.update(version=2.0)), "version"),
+    "header_deeply_nested": (_members(lambda h, t: {
+        "header": np.frombuffer(DEEP_JSON.encode(), np.uint8), "tensors": t}), "header"),
     "missing_step": (_header(lambda h: h.pop("step")), "step"),
     "negative_rng_position": (_header(lambda h: h["rng"].update(position=-3)),
                               "rng.position"),
@@ -521,6 +538,14 @@ def test_config_errors(workdir, dataset_path, capsys):
                "--steps", "1"])
     assert rc == 2
     assert "unknown sections" in capsys.readouterr().err
+
+    deep = workdir / "deep.json"
+    deep.write_text(DEEP_JSON)
+    rc = main(["train", "--data", str(dataset_path),
+               "--out", str(workdir / "x.json"), "--config", str(deep),
+               "--steps", "1"])
+    assert rc == 2
+    assert f"config {deep} is not valid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, config, field", [

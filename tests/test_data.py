@@ -177,12 +177,21 @@ HEADER = json.dumps({"format": "ensad-jsonl", "version": 1,
                      "d": 2, "m": 1, "d_img": 2})
 GOOD_ITEM = json.dumps({"id": "a", "h0": [1.0, 0.0],
                         "translations": [[0.0, 1.0]], "image": [0.0, 0.0]})
+# Nesting deeper than the JSON parser's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 def test_load_rejects_bad_header(tmp_path):
-    path = write_lines(tmp_path, ["{not json", GOOD_ITEM])
-    with pytest.raises(DataFormatError, match="line 1"):
-        load_jsonl(path)
+    for line in ("{not json", DEEP_JSON):
+        path = write_lines(tmp_path, [line, GOOD_ITEM])
+        with pytest.raises(DataFormatError, match="line 1"):
+            load_jsonl(path)
+    # the version is the JSON integer 1: true and 1.0 compare equal to it
+    for value in (True, 1.0):
+        hdr = {**json.loads(HEADER), "version": value}
+        path = write_lines(tmp_path, [json.dumps(hdr), GOOD_ITEM])
+        with pytest.raises(DataFormatError, match="line 1: unsupported version"):
+            load_jsonl(path)
     # dimensions must be positive JSON integers: 9.5 used to load as 9
     for key, value in (("d", 2.5), ("m", "1"), ("d_img", True), ("m", 0)):
         hdr = {**json.loads(HEADER), key: value}
@@ -208,9 +217,10 @@ def test_load_rejects_wrong_version(tmp_path):
 def test_load_reports_item_line_number(tmp_path):
     bad = json.dumps({"id": "a", "h0": [1.0, 0.0],
                       "translations": [[0.0, 1.0]]})  # missing image
-    path = write_lines(tmp_path, [HEADER, GOOD_ITEM, bad])
-    with pytest.raises(DataFormatError, match="line 3"):
-        load_jsonl(path)
+    for line in (bad, DEEP_JSON):
+        path = write_lines(tmp_path, [HEADER, GOOD_ITEM, line])
+        with pytest.raises(DataFormatError, match="line 3"):
+            load_jsonl(path)
 
 
 def test_load_rejects_wrong_translation_count(tmp_path):
