@@ -4,6 +4,13 @@ Commands: synth (make a synthetic dataset), train (adversarial-contrastive
 training), eval (Frechet-distance comparison across fusion strategies),
 inspect-attn (per-item attention weights), param-count (adapter size).
 
+Each subcommand declares only the options it reads. synth, train and eval
+take --config and --seed; each setting is its config section with the
+flags that were given written over it (_section). A preset writes its
+gan fields over the gan section and rejects a config that sets them to
+other values. The pipeline preset takes --phase1-steps/--phase2-steps and
+rejects --steps and --resume; a one-phase run takes the reverse.
+
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime failure.
 All file outputs are written atomically.
 """
@@ -11,6 +18,7 @@ All file outputs are written atomically.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -26,7 +34,6 @@ from .adapter import (
 )
 from .data import (
     JSON_ERRORS,
-    Dataset,
     SyntheticSpec,
     atomic_write_text,
     generate_synthetic,
@@ -36,6 +43,7 @@ from .data import (
 )
 from .evaluation import compare_strategies, save_report
 from .gan import (
+    CSV_COLUMNS,
     GanConfig,
     TrainingDiverged,
     check_dataset,
@@ -46,27 +54,21 @@ from .gan import (
 )
 from .numkit import NotPsdError
 
-CSV_COLUMNS = (
-    "step",
-    "loss_ensad",
-    "loss_disc",
-    "l_ad_ensad",
-    "l_ad_d",
-    "l_cl",
-    "l_cl_d",
-    "l_cl_g",
-)
-
-# Named training setups. Each maps to explicit gan-config fields; a config
-# file that sets one of these fields to a different value is rejected
-# before training starts. "pipeline" marks the two-phase recipe, which
-# owns trainable/conditioning itself.
+# Named training setups, each a set of gan-config fields written over the
+# config file's gan section; a section that sets one of them to another
+# value is rejected before training starts.
 _FROZEN_G_BASE = {
     "trainable": frozenset({"ensad", "discriminator"}),
     "conditioning": "ensad",
 }
+# The two-phase recipe (gan.finetune_pipeline). It sets the fields in
+# _PHASE_FIELDS per phase and runs the budgets in _PHASE_FLAGS in place
+# of --steps.
+PIPELINE_PRESET = "ensad_plus_finetune_g"
+_PHASE_FIELDS = ("trainable", "conditioning", "steps")
+_PHASE_FLAGS = ("phase1_steps", "phase2_steps")
 PRESETS = {
-    "ensad_frozen_g": dict(_FROZEN_G_BASE),
+    "ensad_frozen_g": _FROZEN_G_BASE,
     "finetune_g_text": {
         "trainable": frozenset({"generator", "discriminator"}),
         "conditioning": "zero_shot",
@@ -75,7 +77,7 @@ PRESETS = {
         "trainable": frozenset({"generator", "discriminator"}),
         "conditioning": "mean_pool",
     },
-    "ensad_plus_finetune_g": {"pipeline": True},
+    PIPELINE_PRESET: {},
     "ablate_no_cl": {**_FROZEN_G_BASE, "lambda1": 0.0},
     "ablate_no_cld": {**_FROZEN_G_BASE, "lambda2": 0.0},
     "ablate_none": {**_FROZEN_G_BASE, "lambda1": 0.0, "lambda2": 0.0},
@@ -113,6 +115,65 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
+def _section(config: dict, name: str, args, flags) -> dict:
+    """Config section ``name`` with every flag in ``flags`` (argparse dests,
+    which are the section's keys) that was given written over it."""
+    section = dict(config.get(name, {}))
+    for key in flags:
+        if getattr(args, key) is not None:
+            section[key] = getattr(args, key)
+    return section
+
+
+def _only(section: dict, name: str, keys) -> None:
+    unknown = set(section) - set(keys)
+    if unknown:
+        raise UsageError(f"unknown {name}-section keys {sorted(unknown)}")
+
+
+def _from_dataset(section: dict, name: str, dims: dict) -> dict:
+    """``section`` with the dataset's dimensions ``dims``; a section that
+    sets one of them to another value is rejected."""
+    for key, value in dims.items():
+        if key in section and section[key] != value:
+            raise UsageError(
+                f"{name} config {key}={section[key]} conflicts with dataset "
+                f"{key}={value}"
+            )
+    return {**section, **dims}
+
+
+def _build(cls, section: dict, name: str):
+    try:
+        return cls(**section)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad {name} config: {exc}") from exc
+
+
+def _apply_preset(section: dict, preset: str | None) -> dict:
+    """The gan section with the preset's fields written over it; a field
+    the section sets to another value, or any field the pipeline preset
+    sets per phase, is a conflict."""
+    if "trainable" in section:
+        try:
+            section = {**section, "trainable": frozenset(section["trainable"])}
+        except TypeError as exc:
+            raise UsageError(f"bad gan config: trainable: {exc}") from exc
+    if preset is None:
+        return section
+    conflicts = [
+        f"{key}: preset {preset} wants {value!r}, config sets {section[key]!r}"
+        for key, value in PRESETS[preset].items()
+        if key in section and section[key] != value
+    ]
+    if preset == PIPELINE_PRESET:
+        conflicts += [f"{key} is controlled by preset {preset} per phase"
+                      for key in _PHASE_FIELDS if key in section]
+    if conflicts:
+        raise UsageError("preset/config conflicts: " + "; ".join(conflicts))
+    return {**section, **PRESETS[preset]}
+
+
 def _ensure_parent(path: str) -> None:
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
@@ -131,71 +192,9 @@ def _check_writable(path: str) -> None:
 
 
 def _pick_seed(args, config: dict) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return json_uint(args.seed, 0, "--seed")
     return json_uint(config.get("seed", 0), 0, "config seed")
-
-
-def _build_adapter_cfg(section: dict, ds: Dataset) -> EnsAdConfig:
-    section = dict(section)
-    for key, value in (("d", ds.d), ("m", ds.m)):
-        if key in section and section[key] != value:
-            raise UsageError(
-                f"adapter config {key}={section[key]} conflicts with dataset "
-                f"{key}={value}"
-            )
-        section[key] = value
-    try:
-        return EnsAdConfig(**section)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad adapter config: {exc}") from exc
-
-
-def _build_gan_cfg(section: dict, ds: Dataset, preset: str | None, steps) -> tuple:
-    """Returns (GanConfig or None, pipeline flag). Applies the preset over
-    the explicit config and rejects conflicts between the two."""
-    explicit = dict(section)
-    if "trainable" in explicit:
-        explicit["trainable"] = frozenset(explicit["trainable"])
-    for key, value in (("d", ds.d), ("d_img", ds.d_img)):
-        if key in explicit and explicit[key] != value:
-            raise UsageError(
-                f"gan config {key}={explicit[key]} conflicts with dataset "
-                f"{key}={value}"
-            )
-        explicit[key] = value
-
-    pipeline = False
-    if preset is not None:
-        overrides = PRESETS[preset]
-        pipeline = overrides.get("pipeline", False)
-        conflicts = []
-        if pipeline:
-            for key in ("trainable", "conditioning"):
-                if key in section:
-                    conflicts.append(
-                        f"{key} is controlled by preset {preset} per phase"
-                    )
-        else:
-            for key, value in overrides.items():
-                if key in section:
-                    have = explicit[key]
-                    if have != value:
-                        conflicts.append(
-                            f"{key}: preset {preset} wants {value!r}, "
-                            f"config sets {have!r}"
-                        )
-                explicit[key] = value
-        if conflicts:
-            raise UsageError(
-                "preset/config conflicts: " + "; ".join(conflicts)
-            )
-    if steps is not None:
-        explicit["steps"] = steps
-    try:
-        return GanConfig(**explicit), pipeline
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad gan config: {exc}") from exc
 
 
 def _format_csv(rows) -> str:
@@ -212,17 +211,10 @@ def _format_csv(rows) -> str:
 
 def _cmd_synth(args) -> int:
     config = _load_config(args.config)
-    section = dict(config.get("synth", {}))
-    for key in ("n_items", "d", "m", "d_img", "sigma_source", "sigma_trans"):
-        flag = getattr(args, key)
-        if flag is not None:
-            section[key] = flag
+    section = _section(config, "synth", args,
+                       ("n_items", "d", "m", "d_img", "sigma_source", "sigma_trans"))
     section["seed"] = _pick_seed(args, {**config, **section})
-    try:
-        spec = SyntheticSpec(**section)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad synth config: {exc}") from exc
-    ds = generate_synthetic(spec)
+    ds = generate_synthetic(_build(SyntheticSpec, section, "synth"))
     _ensure_parent(args.out)
     save_jsonl(ds, args.out)
     print(
@@ -232,55 +224,61 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    if args.resume and args.preset and PRESETS[args.preset].get("pipeline"):
+    pipeline = args.preset == PIPELINE_PRESET
+    misplaced = [
+        "--" + key.replace("_", "-")
+        for key in (("steps", "resume") if pipeline else _PHASE_FLAGS)
+        if getattr(args, key) is not None
+    ]
+    if misplaced:
         raise UsageError(
-            f"--resume cannot be combined with preset {args.preset}: the "
-            "two-phase pipeline always starts from fresh parameters"
+            " and ".join(misplaced) + (
+                f": not with preset {PIPELINE_PRESET}, which runs "
+                "--phase1-steps then --phase2-steps from fresh parameters"
+                if pipeline else
+                f": only preset {PIPELINE_PRESET} has phase budgets; a "
+                "one-phase run takes --steps"
+            )
         )
     stem, ext = os.path.splitext(args.out)
     csv_path = args.log if args.log else stem + ".csv"
     diag_path = f"{stem}.diverged{ext}"
-    for path in (args.out, csv_path, diag_path):
+    outputs = {"checkpoint": args.out, "loss CSV": csv_path,
+               "diagnostic checkpoint": diag_path}
+    for path in outputs.values():
         _check_writable(path)
+    for (role_a, a), (role_b, b) in itertools.combinations(outputs.items(), 2):
+        if os.path.realpath(a) == os.path.realpath(b):
+            raise UsageError(f"{role_a} path {a} and {role_b} path {b} are the "
+                             "same file; output paths must be distinct")
     config = _load_config(args.config)
-    ds = load_jsonl(args.data)
+    gan_section = _apply_preset(_section(config, "gan", args, ("steps",)), args.preset)
+    phases = _section(config, "train", args, _PHASE_FLAGS)
+    _only(phases, "train", _PHASE_FLAGS)
+    if pipeline:
+        missing = set(_PHASE_FLAGS) - set(phases)
+        if missing:
+            raise UsageError(
+                f"preset {args.preset} needs {sorted(missing)} in the "
+                "train config section (or the matching flags)"
+            )
+        budgets = {key: json_uint(phases[key], 0, key) for key in _PHASE_FLAGS}
     seed = _pick_seed(args, config)
-    adapter_cfg = _build_adapter_cfg(config.get("adapter", {}), ds)
-    gan_cfg, pipeline = _build_gan_cfg(
-        config.get("gan", {}), ds, args.preset, args.steps
-    )
-    train_section = dict(config.get("train", {}))
-    unknown = set(train_section) - {"phase1_steps", "phase2_steps"}
-    if unknown:
-        raise UsageError(f"unknown train-section keys {sorted(unknown)}")
-    if args.phase1_steps is not None:
-        train_section["phase1_steps"] = args.phase1_steps
-    if args.phase2_steps is not None:
-        train_section["phase2_steps"] = args.phase2_steps
+    resume = load_checkpoint(args.resume) if args.resume else None
+    ds = load_jsonl(args.data)
+    adapter_cfg = _build(EnsAdConfig, _from_dataset(
+        config.get("adapter", {}), "adapter", {"d": ds.d, "m": ds.m}), "adapter")
+    gan_cfg = _build(GanConfig, _from_dataset(
+        gan_section, "gan", {"d": ds.d, "d_img": ds.d_img}), "gan")
 
     rows = []
     _ensure_parent(args.out)
     _ensure_parent(csv_path)
-
     try:
         if pipeline:
-            missing = {"phase1_steps", "phase2_steps"} - set(train_section)
-            if missing:
-                raise UsageError(
-                    f"preset {args.preset} needs {sorted(missing)} in the "
-                    "train config section (or the matching flags)"
-                )
-            ck = finetune_pipeline(
-                ds,
-                adapter_cfg,
-                gan_cfg,
-                seed,
-                phase1_steps=json_uint(train_section["phase1_steps"], 0, "phase1_steps"),
-                phase2_steps=json_uint(train_section["phase2_steps"], 0, "phase2_steps"),
-                log_fn=rows.append,
-            )
+            ck = finetune_pipeline(ds, adapter_cfg, gan_cfg, seed, **budgets,
+                                   log_fn=rows.append)
         else:
-            resume = load_checkpoint(args.resume) if args.resume else None
             ck = train(
                 ds, adapter_cfg, gan_cfg, seed, resume=resume, log_fn=rows.append
             )
@@ -298,16 +296,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = _load_config(args.config)
+    section = _section(config, "eval", args, ("n_gen",))
+    _only(section, "eval", ("n_gen",))
+    n_gen = json_uint(section.get("n_gen", 512), 0, "eval n_gen")
+    seed = _pick_seed(args, config)
     ck = load_checkpoint(args.ckpt)
     ds = load_jsonl(args.data)
-    seed = _pick_seed(args, config)
-    eval_section = dict(config.get("eval", {}))
-    unknown = set(eval_section) - {"n_gen"}
-    if unknown:
-        raise UsageError(f"unknown eval-section keys {sorted(unknown)}")
-    n_gen = args.n_gen
-    if n_gen is None:
-        n_gen = json_uint(eval_section.get("n_gen", 512), 0, "eval n_gen")
     report = compare_strategies(ck, ds, n_gen, seed)
     if args.out:
         _ensure_parent(args.out)
@@ -343,11 +337,8 @@ def _cmd_inspect_attn(args) -> int:
 
 
 def _cmd_param_count(args) -> int:
-    try:
-        cfg = EnsAdConfig(d=args.d, d_hid=args.d_hid, m=args.m)
-    except ValueError as exc:
-        raise UsageError(f"bad adapter dimensions: {exc}") from exc
-    print(param_count(cfg))
+    section = {"d": args.d, "d_hid": args.d_hid, "m": args.m}
+    print(param_count(_build(EnsAdConfig, section, "adapter")))
     return 0
 
 
@@ -395,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("inspect-attn", help="dump per-item attention weights")
-    _add_common(p)
     p.add_argument("--ckpt", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="dataset path (.jsonl)")
     p.add_argument("--limit", type=int, help="number of items (default: all)")
@@ -403,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_inspect_attn)
 
     p = sub.add_parser("param-count", help="print the adapter parameter count")
-    _add_common(p)
     p.add_argument("--d", type=int, default=512, help="embedding dimension")
     p.add_argument("--d-hid", dest="d_hid", type=int, default=256,
                    help="attention hidden width")

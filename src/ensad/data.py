@@ -163,8 +163,12 @@ def _check_embedding(vec, d: int, line_no: int, what: str) -> np.ndarray:
     arr = _floats(vec, line_no, what)
     if arr.shape[0] != d:
         raise DataFormatError(f"line {line_no}: {what} has wrong dimension")
-    if not np.all(np.isfinite(arr)):
+    peak = float(max(arr.max(), -arr.min()))  # the largest |entry|, or NaN
+    if not math.isfinite(peak):
         raise DataFormatError(f"line {line_no}: {what} has non-finite entries")
+    if peak > 1.0 + NORM_REJECT:  # off the sphere; its squared norm may overflow
+        raise DataFormatError(
+            f"line {line_no}: {what} norm deviates by at least {peak - 1.0:.2e}")
     dev = abs(math.sqrt(float(np.dot(arr, arr))) - 1.0)
     if dev <= NORM_INVARIANT:
         return arr

@@ -41,6 +41,10 @@ TRAINABLE_COMPONENTS = ("ensad", "generator", "discriminator")
 _PROXY_SALT = 0x1C
 # Stream salt separating the two phases of the fine-tune pipeline.
 _PHASE2_SALT = 3
+# The keys of the per-step row ``train`` passes to ``log_fn``, in the loss
+# CSV's column order.
+CSV_COLUMNS = ("step", "loss_ensad", "loss_disc", "l_ad_ensad", "l_ad_d",
+               "l_cl", "l_cl_d", "l_cl_g")
 
 
 @dataclass(frozen=True)
@@ -895,18 +899,10 @@ def train(
 
         if log_fn is not None:
             parts = res.parts
-            log_fn(
-                {
-                    "step": step + 1,
-                    "loss_ensad": res.loss_ensad,
-                    "loss_disc": res.loss_disc,
-                    "l_ad_ensad": parts.l_ad_ensad,
-                    "l_ad_d": parts.l_ad_d,
-                    "l_cl": parts.l_cl,
-                    "l_cl_d": parts.l_cl_d_fake,
-                    "l_cl_g": parts.l_cl_g,
-                }
-            )
+            log_fn(dict(zip(CSV_COLUMNS, (
+                step + 1, res.loss_ensad, res.loss_disc, parts.l_ad_ensad,
+                parts.l_ad_d, parts.l_cl, parts.l_cl_d_fake, parts.l_cl_g,
+            ))))
 
     return snapshot(max(start_step, gan_cfg.steps))
 

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ensad.cli import CSV_COLUMNS, main
-from ensad.gan import checkpoint_to_jsonable, load_checkpoint, save_checkpoint
+from ensad.cli import main
+from ensad.gan import CSV_COLUMNS, checkpoint_to_jsonable, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -604,6 +604,93 @@ def test_train_rejects_unwritable_output_before_training(
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["file", *(["run.json"] * (where == "out_is_directory")),
          *(["run.csv"] * (where == "log_is_directory"))])
+
+
+def _exit_code(argv):
+    """main's return code, or argparse's exit code for an undeclared option."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("case", [
+    "param_count_seed", "param_count_config", "inspect_attn_seed",
+    "inspect_attn_config", "one_phase_phase1_steps", "one_phase_phase2_steps",
+    "pipeline_steps", "pipeline_config_gan_steps"])
+def test_ignored_options_rejected_before_any_file(dataset_path, ckpt_path, tmp_path,
+                                                  capsys, monkeypatch, case):
+    def fail(*args, **kwargs):
+        raise AssertionError("a file was read")
+    for name in ("load_jsonl", "load_checkpoint", "train", "finetune_pipeline"):
+        monkeypatch.setattr(f"ensad.cli.{name}", fail)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gan": {"steps": 5},
+                               "train": {"phase1_steps": 2, "phase2_steps": 2}}))
+    out = tmp_path / "out.npz"
+    inspect = ["inspect-attn", "--ckpt", str(ckpt_path), "--data", str(dataset_path)]
+    train = ["train", "--data", str(dataset_path), "--out", str(out)]
+    pipeline = train + ["--preset", "ensad_plus_finetune_g"]
+    argv, flag = {
+        "param_count_seed": (["param-count", "--seed", "5"], "--seed"),
+        "param_count_config": (["param-count", "--config", str(cfg)], "--config"),
+        "inspect_attn_seed": (inspect + ["--seed", "9"], "--seed"),
+        "inspect_attn_config": (inspect + ["--config", str(cfg)], "--config"),
+        "one_phase_phase1_steps": (train + ["--preset", "ensad_frozen_g", "--steps", "3",
+                                            "--phase1-steps", "7"], "--phase1-steps"),
+        "one_phase_phase2_steps": (train + ["--steps", "3", "--phase2-steps", "7"],
+                                   "--phase2-steps"),
+        "pipeline_steps": (pipeline + ["--steps", "999", "--phase1-steps", "2",
+                                       "--phase2-steps", "2"], "--steps"),
+        "pipeline_config_gan_steps": (pipeline + ["--config", str(cfg)], "steps"),
+    }[case]
+    assert _exit_code(argv) == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("out, log, named", [
+    ("run.npz", "run.npz", ["run.npz", "run.npz"]),
+    ("run.csv", None, ["run.csv", "run.csv"]),
+    ("run.npz", "run.diverged.npz", ["run.diverged.npz", "run.diverged.npz"]),
+    ("run.npz", "sub/../run.npz", ["run.npz", "sub/../run.npz"]),
+])
+def test_train_rejects_coinciding_output_paths(dataset_path, tmp_path, capsys,
+                                               monkeypatch, out, log, named):
+    """``named``: the two paths the message names, in order."""
+    def fail(*args, **kwargs):
+        raise AssertionError("training started")
+    monkeypatch.setattr("ensad.cli.load_jsonl", fail)
+    argv = ["train", "--data", str(dataset_path), "--out", str(tmp_path / out),
+            "--steps", "3"]
+    if log is not None:
+        (tmp_path / "sub").mkdir()
+        argv += ["--log", str(tmp_path / log)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    first, second = (str(tmp_path / name) for name in named)
+    assert f"path {first} and " in err and f"path {second} are the same file" in err
+    assert not (tmp_path / out).exists()
+
+
+def test_train_resumes_in_place(dataset_path, train_config, tmp_path):
+    base = ["train", "--data", str(dataset_path), "--config", str(train_config),
+            "--preset", "ensad_frozen_g", "--seed", "6"]
+    full, ck = tmp_path / "full.npz", tmp_path / "ck.npz"
+    assert main(base + ["--out", str(full), "--steps", "8"]) == 0
+    assert main(base + ["--out", str(ck), "--steps", "3"]) == 0
+    assert main(base + ["--out", str(ck), "--steps", "8", "--resume", str(ck)]) == 0
+    assert ck.read_bytes() == full.read_bytes()
+
+
+@pytest.mark.parametrize("preset", [None, "ensad_frozen_g"])
+def test_train_rejects_non_list_trainable(dataset_path, tmp_path, capsys, preset):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gan": {"trainable": 5}}))
+    argv = ["train", "--data", str(dataset_path), "--out", str(tmp_path / "x.npz"),
+            "--config", str(cfg), "--steps", "1"]
+    assert main(argv + (["--preset", preset] if preset else [])) == 2
+    assert "trainable" in capsys.readouterr().err
 
 
 def test_missing_data_file(workdir, capsys):

@@ -1,6 +1,8 @@
 import json
 import os
 import stat
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +179,7 @@ HEADER = json.dumps({"format": "ensad-jsonl", "version": 1,
                      "d": 2, "m": 1, "d_img": 2})
 GOOD_ITEM = json.dumps({"id": "a", "h0": [1.0, 0.0],
                         "translations": [[0.0, 1.0]], "image": [0.0, 0.0]})
+GOLDEN = Path(__file__).resolve().parent / "golden"
 # Nesting deeper than the JSON parser's recursion limit
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
@@ -238,6 +241,18 @@ def test_load_rejects_off_sphere_embedding(tmp_path):
     path = write_lines(tmp_path, [HEADER, bad])
     with pytest.raises(DataFormatError, match="line 2"):
         load_jsonl(path)
+
+
+def test_load_rejects_huge_entry_without_overflow(tmp_path):
+    lines = (GOLDEN / "data.jsonl").read_text().splitlines()
+    item = json.loads(lines[1])
+    item["h0"][0] = 1e200
+    lines[1] = json.dumps(item)
+    path = write_lines(tmp_path, lines)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError, match="^line 2: h0 norm deviates"):
+            load_jsonl(path)
 
 
 def test_load_rejects_unknown_keys(tmp_path):
