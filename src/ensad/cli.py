@@ -9,7 +9,8 @@ take --config and --seed; each setting is its config section with the
 flags that were given written over it (_section). A preset writes its
 gan fields over the gan section and rejects a config that sets them to
 other values. The pipeline preset takes --phase1-steps/--phase2-steps and
-rejects --steps and --resume; a one-phase run takes the reverse.
+rejects --steps and --resume; a one-phase run takes the reverse. No
+output path may resolve to another output or to an input (_check_paths).
 
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime failure.
 All file outputs are written atomically.
@@ -179,16 +180,28 @@ def _ensure_parent(path: str) -> None:
     os.makedirs(parent, exist_ok=True)
 
 
-def _check_writable(path: str) -> None:
-    """Reject an output path that is a directory, or whose nearest existing
-    ancestor is not a writable directory, before any work is done."""
-    if os.path.isdir(path):
-        raise UsageError(f"output path {path} is a directory")
-    parent = os.path.dirname(os.path.abspath(path))
-    while not os.path.exists(parent):
-        parent = os.path.dirname(parent)
-    if not os.path.isdir(parent) or not os.access(parent, os.W_OK | os.X_OK):
-        raise UsageError(f"cannot write {path}: {parent} is not a writable directory")
+def _check_paths(outputs: dict, inputs: dict, in_place=()) -> None:
+    """Before any file is read or written, reject an output path (``outputs``
+    and ``inputs`` map a role to a path, or None when not given) that is a
+    directory, whose nearest existing ancestor is not a writable directory,
+    or that resolves to the same file as another output or an input. The
+    (output role, input role) pairs in ``in_place`` may share a file."""
+    outputs = {role: path for role, path in outputs.items() if path is not None}
+    inputs = {role: path for role, path in inputs.items() if path is not None}
+    for path in outputs.values():
+        if os.path.isdir(path):
+            raise UsageError(f"output path {path} is a directory")
+        parent = os.path.dirname(os.path.abspath(path))
+        while not os.path.exists(parent):
+            parent = os.path.dirname(parent)
+        if not os.path.isdir(parent) or not os.access(parent, os.W_OK | os.X_OK):
+            raise UsageError(f"cannot write {path}: {parent} is not a writable directory")
+    pairs = itertools.chain(itertools.combinations(outputs.items(), 2),
+                            itertools.product(outputs.items(), inputs.items()))
+    for (role_a, a), (role_b, b) in pairs:
+        if (role_a, role_b) not in in_place and os.path.realpath(a) == os.path.realpath(b):
+            raise UsageError(f"{role_a} path {a} and {role_b} path {b} are the same "
+                             "file; an output may not overwrite another output or an input")
 
 
 def _pick_seed(args, config: dict) -> int:
@@ -210,6 +223,7 @@ def _format_csv(rows) -> str:
 
 
 def _cmd_synth(args) -> int:
+    _check_paths({"dataset": args.out}, {"config": args.config})
     config = _load_config(args.config)
     section = _section(config, "synth", args,
                        ("n_items", "d", "m", "d_img", "sigma_source", "sigma_trans"))
@@ -243,14 +257,12 @@ def _cmd_train(args) -> int:
     stem, ext = os.path.splitext(args.out)
     csv_path = args.log if args.log else stem + ".csv"
     diag_path = f"{stem}.diverged{ext}"
-    outputs = {"checkpoint": args.out, "loss CSV": csv_path,
-               "diagnostic checkpoint": diag_path}
-    for path in outputs.values():
-        _check_writable(path)
-    for (role_a, a), (role_b, b) in itertools.combinations(outputs.items(), 2):
-        if os.path.realpath(a) == os.path.realpath(b):
-            raise UsageError(f"{role_a} path {a} and {role_b} path {b} are the "
-                             "same file; output paths must be distinct")
+    # --resume equal to --out continues a run in place
+    _check_paths({"checkpoint": args.out, "loss CSV": csv_path,
+                  "diagnostic checkpoint": diag_path},
+                 {"dataset": args.data, "resumed checkpoint": args.resume,
+                  "config": args.config},
+                 in_place={("checkpoint", "resumed checkpoint")})
     config = _load_config(args.config)
     gan_section = _apply_preset(_section(config, "gan", args, ("steps",)), args.preset)
     phases = _section(config, "train", args, _PHASE_FLAGS)
@@ -295,6 +307,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_paths({"report": args.out},
+                 {"checkpoint": args.ckpt, "dataset": args.data, "config": args.config})
     config = _load_config(args.config)
     section = _section(config, "eval", args, ("n_gen",))
     _only(section, "eval", ("n_gen",))
@@ -316,6 +330,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_inspect_attn(args) -> int:
+    _check_paths({"records": args.out}, {"checkpoint": args.ckpt, "dataset": args.data})
     ck = load_checkpoint(args.ckpt)
     ds = load_jsonl(args.data)
     check_dataset(ds, ck.ensad_cfg, ck.gan_cfg)

@@ -148,33 +148,44 @@ def set_uint_fields(cfg, lows: dict) -> None:
         object.__setattr__(cfg, name, value)
 
 
-def _floats(value, line_no: int, what: str) -> np.ndarray:
-    """A JSON list of numbers as a float64 vector; strings, booleans and
-    nested lists are rejected, not converted."""
-    if isinstance(value, list) and _NUMBER_TYPES.issuperset(map(type, value)):
-        try:
-            return np.asarray(value, dtype=np.float64)
-        except OverflowError as exc:  # an integer beyond the float range
-            raise DataFormatError(f"line {line_no}: {what} has an entry out of range") from exc
-    raise DataFormatError(f"line {line_no}: {what} must be a list of numbers")
-
-
-def _check_embedding(vec, d: int, line_no: int, what: str) -> np.ndarray:
-    arr = _floats(vec, line_no, what)
-    if arr.shape[0] != d:
+def _floats(value, size: int, line_no: int, what: str) -> np.ndarray:
+    """A JSON list of ``size`` numbers as a float64 vector; strings,
+    booleans and nested lists are rejected, not converted."""
+    if not isinstance(value, list) or not _NUMBER_TYPES.issuperset(map(type, value)):
+        raise DataFormatError(f"line {line_no}: {what} must be a list of numbers")
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise DataFormatError(f"line {line_no}: {what} has an entry out of range") from exc
+    if arr.shape[0] != size:
         raise DataFormatError(f"line {line_no}: {what} has wrong dimension")
-    peak = float(max(arr.max(), -arr.min()))  # the largest |entry|, or NaN
-    if not math.isfinite(peak):
-        raise DataFormatError(f"line {line_no}: {what} has non-finite entries")
-    if peak > 1.0 + NORM_REJECT:  # off the sphere; its squared norm may overflow
-        raise DataFormatError(
-            f"line {line_no}: {what} norm deviates by at least {peak - 1.0:.2e}")
-    dev = abs(math.sqrt(float(np.dot(arr, arr))) - 1.0)
-    if dev <= NORM_INVARIANT:
-        return arr
-    if dev <= NORM_REJECT:
-        return l2_normalize(arr)
-    raise DataFormatError(f"line {line_no}: {what} norm deviates by {dev:.2e}")
+    return arr
+
+
+def _check_embeddings(vectors: np.ndarray, m: int) -> None:
+    """Numeric checks on the embeddings read so far, ``vectors`` with m+1
+    rows per line: raise the DataFormatError a vector-by-vector check would
+    raise first (non-finite entries, an entry beyond 1 + NORM_REJECT, a
+    norm off 1 by more than NORM_REJECT), else renormalize in place the
+    vectors whose norm is off by more than NORM_INVARIANT."""
+    peak = np.maximum(vectors.max(axis=1), -vectors.min(axis=1))  # NaN where a row has one
+    off = np.flatnonzero(~(peak <= 1.0 + NORM_REJECT))
+    head = vectors[:off[0]] if off.size else vectors  # no squared norm may overflow
+    dev = np.abs(np.sqrt(np.matmul(head[:, None, :], head[:, :, None])[:, 0, 0]) - 1.0)
+    far = np.flatnonzero(dev > NORM_REJECT)
+    if far.size or off.size:
+        e = far[0] if far.size else off[0]
+        line, field = divmod(int(e), m + 1)
+        what = "h0" if field == 0 else f"translation {field - 1}"
+        if far.size:
+            msg = f"norm deviates by {dev[e]:.2e}"
+        elif math.isfinite(peak[e]):
+            msg = f"norm deviates by at least {peak[e] - 1.0:.2e}"
+        else:
+            msg = "has non-finite entries"
+        raise DataFormatError(f"line {line + 2}: {what} {msg}")
+    drift = dev > NORM_INVARIANT
+    vectors[drift] = l2_normalize(vectors[drift])
 
 
 def _read_lines(path: str) -> list:
@@ -223,59 +234,70 @@ def load_jsonl(path: str) -> Dataset:
     if len(lines) == 1:
         raise DataFormatError("line 2: file has a header but no items")
 
-    # per-item lists, stacked at the end: the header's dimensions are only
-    # trusted once a line has vectors of that size
+    # Per line: the structural checks and the image range (one vector).
+    # Per-item lists of vectors are stacked at the end (the header's
+    # dimensions are only trusted once a line has vectors of that size) and
+    # the embeddings' numeric checks run once over the stack; on a fault in
+    # the loop, over the vectors read before it, as theirs come first.
     ids, rows, images, source_texts, translation_texts = [], [], [], [], []
-    for offset, line in enumerate(lines[1:], start=2):
-        try:
-            obj = json.loads(line)
-        except JSON_ERRORS as exc:
-            raise DataFormatError(f"line {offset}: bad JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise DataFormatError(f"line {offset}: expected a JSON object")
-        unknown = set(obj) - {
-            "id", "h0", "translations", "image", "source_text", "translation_texts",
-        }
-        if unknown:
-            raise DataFormatError(f"line {offset}: unknown keys {sorted(unknown)}")
-        try:
-            item_id = obj["id"]
-            h0_raw = obj["h0"]
-            trans_raw = obj["translations"]
-            img_raw = obj["image"]
-        except KeyError as exc:
-            raise DataFormatError(f"line {offset}: missing key {exc}") from exc
-        if not isinstance(item_id, str):
-            raise DataFormatError(f"line {offset}: id must be a string")
-        if not isinstance(trans_raw, list) or len(trans_raw) != m:
-            raise DataFormatError(
-                f"line {offset}: expected {m} translations, got "
-                f"{len(trans_raw) if isinstance(trans_raw, list) else type(trans_raw).__name__}"
-            )
-        item = [_check_embedding(h0_raw, d, offset, "h0")]
-        for j, t in enumerate(trans_raw):
-            item.append(_check_embedding(t, d, offset, f"translation {j}"))
-        image = _floats(img_raw, offset, "image")
-        if image.shape[0] != d_img:
-            raise DataFormatError(f"line {offset}: image has wrong dimension")
-        if not np.all(np.isfinite(image)) or np.any(np.abs(image) > 1.0):
-            raise DataFormatError(f"line {offset}: image entries must lie in [-1, 1]")
-        texts = obj.get("translation_texts")
-        if texts is not None:
-            if not isinstance(texts, list) or len(texts) != m or not all(
-                isinstance(t, str) for t in texts
-            ):
-                raise DataFormatError(f"line {offset}: translation_texts must be {m} strings")
-            texts = tuple(texts)
-        source_text = obj.get("source_text")
-        if source_text is not None and not isinstance(source_text, str):
-            raise DataFormatError(f"line {offset}: source_text must be a string")
-        ids.append(item_id)
-        rows.append(item)
-        images.append(image)
-        source_texts.append(source_text)
-        translation_texts.append(texts)
-    return Dataset(ids, np.array(rows), np.array(images), source_texts, translation_texts)
+    item = None  # the vectors of the line being read, once it has some
+    try:
+        for offset, line in enumerate(lines[1:], start=2):
+            try:
+                obj = json.loads(line)
+            except JSON_ERRORS as exc:
+                raise DataFormatError(f"line {offset}: bad JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise DataFormatError(f"line {offset}: expected a JSON object")
+            unknown = set(obj) - {
+                "id", "h0", "translations", "image", "source_text", "translation_texts",
+            }
+            if unknown:
+                raise DataFormatError(f"line {offset}: unknown keys {sorted(unknown)}")
+            try:
+                item_id = obj["id"]
+                h0_raw = obj["h0"]
+                trans_raw = obj["translations"]
+                img_raw = obj["image"]
+            except KeyError as exc:
+                raise DataFormatError(f"line {offset}: missing key {exc}") from exc
+            if not isinstance(item_id, str):
+                raise DataFormatError(f"line {offset}: id must be a string")
+            if not isinstance(trans_raw, list) or len(trans_raw) != m:
+                raise DataFormatError(
+                    f"line {offset}: expected {m} translations, got "
+                    f"{len(trans_raw) if isinstance(trans_raw, list) else type(trans_raw).__name__}"
+                )
+            item = [_floats(h0_raw, d, offset, "h0")]
+            for j, t in enumerate(trans_raw):
+                item.append(_floats(t, d, offset, f"translation {j}"))
+            image = _floats(img_raw, d_img, offset, "image")
+            if not np.all(np.isfinite(image)) or np.any(np.abs(image) > 1.0):
+                raise DataFormatError(f"line {offset}: image entries must lie in [-1, 1]")
+            texts = obj.get("translation_texts")
+            if texts is not None:
+                if not isinstance(texts, list) or len(texts) != m or not all(
+                    isinstance(t, str) for t in texts
+                ):
+                    raise DataFormatError(f"line {offset}: translation_texts must be {m} strings")
+                texts = tuple(texts)
+            source_text = obj.get("source_text")
+            if source_text is not None and not isinstance(source_text, str):
+                raise DataFormatError(f"line {offset}: source_text must be a string")
+            ids.append(item_id)
+            rows.append(item)
+            images.append(image)
+            source_texts.append(source_text)
+            translation_texts.append(texts)
+    except DataFormatError:
+        vectors = [v for it in rows for v in it]
+        if item is not None and (not rows or item is not rows[-1]):
+            vectors += item
+        _check_embeddings(np.array(vectors).reshape(-1, d), m)
+        raise
+    rows, images = np.array(rows), np.array(images)
+    _check_embeddings(rows.reshape(-1, d), m)
+    return Dataset(ids, rows, images, source_texts, translation_texts)
 
 
 def dumps_jsonl(ds: Dataset) -> str:
@@ -312,23 +334,22 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     consuming no randomness); the paired image is tanh(M u) for one fixed
     seed-derived mixing matrix M shared by the whole dataset.
     Item draws come from one call, in per-vector order: u, source noise,
-    translation noises. Vectors are normalized one at a time: the row form
-    l2_normalize_rows differs from l2_normalize in the last bit."""
+    translation noises. Normalization is the stacked l2_normalize and each
+    image one matrix-vector product, so every item is bit for bit what it
+    would be if drawn and computed alone."""
     rng_items = SeededRng(derive_seed(spec.seed, 1))
     rng_mix = SeededRng(derive_seed(spec.seed, 2))
     mix = rng_mix.gaussian(spec.d_img * spec.d).reshape(spec.d_img, spec.d)
-    k = 1 + (spec.sigma_source > 0) + spec.m * (spec.sigma_trans > 0)
-    draws = rng_items.gaussian_rows(spec.n_items * k, spec.d)
+    sigmas = np.array([spec.sigma_source] + [spec.sigma_trans] * spec.m)
+    noisy = sigmas != 0.0
+    k = 1 + int(np.count_nonzero(noisy))
+    draws = rng_items.gaussian_rows(spec.n_items * k, spec.d).reshape(spec.n_items, k, spec.d)
 
-    rows = np.empty((spec.n_items, spec.m + 1, spec.d))
-    images = np.empty((spec.n_items, spec.d_img))
-    sigmas = [spec.sigma_source] + [spec.sigma_trans] * spec.m
-    for i in range(spec.n_items):
-        g = iter(draws[i * k:(i + 1) * k])
-        u = l2_normalize(next(g))
-        for j, sigma in enumerate(sigmas):
-            rows[i, j] = u if sigma == 0.0 else l2_normalize(u + sigma * next(g))
-        images[i] = np.tanh(mix @ u)
+    u = l2_normalize(draws[:, 0])
+    rows = np.repeat(u[:, None, :], spec.m + 1, axis=1)
+    if k > 1:
+        rows[:, noisy] = l2_normalize(u[:, None, :] + sigmas[noisy, None] * draws[:, 1:])
+    images = np.tanh(np.matmul(mix, u[:, :, None])[..., 0])
     ids = [f"syn-{i:06d}" for i in range(spec.n_items)]
     return Dataset(ids=ids, rows=rows, images=images)
 

@@ -56,24 +56,27 @@ def as_f64(x, name: str = "input") -> np.ndarray:
     return arr
 
 
-def l2_normalize(v: Vec) -> Vec:
-    """Scale ``v`` to unit Euclidean norm.
+def l2_normalize(v: np.ndarray) -> np.ndarray:
+    """Scale ``v``, or each vector of a stack of them (the last axis), to
+    unit Euclidean norm; returns a new array.
 
     Vectors with norm below 1e-12 are returned unchanged (zero-vector
-    convention), so the operation is total.
+    convention), so the operation is total. Each squared norm is one
+    ``np.matmul`` of a (1, d) by a (d, 1) view, which numpy runs as the
+    same dot product as ``np.dot(v, v)``, so every vector of a stack comes
+    out bit for bit as it would alone.
     """
     arr = as_f64(v, "l2_normalize input")
-    if arr.ndim != 1:
-        raise ValueError("l2_normalize expects a 1-D vector")
-    nrm = math.sqrt(float(np.dot(arr, arr)))
-    if nrm < NORM_EPS:
-        return arr.copy()
-    return arr / nrm
+    nrm = np.sqrt(np.matmul(arr[..., None, :], arr[..., :, None])[..., 0])
+    return arr / np.where(nrm < NORM_EPS, 1.0, nrm)
 
 
 def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
     """:func:`l2_normalize` over the last axis of a stack of vectors, for
-    batched hot paths: the same zero-vector convention, no input checks."""
+    batched hot paths: the same zero-vector convention, no input checks.
+    The norm is a pairwise ``np.sum``, not a dot product, so a row can
+    differ from :func:`l2_normalize` in the last bit; augmentation, mean
+    pooling and the stored benchmark references depend on this form."""
     nrm = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
     return x / np.where(nrm < NORM_EPS, 1.0, nrm)
 

@@ -673,6 +673,57 @@ def test_train_rejects_coinciding_output_paths(dataset_path, tmp_path, capsys,
     assert not (tmp_path / out).exists()
 
 
+@pytest.mark.parametrize("argv, clash, roles", [
+    (["train", "--data", "c.jsonl", "--out", "c.jsonl", "--steps", "2"],
+     "c.jsonl", ("checkpoint", "dataset")),
+    (["train", "--data", "c.jsonl", "--out", "x.npz", "--log", "c.jsonl", "--steps", "2"],
+     "c.jsonl", ("loss CSV", "dataset")),
+    (["train", "--data", "c.jsonl", "--out", "x.npz", "--log", "p.npz", "--steps", "8",
+      "--resume", "p.npz"], "p.npz", ("loss CSV", "resumed checkpoint")),
+    (["train", "--data", "c.jsonl", "--out", "p.npz", "--steps", "8",
+      "--resume", "p.diverged.npz"], "p.diverged.npz",
+     ("diagnostic checkpoint", "resumed checkpoint")),
+    (["train", "--data", "c.jsonl", "--out", "x.npz", "--log", "cfg.json",
+      "--config", "cfg.json", "--steps", "2"], "cfg.json", ("loss CSV", "config")),
+    (["eval", "--ckpt", "p.npz", "--data", "c.jsonl", "--out", "c.jsonl"],
+     "c.jsonl", ("report", "dataset")),
+    (["eval", "--ckpt", "p.npz", "--data", "c.jsonl", "--out", "sub/../p.npz"],
+     "p.npz", ("report", "checkpoint")),
+    (["eval", "--ckpt", "p.npz", "--data", "c.jsonl", "--out", "cfg.json",
+      "--config", "cfg.json"], "cfg.json", ("report", "config")),
+    (["inspect-attn", "--ckpt", "p.npz", "--data", "c.jsonl", "--out", "c.jsonl"],
+     "c.jsonl", ("records", "dataset")),
+    (["inspect-attn", "--ckpt", "p.npz", "--data", "c.jsonl", "--out", "p.npz"],
+     "p.npz", ("records", "checkpoint")),
+    (["synth", "--config", "cfg.json", "--out", "cfg.json", "--n-items", "5"],
+     "cfg.json", ("dataset", "config")),
+], ids=["train_out_data", "train_log_data", "train_log_resume",
+        "train_diag_resume", "train_log_config", "eval_out_data", "eval_out_ckpt",
+        "eval_out_config", "inspect_out_data", "inspect_out_ckpt", "synth_out_config"])
+def test_output_may_not_overwrite_an_input(dataset_path, ckpt_path, train_config,
+                                           tmp_path, monkeypatch, capsys, argv, clash,
+                                           roles):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "c.jsonl").write_bytes(dataset_path.read_bytes())
+    save_checkpoint(load_checkpoint(ckpt_path), str(tmp_path / "p.npz"))
+    (tmp_path / "p.diverged.npz").write_bytes((tmp_path / "p.npz").read_bytes())
+    (tmp_path / "cfg.json").write_bytes(train_config.read_bytes())
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+
+    def fail(*args, **kwargs):
+        raise AssertionError("an input was read")
+    for name in ("load_jsonl", "load_checkpoint", "_load_config"):
+        monkeypatch.setattr(f"ensad.cli.{name}", fail)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{roles[0]} path " in err and f" and {roles[1]} path " in err, err
+    assert "same file" in err
+    after = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    assert after == before  # the input is untouched and nothing was written
+    assert clash in after
+
+
 def test_train_resumes_in_place(dataset_path, train_config, tmp_path):
     base = ["train", "--data", str(dataset_path), "--config", str(train_config),
             "--preset", "ensad_frozen_g", "--seed", "6"]

@@ -84,6 +84,22 @@ def test_synthetic_matches_per_vector_draws(sigma_source, sigma_trans):
             per_vector_synthetic(spec))
 
 
+# The benchmark's desk corpora (sigma_source 0.4 and 0.0), d = 1, and the
+# paper's shape with a few items
+@pytest.mark.parametrize("fields", [
+    dict(n_items=2000, d=16, m=4, d_img=12, sigma_source=0.4, sigma_trans=0.2),
+    dict(n_items=2000, d=16, m=4, d_img=12, sigma_source=0.0, sigma_trans=0.2),
+    dict(n_items=50, d=1, m=3, d_img=2, sigma_source=0.4, sigma_trans=0.2),
+    dict(n_items=8, d=512, m=12, d_img=48, sigma_source=0.4, sigma_trans=0.2),
+], ids=["desk_finetune", "desk_pretrain", "d1", "paper_shape"])
+def test_synthetic_matches_per_vector_draws_at_scale(fields):
+    for seed in (0, 7):
+        spec = SyntheticSpec(**fields, seed=seed)
+        got, want = generate_synthetic(spec), per_vector_synthetic(spec)
+        assert got.rows.tobytes() == want.rows.tobytes()
+        assert got.images.tobytes() == want.images.tobytes()
+
+
 def test_synthetic_seed_sensitivity():
     a = generate_synthetic(small_spec(seed=5))
     b = generate_synthetic(small_spec(seed=6))

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensad.numkit import (
     NORM_EPS,
@@ -37,6 +41,29 @@ def test_l2_normalize_subeps_unchanged():
     v = np.full(4, 1e-13)
     assert np.linalg.norm(v) < NORM_EPS
     assert np.array_equal(l2_normalize(v), v)
+
+
+@st.composite
+def vector_stacks(draw):
+    """An (a, b, d) stack whose rows are Gaussian, scaled per row to unit
+    size, to a large or tiny norm, to a norm below NORM_EPS, or to zero."""
+    a, b, d = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(a, b, d))
+    scales = draw(st.lists(st.sampled_from([1.0, 1e3, 1e-6, 1e-13, 3e-14, 0.0]),
+                           min_size=a * b, max_size=a * b))
+    return x * np.array(scales).reshape(a, b, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=vector_stacks())
+def test_stacked_l2_normalize_matches_each_vector_alone(x):
+    out = l2_normalize(x)
+    for i, j in np.ndindex(x.shape[:2]):
+        v = x[i, j]
+        alone = l2_normalize(v)
+        nrm = math.sqrt(float(np.dot(v, v)))  # the one-vector definition
+        reference = v.copy() if nrm < NORM_EPS else v / nrm
+        assert out[i, j].tobytes() == alone.tobytes() == reference.tobytes()
 
 
 def test_sym_sqrt_identity():
