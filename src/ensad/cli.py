@@ -36,11 +36,11 @@ from .adapter import (
 from .data import (
     JSON_ERRORS,
     SyntheticSpec,
-    atomic_write_text,
     generate_synthetic,
     json_uint,
     load_jsonl,
     save_jsonl,
+    save_lines,
 )
 from .evaluation import compare_strategies, save_report
 from .gan import (
@@ -175,20 +175,18 @@ def _apply_preset(section: dict, preset: str | None) -> dict:
     return {**section, **PRESETS[preset]}
 
 
-def _ensure_parent(path: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-
-
 def _check_paths(outputs: dict, inputs: dict, in_place=()) -> None:
     """Before any file is read or written, reject an output path (``outputs``
-    and ``inputs`` map a role to a path, or None when not given) that is a
-    directory, whose nearest existing ancestor is not a writable directory,
-    or that resolves to the same file as another output or an input. The
-    (output role, input role) pairs in ``in_place`` may share a file."""
+    and ``inputs`` map a role to a path, or None when not given) that names
+    no file (its last component is empty, "." or ".."), is a directory,
+    whose nearest existing ancestor is not a writable directory, or that
+    resolves to the same file as another output or an input. The (output
+    role, input role) pairs in ``in_place`` may share a file."""
     outputs = {role: path for role, path in outputs.items() if path is not None}
     inputs = {role: path for role, path in inputs.items() if path is not None}
-    for path in outputs.values():
+    for role, path in outputs.items():
+        if os.path.basename(path) in ("", ".", ".."):
+            raise UsageError(f"{role} path {path!r} does not end in a file name")
         if os.path.isdir(path):
             raise UsageError(f"output path {path} is a directory")
         parent = os.path.dirname(os.path.abspath(path))
@@ -210,18 +208,6 @@ def _pick_seed(args, config: dict) -> int:
     return json_uint(config.get("seed", 0), 0, "config seed")
 
 
-def _format_csv(rows) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                str(row["step"]) if col == "step" else repr(float(row[col]))
-                for col in CSV_COLUMNS
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_synth(args) -> int:
     _check_paths({"dataset": args.out}, {"config": args.config})
     config = _load_config(args.config)
@@ -229,7 +215,6 @@ def _cmd_synth(args) -> int:
                        ("n_items", "d", "m", "d_img", "sigma_source", "sigma_trans"))
     section["seed"] = _pick_seed(args, {**config, **section})
     ds = generate_synthetic(_build(SyntheticSpec, section, "synth"))
-    _ensure_parent(args.out)
     save_jsonl(ds, args.out)
     print(
         f"wrote {len(ds)} items (d={ds.d}, m={ds.m}, d_img={ds.d_img}) to {args.out}"
@@ -283,25 +268,25 @@ def _cmd_train(args) -> int:
     gan_cfg = _build(GanConfig, _from_dataset(
         gan_section, "gan", {"d": ds.d, "d_img": ds.d_img}), "gan")
 
-    rows = []
-    _ensure_parent(args.out)
-    _ensure_parent(csv_path)
+    lines = [",".join(CSV_COLUMNS)]
+
+    def log_row(row):
+        lines.append(",".join(str(row["step"]) if col == "step" else repr(float(row[col]))
+                              for col in CSV_COLUMNS))
     try:
         if pipeline:
             ck = finetune_pipeline(ds, adapter_cfg, gan_cfg, seed, **budgets,
-                                   log_fn=rows.append)
+                                   log_fn=log_row)
         else:
-            ck = train(
-                ds, adapter_cfg, gan_cfg, seed, resume=resume, log_fn=rows.append
-            )
+            ck = train(ds, adapter_cfg, gan_cfg, seed, resume=resume, log_fn=log_row)
     except TrainingDiverged as exc:
         save_checkpoint(exc.checkpoint, diag_path)
-        atomic_write_text(csv_path, _format_csv(rows))
+        save_lines(lines, csv_path)
         print(f"training diverged: {exc}; diagnostic checkpoint at {diag_path}",
               file=sys.stderr)
         return 3
     save_checkpoint(ck, args.out)
-    atomic_write_text(csv_path, _format_csv(rows))
+    save_lines(lines, csv_path)
     print(f"trained to step {ck.step}; checkpoint {args.out}, log {csv_path}")
     return 0
 
@@ -318,7 +303,6 @@ def _cmd_eval(args) -> int:
     ds = load_jsonl(args.data)
     report = compare_strategies(ck, ds, n_gen, seed)
     if args.out:
-        _ensure_parent(args.out)
         save_report(report, args.out)
     width = max(len(r["strategy"]) for r in report.results)
     print(f"{'strategy'.ljust(width)}  frechet_distance")
@@ -338,16 +322,14 @@ def _cmd_inspect_attn(args) -> int:
     if limit < 1:
         raise UsageError("limit must be positive")
     _, trace = forward_batch(ck.params["ensad"], ck.ensad_cfg, ds.rows[:limit])
-    records = [attention_export_record(item_id, scores, texts) for item_id, scores, texts
-               in zip(ds.ids, attention_scores(trace), ds.translation_texts)]
-    for rec in records:
-        print(json.dumps(rec))
+    lines = [json.dumps(attention_export_record(item_id, scores, texts))
+             for item_id, scores, texts
+             in zip(ds.ids, attention_scores(trace), ds.translation_texts)]
+    for line in lines:
+        print(line)
     if args.out:
-        _ensure_parent(args.out)
-        atomic_write_text(
-            args.out, "\n".join(json.dumps(r) for r in records) + "\n"
-        )
-        print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
+        save_lines(lines, args.out)
+        print(f"wrote {len(lines)} records to {args.out}", file=sys.stderr)
     return 0
 
 

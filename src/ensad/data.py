@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,23 +106,33 @@ class SyntheticSpec:
             raise ValueError("sigmas must be nonnegative")
 
 
-def atomic_write_text(path: str, data) -> None:
-    """Write ``data``, a str (as UTF-8) or bytes-like, via a temp file in the
-    same directory plus atomic rename. The file is created with mode 0666
-    minus the umask, like ``open(path, "w")``."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+@contextmanager
+def atomic_write(path: str):
+    """Yield a binary file that becomes ``path``: a temp file in ``path``'s
+    directory (created if missing) with mode 0666 minus the umask, like
+    ``open(path, "w")``, renamed over ``path`` when the block ends and
+    unlinked if it raises."""
     directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".tmp-{os.getpid()}-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_lines(lines, path: str) -> None:
+    """Write each string of ``lines`` and a newline, as UTF-8, to ``path``
+    through :func:`atomic_write`."""
+    with atomic_write(path) as fh:
+        for line in lines:
+            fh.write(line.encode("utf-8"))
+            fh.write(b"\n")
 
 
 def json_uint(value, lo: int = 0, name: str | None = None) -> int:
@@ -300,29 +311,31 @@ def load_jsonl(path: str) -> Dataset:
     return Dataset(ids, rows, images, source_texts, translation_texts)
 
 
-def dumps_jsonl(ds: Dataset) -> str:
-    header = {
+def jsonl_lines(ds: Dataset):
+    """The lines of ``ds``'s JSONL file, without newlines: the header, then
+    one per item."""
+    yield json.dumps({
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "d": ds.d,
         "m": ds.m,
         "d_img": ds.d_img,
-    }
-    out = [json.dumps(header)]
+    })
     for item_id, rows, image, source_text, texts in zip(
-        ds.ids, ds.rows.tolist(), ds.images.tolist(), ds.source_texts, ds.translation_texts
+        ds.ids, ds.rows, ds.images, ds.source_texts, ds.translation_texts
     ):
-        obj = {"id": item_id, "h0": rows[0], "translations": rows[1:], "image": image}
+        rows = rows.tolist()
+        obj = {"id": item_id, "h0": rows[0], "translations": rows[1:],
+               "image": image.tolist()}
         if source_text is not None:
             obj["source_text"] = source_text
         if texts is not None:
             obj["translation_texts"] = list(texts)
-        out.append(json.dumps(obj))
-    return "\n".join(out) + "\n"
+        yield json.dumps(obj)
 
 
 def save_jsonl(ds: Dataset, path: str) -> None:
-    atomic_write_text(path, dumps_jsonl(ds))
+    save_lines(jsonl_lines(ds), path)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .adapter import STRATEGIES, fuse_batch
-from .data import Dataset, atomic_write_text
+from .data import Dataset, save_lines
 from .gan import Checkpoint, check_dataset, disc_forward_batch, generate_batch
 from .numkit import SeededRng, psd_eigvalsh, sym_sqrt_psd
 
@@ -83,9 +83,7 @@ class EvalReport:
 
 
 def save_report(report: EvalReport, path: str) -> None:
-    atomic_write_text(
-        path, json.dumps(report.to_jsonable(), sort_keys=True, indent=2) + "\n"
-    )
+    save_lines([json.dumps(report.to_jsonable(), sort_keys=True, indent=2)], path)
 
 
 def _real_stats(ck: Checkpoint, ds: Dataset) -> FrechetStats:

@@ -12,7 +12,6 @@ TRAINABLE_COMPONENTS; :func:`param_shapes` says what each component holds.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import tokenize
@@ -25,7 +24,7 @@ import numpy as np
 from . import adapter
 from .adapter import STRATEGIES, EnsAdConfig, ForwardTrace
 from .data import (
-    JSON_ERRORS, Dataset, atomic_write_text, augment_rows, json_uint, sample_indices,
+    JSON_ERRORS, Dataset, atomic_write, augment_rows, json_uint, sample_indices,
     set_uint_fields,
 )
 from .numkit import (
@@ -573,10 +572,9 @@ def save_checkpoint(ck: Checkpoint, path: str) -> None:
                               for name in spec], dtype=np.float64)
     header = json.dumps({"version": 2, **_meta_to_jsonable(ck),
                          "adam": {comp: ck.adam[comp].t for comp in trained}}, sort_keys=True)
-    buf = io.BytesIO()
-    np.savez(buf, header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
-             tensors=tensors)  # to a path, np.savez would append ".npz"
-    atomic_write_text(path, buf.getbuffer())
+    with atomic_write(path) as fh:  # to a path, np.savez would append ".npz"
+        np.savez(fh, header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
+                 tensors=tensors)
 
 
 def _checkpoint_from_archive(fh, path: str) -> Checkpoint:
@@ -932,8 +930,7 @@ def finetune_pipeline(
         trainable=frozenset({"generator", "discriminator"}),
         conditioning="zero_shot",
     )
-    ck0 = train(ds, ensad_cfg, replace(g1, steps=0), seed)
-    ck1 = train(ds, ensad_cfg, g1, seed, resume=ck0, log_fn=log_fn)
+    ck1 = train(ds, ensad_cfg, g1, seed, log_fn=log_fn)
 
     g2 = replace(
         gan_cfg,
@@ -941,9 +938,10 @@ def finetune_pipeline(
         trainable=frozenset({"ensad"}),
         conditioning="ensad",
     )
-    # the tuned generator with the pre-phase-1 discriminator; phase 1 leaves
-    # the adapter untouched (train copies all three)
-    init = {**ck0.params, "generator": ck1.params["generator"]}
+    # the tuned generator with the pre-phase-1 discriminator (phase 1's
+    # initial draw); phase 1 leaves the adapter untouched
+    init = {**init_tensors(param_shapes(ensad_cfg, g1), SeededRng(seed)),
+            "generator": ck1.params["generator"]}
 
     log2 = None
     if log_fn is not None:

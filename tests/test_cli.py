@@ -649,6 +649,32 @@ def test_ignored_options_rejected_before_any_file(dataset_path, ckpt_path, tmp_p
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("spelling", ["newdir/", "", "nd/."])
+@pytest.mark.parametrize("command, role", [("synth", "dataset"), ("train", "checkpoint"),
+                                           ("eval", "report"), ("inspect-attn", "records")])
+def test_output_without_a_file_name_rejected_before_any_file(
+        dataset_path, ckpt_path, tmp_path, capsys, monkeypatch, command, role, spelling):
+    def fail(*args, **kwargs):
+        raise AssertionError("a file was read or a dataset made")
+    for name in ("load_jsonl", "load_checkpoint", "train", "finetune_pipeline",
+                 "generate_synthetic"):
+        monkeypatch.setattr(f"ensad.cli.{name}", fail)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    inputs = ["--ckpt", str(ckpt_path), "--data", str(dataset_path)]
+    argv = {
+        "synth": ["synth", "--n-items", "5", "--d", "3", "--m", "2", "--d-img", "2"],
+        "train": ["train", "--data", str(dataset_path), "--steps", "30"],
+        "eval": ["eval", *inputs],
+        "inspect-attn": ["inspect-attn", *inputs],
+    }[command]
+    assert main(argv + ["--out", spelling]) == 2
+    err = capsys.readouterr().err
+    assert f"{role} path {spelling!r}" in err
+    assert [str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")] == ["work"]
+
+
 @pytest.mark.parametrize("out, log, named", [
     ("run.npz", "run.npz", ["run.npz", "run.npz"]),
     ("run.csv", None, ["run.csv", "run.csv"]),

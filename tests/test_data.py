@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,10 +12,10 @@ from ensad.data import (
     DataFormatError,
     Dataset,
     SyntheticSpec,
-    atomic_write_text,
+    atomic_write,
     augment_rows,
-    dumps_jsonl,
     generate_synthetic,
+    jsonl_lines,
     load_jsonl,
     sample_indices,
     save_jsonl,
@@ -80,8 +81,8 @@ def test_synthetic_matches_per_vector_draws(sigma_source, sigma_trans):
     for d in (7, 8):
         spec = small_spec(d=d, sigma_source=sigma_source,
                           sigma_trans=sigma_trans, seed=11)
-        assert dumps_jsonl(generate_synthetic(spec)) == dumps_jsonl(
-            per_vector_synthetic(spec))
+        assert list(jsonl_lines(generate_synthetic(spec))) == list(jsonl_lines(
+            per_vector_synthetic(spec)))
 
 
 # The benchmark's desk corpora (sigma_source 0.4 and 0.0), d = 1, and the
@@ -295,7 +296,7 @@ def test_load_rejects_header_only(tmp_path):
 
 def test_dumps_header_first_line():
     ds = generate_synthetic(small_spec())
-    first = dumps_jsonl(ds).split("\n")[0]
+    first = next(jsonl_lines(ds))
     hdr = json.loads(first)
     assert hdr["format"] == "ensad-jsonl"
     assert hdr["version"] == 1
@@ -373,10 +374,38 @@ def test_atomic_write_no_partial_file(tmp_path):
 def test_atomic_write_honours_umask(tmp_path, umask, mode):
     old = os.umask(umask)
     try:
-        atomic_write_text(str(tmp_path / "out.txt"), "x\n")
+        with atomic_write(str(tmp_path / "out.txt")) as fh:
+            fh.write(b"x\n")
     finally:
         os.umask(old)
     assert stat.S_IMODE(os.stat(tmp_path / "out.txt").st_mode) == mode
+
+
+def test_atomic_write_failure_keeps_the_old_target(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with atomic_write(str(path)) as fh:
+            fh.write(b"new bytes")
+            fh.flush()
+            raise RuntimeError("mid-write")
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_save_jsonl_streams_its_lines(tmp_path):
+    # the desk corpus is 4.0 MB of text; no copy of it is held while writing
+    ds = generate_synthetic(SyntheticSpec(n_items=2000, d=16, m=4, d_img=12,
+                                          sigma_source=0.4, sigma_trans=0.2))
+    path = str(tmp_path / "desk.jsonl")
+    tracemalloc.start()
+    try:
+        save_jsonl(ds, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert os.path.getsize(path) > 3_000_000
+    assert peak < 1_000_000
 
 
 def test_ensemble_matrix_layout(tmp_path):

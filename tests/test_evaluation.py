@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import time
 from dataclasses import replace
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 from ensad.adapter import STRATEGIES, EnsAdConfig
-from ensad.data import SyntheticSpec, generate_synthetic
-from ensad.gan import GanConfig, train
+from ensad.data import SyntheticSpec, generate_synthetic, load_jsonl, save_jsonl
+from ensad.gan import GanConfig, load_checkpoint, save_checkpoint, train
 from ensad.evaluation import (
     EvalReport,
     FrechetStats,
@@ -209,6 +210,22 @@ def test_report_jsonable_and_save(tmp_path):
         text = fh.read()
     assert text.endswith("\n")
     assert json.loads(text) == obj
+
+
+@pytest.mark.parametrize("writer", ["save_jsonl", "save_checkpoint", "save_report"])
+def test_library_writers_create_a_missing_parent(tmp_path, writer):
+    ck, ds = eval_checkpoint()
+    path = tmp_path / "new" / "dir" / "out"
+    if writer == "save_jsonl":
+        save_jsonl(ds, str(path))
+        assert load_jsonl(str(path)).ids == ds.ids
+    elif writer == "save_checkpoint":
+        save_checkpoint(ck, str(path))
+        assert load_checkpoint(str(path)).step == ck.step
+    else:
+        save_report(compare_strategies(ck, ds, 16, 2), str(path))
+        assert json.loads(path.read_text())["n_gen"] == 16
+    assert os.listdir(path.parent) == ["out"]
 
 
 def test_report_strategy_sensitivity():

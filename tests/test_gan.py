@@ -465,6 +465,21 @@ def test_format2_equal_checkpoints_give_equal_bytes(tmp_path):
     assert contents[0] == contents[1] == contents[2]
 
 
+def test_failed_checkpoint_save_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "ck.npz"
+    path.write_bytes(b"old checkpoint")
+    savez = np.savez
+
+    def savez_then_fail(fh, **members):
+        savez(fh, **members)
+        raise OSError("disk full")
+    monkeypatch.setattr(np, "savez", savez_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(load_checkpoint(GOLDEN_CKPT), str(path))
+    assert path.read_bytes() == b"old checkpoint"
+    assert os.listdir(tmp_path) == ["ck.npz"]
+
+
 def test_init_from_starts_fresh_stream():
     ds = toy_dataset()
     ecfg, gcfg, _, _, _ = toy_setup()

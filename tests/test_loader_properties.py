@@ -22,8 +22,8 @@ from ensad.data import (
     DataFormatError,
     Dataset,
     _read_lines,
-    dumps_jsonl,
     json_uint,
+    jsonl_lines,
     load_jsonl,
 )
 from ensad.gan import load_checkpoint, save_checkpoint
@@ -66,7 +66,8 @@ def write(path, text):
 @SETTINGS
 @given(ds=datasets())
 def test_save_then_load_gives_the_same_dataset(tmp_path, ds):
-    back = load_jsonl(write(os.path.join(tmp_path, "ds.jsonl"), dumps_jsonl(ds)))
+    back = load_jsonl(write(os.path.join(tmp_path, "ds.jsonl"),
+                           "\n".join(jsonl_lines(ds)) + "\n"))
     assert back.ids == ds.ids
     assert back.source_texts == ds.source_texts
     assert back.translation_texts == ds.translation_texts
@@ -105,7 +106,7 @@ def mutated_item(draw, obj):
 @given(data=st.data())
 def test_mutated_item_line_raises_only_data_format_error(tmp_path, data):
     ds = data.draw(datasets())
-    lines = dumps_jsonl(ds).split("\n")[:-1]
+    lines = list(jsonl_lines(ds))
     k = data.draw(st.integers(2, len(lines)))  # 1-based line number of an item
     lines[k - 1] = data.draw(mutated_item(json.loads(lines[k - 1])))
     path = write(os.path.join(tmp_path, "mutated.jsonl"), "\n".join(lines) + "\n")
@@ -119,7 +120,7 @@ def test_mutated_item_line_raises_only_data_format_error(tmp_path, data):
 @given(data=st.data())
 def test_mutated_header_raises_only_data_format_error(tmp_path, data):
     ds = data.draw(datasets())
-    lines = dumps_jsonl(ds).split("\n")[:-1]
+    lines = list(jsonl_lines(ds))
     header = json.loads(lines[0])
     header[data.draw(st.sampled_from(sorted(header)))] = data.draw(json_values)
     lines[0] = json.dumps(header)
@@ -135,7 +136,7 @@ def test_mutated_header_raises_only_data_format_error(tmp_path, data):
 def test_non_number_entry_raises_data_format_error(tmp_path, data):
     # numeric strings and booleans used to load as numbers
     ds = data.draw(datasets())
-    lines = dumps_jsonl(ds).split("\n")[:-1]
+    lines = list(jsonl_lines(ds))
     k = data.draw(st.integers(2, len(lines)))
     obj = json.loads(lines[k - 1])
     key = data.draw(st.sampled_from(["h0", "translations", "image"]))
@@ -154,7 +155,7 @@ def test_non_number_entry_raises_data_format_error(tmp_path, data):
 @given(data=st.data())
 def test_invalid_utf8_names_its_line(tmp_path, data):
     ds = data.draw(datasets())
-    lines = [line.encode("utf-8") for line in dumps_jsonl(ds).split("\n")[:-1]]
+    lines = [line.encode("utf-8") for line in jsonl_lines(ds)]
     k = data.draw(st.integers(1, len(lines)))
     pos = data.draw(st.integers(0, len(lines[k - 1])))
     bad = data.draw(st.sampled_from([b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80"]))
@@ -308,7 +309,7 @@ def on_sphere_variant(draw, vec):
 @given(data=st.data())
 def test_valid_file_loads_as_the_per_line_reader_loads_it(tmp_path, data):
     ds = data.draw(datasets())
-    lines = dumps_jsonl(ds).split("\n")[:-1]
+    lines = list(jsonl_lines(ds))
     for k in range(1, len(lines)):
         obj = json.loads(lines[k])
         obj["h0"] = data.draw(on_sphere_variant(obj["h0"]))
@@ -347,7 +348,7 @@ def numeric_fault(draw, obj):
 @given(data=st.data())
 def test_mutated_file_fails_as_the_per_line_reader_fails(tmp_path, data):
     ds = data.draw(datasets())
-    lines = dumps_jsonl(ds).split("\n")[:-1]
+    lines = list(jsonl_lines(ds))
     kind = data.draw(st.sampled_from(["one_line", "two_lines", "numeric_then_type",
                                       "norm_then_entry"]))
     if kind == "norm_then_entry":
