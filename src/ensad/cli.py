@@ -222,6 +222,31 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _resumed_log(path: str, step: int) -> list:
+    """The loss CSV lines a run resumed at ``step`` starts from: the header
+    and the rows of the log at ``path`` up to that step, or the header
+    alone when there is no file at ``path``."""
+    header = ",".join(CSV_COLUMNS)
+    if not os.path.exists(path):
+        return [header]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"loss CSV {path} is not UTF-8 text: {exc}") from exc
+    if lines[:1] != [header]:
+        raise UsageError(f"loss CSV {path} does not start with the header {header}")
+    kept = [header]
+    for number, line in enumerate(lines[1:], 2):
+        try:
+            row_step = int(line.partition(",")[0])
+        except ValueError:
+            raise UsageError(f"loss CSV {path}, line {number}: no step number") from None
+        if row_step <= step:
+            kept.append(line)
+    return kept
+
+
 def _cmd_train(args) -> int:
     pipeline = args.preset == PIPELINE_PRESET
     misplaced = [
@@ -262,13 +287,12 @@ def _cmd_train(args) -> int:
         budgets = {key: json_uint(phases[key], 0, key) for key in _PHASE_FLAGS}
     seed = _pick_seed(args, config)
     resume = load_checkpoint(args.resume) if args.resume else None
+    lines = _resumed_log(csv_path, resume.step) if resume else [",".join(CSV_COLUMNS)]
     ds = load_jsonl(args.data)
     adapter_cfg = _build(EnsAdConfig, _from_dataset(
         config.get("adapter", {}), "adapter", {"d": ds.d, "m": ds.m}), "adapter")
     gan_cfg = _build(GanConfig, _from_dataset(
         gan_section, "gan", {"d": ds.d, "d_img": ds.d_img}), "gan")
-
-    lines = [",".join(CSV_COLUMNS)]
 
     def log_row(row):
         lines.append(",".join(str(row["step"]) if col == "step" else repr(float(row[col]))

@@ -760,6 +760,43 @@ def test_train_resumes_in_place(dataset_path, train_config, tmp_path):
     assert ck.read_bytes() == full.read_bytes()
 
 
+def test_resume_keeps_the_log_up_to_the_checkpoint(dataset_path, train_config, tmp_path):
+    base = ["train", "--data", str(dataset_path), "--config", str(train_config),
+            "--preset", "ensad_frozen_g", "--seed", "6"]
+    full, ck = tmp_path / "full.npz", tmp_path / "ck.npz"
+    assert main(base + ["--out", str(full), "--steps", "8"]) == 0
+    # in place: rows 1-5 of the first run, then 6-8
+    assert main(base + ["--out", str(ck), "--steps", "5"]) == 0
+    assert main(base + ["--out", str(ck), "--steps", "8", "--resume", str(ck)]) == 0
+    assert (tmp_path / "ck.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+    # a log that runs past the checkpoint loses its later rows
+    part = tmp_path / "part.npz"
+    assert main(base + ["--out", str(part), "--steps", "3"]) == 0
+    assert main(base + ["--out", str(ck), "--steps", "8", "--resume", str(part)]) == 0
+    assert (tmp_path / "ck.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+    assert ck.read_bytes() == full.read_bytes()
+
+
+@pytest.mark.parametrize("log, message", [
+    ("step,loss\n1,0.5\n", "does not start with the header"),
+    ("", "does not start with the header"),
+    (",".join(CSV_COLUMNS) + "\nx,0.5\n", "line 2: no step number"),
+], ids=["other_header", "empty", "bad_step"])
+def test_resume_rejects_a_foreign_log(dataset_path, train_config, tmp_path, capsys,
+                                      log, message):
+    base = ["train", "--data", str(dataset_path), "--config", str(train_config),
+            "--preset", "ensad_frozen_g", "--seed", "6"]
+    ck, csv = tmp_path / "ck.npz", tmp_path / "ck.csv"
+    assert main(base + ["--out", str(ck), "--steps", "3"]) == 0
+    capsys.readouterr()
+    csv.write_text(log)
+    before = ck.read_bytes()
+    assert main(base + ["--out", str(ck), "--steps", "5", "--resume", str(ck)]) == 2
+    err = capsys.readouterr().err
+    assert f"loss CSV {csv}" in err and message in err, err
+    assert ck.read_bytes() == before and csv.read_text() == log
+
+
 @pytest.mark.parametrize("preset", [None, "ensad_frozen_g"])
 def test_train_rejects_non_list_trainable(dataset_path, tmp_path, capsys, preset):
     cfg = tmp_path / "cfg.json"
