@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import SeededRng, derive_seed, l2_normalize, l2_normalize_rows
+from . import numkit
+from .numkit import SeededRng, box_muller, derive_seed, l2_normalize, l2_normalize_rows
 
 FORMAT_NAME = "ensad-jsonl"
 FORMAT_VERSION = 1
@@ -367,6 +368,23 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     return Dataset(ids=ids, rows=rows, images=images)
 
 
+def _noise_proportions(p0: float, pt: float, width: int):
+    """The mixing proportion of each of an item's ``width`` rows (p0 on the
+    source, pt on the translations), and which of them are nonzero."""
+    if not 0.0 <= p0 <= 1.0 or not 0.0 <= pt <= 1.0:
+        raise ValueError("noise proportions must lie in [0, 1]")
+    p = np.array([p0] + [pt] * (width - 1))
+    return p, p != 0.0
+
+
+def _mix_noise(h: np.ndarray, p: np.ndarray, noisy: np.ndarray, g: np.ndarray) -> None:
+    """Noise augmentation in place on the (n, m+1, d) batch ``h``: each row
+    where ``noisy`` holds becomes l2n((1-p)h + p l2n(g)), ``g`` (n, k, d)
+    holding one Gaussian draw per such row."""
+    pk = p[noisy][:, None]
+    h[:, noisy] = l2_normalize_rows((1.0 - pk) * h[:, noisy] + pk * l2_normalize_rows(g))
+
+
 def augment_rows(
     h: np.ndarray, p0: float, pt: float, rng: SeededRng
 ) -> np.ndarray:
@@ -379,18 +397,32 @@ def augment_rows(
     order, 2*ceil(d/2) words per row. A proportion of 0 leaves its rows
     bit-exact and consumes no words for them.
     """
-    if not 0.0 <= p0 <= 1.0 or not 0.0 <= pt <= 1.0:
-        raise ValueError("noise proportions must lie in [0, 1]")
     n, width, d = h.shape
-    p = np.array([p0] + [pt] * (width - 1))
-    noisy = p != 0.0
+    p, noisy = _noise_proportions(p0, pt, width)
     out = h.copy()
     k = int(np.count_nonzero(noisy))
     if k:
-        g = l2_normalize_rows(rng.gaussian_rows(n * k, d).reshape(n, k, d))
-        pk = p[noisy][:, None]
-        out[:, noisy] = l2_normalize_rows((1.0 - pk) * h[:, noisy] + pk * g)
+        _mix_noise(out, p, noisy, rng.gaussian_rows(n * k, d).reshape(n, k, d))
     return out
+
+
+def _check_batch(size: int, n: int) -> None:
+    if not 1 <= n <= size:
+        raise ValueError(f"batch size {n} out of range [1, {size}]")
+
+
+def _fisher_yates(picks: list) -> list:
+    """The first n = len(picks) slots of a partial Fisher-Yates shuffle of
+    range(size), for any size above max(picks): slot k swaps with slot
+    picks[k] >= k. Only the swapped positions are stored, so a batch costs
+    O(n), not O(size)."""
+    moved = {}
+    batch = []
+    for k, j in enumerate(picks):
+        # swap slots k and j; slot k is final, slot j keeps k's entry
+        batch.append(moved.get(j, j))
+        moved[j] = moved.get(k, k)
+    return batch
 
 
 def sample_indices(size: int, n: int, rng: SeededRng):
@@ -399,19 +431,54 @@ def sample_indices(size: int, n: int, rng: SeededRng):
 
     Each batch is the first n slots of a partial Fisher-Yates shuffle of
     range(size). Slot k takes one stream word, reduced modulo size-k, and
-    the n words come from one stream call. Only the swapped positions are
-    stored, so a batch costs O(n), not O(size).
+    the n words come from one stream call.
     """
-    if not 1 <= n <= size:
-        raise ValueError(f"batch size {n} out of range [1, {size}]")
+    _check_batch(size, n)
     bounds = np.arange(size, size - n, -1)
     while True:
-        picks = (np.arange(n) + rng.randints_below(bounds)).tolist()
-        moved = {}
-        batch = []
-        for k, j in enumerate(picks):
-            # swap slots k and j; slot k is final, slot j keeps k's entry
-            batch.append(moved.get(j, j))
-            moved[j] = moved.get(k, k)
-        yield np.array(batch)
+        yield np.array(_fisher_yates((np.arange(n) + rng.randints_below(bounds)).tolist()))
 
+
+def step_batches(ds: Dataset, batch: int, p0: float, pt: float, d_z: int,
+                 rng: SeededRng, steps: int):
+    """The inputs of ``steps`` training steps, one ``(rows, images, zs)``
+    per step: the (batch, m+1, d) rows of :func:`sample_indices`'s next
+    batch after :func:`augment_rows`, their (batch, d_img) images, and
+    (batch, d_z) generator noise from ``rng.gaussian_rows``.
+
+    A step takes W words: the batch's index words, then its augmentation
+    rows item by item, then z, as those per-step calls would take them.
+    The words of as many whole steps as fit in numkit.CACHE_BLOCK words (at
+    least one, never past ``steps``) come from one stream fill; their
+    normals from one Box-Muller call, their rows and images from one
+    gather, their augmentation from one noise mix. After each yield the
+    stream stands where the per-step calls would leave it, start + s * W
+    after s steps, so a caller can read where a step's draws start.
+    """
+    _check_batch(len(ds), batch)
+    if d_z < 1:
+        raise ValueError("sample count must be positive")
+    p, noisy = _noise_proportions(p0, pt, ds.m + 1)
+    n, d = batch, ds.d
+    k = int(np.count_nonzero(noisy))
+    wd, wz = 2 * ((d + 1) // 2), 2 * ((d_z + 1) // 2)
+    aug = n * k * wd
+    w = n + aug + n * wz
+    per_block = max(1, numkit.CACHE_BLOCK // w)
+    bounds = np.arange(len(ds), len(ds) - n, -1).astype(np.uint64)
+    for first in range(0, steps, per_block):
+        size = min(per_block, steps - first)
+        # read ahead on a copy, so that rng advances one step per yield
+        words = SeededRng(rng.seed, rng.position)._take(size * w).reshape(size, w)
+        picks = ((words[:, :n] % bounds).astype(np.int64) + np.arange(n)).tolist()
+        idx = np.array([_fisher_yates(row) for row in picks])
+        normals = box_muller(words[:, n:])
+        rows = ds.rows[idx]
+        if k:
+            _mix_noise(rows.reshape(size * n, ds.m + 1, d), p, noisy,
+                       normals[:, :aug].reshape(size * n, k, wd)[..., :d])
+        images = ds.images[idx]
+        zs = normals[:, aug:].reshape(size, n, wz)[..., :d_z]
+        for i in range(size):
+            rng.position += w
+            yield rows[i], images[i], zs[i]

@@ -23,11 +23,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import adapter
+from . import adapter, numkit
 from .adapter import STRATEGIES, EnsAdConfig, ForwardTrace
 from .data import (
-    JSON_ERRORS, Dataset, atomic_write, augment_rows, json_uint, sample_indices,
-    set_uint_fields,
+    JSON_ERRORS, Dataset, atomic_write, json_uint, set_uint_fields, step_batches,
 )
 from .numkit import (
     NORM_EPS, SeededRng, TensorSpec, as_f64, check_tensors, derive_seed, init_tensors,
@@ -42,13 +41,6 @@ TRAINABLE_COMPONENTS = ("ensad", "generator", "discriminator")
 _PROXY_SALT = 0x1C
 # Stream salt separating the two phases of the fine-tune pipeline.
 _PHASE2_SALT = 3
-# train hands adam_step a component's flat vectors as blocks of at most this
-# many entries, one dict entry each, so that each block's temporaries stay in
-# cache. A desk-scale component is one block. For the 655,873 adapter
-# parameters of the paper's shape an adam_step took 10.7-11.7 ms on one
-# vector, 8.3-8.5 ms per tensor and 6.6-6.9 ms in these 11 blocks (medians
-# of 100, 2-core Xeon VM, numpy 2.4.6).
-_ADAM_BLOCK = 1 << 16
 # The keys of the per-step row ``train`` passes to ``log_fn``, in the loss
 # CSV's column order.
 CSV_COLUMNS = ("step", "loss_ensad", "loss_disc", "l_ad_ensad", "l_ad_d",
@@ -239,16 +231,14 @@ def _feature_matrix(feats, name: str) -> np.ndarray:
     return arr
 
 
-def _cosine_parts(a: np.ndarray, p: np.ndarray):
-    inv_a = np.linalg.norm(a, axis=1)
-    inv_p = np.linalg.norm(p, axis=1)
-    inv_a = np.where(inv_a < NORM_EPS, 0.0, 1.0 / np.maximum(inv_a, NORM_EPS))
-    inv_p = np.where(inv_p < NORM_EPS, 0.0, 1.0 / np.maximum(inv_p, NORM_EPS))
-    ahat = a * inv_a[:, None]
-    phat = p * inv_p[:, None]
-    # rows: anchors j; columns: positives i; zero-vector pairs score 0
-    sim = ahat @ phat.T
-    return sim, ahat, phat, inv_a, inv_p
+def _unit_rows(x: np.ndarray):
+    """The rows of the (n, k) matrix ``x`` scaled to unit norm, and the
+    inverse norms; a row of norm below NORM_EPS gets inverse norm 0 and
+    becomes zero. The norm is np.linalg.norm's arithmetic along axis 1,
+    without its dispatch."""
+    norm = np.sqrt(np.add.reduce(x * x, axis=1))
+    inv = np.where(norm < NORM_EPS, 0.0, 1.0 / np.maximum(norm, NORM_EPS))
+    return x * inv[:, None], inv
 
 
 def loss_contrastive(anchor_feats, positive_feats, tau: float) -> float:
@@ -264,28 +254,32 @@ def loss_contrastive(anchor_feats, positive_feats, tau: float) -> float:
     p = _feature_matrix(positive_feats, "positive features")
     if a.shape[0] != p.shape[0]:
         raise ValueError("anchor and positive counts differ")
-    loss, _, _ = _contrastive_with_grads(a, p, tau)
+    loss, _, _ = _contrastive_with_grads(_unit_rows(a), _unit_rows(p), tau)
     return loss
 
 
-def _contrastive_with_grads(a: np.ndarray, p: np.ndarray, tau: float):
+def _contrastive_with_grads(a: tuple, p: tuple, tau: float):
     """Loss of :func:`loss_contrastive` and its gradients w.r.t. the (n, k)
-    anchor and positive matrices, which the caller has checked."""
-    n = a.shape[0]
-    sim, ahat, phat, inv_a, inv_p = _cosine_parts(a, p)
+    anchor and positive matrices, which the caller has checked, each given
+    as its :func:`_unit_rows`."""
+    (ahat, inv_a), (phat, inv_p) = a, p
+    n = ahat.shape[0]
+    # rows: anchors j; columns: positives i; zero-vector pairs score 0
+    sim = ahat @ phat.T
     x = sim / tau
     mx = x.max(axis=0)
     ex = np.exp(x - mx)
     colsum = ex.sum(axis=0)
     lse = np.log(colsum) + mx
-    loss = float(-np.mean(np.diag(x) - lse))
+    loss = float(-_mean(x.ravel()[::n + 1] - lse))
 
     # d loss / d sim = (colwise softmax - identity) / (n tau)
     dsim = ex / colsum
     dsim.ravel()[::n + 1] -= 1.0
     dsim /= n * tau
-    rows = (dsim * sim).sum(axis=1)
-    cols = (dsim * sim).sum(axis=0)
+    weighted = dsim * sim
+    rows = weighted.sum(axis=1)
+    cols = weighted.sum(axis=0)
     grad_a = (dsim @ phat - rows[:, None] * ahat) * inv_a[:, None]
     grad_p = (dsim.T @ ahat - cols[:, None] * phat) * inv_p[:, None]
     return loss, grad_a, grad_p
@@ -587,9 +581,10 @@ def _views(vec: np.ndarray, spec: dict) -> dict:
 
 
 def _blocks(vec: np.ndarray) -> dict:
-    """``vec`` as consecutive views of at most _ADAM_BLOCK entries."""
-    return {i: vec[lo:lo + _ADAM_BLOCK]
-            for i, lo in enumerate(range(0, vec.size, _ADAM_BLOCK))}
+    """``vec`` as consecutive views of at most numkit.CACHE_BLOCK entries,
+    one dict entry each, as train hands them to adam_step."""
+    block = numkit.CACHE_BLOCK
+    return {i: vec[lo:lo + block] for i, lo in enumerate(range(0, vec.size, block))}
 
 
 def save_checkpoint(ck: Checkpoint, path: str) -> None:
@@ -725,23 +720,21 @@ def step_losses_and_grads(
         l_ad_d=_adv_disc(logits_r, logits_f),
     )
     cl_a = cl_p = cldf_a = cldf_p = cldr_a = clg_a = clg_p = None
+    if gan_cfg.lambda1 > 0 or gan_cfg.lambda2 > 0:
+        # each feature matrix is normalized once, for every term it enters
+        unit_r, unit_f, unit_h = _unit_rows(fd_r), _unit_rows(fd_f), _unit_rows(htil)
     if gan_cfg.lambda1 > 0:
         if gan_cfg.enable_clg:
-            proxy_f = fakes @ proxy.T
             parts.l_cl_g, clg_a, clg_p = _contrastive_with_grads(
-                proxy_f, htil, gan_cfg.tau
+                _unit_rows(fakes @ proxy.T), unit_h, gan_cfg.tau
             )
         else:
-            parts.l_cl, cl_a, cl_p = _contrastive_with_grads(
-                fd_r, fd_f, gan_cfg.tau
-            )
+            parts.l_cl, cl_a, cl_p = _contrastive_with_grads(unit_r, unit_f, gan_cfg.tau)
     if gan_cfg.lambda2 > 0:
         parts.l_cl_d_fake, cldf_a, cldf_p = _contrastive_with_grads(
-            fd_f, htil, gan_cfg.tau
+            unit_f, unit_h, gan_cfg.tau
         )
-        parts.l_cl_d_real, cldr_a, _ = _contrastive_with_grads(
-            fd_r, htil, gan_cfg.tau
-        )
+        parts.l_cl_d_real, cldr_a, _ = _contrastive_with_grads(unit_r, unit_h, gan_cfg.tau)
     loss_e, loss_d = total_losses(parts, gan_cfg)
     res = StepGrads(parts=parts, loss_ensad=loss_e, loss_disc=loss_d, trace=trace)
     if not (math.isfinite(loss_e) and math.isfinite(loss_d)):
@@ -896,9 +889,7 @@ def train(
             ensad_cfg.d, gan_cfg.d_img
         ) / np.sqrt(gan_cfg.d_img)
 
-    n = gan_cfg.batch
-
-    def snapshot(step_count: int) -> Checkpoint:
+    def snapshot(step_count: int, position: int) -> Checkpoint:
         return Checkpoint(
             ensad_cfg=ensad_cfg,
             gan_cfg=gan_cfg,
@@ -907,23 +898,22 @@ def train(
                                     for x in moments[comp]), adam[comp].t)
                   for comp in trained},
             rng_seed=seed,
-            rng_position=rng.position,
+            rng_position=position,
             step=step_count,
         )
 
-    batches = sample_indices(len(ds), n, rng)
+    batches = step_batches(ds, gan_cfg.batch, gan_cfg.noise_p0, gan_cfg.noise_pt,
+                           gan_cfg.d_z, rng, gan_cfg.steps - start_step)
     for step in range(start_step, gan_cfg.steps):
-        idx = next(batches)
-        h = augment_rows(ds.rows[idx], gan_cfg.noise_p0, gan_cfg.noise_pt, rng)
-        zs = rng.gaussian_rows(n, gan_cfg.d_z)
+        # where this step's draws start: a diagnostic checkpoint replays it
+        position = rng.position
+        h, imgs, zs = next(batches)
 
-        res = step_losses_and_grads(
-            h, ds.images[idx], zs, params, ensad_cfg, gan_cfg, proxy
-        )
+        res = step_losses_and_grads(h, imgs, zs, params, ensad_cfg, gan_cfg, proxy)
         if not (math.isfinite(res.loss_ensad) and math.isfinite(res.loss_disc)):
             raise TrainingDiverged(
                 step,
-                snapshot(step),
+                snapshot(step, position),
                 f"non-finite loss at step {step}: "
                 f"adapter-side {res.loss_ensad!r}, "
                 f"discriminator-side {res.loss_disc!r}",
@@ -937,7 +927,7 @@ def train(
                 detail = f": {res.grad_failure}" if res.grad_failure else ""
                 raise TrainingDiverged(
                     step,
-                    snapshot(step),
+                    snapshot(step, position),
                     f"non-finite {comp} gradients at step {step}{detail}",
                 )
 
@@ -951,7 +941,7 @@ def train(
                 parts.l_ad_d, parts.l_cl, parts.l_cl_d_fake, parts.l_cl_g,
             ))))
 
-    return snapshot(max(start_step, gan_cfg.steps))
+    return snapshot(max(start_step, gan_cfg.steps), rng.position)
 
 
 def finetune_pipeline(

@@ -40,6 +40,21 @@ _ONE = np.uint64(1)
 _TWO_PI = 6.283185307179586
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
 
+# Blocked hot loops handle at most this many 8-byte entries at a time, so
+# that each block's temporaries stay in cache:
+# - ``gan.train`` hands ``adam_step`` a component's flat vectors in blocks of
+#   this size. A desk-scale component is one block. For the 655,873 adapter
+#   parameters of the paper's shape an adam_step took 10.7-11.7 ms on one
+#   vector, 8.3-8.5 ms per tensor and 6.6-6.9 ms in these 11 blocks
+#   (medians of 100, 2-core Xeon VM, numpy 2.4.6).
+# - ``data.step_batches`` draws the stream words of as many whole training
+#   steps as fit, at least one: 42 steps of 1,552 words at desk shape, one
+#   step of 106,768 words at the paper's shape. Blocks of 8,192 words (5
+#   desk steps) kept the desk throughput but raised the p90 step time from
+#   0.93-0.99 to 1.40-1.49 ms (3 benchmark pairs, desk_pretrain, 2-core
+#   Xeon VM), as one step in five carried a block's draws.
+CACHE_BLOCK = 1 << 16
+
 # Eigenvalues of a PSD matrix in [_EIG_TOL, 0) are round-off; lower ones
 # mean the matrix is not PSD.
 _EIG_TOL = -1e-8
@@ -189,19 +204,27 @@ class SeededRng:
         if rows < 0:
             raise ValueError("row count must be nonnegative")
         width = 2 * ((n + 1) // 2)
-        bits = self._take(rows * width)
-        # Box-Muller: each word pair maps by its top 53 bits to (u1, u2) in
-        # (0, 1] x [0, 1); u1 excludes zero so the log never sees it
-        hi = (bits[0::2] >> _R11).astype(np.float64)
-        lo = (bits[1::2] >> _R11).astype(np.float64)
-        u1 = (hi + 1.0) * _INV_2_53
-        u2 = lo * _INV_2_53
-        r = np.sqrt(-2.0 * np.log(u1))
-        t = _TWO_PI * u2
-        out = np.empty(rows * width)
-        out[0::2] = r * np.cos(t)
-        out[1::2] = r * np.sin(t)
-        return out.reshape(rows, width)[:, :n]
+        return box_muller(self._take(rows * width)).reshape(rows, width)[:, :n]
+
+
+def box_muller(bits: np.ndarray) -> np.ndarray:
+    """Standard normals from stream words, two per word pair: an array of
+    ``bits``' shape, whose last axis pairs words (even, odd). Each pair maps
+    by its top 53 bits to (u1, u2) in (0, 1] x [0, 1), u1 excluding zero so
+    that the log never sees it, then to r cos(t), r sin(t) with
+    r = sqrt(-2 log u1), t = 2 pi u2. Every step is elementwise on
+    contiguous temporaries, so a normal does not depend on how many words
+    share the call."""
+    hi = (bits[..., 0::2] >> _R11).astype(np.float64)
+    lo = (bits[..., 1::2] >> _R11).astype(np.float64)
+    u1 = (hi + 1.0) * _INV_2_53
+    u2 = lo * _INV_2_53
+    r = np.sqrt(-2.0 * np.log(u1))
+    t = _TWO_PI * u2
+    out = np.empty(bits.shape)
+    out[..., 0::2] = r * np.cos(t)
+    out[..., 1::2] = r * np.sin(t)
+    return out
 
 
 class TensorSpec(NamedTuple):

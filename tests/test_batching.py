@@ -1,13 +1,16 @@
 """The batched training step against one-item references: the adapter
 kernels over a whole batch against n separate one-item calls and against
 the per-item loop code they replace, and the batched stream draws against
-the per-item draw order."""
+the per-item draw order, and a block of steps' draws against per-step calls."""
 
 import numpy as np
 import pytest
 
+from ensad import numkit
 from ensad.adapter import EnsAdConfig, backward, forward, init_params
-from ensad.data import augment_rows, sample_indices
+from ensad.data import (
+    SyntheticSpec, augment_rows, generate_synthetic, sample_indices, step_batches,
+)
 from ensad.gan import GanConfig, param_shapes, step_losses_and_grads
 from ensad.numkit import SeededRng, init_tensors, l2_normalize
 
@@ -220,3 +223,38 @@ def test_augment_rows_matches_per_vector_draws(p0, pt):
         assert np.array_equal(got[:, 0], h[:, 0])
     if pt == 0.0:
         assert np.array_equal(got[:, 1:], h[:, 1:])
+
+
+@pytest.mark.parametrize("per_block", [None, 1, 3])
+@pytest.mark.parametrize("d,d_z,p0,pt", [(6, 4, 0.1, 0.01), (5, 3, 0.0, 0.2),
+                                         (5, 3, 0.3, 0.0), (4, 1, 0.0, 0.0)])
+def test_step_batches_match_per_step_draws(d, d_z, p0, pt, per_block, monkeypatch):
+    ds = generate_synthetic(SyntheticSpec(n_items=9, d=d, m=3, d_img=2, sigma_source=0.2,
+                                          sigma_trans=0.1, seed=4))
+    n, steps = 4, 8
+    noisy = (p0 > 0) + 3 * (pt > 0)
+    words = n + n * noisy * 2 * ((d + 1) // 2) + n * 2 * ((d_z + 1) // 2)
+    if per_block is not None:  # 3 steps per block ends 8 steps on a short block
+        monkeypatch.setattr(numkit, "CACHE_BLOCK", per_block * words)
+    a, b = SeededRng(19, 5), SeededRng(19, 5)
+    got = step_batches(ds, n, p0, pt, d_z, a, steps)
+    indices = sample_indices(len(ds), n, b)
+    for s in range(1, steps + 1):
+        rows, images, zs = next(got)
+        idx = next(indices)
+        assert rows.tobytes() == augment_rows(ds.rows[idx], p0, pt, b).tobytes()
+        assert images.tobytes() == ds.images[idx].tobytes()
+        assert zs.tobytes() == b.gaussian_rows(n, d_z).tobytes()
+        assert a.position == b.position == 5 + s * words
+    assert next(got, None) is None
+    assert a.position == 5 + steps * words
+
+
+def test_step_batches_check_their_arguments():
+    ds = generate_synthetic(SyntheticSpec(n_items=5, d=3, m=2, d_img=2))
+    for bad in [dict(batch=0), dict(batch=6), dict(p0=1.5), dict(pt=-0.1), dict(d_z=0)]:
+        args = {"batch": 2, "p0": 0.1, "pt": 0.0, "d_z": 2, **bad}
+        with pytest.raises(ValueError):
+            next(step_batches(ds, args["batch"], args["p0"], args["pt"], args["d_z"],
+                              SeededRng(0), 3))
+    assert list(step_batches(ds, 2, 0.1, 0.0, 2, SeededRng(0), 0)) == []

@@ -545,11 +545,11 @@ def batch_inputs(ds, ecfg, gcfg, seed):
 
 
 def test_contrastive_grads_vs_finite_differences():
-    from ensad.gan import _contrastive_with_grads
+    from ensad.gan import _contrastive_with_grads, _unit_rows
     rng = SeededRng(12)
     a = rng.gaussian(15).reshape(3, 5)
     p = rng.gaussian(15).reshape(3, 5)
-    _, ga, gp_ = _contrastive_with_grads(a, p, 0.5)
+    _, ga, gp_ = _contrastive_with_grads(_unit_rows(a), _unit_rows(p), 0.5)
     eps = 1e-6
     for mat, grad in ((a, ga), (p, gp_)):
         for i in range(mat.shape[0]):
@@ -563,6 +563,52 @@ def test_contrastive_grads_vs_finite_differences():
                 num = (up - dn) / (2 * eps)
                 assert abs(grad[i, j] - num) <= 1e-5 * max(
                     1.0, abs(num)), (i, j)
+
+
+def reference_contrastive(a, p, tau):
+    """The contrastive loss and gradients in the form that normalized both
+    matrices inside every term: np.linalg.norm, np.diag and np.mean."""
+    n = a.shape[0]
+    inv_a = np.linalg.norm(a, axis=1)
+    inv_p = np.linalg.norm(p, axis=1)
+    inv_a = np.where(inv_a < 1e-12, 0.0, 1.0 / np.maximum(inv_a, 1e-12))
+    inv_p = np.where(inv_p < 1e-12, 0.0, 1.0 / np.maximum(inv_p, 1e-12))
+    ahat = a * inv_a[:, None]
+    phat = p * inv_p[:, None]
+    sim = ahat @ phat.T
+    x = sim / tau
+    mx = x.max(axis=0)
+    ex = np.exp(x - mx)
+    colsum = ex.sum(axis=0)
+    lse = np.log(colsum) + mx
+    loss = float(-np.mean(np.diag(x) - lse))
+    dsim = ex / colsum
+    dsim.ravel()[::n + 1] -= 1.0
+    dsim /= n * tau
+    rows = (dsim * sim).sum(axis=1)
+    cols = (dsim * sim).sum(axis=0)
+    grad_a = (dsim @ phat - rows[:, None] * ahat) * inv_a[:, None]
+    grad_p = (dsim.T @ ahat - cols[:, None] * phat) * inv_p[:, None]
+    return loss, grad_a, grad_p
+
+
+@pytest.mark.parametrize("n,k", [(1, 3), (4, 5), (16, 16), (16, 7)])
+def test_contrastive_matches_the_per_term_normalization_bitwise(n, k):
+    from ensad.gan import _contrastive_with_grads, _unit_rows
+    rng = SeededRng(40 + n + k)
+    for trial in range(4):
+        a = rng.gaussian_rows(n, k) * (1.0 + trial)
+        p = rng.gaussian_rows(n, k)
+        if trial >= 2 and n > 1:  # zero rows and a row below the norm epsilon
+            a[0] = 0.0
+            p[-1] = 1e-13
+        for tau in (0.5, 0.07):
+            want = reference_contrastive(a, p, tau)
+            got = _contrastive_with_grads(_unit_rows(a), _unit_rows(p), tau)
+            assert got[0] == want[0]
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2].tobytes() == want[2].tobytes()
+            assert loss_contrastive(a, p, tau) == want[0]
 
 
 @pytest.mark.parametrize("enable_clg", [False, True])

@@ -1,11 +1,13 @@
-"""``train`` against the per-tensor loop it replaced.
+"""``train`` against the per-step, per-tensor loop it replaced.
 
 ``train`` keeps each component's parameters, Adam moments and gradients in
-one flat vector and runs Adam once per component. ``reference_train`` below
-is the loop it replaced: the same draws and ``step_losses_and_grads``, then
-``adam_step`` per tensor on named dicts. Both apply the same elementwise
-IEEE operations to the same values, so every parameter, moment and stream
-position must agree bit for bit.
+one flat vector and runs Adam once per component, and takes a block of
+steps' draws from one stream fill (``data.step_batches``).
+``reference_train`` below is the loop it replaced: per step,
+``sample_indices``, ``augment_rows`` and ``gaussian_rows``, then
+``step_losses_and_grads`` and ``adam_step`` per tensor on named dicts. Both
+apply the same IEEE operations to the same values, so every parameter,
+moment and stream position must agree bit for bit.
 """
 
 from dataclasses import replace
@@ -14,14 +16,16 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ensad import gan
-from ensad.cli import PRESETS
+from ensad import numkit
+from ensad.adapter import EnsAdConfig
+from ensad.cli import PIPELINE_PRESET, PRESETS
 from ensad.data import augment_rows, sample_indices
 from ensad.gan import (
     _PHASE2_SALT,
     _PROXY_SALT,
     TRAINABLE_COMPONENTS,
     AdamState,
+    GanConfig,
     TrainingDiverged,
     adam_step,
     finetune_pipeline,
@@ -36,6 +40,35 @@ from ensad.numkit import SeededRng, derive_seed, init_tensors, map_tensors
 from test_gan import toy_dataset, toy_setup
 
 STEPS = 24
+# Every preset that trains in one phase; the pipeline has its own test.
+ONE_PHASE = [p for p in PRESETS if p != PIPELINE_PRESET]
+
+
+def step_words(ecfg, gcfg):
+    """Stream words one training step draws: an index word per item, then
+    2*ceil(d/2) per augmented row and 2*ceil(d_z/2) per item."""
+    n = gcfg.batch
+    noisy = (gcfg.noise_p0 > 0) + ecfg.m * (gcfg.noise_pt > 0)
+    return n + n * noisy * 2 * ((ecfg.d + 1) // 2) + n * 2 * ((gcfg.d_z + 1) // 2)
+
+
+def init_words(ecfg, gcfg, seed):
+    rng = SeededRng(seed)
+    init_tensors(param_shapes(ecfg, gcfg), rng)
+    return rng.position
+
+
+def set_block(monkeypatch, ecfg, gcfg, block):
+    """Set numkit.CACHE_BLOCK for one layout of Adam's blocks and of the
+    draws. None keeps the default: each toy component is one Adam block,
+    and a 24-step run one block of draws. 7 splits each component into many
+    Adam blocks, with a short last block, as the paper's shape splits the
+    adapter, and draws one step per block. "five" draws five steps per
+    block, so a 24-step run ends on a short block."""
+    if block == "five":
+        block = 5 * step_words(ecfg, gcfg)
+    if block is not None:
+        monkeypatch.setattr(numkit, "CACHE_BLOCK", block)
 
 
 def reference_train(ds, ecfg, gcfg, seed, resume=None, init_from=None):
@@ -99,16 +132,32 @@ def preset_cfgs(preset, steps=STEPS):
     return ecfg, replace(gcfg, steps=steps, **PRESETS[preset])
 
 
-@pytest.mark.parametrize("block", [None, 7])
-@pytest.mark.parametrize("preset", ["ensad_frozen_g", "finetune_g_text", "lafite_setup"])
+@pytest.mark.parametrize("block", [None, 7, "five"])
+@pytest.mark.parametrize("preset", ONE_PHASE)
 def test_train_matches_the_per_tensor_loop(preset, block, monkeypatch):
-    # toy components fit in one Adam block; block 7 splits each into many,
-    # with a short last block, as the paper's shape splits the adapter
-    if block is not None:
-        monkeypatch.setattr(gan, "_ADAM_BLOCK", block)
     ds = toy_dataset()
     ecfg, gcfg = preset_cfgs(preset)
-    assert_bitwise(train(ds, ecfg, gcfg, 5), *reference_train(ds, ecfg, gcfg, 5))
+    set_block(monkeypatch, ecfg, gcfg, block)
+    ck = train(ds, ecfg, gcfg, 5)
+    assert_bitwise(ck, *reference_train(ds, ecfg, gcfg, 5))
+    assert ck.rng_position == init_words(ecfg, gcfg, 5) + STEPS * step_words(ecfg, gcfg)
+
+
+@pytest.mark.parametrize("block", [None, "five"])
+@pytest.mark.parametrize("noise", [(0.1, 0.01), (0.0, 0.01), (0.1, 0.0), (0.0, 0.0)])
+def test_odd_shapes_and_noiseless_rows_keep_the_stream_layout(noise, block, monkeypatch):
+    # odd d and d_z pad each Gaussian row to an even word count; a zero
+    # proportion draws no words for its rows
+    ds = toy_dataset(d=5)
+    ecfg = EnsAdConfig(d=5, d_hid=3, m=2, alpha=0.3)
+    gcfg = GanConfig(d=5, d_z=3, d_img=5, gen_hidden=(8, 8), disc_hidden=(8,), batch=3,
+                     noise_p0=noise[0], noise_pt=noise[1])
+    set_block(monkeypatch, ecfg, gcfg, block)
+    for steps in (1, 7, STEPS):
+        g = replace(gcfg, steps=steps)
+        ck = train(ds, ecfg, g, 9)
+        assert_bitwise(ck, *reference_train(ds, ecfg, g, 9))
+        assert ck.rng_position == init_words(ecfg, g, 9) + steps * step_words(ecfg, g)
 
 
 def test_both_pipeline_phases_match_the_per_tensor_loop():
@@ -131,14 +180,17 @@ def test_both_pipeline_phases_match_the_per_tensor_loop():
                                      phase2_steps=STEPS), *ref2)
 
 
-@pytest.mark.parametrize("preset", ["ensad_frozen_g", "finetune_g_text", "lafite_setup"])
-def test_resume_split_at_step_7_matches_the_unsplit_run(preset):
+@pytest.mark.parametrize("preset", ONE_PHASE)
+def test_resume_split_at_step_7_matches_the_unsplit_run(preset, monkeypatch):
     ds = toy_dataset()
     ecfg, gcfg = preset_cfgs(preset)
-    whole = train(ds, ecfg, gcfg, 3)
-    part = train(ds, ecfg, replace(gcfg, steps=7), 3)
-    assert_same_checkpoint(train(ds, ecfg, gcfg, 3, resume=part), whole)
-    assert_bitwise(whole, *reference_train(ds, ecfg, gcfg, 3, resume=part))
+    # with five steps per block, step 7 is inside the unsplit run's second block
+    for block in (None, "five"):
+        set_block(monkeypatch, ecfg, gcfg, block)
+        whole = train(ds, ecfg, gcfg, 3)
+        part = train(ds, ecfg, replace(gcfg, steps=7), 3)
+        assert_same_checkpoint(train(ds, ecfg, gcfg, 3, resume=part), whole)
+        assert_bitwise(whole, *reference_train(ds, ecfg, gcfg, 3, resume=part))
 
 
 def checkpoint_arrays(ck):
@@ -179,6 +231,32 @@ def test_diverged_checkpoint_owns_its_arrays():
         train(ds, ecfg, gcfg, 0)
     assert exc.value.checkpoint.adam.keys() == set(TRAINABLE_COMPONENTS)
     assert_owned(exc.value.checkpoint)
+
+
+@pytest.mark.parametrize("preset,train_all", [("ensad_frozen_g", False), ("ablate_none", True)])
+def test_diverged_checkpoint_replays_the_failed_step(preset, train_all):
+    # the diagnostic checkpoint holds the parameters and the stream position
+    # from the start of the failed step (step 1, or 2 with every component
+    # trained), so resuming it, or a checkpoint before it, fails the same way
+    ds = toy_dataset()
+    ecfg, gcfg = preset_cfgs(preset, steps=50)
+    gcfg = replace(gcfg, lr=1e300)
+    if train_all:
+        gcfg = replace(gcfg, trainable=frozenset(TRAINABLE_COMPONENTS))
+    with np.errstate(all="ignore"):
+        with pytest.raises(TrainingDiverged) as first:
+            train(ds, ecfg, gcfg, 0)
+        diag = first.value.checkpoint
+        part = train(ds, ecfg, replace(gcfg, steps=1), 0)
+        for resume in (diag, part):
+            with pytest.raises(TrainingDiverged) as again:
+                train(ds, ecfg, gcfg, 0, resume=resume)
+            assert again.value.step == first.value.step == diag.step
+            assert_same_checkpoint(again.value.checkpoint, diag)
+        ref = reference_train(ds, ecfg, replace(gcfg, steps=diag.step), 0)
+    assert diag.step == 1 + train_all
+    assert_bitwise(diag, *ref)
+    assert diag.rng_position == init_words(ecfg, gcfg, 0) + diag.step * step_words(ecfg, gcfg)
 
 
 def test_mutating_a_returned_checkpoint_changes_no_later_resume(tmp_path):
