@@ -358,16 +358,18 @@ class Checkpoint:
     rng_seed: int
     rng_position: int
     step: int
-    rng_algorithm: str = SeededRng.ALGORITHM
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a loss goes non-finite; carries a diagnostic checkpoint."""
+    """Raised by :func:`train` when a step's arithmetic overflows, divides by
+    zero or goes invalid, or a loss or a trained component's gradient is
+    non-finite. ``checkpoint`` is the state at the start of the failed step,
+    and ``step`` its step."""
 
-    def __init__(self, step: int, checkpoint: Checkpoint, message: str):
+    def __init__(self, checkpoint: Checkpoint, message: str):
         super().__init__(message)
-        self.step = step
         self.checkpoint = checkpoint
+        self.step = checkpoint.step
 
 
 def _cfg_to_jsonable(cfg) -> dict:
@@ -401,7 +403,7 @@ def _meta_to_jsonable(ck: Checkpoint) -> dict:
             "gan": _cfg_to_jsonable(ck.gan_cfg),
         },
         "rng": {
-            "algorithm": ck.rng_algorithm,
+            "algorithm": SeededRng.ALGORITHM,
             "seed": ck.rng_seed,
             "position": ck.rng_position,
         },
@@ -631,8 +633,8 @@ def _checkpoint_from_archive(fh, path: str) -> Checkpoint:
         if tensors.dtype != np.float64 or tensors.shape != (sum(sizes),):
             raise ValueError(f"expected {sum(sizes)} float64 values, got "
                              f"{tensors.dtype} {tensors.shape}")
-    # a fresh array per tensor, not a view into the vector, as format 1 and
-    # training allocate them
+    # a fresh array per tensor, not a view into the vector, as format 1's
+    # reader and train's returned checkpoints hold them
     pieces = iter(np.split(tensors, np.cumsum(sizes)[:-1]))
     trees = [{name: next(pieces).reshape(s.shape).copy() for name, s in spec.items()}
              for spec in specs]
@@ -667,9 +669,8 @@ def load_checkpoint(path: str) -> Checkpoint:
 class StepGrads:
     """Losses and parameter gradients of one training step, before any
     optimizer update. ``grads`` maps each trainable component to its
-    gradients, ``{name: array}`` like its parameters. It is empty when a
-    loss is non-finite, and a non-finite gradient reaching the adapter
-    leaves ``"ensad"`` out, with the reason in grad_failure.
+    gradients, ``{name: array}`` like its parameters. Nothing here is
+    checked for finiteness: :func:`train` does that.
 
     ``trace`` is the adapter's batched forward trace (its ``h_tilde`` the
     fused conditions, its ``s`` the attention weights) when the adapter
@@ -681,7 +682,6 @@ class StepGrads:
     loss_ensad: float
     loss_disc: float
     grads: dict = field(default_factory=dict)
-    grad_failure: str | None = None
     trace: ForwardTrace | None = None
     grad_conds: np.ndarray | None = None
     grad_h: np.ndarray | None = None
@@ -737,14 +737,11 @@ def step_losses_and_grads(
         parts.l_cl_d_real, cldr_a, _ = _contrastive_with_grads(unit_r, unit_h, gan_cfg.tau)
     loss_e, loss_d = total_losses(parts, gan_cfg)
     res = StepGrads(parts=parts, loss_ensad=loss_e, loss_disc=loss_d, trace=trace)
-    if not (math.isfinite(loss_e) and math.isfinite(loss_d)):
-        return res
 
     if gan_cfg.trainable & {"ensad", "generator"}:
         # adapter/generator half-step: D frozen, gradients flow through it
         g_logit = (_sigmoid(logits_f) - 1.0) / n
         grad_fd_f = g_logit[:, None] * htil
-        grad_ds_f = g_logit.copy()
         grad_htil = g_logit[:, None] * fd_f
         grad_fakes = np.zeros_like(fakes)
         if gan_cfg.lambda1 > 0:
@@ -757,7 +754,7 @@ def step_losses_and_grads(
         if gan_cfg.lambda2 > 0:
             grad_fd_f += gan_cfg.lambda2 * cldf_a
             grad_htil += gan_cfg.lambda2 * cldf_p
-        _, grad_imgs = _disc_backward_batch(params, acts_f, grad_fd_f, grad_ds_f)
+        _, grad_imgs = _disc_backward_batch(params, acts_f, grad_fd_f, g_logit)
         grad_fakes += grad_imgs
         gen = params["generator"]
         gen_grads, grad_x = _mlp_backward(list(gen.values()), gen_acts, grad_fakes)
@@ -765,12 +762,9 @@ def step_losses_and_grads(
 
         if "ensad" in gan_cfg.trainable:
             res.grad_conds = grad_htil
-            if np.all(np.isfinite(grad_htil)):
-                res.grads["ensad"], res.grad_h = adapter.backward_batch(
-                    params["ensad"], ensad_cfg, trace, grad_htil
-                )
-            else:
-                res.grad_failure = "non-finite gradient reaching the adapter"
+            res.grads["ensad"], res.grad_h = adapter.backward_batch(
+                params["ensad"], ensad_cfg, trace, grad_htil
+            )
         if "generator" in gan_cfg.trainable:
             res.grads["generator"] = dict(zip(gen, gen_grads))
 
@@ -779,16 +773,14 @@ def step_losses_and_grads(
         g_r = (_sigmoid(logits_r) - 1.0) / n
         g_f = _sigmoid(logits_f) / n
         grad_fd_r2 = g_r[:, None] * htil
-        grad_ds_r2 = g_r.copy()
         grad_fd_f2 = g_f[:, None] * htil
-        grad_ds_f2 = g_f.copy()
         if gan_cfg.lambda1 > 0 and not gan_cfg.enable_clg:
             grad_fd_r2 += gan_cfg.lambda1 * cl_a
             grad_fd_f2 += gan_cfg.lambda1 * cl_p
         if gan_cfg.lambda2 > 0:
             grad_fd_r2 += gan_cfg.lambda2 * cldr_a
-        grads_f, _ = _disc_backward_batch(params, acts_f, grad_fd_f2, grad_ds_f2)
-        grads_r, _ = _disc_backward_batch(params, acts_r, grad_fd_r2, grad_ds_r2)
+        grads_f, _ = _disc_backward_batch(params, acts_f, grad_fd_f2, g_f)
+        grads_r, _ = _disc_backward_batch(params, acts_r, grad_fd_r2, g_r)
         res.grads["discriminator"] = {k: grads_f[k] + grads_r[k] for k in grads_f}
 
     return res
@@ -829,7 +821,9 @@ def train(
     ``resume`` continues a checkpoint bit-exactly to gan_cfg.steps;
     ``init_from`` seeds parameters, a mapping like ``Checkpoint.params``
     (optimizer and stream start fresh).
-    ``log_fn`` receives one row dict per step.
+    ``log_fn`` receives one row dict per step. A step diverges, raising
+    :class:`TrainingDiverged`, when its arithmetic overflows, divides by
+    zero or goes invalid, or a loss or a trained gradient is non-finite.
     """
     check_dataset(ds, ensad_cfg, gan_cfg)
     if "ensad" in gan_cfg.trainable and gan_cfg.conditioning != "ensad":
@@ -909,27 +903,23 @@ def train(
         position = rng.position
         h, imgs, zs = next(batches)
 
-        res = step_losses_and_grads(h, imgs, zs, params, ensad_cfg, gan_cfg, proxy)
-        if not (math.isfinite(res.loss_ensad) and math.isfinite(res.loss_disc)):
-            raise TrainingDiverged(
-                step,
-                snapshot(step, position),
-                f"non-finite loss at step {step}: "
-                f"adapter-side {res.loss_ensad!r}, "
-                f"discriminator-side {res.loss_disc!r}",
-            )
-        for comp in trained:
-            named = res.grads.get(comp)
-            if named is not None:
-                np.concatenate([named[name] for name in shapes[comp]], axis=None,
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                res = step_losses_and_grads(h, imgs, zs, params, ensad_cfg, gan_cfg, proxy)
+            for comp in trained:
+                np.concatenate([res.grads[comp][name] for name in shapes[comp]], axis=None,
                                out=grads[comp])
-            if named is None or not np.isfinite(grads[comp]).all():
-                detail = f": {res.grad_failure}" if res.grad_failure else ""
-                raise TrainingDiverged(
-                    step,
-                    snapshot(step, position),
-                    f"non-finite {comp} gradients at step {step}{detail}",
-                )
+            # an inf already present passes *, +, tanh and exp without raising
+            # a flag, and Adam, outside the errstate because a half-applied
+            # in-place update cannot be undone, can leave one behind
+            values = {"adapter-side loss": res.loss_ensad,
+                      "discriminator-side loss": res.loss_disc,
+                      **{f"{comp} gradient": grads[comp] for comp in trained}}
+            bad = [what for what, x in values.items() if not np.isfinite(x).all()]
+            if bad:
+                raise FloatingPointError(f"non-finite {', '.join(bad)}")
+        except FloatingPointError as exc:
+            raise TrainingDiverged(snapshot(step, position), f"{exc} at step {step}") from exc
 
         for comp in trained:
             adam_step(*blocks[comp], adam[comp], gan_cfg.lr, gan_cfg.beta1, gan_cfg.beta2)

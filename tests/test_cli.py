@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ensad
 from ensad.cli import main
 from ensad.gan import CSV_COLUMNS, checkpoint_to_jsonable, load_checkpoint, save_checkpoint
 
@@ -225,10 +227,9 @@ def test_train_divergence_exit_code(workdir, dataset_path, capsys):
                 "batch": 4, "lr": 1e300},
     }))
     out = workdir / "boom.json"
-    with np.errstate(all="ignore"):
-        rc = main(["train", "--data", str(dataset_path), "--out", str(out),
-                   "--config", str(cfg), "--preset", "ensad_frozen_g",
-                   "--steps", "30", "--seed", "1"])
+    rc = main(["train", "--data", str(dataset_path), "--out", str(out),
+               "--config", str(cfg), "--preset", "ensad_frozen_g",
+               "--steps", "30", "--seed", "1"])
     assert rc == 3
     assert "diverged" in capsys.readouterr().err
     assert (workdir / "boom.diverged.json").exists()
@@ -247,10 +248,9 @@ def test_train_divergence_path_keeps_extension(tmp_path, dataset_path, capsys, o
         "gan": {"d_z": 4, "gen_hidden": [8], "disc_hidden": [8],
                 "batch": 4, "lr": 1e300},
     }))
-    with np.errstate(all="ignore"):
-        rc = main(["train", "--data", str(dataset_path), "--out", str(tmp_path / out),
-                   "--config", str(cfg), "--preset", "ensad_frozen_g",
-                   "--steps", "30", "--seed", "1"])
+    rc = main(["train", "--data", str(dataset_path), "--out", str(tmp_path / out),
+               "--config", str(cfg), "--preset", "ensad_frozen_g",
+               "--steps", "30", "--seed", "1"])
     assert rc == 3
     assert str(tmp_path / diag) in capsys.readouterr().err
     assert load_checkpoint(tmp_path / diag).step >= 1
@@ -814,9 +814,12 @@ def test_missing_data_file(workdir, capsys):
 
 
 def test_module_entry_point(workdir):
+    # the child imports the package this process imported, installed or not
+    pkg_root = str(Path(ensad.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ensad.cli", "param-count",
          "--d", "1", "--d-hid", "1", "--m", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip() == "7"

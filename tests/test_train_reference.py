@@ -16,10 +16,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ensad import numkit
+from ensad import gan, numkit
 from ensad.adapter import EnsAdConfig
-from ensad.cli import PIPELINE_PRESET, PRESETS
-from ensad.data import augment_rows, sample_indices
+from ensad.cli import PIPELINE_PRESET, PRESETS, main
+from ensad.data import SyntheticSpec, augment_rows, generate_synthetic, sample_indices, save_jsonl
 from ensad.gan import (
     _PHASE2_SALT,
     _PROXY_SALT,
@@ -227,7 +227,7 @@ def test_diverged_checkpoint_owns_its_arrays():
     ds = toy_dataset()
     ecfg, gcfg = preset_cfgs("ensad_frozen_g", steps=50)
     gcfg = replace(gcfg, lr=1e300, trainable=frozenset(TRAINABLE_COMPONENTS))
-    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as exc:
+    with pytest.raises(TrainingDiverged) as exc:
         train(ds, ecfg, gcfg, 0)
     assert exc.value.checkpoint.adam.keys() == set(TRAINABLE_COMPONENTS)
     assert_owned(exc.value.checkpoint)
@@ -243,20 +243,93 @@ def test_diverged_checkpoint_replays_the_failed_step(preset, train_all):
     gcfg = replace(gcfg, lr=1e300)
     if train_all:
         gcfg = replace(gcfg, trainable=frozenset(TRAINABLE_COMPONENTS))
-    with np.errstate(all="ignore"):
-        with pytest.raises(TrainingDiverged) as first:
-            train(ds, ecfg, gcfg, 0)
-        diag = first.value.checkpoint
-        part = train(ds, ecfg, replace(gcfg, steps=1), 0)
-        for resume in (diag, part):
-            with pytest.raises(TrainingDiverged) as again:
-                train(ds, ecfg, gcfg, 0, resume=resume)
-            assert again.value.step == first.value.step == diag.step
-            assert_same_checkpoint(again.value.checkpoint, diag)
-        ref = reference_train(ds, ecfg, replace(gcfg, steps=diag.step), 0)
+    with pytest.raises(TrainingDiverged) as first:
+        train(ds, ecfg, gcfg, 0)
+    diag = first.value.checkpoint
+    part = train(ds, ecfg, replace(gcfg, steps=1), 0)
+    for resume in (diag, part):
+        with pytest.raises(TrainingDiverged) as again:
+            train(ds, ecfg, gcfg, 0, resume=resume)
+        assert again.value.step == first.value.step == diag.step
+        assert_same_checkpoint(again.value.checkpoint, diag)
+    ref = reference_train(ds, ecfg, replace(gcfg, steps=diag.step), 0)
     assert diag.step == 1 + train_all
     assert_bitwise(diag, *ref)
     assert diag.rng_position == init_words(ecfg, gcfg, 0) + diag.step * step_words(ecfg, gcfg)
+
+
+# A run that saturated instead of going non-finite: with lr 1e300 its
+# parameters reach about 1e300 after step 1, and step 2's forward overflows.
+# Without the floating-point error check it trained to step 50 with losses
+# near 1e301.
+SATURATING_SPEC = SyntheticSpec(n_items=300, d=16, m=4, d_img=12, sigma_source=0.4,
+                                sigma_trans=0.2, seed=0)
+
+
+def test_saturating_run_diverges_at_its_first_overflow(tmp_path):
+    ds = generate_synthetic(SATURATING_SPEC)
+    ecfg = EnsAdConfig(d=16, m=4)
+    gcfg = GanConfig(d=16, d_img=12, lr=1e300, steps=50, **PRESETS["lafite_setup"])
+    with pytest.raises(TrainingDiverged) as first:
+        train(ds, ecfg, gcfg, 1)
+    assert first.value.step == 1
+    assert str(first.value).endswith(" at step 1")
+    path = str(tmp_path / "diag.ckpt")
+    save_checkpoint(first.value.checkpoint, path)
+    diag = load_checkpoint(path)
+    assert_same_checkpoint(diag, train(ds, ecfg, replace(gcfg, steps=1), 1))
+    with pytest.raises(TrainingDiverged) as again:
+        train(ds, ecfg, gcfg, 1, resume=diag)
+    assert str(again.value) == str(first.value)
+    assert_same_checkpoint(again.value.checkpoint, diag)
+
+
+def test_saturating_run_exits_3_from_the_cli(tmp_path, capsys):
+    data, cfg = tmp_path / "corpus.jsonl", tmp_path / "cfg.json"
+    save_jsonl(generate_synthetic(SATURATING_SPEC), str(data))
+    cfg.write_text('{"gan": {"lr": 1e300}}')
+    args = ["train", "--data", str(data), "--config", str(cfg),
+            "--preset", "lafite_setup", "--seed", "1"]
+    assert main([*args, "--out", str(tmp_path / "one.ckpt"), "--steps", "1"]) == 0
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path / "boom.ckpt"), "--steps", "50"]) == 3
+    assert " at step 1; diagnostic checkpoint at " in capsys.readouterr().err
+    assert not (tmp_path / "boom.ckpt").exists()
+    assert_same_checkpoint(load_checkpoint(str(tmp_path / "boom.diverged.ckpt")),
+                           load_checkpoint(str(tmp_path / "one.ckpt")))
+    assert (tmp_path / "boom.csv").read_text() == (tmp_path / "one.csv").read_text()
+
+
+@pytest.mark.parametrize("poison", ["loss_ensad", "loss_disc", *TRAINABLE_COMPONENTS])
+def test_non_finite_step_results_diverge(monkeypatch, poison):
+    # the finiteness check behind the floating-point error state: an inf
+    # that is already present raises no flag, so a loss or gradient can go
+    # non-finite without one
+    ds = toy_dataset()
+    ecfg, gcfg = preset_cfgs("ensad_frozen_g", steps=6)
+    gcfg = replace(gcfg, trainable=frozenset(TRAINABLE_COMPONENTS))
+    exact = gan.step_losses_and_grads
+    calls = []
+
+    def poisoned(*args):
+        res = exact(*args)
+        calls.append(poison)
+        if len(calls) == 3:
+            if poison.startswith("loss"):
+                setattr(res, poison, float("nan"))
+            else:
+                name, g = next(iter(res.grads[poison].items()))
+                res.grads[poison][name] = g = g.copy()
+                g.flat[0] = np.inf
+        return res
+
+    monkeypatch.setattr(gan, "step_losses_and_grads", poisoned)
+    with pytest.raises(TrainingDiverged) as exc:
+        train(ds, ecfg, gcfg, 0)
+    assert str(exc.value).startswith("non-finite ")
+    assert str(exc.value).endswith(" at step 2")
+    monkeypatch.undo()
+    assert_same_checkpoint(exc.value.checkpoint, train(ds, ecfg, replace(gcfg, steps=2), 0))
 
 
 def test_mutating_a_returned_checkpoint_changes_no_later_resume(tmp_path):
