@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import set_uint_fields
+from .data import check_real_fields, set_uint_fields
 from .numkit import NORM_EPS, SeededRng, TensorSpec, as_f64, init_tensors, l2_normalize_rows
 
 
@@ -37,6 +37,7 @@ class EnsAdConfig:
 
     def __post_init__(self):
         set_uint_fields(self, {"d": 1, "d_hid": 1, "m": 1})
+        check_real_fields(self, ("alpha",))
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
 

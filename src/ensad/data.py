@@ -103,6 +103,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         set_uint_fields(self, {"n_items": 1, "d": 1, "m": 1, "d_img": 1, "seed": 0})
+        check_real_fields(self, ("sigma_source", "sigma_trans"))
         if self.sigma_source < 0 or self.sigma_trans < 0:
             raise ValueError("sigmas must be nonnegative")
 
@@ -158,6 +159,22 @@ def set_uint_fields(cfg, lows: dict) -> None:
         else:
             value = json_uint(value, lo, name)
         object.__setattr__(cfg, name, value)
+
+
+def check_real_fields(cfg, names) -> None:
+    """Raise ValueError naming the field unless each field in ``names`` of
+    ``cfg`` is a finite number within the float range: an int, a float or a
+    numpy scalar, not a boolean. The value is kept as given."""
+    for name in names:
+        value = getattr(cfg, name)
+        real = (isinstance(value, (int, float, np.integer, np.floating))
+                and not isinstance(value, bool))
+        try:
+            real = real and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            real = False
+        if not real:
+            raise ValueError(f"{name}: expected a finite number, got {value!r}")
 
 
 def _floats(value, size: int, line_no: int, what: str) -> np.ndarray:

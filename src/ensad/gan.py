@@ -26,7 +26,7 @@ import numpy as np
 from . import adapter, numkit
 from .adapter import STRATEGIES, EnsAdConfig, ForwardTrace
 from .data import (
-    JSON_ERRORS, Dataset, atomic_write, json_uint, set_uint_fields, step_batches,
+    Dataset, atomic_write, check_real_fields, json_uint, set_uint_fields, step_batches,
 )
 from .numkit import (
     NORM_EPS, SeededRng, TensorSpec, as_f64, check_tensors, derive_seed, init_tensors,
@@ -78,6 +78,8 @@ class GanConfig:
         object.__setattr__(self, "trainable", frozenset(self.trainable))
         set_uint_fields(self, {"d": 1, "d_z": 1, "d_img": 1, "gen_hidden": 1,
                                "disc_hidden": 1, "batch": 1, "steps": 0})
+        check_real_fields(self, ("tau", "lambda1", "lambda2", "lr", "beta1", "beta2",
+                                 "noise_p0", "noise_pt"))
         if len(self.disc_hidden) < 1:
             raise ValueError("discriminator needs at least one hidden layer")
         if self.tau <= 0:
@@ -396,7 +398,7 @@ def _field(path: str):
 
 
 def _meta_to_jsonable(ck: Checkpoint) -> dict:
-    """The fields both checkpoint formats store as JSON: configs, rng, step."""
+    """The fields a checkpoint's header stores as JSON: configs, rng, step."""
     return {
         "configs": {
             "adapter": _cfg_to_jsonable(ck.ensad_cfg),
@@ -431,13 +433,6 @@ def _meta_from_jsonable(obj: dict) -> dict:
                 rng_position=rng_position, step=step)
 
 
-def _check_version(obj: dict, version: int) -> None:
-    with _field("version"):
-        # a JSON integer: true and 1.0 compare equal to 1 but are not versions
-        if type(obj["version"]) is not int or obj["version"] != version:
-            raise ValueError(f"unsupported checkpoint version {obj['version']!r}")
-
-
 def _adam_state(m: dict, v: dict, t, spec: dict) -> AdamState:
     """Moments checked against the component's ``spec``: the same shapes,
     finite, and ``v`` nonnegative."""
@@ -448,14 +443,10 @@ def _adam_state(m: dict, v: dict, t, spec: dict) -> AdamState:
     return AdamState(m, v, json_uint(t))
 
 
-# Checkpoint format 1 is the JSON object of checkpoint_to_jsonable. It stores
-# a component's tensors under their names, with the layers of ``gen_w.0,
-# gen_w.1, ...`` as one list ``gen_w`` and 0-d tensors as plain floats; the
-# generator and the discriminator share the object ``params.gan``. Adam
-# moments are lists in param_shapes order. It is read, no longer written.
-
-
 def _tensors_to_jsonable(tensors: dict) -> dict:
+    """Named tensors as nested lists for checkpoint_to_jsonable: the layers
+    of ``gen_w.0, gen_w.1, ...`` as one list ``gen_w``, 0-d tensors as
+    plain floats."""
     obj = {}
     for name, arr in tensors.items():
         key, layered, _ = name.partition(".")
@@ -466,31 +457,13 @@ def _tensors_to_jsonable(tensors: dict) -> dict:
     return obj
 
 
-def _tensors_from_jsonable(obj: dict, spec: dict) -> dict:
-    tensors = {}
-    for name in spec:
-        key, layered, i = name.partition(".")
-        if i == "0":  # the first layer of a list: check the list's length once
-            layers = sum(n.startswith(key + ".") for n in spec)
-            if len(obj[key]) != layers:
-                raise ValueError(f"{key} has {len(obj[key])} layers, expected {layers}")
-        tensors[name] = np.asarray(obj[key][int(i)] if layered else obj[key], dtype=np.float64)
-    check_tensors(tensors, spec)
-    return tensors
-
-
-def _adam_from_jsonable(obj: dict, spec: dict) -> AdamState:
-    moments = []
-    for key in ("m", "v"):
-        if len(obj[key]) != len(spec):
-            raise ValueError(f"{key} has {len(obj[key])} tensors, expected {len(spec)}")
-        moments.append({name: np.asarray(x, dtype=np.float64)
-                        for name, x in zip(spec, obj[key])})
-    return _adam_state(*moments, obj["t"], spec)
-
-
 def checkpoint_to_jsonable(ck: Checkpoint) -> dict:
-    """``ck`` as a format-1 JSON object."""
+    """A JSON view of ``ck`` for comparing checkpoints, not a file format
+    (its ``version`` 1 dates from when it was one): the header's fields,
+    the adapter's tensors under ``params.ensad``, the
+    generator's and the discriminator's under ``params.gan``, and each
+    component's Adam moments as lists in param_shapes order (``null`` for a
+    frozen component)."""
     adam_obj = {comp: None for comp in TRAINABLE_COMPONENTS}
     for comp, st in ck.adam.items():
         adam_obj[comp] = {"m": [x.tolist() for x in st.m.values()],
@@ -508,43 +481,16 @@ def checkpoint_to_jsonable(ck: Checkpoint) -> dict:
     }
 
 
-def checkpoint_from_jsonable(obj: dict) -> Checkpoint:
-    """Parse and validate a format-1 checkpoint; a malformed field raises
-    ValueError naming it."""
-    _check_version(obj, 1)
-    meta = _meta_from_jsonable(obj)
-    shapes = param_shapes(meta["ensad_cfg"], meta["gan_cfg"])
-    with _field("params.ensad"):
-        params = {"ensad": _tensors_from_jsonable(obj["params"]["ensad"], shapes["ensad"])}
-    with _field("params.gan"):
-        for comp in ("generator", "discriminator"):
-            params[comp] = _tensors_from_jsonable(obj["params"]["gan"], shapes[comp])
-    with _field("adam"):
-        adam_obj = dict(obj["adam"])
-        unknown = set(adam_obj) - set(TRAINABLE_COMPONENTS)
-        if unknown:
-            raise ValueError(f"unknown optimizer components {sorted(unknown)}")
-        missing = [c for c in TRAINABLE_COMPONENTS
-                   if c in meta["gan_cfg"].trainable and adam_obj.get(c) is None]
-        if missing:
-            raise ValueError(f"no optimizer state for trainable {missing}")
-    adam = {}
-    for comp, st in adam_obj.items():
-        if st is not None:
-            with _field(f"adam.{comp}"):
-                adam[comp] = _adam_from_jsonable(st, shapes[comp])
-    return Checkpoint(params=params, adam=adam, **meta)
-
-
-# Checkpoint format 2, what save_checkpoint writes, is an uncompressed
+# Checkpoint format 2, the one on-disk checkpoint, is an uncompressed
 # np.savez archive of exactly two members:
 #   header   the UTF-8 bytes of a JSON object, as a uint8 vector: "version"
-#            (2), "configs", "rng" and "step" as in format 1, and "adam",
-#            the Adam step count t of each trainable component;
+#            (2), "configs", "rng" and "step" as _meta_to_jsonable writes
+#            them, and "adam", the Adam step count t of each trainable
+#            component;
 #   tensors  one float64 vector: every parameter in param_shapes order,
 #            then the m and then the v moments of each trainable component.
-# A file is read as format 2 when it starts with the zip magic, else as
-# format 1. Equal checkpoints give equal bytes (np.savez fixes the zip
+# A file that does not start with the zip magic is rejected before np.load
+# sees it. Equal checkpoints give equal bytes (np.savez fixes the zip
 # timestamps).
 _ZIP_MAGIC = b"PK\x03\x04"
 _MEMBERS = ["header", "tensors"]
@@ -618,7 +564,10 @@ def _checkpoint_from_archive(fh, path: str) -> Checkpoint:
         if header.dtype != np.uint8 or header.ndim != 1:
             raise ValueError(f"expected a uint8 vector, got {header.dtype} {header.shape}")
         obj = json.loads(header.tobytes().decode("utf-8"))
-    _check_version(obj, 2)
+    with _field("version"):
+        # a JSON integer: 2.0 equals 2 but is not a version
+        if type(obj["version"]) is not int or obj["version"] != 2:
+            raise ValueError(f"unsupported checkpoint version {obj['version']!r}")
     meta = _meta_from_jsonable(obj)
     trained = _trained(meta["gan_cfg"])
     with _field("adam"):
@@ -633,14 +582,14 @@ def _checkpoint_from_archive(fh, path: str) -> Checkpoint:
         if tensors.dtype != np.float64 or tensors.shape != (sum(sizes),):
             raise ValueError(f"expected {sum(sizes)} float64 values, got "
                              f"{tensors.dtype} {tensors.shape}")
-    # a fresh array per tensor, not a view into the vector, as format 1's
-    # reader and train's returned checkpoints hold them
+    # a fresh array per tensor, not a view into the vector, as train's
+    # returned checkpoints hold them
     pieces = iter(np.split(tensors, np.cumsum(sizes)[:-1]))
     trees = [{name: next(pieces).reshape(s.shape).copy() for name, s in spec.items()}
              for spec in specs]
     params = dict(zip(TRAINABLE_COMPONENTS, trees))
     for comp, tree in params.items():
-        with _field("params.ensad" if comp == "ensad" else "params.gan"):
+        with _field(f"params.{comp}"):
             check_tensors(tree, shapes[comp])
     adam = {}
     moments = iter(trees[len(TRAINABLE_COMPONENTS):])
@@ -651,18 +600,15 @@ def _checkpoint_from_archive(fh, path: str) -> Checkpoint:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint of either format; a malformed file raises
-    ValueError naming the path or the field."""
+    """Read a format-2 checkpoint; a malformed file raises ValueError naming
+    the path or the field. A file without the zip magic (an empty file, an
+    ``.npy`` array, JSON) names the path: np.load would read an ``.npy``
+    file as a bare array."""
     with open(path, "rb") as fh:
-        if fh.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC:
-            fh.seek(0)
-            return _checkpoint_from_archive(fh, path)
+        if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+            raise ValueError(f"checkpoint {path}: not a format-2 archive")
         fh.seek(0)
-        try:
-            obj = json.loads(fh.read().decode("utf-8"))
-        except JSON_ERRORS as exc:
-            raise ValueError(f"checkpoint {path}: not valid JSON: {exc}") from exc
-        return checkpoint_from_jsonable(obj)
+        return _checkpoint_from_archive(fh, path)
 
 
 @dataclass

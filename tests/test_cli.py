@@ -171,24 +171,6 @@ def test_train_resume_matches_straight_run(workdir, dataset_path, train_config):
 
 
 
-def test_resume_from_format1_and_format2_agree(workdir, dataset_path, train_config,
-                                               ckpt_path):
-    base = ["train", "--data", str(dataset_path), "--config", str(train_config),
-            "--preset", "ensad_frozen_g", "--seed", "6"]
-    part2 = workdir / "part_f2.json"
-    assert main(base + ["--out", str(part2), "--steps", "3"]) == 0
-    part1 = workdir / "part_f1.json"
-    part1.write_text(json.dumps(checkpoint_to_jsonable(load_checkpoint(part2)),
-                                sort_keys=True) + "\n")
-    outs = [workdir / f"resumed_from_{part.stem}.json" for part in (part1, part2)]
-    for part, out in zip((part1, part2), outs):
-        assert main(base + ["--out", str(out), "--steps", "8", "--resume", str(part)]) == 0
-    assert (workdir / "resumed_from_part_f1.csv").read_bytes() == (
-        workdir / "resumed_from_part_f2.csv").read_bytes()
-    assert (checkpoint_to_jsonable(load_checkpoint(outs[0]))
-            == checkpoint_to_jsonable(load_checkpoint(outs[1])))
-    assert outs[0].read_bytes() == outs[1].read_bytes()
-
 def test_train_pipeline_preset(workdir, dataset_path, train_config, capsys):
     out = workdir / "pipe.json"
     rc = main(["train", "--data", str(dataset_path), "--out", str(out),
@@ -329,68 +311,8 @@ def test_param_count_rejects_bad_dims(capsys):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # Nesting deeper than the JSON parser's recursion limit
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
-
-
-def _drop(path):
-    def mutate(obj):
-        *parents, last = path
-        for key in parents:
-            obj = obj[key]
-        del obj[last]
-    return mutate
-
-
-def _set(path, value):
-    def mutate(obj):
-        *parents, last = path
-        for key in parents:
-            obj = obj[key]
-        obj[last] = value
-    return mutate
-
-
-def _truncate_adam_m(obj):
-    obj["adam"]["ensad"]["m"] = obj["adam"]["ensad"]["m"][:-1]
-
-
-def _negate_adam_v(obj):
-    obj["adam"]["generator"]["v"][0][0][0] = -1.0
-
-
-def _deeply_nested(obj):
-    """Replaces the whole file."""
-    return DEEP_JSON
-
-
-@pytest.mark.parametrize("mutate, field", [
-    (_drop(["step"]), "step"),
-    (_drop(["params"]), "params.ensad"),
-    (_drop(["rng", "seed"]), "rng.seed"),
-    (_set(["configs", "adapter", "width"], 3), "configs.adapter"),
-    (_truncate_adam_m, "adam.ensad"),
-    (_negate_adam_v, "adam.generator"),
-    (_set(["step"], -5), "step"),
-    (_set(["rng", "position"], -3), "rng.position"),
-    (_set(["version"], True), "version"),
-    (_set(["version"], 1.0), "version"),
-    (_deeply_nested, None),
-], ids=["missing_step", "missing_params", "missing_rng_seed",
-        "unknown_adapter_key", "truncated_adam_m", "negative_adam_v",
-        "negative_step",
-        "negative_rng_position", "version_true", "version_float", "deeply_nested"])
-def test_eval_rejects_malformed_checkpoint(tmp_path, capsys, mutate, field):
-    """``mutate`` edits the checkpoint object, or returns the file's text;
-    ``field`` is the field the message names, None: the path."""
-    obj = json.loads((GOLDEN / "ckpt_step6.json").read_text())
-    text = mutate(obj)
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(obj) if text is None else text)
-    rc = main(["eval", "--ckpt", str(bad), "--data", str(GOLDEN / "data.jsonl"),
-               "--n-gen", "8"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert (f"checkpoint field '{field}'" if field else str(bad)) in err, err
-
+# A 401-digit integer, beyond the float range
+HUGE = 10 ** 400
 
 
 def _members(mutate):
@@ -483,7 +405,7 @@ FORMAT2_CASES = {
     "tensors_short": (_tensors(lambda t: t[:-1]), "tensors"),
     "tensors_2d": (_tensors(lambda t: t.reshape(1, -1)), "tensors"),
     "nan_parameter": (_tensors(_set_entry(0, np.nan)), "params.ensad"),
-    "inf_generator": (_tensors(_set_entry(200, np.inf)), "params.gan"),
+    "inf_generator": (_tensors(_set_entry(200, np.inf)), "params.generator"),
     # the vector ends with the discriminator's v
     "negative_adam_v": (_tensors(_set_entry(-1, -1.0)), "adam.discriminator"),
 }
@@ -492,19 +414,153 @@ FORMAT2_CASES = {
 @pytest.mark.parametrize("case", sorted(FORMAT2_CASES))
 def test_eval_rejects_malformed_format2_checkpoint(tmp_path, capsys, case):
     mutate, field = FORMAT2_CASES[case]
-    good = tmp_path / "good.json"
-    save_checkpoint(load_checkpoint(GOLDEN / "ckpt_step6.json"), str(good))
     bad = tmp_path / "bad.json"
-    bad.write_bytes(mutate(good.read_bytes()))
+    bad.write_bytes(mutate((GOLDEN / "ckpt_step6.npz").read_bytes()))
     rc = main(["eval", "--ckpt", str(bad), "--data", str(GOLDEN / "data.jsonl"),
                "--n-gen", "8"])
     assert rc == 2
     err = capsys.readouterr().err
     assert (f"checkpoint field '{field}'" if field else str(bad)) in err, err
 
+
+def _on_bytes(mutate):
+    """A case that writes ``mutate`` of the golden archive's bytes."""
+    return lambda path: path.write_bytes(mutate((GOLDEN / "ckpt_step6.npz").read_bytes()))
+
+
+def _on_checkpoint(mutate):
+    """A case that edits the loaded golden checkpoint in place and saves it:
+    save_checkpoint writes what it is given without checking it."""
+    def write(path):
+        ck = load_checkpoint(GOLDEN / "ckpt_step6.npz")
+        mutate(ck)
+        save_checkpoint(ck, str(path))
+    return write
+
+
+def _truncate_adam_m(ck):
+    m = ck.adam["ensad"].m
+    name = next(iter(m))
+    m[name] = m[name].ravel()[:-1]
+
+
+def _negate_adam_v(ck):
+    next(iter(ck.adam["generator"].v.values())).flat[0] = -1.0
+
+
+# (writer of the bad file, the field the message names; None: the path)
+MALFORMED_CASES = {
+    "missing_step": (_on_bytes(_header(lambda h: h.pop("step"))), "step"),
+    "missing_params": (_on_bytes(_members(lambda h, t: {"header": h})), None),
+    "missing_rng_seed": (_on_bytes(_header(lambda h: h["rng"].pop("seed"))), "rng.seed"),
+    "unknown_adapter_key": (
+        _on_bytes(_header(lambda h: h["configs"]["adapter"].update(width=3))),
+        "configs.adapter"),
+    "truncated_adam_m": (_on_checkpoint(_truncate_adam_m), "tensors"),
+    "negative_adam_v": (_on_checkpoint(_negate_adam_v), "adam.generator"),
+    "negative_step": (_on_bytes(_header(lambda h: h.update(step=-5))), "step"),
+    "negative_rng_position": (
+        _on_bytes(_header(lambda h: h["rng"].update(position=-3))), "rng.position"),
+    "version_true": (_on_bytes(_header(lambda h: h.update(version=True))), "version"),
+    "version_float": (_on_bytes(_header(lambda h: h.update(version=2.0))), "version"),
+    "deeply_nested": (lambda path: path.write_text(DEEP_JSON), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CASES))
+def test_eval_rejects_malformed_checkpoint(tmp_path, capsys, case):
+    """The checkpoint's field rules, on both readers of a checkpoint: eval
+    refuses the file, and train --resume refuses it before writing anything."""
+    write, field = MALFORMED_CASES[case]
+    bad = tmp_path / "bad.npz"
+    write(bad)
+    expected = f"checkpoint field '{field}'" if field else str(bad)
+    rc = main(["eval", "--ckpt", str(bad), "--data", str(GOLDEN / "data.jsonl"),
+               "--n-gen", "8"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert expected in err, err
+    out = tmp_path / "out.npz"
+    rc = main(["train", "--data", str(GOLDEN / "data.jsonl"), "--out", str(out),
+               "--steps", "8", "--resume", str(bad)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert expected in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.npz"]
+
+
+def _npy(path):
+    np.save(path, np.zeros(3))
+
+
+def _huge_bias(path):
+    obj = json.loads((GOLDEN / "ckpt_step6.json").read_text())
+    obj["params"]["ensad"]["bp"] = HUGE
+    path.write_text(json.dumps(obj))
+
+
+@pytest.mark.parametrize("write", [None, _npy, lambda path: path.write_bytes(b""),
+                                   _huge_bias],
+                         ids=["golden_json", "npy", "empty", "json_huge_integer"])
+def test_eval_rejects_a_file_that_is_not_an_archive(tmp_path, capsys, write):
+    """Only format 2 loads: the JSON view of the golden checkpoint, as is
+    or with a bias beyond the float range, an .npy array and an empty file
+    are refused by path."""
+    bad = GOLDEN / "ckpt_step6.json"
+    if write is not None:
+        bad = tmp_path / "bad.npy"
+        write(bad)
+    rc = main(["eval", "--ckpt", str(bad), "--data", str(GOLDEN / "data.jsonl"),
+               "--n-gen", "8"])
+    assert rc == 2
+    assert f"checkpoint {bad}: not a format-2 archive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"gan": {"lr": HUGE}}, "lr"),
+    ({"gan": {"lr": float("nan")}}, "lr"),
+    ({"gan": {"lambda1": float("nan")}}, "lambda1"),
+    ({"gan": {"tau": float("inf")}}, "tau"),
+    ({"gan": {"lr": True}}, "lr"),
+], ids=["lr_huge", "lr_nan", "lambda1_nan", "tau_inf", "lr_bool"])
+def test_float_config_fields_rejected(dataset_path, tmp_path, capsys, config, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.npz"
+    rc = main(["train", "--data", str(dataset_path), "--out", str(out), "--config", str(cfg),
+               "--preset", "ensad_frozen_g", "--steps", "3"])
+    assert rc == 2
+    assert f"bad gan config: {field}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resume_rejects_a_float_header_field_beyond_the_float_range(
+        dataset_path, train_config, ckpt_path, tmp_path, capsys):
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes(_header(lambda h: h["configs"]["gan"].update(lr=HUGE))(
+        ckpt_path.read_bytes()))
+    out = tmp_path / "out.npz"
+    rc = main(["train", "--data", str(dataset_path), "--out", str(out),
+               "--config", str(train_config), "--preset", "ensad_frozen_g",
+               "--steps", "8", "--seed", "1", "--resume", str(bad)])
+    assert rc == 2
+    assert ("checkpoint field 'configs.gan': lr: expected a finite number"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_synth_rejects_a_nan_sigma(tmp_path, capsys):
+    out = tmp_path / "corpus.jsonl"
+    rc = main(["synth", "--out", str(out), "--n-items", "3", "--d", "6", "--m", "2",
+               "--d-img", "5", "--sigma-source", "nan"])
+    assert rc == 2
+    assert "bad synth config: sigma_source: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("which", ["ckpt", "data"])
 def test_eval_rejects_directory_path(tmp_path, capsys, which):
-    paths = {"ckpt": str(GOLDEN / "ckpt_step6.json"),
+    paths = {"ckpt": str(GOLDEN / "ckpt_step6.npz"),
              "data": str(GOLDEN / "data.jsonl"), which: str(tmp_path)}
     rc = main(["eval", "--ckpt", paths["ckpt"], "--data", paths["data"],
                "--n-gen", "8"])

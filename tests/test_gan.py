@@ -14,7 +14,6 @@ from ensad.gan import (
     GanConfig,
     TrainingDiverged,
     adam_step,
-    checkpoint_from_jsonable,
     checkpoint_to_jsonable,
     disc_forward_batch,
     finetune_pipeline,
@@ -389,28 +388,35 @@ def test_checkpoint_roundtrip(tmp_path):
     assert checkpoint_to_jsonable(cont1) == checkpoint_to_jsonable(cont2)
 
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+# the format-2 re-save of the reference checkpoint ckpt_step6.json
+GOLDEN_CKPT = os.path.join(GOLDEN, "ckpt_step6.npz")
+
+
 def test_golden_checkpoint_reserializes_to_the_same_bytes():
-    # pins checkpoint format 1: the file was written by an earlier version
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        "golden", "ckpt_step6.json")
-    with open(path, encoding="utf-8") as fh:
+    # the archive holds the values of the JSON reference, written by the
+    # per-item code, exactly
+    with open(os.path.join(GOLDEN, "ckpt_step6.json"), encoding="utf-8") as fh:
         text = fh.read()
-    ck = load_checkpoint(path)
+    ck = load_checkpoint(GOLDEN_CKPT)
     assert json.dumps(checkpoint_to_jsonable(ck), sort_keys=True) + "\n" == text
 
 
-def test_checkpoint_rejects_bad_version():
+def test_checkpoint_rejects_bad_version(tmp_path):
     ds = toy_dataset()
     ecfg, gcfg, _, _, _ = toy_setup()
     ck = train(ds, ecfg, replace(gcfg, steps=0), 2)
-    obj = checkpoint_to_jsonable(ck)
-    obj["version"] = 99
-    with pytest.raises(ValueError):
-        checkpoint_from_jsonable(obj)
-
-
-GOLDEN_CKPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           "golden", "ckpt_step6.json")
+    path = tmp_path / "ck.npz"
+    save_checkpoint(ck, str(path))
+    with np.load(path) as archive:
+        header = json.loads(archive["header"].tobytes())
+        tensors = archive["tensors"]
+    header["version"] = 99
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.frombuffer(json.dumps(header).encode(), np.uint8),
+                 tensors=tensors)
+    with pytest.raises(ValueError, match="unsupported checkpoint version 99"):
+        load_checkpoint(str(path))
 
 
 def tensor_leaves(ck):
@@ -424,7 +430,7 @@ def tensor_leaves(ck):
 
 
 def test_format2_round_trip_is_bit_exact(tmp_path):
-    # the golden checkpoint (format 1) trains all three components, so the
+    # the golden checkpoint trains all three components, so the
     # 0-d bp and ds_b have Adam moments too; a negative zero keeps its sign
     ck = load_checkpoint(GOLDEN_CKPT)
     ck.params["ensad"]["bp"] = np.array(-0.0)
@@ -445,11 +451,11 @@ def test_format2_round_trip_is_bit_exact(tmp_path):
 
 
 def test_golden_checkpoint_through_format2_reserializes_to_the_same_bytes(tmp_path):
-    with open(GOLDEN_CKPT, encoding="utf-8") as fh:
-        text = fh.read()
-    path = str(tmp_path / "ck.json")
+    # pins format 2's bytes: the archive was written by an earlier version
+    path = str(tmp_path / "ck.npz")
     save_checkpoint(load_checkpoint(GOLDEN_CKPT), path)
-    assert json.dumps(checkpoint_to_jsonable(load_checkpoint(path)), sort_keys=True) + "\n" == text
+    with open(path, "rb") as fh, open(GOLDEN_CKPT, "rb") as golden:
+        assert fh.read() == golden.read()
 
 
 def test_format2_equal_checkpoints_give_equal_bytes(tmp_path):

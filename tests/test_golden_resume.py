@@ -4,9 +4,13 @@
 at step 6 of a run that trains the adapter, generator and discriminator
 with noise augmentation on (d and d_z odd, so every Gaussian draw is
 padded to an even word count), and the losses of steps 7-12 with the
-stream position after step 12. All three files were written by the code
-before the training step was batched. A refactor must keep the RNG word
-stream exactly and the math within round-off of that code.
+stream position after step 12. These were written by the code before the
+training step was batched; the checkpoint as ``ckpt_step6.json``, the JSON
+view of ``gan.checkpoint_to_jsonable``. ``ckpt_step6.npz``, which this test
+resumes, is a lossless format-2 re-save of it, made at commit 92ad9cc
+(``test_gan`` checks that the two hold the same values). A refactor must
+keep the RNG word stream exactly and the math within round-off of that
+code.
 """
 
 import json
@@ -23,7 +27,7 @@ def test_golden_checkpoint_resumes_on_the_same_stream():
     with open(os.path.join(GOLDEN, "expected.json"), encoding="utf-8") as fh:
         expected = json.load(fh)
     ds = load_jsonl(os.path.join(GOLDEN, "data.jsonl"))
-    ck = load_checkpoint(os.path.join(GOLDEN, "ckpt_step6.json"))
+    ck = load_checkpoint(os.path.join(GOLDEN, "ckpt_step6.npz"))
     assert ck.step == expected["resume_step"]
     assert ck.rng_position == expected["rng_position_at_resume"]
 

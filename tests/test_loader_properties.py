@@ -26,7 +26,7 @@ from ensad.data import (
     jsonl_lines,
     load_jsonl,
 )
-from ensad.gan import load_checkpoint, save_checkpoint
+from ensad.gan import load_checkpoint
 from ensad.numkit import l2_normalize
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -391,14 +391,12 @@ def test_mutated_file_fails_as_the_per_line_reader_fails(tmp_path, data):
 
 
 GOLDEN_CKPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           "golden", "ckpt_step6.json")
+                           "golden", "ckpt_step6.npz")
 
 
 @pytest.fixture(scope="module")
-def format2_bytes(tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("ckpt") / "ck.json")
-    save_checkpoint(load_checkpoint(GOLDEN_CKPT), path)
-    with open(path, "rb") as fh:
+def format2_bytes():
+    with open(GOLDEN_CKPT, "rb") as fh:
         return fh.read()
 
 
@@ -453,5 +451,5 @@ def test_corrupted_checkpoint_raises_only_value_error(tmp_path, format2_bytes, d
         return
     with pytest.raises(ValueError) as exc:
         load_checkpoint(path)
-    if kind == "truncate" and len(raw) >= 4:
+    if kind == "truncate":
         assert path in str(exc.value)
