@@ -34,9 +34,9 @@ NORM_REJECT = 1e-6
 _NUMBER_TYPES = frozenset({int, float})
 
 
-# What json.loads raises on text it cannot parse, nesting too deep for its
-# recursion limit included.
-JSON_ERRORS = (json.JSONDecodeError, RecursionError)
+# What json.loads raises on text it cannot parse (a JSONDecodeError, or a plain
+# ValueError for an integer too long for int()) or nests too deeply.
+JSON_ERRORS = (ValueError, RecursionError)
 
 
 class DataFormatError(ValueError):

@@ -8,8 +8,8 @@ shared backbone. fd doubles as the feature extractor for evaluation.
 
 Parameters are one ``{component: {tensor name: array}}`` mapping, keyed by
 TRAINABLE_COMPONENTS; :func:`param_shapes` says what each component holds.
-Inside :func:`train` each component's tensors are named views into one
-float64 vector, laid out as in format 2's tensor vector.
+Inside :func:`train` all tensors are named views into one float64 vector,
+the trained components first, each laid out as in format 2's tensor vector.
 """
 
 from __future__ import annotations
@@ -139,18 +139,34 @@ def _mlp_forward(layers: list, x):
     return x, acts
 
 
-def _mlp_backward(layers: list, acts, grad_out):
-    """Gradients for _mlp_forward, one per entry of ``layers``, and the
-    gradient w.r.t. the input batch."""
+def _mlp_backward(layers: list, acts, grad_out, rows=slice(None), first=0,
+                  to_params=True, to_input=True):
+    """Gradients for _mlp_forward on a stack of batches, for a stack of
+    gradient rows: row j backs batch ``rows[j]``, and the rows from ``first``
+    on back the batches in order. Returns those rows' parameter gradients,
+    one per entry of ``layers`` and summed over the rows (None unless
+    ``to_params``), and row 0's input gradient (None unless ``to_input``)."""
     grads = [None] * len(layers)
     g = grad_out
     for i in range(len(layers) - 2, -1, -2):
         y = acts[i // 2 + 1]
-        g = g * (1.0 - y * y)
-        grads[i] = g.T @ acts[i // 2]
-        grads[i + 1] = g.sum(axis=0)
-        g = g @ layers[i]
-    return grads, g
+        g = g * (1.0 - y * y)[rows]
+        if to_params:
+            grads[i] = _stack_product(g[first:], acts[i // 2])
+            grads[i + 1] = _stack_sum(g[first:].sum(axis=-2))
+        if i:
+            g = g @ layers[i]
+    return grads, g[0] @ layers[0] if to_input else None
+
+
+def _stack_sum(x: np.ndarray) -> np.ndarray:
+    """``x`` summed over its leading (stack) axis, in stack order."""
+    return x[0] if len(x) == 1 else x.sum(axis=0)
+
+
+def _stack_product(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The sum of g[j].T @ x[j] over the stack, in stack order."""
+    return _stack_sum(np.matmul(g.swapaxes(-1, -2), x))
 
 
 def generate_batch(params: dict, conds: np.ndarray, zs: np.ndarray):
@@ -169,18 +185,6 @@ def disc_forward_batch(params: dict, imgs: np.ndarray):
     fd = r @ fd_w.T + fd_b
     ds = r @ ds_w + float(ds_b)
     return fd, ds, acts
-
-
-def _disc_backward_batch(params: dict, acts, grad_fd, grad_ds):
-    """Backprop through both heads and the backbone. Returns the
-    discriminator's gradients, ``{name: array}``, and the gradient w.r.t.
-    the images."""
-    *backbone, fd_w, _, ds_w, _ = params["discriminator"].values()
-    r = acts[-1]
-    grad_r = grad_fd @ fd_w + grad_ds[:, None] * ds_w[None, :]
-    grads, grad_imgs = _mlp_backward(backbone, acts, grad_r)
-    grads += [grad_fd.T @ r, grad_fd.sum(axis=0), r.T @ grad_ds, np.asarray(grad_ds.sum())]
-    return dict(zip(params["discriminator"], grads)), grad_imgs
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -234,13 +238,12 @@ def _feature_matrix(feats, name: str) -> np.ndarray:
 
 
 def _unit_rows(x: np.ndarray):
-    """The rows of the (n, k) matrix ``x`` scaled to unit norm, and the
-    inverse norms; a row of norm below NORM_EPS gets inverse norm 0 and
-    becomes zero. The norm is np.linalg.norm's arithmetic along axis 1,
-    without its dispatch."""
-    norm = np.sqrt(np.add.reduce(x * x, axis=1))
+    """The rows of ``x`` (..., n, k) scaled to unit norm, and the inverse
+    norms (0 for a row of norm below NORM_EPS, which becomes zero). The norm
+    is np.linalg.norm's arithmetic along the last axis, without its dispatch."""
+    norm = np.sqrt(np.add.reduce(x * x, axis=-1))
     inv = np.where(norm < NORM_EPS, 0.0, 1.0 / np.maximum(norm, NORM_EPS))
-    return x * inv[:, None], inv
+    return x * inv[..., None], inv
 
 
 def loss_contrastive(anchor_feats, positive_feats, tau: float) -> float:
@@ -257,33 +260,34 @@ def loss_contrastive(anchor_feats, positive_feats, tau: float) -> float:
     if a.shape[0] != p.shape[0]:
         raise ValueError("anchor and positive counts differ")
     loss, _, _ = _contrastive_with_grads(_unit_rows(a), _unit_rows(p), tau)
-    return loss
+    return float(loss)
 
 
 def _contrastive_with_grads(a: tuple, p: tuple, tau: float):
     """Loss of :func:`loss_contrastive` and its gradients w.r.t. the (n, k)
     anchor and positive matrices, which the caller has checked, each given
-    as its :func:`_unit_rows`."""
+    as its :func:`_unit_rows`. Leading axes stack independent pairs: a
+    (j, n, k) stack gives j losses, and each pair's arithmetic is that of
+    its own 2-D call."""
     (ahat, inv_a), (phat, inv_p) = a, p
-    n = ahat.shape[0]
+    n = ahat.shape[-2]
     # rows: anchors j; columns: positives i; zero-vector pairs score 0
-    sim = ahat @ phat.T
+    sim = ahat @ phat.swapaxes(-1, -2)
     x = sim / tau
-    mx = x.max(axis=0)
+    mx = x.max(axis=-2, keepdims=True)
     ex = np.exp(x - mx)
-    colsum = ex.sum(axis=0)
+    colsum = ex.sum(axis=-2, keepdims=True)
     lse = np.log(colsum) + mx
-    loss = float(-_mean(x.ravel()[::n + 1] - lse))
+    loss = -((np.diagonal(x, axis1=-2, axis2=-1) - lse[..., 0, :]).sum(axis=-1) / n)
 
     # d loss / d sim = (colwise softmax - identity) / (n tau)
     dsim = ex / colsum
-    dsim.ravel()[::n + 1] -= 1.0
+    dsim.reshape(*dsim.shape[:-2], n * n)[..., ::n + 1] -= 1.0
     dsim /= n * tau
     weighted = dsim * sim
-    rows = weighted.sum(axis=1)
-    cols = weighted.sum(axis=0)
-    grad_a = (dsim @ phat - rows[:, None] * ahat) * inv_a[:, None]
-    grad_p = (dsim.T @ ahat - cols[:, None] * phat) * inv_p[:, None]
+    cols = weighted.sum(axis=-2)[..., None]
+    grad_a = (dsim @ phat - weighted.sum(axis=-1, keepdims=True) * ahat) * inv_a[..., None]
+    grad_p = (dsim.swapaxes(-1, -2) @ ahat - cols * phat) * inv_p[..., None]
     return loss, grad_a, grad_p
 
 
@@ -321,18 +325,11 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(
-    params: dict,
-    grads: dict,
-    state: AdamState,
-    lr: float,
-    beta1: float,
-    beta2: float,
-    eps: float = 1e-8,
-) -> dict:
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float, beta1: float,
+              beta2: float, eps: float = 1e-8) -> dict:
     """Standard bias-corrected Adam, in place on the parameter arrays of one
     component; ``grads`` and the moments have the same tensor names.
-    :func:`train` passes a component's flat vectors, in blocks."""
+    :func:`train` passes all trained components' flat vectors, in blocks."""
     if params.keys() != grads.keys() or params.keys() != state.m.keys():
         raise ValueError("parameter, gradient and state names differ")
     for name, p in params.items():
@@ -513,18 +510,22 @@ def _flat_specs(shapes: dict, trained: list) -> list:
         shapes[comp] for comp in trained for _ in ("m", "v")]
 
 
-def _flatten(tree: dict) -> np.ndarray:
-    """The tensors of ``tree`` as one float64 vector, in its order."""
-    return np.concatenate(list(tree.values()), axis=None, dtype=np.float64)
+def _flatten(*trees: dict) -> np.ndarray:
+    """The tensors of the ``{name: array}`` mappings ``trees`` as one
+    float64 vector, in their order; no trees give an empty vector."""
+    return np.concatenate([x for tree in trees for x in tree.values()] or [np.empty(0)],
+                          axis=None, dtype=np.float64)
 
 
-def _views(vec: np.ndarray, spec: dict) -> dict:
-    """Named views of the flat vector ``vec``, one per tensor of ``spec``,
-    in its order: the inverse of :func:`_flatten`."""
-    views, end = {}, 0
-    for name, s in spec.items():
-        start, end = end, end + math.prod(s.shape)
-        views[name] = vec[start:end].reshape(s.shape)
+def _views(vec: np.ndarray, specs: dict) -> dict:
+    """Named views of the flat vector ``vec``, ``{comp: {name: view}}`` for
+    the ``{comp: {name: TensorSpec}}`` mapping ``specs``, in its order: the
+    inverse of :func:`_flatten`."""
+    views, end = {comp: {} for comp in specs}, 0
+    for comp, spec in specs.items():
+        for name, s in spec.items():
+            start, end = end, end + math.prod(s.shape)
+            views[comp][name] = vec[start:end].reshape(s.shape)
     return views
 
 
@@ -633,15 +634,9 @@ class StepGrads:
     grad_h: np.ndarray | None = None
 
 
-def step_losses_and_grads(
-    h: np.ndarray,
-    imgs_real: np.ndarray,
-    zs: np.ndarray,
-    params: dict,
-    ensad_cfg: EnsAdConfig,
-    gan_cfg: GanConfig,
-    proxy: np.ndarray | None = None,
-) -> StepGrads:
+def step_losses_and_grads(h: np.ndarray, imgs_real: np.ndarray, zs: np.ndarray, params: dict,
+                          ensad_cfg: EnsAdConfig, gan_cfg: GanConfig,
+                          proxy: np.ndarray | None = None) -> StepGrads:
     """One full training step's math, pure: forward everything, total both
     losses, and differentiate each trainable component. The adapter and
     generator see the discriminator frozen; the discriminator half holds
@@ -653,82 +648,81 @@ def step_losses_and_grads(
     validated here.
     """
     n = h.shape[0]
-    d = ensad_cfg.d
+    lam1, lam2, clg, trainable = (gan_cfg.lambda1, gan_cfg.lambda2, gan_cfg.enable_clg,
+                                  gan_cfg.trainable)
     htil, trace = adapter.fuse_batch(h, params["ensad"], ensad_cfg, gan_cfg.conditioning)
     fakes, gen_acts = generate_batch(params, htil, zs)
-    fd_f, ds_f, acts_f = disc_forward_batch(params, fakes)
-    fd_r, ds_r, acts_r = disc_forward_batch(params, imgs_real)
-    logits_f = ds_f + np.sum(fd_f * htil, axis=1)
-    logits_r = ds_r + np.sum(fd_r * htil, axis=1)
+    # one discriminator pass over the stack [fakes, reals]
+    fd, ds, acts = disc_forward_batch(params, np.array([fakes, imgs_real]))
+    logits = ds + np.sum(fd * htil, axis=-1)
 
-    parts = LossParts(
-        l_ad_ensad=_adv_ensad(logits_f),
-        l_ad_d=_adv_disc(logits_r, logits_f),
-    )
-    cl_a = cl_p = cldf_a = cldf_p = cldr_a = clg_a = clg_p = None
-    if gan_cfg.lambda1 > 0 or gan_cfg.lambda2 > 0:
-        # each feature matrix is normalized once, for every term it enters
-        unit_r, unit_f, unit_h = _unit_rows(fd_r), _unit_rows(fd_f), _unit_rows(htil)
-    if gan_cfg.lambda1 > 0:
-        if gan_cfg.enable_clg:
-            parts.l_cl_g, clg_a, clg_p = _contrastive_with_grads(
-                _unit_rows(fakes @ proxy.T), unit_h, gan_cfg.tau
-            )
-        else:
-            parts.l_cl, cl_a, cl_p = _contrastive_with_grads(unit_r, unit_f, gan_cfg.tau)
-    if gan_cfg.lambda2 > 0:
-        parts.l_cl_d_fake, cldf_a, cldf_p = _contrastive_with_grads(
-            unit_f, unit_h, gan_cfg.tau
-        )
-        parts.l_cl_d_real, cldr_a, _ = _contrastive_with_grads(unit_r, unit_h, gan_cfg.tau)
-    loss_e, loss_d = total_losses(parts, gan_cfg)
-    res = StepGrads(parts=parts, loss_ensad=loss_e, loss_disc=loss_d, trace=trace)
+    parts = LossParts(l_ad_ensad=_adv_ensad(logits[0]), l_ad_d=_adv_disc(logits[1], logits[0]))
+    # the active contrastive terms, {LossParts field: (anchors, positives)},
+    # in one call over their stack
+    pairs = {}
+    if lam1 > 0:
+        pairs["l_cl_g" if clg else "l_cl"] = (fakes @ proxy.T, htil) if clg else (fd[1], fd[0])
+    if lam2 > 0:
+        pairs["l_cl_d_fake"] = fd[0], htil
+        pairs["l_cl_d_real"] = fd[1], htil
+    cl_a = cl_p = {}
+    if pairs:
+        anchors, positives = (np.array(side) for side in zip(*pairs.values()))
+        losses, grad_a, grad_p = _contrastive_with_grads(_unit_rows(anchors),
+                                                         _unit_rows(positives), gan_cfg.tau)
+        for name, loss in zip(pairs, losses):
+            setattr(parts, name, float(loss))
+        cl_a, cl_p = dict(zip(pairs, grad_a)), dict(zip(pairs, grad_p))
+    res = StepGrads(parts, *total_losses(parts, gan_cfg), trace=trace)
 
-    if gan_cfg.trainable & {"ensad", "generator"}:
-        # adapter/generator half-step: D frozen, gradients flow through it
-        g_logit = (_sigmoid(logits_f) - 1.0) / n
-        grad_fd_f = g_logit[:, None] * htil
-        grad_htil = g_logit[:, None] * fd_f
-        grad_fakes = np.zeros_like(fakes)
-        if gan_cfg.lambda1 > 0:
-            if gan_cfg.enable_clg:
-                grad_fakes += gan_cfg.lambda1 * (clg_a @ proxy)
-                grad_htil += gan_cfg.lambda1 * clg_p
-            else:
-                # the real-feature anchors only touch frozen D weights
-                grad_fd_f += gan_cfg.lambda1 * cl_p
-        if gan_cfg.lambda2 > 0:
-            grad_fd_f += gan_cfg.lambda2 * cldf_a
-            grad_htil += gan_cfg.lambda2 * cldf_p
-        _, grad_imgs = _disc_backward_batch(params, acts_f, grad_fd_f, g_logit)
-        grad_fakes += grad_imgs
+    # The rows of the discriminator backward, each its logit gradient and
+    # the contrastive terms its fd gradient takes where active: the fakes
+    # toward the adapter and generator (D frozen, gradients flow through it;
+    # the real-feature anchors of l_cl only touch frozen D weights), then
+    # the fakes and the reals toward D (fakes and conditions held constant).
+    to_gen, to_disc = bool(trainable & {"ensad", "generator"}), "discriminator" in trainable
+    if not (to_gen or to_disc):
+        return res
+    sig = _sigmoid(logits)
+    rows = [((sig[0] - 1.0) / n, [(lam1, cl_p, "l_cl"), (lam2, cl_a, "l_cl_d_fake")])] * to_gen + [
+        (sig[0] / n, [(lam1, cl_p, "l_cl")]),
+        ((sig[1] - 1.0) / n, [(lam1, cl_a, "l_cl"), (lam2, cl_a, "l_cl_d_real")])] * to_disc
+    grad_ds = np.array([g for g, _ in rows])
+    grad_fd = grad_ds[..., None] * htil
+    for row, (_, terms) in zip(grad_fd, rows):
+        for lam, side, name in terms:
+            if name in side:
+                row += lam * side[name]
+    *backbone, fd_w, _, ds_w, _ = params["discriminator"].values()
+    k = int(to_gen)  # the first D-side row
+    grads_d, grad_fakes = _mlp_backward(
+        backbone, acts, grad_fd @ fd_w + grad_ds[..., None] * ds_w,
+        [0, 0, 1] if to_gen and to_disc else slice(0, 1 + to_disc), k, to_disc, to_gen)
+
+    if to_gen:
+        if "l_cl_g" in cl_a:
+            grad_fakes += lam1 * (cl_a["l_cl_g"] @ proxy)
         gen = params["generator"]
-        gen_grads, grad_x = _mlp_backward(list(gen.values()), gen_acts, grad_fakes)
-        grad_htil += grad_x[:, :d]
-
-        if "ensad" in gan_cfg.trainable:
-            res.grad_conds = grad_htil
-            res.grads["ensad"], res.grad_h = adapter.backward_batch(
-                params["ensad"], ensad_cfg, trace, grad_htil
-            )
-        if "generator" in gan_cfg.trainable:
-            res.grads["generator"] = dict(zip(gen, gen_grads))
-
-    if "discriminator" in gan_cfg.trainable:
-        # discriminator half-step: fakes and conditions held constant
-        g_r = (_sigmoid(logits_r) - 1.0) / n
-        g_f = _sigmoid(logits_f) / n
-        grad_fd_r2 = g_r[:, None] * htil
-        grad_fd_f2 = g_f[:, None] * htil
-        if gan_cfg.lambda1 > 0 and not gan_cfg.enable_clg:
-            grad_fd_r2 += gan_cfg.lambda1 * cl_a
-            grad_fd_f2 += gan_cfg.lambda1 * cl_p
-        if gan_cfg.lambda2 > 0:
-            grad_fd_r2 += gan_cfg.lambda2 * cldr_a
-        grads_f, _ = _disc_backward_batch(params, acts_f, grad_fd_f2, g_f)
-        grads_r, _ = _disc_backward_batch(params, acts_r, grad_fd_r2, g_r)
-        res.grads["discriminator"] = {k: grads_f[k] + grads_r[k] for k in grads_f}
-
+        gen_grads, grad_x = _mlp_backward(list(gen.values()), [a[None] for a in gen_acts],
+                                          grad_fakes[None], to_params="generator" in trainable,
+                                          to_input="ensad" in trainable)
+    if "ensad" in trainable:
+        grad_htil = grad_ds[0][:, None] * fd[0]
+        for lam, name in ((lam1, "l_cl_g"), (lam2, "l_cl_d_fake")):
+            if name in cl_p:
+                grad_htil += lam * cl_p[name]
+        grad_htil += grad_x[:, :ensad_cfg.d]
+        res.grad_conds = grad_htil
+        res.grads["ensad"], res.grad_h = adapter.backward_batch(params["ensad"], ensad_cfg,
+                                                                trace, grad_htil)
+    if "generator" in trainable:
+        res.grads["generator"] = dict(zip(gen, gen_grads))
+    if to_disc:
+        r, gd, gf = acts[-1], grad_ds[k:], grad_fd[k:]
+        grads_d += [_stack_product(gf, r), _stack_sum(gf.sum(axis=-2)),
+                    _stack_product(r, gd[..., None])[:, 0],
+                    np.asarray(_stack_sum(gd.sum(axis=-1)))]
+        res.grads["discriminator"] = dict(zip(params["discriminator"], grads_d))
     return res
 
 
@@ -802,40 +796,45 @@ def train(
             source = init_tensors(shapes, rng)
         start_step = 0
 
-    # One float64 vector per component, in param_shapes order as in format
-    # 2's tensor vector; params[comp] holds named views of it. A trained
-    # component's gradients and Adam moments get vectors of the same layout,
-    # so its finiteness check and its Adam update are one call each.
-    flat = {comp: _flatten(source[comp]) for comp in TRAINABLE_COMPONENTS}
-    params = {comp: _views(vec, shapes[comp]) for comp, vec in flat.items()}
-    grads = {comp: np.empty_like(flat[comp]) for comp in trained}
-    blocks = {comp: (_blocks(flat[comp]), _blocks(grads[comp])) for comp in trained}
-    moments, adam = {}, {}
-    for comp in trained:
-        if resume is None:
-            m, v, t = np.zeros_like(flat[comp]), np.zeros_like(flat[comp]), 0
-        else:
+    # One float64 vector holds the parameters, the trained components first,
+    # each in param_shapes order as in format 2's tensor vector; params[comp]
+    # holds named views of it. The trained part's gradients and Adam moments
+    # get vectors of its layout, so a step runs one finiteness check and one
+    # Adam update for all of them.
+    order = trained + [comp for comp in TRAINABLE_COMPONENTS if comp not in trained]
+    flat = _flatten(*(source[comp] for comp in order))
+    params = _views(flat, {comp: shapes[comp] for comp in order})
+    params = {comp: params[comp] for comp in TRAINABLE_COMPONENTS}
+    size = sum(x.size for comp in trained for x in params[comp].values())
+    m, v, t = np.zeros(size), np.zeros(size), 0
+    if resume is not None:
+        states = {}
+        for comp in trained:
             with _field(f"adam.{comp}"):
                 st = resume.adam[comp]
-                st = _adam_state(st.m, st.v, st.t, shapes[comp])
-            m, v, t = _flatten(st.m), _flatten(st.v), st.t
-        moments[comp] = m, v
-        adam[comp] = AdamState(_blocks(m), _blocks(v), t)
+                states[comp] = _adam_state(st.m, st.v, st.t, shapes[comp])
+        steps = {comp: st.t for comp, st in states.items()}
+        if len(set(steps.values())) > 1:
+            raise ValueError(f"resume checkpoint's adam step counts differ: {steps}")
+        m, v = (_flatten(*(getattr(st, x) for st in states.values())) for x in "mv")
+        t = max(steps.values(), default=0)
+    specs = {comp: shapes[comp] for comp in trained}
+    grad = np.empty(size)
+    moments = _views(m, specs), _views(v, specs)
+    adam = AdamState(_blocks(m), _blocks(v), t)
+    blocks = _blocks(flat[:size]), _blocks(grad)
 
     proxy = None
     if gan_cfg.enable_clg:
-        proxy_rng = SeededRng(derive_seed(seed, _PROXY_SALT))
-        proxy = proxy_rng.gaussian(ensad_cfg.d * gan_cfg.d_img).reshape(
-            ensad_cfg.d, gan_cfg.d_img
-        ) / np.sqrt(gan_cfg.d_img)
+        proxy = SeededRng(derive_seed(seed, _PROXY_SALT)).gaussian(
+            ensad_cfg.d * gan_cfg.d_img).reshape(ensad_cfg.d, -1) / np.sqrt(gan_cfg.d_img)
 
     def snapshot(step_count: int, position: int) -> Checkpoint:
         return Checkpoint(
             ensad_cfg=ensad_cfg,
             gan_cfg=gan_cfg,
             params=map_tensors(np.copy, params),
-            adam={comp: AdamState(*(map_tensors(np.copy, _views(x, shapes[comp]))
-                                    for x in moments[comp]), adam[comp].t)
+            adam={comp: AdamState(*(map_tensors(np.copy, x[comp]) for x in moments), adam.t)
                   for comp in trained},
             rng_seed=seed,
             rng_position=position,
@@ -852,23 +851,24 @@ def train(
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 res = step_losses_and_grads(h, imgs, zs, params, ensad_cfg, gan_cfg, proxy)
-            for comp in trained:
-                np.concatenate([res.grads[comp][name] for name in shapes[comp]], axis=None,
-                               out=grads[comp])
+            if trained:
+                np.concatenate([res.grads[comp][name] for comp in trained
+                                for name in shapes[comp]], axis=None, out=grad)
             # an inf already present passes *, +, tanh and exp without raising
             # a flag, and Adam, outside the errstate because a half-applied
             # in-place update cannot be undone, can leave one behind
-            values = {"adapter-side loss": res.loss_ensad,
-                      "discriminator-side loss": res.loss_disc,
-                      **{f"{comp} gradient": grads[comp] for comp in trained}}
-            bad = [what for what, x in values.items() if not np.isfinite(x).all()]
+            losses = {"adapter-side loss": res.loss_ensad,
+                      "discriminator-side loss": res.loss_disc}
+            bad = [what for what, x in losses.items() if not math.isfinite(x)]
+            if not np.isfinite(grad).all():
+                bad += [f"{comp} gradient" for comp, tree in _views(grad, specs).items()
+                        if not np.isfinite(_flatten(tree)).all()]
             if bad:
                 raise FloatingPointError(f"non-finite {', '.join(bad)}")
         except FloatingPointError as exc:
             raise TrainingDiverged(snapshot(step, position), f"{exc} at step {step}") from exc
 
-        for comp in trained:
-            adam_step(*blocks[comp], adam[comp], gan_cfg.lr, gan_cfg.beta1, gan_cfg.beta2)
+        adam_step(*blocks, adam, gan_cfg.lr, gan_cfg.beta1, gan_cfg.beta2)
 
         if log_fn is not None:
             parts = res.parts

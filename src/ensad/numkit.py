@@ -42,8 +42,8 @@ _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
 
 # Blocked hot loops handle at most this many 8-byte entries at a time, so
 # that each block's temporaries stay in cache:
-# - ``gan.train`` hands ``adam_step`` a component's flat vectors in blocks of
-#   this size. A desk-scale component is one block. For the 655,873 adapter
+# - ``gan.train`` hands ``adam_step`` the trained components' flat vectors in
+#   blocks of this size: one block at desk scale. For the 655,873 adapter
 #   parameters of the paper's shape an adam_step took 10.7-11.7 ms on one
 #   vector, 8.3-8.5 ms per tensor and 6.6-6.9 ms in these 11 blocks
 #   (medians of 100, 2-core Xeon VM, numpy 2.4.6).

@@ -604,6 +604,36 @@ def test_config_errors(workdir, dataset_path, capsys):
     assert f"config {deep} is not valid JSON" in capsys.readouterr().err
 
 
+def test_config_with_an_overlong_integer_names_the_file(dataset_path, tmp_path, capsys):
+    # json.loads raises a plain ValueError for an integer of more than 4,300
+    # digits, not a JSONDecodeError
+    cfg = tmp_path / "big.json"
+    cfg.write_text('{"gan": {"lr": %s}}' % ("9" * 5000))
+    out = tmp_path / "out.npz"
+    rc = main(["train", "--data", str(dataset_path), "--out", str(out), "--config", str(cfg),
+               "--preset", "ensad_frozen_g", "--steps", "3"])
+    assert rc == 2
+    assert f"error: config {cfg} is not valid JSON: Exceeds the limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resume_rejects_unequal_adam_step_counts(dataset_path, train_config, tmp_path,
+                                                 capsys):
+    base = ["train", "--data", str(dataset_path), "--config", str(train_config),
+            "--preset", "finetune_g_text", "--seed", "6"]
+    part = tmp_path / "part.npz"
+    assert main(base + ["--out", str(part), "--steps", "3"]) == 0
+    ck = load_checkpoint(str(part))
+    ck.adam["generator"].t += 1
+    bad = tmp_path / "bad.npz"
+    save_checkpoint(ck, str(bad))
+    capsys.readouterr()
+    out = tmp_path / "out.npz"
+    assert main(base + ["--out", str(out), "--steps", "5", "--resume", str(bad)]) == 2
+    assert "adam step counts differ" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.npz", "part.csv", "part.npz"]
+
+
 @pytest.mark.parametrize("command, config, field", [
     ("train", {"gan": {"steps": 3.5}}, "steps"),
     ("train", {"gan": {"batch": 4.5}}, "batch"),

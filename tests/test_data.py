@@ -199,6 +199,9 @@ GOOD_ITEM = json.dumps({"id": "a", "h0": [1.0, 0.0],
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # Nesting deeper than the JSON parser's recursion limit
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
+# An integer of more digits than int() converts from text: json.loads raises
+# a plain ValueError, not a JSONDecodeError
+LONG_INT = "9" * 5000
 
 
 def test_load_rejects_bad_header(tmp_path):
@@ -218,6 +221,19 @@ def test_load_rejects_bad_header(tmp_path):
         path = write_lines(tmp_path, [json.dumps(hdr), GOOD_ITEM])
         with pytest.raises(DataFormatError, match=f"line 1: header '{key}'"):
             load_jsonl(path)
+
+
+def test_load_names_the_header_line_of_an_overlong_integer(tmp_path):
+    path = write_lines(tmp_path, [HEADER.replace('"d": 2', f'"d": {LONG_INT}'), GOOD_ITEM])
+    with pytest.raises(DataFormatError, match="^line 1: bad JSON header: Exceeds the limit"):
+        load_jsonl(path)
+
+
+def test_load_names_the_item_line_of_an_overlong_integer(tmp_path):
+    bad = GOOD_ITEM.replace('"image": [0.0, 0.0]', f'"image": [{LONG_INT}, 0.0]')
+    path = write_lines(tmp_path, [HEADER, GOOD_ITEM, bad])
+    with pytest.raises(DataFormatError, match="^line 3: bad JSON: Exceeds the limit"):
+        load_jsonl(path)
 
 
 def test_load_rejects_wrong_format_name(tmp_path):

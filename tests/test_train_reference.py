@@ -1,8 +1,8 @@
 """``train`` against the per-step, per-tensor loop it replaced.
 
-``train`` keeps each component's parameters, Adam moments and gradients in
-one flat vector and runs Adam once per component, and takes a block of
-steps' draws from one stream fill (``data.step_batches``).
+``train`` keeps the trained components' parameters, Adam moments and
+gradients in one flat vector each and runs Adam once per step, and takes a
+block of steps' draws from one stream fill (``data.step_batches``).
 ``reference_train`` below is the loop it replaced: per step,
 ``sample_indices``, ``augment_rows`` and ``gaussian_rows``, then
 ``step_losses_and_grads`` and ``adam_step`` per tensor on named dicts. Both
@@ -349,6 +349,19 @@ def test_mutating_a_returned_checkpoint_changes_no_later_resume(tmp_path):
     for a in checkpoint_arrays(part):
         a[...] = np.nan
     assert_bitwise(train(ds, ecfg, gcfg, 4, resume=load_checkpoint(path)), *want)
+
+
+def test_resume_rejects_unequal_adam_step_counts():
+    # train keeps one Adam state for all trained components, so their step
+    # counts must agree; train never writes a checkpoint where they do not
+    ds = toy_dataset()
+    ecfg, gcfg = preset_cfgs("finetune_g_text", steps=6)
+    part = train(ds, ecfg, replace(gcfg, steps=3), 2)
+    assert {st.t for st in part.adam.values()} == {3}
+    st = part.adam["generator"]
+    bad = replace(part, adam={**part.adam, "generator": AdamState(st.m, st.v, st.t + 1)})
+    with pytest.raises(ValueError, match="adam step counts differ"):
+        train(ds, ecfg, gcfg, 2, resume=bad)
 
 
 def test_resume_validates_the_adam_state():
