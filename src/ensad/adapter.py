@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import check_real_fields, set_uint_fields
-from .numkit import NORM_EPS, SeededRng, TensorSpec, as_f64, init_tensors, l2_normalize_rows
+from .numkit import NORM_EPS, SeededRng, TensorSpec, as_f64, init_tensors, unit_rows
 
 
 @dataclass(frozen=True)
@@ -102,21 +102,12 @@ class ForwardTrace:
     h_tilde: np.ndarray
 
 
-def _norm(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(x * x, axis=-1))
-
-
-def _divisor(norm: np.ndarray) -> np.ndarray:
-    """Norms as divisors, with norms below NORM_EPS replaced by 1 so those
-    vectors pass through unscaled."""
-    return np.where(norm < NORM_EPS, 1.0, norm)[..., None]
-
-
 def _normalize_backward(grad, unit, norm):
     """Backward of x -> x/|x| given unit = x/|x|: (I - unit unit^T) grad / |x|,
     and zero where |x| fell below NORM_EPS."""
     proj = grad - unit * np.sum(unit * grad, axis=-1, keepdims=True)
-    return np.where((norm < NORM_EPS)[..., None], 0.0, proj / _divisor(norm))
+    small = (norm < NORM_EPS)[..., None]
+    return np.where(small, 0.0, proj / np.where(small, 1.0, norm[..., None]))
 
 
 def _matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -152,8 +143,8 @@ def forward_batch(
     q = h[:, 0]
     k = h[:, 1:]
     vraw = k if v_eq_k else k - q[:, None, :]
-    vraw_norm = _norm(vraw)
-    v = vraw if v_eq_k else vraw / _divisor(vraw_norm)
+    vunit, vraw_norm = unit_rows(vraw)
+    v = vraw if v_eq_k else vunit
 
     a = _matmul(k, p["wk"].T) + _matmul(v, p["wv"].T) + (q @ p["wq"].T + p["b"])[:, None, :]
     t = np.tanh(a)
@@ -162,17 +153,13 @@ def forward_batch(
     s = e / e.sum(axis=1, keepdims=True)
 
     u = np.tanh(_matmul(v, p["wo"].T))
-    u_norm = _norm(u)
-    uhat = u / _divisor(u_norm)
+    uhat, u_norm = unit_rows(u)
     vo = (1.0 - alpha) * v + alpha * uhat
-    craw = np.einsum("nm,nmd->nd", s, vo)
-    craw_norm = _norm(craw)
-    c = craw / _divisor(craw_norm)
+    c, craw_norm = unit_rows(np.einsum("nm,nmd->nd", s, vo))
 
-    hraw = (1.0 - alpha) * q + alpha * c
-    hraw_norm = _norm(hraw)
+    hunit, hraw_norm = unit_rows((1.0 - alpha) * q + alpha * c)
     passthrough = (alpha == 0.0) | (craw_norm < NORM_EPS)
-    h_tilde = np.where(passthrough[:, None], q, hraw / _divisor(hraw_norm))
+    h_tilde = np.where(passthrough[:, None], q, hunit)
     return h_tilde, ForwardTrace(
         h, vraw_norm, v, t, s, u, u_norm, uhat, vo, c, craw_norm, hraw_norm, h_tilde
     )
@@ -184,7 +171,7 @@ _FUSIONS = {
     "ensad": lambda h, p, cfg: forward_batch(p, cfg, h),
     "zero_shot": lambda h, p, cfg: (h[:, 0].copy(), None),
     "translate_test": lambda h, p, cfg: (h[:, 1].copy(), None),
-    "mean_pool": lambda h, p, cfg: (l2_normalize_rows(h.mean(axis=1)), None),
+    "mean_pool": lambda h, p, cfg: (unit_rows(h.mean(axis=1))[0], None),
 }
 STRATEGIES = tuple(_FUSIONS)
 

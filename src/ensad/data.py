@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .numkit import SeededRng, box_muller, derive_seed, l2_normalize, l2_normalize_rows
+from .numkit import SeededRng, box_muller, derive_seed, l2_normalize, unit_rows
 
 FORMAT_NAME = "ensad-jsonl"
 FORMAT_VERSION = 1
@@ -399,33 +399,7 @@ def _mix_noise(h: np.ndarray, p: np.ndarray, noisy: np.ndarray, g: np.ndarray) -
     where ``noisy`` holds becomes l2n((1-p)h + p l2n(g)), ``g`` (n, k, d)
     holding one Gaussian draw per such row."""
     pk = p[noisy][:, None]
-    h[:, noisy] = l2_normalize_rows((1.0 - pk) * h[:, noisy] + pk * l2_normalize_rows(g))
-
-
-def augment_rows(
-    h: np.ndarray, p0: float, pt: float, rng: SeededRng
-) -> np.ndarray:
-    """Noise augmentation of an (n, m+1, d) batch: each row h becomes
-    l2n((1-p)h + p l2n(g)) for a fresh Gaussian g, with p = p0 on source
-    rows and pt on translation rows. Returns a new array.
-
-    The batch takes all its draws in one stream call, laid out as per-item
-    calls would take them: item by item, source first, then translations in
-    order, 2*ceil(d/2) words per row. A proportion of 0 leaves its rows
-    bit-exact and consumes no words for them.
-    """
-    n, width, d = h.shape
-    p, noisy = _noise_proportions(p0, pt, width)
-    out = h.copy()
-    k = int(np.count_nonzero(noisy))
-    if k:
-        _mix_noise(out, p, noisy, rng.gaussian_rows(n * k, d).reshape(n, k, d))
-    return out
-
-
-def _check_batch(size: int, n: int) -> None:
-    if not 1 <= n <= size:
-        raise ValueError(f"batch size {n} out of range [1, {size}]")
+    h[:, noisy] = unit_rows((1.0 - pk) * h[:, noisy] + pk * unit_rows(g)[0])[0]
 
 
 def _fisher_yates(picks: list) -> list:
@@ -442,29 +416,18 @@ def _fisher_yates(picks: list) -> list:
     return batch
 
 
-def sample_indices(size: int, n: int, rng: SeededRng):
-    """Endless stream of index batches: ``n`` distinct indices in
-    [0, size) per batch, independent across batches.
-
-    Each batch is the first n slots of a partial Fisher-Yates shuffle of
-    range(size). Slot k takes one stream word, reduced modulo size-k, and
-    the n words come from one stream call.
-    """
-    _check_batch(size, n)
-    bounds = np.arange(size, size - n, -1)
-    while True:
-        yield np.array(_fisher_yates((np.arange(n) + rng.randints_below(bounds)).tolist()))
-
-
 def step_batches(ds: Dataset, batch: int, p0: float, pt: float, d_z: int,
                  rng: SeededRng, steps: int):
     """The inputs of ``steps`` training steps, one ``(rows, images, zs)``
-    per step: the (batch, m+1, d) rows of :func:`sample_indices`'s next
-    batch after :func:`augment_rows`, their (batch, d_img) images, and
-    (batch, d_z) generator noise from ``rng.gaussian_rows``.
+    per step: the (batch, m+1, d) rows of the first ``batch`` slots of a
+    partial Fisher-Yates shuffle of the dataset, after noise augmentation,
+    their (batch, d_img) images, and (batch, d_z) generator noise.
 
-    A step takes W words: the batch's index words, then its augmentation
-    rows item by item, then z, as those per-step calls would take them.
+    A step takes W words: one index word per item, reduced modulo
+    ``len(ds) - k`` for slot k, then ``2*ceil(d/2)`` per augmented row item
+    by item, then ``2*ceil(d_z/2)`` per item for z, as the tests' per-step
+    samplers (``sample_indices``, ``augment_rows``, ``rng.gaussian_rows``)
+    take them.
     The words of as many whole steps as fit in numkit.CACHE_BLOCK words (at
     least one, never past ``steps``) come from one stream fill; their
     normals from one Box-Muller call, their rows and images from one
@@ -472,7 +435,8 @@ def step_batches(ds: Dataset, batch: int, p0: float, pt: float, d_z: int,
     stream stands where the per-step calls would leave it, start + s * W
     after s steps, so a caller can read where a step's draws start.
     """
-    _check_batch(len(ds), batch)
+    if not 1 <= batch <= len(ds):
+        raise ValueError(f"batch size {batch} out of range [1, {len(ds)}]")
     if d_z < 1:
         raise ValueError("sample count must be positive")
     p, noisy = _noise_proportions(p0, pt, ds.m + 1)

@@ -240,7 +240,10 @@ def _feature_matrix(feats, name: str) -> np.ndarray:
 def _unit_rows(x: np.ndarray):
     """The rows of ``x`` (..., n, k) scaled to unit norm, and the inverse
     norms (0 for a row of norm below NORM_EPS, which becomes zero). The norm
-    is np.linalg.norm's arithmetic along the last axis, without its dispatch."""
+    is np.linalg.norm's arithmetic along the last axis, without its dispatch.
+    Unlike numkit.unit_rows it multiplies by the inverse norm: the
+    contrastive losses and gradients, and so every trained checkpoint and
+    ``tests/golden``, depend on these bits."""
     norm = np.sqrt(np.add.reduce(x * x, axis=-1))
     inv = np.where(norm < NORM_EPS, 0.0, 1.0 / np.maximum(norm, NORM_EPS))
     return x * inv[..., None], inv
@@ -317,8 +320,10 @@ def total_losses(parts: LossParts, cfg: GanConfig) -> tuple[float, float]:
 
 @dataclass
 class AdamState:
-    """Adam state of one component: the moments, ``{name: array}`` like its
-    parameters, and the step count."""
+    """Adam state: the moments, shaped like the parameters they follow, and
+    the step count. :func:`adam_step` takes ``{name: array}`` moments; a
+    checkpoint holds ``{component: {name: array}}`` for its trained
+    components, with one step count for all of them."""
 
     m: dict
     v: dict
@@ -353,7 +358,7 @@ class Checkpoint:
     ensad_cfg: EnsAdConfig
     gan_cfg: GanConfig
     params: dict  # {component: {tensor name: array}}, see param_shapes
-    adam: dict  # {component: AdamState}, for the trainable components
+    adam: AdamState  # moments {component: {name: array}} of the trainable components
     rng_seed: int
     rng_position: int
     step: int
@@ -430,14 +435,18 @@ def _meta_from_jsonable(obj: dict) -> dict:
                 rng_position=rng_position, step=step)
 
 
-def _adam_state(m: dict, v: dict, t, spec: dict) -> AdamState:
-    """Moments checked against the component's ``spec``: the same shapes,
-    finite, and ``v`` nonnegative."""
-    check_tensors(m, spec, "m")
-    check_tensors(v, spec, "v")
-    if any(np.any(x < 0) for x in v.values()):
-        raise ValueError("v contains negative entries")
-    return AdamState(m, v, json_uint(t))
+def _adam_state(st: AdamState, specs: dict) -> AdamState:
+    """``st`` checked against ``specs``, ``{comp: spec}`` for the trained
+    components: each one's moments of the spec's shapes and finite, ``v``
+    nonnegative, and ``t`` an integer. Returns it with ``t`` as an int."""
+    for comp, spec in specs.items():
+        with _field(f"adam.{comp}"):
+            check_tensors(st.m[comp], spec, "m")
+            check_tensors(st.v[comp], spec, "v")
+            if any(np.any(x < 0) for x in st.v[comp].values()):
+                raise ValueError("v contains negative entries")
+    with _field("adam"):
+        return AdamState(st.m, st.v, json_uint(st.t))
 
 
 def _tensors_to_jsonable(tensors: dict) -> dict:
@@ -462,9 +471,9 @@ def checkpoint_to_jsonable(ck: Checkpoint) -> dict:
     component's Adam moments as lists in param_shapes order (``null`` for a
     frozen component)."""
     adam_obj = {comp: None for comp in TRAINABLE_COMPONENTS}
-    for comp, st in ck.adam.items():
-        adam_obj[comp] = {"m": [x.tolist() for x in st.m.values()],
-                          "v": [x.tolist() for x in st.v.values()], "t": st.t}
+    for comp, m in ck.adam.m.items():
+        adam_obj[comp] = {"m": [x.tolist() for x in m.values()],
+                          "v": [x.tolist() for x in ck.adam.v[comp].values()], "t": ck.adam.t}
     return {
         "version": 1,
         **_meta_to_jsonable(ck),
@@ -482,8 +491,8 @@ def checkpoint_to_jsonable(ck: Checkpoint) -> dict:
 # np.savez archive of exactly two members:
 #   header   the UTF-8 bytes of a JSON object, as a uint8 vector: "version"
 #            (2), "configs", "rng" and "step" as _meta_to_jsonable writes
-#            them, and "adam", the Adam step count t of each trainable
-#            component;
+#            them, and "adam", the Adam step count t under the name of
+#            each trainable component (one count, so all must be equal);
 #   tensors  one float64 vector: every parameter in param_shapes order,
 #            then the m and then the v moments of each trainable component.
 # A file that does not start with the zip magic is rejected before np.load
@@ -541,12 +550,12 @@ def save_checkpoint(ck: Checkpoint, path: str) -> None:
     of the components its config trains."""
     trained = _trained(ck.gan_cfg)
     trees = [ck.params[comp] for comp in TRAINABLE_COMPONENTS] + [
-        moments for comp in trained for moments in (ck.adam[comp].m, ck.adam[comp].v)]
+        moments[comp] for comp in trained for moments in (ck.adam.m, ck.adam.v)]
     specs = _flat_specs(param_shapes(ck.ensad_cfg, ck.gan_cfg), trained)
     tensors = np.concatenate([np.ravel(tree[name]) for tree, spec in zip(trees, specs)
                               for name in spec], dtype=np.float64)
     header = json.dumps({"version": 2, **_meta_to_jsonable(ck),
-                         "adam": {comp: ck.adam[comp].t for comp in trained}}, sort_keys=True)
+                         "adam": {comp: ck.adam.t for comp in trained}}, sort_keys=True)
     with atomic_write(path) as fh:  # to a path, np.savez would append ".npz"
         np.savez(fh, header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
                  tensors=tensors)
@@ -592,12 +601,17 @@ def _checkpoint_from_archive(fh, path: str) -> Checkpoint:
     for comp, tree in params.items():
         with _field(f"params.{comp}"):
             check_tensors(tree, shapes[comp])
-    adam = {}
-    moments = iter(trees[len(TRAINABLE_COMPONENTS):])
     for comp in trained:
         with _field(f"adam.{comp}"):
-            adam[comp] = _adam_state(next(moments), next(moments), steps[comp], shapes[comp])
-    return Checkpoint(params=params, adam=adam, **meta)
+            steps[comp] = json_uint(steps[comp])
+    with _field("adam"):
+        if len(set(steps.values())) > 1:
+            raise ValueError(f"step counts differ: {steps}")
+    moments = trees[len(TRAINABLE_COMPONENTS):]
+    adam = AdamState(dict(zip(trained, moments[0::2])), dict(zip(trained, moments[1::2])),
+                     max(steps.values(), default=0))
+    return Checkpoint(params=params, adam=_adam_state(adam, {c: shapes[c] for c in trained}),
+                      **meta)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -806,19 +820,12 @@ def train(
     params = _views(flat, {comp: shapes[comp] for comp in order})
     params = {comp: params[comp] for comp in TRAINABLE_COMPONENTS}
     size = sum(x.size for comp in trained for x in params[comp].values())
+    specs = {comp: shapes[comp] for comp in trained}
     m, v, t = np.zeros(size), np.zeros(size), 0
     if resume is not None:
-        states = {}
-        for comp in trained:
-            with _field(f"adam.{comp}"):
-                st = resume.adam[comp]
-                states[comp] = _adam_state(st.m, st.v, st.t, shapes[comp])
-        steps = {comp: st.t for comp, st in states.items()}
-        if len(set(steps.values())) > 1:
-            raise ValueError(f"resume checkpoint's adam step counts differ: {steps}")
-        m, v = (_flatten(*(getattr(st, x) for st in states.values())) for x in "mv")
-        t = max(steps.values(), default=0)
-    specs = {comp: shapes[comp] for comp in trained}
+        st = _adam_state(resume.adam, specs)
+        m, v = (_flatten(*(moments[comp] for comp in trained)) for moments in (st.m, st.v))
+        t = st.t
     grad = np.empty(size)
     moments = _views(m, specs), _views(v, specs)
     adam = AdamState(_blocks(m), _blocks(v), t)
@@ -834,8 +841,7 @@ def train(
             ensad_cfg=ensad_cfg,
             gan_cfg=gan_cfg,
             params=map_tensors(np.copy, params),
-            adam={comp: AdamState(*(map_tensors(np.copy, x[comp]) for x in moments), adam.t)
-                  for comp in trained},
+            adam=AdamState(*(map_tensors(np.copy, x) for x in moments), adam.t),
             rng_seed=seed,
             rng_position=position,
             step=step_count,
@@ -868,7 +874,8 @@ def train(
         except FloatingPointError as exc:
             raise TrainingDiverged(snapshot(step, position), f"{exc} at step {step}") from exc
 
-        adam_step(*blocks, adam, gan_cfg.lr, gan_cfg.beta1, gan_cfg.beta2)
+        if trained:  # t counts the updates Adam applied
+            adam_step(*blocks, adam, gan_cfg.lr, gan_cfg.beta1, gan_cfg.beta2)
 
         if log_fn is not None:
             parts = res.parts

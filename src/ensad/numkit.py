@@ -79,21 +79,23 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     convention), so the operation is total. Each squared norm is one
     ``np.matmul`` of a (1, d) by a (d, 1) view, which numpy runs as the
     same dot product as ``np.dot(v, v)``, so every vector of a stack comes
-    out bit for bit as it would alone.
+    out bit for bit as it would alone. The synthetic corpora (and so
+    ``tests/golden``) and the renormalization on load depend on these bits.
     """
     arr = as_f64(v, "l2_normalize input")
     nrm = np.sqrt(np.matmul(arr[..., None, :], arr[..., :, None])[..., 0])
     return arr / np.where(nrm < NORM_EPS, 1.0, nrm)
 
 
-def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
-    """:func:`l2_normalize` over the last axis of a stack of vectors, for
-    batched hot paths: the same zero-vector convention, no input checks.
-    The norm is a pairwise ``np.sum``, not a dot product, so a row can
-    differ from :func:`l2_normalize` in the last bit; augmentation, mean
-    pooling and the stored benchmark references depend on this form."""
-    nrm = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
-    return x / np.where(nrm < NORM_EPS, 1.0, nrm)
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (last axis) of ``x`` scaled to unit norm, and their norms,
+    for batched hot paths: the zero-vector convention of
+    :func:`l2_normalize`, no input checks. The norm is a pairwise
+    ``np.sum``, not a dot product, so a row can differ from
+    :func:`l2_normalize` in the last bit; the adapter, mean pooling,
+    augmentation and the stored benchmark references depend on this form."""
+    norm = np.sqrt(np.sum(x * x, axis=-1))
+    return x / np.where(norm < NORM_EPS, 1.0, norm)[..., None], norm
 
 
 def _symmetrized(a: Mat, name: str) -> Mat:

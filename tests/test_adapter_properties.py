@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensad.adapter import EnsAdConfig, forward_batch, init_params
-from ensad.numkit import SeededRng, l2_normalize_rows
+from ensad.numkit import SeededRng, unit_rows
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -27,7 +27,7 @@ def setups(draw, alpha=st.floats(0.0, 1.0)):
     # nonzero biases too, which init leaves at zero
     p["b"] = rng.gaussian(cfg.d_hid)
     p["bp"] = np.asarray(rng.gaussian(1)[0])
-    h = l2_normalize_rows(rng.gaussian_rows(n * (cfg.m + 1), cfg.d))
+    h, _ = unit_rows(rng.gaussian_rows(n * (cfg.m + 1), cfg.d))
     return p, cfg, h.reshape(n, cfg.m + 1, cfg.d)
 
 

@@ -1,7 +1,12 @@
 """The batched training step against one-item references: the adapter
 kernels over a whole batch against n separate one-item calls and against
 the per-item loop code they replace, and the batched stream draws against
-the per-item draw order, and a block of steps' draws against per-step calls."""
+the per-item draw order, and a block of steps' draws against per-step calls.
+
+``sample_indices`` and ``augment_rows`` are those per-step calls: the
+training step's index batch and noise augmentation, one step at a time.
+``data.step_batches`` draws a block of steps at once and must match them
+word for word; ``test_train_reference`` builds its training loop on them."""
 
 import numpy as np
 import pytest
@@ -9,10 +14,47 @@ import pytest
 from ensad import numkit
 from ensad.adapter import EnsAdConfig, backward, forward, init_params
 from ensad.data import (
-    SyntheticSpec, augment_rows, generate_synthetic, sample_indices, step_batches,
+    SyntheticSpec, _fisher_yates, _mix_noise, _noise_proportions, generate_synthetic,
+    step_batches,
 )
 from ensad.gan import GanConfig, param_shapes, step_losses_and_grads
 from ensad.numkit import SeededRng, init_tensors, l2_normalize
+
+
+def augment_rows(
+    h: np.ndarray, p0: float, pt: float, rng: SeededRng
+) -> np.ndarray:
+    """Noise augmentation of an (n, m+1, d) batch: each row h becomes
+    l2n((1-p)h + p l2n(g)) for a fresh Gaussian g, with p = p0 on source
+    rows and pt on translation rows. Returns a new array.
+
+    The batch takes all its draws in one stream call, laid out as per-item
+    calls would take them: item by item, source first, then translations in
+    order, 2*ceil(d/2) words per row. A proportion of 0 leaves its rows
+    bit-exact and consumes no words for them.
+    """
+    n, width, d = h.shape
+    p, noisy = _noise_proportions(p0, pt, width)
+    out = h.copy()
+    k = int(np.count_nonzero(noisy))
+    if k:
+        _mix_noise(out, p, noisy, rng.gaussian_rows(n * k, d).reshape(n, k, d))
+    return out
+
+
+def sample_indices(size: int, n: int, rng: SeededRng):
+    """Endless stream of index batches: ``n`` distinct indices in
+    [0, size) per batch, independent across batches.
+
+    Each batch is the first n slots of a partial Fisher-Yates shuffle of
+    range(size). Slot k takes one stream word, reduced modulo size-k, and
+    the n words come from one stream call.
+    """
+    if not 1 <= n <= size:
+        raise ValueError(f"batch size {n} out of range [1, {size}]")
+    bounds = np.arange(size, size - n, -1)
+    while True:
+        yield np.array(_fisher_yates((np.arange(n) + rng.randints_below(bounds)).tolist()))
 
 
 def close(got, want, tol=1e-12):

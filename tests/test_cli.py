@@ -370,6 +370,12 @@ def _overlong_tensors(raw):
     at = raw.rindex(_CENTRAL_DIR) + 20  # compressed, then uncompressed size
     return raw[:at] + struct.pack("<II", len(raw), len(raw)) + raw[at + 8:]
 
+
+def _raise_generator_t(header):
+    """One trained component's Adam step count one past the others'."""
+    header["adam"]["generator"] += 1
+
+
 # (mutation of the archive's bytes, the field the message names; None: the path)
 FORMAT2_CASES = {
     "truncated": (lambda raw: raw[: len(raw) // 2], None),
@@ -401,6 +407,7 @@ FORMAT2_CASES = {
                         "configs.gan"),
     "missing_adam_component": (_header(lambda h: h["adam"].pop("generator")), "adam"),
     "negative_adam_t": (_header(lambda h: h["adam"].update(ensad=-1)), "adam.ensad"),
+    "unequal_adam_t": (_header(_raise_generator_t), "adam"),
     "tensors_float32": (_tensors(lambda t: t.astype(np.float32)), "tensors"),
     "tensors_short": (_tensors(lambda t: t[:-1]), "tensors"),
     "tensors_2d": (_tensors(lambda t: t.reshape(1, -1)), "tensors"),
@@ -439,13 +446,13 @@ def _on_checkpoint(mutate):
 
 
 def _truncate_adam_m(ck):
-    m = ck.adam["ensad"].m
+    m = ck.adam.m["ensad"]
     name = next(iter(m))
     m[name] = m[name].ravel()[:-1]
 
 
 def _negate_adam_v(ck):
-    next(iter(ck.adam["generator"].v.values())).flat[0] = -1.0
+    next(iter(ck.adam.v["generator"].values())).flat[0] = -1.0
 
 
 # (writer of the bad file, the field the message names; None: the path)
@@ -623,14 +630,16 @@ def test_resume_rejects_unequal_adam_step_counts(dataset_path, train_config, tmp
             "--preset", "finetune_g_text", "--seed", "6"]
     part = tmp_path / "part.npz"
     assert main(base + ["--out", str(part), "--steps", "3"]) == 0
-    ck = load_checkpoint(str(part))
-    ck.adam["generator"].t += 1
     bad = tmp_path / "bad.npz"
-    save_checkpoint(ck, str(bad))
+    bad.write_bytes(_header(_raise_generator_t)(part.read_bytes()))
     capsys.readouterr()
     out = tmp_path / "out.npz"
-    assert main(base + ["--out", str(out), "--steps", "5", "--resume", str(bad)]) == 2
-    assert "adam step counts differ" in capsys.readouterr().err
+    inputs = ["--ckpt", str(bad), "--data", str(dataset_path)]
+    for args in (base + ["--out", str(out), "--steps", "5", "--resume", str(bad)],
+                 ["eval", *inputs, "--n-gen", "8"],
+                 ["inspect-attn", *inputs]):
+        assert main(args) == 2, args
+        assert "checkpoint field 'adam': step counts differ" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.npz", "part.csv", "part.npz"]
 
 

@@ -13,14 +13,14 @@ from ensad.data import (
     Dataset,
     SyntheticSpec,
     atomic_write,
-    augment_rows,
     generate_synthetic,
     jsonl_lines,
     load_jsonl,
-    sample_indices,
     save_jsonl,
 )
 from ensad.numkit import SeededRng, derive_seed, l2_normalize
+
+from test_batching import augment_rows, sample_indices
 
 
 def small_spec(**kw):

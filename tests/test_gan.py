@@ -408,14 +408,29 @@ def test_checkpoint_rejects_bad_version(tmp_path):
     ck = train(ds, ecfg, replace(gcfg, steps=0), 2)
     path = tmp_path / "ck.npz"
     save_checkpoint(ck, str(path))
-    with np.load(path) as archive:
+    rewrite_header(path, path, lambda h: h.update(version=99))
+    with pytest.raises(ValueError, match="unsupported checkpoint version 99"):
+        load_checkpoint(str(path))
+
+
+def rewrite_header(src, dst, mutate):
+    """Write the format-2 archive ``src`` to ``dst`` with ``mutate`` applied
+    to its header, a dict."""
+    with np.load(src) as archive:
         header = json.loads(archive["header"].tobytes())
         tensors = archive["tensors"]
-    header["version"] = 99
-    with open(path, "wb") as fh:
+    mutate(header)
+    with open(dst, "wb") as fh:
         np.savez(fh, header=np.frombuffer(json.dumps(header).encode(), np.uint8),
                  tensors=tensors)
-    with pytest.raises(ValueError, match="unsupported checkpoint version 99"):
+
+
+def test_checkpoint_rejects_unequal_adam_step_counts(tmp_path):
+    # one Adam state holds all trained components, so format 2's per-component
+    # counts must agree; save_checkpoint cannot write unequal ones
+    path = tmp_path / "ck.npz"
+    rewrite_header(GOLDEN_CKPT, path, lambda h: h["adam"].update(generator=7))
+    with pytest.raises(ValueError, match="checkpoint field 'adam': step counts differ"):
         load_checkpoint(str(path))
 
 
@@ -423,9 +438,9 @@ def tensor_leaves(ck):
     """Every tensor of a checkpoint, parameters and Adam moments, by path."""
     leaves = {("params", comp, name): arr
               for comp, tree in ck.params.items() for name, arr in tree.items()}
-    for comp, st in ck.adam.items():
-        for key in ("m", "v"):
-            leaves.update({(key, comp, name): arr for name, arr in getattr(st, key).items()})
+    for key in ("m", "v"):
+        for comp, tree in getattr(ck.adam, key).items():
+            leaves.update({(key, comp, name): arr for name, arr in tree.items()})
     return leaves
 
 
@@ -445,7 +460,7 @@ def test_format2_round_trip_is_bit_exact(tmp_path):
     for key, arr in want.items():
         assert got[key].dtype == np.float64 and got[key].shape == arr.shape, key
         assert got[key].tobytes() == arr.tobytes(), key
-    assert {c: st.t for c, st in back.adam.items()} == {c: st.t for c, st in ck.adam.items()}
+    assert back.adam.t == ck.adam.t
     assert (back.ensad_cfg, back.gan_cfg, back.rng_seed, back.rng_position, back.step) == (
         ck.ensad_cfg, ck.gan_cfg, ck.rng_seed, ck.rng_position, ck.step)
 
@@ -719,7 +734,7 @@ def test_step_grads_match_train_first_update():
 
     rng = SeededRng(seed)
     p0 = init_tensors(param_shapes(ecfg, gcfg), rng)
-    from ensad.data import sample_indices
+    from test_batching import sample_indices
     idx = next(sample_indices(len(ds), gcfg.batch, rng))
     ensembles = ds.rows[idx]
     imgs = ds.images[idx]

@@ -12,6 +12,7 @@ from ensad.numkit import (
     derive_seed,
     l2_normalize,
     sym_sqrt_psd,
+    unit_rows,
 )
 
 
@@ -64,6 +65,29 @@ def test_stacked_l2_normalize_matches_each_vector_alone(x):
         nrm = math.sqrt(float(np.dot(v, v)))  # the one-vector definition
         reference = v.copy() if nrm < NORM_EPS else v / nrm
         assert out[i, j].tobytes() == alone.tobytes() == reference.tobytes()
+
+
+def test_unit_rows_passes_a_row_below_norm_eps_through():
+    x = np.array([[3.0, 4.0], [1e-13, 0.0], [0.0, 0.0]])
+    unit, norm = unit_rows(x)
+    assert norm.tolist() == [5.0, 1e-13, 0.0]
+    assert unit[0].tolist() == [0.6, 0.8]
+    assert unit[1:].tobytes() == x[1:].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=vector_stacks())
+def test_unit_rows_is_the_pairwise_norm_row_by_row(x):
+    # the norm is a pairwise np.sum, which a row computes the same way
+    # alone as inside a stack
+    unit, norm = unit_rows(x)
+    assert norm.tobytes() == np.sqrt(np.sum(x * x, axis=-1)).tobytes()
+    for i, j in np.ndindex(x.shape[:2]):
+        v = x[i, j]
+        alone_unit, alone_norm = unit_rows(v)
+        assert norm[i, j] == alone_norm
+        reference = v.copy() if alone_norm < NORM_EPS else v / alone_norm
+        assert unit[i, j].tobytes() == alone_unit.tobytes() == reference.tobytes()
 
 
 def test_sym_sqrt_identity():

@@ -4,7 +4,8 @@
 gradients in one flat vector each and runs Adam once per step, and takes a
 block of steps' draws from one stream fill (``data.step_batches``).
 ``reference_train`` below is the loop it replaced: per step,
-``sample_indices``, ``augment_rows`` and ``gaussian_rows``, then
+``sample_indices``, ``augment_rows`` (from ``test_batching``) and
+``gaussian_rows``, then
 ``step_losses_and_grads`` and ``adam_step`` per tensor on named dicts. Both
 apply the same IEEE operations to the same values, so every parameter,
 moment and stream position must agree bit for bit.
@@ -19,7 +20,7 @@ import pytest
 from ensad import gan, numkit
 from ensad.adapter import EnsAdConfig
 from ensad.cli import PIPELINE_PRESET, PRESETS, main
-from ensad.data import SyntheticSpec, augment_rows, generate_synthetic, sample_indices, save_jsonl
+from ensad.data import SyntheticSpec, generate_synthetic, save_jsonl
 from ensad.gan import (
     _PHASE2_SALT,
     _PROXY_SALT,
@@ -37,6 +38,7 @@ from ensad.gan import (
 )
 from ensad.numkit import SeededRng, derive_seed, init_tensors, map_tensors
 
+from test_batching import augment_rows, sample_indices
 from test_gan import toy_dataset, toy_setup
 
 STEPS = 24
@@ -76,8 +78,7 @@ def reference_train(ds, ecfg, gcfg, seed, resume=None, init_from=None):
     trained = [comp for comp in TRAINABLE_COMPONENTS if comp in gcfg.trainable]
     if resume is not None:
         params = map_tensors(np.copy, resume.params)
-        adam = {comp: AdamState(map_tensors(np.copy, st.m), map_tensors(np.copy, st.v), st.t)
-                for comp, st in resume.adam.items()}
+        adam = per_component(resume.adam)
         rng = SeededRng(seed, resume.rng_position)
         start = resume.step
     else:
@@ -106,24 +107,32 @@ def reference_train(ds, ecfg, gcfg, seed, resume=None, init_from=None):
     return params, adam, rng.position
 
 
+def per_component(adam):
+    """A copy of a checkpoint's Adam state as reference_train keeps it: one
+    AdamState per trained component."""
+    return {comp: AdamState(map_tensors(np.copy, m), map_tensors(np.copy, adam.v[comp]), adam.t)
+            for comp, m in adam.m.items()}
+
+
 def assert_bitwise(ck, params, adam, position):
     assert ck.rng_position == position
-    assert ck.params.keys() == params.keys() and ck.adam.keys() == adam.keys()
+    assert ck.params.keys() == params.keys()
+    assert ck.adam.m.keys() == ck.adam.v.keys() == adam.keys()
     for comp, tree in params.items():
         assert list(ck.params[comp]) == list(tree)
         for name, want in tree.items():
             got = ck.params[comp][name]
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (comp, name)
     for comp, st in adam.items():
-        assert ck.adam[comp].t == st.t
-        for got_tree, want_tree in ((ck.adam[comp].m, st.m), (ck.adam[comp].v, st.v)):
+        assert ck.adam.t == st.t
+        for got_tree, want_tree in ((ck.adam.m[comp], st.m), (ck.adam.v[comp], st.v)):
             assert list(got_tree) == list(want_tree)
             for name, want in want_tree.items():
                 assert got_tree[name].tobytes() == want.tobytes(), (comp, name)
 
 
 def assert_same_checkpoint(a, b):
-    assert_bitwise(a, b.params, b.adam, b.rng_position)
+    assert_bitwise(a, b.params, per_component(b.adam), b.rng_position)
     assert a.step == b.step
 
 
@@ -195,8 +204,8 @@ def test_resume_split_at_step_7_matches_the_unsplit_run(preset, monkeypatch):
 
 def checkpoint_arrays(ck):
     arrays = [a for tree in ck.params.values() for a in tree.values()]
-    for st in ck.adam.values():
-        arrays += [*st.m.values(), *st.v.values()]
+    for comp, m in ck.adam.m.items():
+        arrays += [*m.values(), *ck.adam.v[comp].values()]
     return arrays
 
 
@@ -204,7 +213,7 @@ def assert_owned(ck):
     # each tensor its own allocation, not a view into a buffer of train's
     arrays = checkpoint_arrays(ck)
     assert len(arrays) == sum(len(spec) for spec in param_shapes(
-        ck.ensad_cfg, ck.gan_cfg).values()) + 2 * sum(len(st.m) for st in ck.adam.values())
+        ck.ensad_cfg, ck.gan_cfg).values()) + 2 * sum(len(m) for m in ck.adam.m.values())
     assert all(a.flags.owndata for a in arrays)
     for a, b in combinations(arrays, 2):
         assert not np.shares_memory(a, b)
@@ -229,7 +238,7 @@ def test_diverged_checkpoint_owns_its_arrays():
     gcfg = replace(gcfg, lr=1e300, trainable=frozenset(TRAINABLE_COMPONENTS))
     with pytest.raises(TrainingDiverged) as exc:
         train(ds, ecfg, gcfg, 0)
-    assert exc.value.checkpoint.adam.keys() == set(TRAINABLE_COMPONENTS)
+    assert exc.value.checkpoint.adam.m.keys() == set(TRAINABLE_COMPONENTS)
     assert_owned(exc.value.checkpoint)
 
 
@@ -339,9 +348,7 @@ def test_mutating_a_returned_checkpoint_changes_no_later_resume(tmp_path):
     path = str(tmp_path / "part.npz")
     save_checkpoint(part, path)
     first = train(ds, ecfg, gcfg, 4, resume=part)
-    want = (map_tensors(np.copy, first.params), {
-        comp: AdamState(map_tensors(np.copy, st.m), map_tensors(np.copy, st.v), st.t)
-        for comp, st in first.adam.items()}, first.rng_position)
+    want = map_tensors(np.copy, first.params), per_component(first.adam), first.rng_position
     for a in checkpoint_arrays(first):
         a[...] = np.nan
     assert_bitwise(train(ds, ecfg, gcfg, 4, resume=part), *want)
@@ -351,26 +358,15 @@ def test_mutating_a_returned_checkpoint_changes_no_later_resume(tmp_path):
     assert_bitwise(train(ds, ecfg, gcfg, 4, resume=load_checkpoint(path)), *want)
 
 
-def test_resume_rejects_unequal_adam_step_counts():
-    # train keeps one Adam state for all trained components, so their step
-    # counts must agree; train never writes a checkpoint where they do not
-    ds = toy_dataset()
-    ecfg, gcfg = preset_cfgs("finetune_g_text", steps=6)
-    part = train(ds, ecfg, replace(gcfg, steps=3), 2)
-    assert {st.t for st in part.adam.values()} == {3}
-    st = part.adam["generator"]
-    bad = replace(part, adam={**part.adam, "generator": AdamState(st.m, st.v, st.t + 1)})
-    with pytest.raises(ValueError, match="adam step counts differ"):
-        train(ds, ecfg, gcfg, 2, resume=bad)
-
-
 def test_resume_validates_the_adam_state():
     ds = toy_dataset()
     ecfg, gcfg = preset_cfgs("ensad_frozen_g", steps=6)
     part = train(ds, ecfg, replace(gcfg, steps=3), 2)
+    st = part.adam
+    only_ensad = AdamState({"ensad": st.m["ensad"]}, {"ensad": st.v["ensad"]}, st.t)
     with pytest.raises(ValueError, match="adam.discriminator"):
-        train(ds, ecfg, gcfg, 2, resume=replace(part, adam={"ensad": part.adam["ensad"]}))
-    st = part.adam["ensad"]
-    bad = AdamState(st.m, {**st.v, "wq": -st.v["wq"] - 1.0}, st.t)
+        train(ds, ecfg, gcfg, 2, resume=replace(part, adam=only_ensad))
+    v = st.v["ensad"]
+    bad = AdamState(st.m, {**st.v, "ensad": {**v, "wq": -v["wq"] - 1.0}}, st.t)
     with pytest.raises(ValueError, match="adam.ensad.*negative"):
-        train(ds, ecfg, gcfg, 2, resume=replace(part, adam={**part.adam, "ensad": bad}))
+        train(ds, ecfg, gcfg, 2, resume=replace(part, adam=bad))
