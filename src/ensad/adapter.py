@@ -5,7 +5,8 @@ The math is batched and row-major: :func:`forward_batch` and
 :func:`backward_batch` take an (n, m+1, d) stack of ensembles, per item the
 source row first, and pass it through each weight matrix as one 2-D
 product (weights used untransposed, ``x @ w.T``); the parameter gradients
-are summed over the batch by the same kind of product. Zero-norm
+are summed over the batch by the same kind of product. Reductions are bare
+ufunc calls (``np.add.reduce``, ``np.maximum.reduce``). Zero-norm
 conventions are applied with ``np.where`` on safe divisors, so every item
 of a batch follows the same code path. :func:`forward`/:func:`backward`
 are their one-item views in the paper's (d, m+1) column layout.
@@ -105,7 +106,7 @@ class ForwardTrace:
 def _normalize_backward(grad, unit, norm):
     """Backward of x -> x/|x| given unit = x/|x|: (I - unit unit^T) grad / |x|,
     and zero where |x| fell below NORM_EPS."""
-    proj = grad - unit * np.sum(unit * grad, axis=-1, keepdims=True)
+    proj = grad - unit * np.add.reduce(unit * grad, axis=-1, keepdims=True)
     small = (norm < NORM_EPS)[..., None]
     return np.where(small, 0.0, proj / np.where(small, 1.0, norm[..., None]))
 
@@ -149,8 +150,8 @@ def forward_batch(
     a = _matmul(k, p["wk"].T) + _matmul(v, p["wv"].T) + (q @ p["wq"].T + p["b"])[:, None, :]
     t = np.tanh(a)
     logits = t @ p["wp"] + float(p["bp"])
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    s = e / e.sum(axis=1, keepdims=True)
+    e = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
+    s = e / np.add.reduce(e, axis=1, keepdims=True)
 
     u = np.tanh(_matmul(v, p["wo"].T))
     uhat, u_norm = unit_rows(u)
@@ -188,8 +189,8 @@ def fuse_batch(
 
 
 def backward_batch(
-    p: dict, cfg: EnsAdConfig, trace: ForwardTrace, g: np.ndarray
-) -> tuple[dict, np.ndarray]:
+    p: dict, cfg: EnsAdConfig, trace: ForwardTrace, g: np.ndarray, to_input: bool = True
+) -> tuple[dict, np.ndarray | None]:
     """Exact reverse-mode gradients of :func:`forward_batch`.
 
     ``g`` (n, d) is the loss gradient at each fused output. Hand-derived
@@ -198,48 +199,45 @@ def backward_batch(
     tanh contributes 1-y^2, and the affine attention map scatters into the
     weight tensors. Returns the parameter gradients summed over the batch,
     ``{name: array}`` in :func:`tensor_specs` order, and the gradient
-    w.r.t. the input rows, shaped like ``trace.h``.
+    w.r.t. the input rows, shaped like ``trace.h`` (None unless
+    ``to_input``: training treats the rows as data and skips it).
     """
     alpha = cfg.alpha
     q = trace.h[:, 0]
     k = trace.h[:, 1:]
+    t = trace.t
 
     grad_hraw = _normalize_backward(g, trace.h_tilde, trace.hraw_norm)
-    grad_q = (1.0 - alpha) * grad_hraw
     grad_craw = _normalize_backward(alpha * grad_hraw, trace.c, trace.craw_norm)
 
     grad_vo = trace.s[:, :, None] * grad_craw[:, None, :]
     grad_s = np.einsum("nmd,nd->nm", trace.vo, grad_craw)
     grad_u = _normalize_backward(alpha * grad_vo, trace.uhat, trace.u_norm)
     grad_wov = grad_u * (1.0 - trace.u * trace.u)
-    grad_wo = _outer_sum(grad_wov, trace.v)
-    grad_v = (1.0 - alpha) * grad_vo + _matmul(grad_wov, p["wo"])
 
-    grad_logits = trace.s * (grad_s - np.sum(trace.s * grad_s, axis=1, keepdims=True))
-    grad_wp = np.tensordot(grad_logits, trace.t, axes=2)
-    grad_bp = np.asarray(np.sum(grad_logits))
-    grad_a = grad_logits[:, :, None] * p["wp"] * (1.0 - trace.t * trace.t)
+    grad_logits = trace.s * (grad_s - np.add.reduce(trace.s * grad_s, axis=1, keepdims=True))
+    grad_a = grad_logits[:, :, None] * p["wp"] * (1.0 - t * t)
+    colsum = np.add.reduce(grad_a, axis=1)
+    # grad_wp is np.tensordot(grad_logits, t, axes=2): the same product of
+    # the same reshaped operands, without its dispatch
+    grads = {"wq": colsum.T @ q, "wk": _outer_sum(grad_a, k),
+             "wv": _outer_sum(grad_a, trace.v), "b": np.add.reduce(colsum, axis=0),
+             "wp": np.dot(grad_logits.reshape(1, -1), t.reshape(-1, t.shape[-1]))[0],
+             "bp": np.asarray(np.add.reduce(grad_logits, axis=None)),
+             "wo": _outer_sum(grad_wov, trace.v)}
+    if not to_input:
+        return grads, None
 
-    colsum = np.sum(grad_a, axis=1)
-    grad_wq = colsum.T @ q
-    grad_q = grad_q + colsum @ p["wq"]
-    grad_wk = _outer_sum(grad_a, k)
-    grad_wv = _outer_sum(grad_a, trace.v)
-    grad_b = np.sum(colsum, axis=0)
+    grad_q = (1.0 - alpha) * grad_hraw + colsum @ p["wq"]
     grad_k = _matmul(grad_a, p["wk"])
-    grad_v = grad_v + _matmul(grad_a, p["wv"])
-
+    grad_v = (1.0 - alpha) * grad_vo + _matmul(grad_wov, p["wo"]) + _matmul(grad_a, p["wv"])
     if cfg.variant_v_equals_k:
         grad_k = grad_k + grad_v
     else:
         grad_vraw = _normalize_backward(grad_v, trace.v, trace.vraw_norm)
         grad_k = grad_k + grad_vraw
-        grad_q = grad_q - np.sum(grad_vraw, axis=1)
-
-    grad_h = np.concatenate([grad_q[:, None, :], grad_k], axis=1)
-    grads = {"wq": grad_wq, "wk": grad_wk, "wv": grad_wv, "b": grad_b,
-             "wp": grad_wp, "bp": grad_bp, "wo": grad_wo}
-    return grads, grad_h
+        grad_q = grad_q - np.add.reduce(grad_vraw, axis=1)
+    return grads, np.concatenate([grad_q[:, None, :], grad_k], axis=1)
 
 
 def _map_trace(trace: ForwardTrace, fn) -> ForwardTrace:

@@ -153,7 +153,7 @@ def _mlp_backward(layers: list, acts, grad_out, rows=slice(None), first=0,
         g = g * (1.0 - y * y)[rows]
         if to_params:
             grads[i] = _stack_product(g[first:], acts[i // 2])
-            grads[i + 1] = _stack_sum(g[first:].sum(axis=-2))
+            grads[i + 1] = _stack_sum(np.add.reduce(g[first:], axis=-2))
         if i:
             g = g @ layers[i]
     return grads, g[0] @ layers[0] if to_input else None
@@ -161,7 +161,7 @@ def _mlp_backward(layers: list, acts, grad_out, rows=slice(None), first=0,
 
 def _stack_sum(x: np.ndarray) -> np.ndarray:
     """``x`` summed over its leading (stack) axis, in stack order."""
-    return x[0] if len(x) == 1 else x.sum(axis=0)
+    return x[0] if len(x) == 1 else np.add.reduce(x, axis=0)
 
 
 def _stack_product(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -196,7 +196,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _mean(x: np.ndarray):
-    return x.sum() / x.size  # np.mean's arithmetic, without its dispatch
+    return np.add.reduce(x, axis=None) / x.size  # np.mean's arithmetic, without its dispatch
 
 
 def _adv_ensad(x: np.ndarray) -> float:
@@ -277,19 +277,20 @@ def _contrastive_with_grads(a: tuple, p: tuple, tau: float):
     # rows: anchors j; columns: positives i; zero-vector pairs score 0
     sim = ahat @ phat.swapaxes(-1, -2)
     x = sim / tau
-    mx = x.max(axis=-2, keepdims=True)
+    mx = np.maximum.reduce(x, axis=-2, keepdims=True)
     ex = np.exp(x - mx)
-    colsum = ex.sum(axis=-2, keepdims=True)
+    colsum = np.add.reduce(ex, axis=-2, keepdims=True)
     lse = np.log(colsum) + mx
-    loss = -((np.diagonal(x, axis1=-2, axis2=-1) - lse[..., 0, :]).sum(axis=-1) / n)
+    loss = -(np.add.reduce(x.diagonal(axis1=-2, axis2=-1) - lse[..., 0, :], axis=-1) / n)
 
     # d loss / d sim = (colwise softmax - identity) / (n tau)
     dsim = ex / colsum
     dsim.reshape(*dsim.shape[:-2], n * n)[..., ::n + 1] -= 1.0
     dsim /= n * tau
     weighted = dsim * sim
-    cols = weighted.sum(axis=-2)[..., None]
-    grad_a = (dsim @ phat - weighted.sum(axis=-1, keepdims=True) * ahat) * inv_a[..., None]
+    cols = np.add.reduce(weighted, axis=-2)[..., None]
+    rows = np.add.reduce(weighted, axis=-1, keepdims=True)
+    grad_a = (dsim @ phat - rows * ahat) * inv_a[..., None]
     grad_p = (dsim.swapaxes(-1, -2) @ ahat - cols * phat) * inv_p[..., None]
     return loss, grad_a, grad_p
 
@@ -635,9 +636,11 @@ class StepGrads:
 
     ``trace`` is the adapter's batched forward trace (its ``h_tilde`` the
     fused conditions, its ``s`` the attention weights) when the adapter
-    ran. When the adapter is trained, ``grad_conds`` (n, d) and ``grad_h``
-    (n, m+1, d) are the gradients of the adapter-side total w.r.t. the
-    fused conditions and the adapter's input rows."""
+    ran. When the adapter is trained, ``grad_conds`` (n, d) is the
+    gradient of the adapter-side total w.r.t. the fused conditions; the
+    step does not compute the gradient w.r.t. the adapter's input rows,
+    which are data, but ``adapter.backward_batch(params["ensad"], cfg,
+    trace, grad_conds)`` returns it."""
 
     parts: LossParts
     loss_ensad: float
@@ -645,7 +648,6 @@ class StepGrads:
     grads: dict = field(default_factory=dict)
     trace: ForwardTrace | None = None
     grad_conds: np.ndarray | None = None
-    grad_h: np.ndarray | None = None
 
 
 def step_losses_and_grads(h: np.ndarray, imgs_real: np.ndarray, zs: np.ndarray, params: dict,
@@ -668,7 +670,7 @@ def step_losses_and_grads(h: np.ndarray, imgs_real: np.ndarray, zs: np.ndarray, 
     fakes, gen_acts = generate_batch(params, htil, zs)
     # one discriminator pass over the stack [fakes, reals]
     fd, ds, acts = disc_forward_batch(params, np.array([fakes, imgs_real]))
-    logits = ds + np.sum(fd * htil, axis=-1)
+    logits = ds + np.add.reduce(fd * htil, axis=-1)
 
     parts = LossParts(l_ad_ensad=_adv_ensad(logits[0]), l_ad_d=_adv_disc(logits[1], logits[0]))
     # the active contrastive terms, {LossParts field: (anchors, positives)},
@@ -727,15 +729,15 @@ def step_losses_and_grads(h: np.ndarray, imgs_real: np.ndarray, zs: np.ndarray, 
                 grad_htil += lam * cl_p[name]
         grad_htil += grad_x[:, :ensad_cfg.d]
         res.grad_conds = grad_htil
-        res.grads["ensad"], res.grad_h = adapter.backward_batch(params["ensad"], ensad_cfg,
-                                                                trace, grad_htil)
+        res.grads["ensad"], _ = adapter.backward_batch(params["ensad"], ensad_cfg, trace,
+                                                       grad_htil, to_input=False)
     if "generator" in trainable:
         res.grads["generator"] = dict(zip(gen, gen_grads))
     if to_disc:
         r, gd, gf = acts[-1], grad_ds[k:], grad_fd[k:]
-        grads_d += [_stack_product(gf, r), _stack_sum(gf.sum(axis=-2)),
+        grads_d += [_stack_product(gf, r), _stack_sum(np.add.reduce(gf, axis=-2)),
                     _stack_product(r, gd[..., None])[:, 0],
-                    np.asarray(_stack_sum(gd.sum(axis=-1)))]
+                    np.asarray(_stack_sum(np.add.reduce(gd, axis=-1)))]
         res.grads["discriminator"] = dict(zip(params["discriminator"], grads_d))
     return res
 

@@ -91,10 +91,11 @@ def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows (last axis) of ``x`` scaled to unit norm, and their norms,
     for batched hot paths: the zero-vector convention of
     :func:`l2_normalize`, no input checks. The norm is a pairwise
-    ``np.sum``, not a dot product, so a row can differ from
-    :func:`l2_normalize` in the last bit; the adapter, mean pooling,
-    augmentation and the stored benchmark references depend on this form."""
-    norm = np.sqrt(np.sum(x * x, axis=-1))
+    ``np.add.reduce`` (``np.sum``'s arithmetic, without its dispatch), not
+    a dot product, so a row can differ from :func:`l2_normalize` in the
+    last bit; the adapter, mean pooling, augmentation and the stored
+    benchmark references depend on this form."""
+    norm = np.sqrt(np.add.reduce(x * x, axis=-1))
     return x / np.where(norm < NORM_EPS, 1.0, norm)[..., None], norm
 
 

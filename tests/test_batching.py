@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ensad import numkit
-from ensad.adapter import EnsAdConfig, backward, forward, init_params
+from ensad.adapter import EnsAdConfig, backward, backward_batch, forward, init_params
 from ensad.data import (
     SyntheticSpec, _fisher_yates, _mix_noise, _noise_proportions, generate_synthetic,
     step_batches,
@@ -166,6 +166,7 @@ def test_step_matches_per_item_adapter_calls(cfg):
 
     res = step_losses_and_grads(h, imgs, zs, params, cfg, gcfg)
     assert "ensad" in res.grads
+    _, grad_h_batch = backward_batch(ep, cfg, res.trace, res.grad_conds)
 
     grad_sum = [np.zeros_like(t) for t in ep.values()]
     ref_sum = [np.zeros_like(t) for t in ep.values()]
@@ -178,7 +179,7 @@ def test_step_matches_per_item_adapter_calls(cfg):
             assert close(got, ref_out), f"item {i}: condition"
         for got in (res.trace.s[i], tr.s):
             assert close(got, ref_s), f"item {i}: attention"
-        for got in (res.grad_h[i], grad_h.T):
+        for got in (grad_h_batch[i], grad_h.T):
             assert close(got, ref_grad_h), f"item {i}: input gradient"
         for acc, g in zip(grad_sum, grads.values()):
             acc += g

@@ -7,9 +7,15 @@ before that: two discriminator forwards, one backward per role (the fakes
 toward the generator, the fakes and the reals toward D), and one contrastive
 call per term. Both apply the same IEEE operations to the same values, so
 losses and gradients must agree bit for bit.
+
+The step reduces with bare ufunc calls (``np.add.reduce``,
+``np.maximum.reduce``) instead of ``np.sum``, ``np.max``, array methods and
+``np.tensordot``, whose Python wrappers cost more than the arithmetic at
+desk shape; a profiler hook checks that none of those wrappers runs.
 """
 
-from dataclasses import replace
+import sys
+from dataclasses import fields, replace
 from itertools import combinations, product
 
 import numpy as np
@@ -35,6 +41,12 @@ from ensad.gan import (
 )
 from ensad.numkit import SeededRng, init_tensors
 
+try:
+    from numpy._core import _methods, fromnumeric, numeric
+except ImportError:  # numpy < 2
+    from numpy.core import _methods, fromnumeric, numeric
+
+from test_adapter_reference import reference_backward_batch, same_bits
 from test_gan import batch_inputs, toy_dataset
 
 SUBSETS = [frozenset(c) for r in range(4) for c in combinations(TRAINABLE_COMPONENTS, r)]
@@ -113,7 +125,7 @@ def reference_step(h, imgs_real, zs, params, ensad_cfg, gan_cfg, proxy=None):
         grad_htil += grad_x[:, :d]
         if "ensad" in gan_cfg.trainable:
             res.grad_conds = grad_htil
-            res.grads["ensad"], res.grad_h = adapter.backward_batch(
+            res.grads["ensad"], _ = adapter.backward_batch(
                 params["ensad"], ensad_cfg, trace, grad_htil)
         if "generator" in gan_cfg.trainable:
             res.grads["generator"] = dict(zip(gen, gen_grads))
@@ -132,12 +144,6 @@ def reference_step(h, imgs_real, zs, params, ensad_cfg, gan_cfg, proxy=None):
         grads_r, _ = reference_disc_backward(params, acts_r, grad_fd_r2, g_r)
         res.grads["discriminator"] = {k: grads_f[k] + grads_r[k] for k in grads_f}
     return res
-
-
-def same_bits(got, want):
-    if want is None:
-        return got is None
-    return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("disc_hidden", [(7,), (7, 5)])
@@ -165,7 +171,10 @@ def test_step_matches_the_per_pass_step_bitwise(trainable, enable_clg, disc_hidd
             for name, g in tree.items():
                 assert same_bits(got.grads[comp][name], g), (case, comp, name)
         assert same_bits(got.grad_conds, want.grad_conds), case
-        assert same_bits(got.grad_h, want.grad_h), case
+        if "ensad" in trainable:  # the input gradient, which the step skips
+            got_h = adapter.backward_batch(params["ensad"], ecfg, got.trace, got.grad_conds)[1]
+            want_h = reference_backward_batch(params["ensad"], ecfg, want.trace, want.grad_conds)[1]
+            assert same_bits(got_h, want_h), case
         assert same_bits(got.trace.h_tilde, want.trace.h_tilde), case
 
 
@@ -185,3 +194,50 @@ def test_stacked_contrastive_matches_one_call_per_pair_bitwise(n, k):
             assert losses[j] == loss
             assert ga.tobytes() == grad_a[j].tobytes()
             assert gp.tobytes() == grad_p[j].tobytes()
+
+
+# The modules whose Python-level wrappers dispatch to a ufunc reduction or a
+# matrix product: np.sum, np.diagonal and the like, the array methods' sum
+# and max, np.tensordot.
+DISPATCH_FILES = {_methods.__file__, fromnumeric.__file__, numeric.__file__}
+
+
+def dispatch_frames(fn, *args):
+    """``fn(*args)``, and the names of the functions from DISPATCH_FILES
+    that run during it, with their call counts."""
+    seen = {}
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename in DISPATCH_FILES:
+            seen[code.co_name] = seen.get(code.co_name, 0) + 1
+
+    sys.setprofile(profile)
+    try:
+        out = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return out, seen
+
+
+@pytest.mark.parametrize("enable_clg", [False, True])
+@pytest.mark.parametrize("trainable", [
+    {"ensad"}, {"ensad", "discriminator"}, {"ensad", "generator", "discriminator"},
+], ids=lambda s: "+".join(sorted(s)))
+def test_adapter_step_runs_no_numpy_dispatch_wrappers(trainable, enable_clg):
+    # the desk_finetune shape: d=16, m=4, d_hid=8, d_img=12, disc (32, 32)
+    ds = toy_dataset(n_items=16, d=16, m=4, d_img=12, seed=41)
+    ecfg = EnsAdConfig(d=16, d_hid=8, m=4)
+    gcfg = GanConfig(d=16, d_img=12, disc_hidden=(32, 32), batch=16,
+                     trainable=frozenset(trainable), enable_clg=enable_clg)
+    params = init_tensors(param_shapes(ecfg, gcfg), SeededRng(42))
+    proxy = SeededRng(43).gaussian(16 * 12).reshape(16, 12) / np.sqrt(12.0)
+    h, imgs, zs = batch_inputs(ds, ecfg, gcfg, 44)
+    h = h.copy()
+    h[3, 1:] = h[3, 0]  # one item's value rows are zero and its context vanishes
+
+    assert dispatch_frames(np.sum, h)[1], "the hook sees no np.sum"
+    res, frames = dispatch_frames(step_losses_and_grads, h, imgs, zs, params, ecfg, gcfg, proxy)
+    assert frames == {}
+    assert list(res.grads) == [c for c in TRAINABLE_COMPONENTS if c in trainable]
+    assert "grad_h" not in {f.name for f in fields(StepGrads)}
