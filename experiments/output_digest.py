@@ -1,0 +1,95 @@
+"""Digest every output file of a fixed set of CLI runs.
+
+Runs ``ensad.cli.main`` in-process in a temporary directory: a 200-item
+synthetic corpus; the seven one-phase presets for 60 steps; a 30-step run
+of ``ensad_frozen_g`` resumed in place to 60; the two-phase preset for
+40 + 40 steps; 60-step runs with ``variant_v_equals_k``, with ``alpha`` 0,
+and with ``enable_clg`` while all three components train; then ``eval
+--out`` and ``inspect-attn --out`` on the ``ensad_frozen_g`` and two-phase
+checkpoints. It prints one ``<sha256>  <name>`` line per file, sorted by
+name, and takes no options.
+
+A change that must keep every output byte (a refactor, a speed-up) prints
+the same lines as its parent. Point PYTHONPATH at each checkout's ``src``:
+
+    PYTHONPATH=src python experiments/output_digest.py > change.txt
+    PYTHONPATH=../parent/src python experiments/output_digest.py > parent.txt
+    diff parent.txt change.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+from ensad.cli import main
+
+SYNTH = ["--n-items", "200", "--d", "16", "--m", "4", "--d-img", "12",
+         "--sigma-source", "0.4", "--sigma-trans", "0.2", "--seed", "0"]
+ONE_PHASE_PRESETS = ("ensad_frozen_g", "finetune_g_text", "finetune_g_meanpool",
+                     "ablate_no_cl", "ablate_no_cld", "ablate_none", "lafite_setup")
+# name: (preset, config)
+VARIANTS = {
+    "v_equals_k": ("ensad_frozen_g", {"adapter": {"variant_v_equals_k": True}}),
+    "alpha0": ("ensad_frozen_g", {"adapter": {"alpha": 0.0}}),
+    "all_clg": (None, {"gan": {"trainable": ["ensad", "generator", "discriminator"],
+                               "enable_clg": True}}),
+}
+SEED = ["--seed", "3"]
+
+
+def cli(*argv: str) -> None:
+    """Run one command quietly; raise with its stderr when it fails."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    if rc != 0:
+        raise RuntimeError(f"ensad {' '.join(argv)} exited {rc}: {err.getvalue()}")
+
+
+def digests() -> dict:
+    """``{file name: sha256 hex}`` of every file the runs write."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        os.mkdir(out)
+
+        def path(name: str) -> str:
+            return os.path.join(out, name)
+
+        data = path("corpus.jsonl")
+        cli("synth", "--out", data, *SYNTH)
+        train = ["train", "--data", data, *SEED]
+        for preset in ONE_PHASE_PRESETS:
+            cli(*train, "--preset", preset, "--steps", "60", "--out", path(f"{preset}.npz"))
+        resumed = path("resumed.npz")
+        cli(*train, "--preset", "ensad_frozen_g", "--steps", "30", "--out", resumed)
+        cli(*train, "--preset", "ensad_frozen_g", "--steps", "60", "--out", resumed,
+            "--resume", resumed)
+        cli(*train, "--preset", "ensad_plus_finetune_g", "--phase1-steps", "40",
+            "--phase2-steps", "40", "--out", path("pipeline.npz"))
+        for name, (preset, config) in VARIANTS.items():
+            config_path = os.path.join(tmp, f"{name}.json")
+            with open(config_path, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            cli(*train, *(["--preset", preset] if preset else []), "--config", config_path,
+                "--steps", "60", "--out", path(f"{name}.npz"))
+        for name in ("ensad_frozen_g", "pipeline"):
+            ckpt = path(f"{name}.npz")
+            cli("eval", "--ckpt", ckpt, "--data", data, *SEED, "--out", path(f"{name}.eval.json"))
+            cli("inspect-attn", "--ckpt", ckpt, "--data", data, "--out",
+                path(f"{name}.attn.jsonl"))
+        found = {}
+        for name in sorted(os.listdir(out)):
+            with open(path(name), "rb") as fh:
+                found[name] = hashlib.sha256(fh.read()).hexdigest()
+        return found
+
+
+if __name__ == "__main__":
+    if len(sys.argv) > 1:
+        sys.exit("usage: output_digest.py (takes no options)")
+    for name, digest in digests().items():
+        print(f"{digest}  {name}")

@@ -311,7 +311,9 @@ def _cmd_train(args) -> int:
         return 3
     save_checkpoint(ck, args.out)
     save_lines(lines, csv_path)
-    print(f"trained to step {ck.step}; checkpoint {args.out}, log {csv_path}")
+    done = (f"{budgets['phase1_steps'] + ck.step}, phase 2's step {ck.step}"
+            if pipeline else ck.step)
+    print(f"trained to step {done}; checkpoint {args.out}, log {csv_path}")
     return 0
 
 

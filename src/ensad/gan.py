@@ -110,8 +110,7 @@ def _mlp_specs(prefix: str, sizes: list) -> dict:
 def param_shapes(ensad_cfg: EnsAdConfig, gan_cfg: GanConfig) -> dict:
     """``{component: {tensor name: TensorSpec}}`` for every component, each
     in the order of its gradients, Adam moments and initial draws. MLP
-    layers alternate weight and bias; ``gen_w.1`` is the checkpoint's
-    ``gen_w[1]``."""
+    layers alternate weight and bias: ``gen_w.0, gen_b.0, gen_w.1, ...``."""
     d = ensad_cfg.d
     disc_sizes = [gan_cfg.d_img, *gan_cfg.disc_hidden]
     h_last = disc_sizes[-1]
@@ -369,12 +368,13 @@ class TrainingDiverged(RuntimeError):
     """Raised by :func:`train` when a step's arithmetic overflows, divides by
     zero or goes invalid, or a loss or a trained component's gradient is
     non-finite. ``checkpoint`` is the state at the start of the failed step,
-    and ``step`` its step."""
+    ``step`` its step, and ``reason`` the message without the step."""
 
-    def __init__(self, checkpoint: Checkpoint, message: str):
-        super().__init__(message)
+    def __init__(self, checkpoint: Checkpoint, reason: str):
+        super().__init__(f"{reason} at step {checkpoint.step}")
         self.checkpoint = checkpoint
         self.step = checkpoint.step
+        self.reason = reason
 
 
 def _cfg_to_jsonable(cfg) -> dict:
@@ -448,44 +448,6 @@ def _adam_state(st: AdamState, specs: dict) -> AdamState:
                 raise ValueError("v contains negative entries")
     with _field("adam"):
         return AdamState(st.m, st.v, json_uint(st.t))
-
-
-def _tensors_to_jsonable(tensors: dict) -> dict:
-    """Named tensors as nested lists for checkpoint_to_jsonable: the layers
-    of ``gen_w.0, gen_w.1, ...`` as one list ``gen_w``, 0-d tensors as
-    plain floats."""
-    obj = {}
-    for name, arr in tensors.items():
-        key, layered, _ = name.partition(".")
-        if layered:
-            obj.setdefault(key, []).append(arr.tolist())
-        else:
-            obj[key] = arr.tolist()
-    return obj
-
-
-def checkpoint_to_jsonable(ck: Checkpoint) -> dict:
-    """A JSON view of ``ck`` for comparing checkpoints, not a file format
-    (its ``version`` 1 dates from when it was one): the header's fields,
-    the adapter's tensors under ``params.ensad``, the
-    generator's and the discriminator's under ``params.gan``, and each
-    component's Adam moments as lists in param_shapes order (``null`` for a
-    frozen component)."""
-    adam_obj = {comp: None for comp in TRAINABLE_COMPONENTS}
-    for comp, m in ck.adam.m.items():
-        adam_obj[comp] = {"m": [x.tolist() for x in m.values()],
-                          "v": [x.tolist() for x in ck.adam.v[comp].values()], "t": ck.adam.t}
-    return {
-        "version": 1,
-        **_meta_to_jsonable(ck),
-        "params": {
-            "ensad": _tensors_to_jsonable(ck.params["ensad"]),
-            "gan": _tensors_to_jsonable(
-                {**ck.params["generator"], **ck.params["discriminator"]}
-            ),
-        },
-        "adam": adam_obj,
-    }
 
 
 # Checkpoint format 2, the one on-disk checkpoint, is an uncompressed
@@ -874,7 +836,7 @@ def train(
             if bad:
                 raise FloatingPointError(f"non-finite {', '.join(bad)}")
         except FloatingPointError as exc:
-            raise TrainingDiverged(snapshot(step, position), f"{exc} at step {step}") from exc
+            raise TrainingDiverged(snapshot(step, position), str(exc)) from exc
 
         if trained:  # t counts the updates Adam applied
             adam_step(*blocks, adam, gan_cfg.lr, gan_cfg.beta1, gan_cfg.beta2)
@@ -904,7 +866,9 @@ def finetune_pipeline(
     tuned generator while the discriminator is reset to its pre-phase-1
     snapshot and held fixed.
 
-    Log rows from phase 2 continue phase 1's step numbering.
+    Log rows from phase 2 continue phase 1's step numbering, and so does
+    the message of a :class:`TrainingDiverged` raised in phase 2; its
+    ``checkpoint`` and ``step`` stay phase 2's, which resume phase 2.
     """
     if phase1_steps < 0 or phase2_steps < 0:
         raise ValueError("phase budgets must be nonnegative")
@@ -914,7 +878,8 @@ def finetune_pipeline(
         trainable=frozenset({"generator", "discriminator"}),
         conditioning="zero_shot",
     )
-    ck1 = train(ds, ensad_cfg, g1, seed, log_fn=log_fn)
+    ck0 = train(ds, ensad_cfg, replace(g1, steps=0), seed)
+    ck1 = train(ds, ensad_cfg, g1, seed, resume=ck0, log_fn=log_fn)
 
     g2 = replace(
         gan_cfg,
@@ -922,10 +887,8 @@ def finetune_pipeline(
         trainable=frozenset({"ensad"}),
         conditioning="ensad",
     )
-    # the tuned generator with the pre-phase-1 discriminator (phase 1's
-    # initial draw); phase 1 leaves the adapter untouched
-    init = {**init_tensors(param_shapes(ensad_cfg, g1), SeededRng(seed)),
-            "generator": ck1.params["generator"]}
+    # the tuned generator with ck0's discriminator and (untouched) adapter
+    init = {**ck0.params, "generator": ck1.params["generator"]}
 
     log2 = None
     if log_fn is not None:
@@ -934,11 +897,10 @@ def finetune_pipeline(
             row["step"] += phase1_steps
             log_fn(row)
 
-    return train(
-        ds,
-        ensad_cfg,
-        g2,
-        derive_seed(seed, _PHASE2_SALT),
-        init_from=init,
-        log_fn=log2,
-    )
+    try:
+        return train(ds, ensad_cfg, g2, derive_seed(seed, _PHASE2_SALT), init_from=init,
+                     log_fn=log2)
+    except TrainingDiverged as exc:
+        exc.args = (f"{exc.reason} at step {phase1_steps + exc.step}, "
+                    f"phase 2's step {exc.step}",)
+        raise

@@ -33,6 +33,7 @@ from ensad.gan import (
 from ensad.numkit import SeededRng, l2_normalize, sym_sqrt_psd
 
 from test_adapter import reference_forward
+from test_gan import checkpoint_bytes
 
 
 @pytest.fixture
@@ -281,13 +282,13 @@ def toy_training_setup():
 def test_criterion_07_determinism_and_freezing(verdict):
     verdict["n"] = 7
     start = time.monotonic()
-    from ensad.gan import checkpoint_to_jsonable, param_shapes
+    from ensad.gan import param_shapes
     from ensad.numkit import init_tensors
 
     ds, ecfg, gcfg = toy_training_setup()
     ck1 = train(ds, ecfg, gcfg, 42)
     ck2 = train(ds, ecfg, gcfg, 42)
-    assert checkpoint_to_jsonable(ck1) == checkpoint_to_jsonable(ck2)
+    assert checkpoint_bytes(ck1) == checkpoint_bytes(ck2)
 
     # the frozen-G setup must leave every generator tensor bitwise intact
     # while the trainable components move

@@ -1,11 +1,13 @@
 import json
 import math
 import os
-from dataclasses import replace
+import tempfile
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from ensad import gan
 from ensad.adapter import EnsAdConfig
 from ensad.data import SyntheticSpec, generate_synthetic
 from ensad.gan import (
@@ -14,7 +16,6 @@ from ensad.gan import (
     GanConfig,
     TrainingDiverged,
     adam_step,
-    checkpoint_to_jsonable,
     disc_forward_batch,
     finetune_pipeline,
     generate_batch,
@@ -30,6 +31,16 @@ from ensad.gan import (
     train,
 )
 from ensad.numkit import SeededRng, init_tensors, l2_normalize, map_tensors
+
+
+def checkpoint_bytes(ck):
+    """``ck`` in format 2, as save_checkpoint writes it: two checkpoints are
+    equal exactly when these bytes are."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ck.npz")
+        save_checkpoint(ck, path)
+        with open(path, "rb") as fh:
+            return fh.read()
 
 
 TOY_GAN = dict(d=6, d_z=4, d_img=5, gen_hidden=(8, 8), disc_hidden=(8,),
@@ -275,7 +286,7 @@ def test_train_bitwise_determinism():
                    trainable=frozenset({"ensad", "discriminator"}))
     ck1 = train(ds, ecfg, gcfg, 9)
     ck2 = train(ds, ecfg, gcfg, 9)
-    assert checkpoint_to_jsonable(ck1) == checkpoint_to_jsonable(ck2)
+    assert checkpoint_bytes(ck1) == checkpoint_bytes(ck2)
 
 
 def test_train_seed_sensitivity():
@@ -285,7 +296,7 @@ def test_train_seed_sensitivity():
                    trainable=frozenset({"ensad", "discriminator"}))
     ck1 = train(ds, ecfg, gcfg, 9)
     ck2 = train(ds, ecfg, gcfg, 10)
-    assert checkpoint_to_jsonable(ck1) != checkpoint_to_jsonable(ck2)
+    assert checkpoint_bytes(ck1) != checkpoint_bytes(ck2)
 
 
 def test_resume_bitwise_equivalence():
@@ -296,7 +307,7 @@ def test_resume_bitwise_equivalence():
     part = train(ds, ecfg, replace(gcfg, steps=10, trainable=trainable), 3)
     resumed = train(ds, ecfg, replace(gcfg, steps=25, trainable=trainable), 3,
                     resume=part)
-    assert checkpoint_to_jsonable(resumed) == checkpoint_to_jsonable(full)
+    assert checkpoint_bytes(resumed) == checkpoint_bytes(full)
 
 
 def test_resume_validates_config_and_seed():
@@ -379,13 +390,13 @@ def test_checkpoint_roundtrip(tmp_path):
     path = str(tmp_path / "ck.json")
     save_checkpoint(ck, path)
     back = load_checkpoint(path)
-    assert checkpoint_to_jsonable(back) == checkpoint_to_jsonable(ck)
+    assert checkpoint_bytes(back) == checkpoint_bytes(ck)
     assert back.ensad_cfg == ck.ensad_cfg
     assert back.gan_cfg == ck.gan_cfg
     # resume from the reloaded checkpoint is bit-exact too
     cont1 = train(ds, ecfg, replace(gcfg, steps=16), 2, resume=ck)
     cont2 = train(ds, ecfg, replace(gcfg, steps=16), 2, resume=back)
-    assert checkpoint_to_jsonable(cont1) == checkpoint_to_jsonable(cont2)
+    assert checkpoint_bytes(cont1) == checkpoint_bytes(cont2)
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -393,13 +404,53 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 GOLDEN_CKPT = os.path.join(GOLDEN, "ckpt_step6.npz")
 
 
+def same_floats(value, arr):
+    """Whether the JSON numbers ``value`` have ``arr``'s shape and float64
+    bits (so -0.0 and 0.0 differ, as their text does)."""
+    ref = np.asarray(value, dtype=np.float64)
+    return ref.shape == arr.shape and ref.tobytes() == arr.tobytes()
+
+
+def golden_tensors(group: dict) -> dict:
+    """A ``params`` group of ckpt_step6.json by param_shapes name: that file
+    holds the layers ``gen_w.0, gen_w.1, ...`` as one list ``gen_w``."""
+    named = {}
+    for key, value in group.items():
+        if key in ("gen_w", "gen_b", "disc_w", "disc_b"):
+            named.update((f"{key}.{i}", layer) for i, layer in enumerate(value))
+        else:
+            named[key] = value
+    return named
+
+
 def test_golden_checkpoint_reserializes_to_the_same_bytes():
     # the archive holds the values of the JSON reference, written by the
-    # per-item code, exactly
+    # per-item code, exactly: every field, every float bit for bit
     with open(os.path.join(GOLDEN, "ckpt_step6.json"), encoding="utf-8") as fh:
-        text = fh.read()
+        ref = json.load(fh)
     ck = load_checkpoint(GOLDEN_CKPT)
-    assert json.dumps(checkpoint_to_jsonable(ck), sort_keys=True) + "\n" == text
+    assert ref.keys() == {"version", "configs", "rng", "step", "params", "adam"}
+    assert ref["version"] == 1  # the JSON view's own, not a checkpoint format
+    assert ref["step"] == ck.step
+    assert ref["rng"] == {"algorithm": SeededRng.ALGORITHM, "seed": ck.rng_seed,
+                          "position": ck.rng_position}
+    # sets as sorted lists, tuples as lists
+    assert ref["configs"] == json.loads(json.dumps(
+        {"adapter": asdict(ck.ensad_cfg), "gan": asdict(ck.gan_cfg)}, default=sorted))
+    groups = {"ensad": ck.params["ensad"],
+              "gan": {**ck.params["generator"], **ck.params["discriminator"]}}
+    for group, tensors in groups.items():
+        named = golden_tensors(ref["params"][group])
+        assert named.keys() == tensors.keys()
+        for name, arr in tensors.items():
+            assert same_floats(named[name], arr), (group, name)
+    assert ref["adam"].keys() == ck.adam.m.keys()  # the run trains all three
+    for comp, entry in ref["adam"].items():
+        assert entry.keys() == {"m", "v", "t"} and entry["t"] == ck.adam.t
+        for key, moments in (("m", ck.adam.m[comp]), ("v", ck.adam.v[comp])):
+            assert len(entry[key]) == len(moments)
+            for value, arr in zip(entry[key], moments.values()):
+                assert same_floats(value, arr), (comp, key)
 
 
 def test_checkpoint_rejects_bad_version(tmp_path):
@@ -552,9 +603,33 @@ def test_pipeline_determinism_and_logging():
                             phase2_steps=7, log_fn=rows.append)
     ck2 = finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=5,
                             phase2_steps=7)
-    assert checkpoint_to_jsonable(ck1) == checkpoint_to_jsonable(ck2)
+    assert checkpoint_bytes(ck1) == checkpoint_bytes(ck2)
     assert [r["step"] for r in rows] == list(range(1, 13))
     assert ck1.step == 7
+
+
+def test_pipeline_divergence_names_the_runs_step(monkeypatch):
+    # phase 2's third step gives a NaN loss: the message counts steps as the
+    # log does, while the checkpoint stays phase 2's and replays that step
+    ds = toy_dataset()
+    ecfg, gcfg, _, _, _ = toy_setup()
+    calls = []
+
+    def nan_on_seventh_call(*args):
+        res = step_losses_and_grads(*args)
+        calls.append(args)
+        return replace(res, loss_ensad=math.nan) if len(calls) == 7 else res
+
+    monkeypatch.setattr(gan, "step_losses_and_grads", nan_on_seventh_call)
+    rows = []
+    with pytest.raises(TrainingDiverged) as exc:
+        finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, phase2_steps=5,
+                          log_fn=rows.append)
+    assert [r["step"] for r in rows] == list(range(1, 7))
+    assert str(exc.value) == "non-finite adapter-side loss at step 6, phase 2's step 2"
+    assert exc.value.reason == "non-finite adapter-side loss"
+    assert exc.value.step == exc.value.checkpoint.step == 2
+    assert exc.value.checkpoint.gan_cfg.trainable == frozenset({"ensad"})
 
 
 def batch_inputs(ds, ecfg, gcfg, seed):

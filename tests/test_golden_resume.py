@@ -5,12 +5,12 @@ at step 6 of a run that trains the adapter, generator and discriminator
 with noise augmentation on (d and d_z odd, so every Gaussian draw is
 padded to an even word count), and the losses of steps 7-12 with the
 stream position after step 12. These were written by the code before the
-training step was batched; the checkpoint as ``ckpt_step6.json``, the JSON
-view of ``gan.checkpoint_to_jsonable``. ``ckpt_step6.npz``, which this test
-resumes, is a lossless format-2 re-save of it, made at commit 92ad9cc
-(``test_gan`` checks that the two hold the same values). A refactor must
-keep the RNG word stream exactly and the math within round-off of that
-code.
+training step was batched; the checkpoint as ``ckpt_step6.json``, a JSON
+object with each MLP's layers as one list. ``ckpt_step6.npz``, which this
+test resumes, is a lossless format-2 re-save of it, made at commit 92ad9cc
+(``test_gan`` checks, value by value, that the two hold the same floats).
+A refactor must keep the RNG word stream exactly and the math within
+round-off of that code.
 """
 
 import json

@@ -1,0 +1,19 @@
+"""Smoke test of ``experiments/output_digest.py``: its runs are deterministic
+and write the files it is meant to digest."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "experiments" / "output_digest.py"
+
+
+def test_output_digest_is_repeatable():
+    spec = importlib.util.spec_from_file_location("output_digest", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    first = module.digests()
+    # the corpus; a checkpoint and a CSV for each of the 7 presets, the
+    # resumed run, the two-phase run and the 3 variants; an eval report and
+    # an attention file for 2 checkpoints
+    assert len(first) == 1 + 2 * (7 + 1 + 1 + 3) + 2 * 2
+    assert module.digests() == first
