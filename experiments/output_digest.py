@@ -6,8 +6,10 @@ of ``ensad_frozen_g`` resumed in place to 60; the two-phase preset for
 40 + 40 steps; 60-step runs with ``variant_v_equals_k``, with ``alpha`` 0,
 and with ``enable_clg`` while all three components train; then ``eval
 --out`` and ``inspect-attn --out`` on the ``ensad_frozen_g`` and two-phase
-checkpoints. It prints one ``<sha256>  <name>`` line per file, sorted by
-name, and takes no options.
+checkpoints. It prints one ``<sha256>  <name>`` line per file, and one
+``<sha256>  <name>.npz:<member>`` line per member of each ``.npz``
+archive (a checkpoint's ``header`` and ``tensors``), so a change to the
+header alone reads as one. Lines are sorted by name; it takes no options.
 
 A change that must keep every output byte (a refactor, a speed-up) prints
 the same lines as its parent. Point PYTHONPATH at each checkout's ``src``:
@@ -24,6 +26,7 @@ import json
 import os
 import sys
 import tempfile
+import zipfile
 
 from ensad.cli import main
 
@@ -51,7 +54,8 @@ def cli(*argv: str) -> None:
 
 
 def digests() -> dict:
-    """``{file name: sha256 hex}`` of every file the runs write."""
+    """``{file name: sha256 hex}`` of every file the runs write, and
+    ``{"<file name>:<member>": sha256 hex}`` of every ``.npz`` member."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
         os.mkdir(out)
@@ -85,6 +89,11 @@ def digests() -> dict:
         for name in sorted(os.listdir(out)):
             with open(path(name), "rb") as fh:
                 found[name] = hashlib.sha256(fh.read()).hexdigest()
+            if name.endswith(".npz"):
+                with zipfile.ZipFile(path(name)) as archive:
+                    for member in archive.namelist():
+                        found[f"{name}:{member.removesuffix('.npy')}"] = hashlib.sha256(
+                            archive.read(member)).hexdigest()
         return found
 
 

@@ -9,8 +9,9 @@ take --config and --seed; each setting is its config section with the
 flags that were given written over it (_section). A preset writes its
 gan fields over the gan section and rejects a config that sets them to
 other values. The pipeline preset takes --phase1-steps/--phase2-steps and
-rejects --steps and --resume; a one-phase run takes the reverse. No
-output path may resolve to another output or to an input (_check_paths).
+rejects --steps and --resume; a one-phase run takes the reverse, and with
+--resume the checkpoint's seed unless one is given. No output path may
+resolve to another output or to an input (_check_paths).
 
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime failure.
 All file outputs are written atomically.
@@ -202,10 +203,10 @@ def _check_paths(outputs: dict, inputs: dict, in_place=()) -> None:
                              "file; an output may not overwrite another output or an input")
 
 
-def _pick_seed(args, config: dict) -> int:
+def _pick_seed(args, config: dict, default=0):
     if args.seed is not None:
         return json_uint(args.seed, 0, "--seed")
-    return json_uint(config.get("seed", 0), 0, "config seed")
+    return json_uint(config["seed"], 0, "config seed") if "seed" in config else default
 
 
 def _cmd_synth(args) -> int:
@@ -285,8 +286,10 @@ def _cmd_train(args) -> int:
                 "train config section (or the matching flags)"
             )
         budgets = {key: json_uint(phases[key], 0, key) for key in _PHASE_FLAGS}
-    seed = _pick_seed(args, config)
+    seed = _pick_seed(args, config, None)  # a given seed is checked before any file
     resume = load_checkpoint(args.resume) if args.resume else None
+    if seed is None:
+        seed = resume.rng_seed if resume else 0
     lines = _resumed_log(csv_path, resume.step) if resume else [",".join(CSV_COLUMNS)]
     ds = load_jsonl(args.data)
     adapter_cfg = _build(EnsAdConfig, _from_dataset(
@@ -311,9 +314,7 @@ def _cmd_train(args) -> int:
         return 3
     save_checkpoint(ck, args.out)
     save_lines(lines, csv_path)
-    done = (f"{budgets['phase1_steps'] + ck.step}, phase 2's step {ck.step}"
-            if pipeline else ck.step)
-    print(f"trained to step {done}; checkpoint {args.out}, log {csv_path}")
+    print(f"trained to step {ck.step}; checkpoint {args.out}, log {csv_path}")
     return 0
 
 

@@ -367,14 +367,13 @@ class Checkpoint:
 class TrainingDiverged(RuntimeError):
     """Raised by :func:`train` when a step's arithmetic overflows, divides by
     zero or goes invalid, or a loss or a trained component's gradient is
-    non-finite. ``checkpoint`` is the state at the start of the failed step,
-    ``step`` its step, and ``reason`` the message without the step."""
+    non-finite. ``checkpoint`` is the state at the start of the failed step
+    and ``step`` its step."""
 
     def __init__(self, checkpoint: Checkpoint, reason: str):
         super().__init__(f"{reason} at step {checkpoint.step}")
         self.checkpoint = checkpoint
         self.step = checkpoint.step
-        self.reason = reason
 
 
 def _cfg_to_jsonable(cfg) -> dict:
@@ -760,7 +759,8 @@ def train(
         if replace(resume.gan_cfg, steps=gan_cfg.steps) != gan_cfg:
             raise ValueError("resume checkpoint has a different gan config")
         if resume.rng_seed != seed:
-            raise ValueError("resume checkpoint was created with a different seed")
+            raise ValueError(f"resume checkpoint was created with seed {resume.rng_seed}, "
+                             f"not {seed}")
         check_tensors(resume.params, shapes)
         source = resume.params
         rng = SeededRng(resume.rng_seed, resume.rng_position)
@@ -866,9 +866,10 @@ def finetune_pipeline(
     tuned generator while the discriminator is reset to its pre-phase-1
     snapshot and held fixed.
 
-    Log rows from phase 2 continue phase 1's step numbering, and so does
-    the message of a :class:`TrainingDiverged` raised in phase 2; its
-    ``checkpoint`` and ``step`` stay phase 2's, which resume phase 2.
+    Phase 2 resumes phase 1's step count on its own stream, so its log
+    rows, a :class:`TrainingDiverged` it raises and the returned checkpoint
+    count the whole run; ``train(..., ck.gan_cfg, ck.rng_seed, resume=ck)``
+    replays any diagnostic checkpoint ``ck`` of either phase.
     """
     if phase1_steps < 0 or phase2_steps < 0:
         raise ValueError("phase budgets must be nonnegative")
@@ -883,24 +884,14 @@ def finetune_pipeline(
 
     g2 = replace(
         gan_cfg,
-        steps=phase2_steps,
+        steps=phase1_steps + phase2_steps,
         trainable=frozenset({"ensad"}),
         conditioning="ensad",
     )
     # the tuned generator with ck0's discriminator and (untouched) adapter
     init = {**ck0.params, "generator": ck1.params["generator"]}
-
-    log2 = None
-    if log_fn is not None:
-        def log2(row):
-            row = dict(row)
-            row["step"] += phase1_steps
-            log_fn(row)
-
-    try:
-        return train(ds, ensad_cfg, g2, derive_seed(seed, _PHASE2_SALT), init_from=init,
-                     log_fn=log2)
-    except TrainingDiverged as exc:
-        exc.args = (f"{exc.reason} at step {phase1_steps + exc.step}, "
-                    f"phase 2's step {exc.step}",)
-        raise
+    seed2 = derive_seed(seed, _PHASE2_SALT)
+    # phase 2's fresh Adam state and stream, set at phase 1's last step
+    start = train(ds, ensad_cfg, replace(g2, steps=0), seed2, init_from=init)
+    return train(ds, ensad_cfg, g2, seed2, resume=replace(start, step=phase1_steps),
+                 log_fn=log_fn)

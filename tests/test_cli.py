@@ -1,15 +1,18 @@
 import io
 import json
+import math
 import os
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ensad
+from ensad import gan
 from ensad.cli import main
 from ensad.gan import CSV_COLUMNS, load_checkpoint, save_checkpoint
 
@@ -185,9 +188,81 @@ def test_train_pipeline_preset(workdir, dataset_path, train_config, capsys):
     assert rc == 0
     rows = read_csv(workdir / "pipe.csv")
     assert [row["step"] for row in rows] == [str(i) for i in range(1, 8)]
-    assert load_checkpoint(out).step == 4
-    # the run's step, the log's last row, then phase 2's own
-    assert capsys.readouterr().out.startswith("trained to step 7, phase 2's step 4;")
+    assert load_checkpoint(out).step == 7
+    assert capsys.readouterr().out.startswith("trained to step 7;")
+
+
+def _pipeline(dataset_path, train_config, out, phase1, phase2):
+    return main(["train", "--data", str(dataset_path), "--out", str(out),
+                 "--config", str(train_config), "--preset", "ensad_plus_finetune_g",
+                 "--phase1-steps", str(phase1), "--phase2-steps", str(phase2),
+                 "--seed", "2"])
+
+
+def _adapter_only(tmp_path, train_config):
+    """The train config with phase 2's trainable set, for resuming phase 2."""
+    config = json.loads(train_config.read_text())
+    config["gan"]["trainable"] = ["ensad"]
+    path = tmp_path / "phase2.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+def test_train_replays_a_pipelines_phase2_divergence(tmp_path, dataset_path, train_config,
+                                                    monkeypatch):
+    # phase 2's second step gives a NaN loss; resuming the diagnostic
+    # checkpoint, which keeps its own seed, finishes the uninterrupted run
+    assert _pipeline(dataset_path, train_config, tmp_path / "whole.npz", 3, 4) == 0
+    with monkeypatch.context() as patch:
+        step = gan.step_losses_and_grads
+        calls = []
+
+        def nan_on_fifth_call(*args):
+            calls.append(None)
+            res = step(*args)
+            return replace(res, loss_ensad=math.nan) if len(calls) == 5 else res
+        patch.setattr(gan, "step_losses_and_grads", nan_on_fifth_call)
+        assert _pipeline(dataset_path, train_config, tmp_path / "pipe.npz", 3, 4) == 3
+    diag = tmp_path / "pipe.diverged.npz"
+    assert load_checkpoint(diag).step == 4
+    rc = main(["train", "--data", str(dataset_path), "--out", str(tmp_path / "replay.npz"),
+               "--config", str(_adapter_only(tmp_path, train_config)),
+               "--resume", str(diag), "--steps", "7", "--log", str(tmp_path / "pipe.csv")])
+    assert rc == 0
+    assert (tmp_path / "replay.npz").read_bytes() == (tmp_path / "whole.npz").read_bytes()
+    assert (tmp_path / "pipe.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_train_continues_a_pipeline(tmp_path, dataset_path, train_config):
+    # a 3 + 2 pipeline continued to step 9 is the 3 + 6 pipeline
+    assert _pipeline(dataset_path, train_config, tmp_path / "whole.npz", 3, 6) == 0
+    half = tmp_path / "half.npz"
+    assert _pipeline(dataset_path, train_config, half, 3, 2) == 0
+    assert load_checkpoint(half).step == 5
+    rc = main(["train", "--data", str(dataset_path), "--out", str(half),
+               "--config", str(_adapter_only(tmp_path, train_config)),
+               "--resume", str(half), "--steps", "9"])
+    assert rc == 0
+    assert half.read_bytes() == (tmp_path / "whole.npz").read_bytes()
+    assert (tmp_path / "half.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_train_resume_rejects_another_seed(tmp_path, dataset_path, train_config, capsys,
+                                           given):
+    part = tmp_path / "part.npz"
+    base = ["train", "--data", str(dataset_path), "--preset", "ensad_frozen_g"]
+    assert main(base + ["--config", str(train_config), "--out", str(part),
+                        "--steps", "3", "--seed", "6"]) == 0
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps({**json.loads(train_config.read_text()), "seed": 7}))
+    given = (["--seed", "7", "--config", str(train_config)] if given == "flag"
+             else ["--config", str(seeded)])
+    out = tmp_path / "cont.npz"
+    rc = main(base + ["--out", str(out), "--steps", "5", "--resume", str(part), *given])
+    assert rc == 2
+    assert "created with seed 6, not 7" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_pipeline_preset_rejects_resume(workdir, dataset_path, train_config,

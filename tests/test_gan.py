@@ -605,31 +605,65 @@ def test_pipeline_determinism_and_logging():
                             phase2_steps=7)
     assert checkpoint_bytes(ck1) == checkpoint_bytes(ck2)
     assert [r["step"] for r in rows] == list(range(1, 13))
-    assert ck1.step == 7
+    assert ck1.step == 12
+
+
+def nan_on_call(n):
+    """A ``step_losses_and_grads`` whose ``n``-th call returns a NaN
+    adapter-side loss."""
+    calls = []
+
+    def step(*args):
+        res = step_losses_and_grads(*args)
+        calls.append(None)
+        return replace(res, loss_ensad=math.nan) if len(calls) == n else res
+    return step
 
 
 def test_pipeline_divergence_names_the_runs_step(monkeypatch):
-    # phase 2's third step gives a NaN loss: the message counts steps as the
-    # log does, while the checkpoint stays phase 2's and replays that step
+    # phase 2's third step gives a NaN loss: the message, the exception and
+    # its checkpoint count steps as the log does
     ds = toy_dataset()
     ecfg, gcfg, _, _, _ = toy_setup()
-    calls = []
-
-    def nan_on_seventh_call(*args):
-        res = step_losses_and_grads(*args)
-        calls.append(args)
-        return replace(res, loss_ensad=math.nan) if len(calls) == 7 else res
-
-    monkeypatch.setattr(gan, "step_losses_and_grads", nan_on_seventh_call)
+    monkeypatch.setattr(gan, "step_losses_and_grads", nan_on_call(7))
     rows = []
     with pytest.raises(TrainingDiverged) as exc:
         finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, phase2_steps=5,
                           log_fn=rows.append)
     assert [r["step"] for r in rows] == list(range(1, 7))
-    assert str(exc.value) == "non-finite adapter-side loss at step 6, phase 2's step 2"
-    assert exc.value.reason == "non-finite adapter-side loss"
-    assert exc.value.step == exc.value.checkpoint.step == 2
+    assert str(exc.value) == "non-finite adapter-side loss at step 6"
+    assert exc.value.step == exc.value.checkpoint.step == 6
     assert exc.value.checkpoint.gan_cfg.trainable == frozenset({"ensad"})
+
+
+def test_pipeline_phase2_diagnostic_replays_the_run(monkeypatch):
+    # resuming the diagnostic checkpoint with its own config and seed, without
+    # the NaN, finishes the run as if it had never diverged
+    ds = toy_dataset()
+    ecfg, gcfg, _, _, _ = toy_setup()
+    whole_rows = []
+    whole = finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, phase2_steps=5,
+                              log_fn=whole_rows.append)
+    with monkeypatch.context() as patch:
+        patch.setattr(gan, "step_losses_and_grads", nan_on_call(7))
+        rows = []
+        with pytest.raises(TrainingDiverged) as exc:
+            finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, phase2_steps=5,
+                              log_fn=rows.append)
+    ck = exc.value.checkpoint
+    assert exc.value.step == 6
+    replayed = train(ds, ecfg, ck.gan_cfg, ck.rng_seed, resume=ck, log_fn=rows.append)
+    assert checkpoint_bytes(replayed) == checkpoint_bytes(whole)
+    assert [r["step"] for r in rows] == list(range(1, 10))
+    assert rows == whole_rows
+
+
+@pytest.mark.parametrize("phase1, phase2", [(5, -2), (-1, 3)])
+def test_pipeline_rejects_negative_phase_budgets(phase1, phase2):
+    ds = toy_dataset()
+    ecfg, gcfg, _, _, _ = toy_setup()
+    with pytest.raises(ValueError, match="phase budgets must be nonnegative"):
+        finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=phase1, phase2_steps=phase2)
 
 
 def batch_inputs(ds, ecfg, gcfg, seed):

@@ -12,8 +12,8 @@ def test_output_digest_is_repeatable():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     first = module.digests()
-    # the corpus; a checkpoint and a CSV for each of the 7 presets, the
-    # resumed run, the two-phase run and the 3 variants; an eval report and
-    # an attention file for 2 checkpoints
-    assert len(first) == 1 + 2 * (7 + 1 + 1 + 3) + 2 * 2
+    # the corpus; a checkpoint, its header and tensors members, and a CSV
+    # for each of the 7 presets, the resumed run, the two-phase run and the
+    # 3 variants; an eval report and an attention file for 2 checkpoints
+    assert len(first) == 1 + 4 * (7 + 1 + 1 + 3) + 2 * 2
     assert module.digests() == first
