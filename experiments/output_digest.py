@@ -4,9 +4,12 @@ Runs ``ensad.cli.main`` in-process in a temporary directory: a 200-item
 synthetic corpus; the seven one-phase presets for 60 steps; a 30-step run
 of ``ensad_frozen_g`` resumed in place to 60; the two-phase preset for
 40 + 40 steps; 60-step runs with ``variant_v_equals_k``, with ``alpha`` 0,
-and with ``enable_clg`` while all three components train; then ``eval
---out`` and ``inspect-attn --out`` on the ``ensad_frozen_g`` and two-phase
-checkpoints. It prints one ``<sha256>  <name>`` line per file, and one
+and with ``enable_clg`` while all three components train; a saturating
+``lafite_setup`` run at ``lr`` 1e300, which diverges at step 1 and exits 3
+(its diagnostic checkpoint, its CSV and its stderr, with the output
+directory written as ``<out>``); then ``eval --out`` and ``inspect-attn
+--out`` on the ``ensad_frozen_g`` and two-phase checkpoints. It prints one
+``<sha256>  <name>`` line per file, and one
 ``<sha256>  <name>.npz:<member>`` line per member of each ``.npz``
 archive (a checkpoint's ``header`` and ``tensors``), so a change to the
 header alone reads as one. Lines are sorted by name; it takes no options.
@@ -44,13 +47,23 @@ VARIANTS = {
 SEED = ["--seed", "3"]
 
 
-def cli(*argv: str) -> None:
-    """Run one command quietly; raise with its stderr when it fails."""
+def cli(*argv: str, expect: int = 0) -> str:
+    """Run one command quietly and return its stderr; raise with it when the
+    command exits with another code than ``expect``."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         rc = main(list(argv))
-    if rc != 0:
+    if rc != expect:
         raise RuntimeError(f"ensad {' '.join(argv)} exited {rc}: {err.getvalue()}")
+    return err.getvalue()
+
+
+def write_config(tmp: str, name: str, config: dict) -> str:
+    """Write ``config`` to ``<tmp>/<name>.json`` and return that path."""
+    config_path = os.path.join(tmp, f"{name}.json")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+    return config_path
 
 
 def digests() -> dict:
@@ -75,11 +88,13 @@ def digests() -> dict:
         cli(*train, "--preset", "ensad_plus_finetune_g", "--phase1-steps", "40",
             "--phase2-steps", "40", "--out", path("pipeline.npz"))
         for name, (preset, config) in VARIANTS.items():
-            config_path = os.path.join(tmp, f"{name}.json")
-            with open(config_path, "w", encoding="utf-8") as fh:
-                json.dump(config, fh)
-            cli(*train, *(["--preset", preset] if preset else []), "--config", config_path,
-                "--steps", "60", "--out", path(f"{name}.npz"))
+            cli(*train, *(["--preset", preset] if preset else []), "--config",
+                write_config(tmp, name, config), "--steps", "60", "--out", path(f"{name}.npz"))
+        stderr = cli(*train, "--preset", "lafite_setup", "--config",
+                     write_config(tmp, "saturating", {"gan": {"lr": 1e300}}), "--steps", "60",
+                     "--out", path("diverged.npz"), expect=3)
+        with open(path("diverged.stderr"), "w", encoding="utf-8") as fh:
+            fh.write(stderr.replace(out, "<out>"))
         for name in ("ensad_frozen_g", "pipeline"):
             ckpt = path(f"{name}.npz")
             cli("eval", "--ckpt", ckpt, "--data", data, *SEED, "--out", path(f"{name}.eval.json"))

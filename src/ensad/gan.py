@@ -41,6 +41,8 @@ TRAINABLE_COMPONENTS = ("ensad", "generator", "discriminator")
 _PROXY_SALT = 0x1C
 # Stream salt separating the two phases of the fine-tune pipeline.
 _PHASE2_SALT = 3
+# Adam's epsilon, added to the bias-corrected root of v.
+_ADAM_EPS = 1e-8
 # The keys of the per-step row ``train`` passes to ``log_fn``, in the loss
 # CSV's column order.
 CSV_COLUMNS = ("step", "loss_ensad", "loss_disc", "l_ad_ensad", "l_ad_d",
@@ -320,37 +322,32 @@ def total_losses(parts: LossParts, cfg: GanConfig) -> tuple[float, float]:
 
 @dataclass
 class AdamState:
-    """Adam state: the moments, shaped like the parameters they follow, and
-    the step count. :func:`adam_step` takes ``{name: array}`` moments; a
-    checkpoint holds ``{component: {name: array}}`` for its trained
-    components, with one step count for all of them."""
+    """A checkpoint's Adam state: ``m`` and ``v`` map each trained component
+    to its moments, ``{name: array}`` shaped like its parameters, and one
+    step count ``t`` serves all of them."""
 
     m: dict
     v: dict
     t: int = 0
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float, beta1: float,
-              beta2: float, eps: float = 1e-8) -> dict:
-    """Standard bias-corrected Adam, in place on the parameter arrays of one
-    component; ``grads`` and the moments have the same tensor names.
-    :func:`train` passes all trained components' flat vectors, in blocks."""
-    if params.keys() != grads.keys() or params.keys() != state.m.keys():
-        raise ValueError("parameter, gradient and state names differ")
-    for name, p in params.items():
-        if np.shape(p) != np.shape(grads[name]):
-            raise ValueError(f"{name}: gradient shape {np.shape(grads[name])} != {np.shape(p)}")
-    state.t += 1
-    b1c = 1.0 - beta1 ** state.t
-    b2c = 1.0 - beta2 ** state.t
-    for name, p in params.items():
-        g, m, v = grads[name], state.m[name], state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / b1c) / (np.sqrt(v / b2c) + eps)
-    return params
+def adam_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
+              lr: float, beta1: float, beta2: float) -> None:
+    """Standard bias-corrected Adam update number ``t`` (from 1), in place on
+    the flat float64 vector ``p`` and its moments ``m`` and ``v``, for the
+    gradient ``g``, in slices of numkit.CACHE_BLOCK entries so that each
+    slice's temporaries stay in cache. :func:`train` passes its vectors."""
+    if not np.shape(p) == np.shape(g) == np.shape(m) == np.shape(v):
+        raise ValueError(f"p, g, m and v shapes differ: {[np.shape(x) for x in (p, g, m, v)]}")
+    b1c = 1.0 - beta1 ** t
+    b2c = 1.0 - beta2 ** t
+    for lo in range(0, p.size, numkit.CACHE_BLOCK):
+        pb, gb, mb, vb = (x[lo:lo + numkit.CACHE_BLOCK] for x in (p, g, m, v))
+        mb *= beta1
+        mb += (1.0 - beta1) * gb
+        vb *= beta2
+        vb += (1.0 - beta2) * (gb * gb)
+        pb -= lr * (mb / b1c) / (np.sqrt(vb / b2c) + _ADAM_EPS)
 
 
 @dataclass
@@ -475,36 +472,31 @@ def _trained(gan_cfg: GanConfig) -> list:
     return [comp for comp in TRAINABLE_COMPONENTS if comp in gan_cfg.trainable]
 
 
-def _flat_specs(shapes: dict, trained: list) -> list:
-    """The specs of format 2's tensor vector, in order."""
-    return [shapes[comp] for comp in TRAINABLE_COMPONENTS] + [
-        shapes[comp] for comp in trained for _ in ("m", "v")]
+def _flat_specs(shapes: dict, trained: list) -> dict:
+    """The specs of format 2's tensor vector, in order, keyed by position."""
+    return dict(enumerate([shapes[comp] for comp in TRAINABLE_COMPONENTS] + [
+        shapes[comp] for comp in trained for _ in ("m", "v")]))
 
 
-def _flatten(*trees: dict) -> np.ndarray:
-    """The tensors of the ``{name: array}`` mappings ``trees`` as one
-    float64 vector, in their order; no trees give an empty vector."""
-    return np.concatenate([x for tree in trees for x in tree.values()] or [np.empty(0)],
-                          axis=None, dtype=np.float64)
+def _flatten(trees, specs: dict, out=None) -> np.ndarray:
+    """The tensors ``trees[key][name]`` as one float64 vector (or into
+    ``out``), walking the keys and names of the ``{key: {name: TensorSpec}}``
+    mapping ``specs`` in its order, whatever the trees' own order."""
+    arrays = [trees[key][name] for key, spec in specs.items() for name in spec]
+    return np.concatenate(arrays or [np.empty(0)], axis=None, out=out,
+                          dtype=np.float64 if out is None else None)
 
 
 def _views(vec: np.ndarray, specs: dict) -> dict:
-    """Named views of the flat vector ``vec``, ``{comp: {name: view}}`` for
-    the ``{comp: {name: TensorSpec}}`` mapping ``specs``, in its order: the
-    inverse of :func:`_flatten`."""
-    views, end = {comp: {} for comp in specs}, 0
-    for comp, spec in specs.items():
+    """Named views of the flat vector ``vec``, ``{key: {name: view}}`` for
+    the ``{key: {name: TensorSpec}}`` mapping ``specs``: the inverse of
+    :func:`_flatten`."""
+    views, end = {key: {} for key in specs}, 0
+    for key, spec in specs.items():
         for name, s in spec.items():
             start, end = end, end + math.prod(s.shape)
-            views[comp][name] = vec[start:end].reshape(s.shape)
+            views[key][name] = vec[start:end].reshape(s.shape)
     return views
-
-
-def _blocks(vec: np.ndarray) -> dict:
-    """``vec`` as consecutive views of at most numkit.CACHE_BLOCK entries,
-    one dict entry each, as train hands them to adam_step."""
-    block = numkit.CACHE_BLOCK
-    return {i: vec[lo:lo + block] for i, lo in enumerate(range(0, vec.size, block))}
 
 
 def save_checkpoint(ck: Checkpoint, path: str) -> None:
@@ -513,9 +505,7 @@ def save_checkpoint(ck: Checkpoint, path: str) -> None:
     trained = _trained(ck.gan_cfg)
     trees = [ck.params[comp] for comp in TRAINABLE_COMPONENTS] + [
         moments[comp] for comp in trained for moments in (ck.adam.m, ck.adam.v)]
-    specs = _flat_specs(param_shapes(ck.ensad_cfg, ck.gan_cfg), trained)
-    tensors = np.concatenate([np.ravel(tree[name]) for tree, spec in zip(trees, specs)
-                              for name in spec], dtype=np.float64)
+    tensors = _flatten(trees, _flat_specs(param_shapes(ck.ensad_cfg, ck.gan_cfg), trained))
     header = json.dumps({"version": 2, **_meta_to_jsonable(ck),
                          "adam": {comp: ck.adam.t for comp in trained}}, sort_keys=True)
     with atomic_write(path) as fh:  # to a path, np.savez would append ".npz"
@@ -549,16 +539,14 @@ def _checkpoint_from_archive(fh, path: str) -> Checkpoint:
                              f"trainable {sorted(trained)}")
     shapes = param_shapes(meta["ensad_cfg"], meta["gan_cfg"])
     specs = _flat_specs(shapes, trained)
-    sizes = [math.prod(s.shape) for spec in specs for s in spec.values()]
+    size = sum(math.prod(s.shape) for spec in specs.values() for s in spec.values())
     with _field("tensors"):
-        if tensors.dtype != np.float64 or tensors.shape != (sum(sizes),):
-            raise ValueError(f"expected {sum(sizes)} float64 values, got "
+        if tensors.dtype != np.float64 or tensors.shape != (size,):
+            raise ValueError(f"expected {size} float64 values, got "
                              f"{tensors.dtype} {tensors.shape}")
     # a fresh array per tensor, not a view into the vector, as train's
     # returned checkpoints hold them
-    pieces = iter(np.split(tensors, np.cumsum(sizes)[:-1]))
-    trees = [{name: next(pieces).reshape(s.shape).copy() for name, s in spec.items()}
-             for spec in specs]
+    trees = list(map_tensors(np.copy, _views(tensors, specs)).values())
     params = dict(zip(TRAINABLE_COMPONENTS, trees))
     for comp, tree in params.items():
         with _field(f"params.{comp}"):
@@ -735,7 +723,8 @@ def train(
     constant. Components outside gan_cfg.trainable are
     never touched.
 
-    ``resume`` continues a checkpoint bit-exactly to gan_cfg.steps;
+    ``resume`` continues a checkpoint bit-exactly to gan_cfg.steps, which
+    may not lie below its step; every other config field must match;
     ``init_from`` seeds parameters, a mapping like ``Checkpoint.params``
     (optimizer and stream start fresh).
     ``log_fn`` receives one row dict per step. A step diverges, raising
@@ -754,10 +743,17 @@ def train(
     shapes = param_shapes(ensad_cfg, gan_cfg)
     trained = _trained(gan_cfg)
     if resume is not None:
-        if resume.ensad_cfg != ensad_cfg:
-            raise ValueError("resume checkpoint has a different adapter config")
-        if replace(resume.gan_cfg, steps=gan_cfg.steps) != gan_cfg:
-            raise ValueError("resume checkpoint has a different gan config")
+        for kind, old, new in (("adapter", resume.ensad_cfg, ensad_cfg),
+                               ("gan", replace(resume.gan_cfg, steps=gan_cfg.steps), gan_cfg)):
+            old, new = _cfg_to_jsonable(old), _cfg_to_jsonable(new)
+            diff = [f"{key}: {json.dumps(old[key])} in the checkpoint, {json.dumps(new[key])} "
+                    "given" for key in old if old[key] != new[key]]
+            if diff:
+                raise ValueError(f"resume checkpoint has a different {kind} config: "
+                                 + "; ".join(diff))
+        if resume.step > gan_cfg.steps:
+            raise ValueError(f"resume checkpoint is at step {resume.step}, "
+                             f"past steps {gan_cfg.steps}")
         if resume.rng_seed != seed:
             raise ValueError(f"resume checkpoint was created with seed {resume.rng_seed}, "
                              f"not {seed}")
@@ -779,21 +775,18 @@ def train(
     # holds named views of it. The trained part's gradients and Adam moments
     # get vectors of its layout, so a step runs one finiteness check and one
     # Adam update for all of them.
-    order = trained + [comp for comp in TRAINABLE_COMPONENTS if comp not in trained]
-    flat = _flatten(*(source[comp] for comp in order))
-    params = _views(flat, {comp: shapes[comp] for comp in order})
+    specs = {comp: shapes[comp] for comp in trained}
+    layout = {**specs, **shapes}  # the trained components first
+    flat = _flatten(source, layout)
+    params = _views(flat, layout)
     params = {comp: params[comp] for comp in TRAINABLE_COMPONENTS}
     size = sum(x.size for comp in trained for x in params[comp].values())
-    specs = {comp: shapes[comp] for comp in trained}
     m, v, t = np.zeros(size), np.zeros(size), 0
     if resume is not None:
         st = _adam_state(resume.adam, specs)
-        m, v = (_flatten(*(moments[comp] for comp in trained)) for moments in (st.m, st.v))
-        t = st.t
+        m, v, t = _flatten(st.m, specs), _flatten(st.v, specs), st.t
     grad = np.empty(size)
     moments = _views(m, specs), _views(v, specs)
-    adam = AdamState(_blocks(m), _blocks(v), t)
-    blocks = _blocks(flat[:size]), _blocks(grad)
 
     proxy = None
     if gan_cfg.enable_clg:
@@ -805,7 +798,7 @@ def train(
             ensad_cfg=ensad_cfg,
             gan_cfg=gan_cfg,
             params=map_tensors(np.copy, params),
-            adam=AdamState(*(map_tensors(np.copy, x) for x in moments), adam.t),
+            adam=AdamState(*(map_tensors(np.copy, x) for x in moments), t),
             rng_seed=seed,
             rng_position=position,
             step=step_count,
@@ -821,9 +814,7 @@ def train(
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 res = step_losses_and_grads(h, imgs, zs, params, ensad_cfg, gan_cfg, proxy)
-            if trained:
-                np.concatenate([res.grads[comp][name] for comp in trained
-                                for name in shapes[comp]], axis=None, out=grad)
+            _flatten(res.grads, specs, out=grad)
             # an inf already present passes *, +, tanh and exp without raising
             # a flag, and Adam, outside the errstate because a half-applied
             # in-place update cannot be undone, can leave one behind
@@ -831,15 +822,16 @@ def train(
                       "discriminator-side loss": res.loss_disc}
             bad = [what for what, x in losses.items() if not math.isfinite(x)]
             if not np.isfinite(grad).all():
-                bad += [f"{comp} gradient" for comp, tree in _views(grad, specs).items()
-                        if not np.isfinite(_flatten(tree)).all()]
+                bad += [f"{comp} gradient" for comp in trained
+                        if not all(np.isfinite(x).all() for x in res.grads[comp].values())]
             if bad:
                 raise FloatingPointError(f"non-finite {', '.join(bad)}")
         except FloatingPointError as exc:
             raise TrainingDiverged(snapshot(step, position), str(exc)) from exc
 
         if trained:  # t counts the updates Adam applied
-            adam_step(*blocks, adam, gan_cfg.lr, gan_cfg.beta1, gan_cfg.beta2)
+            t += 1
+            adam_step(flat[:size], grad, m, v, t, gan_cfg.lr, gan_cfg.beta1, gan_cfg.beta2)
 
         if log_fn is not None:
             parts = res.parts
@@ -848,7 +840,7 @@ def train(
                 parts.l_ad_d, parts.l_cl, parts.l_cl_d_fake, parts.l_cl_g,
             ))))
 
-    return snapshot(max(start_step, gan_cfg.steps), rng.position)
+    return snapshot(gan_cfg.steps, rng.position)
 
 
 def finetune_pipeline(

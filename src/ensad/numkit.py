@@ -42,7 +42,7 @@ _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
 
 # Blocked hot loops handle at most this many 8-byte entries at a time, so
 # that each block's temporaries stay in cache:
-# - ``gan.train`` hands ``adam_step`` the trained components' flat vectors in
+# - ``gan.adam_step`` walks the flat vectors ``gan.train`` passes it in
 #   blocks of this size: one block at desk scale. For the 655,873 adapter
 #   parameters of the paper's shape an adam_step took 10.7-11.7 ms on one
 #   vector, 8.3-8.5 ms per tensor and 6.6-6.9 ms in these 11 blocks

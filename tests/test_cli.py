@@ -265,6 +265,30 @@ def test_train_resume_rejects_another_seed(tmp_path, dataset_path, train_config,
     assert not out.exists()
 
 
+def test_train_resume_rejects_steps_below_the_checkpoint(tmp_path, dataset_path,
+                                                         train_config, capsys):
+    base = ["train", "--data", str(dataset_path), "--config", str(train_config),
+            "--preset", "ensad_frozen_g", "--seed", "6"]
+    part, out = tmp_path / "part.npz", tmp_path / "cont.npz"
+    assert main(base + ["--out", str(part), "--steps", "6"]) == 0
+    assert main(base + ["--out", str(out), "--steps", "4", "--resume", str(part)]) == 2
+    assert "resume checkpoint is at step 6, past steps 4" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "cont.csv").exists()
+
+
+def test_train_resume_names_the_differing_config_fields(tmp_path, dataset_path,
+                                                        train_config, capsys):
+    base = ["train", "--data", str(dataset_path), "--config", str(train_config), "--seed", "6"]
+    part, out = tmp_path / "part.npz", tmp_path / "cont.npz"
+    assert main(base + ["--preset", "ensad_frozen_g", "--steps", "3", "--out", str(part)]) == 0
+    rc = main(base + ["--preset", "ablate_no_cl", "--steps", "6", "--out", str(out),
+                      "--resume", str(part)])
+    assert rc == 2
+    assert ("resume checkpoint has a different gan config: lambda1: 4.0 in the checkpoint, "
+            "0.0 given\n") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_pipeline_preset_rejects_resume(workdir, dataset_path, train_config,
                                              ckpt_path, capsys):
     out = workdir / "pipe_resumed.json"

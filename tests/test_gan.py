@@ -206,34 +206,24 @@ def test_total_losses_clg_switch():
     assert ld == 0.7 + 4 * 0.9
 
 
-def fresh_adam(p):
-    return AdamState(map_tensors(np.zeros_like, p), map_tensors(np.zeros_like, p))
-
-
 def test_adam_zero_grad_keeps_params():
-    p = {"a": np.array([1.0, 2.0]), "b": np.array([[3.0]])}
-    st = fresh_adam(p)
-    before = [t.copy() for t in p.values()]
-    adam_step(p, {"a": np.zeros(2), "b": np.zeros((1, 1))}, st, 5e-4, 0.0, 0.99)
-    for a, b in zip(p.values(), before):
-        assert np.array_equal(a, b)
-    assert st.t == 1
+    p, m, v = np.array([1.0, 2.0, 3.0]), np.zeros(3), np.zeros(3)
+    adam_step(p, np.zeros(3), m, v, 1, 5e-4, 0.0, 0.99)
+    assert np.array_equal(p, [1.0, 2.0, 3.0])
+    assert not m.any() and not v.any()
 
 
 def test_adam_single_step_oracle():
     # t=1, beta1=0, beta2=0.99, g=1: mhat=1, vhat=1, update=lr/(1+eps)
-    p = {"a": np.array([1.0])}
-    st = fresh_adam(p)
-    adam_step(p, {"a": np.array([1.0])}, st, 5e-4, 0.0, 0.99)
+    p = np.array([1.0])
+    adam_step(p, np.array([1.0]), np.zeros(1), np.zeros(1), 1, 5e-4, 0.0, 0.99)
     want = 1.0 - 5e-4 * (1.0 / (1.0 + 1e-8))
-    assert p["a"][0] == want
+    assert p[0] == want
 
 
 def test_adam_rejects_mismatched_shapes():
-    p = {"a": np.zeros(2)}
-    st = fresh_adam(p)
-    with pytest.raises(ValueError):
-        adam_step(p, {"a": np.zeros(3)}, st, 1e-3, 0.0, 0.99)
+    with pytest.raises(ValueError, match="shapes differ"):
+        adam_step(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2), 1, 1e-3, 0.0, 0.99)
 
 
 def test_train_zero_steps_matches_manual_init():
@@ -317,12 +307,30 @@ def test_resume_validates_config_and_seed():
     gcfg = replace(gcfg, steps=5, trainable=trainable,
                    conditioning="zero_shot")
     ck = train(ds, ecfg, gcfg, 3)
-    with pytest.raises(ValueError):
-        train(ds, ecfg, gcfg, 4, resume=ck)  # wrong seed
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="created with seed 3, not 4"):
+        train(ds, ecfg, gcfg, 4, resume=ck)
+    # each differing field, but not steps, with the checkpoint's value first
+    with pytest.raises(ValueError, match="^resume checkpoint has a different gan config: "
+                       "lr: 0.0005 in the checkpoint, 0.001 given$"):
         train(ds, ecfg, replace(gcfg, steps=8, lr=1e-3), 3, resume=ck)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^resume checkpoint has a different gan config: "
+                       r"lambda2: 2.0 in the checkpoint, 0.5 given; trainable: "
+                       r'\["discriminator", "generator"\] in the checkpoint, \["generator"\] '
+                       "given$"):
+        train(ds, ecfg, replace(gcfg, lambda2=0.5, trainable={"generator"}), 3, resume=ck)
+    with pytest.raises(ValueError, match="^resume checkpoint has a different adapter config: "
+                       "alpha: 0.3 in the checkpoint, 0.9 given$"):
         train(ds, replace(ecfg, alpha=0.9), gcfg, 3, resume=ck)
+
+
+def test_resume_rejects_steps_below_the_checkpoint():
+    ds = toy_dataset()
+    ecfg, gcfg, _, _, _ = toy_setup()
+    ck = train(ds, ecfg, replace(gcfg, steps=6), 3)
+    with pytest.raises(ValueError, match="resume checkpoint is at step 6, past steps 4"):
+        train(ds, ecfg, replace(gcfg, steps=4), 3, resume=ck)
+    assert checkpoint_bytes(train(ds, ecfg, replace(gcfg, steps=6), 3, resume=ck)) == (
+        checkpoint_bytes(ck))
 
 
 def test_frozen_components_bitwise_unchanged():
@@ -522,6 +530,21 @@ def test_golden_checkpoint_through_format2_reserializes_to_the_same_bytes(tmp_pa
     save_checkpoint(load_checkpoint(GOLDEN_CKPT), path)
     with open(path, "rb") as fh, open(GOLDEN_CKPT, "rb") as golden:
         assert fh.read() == golden.read()
+
+
+def test_save_checkpoint_walks_the_spec_not_the_dicts_order():
+    # format 2 lays tensors out in param_shapes order, whatever order the
+    # checkpoint's dicts list them in
+    ck = load_checkpoint(GOLDEN_CKPT)
+
+    def reverse(tree):
+        return {comp: dict(reversed(names.items())) for comp, names in reversed(tree.items())}
+
+    flipped = replace(ck, params=reverse(ck.params),
+                      adam=AdamState(reverse(ck.adam.m), reverse(ck.adam.v), ck.adam.t))
+    assert list(flipped.params["ensad"]) == list(reversed(ck.params["ensad"]))
+    assert list(flipped.adam.v["discriminator"]) == list(reversed(ck.adam.v["discriminator"]))
+    assert checkpoint_bytes(flipped) == checkpoint_bytes(ck)
 
 
 def test_format2_equal_checkpoints_give_equal_bytes(tmp_path):

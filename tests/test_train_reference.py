@@ -6,9 +6,9 @@ block of steps' draws from one stream fill (``data.step_batches``).
 ``reference_train`` below is the loop it replaced: per step,
 ``sample_indices``, ``augment_rows`` (from ``test_batching``) and
 ``gaussian_rows``, then
-``step_losses_and_grads`` and ``adam_step`` per tensor on named dicts. Both
-apply the same IEEE operations to the same values, so every parameter,
-moment and stream position must agree bit for bit.
+``step_losses_and_grads`` and ``reference_adam_step`` per tensor on named
+dicts. Both apply the same IEEE operations to the same values, so every
+parameter, moment and stream position must agree bit for bit.
 """
 
 from dataclasses import replace
@@ -28,7 +28,6 @@ from ensad.gan import (
     AdamState,
     GanConfig,
     TrainingDiverged,
-    adam_step,
     finetune_pipeline,
     load_checkpoint,
     param_shapes,
@@ -73,6 +72,28 @@ def set_block(monkeypatch, ecfg, gcfg, block):
         monkeypatch.setattr(numkit, "CACHE_BLOCK", block)
 
 
+def reference_adam_step(params, grads, state, lr, beta1, beta2, eps=1e-8):
+    """Per-tensor Adam, the reference for ``gan.adam_step``: in place on one
+    component's ``{name: array}`` parameters, with the moments and step
+    count in ``state``."""
+    if params.keys() != grads.keys() or params.keys() != state.m.keys():
+        raise ValueError("parameter, gradient and state names differ")
+    for name, p in params.items():
+        if np.shape(p) != np.shape(grads[name]):
+            raise ValueError(f"{name}: gradient shape {np.shape(grads[name])} != {np.shape(p)}")
+    state.t += 1
+    b1c = 1.0 - beta1 ** state.t
+    b2c = 1.0 - beta2 ** state.t
+    for name, p in params.items():
+        g, m, v = grads[name], state.m[name], state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        p -= lr * (m / b1c) / (np.sqrt(v / b2c) + eps)
+    return params
+
+
 def reference_train(ds, ecfg, gcfg, seed, resume=None, init_from=None):
     """The per-tensor training loop: returns (params, adam, rng position)."""
     trained = [comp for comp in TRAINABLE_COMPONENTS if comp in gcfg.trainable]
@@ -102,8 +123,8 @@ def reference_train(ds, ecfg, gcfg, seed, resume=None, init_from=None):
         zs = rng.gaussian_rows(gcfg.batch, gcfg.d_z)
         res = step_losses_and_grads(h, ds.images[idx], zs, params, ecfg, gcfg, proxy)
         for comp in trained:
-            adam_step(params[comp], res.grads[comp], adam[comp],
-                      gcfg.lr, gcfg.beta1, gcfg.beta2)
+            reference_adam_step(params[comp], res.grads[comp], adam[comp],
+                                gcfg.lr, gcfg.beta1, gcfg.beta2)
     return params, adam, rng.position
 
 
