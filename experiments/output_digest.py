@@ -7,8 +7,9 @@ of ``ensad_frozen_g`` resumed in place to 60; the two-phase preset for
 and with ``enable_clg`` while all three components train; a saturating
 ``lafite_setup`` run at ``lr`` 1e300, which diverges at step 1 and exits 3
 (its diagnostic checkpoint, its CSV and its stderr, with the output
-directory written as ``<out>``); then ``eval --out`` and ``inspect-attn
---out`` on the ``ensad_frozen_g`` and two-phase checkpoints. It prints one
+directory written as ``<out>``); then ``eval --out`` (its report and its
+stdout table, also with ``<out>``) and ``inspect-attn --out`` on the
+``ensad_frozen_g`` and two-phase checkpoints. It prints one
 ``<sha256>  <name>`` line per file, and one
 ``<sha256>  <name>.npz:<member>`` line per member of each ``.npz``
 archive (a checkpoint's ``header`` and ``tensors``), so a change to the
@@ -47,15 +48,16 @@ VARIANTS = {
 SEED = ["--seed", "3"]
 
 
-def cli(*argv: str, expect: int = 0) -> str:
-    """Run one command quietly and return its stderr; raise with it when the
-    command exits with another code than ``expect``."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def cli(*argv: str, expect: int = 0) -> tuple[str, str]:
+    """Run one command quietly and return its ``(stdout, stderr)``; raise
+    with its stderr when the command exits with another code than
+    ``expect``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(list(argv))
     if rc != expect:
         raise RuntimeError(f"ensad {' '.join(argv)} exited {rc}: {err.getvalue()}")
-    return err.getvalue()
+    return out.getvalue(), err.getvalue()
 
 
 def write_config(tmp: str, name: str, config: dict) -> str:
@@ -76,6 +78,11 @@ def digests() -> dict:
         def path(name: str) -> str:
             return os.path.join(out, name)
 
+        def save_text(name: str, text: str) -> None:
+            """Write a captured stream, with the output directory as ``<out>``."""
+            with open(path(name), "w", encoding="utf-8") as fh:
+                fh.write(text.replace(out, "<out>"))
+
         data = path("corpus.jsonl")
         cli("synth", "--out", data, *SYNTH)
         train = ["train", "--data", data, *SEED]
@@ -90,14 +97,15 @@ def digests() -> dict:
         for name, (preset, config) in VARIANTS.items():
             cli(*train, *(["--preset", preset] if preset else []), "--config",
                 write_config(tmp, name, config), "--steps", "60", "--out", path(f"{name}.npz"))
-        stderr = cli(*train, "--preset", "lafite_setup", "--config",
-                     write_config(tmp, "saturating", {"gan": {"lr": 1e300}}), "--steps", "60",
-                     "--out", path("diverged.npz"), expect=3)
-        with open(path("diverged.stderr"), "w", encoding="utf-8") as fh:
-            fh.write(stderr.replace(out, "<out>"))
+        _, stderr = cli(*train, "--preset", "lafite_setup", "--config",
+                        write_config(tmp, "saturating", {"gan": {"lr": 1e300}}),
+                        "--steps", "60", "--out", path("diverged.npz"), expect=3)
+        save_text("diverged.stderr", stderr)
         for name in ("ensad_frozen_g", "pipeline"):
             ckpt = path(f"{name}.npz")
-            cli("eval", "--ckpt", ckpt, "--data", data, *SEED, "--out", path(f"{name}.eval.json"))
+            stdout, _ = cli("eval", "--ckpt", ckpt, "--data", data, *SEED,
+                            "--out", path(f"{name}.eval.json"))
+            save_text(f"{name}.eval.stdout", stdout)
             cli("inspect-attn", "--ckpt", ckpt, "--data", data, "--out",
                 path(f"{name}.attn.jsonl"))
         found = {}

@@ -105,34 +105,33 @@ def _fake_stats(
     return fit_gaussian(fd)
 
 
-def _check_eval_args(ck: Checkpoint, ds: Dataset, n_gen: int, strategy: str) -> None:
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    if n_gen < 2:
-        raise ValueError("n_gen must be at least 2 to fit moments")
-    check_dataset(ds, ck.ensad_cfg, ck.gan_cfg)
-
-
 def evaluate(
     ck: Checkpoint, ds: Dataset, n_gen: int, strategy: str, seed: int
 ) -> float:
+    """The Frechet distance of one fusion strategy: the one-strategy case
+    of :func:`compare_strategies`."""
+    return compare_strategies(ck, ds, n_gen, seed, (strategy,)).results[0]["fd"]
+
+
+def compare_strategies(
+    ck: Checkpoint, ds: Dataset, n_gen: int, seed: int, strategies=STRATEGIES
+) -> EvalReport:
     """Frechet distance between real-image features over the whole dataset
     and features of n_gen images generated from items sampled with
-    replacement, conditioned per the given fusion strategy."""
-    _check_eval_args(ck, ds, n_gen, strategy)
-    real = _real_stats(ck, ds)
-    fake = _fake_stats(ck, ds, n_gen, strategy, seed)
-    return frechet_distance(real, fake)
-
-
-def compare_strategies(ck: Checkpoint, ds: Dataset, n_gen: int, seed: int) -> EvalReport:
-    """One evaluation row per fusion strategy, all sharing the same stream
-    and the same real-feature statistics."""
-    _check_eval_args(ck, ds, n_gen, STRATEGIES[0])
+    replacement, one row per entry of ``strategies`` in the given order.
+    Every argument is checked before any features are computed; the rows
+    share one stream and one real-feature fit."""
+    for strategy in strategies:
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+    if n_gen < 2:
+        raise ValueError("n_gen must be at least 2 to fit moments")
+    check_dataset(ds, ck.ensad_cfg, ck.gan_cfg)
+    if len(ds) < 2:
+        raise ValueError(f"dataset has {len(ds)} item; need at least 2 to fit moments")
     real = _real_stats(ck, ds)
     rows = []
-    for strategy in STRATEGIES:
-        fake = _fake_stats(ck, ds, n_gen, strategy, seed)
-        raw = _frechet_raw(real, fake)
+    for strategy in strategies:
+        raw = _frechet_raw(real, _fake_stats(ck, ds, n_gen, strategy, seed))
         rows.append({"strategy": strategy, "fd": _clamped(raw), "fd_raw": raw})
     return EvalReport(n_gen=n_gen, n_real=len(ds), seed=seed, results=rows)

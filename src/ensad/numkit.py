@@ -179,16 +179,11 @@ class SeededRng:
     def next_u64(self) -> int:
         return int(self._take(1)[0])
 
-    def randint_below(self, bound: int) -> int:
-        """Uniform int in [0, bound) by modulo; bias is < bound/2^64."""
-        if bound < 1:
-            raise ValueError("bound must be positive")
-        return self.next_u64() % bound
-
     def randints_below(self, bounds) -> np.ndarray:
-        """One uniform int in [0, bound) per entry of ``bounds``, from one
-        stream word each: the same values and words as that many successive
-        :meth:`randint_below` calls, in one fill."""
+        """One uniform int in [0, bound) per entry of ``bounds``, by modulo
+        of one stream word each (bias < bound/2^64), all in one fill: the
+        same values and words as that many successive ``next_u64() % bound``
+        draws."""
         b = np.asarray(bounds, dtype=np.int64)
         if b.ndim != 1 or np.any(b < 1):
             raise ValueError("bounds must be a 1-D array of positive ints")

@@ -33,6 +33,7 @@ from ensad.gan import (
 from ensad.numkit import SeededRng, l2_normalize, sym_sqrt_psd
 
 from test_adapter import reference_forward
+from test_batching import randint_below
 from test_gan import checkpoint_bytes
 
 
@@ -70,9 +71,9 @@ def test_criterion_02_forward_oracle_equivalence(verdict):
     cases = 0
     for i in range(12):
         rng = SeededRng(5000 + i)
-        d = 2 + int(rng.randint_below(11))
-        d_hid = 1 + int(rng.randint_below(6))
-        m = 1 + int(rng.randint_below(5))
+        d = 2 + randint_below(rng, 11)
+        d_hid = 1 + randint_below(rng, 6)
+        m = 1 + randint_below(rng, 5)
         alpha = 0.1 + 0.8 * (i / 11.0)
         cfg = EnsAdConfig(d=d, d_hid=d_hid, m=m, alpha=alpha,
                           variant_v_equals_k=bool(i % 2))

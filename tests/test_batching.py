@@ -21,6 +21,12 @@ from ensad.gan import GanConfig, param_shapes, step_losses_and_grads
 from ensad.numkit import SeededRng, init_tensors, l2_normalize
 
 
+def randint_below(rng: SeededRng, bound: int) -> int:
+    """Uniform int in [0, bound) by modulo of one stream word: the one-draw
+    reference for ``SeededRng.randints_below``."""
+    return rng.next_u64() % bound
+
+
 def augment_rows(
     h: np.ndarray, p0: float, pt: float, rng: SeededRng
 ) -> np.ndarray:
@@ -199,11 +205,11 @@ def test_step_matches_per_item_adapter_calls(cfg):
 
 def reference_batches(size, n, rng):
     """The list-based partial Fisher-Yates that sample_indices replaces:
-    a fresh size-N list per batch, one randint_below per slot."""
+    a fresh size-N list per batch, one randint_below draw per slot."""
     while True:
         idx = list(range(size))
         for k in range(n):
-            j = k + rng.randint_below(size - k)
+            j = k + randint_below(rng, size - k)
             idx[k], idx[j] = idx[j], idx[k]
         yield idx[:n]
 
@@ -232,7 +238,7 @@ def test_gaussian_rows_matches_successive_draws(d):
 def test_randints_below_matches_successive_draws():
     a, b = SeededRng(8), SeededRng(8)
     bounds = [1, 2, 3, 1000, 2**40, 7]
-    assert a.randints_below(bounds).tolist() == [b.randint_below(k) for k in bounds]
+    assert a.randints_below(bounds).tolist() == [randint_below(b, k) for k in bounds]
     assert a.position == b.position == len(bounds)
     with pytest.raises(ValueError):
         a.randints_below([3, 0])

@@ -367,6 +367,18 @@ def test_eval_rejects_tiny_sample(workdir, dataset_path, ckpt_path, capsys):
     assert "n_gen" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_one_item_dataset_by_its_count(workdir, ckpt_path, capsys):
+    one = workdir / "one.jsonl"
+    assert main(["synth", "--out", str(one), "--n-items", "1", "--d", "6", "--m", "2",
+                 "--d-img", "5", "--seed", "3"]) == 0
+    report_path = workdir / "one_report.json"
+    rc = main(["eval", "--ckpt", str(ckpt_path), "--data", str(one), "--n-gen", "8",
+               "--out", str(report_path)])
+    assert rc == 2
+    assert "dataset has 1 item; need at least 2" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
 def test_inspect_attn_outputs_sorted_weights(workdir, dataset_path,
                                              ckpt_path, capsys):
     rc = main(["inspect-attn", "--ckpt", str(ckpt_path),

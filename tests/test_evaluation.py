@@ -7,9 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ensad import evaluation
 from ensad.adapter import STRATEGIES, EnsAdConfig
 from ensad.data import SyntheticSpec, generate_synthetic, load_jsonl, save_jsonl
-from ensad.gan import GanConfig, load_checkpoint, save_checkpoint, train
+from ensad.gan import GanConfig, disc_forward_batch, load_checkpoint, save_checkpoint, train
 from ensad.evaluation import (
     EvalReport,
     FrechetStats,
@@ -153,12 +154,52 @@ def test_evaluate_validates_args():
     ck, ds = eval_checkpoint()
     with pytest.raises(ValueError):
         evaluate(ck, ds, 1, "ensad", 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown strategy 'nearest'"):
         evaluate(ck, ds, 32, "nearest", 7)
     other = generate_synthetic(SyntheticSpec(
         n_items=8, d=7, m=2, d_img=5, seed=0))
     with pytest.raises(ValueError):
         evaluate(ck, other, 32, "ensad", 7)
+
+
+def test_a_one_item_dataset_is_rejected_by_its_count():
+    ck, _ = eval_checkpoint()
+    one = generate_synthetic(SyntheticSpec(n_items=1, d=6, m=2, d_img=5, seed=0))
+    with pytest.raises(ValueError, match="dataset has 1 item; need at least 2"):
+        compare_strategies(ck, one, 32, 7)
+
+
+def test_a_strategy_subset_gives_the_full_report_rows_in_its_order():
+    ck, ds = eval_checkpoint(sigma_trans=0.3)
+    full = {row["strategy"]: row for row in compare_strategies(ck, ds, 32, 7).results}
+    subset = ("mean_pool", "ensad")
+    report = compare_strategies(ck, ds, 32, 7, subset)
+    assert report.results == [full[name] for name in subset]
+    assert [row["strategy"] for row in report.results] == list(subset)
+
+
+def test_an_unknown_strategy_is_rejected_before_any_features(monkeypatch):
+    ck, ds = eval_checkpoint()
+
+    def fail(*args):
+        raise AssertionError("features computed before the arguments were checked")
+    monkeypatch.setattr(evaluation, "_real_stats", fail)
+    with pytest.raises(ValueError, match="'nearest'"):
+        compare_strategies(ck, ds, 32, 7, ("ensad", "nearest"))
+
+
+@pytest.mark.parametrize("strategies", [("zero_shot",), ("ensad", "mean_pool"), STRATEGIES])
+def test_one_call_fits_the_real_features_once(monkeypatch, strategies):
+    ck, ds = eval_checkpoint()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return disc_forward_batch(*args)
+    monkeypatch.setattr(evaluation, "disc_forward_batch", counted)
+    compare_strategies(ck, ds, 32, 7, strategies)
+    # one pass over the real images, then one over each strategy's fakes
+    assert len(calls) == 1 + len(strategies)
 
 
 def test_compare_strategies_rows_and_consistency():

@@ -14,6 +14,7 @@ from ensad.numkit import (
     sym_sqrt_psd,
     unit_rows,
 )
+from test_batching import randint_below
 
 
 def test_l2_normalize_simple():
@@ -196,15 +197,15 @@ def test_rng_gaussian_word_consumption():
 
 def test_randint_below_range_and_determinism():
     rng = SeededRng(11)
-    vals = [rng.randint_below(10) for _ in range(1000)]
+    vals = [randint_below(rng, 10) for _ in range(1000)]
     assert min(vals) >= 0 and max(vals) <= 9
     rng2 = SeededRng(11)
-    assert vals == [rng2.randint_below(10) for _ in range(1000)]
+    assert vals == [randint_below(rng2, 10) for _ in range(1000)]
 
 
 def test_randint_below_covers_all_values():
     rng = SeededRng(13)
-    seen = {rng.randint_below(4) for _ in range(200)}
+    seen = {randint_below(rng, 4) for _ in range(200)}
     assert seen == {0, 1, 2, 3}
 
 

@@ -15,7 +15,7 @@ def test_output_digest_is_repeatable():
     # the corpus; a checkpoint, its header and tensors members, and a CSV
     # for each of the 7 presets, the resumed run, the two-phase run and the
     # 3 variants; the same four for the diverged run, whose checkpoint is
-    # its diagnostic one, and its stderr; an eval report and an attention
-    # file for 2 checkpoints
-    assert len(first) == 1 + 4 * (7 + 1 + 1 + 3) + (4 + 1) + 2 * 2
+    # its diagnostic one, and its stderr; an eval report, the eval table on
+    # stdout and an attention file for 2 checkpoints
+    assert len(first) == 1 + 4 * (7 + 1 + 1 + 3) + (4 + 1) + 2 * 3
     assert module.digests() == first

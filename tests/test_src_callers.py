@@ -12,9 +12,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ensad"
-# the tests' reference for SeededRng.randints_below; acceptance criterion 2
-# draws with it
-ALLOWED = {"SeededRng.randint_below"}
 
 
 def parse(path: Path) -> ast.Module:
@@ -57,7 +54,5 @@ def test_every_src_definition_has_a_program_caller():
              if isinstance(node, ast.ImportFrom) for alias in node.names}
     defined = {f"{module}:{qualified}": name for module, tree in modules.items()
                for qualified, name in definitions(tree).items()}
-    assert ALLOWED <= {key.partition(":")[2] for key in defined}
-    unused = [key for key, name in defined.items()
-              if name not in used and not is_dunder(name) and key.partition(":")[2] not in ALLOWED]
+    unused = [key for key, name in defined.items() if name not in used and not is_dunder(name)]
     assert not unused, f"defined in src/ensad but named by no program code: {unused}"
