@@ -3,7 +3,8 @@
 Runs ``ensad.cli.main`` in-process in a temporary directory: a 200-item
 synthetic corpus; the seven one-phase presets for 60 steps; a 30-step run
 of ``ensad_frozen_g`` resumed in place to 60; the two-phase preset for
-40 + 40 steps; 60-step runs with ``variant_v_equals_k``, with ``alpha`` 0,
+40 + 40 steps, and for 40 + 20 steps resumed in place to 40 + 40
+(``pipeline_resumed``, whose four lines equal ``pipeline``'s); 60-step runs with ``variant_v_equals_k``, with ``alpha`` 0,
 and with ``enable_clg`` while all three components train; a saturating
 ``lafite_setup`` run at ``lr`` 1e300, which diverges at step 1 and exits 3
 (its diagnostic checkpoint, its CSV and its stderr, with the output
@@ -92,8 +93,12 @@ def digests() -> dict:
         cli(*train, "--preset", "ensad_frozen_g", "--steps", "30", "--out", resumed)
         cli(*train, "--preset", "ensad_frozen_g", "--steps", "60", "--out", resumed,
             "--resume", resumed)
-        cli(*train, "--preset", "ensad_plus_finetune_g", "--phase1-steps", "40",
-            "--phase2-steps", "40", "--out", path("pipeline.npz"))
+        pipeline = [*train, "--preset", "ensad_plus_finetune_g", "--phase1-steps", "40"]
+        cli(*pipeline, "--phase2-steps", "40", "--out", path("pipeline.npz"))
+        pipeline_resumed = path("pipeline_resumed.npz")
+        cli(*pipeline, "--phase2-steps", "20", "--out", pipeline_resumed)
+        cli(*pipeline, "--phase2-steps", "40", "--out", pipeline_resumed,
+            "--resume", pipeline_resumed)
         for name, (preset, config) in VARIANTS.items():
             cli(*train, *(["--preset", preset] if preset else []), "--config",
                 write_config(tmp, name, config), "--steps", "60", "--out", path(f"{name}.npz"))

@@ -9,9 +9,9 @@ take --config and --seed; each setting is its config section with the
 flags that were given written over it (_section). A preset writes its
 gan fields over the gan section and rejects a config that sets them to
 other values. The pipeline preset takes --phase1-steps/--phase2-steps and
-rejects --steps and --resume; a one-phase run takes the reverse, and with
---resume the checkpoint's seed unless one is given. No output path may
-resolve to another output or to an input (_check_paths).
+rejects --steps; a one-phase run takes the reverse. Every preset takes
+--resume, and with it the checkpoint's seed unless one is given. No output
+path may resolve to another output or to an input (_check_paths).
 
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime failure.
 All file outputs are written atomically.
@@ -252,14 +252,14 @@ def _cmd_train(args) -> int:
     pipeline = args.preset == PIPELINE_PRESET
     misplaced = [
         "--" + key.replace("_", "-")
-        for key in (("steps", "resume") if pipeline else _PHASE_FLAGS)
+        for key in (("steps",) if pipeline else _PHASE_FLAGS)
         if getattr(args, key) is not None
     ]
     if misplaced:
         raise UsageError(
             " and ".join(misplaced) + (
                 f": not with preset {PIPELINE_PRESET}, which runs "
-                "--phase1-steps then --phase2-steps from fresh parameters"
+                "--phase1-steps then --phase2-steps"
                 if pipeline else
                 f": only preset {PIPELINE_PRESET} has phase budgets; a "
                 "one-phase run takes --steps"
@@ -278,6 +278,7 @@ def _cmd_train(args) -> int:
     gan_section = _apply_preset(_section(config, "gan", args, ("steps",)), args.preset)
     phases = _section(config, "train", args, _PHASE_FLAGS)
     _only(phases, "train", _PHASE_FLAGS)
+    budgets = {}
     if pipeline:
         missing = set(_PHASE_FLAGS) - set(phases)
         if missing:
@@ -300,12 +301,9 @@ def _cmd_train(args) -> int:
     def log_row(row):
         lines.append(",".join(str(row["step"]) if col == "step" else repr(float(row[col]))
                               for col in CSV_COLUMNS))
+    run = finetune_pipeline if pipeline else train
     try:
-        if pipeline:
-            ck = finetune_pipeline(ds, adapter_cfg, gan_cfg, seed, **budgets,
-                                   log_fn=log_row)
-        else:
-            ck = train(ds, adapter_cfg, gan_cfg, seed, resume=resume, log_fn=log_row)
+        ck = run(ds, adapter_cfg, gan_cfg, seed, **budgets, resume=resume, log_fn=log_row)
     except TrainingDiverged as exc:
         save_checkpoint(exc.checkpoint, diag_path)
         save_lines(lines, csv_path)

@@ -121,7 +121,10 @@ def compare_strategies(
     replacement, one row per entry of ``strategies`` in the given order.
     Every argument is checked before any features are computed; the rows
     share one stream and one real-feature fit."""
-    for strategy in strategies:
+    names = () if isinstance(strategies, str) else tuple(strategies)  # iterated twice
+    if not names:
+        raise ValueError(f"strategies must be a nonempty sequence of names, got {strategies!r}")
+    for strategy in names:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     if n_gen < 2:
@@ -131,7 +134,7 @@ def compare_strategies(
         raise ValueError(f"dataset has {len(ds)} item; need at least 2 to fit moments")
     real = _real_stats(ck, ds)
     rows = []
-    for strategy in strategies:
+    for strategy in names:
         raw = _frechet_raw(real, _fake_stats(ck, ds, n_gen, strategy, seed))
         rows.append({"strategy": strategy, "fd": _clamped(raw), "fd_raw": raw})
     return EvalReport(n_gen=n_gen, n_real=len(ds), seed=seed, results=rows)

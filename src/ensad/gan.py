@@ -851,6 +851,7 @@ def finetune_pipeline(
     *,
     phase1_steps: int,
     phase2_steps: int,
+    resume: Checkpoint | None = None,
     log_fn=None,
 ) -> Checkpoint:
     """Two-phase recipe: first fine-tune the generator (and discriminator)
@@ -860,29 +861,32 @@ def finetune_pipeline(
 
     Phase 2 resumes phase 1's step count on its own stream, so its log
     rows, a :class:`TrainingDiverged` it raises and the returned checkpoint
-    count the whole run; ``train(..., ck.gan_cfg, ck.rng_seed, resume=ck)``
-    replays any diagnostic checkpoint ``ck`` of either phase.
+    count the whole run. ``resume`` continues any such checkpoint ``ck``
+    bit-exactly. Phase 1's finishes phase 1, then runs phase 2 as above.
+    Phase 2's must have begun (at ``ck.step - ck.adam.t``) at
+    ``phase1_steps``, and ``seed`` must derive ``ck.rng_seed`` or equal it.
+    Any other fails :func:`train`'s config check.
     """
     if phase1_steps < 0 or phase2_steps < 0:
         raise ValueError("phase budgets must be nonnegative")
-    g1 = replace(
-        gan_cfg,
-        steps=phase1_steps,
-        trainable=frozenset({"generator", "discriminator"}),
-        conditioning="zero_shot",
-    )
+    g1 = replace(gan_cfg, steps=phase1_steps, conditioning="zero_shot",
+                 trainable=frozenset({"generator", "discriminator"}))
+    g2 = replace(gan_cfg, steps=phase1_steps + phase2_steps, conditioning="ensad",
+                 trainable=frozenset({"ensad"}))
+    seed2 = derive_seed(seed, _PHASE2_SALT)
+    if resume is not None and resume.gan_cfg.trainable == g2.trainable:
+        began = resume.step - resume.adam.t
+        if began != phase1_steps:
+            raise ValueError(f"resume checkpoint's phase 2 began at step {began}, "
+                             f"not at phase1_steps {phase1_steps}")
+        if resume.rng_seed not in (seed, seed2):
+            raise ValueError(f"resume checkpoint was created with phase 2's seed "
+                             f"{resume.rng_seed}, which seed {seed} does not derive")
+        return train(ds, ensad_cfg, g2, resume.rng_seed, resume=resume, log_fn=log_fn)
     ck0 = train(ds, ensad_cfg, replace(g1, steps=0), seed)
-    ck1 = train(ds, ensad_cfg, g1, seed, resume=ck0, log_fn=log_fn)
-
-    g2 = replace(
-        gan_cfg,
-        steps=phase1_steps + phase2_steps,
-        trainable=frozenset({"ensad"}),
-        conditioning="ensad",
-    )
+    ck1 = train(ds, ensad_cfg, g1, seed, resume=resume or ck0, log_fn=log_fn)
     # the tuned generator with ck0's discriminator and (untouched) adapter
     init = {**ck0.params, "generator": ck1.params["generator"]}
-    seed2 = derive_seed(seed, _PHASE2_SALT)
     # phase 2's fresh Adam state and stream, set at phase 1's last step
     start = train(ds, ensad_cfg, replace(g2, steps=0), seed2, init_from=init)
     return train(ds, ensad_cfg, g2, seed2, resume=replace(start, step=phase1_steps),

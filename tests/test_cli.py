@@ -1,11 +1,9 @@
 import io
 import json
-import math
 import os
 import struct
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +13,7 @@ import ensad
 from ensad import gan
 from ensad.cli import main
 from ensad.gan import CSV_COLUMNS, load_checkpoint, save_checkpoint
+from test_gan import nan_on_call
 
 
 @pytest.fixture(scope="module")
@@ -214,14 +213,7 @@ def test_train_replays_a_pipelines_phase2_divergence(tmp_path, dataset_path, tra
     # checkpoint, which keeps its own seed, finishes the uninterrupted run
     assert _pipeline(dataset_path, train_config, tmp_path / "whole.npz", 3, 4) == 0
     with monkeypatch.context() as patch:
-        step = gan.step_losses_and_grads
-        calls = []
-
-        def nan_on_fifth_call(*args):
-            calls.append(None)
-            res = step(*args)
-            return replace(res, loss_ensad=math.nan) if len(calls) == 5 else res
-        patch.setattr(gan, "step_losses_and_grads", nan_on_fifth_call)
+        patch.setattr(gan, "step_losses_and_grads", nan_on_call(5))
         assert _pipeline(dataset_path, train_config, tmp_path / "pipe.npz", 3, 4) == 3
     diag = tmp_path / "pipe.diverged.npz"
     assert load_checkpoint(diag).step == 4
@@ -289,17 +281,63 @@ def test_train_resume_names_the_differing_config_fields(tmp_path, dataset_path,
     assert not out.exists()
 
 
-def test_train_pipeline_preset_rejects_resume(workdir, dataset_path, train_config,
-                                             ckpt_path, capsys):
-    out = workdir / "pipe_resumed.json"
-    rc = main(["train", "--data", str(dataset_path), "--out", str(out),
-               "--config", str(train_config),
-               "--preset", "ensad_plus_finetune_g",
-               "--phase1-steps", "2", "--phase2-steps", "2",
-               "--resume", str(ckpt_path), "--seed", "2"])
-    assert rc == 2
-    assert "--resume" in capsys.readouterr().err
-    assert not out.exists()
+def _resume_pipeline(dataset_path, train_config, ckpt, out, phase1, phase2, *extra):
+    """The pipeline preset resuming ``ckpt``, with the flags ``extra``."""
+    return main(["train", "--data", str(dataset_path), "--out", str(out),
+                 "--config", str(train_config), "--preset", "ensad_plus_finetune_g",
+                 "--phase1-steps", str(phase1), "--phase2-steps", str(phase2),
+                 "--resume", str(ckpt), *extra])
+
+
+def test_train_pipeline_preset_resumes_a_phase1_divergence(tmp_path, dataset_path,
+                                                           train_config, monkeypatch):
+    # phase 1's second step gives a NaN loss; the preset resumes the
+    # diagnostic checkpoint through both phases, on the checkpoint's seed
+    assert _pipeline(dataset_path, train_config, tmp_path / "whole.npz", 3, 4) == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(gan, "step_losses_and_grads", nan_on_call(2))
+        assert _pipeline(dataset_path, train_config, tmp_path / "pipe.npz", 3, 4) == 3
+    diag = tmp_path / "pipe.diverged.npz"
+    assert load_checkpoint(diag).step == 1
+    replay = tmp_path / "replay.npz"
+    assert _resume_pipeline(dataset_path, train_config, diag, replay, 3, 4,
+                            "--log", str(tmp_path / "pipe.csv")) == 0
+    assert replay.read_bytes() == (tmp_path / "whole.npz").read_bytes()
+    assert (tmp_path / "pipe.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "2"]], ids=["own", "run"])
+def test_train_pipeline_preset_extends_phase2_in_place(tmp_path, dataset_path, train_config,
+                                                       seed):
+    # a phase-2 checkpoint carries phase 2's derived seed: with no seed it
+    # resumes on that stream, and the run seed derives it
+    assert _pipeline(dataset_path, train_config, tmp_path / "whole.npz", 3, 6) == 0
+    half = tmp_path / "half.npz"
+    assert _pipeline(dataset_path, train_config, half, 3, 2) == 0
+    assert _resume_pipeline(dataset_path, train_config, half, half, 3, 6, *seed) == 0
+    assert half.read_bytes() == (tmp_path / "whole.npz").read_bytes()
+    assert (tmp_path / "half.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_train_pipeline_preset_resume_rejects_what_it_cannot_continue(
+        tmp_path, dataset_path, train_config, ckpt_path, capsys):
+    half, out = tmp_path / "half.npz", tmp_path / "out.npz"
+    assert _pipeline(dataset_path, train_config, half, 3, 2) == 0
+    phase2_seed = load_checkpoint(half).rng_seed
+    capsys.readouterr()
+    cases = [
+        (half, 3, 6, ["--seed", "5"],
+         f"phase 2's seed {phase2_seed}, which seed 5 does not derive"),
+        (half, 2, 7, [], "phase 2 began at step 3, not at phase1_steps 2"),
+        # an ensad_frozen_g checkpoint
+        (ckpt_path, 2, 2, [], 'trainable: ["discriminator", "ensad"] in the checkpoint, '
+                              '["discriminator", "generator"] given'),
+    ]
+    for ckpt, phase1, phase2, extra, message in cases:
+        assert _resume_pipeline(dataset_path, train_config, ckpt, out, phase1, phase2,
+                                *extra) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "out.csv").exists()
 
 
 def test_train_divergence_exit_code(workdir, dataset_path, capsys):

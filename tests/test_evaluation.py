@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import time
 from dataclasses import replace
 
@@ -176,6 +177,8 @@ def test_a_strategy_subset_gives_the_full_report_rows_in_its_order():
     report = compare_strategies(ck, ds, 32, 7, subset)
     assert report.results == [full[name] for name in subset]
     assert [row["strategy"] for row in report.results] == list(subset)
+    # a one-pass iterable gives the same rows: it is checked, then scored
+    assert compare_strategies(ck, ds, 32, 7, iter(subset)).results == report.results
 
 
 def test_an_unknown_strategy_is_rejected_before_any_features(monkeypatch):
@@ -186,6 +189,20 @@ def test_an_unknown_strategy_is_rejected_before_any_features(monkeypatch):
     monkeypatch.setattr(evaluation, "_real_stats", fail)
     with pytest.raises(ValueError, match="'nearest'"):
         compare_strategies(ck, ds, 32, 7, ("ensad", "nearest"))
+
+
+@pytest.mark.parametrize("strategies", [(), "ensad"], ids=["empty", "string"])
+def test_an_empty_or_string_strategies_is_rejected_before_any_features(monkeypatch,
+                                                                       strategies):
+    # () gave a report with no rows, and "ensad" failed as unknown strategy 'e'
+    ck, ds = eval_checkpoint()
+
+    def fail(*args):
+        raise AssertionError("features computed before the arguments were checked")
+    monkeypatch.setattr(evaluation, "_real_stats", fail)
+    message = f"strategies must be a nonempty sequence of names, got {strategies!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compare_strategies(ck, ds, 32, 7, strategies)
 
 
 @pytest.mark.parametrize("strategies", [("zero_shot",), ("ensad", "mean_pool"), STRATEGIES])

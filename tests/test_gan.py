@@ -681,6 +681,64 @@ def test_pipeline_phase2_diagnostic_replays_the_run(monkeypatch):
     assert rows == whole_rows
 
 
+@pytest.fixture(scope="module")
+def whole_pipeline():
+    """The uninterrupted 4 + 5 pipeline on the toy corpus, and its log rows."""
+    ds = toy_dataset()
+    ecfg, gcfg, _, _, _ = toy_setup()
+    rows = []
+    ck = finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, phase2_steps=5,
+                           log_fn=rows.append)
+    return ds, ecfg, gcfg, ck, rows
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_pipeline_resumes_a_diagnostic_checkpoint_of_any_step(monkeypatch, whole_pipeline, k):
+    # a NaN at the run's step k, in either phase; resuming the diagnostic
+    # checkpoint with the same budgets finishes the uninterrupted run
+    ds, ecfg, gcfg, whole, whole_rows = whole_pipeline
+    with monkeypatch.context() as patch:
+        patch.setattr(gan, "step_losses_and_grads", nan_on_call(k + 1))
+        with pytest.raises(TrainingDiverged) as exc:
+            finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, phase2_steps=5)
+    assert exc.value.step == k
+    rows = []
+    ck = finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, phase2_steps=5,
+                           resume=exc.value.checkpoint, log_fn=rows.append)
+    assert checkpoint_bytes(ck) == checkpoint_bytes(whole)
+    assert rows == whole_rows[k:]
+
+
+def test_pipeline_continues_its_finished_checkpoint(whole_pipeline):
+    ds, ecfg, gcfg, whole, _ = whole_pipeline
+    same = finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, phase2_steps=5, resume=whole)
+    assert checkpoint_bytes(same) == checkpoint_bytes(whole)
+    longer = finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, phase2_steps=7, resume=whole)
+    fresh = finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, phase2_steps=7)
+    assert checkpoint_bytes(longer) == checkpoint_bytes(fresh)
+
+
+def test_pipeline_resume_checks_phase2s_start_and_seed(whole_pipeline):
+    ds, ecfg, gcfg, whole, _ = whole_pipeline
+    # phase 2 began at step 9 - 5 = 4
+    with pytest.raises(ValueError, match="phase 2 began at step 4, not at phase1_steps 3"):
+        finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=3, phase2_steps=6, resume=whole)
+    # phase 2's own seed continues it too; a seed that derives neither fails
+    own = finetune_pipeline(ds, ecfg, gcfg, whole.rng_seed, phase1_steps=4, phase2_steps=5,
+                            resume=whole)
+    assert checkpoint_bytes(own) == checkpoint_bytes(whole)
+    with pytest.raises(ValueError, match=f"phase 2's seed {whole.rng_seed}, which seed 9 "
+                                         "does not derive"):
+        finetune_pipeline(ds, ecfg, gcfg, 9, phase1_steps=4, phase2_steps=5, resume=whole)
+
+
+def test_pipeline_resume_rejects_another_presets_checkpoint(whole_pipeline):
+    ds, ecfg, gcfg, _, _ = whole_pipeline
+    frozen_g = train(ds, ecfg, replace(gcfg, steps=2), 8)
+    with pytest.raises(ValueError, match="different gan config: .*trainable"):
+        finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, phase2_steps=5, resume=frozen_g)
+
+
 @pytest.mark.parametrize("phase1, phase2", [(5, -2), (-1, 3)])
 def test_pipeline_rejects_negative_phase_budgets(phase1, phase2):
     ds = toy_dataset()
