@@ -46,6 +46,7 @@ from .data import (
 from .evaluation import compare_strategies, save_report
 from .gan import (
     CSV_COLUMNS,
+    PIPELINE_PHASES,
     GanConfig,
     TrainingDiverged,
     check_dataset,
@@ -63,18 +64,14 @@ _FROZEN_G_BASE = {
     "trainable": frozenset({"ensad", "discriminator"}),
     "conditioning": "ensad",
 }
-# The two-phase recipe (gan.finetune_pipeline). It sets the fields in
-# _PHASE_FIELDS per phase and runs the budgets in _PHASE_FLAGS in place
-# of --steps.
+# The two-phase recipe (gan.finetune_pipeline): it sets the _PHASE_FIELDS
+# per phase and runs the _PHASE_FLAGS budgets in place of --steps.
 PIPELINE_PRESET = "ensad_plus_finetune_g"
-_PHASE_FIELDS = ("trainable", "conditioning", "steps")
+_PHASE_FIELDS = (*dict.fromkeys(key for phase in PIPELINE_PHASES for key in phase), "steps")
 _PHASE_FLAGS = ("phase1_steps", "phase2_steps")
 PRESETS = {
     "ensad_frozen_g": _FROZEN_G_BASE,
-    "finetune_g_text": {
-        "trainable": frozenset({"generator", "discriminator"}),
-        "conditioning": "zero_shot",
-    },
+    "finetune_g_text": PIPELINE_PHASES[0],  # the pipeline's phase 1 on its own
     "finetune_g_meanpool": {
         "trainable": frozenset({"generator", "discriminator"}),
         "conditioning": "mean_pool",

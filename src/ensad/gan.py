@@ -43,10 +43,15 @@ _PROXY_SALT = 0x1C
 _PHASE2_SALT = 3
 # Adam's epsilon, added to the bias-corrected root of v.
 _ADAM_EPS = 1e-8
-# The keys of the per-step row ``train`` passes to ``log_fn``, in the loss
-# CSV's column order.
+# Keys, in the loss CSV's order, of the record train passes log_fn after each
+# completed step's Adam update (none on divergence): int step, float losses.
 CSV_COLUMNS = ("step", "loss_ensad", "loss_disc", "l_ad_ensad", "l_ad_d",
                "l_cl", "l_cl_d", "l_cl_g")
+# The gan fields each phase of finetune_pipeline sets: phase 1 fine-tunes G
+# and D on the source embedding, phase 2 trains the adapter against it.
+PIPELINE_PHASES = (
+    {"trainable": frozenset({"generator", "discriminator"}), "conditioning": "zero_shot"},
+    {"trainable": frozenset({"ensad"}), "conditioning": "ensad"})
 
 
 @dataclass(frozen=True)
@@ -727,9 +732,10 @@ def train(
     may not lie below its step; every other config field must match;
     ``init_from`` seeds parameters, a mapping like ``Checkpoint.params``
     (optimizer and stream start fresh).
-    ``log_fn`` receives one row dict per step. A step diverges, raising
-    :class:`TrainingDiverged`, when its arithmetic overflows, divides by
-    zero or goes invalid, or a loss or a trained gradient is non-finite.
+    ``log_fn`` gets each completed step's :data:`CSV_COLUMNS` record after
+    its Adam update. A step diverges, raising :class:`TrainingDiverged`
+    and logging nothing, when its arithmetic overflows, divides by zero
+    or goes invalid, or a loss or a trained gradient is non-finite.
     """
     check_dataset(ds, ensad_cfg, gan_cfg)
     if "ensad" in gan_cfg.trainable and gan_cfg.conditioning != "ensad":
@@ -814,13 +820,15 @@ def train(
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 res = step_losses_and_grads(h, imgs, zs, params, ensad_cfg, gan_cfg, proxy)
+            p = res.parts
+            record = dict(zip(CSV_COLUMNS, (step + 1, res.loss_ensad, res.loss_disc, p.l_ad_ensad,
+                                            p.l_ad_d, p.l_cl, p.l_cl_d_fake, p.l_cl_g)))
             _flatten(res.grads, specs, out=grad)
             # an inf already present passes *, +, tanh and exp without raising
             # a flag, and Adam, outside the errstate because a half-applied
             # in-place update cannot be undone, can leave one behind
-            losses = {"adapter-side loss": res.loss_ensad,
-                      "discriminator-side loss": res.loss_disc}
-            bad = [what for what, x in losses.items() if not math.isfinite(x)]
+            totals = (("adapter-side loss", "loss_ensad"), ("discriminator-side loss", "loss_disc"))
+            bad = [what for what, key in totals if not math.isfinite(record[key])]
             if not np.isfinite(grad).all():
                 bad += [f"{comp} gradient" for comp in trained
                         if not all(np.isfinite(x).all() for x in res.grads[comp].values())]
@@ -834,11 +842,7 @@ def train(
             adam_step(flat[:size], grad, m, v, t, gan_cfg.lr, gan_cfg.beta1, gan_cfg.beta2)
 
         if log_fn is not None:
-            parts = res.parts
-            log_fn(dict(zip(CSV_COLUMNS, (
-                step + 1, res.loss_ensad, res.loss_disc, parts.l_ad_ensad,
-                parts.l_ad_d, parts.l_cl, parts.l_cl_d_fake, parts.l_cl_g,
-            ))))
+            log_fn(record)
 
     return snapshot(gan_cfg.steps, rng.position)
 
@@ -869,10 +873,8 @@ def finetune_pipeline(
     """
     if phase1_steps < 0 or phase2_steps < 0:
         raise ValueError("phase budgets must be nonnegative")
-    g1 = replace(gan_cfg, steps=phase1_steps, conditioning="zero_shot",
-                 trainable=frozenset({"generator", "discriminator"}))
-    g2 = replace(gan_cfg, steps=phase1_steps + phase2_steps, conditioning="ensad",
-                 trainable=frozenset({"ensad"}))
+    g1 = replace(gan_cfg, steps=phase1_steps, **PIPELINE_PHASES[0])
+    g2 = replace(gan_cfg, steps=phase1_steps + phase2_steps, **PIPELINE_PHASES[1])
     seed2 = derive_seed(seed, _PHASE2_SALT)
     if resume is not None and resume.gan_cfg.trainable == g2.trainable:
         began = resume.step - resume.adam.t

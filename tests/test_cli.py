@@ -191,6 +191,24 @@ def test_train_pipeline_preset(workdir, dataset_path, train_config, capsys):
     assert capsys.readouterr().out.startswith("trained to step 7;")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("trainable", ["ensad"]), ("conditioning", "ensad"), ("steps", 4)])
+def test_train_pipeline_preset_rejects_a_per_phase_gan_field(
+        tmp_path, dataset_path, train_config, capsys, field, value):
+    # even a value one of the phases would set: the preset sets it per phase
+    config = json.loads(train_config.read_text())
+    config["gan"][field] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["train", "--data", str(dataset_path), "--out", str(tmp_path / "pipe.npz"),
+               "--config", str(cfg), "--preset", "ensad_plus_finetune_g",
+               "--phase1-steps", "2", "--phase2-steps", "2", "--seed", "2"])
+    assert rc == 2
+    assert (f"{field} is controlled by preset ensad_plus_finetune_g per phase"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def _pipeline(dataset_path, train_config, out, phase1, phase2):
     return main(["train", "--data", str(dataset_path), "--out", str(out),
                  "--config", str(train_config), "--preset", "ensad_plus_finetune_g",

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -11,6 +12,8 @@ from ensad import gan
 from ensad.adapter import EnsAdConfig
 from ensad.data import SyntheticSpec, generate_synthetic
 from ensad.gan import (
+    CSV_COLUMNS,
+    TRAINABLE_COMPONENTS,
     AdamState,
     Checkpoint,
     GanConfig,
@@ -629,6 +632,41 @@ def test_pipeline_determinism_and_logging():
     assert checkpoint_bytes(ck1) == checkpoint_bytes(ck2)
     assert [r["step"] for r in rows] == list(range(1, 13))
     assert ck1.step == 12
+
+
+def assert_records(rows):
+    """``rows`` are train's log records of steps 1, 2, ... of a run: each
+    keyed by exactly CSV_COLUMNS, in order, with an int step and Python
+    float losses."""
+    assert [row["step"] for row in rows] == list(range(1, len(rows) + 1))
+    for row in rows:
+        assert tuple(row) == CSV_COLUMNS
+        assert type(row["step"]) is int
+        assert all(type(row[key]) is float for key in CSV_COLUMNS[1:]), row
+
+
+@pytest.mark.parametrize("enable_clg", [False, True], ids=["cl", "clg"])
+@pytest.mark.parametrize("trainable", [
+    frozenset(subset) for n in range(len(TRAINABLE_COMPONENTS) + 1)
+    for subset in itertools.combinations(TRAINABLE_COMPONENTS, n)],
+    ids=lambda subset: "+".join(sorted(subset)) or "none")
+def test_train_log_records_keep_their_contract(trainable, enable_clg):
+    ds = toy_dataset()
+    ecfg, gcfg, _, _, _ = toy_setup()
+    rows = []
+    train(ds, ecfg, replace(gcfg, steps=3, trainable=trainable, enable_clg=enable_clg), 5,
+          log_fn=rows.append)
+    assert len(rows) == 3
+    assert_records(rows)
+
+
+def test_pipeline_log_records_keep_their_contract():
+    ds = toy_dataset()
+    ecfg, gcfg, _, _, _ = toy_setup()
+    rows = []
+    finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=2, phase2_steps=2, log_fn=rows.append)
+    assert len(rows) == 4
+    assert_records(rows)
 
 
 def nan_on_call(n):
