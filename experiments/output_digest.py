@@ -3,9 +3,10 @@
 Runs ``ensad.cli.main`` in-process in a temporary directory: a 200-item
 synthetic corpus; the seven one-phase presets for 60 steps; a 30-step run
 of ``ensad_frozen_g`` resumed in place to 60; the two-phase preset for
-40 + 40 steps, and for 40 + 20 steps resumed in place to 40 + 40
-(``pipeline_resumed``, whose four lines equal ``pipeline``'s); 60-step runs with ``variant_v_equals_k``, with ``alpha`` 0,
-and with ``enable_clg`` while all three components train; a saturating
+80 steps, 40 of them in phase 1, and for 60 steps resumed in place to 80
+(``pipeline_resumed``, whose four lines equal ``pipeline``'s); 60-step
+runs with ``variant_v_equals_k``, with ``alpha`` 0, and with
+``enable_clg`` while all three components train; a saturating
 ``lafite_setup`` run at ``lr`` 1e300, which diverges at step 1 and exits 3
 (its diagnostic checkpoint, its CSV and its stderr, with the output
 directory written as ``<out>``); then ``eval --out`` (its report and its
@@ -94,11 +95,10 @@ def digests() -> dict:
         cli(*train, "--preset", "ensad_frozen_g", "--steps", "60", "--out", resumed,
             "--resume", resumed)
         pipeline = [*train, "--preset", "ensad_plus_finetune_g", "--phase1-steps", "40"]
-        cli(*pipeline, "--phase2-steps", "40", "--out", path("pipeline.npz"))
+        cli(*pipeline, "--steps", "80", "--out", path("pipeline.npz"))
         pipeline_resumed = path("pipeline_resumed.npz")
-        cli(*pipeline, "--phase2-steps", "20", "--out", pipeline_resumed)
-        cli(*pipeline, "--phase2-steps", "40", "--out", pipeline_resumed,
-            "--resume", pipeline_resumed)
+        cli(*pipeline, "--steps", "60", "--out", pipeline_resumed)
+        cli(*pipeline, "--steps", "80", "--out", pipeline_resumed, "--resume", pipeline_resumed)
         for name, (preset, config) in VARIANTS.items():
             cli(*train, *(["--preset", preset] if preset else []), "--config",
                 write_config(tmp, name, config), "--steps", "60", "--out", path(f"{name}.npz"))

@@ -38,9 +38,7 @@ class EnsAdConfig:
 
     def __post_init__(self):
         set_uint_fields(self, {"d": 1, "d_hid": 1, "m": 1})
-        check_real_fields(self, ("alpha",))
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
+        check_real_fields(self, {"alpha": "[0, 1]"})
 
 
 def tensor_specs(cfg: EnsAdConfig) -> dict:

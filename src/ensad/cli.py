@@ -8,10 +8,12 @@ Each subcommand declares only the options it reads. synth, train and eval
 take --config and --seed; each setting is its config section with the
 flags that were given written over it (_section). A preset writes its
 gan fields over the gan section and rejects a config that sets them to
-other values. The pipeline preset takes --phase1-steps/--phase2-steps and
-rejects --steps; a one-phase run takes the reverse. Every preset takes
---resume, and with it the checkpoint's seed unless one is given. No output
-path may resolve to another output or to an input (_check_paths).
+other values. --steps (gan.steps) is the length of the whole run for every
+preset; the pipeline preset also needs --phase1-steps (train.phase1_steps),
+the steps its first phase takes, and every other preset rejects it. Every
+preset takes --resume, and with it the checkpoint's seed unless one is
+given. No output path may resolve to another output or to an input
+(_check_paths).
 
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime failure.
 All file outputs are written atomically.
@@ -65,10 +67,9 @@ _FROZEN_G_BASE = {
     "conditioning": "ensad",
 }
 # The two-phase recipe (gan.finetune_pipeline): it sets the _PHASE_FIELDS
-# per phase and runs the _PHASE_FLAGS budgets in place of --steps.
+# per phase, and its first phase runs the train section's phase1_steps.
 PIPELINE_PRESET = "ensad_plus_finetune_g"
-_PHASE_FIELDS = (*dict.fromkeys(key for phase in PIPELINE_PHASES for key in phase), "steps")
-_PHASE_FLAGS = ("phase1_steps", "phase2_steps")
+_PHASE_FIELDS = tuple(dict.fromkeys(key for phase in PIPELINE_PHASES for key in phase))
 PRESETS = {
     "ensad_frozen_g": _FROZEN_G_BASE,
     "finetune_g_text": PIPELINE_PHASES[0],  # the pipeline's phase 1 on its own
@@ -246,22 +247,6 @@ def _resumed_log(path: str, step: int) -> list:
 
 
 def _cmd_train(args) -> int:
-    pipeline = args.preset == PIPELINE_PRESET
-    misplaced = [
-        "--" + key.replace("_", "-")
-        for key in (("steps",) if pipeline else _PHASE_FLAGS)
-        if getattr(args, key) is not None
-    ]
-    if misplaced:
-        raise UsageError(
-            " and ".join(misplaced) + (
-                f": not with preset {PIPELINE_PRESET}, which runs "
-                "--phase1-steps then --phase2-steps"
-                if pipeline else
-                f": only preset {PIPELINE_PRESET} has phase budgets; a "
-                "one-phase run takes --steps"
-            )
-        )
     stem, ext = os.path.splitext(args.out)
     csv_path = args.log if args.log else stem + ".csv"
     diag_path = f"{stem}.diverged{ext}"
@@ -273,17 +258,13 @@ def _cmd_train(args) -> int:
                  in_place={("checkpoint", "resumed checkpoint")})
     config = _load_config(args.config)
     gan_section = _apply_preset(_section(config, "gan", args, ("steps",)), args.preset)
-    phases = _section(config, "train", args, _PHASE_FLAGS)
-    _only(phases, "train", _PHASE_FLAGS)
-    budgets = {}
-    if pipeline:
-        missing = set(_PHASE_FLAGS) - set(phases)
-        if missing:
-            raise UsageError(
-                f"preset {args.preset} needs {sorted(missing)} in the "
-                "train config section (or the matching flags)"
-            )
-        budgets = {key: json_uint(phases[key], 0, key) for key in _PHASE_FLAGS}
+    phases = _section(config, "train", args, ("phase1_steps",))
+    _only(phases, "train", ("phase1_steps",))
+    pipeline = args.preset == PIPELINE_PRESET
+    if pipeline != ("phase1_steps" in phases):
+        raise UsageError("--phase1-steps (train.phase1_steps): " + (
+            "needed by" if pipeline else "only for") + f" preset {PIPELINE_PRESET}")
+    phases = {key: json_uint(value, 0, key) for key, value in phases.items()}
     seed = _pick_seed(args, config, None)  # a given seed is checked before any file
     resume = load_checkpoint(args.resume) if args.resume else None
     if seed is None:
@@ -300,7 +281,7 @@ def _cmd_train(args) -> int:
                               for col in CSV_COLUMNS))
     run = finetune_pipeline if pipeline else train
     try:
-        ck = run(ds, adapter_cfg, gan_cfg, seed, **budgets, resume=resume, log_fn=log_row)
+        ck = run(ds, adapter_cfg, gan_cfg, seed, **phases, resume=resume, log_fn=log_row)
     except TrainingDiverged as exc:
         save_checkpoint(exc.checkpoint, diag_path)
         save_lines(lines, csv_path)
@@ -389,11 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset path (.jsonl)")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--preset", choices=sorted(PRESETS), help="named training setup")
-    p.add_argument("--steps", type=int, help="training steps")
+    p.add_argument("--steps", type=int, help="training steps of the whole run")
     p.add_argument("--log", help="loss CSV path (default: checkpoint sibling)")
     p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument("--phase1-steps", dest="phase1_steps", type=int)
-    p.add_argument("--phase2-steps", dest="phase2_steps", type=int)
+    p.add_argument("--phase1-steps", dest="phase1_steps", type=int,
+                   help=f"steps of the first phase of preset {PIPELINE_PRESET}")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="compare fusion strategies by Frechet distance")

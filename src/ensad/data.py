@@ -103,9 +103,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         set_uint_fields(self, {"n_items": 1, "d": 1, "m": 1, "d_img": 1, "seed": 0})
-        check_real_fields(self, ("sigma_source", "sigma_trans"))
-        if self.sigma_source < 0 or self.sigma_trans < 0:
-            raise ValueError("sigmas must be nonnegative")
+        check_real_fields(self, {"sigma_source": "[0, inf)", "sigma_trans": "[0, inf)"})
 
 
 @contextmanager
@@ -161,11 +159,12 @@ def set_uint_fields(cfg, lows: dict) -> None:
         object.__setattr__(cfg, name, value)
 
 
-def check_real_fields(cfg, names) -> None:
-    """Raise ValueError naming the field unless each field in ``names`` of
-    ``cfg`` is a finite number within the float range: an int, a float or a
-    numpy scalar, not a boolean. The value is kept as given."""
-    for name in names:
+def check_real_fields(cfg, ranges: dict) -> None:
+    """Raise ValueError naming the field and its value unless each field
+    ``name`` of ``cfg`` is a finite number within the float range (an int, a
+    float or a numpy scalar, not a boolean) in the interval ``ranges[name]``,
+    written as "[0, 1)" or "(0, inf)". The value is kept as given."""
+    for name, interval in ranges.items():
         value = getattr(cfg, name)
         real = (isinstance(value, (int, float, np.integer, np.floating))
                 and not isinstance(value, bool))
@@ -173,8 +172,12 @@ def check_real_fields(cfg, names) -> None:
             real = real and math.isfinite(value)
         except OverflowError:  # an integer beyond the float range
             real = False
+        if real:
+            lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+            real = ((lo < value if interval[0] == "(" else lo <= value)
+                    and (value < hi if interval[-1] == ")" else value <= hi))
         if not real:
-            raise ValueError(f"{name}: expected a finite number, got {value!r}")
+            raise ValueError(f"{name}: expected a finite number in {interval}, got {value!r}")
 
 
 def _floats(value, size: int, line_no: int, what: str) -> np.ndarray:

@@ -85,25 +85,16 @@ class GanConfig:
         object.__setattr__(self, "trainable", frozenset(self.trainable))
         set_uint_fields(self, {"d": 1, "d_z": 1, "d_img": 1, "gen_hidden": 1,
                                "disc_hidden": 1, "batch": 1, "steps": 0})
-        check_real_fields(self, ("tau", "lambda1", "lambda2", "lr", "beta1", "beta2",
-                                 "noise_p0", "noise_pt"))
-        if len(self.disc_hidden) < 1:
-            raise ValueError("discriminator needs at least one hidden layer")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("lambdas must be nonnegative")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
+        check_real_fields(self, {
+            "tau": "(0, inf)", "lambda1": "[0, inf)", "lambda2": "[0, inf)", "lr": "(0, inf)",
+            "beta1": "[0, 1)", "beta2": "[0, 1)", "noise_p0": "[0, 1]", "noise_pt": "[0, 1]"})
+        if not self.disc_hidden:
+            raise ValueError("disc_hidden: expected at least one hidden layer, got ()")
         unknown = self.trainable - set(TRAINABLE_COMPONENTS)
         if unknown:
             raise ValueError(f"unknown trainable components {sorted(unknown)}")
         if self.conditioning not in STRATEGIES:
             raise ValueError(f"unknown conditioning mode {self.conditioning!r}")
-        if not (0 <= self.noise_p0 <= 1 and 0 <= self.noise_pt <= 1):
-            raise ValueError("noise proportions must lie in [0, 1]")
 
 
 def _mlp_specs(prefix: str, sizes: list) -> dict:
@@ -854,27 +845,27 @@ def finetune_pipeline(
     seed: int,
     *,
     phase1_steps: int,
-    phase2_steps: int,
     resume: Checkpoint | None = None,
     log_fn=None,
 ) -> Checkpoint:
-    """Two-phase recipe: first fine-tune the generator (and discriminator)
-    on source-embedding conditioning, then train the adapter against the
+    """Two-phase recipe over ``gan_cfg.steps`` steps: the first
+    ``phase1_steps`` fine-tune the generator (and discriminator) on
+    source-embedding conditioning, the rest train the adapter against the
     tuned generator while the discriminator is reset to its pre-phase-1
     snapshot and held fixed.
 
     Phase 2 resumes phase 1's step count on its own stream, so its log
     rows, a :class:`TrainingDiverged` it raises and the returned checkpoint
     count the whole run. ``resume`` continues any such checkpoint ``ck``
-    bit-exactly. Phase 1's finishes phase 1, then runs phase 2 as above.
-    Phase 2's must have begun (at ``ck.step - ck.adam.t``) at
-    ``phase1_steps``, and ``seed`` must derive ``ck.rng_seed`` or equal it.
-    Any other fails :func:`train`'s config check.
+    bit-exactly, to ``gan_cfg.steps``. Phase 1's finishes phase 1, then
+    runs phase 2 as above. Phase 2's must have begun (at
+    ``ck.step - ck.adam.t``) at ``phase1_steps``, and ``seed`` must derive
+    ``ck.rng_seed`` or equal it. Any other fails :func:`train`'s config check.
     """
-    if phase1_steps < 0 or phase2_steps < 0:
-        raise ValueError("phase budgets must be nonnegative")
+    if not 0 <= phase1_steps <= gan_cfg.steps:
+        raise ValueError(f"phase1_steps {phase1_steps} must lie in [0, steps {gan_cfg.steps}]")
     g1 = replace(gan_cfg, steps=phase1_steps, **PIPELINE_PHASES[0])
-    g2 = replace(gan_cfg, steps=phase1_steps + phase2_steps, **PIPELINE_PHASES[1])
+    g2 = replace(gan_cfg, **PIPELINE_PHASES[1])
     seed2 = derive_seed(seed, _PHASE2_SALT)
     if resume is not None and resume.gan_cfg.trainable == g2.trainable:
         began = resume.step - resume.adam.t

@@ -178,12 +178,18 @@ def test_train_pipeline_preset(workdir, dataset_path, train_config, capsys):
     rc = main(["train", "--data", str(dataset_path), "--out", str(out),
                "--config", str(train_config), "--preset", "ensad_plus_finetune_g",
                "--steps", "1", "--seed", "2"])
-    assert rc == 2  # missing phase budgets
-    assert "phase" in capsys.readouterr().err
+    assert rc == 2  # no phase 1 length
+    assert "--phase1-steps (train.phase1_steps): needed by preset" in capsys.readouterr().err
+    rc = main(["train", "--data", str(dataset_path), "--out", str(out),
+               "--config", str(train_config), "--preset", "ensad_plus_finetune_g",
+               "--phase1-steps", "6", "--steps", "5", "--seed", "2"])
+    assert rc == 2
+    assert "phase1_steps 6 must lie in [0, steps 5]" in capsys.readouterr().err
+    assert not out.exists()
 
     rc = main(["train", "--data", str(dataset_path), "--out", str(out),
                "--config", str(train_config), "--preset", "ensad_plus_finetune_g",
-               "--phase1-steps", "3", "--phase2-steps", "4", "--seed", "2"])
+               "--phase1-steps", "3", "--steps", "7", "--seed", "2"])
     assert rc == 0
     rows = read_csv(workdir / "pipe.csv")
     assert [row["step"] for row in rows] == [str(i) for i in range(1, 8)]
@@ -191,8 +197,7 @@ def test_train_pipeline_preset(workdir, dataset_path, train_config, capsys):
     assert capsys.readouterr().out.startswith("trained to step 7;")
 
 
-@pytest.mark.parametrize("field, value", [
-    ("trainable", ["ensad"]), ("conditioning", "ensad"), ("steps", 4)])
+@pytest.mark.parametrize("field, value", [("trainable", ["ensad"]), ("conditioning", "ensad")])
 def test_train_pipeline_preset_rejects_a_per_phase_gan_field(
         tmp_path, dataset_path, train_config, capsys, field, value):
     # even a value one of the phases would set: the preset sets it per phase
@@ -202,18 +207,37 @@ def test_train_pipeline_preset_rejects_a_per_phase_gan_field(
     cfg.write_text(json.dumps(config))
     rc = main(["train", "--data", str(dataset_path), "--out", str(tmp_path / "pipe.npz"),
                "--config", str(cfg), "--preset", "ensad_plus_finetune_g",
-               "--phase1-steps", "2", "--phase2-steps", "2", "--seed", "2"])
+               "--phase1-steps", "2", "--steps", "4", "--seed", "2"])
     assert rc == 2
     assert (f"{field} is controlled by preset ensad_plus_finetune_g per phase"
             in capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == [cfg]
 
 
-def _pipeline(dataset_path, train_config, out, phase1, phase2):
+def test_train_pipeline_preset_takes_the_runs_steps_from_flags_or_config(
+        tmp_path, dataset_path, train_config):
+    # --steps (gan.steps) is the whole run, --phase1-steps (train.phase1_steps)
+    # its first phase: 5 steps, 2 of them in phase 2
+    config = json.loads(train_config.read_text())
+    config["gan"]["steps"] = 5
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "train": {"phase1_steps": 3}}))
+    base = ["train", "--data", str(dataset_path), "--preset", "ensad_plus_finetune_g",
+            "--seed", "2"]
+    flags, configured = tmp_path / "flags.npz", tmp_path / "config.npz"
+    assert main(base + ["--config", str(train_config), "--phase1-steps", "3", "--steps", "5",
+                        "--out", str(flags)]) == 0
+    assert main(base + ["--config", str(cfg), "--out", str(configured)]) == 0
+    assert configured.read_bytes() == flags.read_bytes()
+    ck = load_checkpoint(flags)
+    assert (ck.step, ck.gan_cfg.steps, ck.adam.t) == (5, 5, 2)
+    assert [row["step"] for row in read_csv(tmp_path / "flags.csv")] == ["1", "2", "3", "4", "5"]
+
+
+def _pipeline(dataset_path, train_config, out, phase1, steps):
     return main(["train", "--data", str(dataset_path), "--out", str(out),
                  "--config", str(train_config), "--preset", "ensad_plus_finetune_g",
-                 "--phase1-steps", str(phase1), "--phase2-steps", str(phase2),
-                 "--seed", "2"])
+                 "--phase1-steps", str(phase1), "--steps", str(steps), "--seed", "2"])
 
 
 def _adapter_only(tmp_path, train_config):
@@ -229,10 +253,10 @@ def test_train_replays_a_pipelines_phase2_divergence(tmp_path, dataset_path, tra
                                                     monkeypatch):
     # phase 2's second step gives a NaN loss; resuming the diagnostic
     # checkpoint, which keeps its own seed, finishes the uninterrupted run
-    assert _pipeline(dataset_path, train_config, tmp_path / "whole.npz", 3, 4) == 0
+    assert _pipeline(dataset_path, train_config, tmp_path / "whole.npz", 3, 7) == 0
     with monkeypatch.context() as patch:
         patch.setattr(gan, "step_losses_and_grads", nan_on_call(5))
-        assert _pipeline(dataset_path, train_config, tmp_path / "pipe.npz", 3, 4) == 3
+        assert _pipeline(dataset_path, train_config, tmp_path / "pipe.npz", 3, 7) == 3
     diag = tmp_path / "pipe.diverged.npz"
     assert load_checkpoint(diag).step == 4
     rc = main(["train", "--data", str(dataset_path), "--out", str(tmp_path / "replay.npz"),
@@ -244,10 +268,10 @@ def test_train_replays_a_pipelines_phase2_divergence(tmp_path, dataset_path, tra
 
 
 def test_train_continues_a_pipeline(tmp_path, dataset_path, train_config):
-    # a 3 + 2 pipeline continued to step 9 is the 3 + 6 pipeline
-    assert _pipeline(dataset_path, train_config, tmp_path / "whole.npz", 3, 6) == 0
+    # a 5-step pipeline continued to step 9 is the 9-step pipeline
+    assert _pipeline(dataset_path, train_config, tmp_path / "whole.npz", 3, 9) == 0
     half = tmp_path / "half.npz"
-    assert _pipeline(dataset_path, train_config, half, 3, 2) == 0
+    assert _pipeline(dataset_path, train_config, half, 3, 5) == 0
     assert load_checkpoint(half).step == 5
     rc = main(["train", "--data", str(dataset_path), "--out", str(half),
                "--config", str(_adapter_only(tmp_path, train_config)),
@@ -299,11 +323,11 @@ def test_train_resume_names_the_differing_config_fields(tmp_path, dataset_path,
     assert not out.exists()
 
 
-def _resume_pipeline(dataset_path, train_config, ckpt, out, phase1, phase2, *extra):
+def _resume_pipeline(dataset_path, train_config, ckpt, out, phase1, steps, *extra):
     """The pipeline preset resuming ``ckpt``, with the flags ``extra``."""
     return main(["train", "--data", str(dataset_path), "--out", str(out),
                  "--config", str(train_config), "--preset", "ensad_plus_finetune_g",
-                 "--phase1-steps", str(phase1), "--phase2-steps", str(phase2),
+                 "--phase1-steps", str(phase1), "--steps", str(steps),
                  "--resume", str(ckpt), *extra])
 
 
@@ -311,14 +335,14 @@ def test_train_pipeline_preset_resumes_a_phase1_divergence(tmp_path, dataset_pat
                                                            train_config, monkeypatch):
     # phase 1's second step gives a NaN loss; the preset resumes the
     # diagnostic checkpoint through both phases, on the checkpoint's seed
-    assert _pipeline(dataset_path, train_config, tmp_path / "whole.npz", 3, 4) == 0
+    assert _pipeline(dataset_path, train_config, tmp_path / "whole.npz", 3, 7) == 0
     with monkeypatch.context() as patch:
         patch.setattr(gan, "step_losses_and_grads", nan_on_call(2))
-        assert _pipeline(dataset_path, train_config, tmp_path / "pipe.npz", 3, 4) == 3
+        assert _pipeline(dataset_path, train_config, tmp_path / "pipe.npz", 3, 7) == 3
     diag = tmp_path / "pipe.diverged.npz"
     assert load_checkpoint(diag).step == 1
     replay = tmp_path / "replay.npz"
-    assert _resume_pipeline(dataset_path, train_config, diag, replay, 3, 4,
+    assert _resume_pipeline(dataset_path, train_config, diag, replay, 3, 7,
                             "--log", str(tmp_path / "pipe.csv")) == 0
     assert replay.read_bytes() == (tmp_path / "whole.npz").read_bytes()
     assert (tmp_path / "pipe.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
@@ -329,10 +353,10 @@ def test_train_pipeline_preset_extends_phase2_in_place(tmp_path, dataset_path, t
                                                        seed):
     # a phase-2 checkpoint carries phase 2's derived seed: with no seed it
     # resumes on that stream, and the run seed derives it
-    assert _pipeline(dataset_path, train_config, tmp_path / "whole.npz", 3, 6) == 0
+    assert _pipeline(dataset_path, train_config, tmp_path / "whole.npz", 3, 9) == 0
     half = tmp_path / "half.npz"
-    assert _pipeline(dataset_path, train_config, half, 3, 2) == 0
-    assert _resume_pipeline(dataset_path, train_config, half, half, 3, 6, *seed) == 0
+    assert _pipeline(dataset_path, train_config, half, 3, 5) == 0
+    assert _resume_pipeline(dataset_path, train_config, half, half, 3, 9, *seed) == 0
     assert half.read_bytes() == (tmp_path / "whole.npz").read_bytes()
     assert (tmp_path / "half.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
@@ -340,19 +364,21 @@ def test_train_pipeline_preset_extends_phase2_in_place(tmp_path, dataset_path, t
 def test_train_pipeline_preset_resume_rejects_what_it_cannot_continue(
         tmp_path, dataset_path, train_config, ckpt_path, capsys):
     half, out = tmp_path / "half.npz", tmp_path / "out.npz"
-    assert _pipeline(dataset_path, train_config, half, 3, 2) == 0
+    assert _pipeline(dataset_path, train_config, half, 3, 5) == 0
     phase2_seed = load_checkpoint(half).rng_seed
     capsys.readouterr()
     cases = [
-        (half, 3, 6, ["--seed", "5"],
+        (half, 3, 9, ["--seed", "5"],
          f"phase 2's seed {phase2_seed}, which seed 5 does not derive"),
-        (half, 2, 7, [], "phase 2 began at step 3, not at phase1_steps 2"),
+        (half, 2, 9, [], "phase 2 began at step 3, not at phase1_steps 2"),
+        (half, 3, 4, [], "resume checkpoint is at step 5, past steps 4"),
+        (half, 6, 5, [], "phase1_steps 6 must lie in [0, steps 5]"),
         # an ensad_frozen_g checkpoint
-        (ckpt_path, 2, 2, [], 'trainable: ["discriminator", "ensad"] in the checkpoint, '
+        (ckpt_path, 2, 4, [], 'trainable: ["discriminator", "ensad"] in the checkpoint, '
                               '["discriminator", "generator"] given'),
     ]
-    for ckpt, phase1, phase2, extra, message in cases:
-        assert _resume_pipeline(dataset_path, train_config, ckpt, out, phase1, phase2,
+    for ckpt, phase1, steps, extra, message in cases:
+        assert _resume_pipeline(dataset_path, train_config, ckpt, out, phase1, steps,
                                 *extra) == 2
         assert message in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "out.csv").exists()
@@ -724,6 +750,36 @@ def test_resume_rejects_a_float_header_field_beyond_the_float_range(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, field, value, expected", [
+    ("gan", "disc_hidden", [], "at least one hidden layer"),
+    ("gan", "tau", 0, "a finite number in (0, inf)"),
+    ("gan", "lambda1", -1, "a finite number in [0, inf)"),
+    ("gan", "lambda2", -0.5, "a finite number in [0, inf)"),
+    ("gan", "lr", 0.0, "a finite number in (0, inf)"),
+    ("gan", "beta1", 1, "a finite number in [0, 1)"),
+    ("gan", "beta2", -0.1, "a finite number in [0, 1)"),
+    ("gan", "noise_p0", 1.5, "a finite number in [0, 1]"),
+    ("gan", "noise_pt", -0.01, "a finite number in [0, 1]"),
+    ("adapter", "alpha", 1.5, "a finite number in [0, 1]"),
+    ("synth", "sigma_source", -0.1, "a finite number in [0, inf)"),
+    ("synth", "sigma_trans", -1, "a finite number in [0, inf)"),
+], ids=["disc_hidden", "tau", "lambda1", "lambda2", "lr", "beta1", "beta2", "noise_p0",
+        "noise_pt", "alpha", "sigma_source", "sigma_trans"])
+def test_out_of_range_config_fields_rejected(dataset_path, tmp_path, capsys, section, field,
+                                             value, expected):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {field: value}}))
+    out = tmp_path / "out.npz"
+    argv = (["synth", "--n-items", "3", "--d", "6", "--m", "2", "--d-img", "5"]
+            if section == "synth" else
+            ["train", "--data", str(dataset_path), "--preset", "ensad_frozen_g", "--steps", "3"])
+    assert main(argv + ["--out", str(out), "--config", str(cfg)]) == 2
+    shown = tuple(value) if isinstance(value, list) else value
+    assert (f"error: bad {section} config: {field}: expected {expected}, got {shown!r}\n"
+            == capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_synth_rejects_a_nan_sigma(tmp_path, capsys):
     out = tmp_path / "corpus.jsonl"
     rc = main(["synth", "--out", str(out), "--n-items", "3", "--d", "6", "--m", "2",
@@ -779,6 +835,31 @@ def test_config_errors(workdir, dataset_path, capsys):
     assert f"config {deep} is not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("train", "[1, 2]", "config {cfg} must be a JSON object"),
+    ("train", '{"gan": [1]}', "config section 'gan' must be a JSON object"),
+    ("eval", '{"eval": {"n_gem": 8}}', "unknown eval-section keys ['n_gem']"),
+    ("pipeline", '{"train": {"phase1_steps": 2, "phase2_steps": 2}}',
+     "unknown train-section keys ['phase2_steps']"),
+    ("train", '{"adapter": {"d": 7}}', "adapter config d=7 conflicts with dataset d=6"),
+], ids=["not_an_object", "section_not_an_object", "unknown_eval_key",
+        "train_phase2_steps", "adapter_d_not_the_datasets"])
+def test_config_errors_name_the_field_or_path(dataset_path, ckpt_path, tmp_path, capsys,
+                                              command, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out.npz"
+    train = ["train", "--data", str(dataset_path), "--steps", "4"]
+    argv = {
+        "train": train,
+        "pipeline": train + ["--preset", "ensad_plus_finetune_g"],
+        "eval": ["eval", "--ckpt", str(ckpt_path), "--data", str(dataset_path)],
+    }[command]
+    assert main(argv + ["--out", str(out), "--config", str(cfg)]) == 2
+    assert message.format(cfg=cfg) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_config_with_an_overlong_integer_names_the_file(dataset_path, tmp_path, capsys):
     # json.loads raises a plain ValueError for an integer of more than 4,300
     # digits, not a JSONDecodeError
@@ -818,7 +899,7 @@ def test_resume_rejects_unequal_adam_step_counts(dataset_path, train_config, tmp
     ("train", {"gan": {"gen_hidden": [8.7]}}, "gen_hidden"),
     ("train", {"seed": True}, "seed"),
     ("train", {"gan": {"steps": True}}, "steps"),
-    ("pipeline", {"train": {"phase1_steps": 2.9, "phase2_steps": 1}}, "phase1_steps"),
+    ("pipeline", {"train": {"phase1_steps": 2.9}}, "phase1_steps"),
     ("eval", {"eval": {"n_gen": 9.5}}, "n_gen"),
     ("eval", {"eval": {"n_gen": "12"}}, "n_gen"),
     ("synth", {"synth": {"n_items": 3.0, "d": 6, "m": 2, "d_img": 5}}, "n_items"),
@@ -879,8 +960,8 @@ def _exit_code(argv):
 
 @pytest.mark.parametrize("case", [
     "param_count_seed", "param_count_config", "inspect_attn_seed",
-    "inspect_attn_config", "one_phase_phase1_steps", "one_phase_phase2_steps",
-    "pipeline_steps", "pipeline_config_gan_steps"])
+    "inspect_attn_config", "one_phase_phase1_steps", "one_phase_config_phase1_steps",
+    "one_phase_phase2_steps", "pipeline_phase2_steps"])
 def test_ignored_options_rejected_before_any_file(dataset_path, ckpt_path, tmp_path,
                                                   capsys, monkeypatch, case):
     def fail(*args, **kwargs):
@@ -888,8 +969,7 @@ def test_ignored_options_rejected_before_any_file(dataset_path, ckpt_path, tmp_p
     for name in ("load_jsonl", "load_checkpoint", "train", "finetune_pipeline"):
         monkeypatch.setattr(f"ensad.cli.{name}", fail)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"gan": {"steps": 5},
-                               "train": {"phase1_steps": 2, "phase2_steps": 2}}))
+    cfg.write_text(json.dumps({"gan": {"steps": 5}, "train": {"phase1_steps": 2}}))
     out = tmp_path / "out.npz"
     inspect = ["inspect-attn", "--ckpt", str(ckpt_path), "--data", str(dataset_path)]
     train = ["train", "--data", str(dataset_path), "--out", str(out)]
@@ -901,11 +981,12 @@ def test_ignored_options_rejected_before_any_file(dataset_path, ckpt_path, tmp_p
         "inspect_attn_config": (inspect + ["--config", str(cfg)], "--config"),
         "one_phase_phase1_steps": (train + ["--preset", "ensad_frozen_g", "--steps", "3",
                                             "--phase1-steps", "7"], "--phase1-steps"),
+        "one_phase_config_phase1_steps": (train + ["--preset", "ensad_frozen_g",
+                                                   "--config", str(cfg)], "--phase1-steps"),
         "one_phase_phase2_steps": (train + ["--steps", "3", "--phase2-steps", "7"],
                                    "--phase2-steps"),
-        "pipeline_steps": (pipeline + ["--steps", "999", "--phase1-steps", "2",
-                                       "--phase2-steps", "2"], "--steps"),
-        "pipeline_config_gan_steps": (pipeline + ["--config", str(cfg)], "steps"),
+        "pipeline_phase2_steps": (pipeline + ["--steps", "4", "--phase1-steps", "2",
+                                              "--phase2-steps", "2"], "--phase2-steps"),
     }[case]
     assert _exit_code(argv) == 2
     assert flag in capsys.readouterr().err
@@ -1044,7 +1125,8 @@ def test_resume_keeps_the_log_up_to_the_checkpoint(dataset_path, train_config, t
     ("step,loss\n1,0.5\n", "does not start with the header"),
     ("", "does not start with the header"),
     (",".join(CSV_COLUMNS) + "\nx,0.5\n", "line 2: no step number"),
-], ids=["other_header", "empty", "bad_step"])
+    (",".join(CSV_COLUMNS) + "\n1,0.5\xff\n", "is not UTF-8 text"),
+], ids=["other_header", "empty", "bad_step", "not_utf8"])
 def test_resume_rejects_a_foreign_log(dataset_path, train_config, tmp_path, capsys,
                                       log, message):
     base = ["train", "--data", str(dataset_path), "--config", str(train_config),
@@ -1052,12 +1134,12 @@ def test_resume_rejects_a_foreign_log(dataset_path, train_config, tmp_path, caps
     ck, csv = tmp_path / "ck.npz", tmp_path / "ck.csv"
     assert main(base + ["--out", str(ck), "--steps", "3"]) == 0
     capsys.readouterr()
-    csv.write_text(log)
+    csv.write_bytes(log.encode("latin-1"))  # the last case's \xff is not UTF-8
     before = ck.read_bytes()
     assert main(base + ["--out", str(ck), "--steps", "5", "--resume", str(ck)]) == 2
     err = capsys.readouterr().err
     assert f"loss CSV {csv}" in err and message in err, err
-    assert ck.read_bytes() == before and csv.read_text() == log
+    assert ck.read_bytes() == before and csv.read_bytes() == log.encode("latin-1")
 
 
 @pytest.mark.parametrize("preset", [None, "ensad_frozen_g"])

@@ -12,7 +12,9 @@ from ensad import gan
 from ensad.adapter import EnsAdConfig
 from ensad.data import SyntheticSpec, generate_synthetic
 from ensad.gan import (
+    _PHASE2_SALT,
     CSV_COLUMNS,
+    PIPELINE_PHASES,
     TRAINABLE_COMPONENTS,
     AdamState,
     Checkpoint,
@@ -33,7 +35,7 @@ from ensad.gan import (
     total_losses,
     train,
 )
-from ensad.numkit import SeededRng, init_tensors, l2_normalize, map_tensors
+from ensad.numkit import SeededRng, derive_seed, init_tensors, l2_normalize, map_tensors
 
 
 def checkpoint_bytes(ck):
@@ -606,8 +608,7 @@ def test_pipeline_phase_splice():
     # generator from phase 1, discriminator reset to its pre-phase-1 state
     ds = toy_dataset()
     ecfg, gcfg, _, _, _ = toy_setup()
-    ck = finetune_pipeline(ds, ecfg, gcfg, 8,
-                           phase1_steps=12, phase2_steps=0)
+    ck = finetune_pipeline(ds, ecfg, replace(gcfg, steps=12), 8, phase1_steps=12)
 
     g1 = replace(gcfg, steps=12, conditioning="zero_shot",
                  trainable=frozenset({"generator", "discriminator"}))
@@ -623,12 +624,10 @@ def test_pipeline_phase_splice():
 
 def test_pipeline_determinism_and_logging():
     ds = toy_dataset()
-    ecfg, gcfg, _, _, _ = toy_setup()
+    ecfg, gcfg, _, _, _ = toy_setup(steps=12)
     rows = []
-    ck1 = finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=5,
-                            phase2_steps=7, log_fn=rows.append)
-    ck2 = finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=5,
-                            phase2_steps=7)
+    ck1 = finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=5, log_fn=rows.append)
+    ck2 = finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=5)
     assert checkpoint_bytes(ck1) == checkpoint_bytes(ck2)
     assert [r["step"] for r in rows] == list(range(1, 13))
     assert ck1.step == 12
@@ -662,9 +661,9 @@ def test_train_log_records_keep_their_contract(trainable, enable_clg):
 
 def test_pipeline_log_records_keep_their_contract():
     ds = toy_dataset()
-    ecfg, gcfg, _, _, _ = toy_setup()
+    ecfg, gcfg, _, _, _ = toy_setup(steps=4)
     rows = []
-    finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=2, phase2_steps=2, log_fn=rows.append)
+    finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=2, log_fn=rows.append)
     assert len(rows) == 4
     assert_records(rows)
 
@@ -685,12 +684,11 @@ def test_pipeline_divergence_names_the_runs_step(monkeypatch):
     # phase 2's third step gives a NaN loss: the message, the exception and
     # its checkpoint count steps as the log does
     ds = toy_dataset()
-    ecfg, gcfg, _, _, _ = toy_setup()
+    ecfg, gcfg, _, _, _ = toy_setup(steps=9)
     monkeypatch.setattr(gan, "step_losses_and_grads", nan_on_call(7))
     rows = []
     with pytest.raises(TrainingDiverged) as exc:
-        finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, phase2_steps=5,
-                          log_fn=rows.append)
+        finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, log_fn=rows.append)
     assert [r["step"] for r in rows] == list(range(1, 7))
     assert str(exc.value) == "non-finite adapter-side loss at step 6"
     assert exc.value.step == exc.value.checkpoint.step == 6
@@ -701,16 +699,14 @@ def test_pipeline_phase2_diagnostic_replays_the_run(monkeypatch):
     # resuming the diagnostic checkpoint with its own config and seed, without
     # the NaN, finishes the run as if it had never diverged
     ds = toy_dataset()
-    ecfg, gcfg, _, _, _ = toy_setup()
+    ecfg, gcfg, _, _, _ = toy_setup(steps=9)
     whole_rows = []
-    whole = finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, phase2_steps=5,
-                              log_fn=whole_rows.append)
+    whole = finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, log_fn=whole_rows.append)
     with monkeypatch.context() as patch:
         patch.setattr(gan, "step_losses_and_grads", nan_on_call(7))
         rows = []
         with pytest.raises(TrainingDiverged) as exc:
-            finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, phase2_steps=5,
-                              log_fn=rows.append)
+            finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, log_fn=rows.append)
     ck = exc.value.checkpoint
     assert exc.value.step == 6
     replayed = train(ds, ecfg, ck.gan_cfg, ck.rng_seed, resume=ck, log_fn=rows.append)
@@ -721,27 +717,27 @@ def test_pipeline_phase2_diagnostic_replays_the_run(monkeypatch):
 
 @pytest.fixture(scope="module")
 def whole_pipeline():
-    """The uninterrupted 4 + 5 pipeline on the toy corpus, and its log rows."""
+    """The uninterrupted 9-step pipeline, 4 of them in phase 1, on the toy
+    corpus, and its log rows."""
     ds = toy_dataset()
-    ecfg, gcfg, _, _, _ = toy_setup()
+    ecfg, gcfg, _, _, _ = toy_setup(steps=9)
     rows = []
-    ck = finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, phase2_steps=5,
-                           log_fn=rows.append)
+    ck = finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, log_fn=rows.append)
     return ds, ecfg, gcfg, ck, rows
 
 
 @pytest.mark.parametrize("k", range(9))
 def test_pipeline_resumes_a_diagnostic_checkpoint_of_any_step(monkeypatch, whole_pipeline, k):
     # a NaN at the run's step k, in either phase; resuming the diagnostic
-    # checkpoint with the same budgets finishes the uninterrupted run
+    # checkpoint with the same steps finishes the uninterrupted run
     ds, ecfg, gcfg, whole, whole_rows = whole_pipeline
     with monkeypatch.context() as patch:
         patch.setattr(gan, "step_losses_and_grads", nan_on_call(k + 1))
         with pytest.raises(TrainingDiverged) as exc:
-            finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, phase2_steps=5)
+            finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4)
     assert exc.value.step == k
     rows = []
-    ck = finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, phase2_steps=5,
+    ck = finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4,
                            resume=exc.value.checkpoint, log_fn=rows.append)
     assert checkpoint_bytes(ck) == checkpoint_bytes(whole)
     assert rows == whole_rows[k:]
@@ -749,10 +745,11 @@ def test_pipeline_resumes_a_diagnostic_checkpoint_of_any_step(monkeypatch, whole
 
 def test_pipeline_continues_its_finished_checkpoint(whole_pipeline):
     ds, ecfg, gcfg, whole, _ = whole_pipeline
-    same = finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, phase2_steps=5, resume=whole)
+    same = finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, resume=whole)
     assert checkpoint_bytes(same) == checkpoint_bytes(whole)
-    longer = finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, phase2_steps=7, resume=whole)
-    fresh = finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, phase2_steps=7)
+    g11 = replace(gcfg, steps=11)
+    longer = finetune_pipeline(ds, ecfg, g11, 8, phase1_steps=4, resume=whole)
+    fresh = finetune_pipeline(ds, ecfg, g11, 8, phase1_steps=4)
     assert checkpoint_bytes(longer) == checkpoint_bytes(fresh)
 
 
@@ -760,29 +757,54 @@ def test_pipeline_resume_checks_phase2s_start_and_seed(whole_pipeline):
     ds, ecfg, gcfg, whole, _ = whole_pipeline
     # phase 2 began at step 9 - 5 = 4
     with pytest.raises(ValueError, match="phase 2 began at step 4, not at phase1_steps 3"):
-        finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=3, phase2_steps=6, resume=whole)
+        finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=3, resume=whole)
     # phase 2's own seed continues it too; a seed that derives neither fails
-    own = finetune_pipeline(ds, ecfg, gcfg, whole.rng_seed, phase1_steps=4, phase2_steps=5,
-                            resume=whole)
+    own = finetune_pipeline(ds, ecfg, gcfg, whole.rng_seed, phase1_steps=4, resume=whole)
     assert checkpoint_bytes(own) == checkpoint_bytes(whole)
     with pytest.raises(ValueError, match=f"phase 2's seed {whole.rng_seed}, which seed 9 "
                                          "does not derive"):
-        finetune_pipeline(ds, ecfg, gcfg, 9, phase1_steps=4, phase2_steps=5, resume=whole)
+        finetune_pipeline(ds, ecfg, gcfg, 9, phase1_steps=4, resume=whole)
 
 
 def test_pipeline_resume_rejects_another_presets_checkpoint(whole_pipeline):
     ds, ecfg, gcfg, _, _ = whole_pipeline
     frozen_g = train(ds, ecfg, replace(gcfg, steps=2), 8)
     with pytest.raises(ValueError, match="different gan config: .*trainable"):
-        finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, phase2_steps=5, resume=frozen_g)
+        finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=4, resume=frozen_g)
 
 
-@pytest.mark.parametrize("phase1, phase2", [(5, -2), (-1, 3)])
-def test_pipeline_rejects_negative_phase_budgets(phase1, phase2):
+@pytest.mark.parametrize("phase1", [-1, 6])
+def test_pipeline_rejects_phase1_steps_outside_the_run(phase1):
+    ds = toy_dataset()
+    ecfg, gcfg, _, _, _ = toy_setup(steps=5)
+    with pytest.raises(ValueError, match=rf"phase1_steps {phase1} must lie in \[0, steps 5\]"):
+        finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=phase1)
+    # either end of the range is a run: all of it in one phase
+    for phase1 in (0, 5):
+        assert finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=phase1).step == 5
+
+
+def two_budget_pipeline(ds, ecfg, gcfg, seed, phase1_steps, phase2_steps):
+    """The pipeline as its two budgets defined it, written out in
+    :func:`train` calls: ``phase1_steps`` steps of phase 1 from ``seed``,
+    then ``phase2_steps`` more of phase 2 on its derived stream, from the
+    tuned generator and the pre-phase-1 discriminator and adapter."""
+    g1 = replace(gcfg, steps=phase1_steps, **PIPELINE_PHASES[0])
+    g2 = replace(gcfg, steps=phase1_steps + phase2_steps, **PIPELINE_PHASES[1])
+    ck0 = train(ds, ecfg, replace(g1, steps=0), seed)
+    ck1 = train(ds, ecfg, g1, seed, resume=ck0)
+    seed2 = derive_seed(seed, _PHASE2_SALT)
+    start = train(ds, ecfg, replace(g2, steps=0), seed2,
+                  init_from={**ck0.params, "generator": ck1.params["generator"]})
+    return train(ds, ecfg, g2, seed2, resume=replace(start, step=phase1_steps))
+
+
+def test_pipeline_steps_count_both_phases():
+    # steps 5 with phase1_steps 3 is the 3 + 2 run the two budgets gave
     ds = toy_dataset()
     ecfg, gcfg, _, _, _ = toy_setup()
-    with pytest.raises(ValueError, match="phase budgets must be nonnegative"):
-        finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=phase1, phase2_steps=phase2)
+    ck = finetune_pipeline(ds, ecfg, replace(gcfg, steps=5), 8, phase1_steps=3)
+    assert checkpoint_bytes(ck) == checkpoint_bytes(two_budget_pipeline(ds, ecfg, gcfg, 8, 3, 2))
 
 
 def batch_inputs(ds, ecfg, gcfg, seed):
