@@ -8,9 +8,10 @@ Each subcommand declares only the options it reads. synth, train and eval
 take --config and --seed; each setting is its config section with the
 flags that were given written over it (_section). A preset writes its
 gan fields over the gan section and rejects a config that sets them to
-other values. --steps (gan.steps) is the length of the whole run for every
-preset; the pipeline preset also needs --phase1-steps (train.phase1_steps),
-the steps its first phase takes, and every other preset rejects it. Every
+other values. train needs --steps (gan.steps), the length of the whole run
+for every preset; the pipeline preset also needs --phase1-steps
+(train.phase1_steps), the steps its first phase takes, and every other
+preset rejects it. The config classes check their own fields. Every
 preset takes --resume, and with it the checkpoint's seed unless one is
 given. No output path may resolve to another output or to an input
 (_check_paths).
@@ -258,6 +259,8 @@ def _cmd_train(args) -> int:
                  in_place={("checkpoint", "resumed checkpoint")})
     config = _load_config(args.config)
     gan_section = _apply_preset(_section(config, "gan", args, ("steps",)), args.preset)
+    if "steps" not in gan_section:
+        raise UsageError("--steps (gan.steps): needed to train")
     phases = _section(config, "train", args, ("phase1_steps",))
     _only(phases, "train", ("phase1_steps",))
     pipeline = args.preset == PIPELINE_PRESET

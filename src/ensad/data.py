@@ -388,15 +388,6 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     return Dataset(ids=ids, rows=rows, images=images)
 
 
-def _noise_proportions(p0: float, pt: float, width: int):
-    """The mixing proportion of each of an item's ``width`` rows (p0 on the
-    source, pt on the translations), and which of them are nonzero."""
-    if not 0.0 <= p0 <= 1.0 or not 0.0 <= pt <= 1.0:
-        raise ValueError("noise proportions must lie in [0, 1]")
-    p = np.array([p0] + [pt] * (width - 1))
-    return p, p != 0.0
-
-
 def _mix_noise(h: np.ndarray, p: np.ndarray, noisy: np.ndarray, g: np.ndarray) -> None:
     """Noise augmentation in place on the (n, m+1, d) batch ``h``: each row
     where ``noisy`` holds becomes l2n((1-p)h + p l2n(g)), ``g`` (n, k, d)
@@ -437,12 +428,13 @@ def step_batches(ds: Dataset, batch: int, p0: float, pt: float, d_z: int,
     gather, their augmentation from one noise mix. After each yield the
     stream stands where the per-step calls would leave it, start + s * W
     after s steps, so a caller can read where a step's draws start.
+
+    GanConfig checks ``p0``, ``pt`` and ``d_z``; only ``batch`` is checked here.
     """
     if not 1 <= batch <= len(ds):
         raise ValueError(f"batch size {batch} out of range [1, {len(ds)}]")
-    if d_z < 1:
-        raise ValueError("sample count must be positive")
-    p, noisy = _noise_proportions(p0, pt, ds.m + 1)
+    p = np.array([p0] + [pt] * ds.m)  # each row's mixing proportion
+    noisy = p != 0.0
     n, d = batch, ds.d
     k = int(np.count_nonzero(noisy))
     wd, wz = 2 * ((d + 1) // 2), 2 * ((d_z + 1) // 2)

@@ -92,9 +92,14 @@ class GanConfig:
             raise ValueError("disc_hidden: expected at least one hidden layer, got ()")
         unknown = self.trainable - set(TRAINABLE_COMPONENTS)
         if unknown:
-            raise ValueError(f"unknown trainable components {sorted(unknown)}")
+            raise ValueError(
+                f"trainable: expected a subset of {TRAINABLE_COMPONENTS}, got {sorted(unknown)}")
         if self.conditioning not in STRATEGIES:
-            raise ValueError(f"unknown conditioning mode {self.conditioning!r}")
+            raise ValueError(f"conditioning: expected one of {STRATEGIES}, "
+                             f"got {self.conditioning!r}")
+        if "ensad" in self.trainable and self.conditioning != "ensad":
+            raise ValueError("conditioning: training the adapter requires 'ensad', "
+                             f"got {self.conditioning!r}")
 
 
 def _mlp_specs(prefix: str, sizes: list) -> dict:
@@ -224,13 +229,11 @@ def loss_adv_disc(logits_real: np.ndarray, logits_fake: np.ndarray) -> float:
 
 
 def _feature_matrix(feats, name: str) -> np.ndarray:
-    arr = np.asarray(feats, dtype=np.float64)
+    arr = as_f64(feats, name)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError(f"{name} must be a nonempty list of equal-length vectors")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
@@ -392,60 +395,29 @@ def _field(path: str):
         raise ValueError(f"checkpoint field {path!r}: {exc}") from exc
 
 
-def _meta_to_jsonable(ck: Checkpoint) -> dict:
-    """The fields a checkpoint's header stores as JSON: configs, rng, step."""
-    return {
-        "configs": {
-            "adapter": _cfg_to_jsonable(ck.ensad_cfg),
-            "gan": _cfg_to_jsonable(ck.gan_cfg),
-        },
-        "rng": {
-            "algorithm": SeededRng.ALGORITHM,
-            "seed": ck.rng_seed,
-            "position": ck.rng_position,
-        },
-        "step": ck.step,
-    }
-
-
-def _meta_from_jsonable(obj: dict) -> dict:
-    """Parse what :func:`_meta_to_jsonable` writes, as Checkpoint keyword
-    arguments."""
-    with _field("configs.adapter"):
-        ensad_cfg = EnsAdConfig(**obj["configs"]["adapter"])
-    with _field("configs.gan"):
-        gan_cfg = GanConfig(**obj["configs"]["gan"])
-    with _field("rng.algorithm"):
-        if obj["rng"]["algorithm"] != SeededRng.ALGORITHM:
-            raise ValueError(f"unknown rng algorithm {obj['rng']['algorithm']!r}")
-    with _field("rng.seed"):
-        rng_seed = json_uint(obj["rng"]["seed"])
-    with _field("rng.position"):
-        rng_position = json_uint(obj["rng"]["position"])
-    with _field("step"):
-        step = json_uint(obj["step"])
-    return dict(ensad_cfg=ensad_cfg, gan_cfg=gan_cfg, rng_seed=rng_seed,
-                rng_position=rng_position, step=step)
-
-
-def _adam_state(st: AdamState, specs: dict) -> AdamState:
-    """``st`` checked against ``specs``, ``{comp: spec}`` for the trained
-    components: each one's moments of the spec's shapes and finite, ``v``
-    nonnegative, and ``t`` an integer. Returns it with ``t`` as an int."""
-    for comp, spec in specs.items():
+def _check_state(ck: Checkpoint, shapes: dict) -> None:
+    """Raise ValueError naming the field, ``params.<component>`` or
+    ``adam.<component>``, unless ``ck``'s parameters are of ``shapes``,
+    ``{comp: spec}``, and finite, and so are the Adam moments of the
+    components its config trains, with ``v`` nonnegative."""
+    with _field("params"):
+        if list(ck.params) != list(TRAINABLE_COMPONENTS):
+            raise ValueError(f"components {list(ck.params)}, expected {list(TRAINABLE_COMPONENTS)}")
+    for comp, tree in ck.params.items():
+        with _field(f"params.{comp}"):
+            check_tensors(tree, shapes[comp])
+    for comp in _trained(ck.gan_cfg):
         with _field(f"adam.{comp}"):
-            check_tensors(st.m[comp], spec, "m")
-            check_tensors(st.v[comp], spec, "v")
-            if any(np.any(x < 0) for x in st.v[comp].values()):
+            check_tensors(ck.adam.m[comp], shapes[comp], "m")
+            check_tensors(ck.adam.v[comp], shapes[comp], "v")
+            if any(np.any(x < 0) for x in ck.adam.v[comp].values()):
                 raise ValueError("v contains negative entries")
-    with _field("adam"):
-        return AdamState(st.m, st.v, json_uint(st.t))
 
 
 # Checkpoint format 2, the one on-disk checkpoint, is an uncompressed
 # np.savez archive of exactly two members:
 #   header   the UTF-8 bytes of a JSON object, as a uint8 vector: "version"
-#            (2), "configs", "rng" and "step" as _meta_to_jsonable writes
+#            (2), "configs", "rng" and "step" as save_checkpoint writes
 #            them, and "adam", the Adam step count t under the name of
 #            each trainable component (one count, so all must be equal);
 #   tensors  one float64 vector: every parameter in param_shapes order,
@@ -502,8 +474,11 @@ def save_checkpoint(ck: Checkpoint, path: str) -> None:
     trees = [ck.params[comp] for comp in TRAINABLE_COMPONENTS] + [
         moments[comp] for comp in trained for moments in (ck.adam.m, ck.adam.v)]
     tensors = _flatten(trees, _flat_specs(param_shapes(ck.ensad_cfg, ck.gan_cfg), trained))
-    header = json.dumps({"version": 2, **_meta_to_jsonable(ck),
-                         "adam": {comp: ck.adam.t for comp in trained}}, sort_keys=True)
+    header = json.dumps({
+        "version": 2, "step": ck.step, "adam": {comp: ck.adam.t for comp in trained},
+        "configs": {"adapter": _cfg_to_jsonable(ck.ensad_cfg), "gan": _cfg_to_jsonable(ck.gan_cfg)},
+        "rng": {"algorithm": SeededRng.ALGORITHM, "seed": ck.rng_seed, "position": ck.rng_position},
+    }, sort_keys=True)
     with atomic_write(path) as fh:  # to a path, np.savez would append ".npz"
         np.savez(fh, header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
                  tensors=tensors)
@@ -526,14 +501,32 @@ def _checkpoint_from_archive(fh, path: str) -> Checkpoint:
         # a JSON integer: 2.0 equals 2 but is not a version
         if type(obj["version"]) is not int or obj["version"] != 2:
             raise ValueError(f"unsupported checkpoint version {obj['version']!r}")
-    meta = _meta_from_jsonable(obj)
-    trained = _trained(meta["gan_cfg"])
+    with _field("configs.adapter"):
+        ensad_cfg = EnsAdConfig(**obj["configs"]["adapter"])
+    with _field("configs.gan"):
+        gan_cfg = GanConfig(**obj["configs"]["gan"])
+    with _field("rng.algorithm"):
+        if obj["rng"]["algorithm"] != SeededRng.ALGORITHM:
+            raise ValueError(f"unknown rng algorithm {obj['rng']['algorithm']!r}")
+    with _field("rng.seed"):
+        rng_seed = json_uint(obj["rng"]["seed"])
+    with _field("rng.position"):
+        rng_position = json_uint(obj["rng"]["position"])
+    with _field("step"):
+        step = json_uint(obj["step"])
+    trained = _trained(gan_cfg)
     with _field("adam"):
         steps = dict(obj["adam"])
         if sorted(steps) != sorted(trained):
             raise ValueError(f"optimizer state for {sorted(steps)}, expected the "
                              f"trainable {sorted(trained)}")
-    shapes = param_shapes(meta["ensad_cfg"], meta["gan_cfg"])
+    for comp in trained:
+        with _field(f"adam.{comp}"):
+            steps[comp] = json_uint(steps[comp])
+    with _field("adam"):
+        if len(set(steps.values())) > 1:
+            raise ValueError(f"step counts differ: {steps}")
+    shapes = param_shapes(ensad_cfg, gan_cfg)
     specs = _flat_specs(shapes, trained)
     size = sum(math.prod(s.shape) for spec in specs.values() for s in spec.values())
     with _field("tensors"):
@@ -543,21 +536,13 @@ def _checkpoint_from_archive(fh, path: str) -> Checkpoint:
     # a fresh array per tensor, not a view into the vector, as train's
     # returned checkpoints hold them
     trees = list(map_tensors(np.copy, _views(tensors, specs)).values())
-    params = dict(zip(TRAINABLE_COMPONENTS, trees))
-    for comp, tree in params.items():
-        with _field(f"params.{comp}"):
-            check_tensors(tree, shapes[comp])
-    for comp in trained:
-        with _field(f"adam.{comp}"):
-            steps[comp] = json_uint(steps[comp])
-    with _field("adam"):
-        if len(set(steps.values())) > 1:
-            raise ValueError(f"step counts differ: {steps}")
     moments = trees[len(TRAINABLE_COMPONENTS):]
-    adam = AdamState(dict(zip(trained, moments[0::2])), dict(zip(trained, moments[1::2])),
-                     max(steps.values(), default=0))
-    return Checkpoint(params=params, adam=_adam_state(adam, {c: shapes[c] for c in trained}),
-                      **meta)
+    ck = Checkpoint(ensad_cfg, gan_cfg, dict(zip(TRAINABLE_COMPONENTS, trees)),
+                    AdamState(dict(zip(trained, moments[0::2])),
+                              dict(zip(trained, moments[1::2])), max(steps.values(), default=0)),
+                    rng_seed, rng_position, step)
+    _check_state(ck, shapes)
+    return ck
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -716,8 +701,7 @@ def train(
     synthesize one fake per item, evaluate both totals on the same fakes,
     then update the adapter and/or generator against the frozen
     discriminator, then the discriminator with everything else held
-    constant. Components outside gan_cfg.trainable are
-    never touched.
+    constant. Components outside gan_cfg.trainable are never touched.
 
     ``resume`` continues a checkpoint bit-exactly to gan_cfg.steps, which
     may not lie below its step; every other config field must match;
@@ -729,11 +713,6 @@ def train(
     or goes invalid, or a loss or a trained gradient is non-finite.
     """
     check_dataset(ds, ensad_cfg, gan_cfg)
-    if "ensad" in gan_cfg.trainable and gan_cfg.conditioning != "ensad":
-        raise ValueError(
-            "training the adapter requires conditioning='ensad' "
-            f"(got {gan_cfg.conditioning!r})"
-        )
     if resume is not None and init_from is not None:
         raise ValueError("resume and init_from are mutually exclusive")
 
@@ -754,11 +733,14 @@ def train(
         if resume.rng_seed != seed:
             raise ValueError(f"resume checkpoint was created with seed {resume.rng_seed}, "
                              f"not {seed}")
-        check_tensors(resume.params, shapes)
+        _check_state(resume, shapes)
+        with _field("adam"):
+            t = json_uint(resume.adam.t)
         source = resume.params
         rng = SeededRng(resume.rng_seed, resume.rng_position)
         start_step = resume.step
     else:
+        t = 0
         rng = SeededRng(seed)
         if init_from is not None:
             check_tensors(init_from, shapes)
@@ -778,10 +760,8 @@ def train(
     params = _views(flat, layout)
     params = {comp: params[comp] for comp in TRAINABLE_COMPONENTS}
     size = sum(x.size for comp in trained for x in params[comp].values())
-    m, v, t = np.zeros(size), np.zeros(size), 0
-    if resume is not None:
-        st = _adam_state(resume.adam, specs)
-        m, v, t = _flatten(st.m, specs), _flatten(st.v, specs), st.t
+    m, v = ((_flatten(resume.adam.m, specs), _flatten(resume.adam.v, specs)) if resume
+            else (np.zeros(size), np.zeros(size)))
     grad = np.empty(size)
     moments = _views(m, specs), _views(v, specs)
 

@@ -268,5 +268,5 @@ def check_tensors(tree: dict, spec: dict, path: str = "") -> None:
             check_tensors(tree[name], s, where)
         elif np.shape(tree[name]) != s.shape:
             raise ValueError(f"{where} has shape {np.shape(tree[name])}, expected {s.shape}")
-        elif not np.all(np.isfinite(tree[name])):
-            raise ValueError(f"{where} contains non-finite entries")
+        else:
+            as_f64(tree[name], where)

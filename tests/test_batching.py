@@ -14,8 +14,7 @@ import pytest
 from ensad import numkit
 from ensad.adapter import EnsAdConfig, backward, backward_batch, forward, init_params
 from ensad.data import (
-    SyntheticSpec, _fisher_yates, _mix_noise, _noise_proportions, generate_synthetic,
-    step_batches,
+    SyntheticSpec, _fisher_yates, _mix_noise, generate_synthetic, step_batches,
 )
 from ensad.gan import GanConfig, param_shapes, step_losses_and_grads
 from ensad.numkit import SeededRng, init_tensors, l2_normalize
@@ -40,7 +39,8 @@ def augment_rows(
     bit-exact and consumes no words for them.
     """
     n, width, d = h.shape
-    p, noisy = _noise_proportions(p0, pt, width)
+    p = np.array([p0] + [pt] * (width - 1))
+    noisy = p != 0.0
     out = h.copy()
     k = int(np.count_nonzero(noisy))
     if k:
@@ -300,10 +300,9 @@ def test_step_batches_match_per_step_draws(d, d_z, p0, pt, per_block, monkeypatc
 
 
 def test_step_batches_check_their_arguments():
+    # the noise proportions and d_z are GanConfig's to check
     ds = generate_synthetic(SyntheticSpec(n_items=5, d=3, m=2, d_img=2))
-    for bad in [dict(batch=0), dict(batch=6), dict(p0=1.5), dict(pt=-0.1), dict(d_z=0)]:
-        args = {"batch": 2, "p0": 0.1, "pt": 0.0, "d_z": 2, **bad}
-        with pytest.raises(ValueError):
-            next(step_batches(ds, args["batch"], args["p0"], args["pt"], args["d_z"],
-                              SeededRng(0), 3))
+    for batch in (0, 6):
+        with pytest.raises(ValueError, match=f"batch size {batch} out of range"):
+            next(step_batches(ds, batch, 0.1, 0.0, 2, SeededRng(0), 3))
     assert list(step_batches(ds, 2, 0.1, 0.0, 2, SeededRng(0), 0)) == []

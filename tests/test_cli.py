@@ -597,8 +597,13 @@ FORMAT2_CASES = {
     "missing_step": (_header(lambda h: h.pop("step")), "step"),
     "negative_rng_position": (_header(lambda h: h["rng"].update(position=-3)),
                               "rng.position"),
+    "unknown_rng_algorithm": (_header(lambda h: h["rng"].update(algorithm="mt19937")),
+                              "rng.algorithm"),
     "unknown_gan_key": (_header(lambda h: h["configs"]["gan"].update(width=3)),
                         "configs.gan"),
+    # the golden checkpoint trains the adapter
+    "adapter_without_ensad_conditioning": (
+        _header(lambda h: h["configs"]["gan"].update(conditioning="zero_shot")), "configs.gan"),
     "missing_adam_component": (_header(lambda h: h["adam"].pop("generator")), "adam"),
     "negative_adam_t": (_header(lambda h: h["adam"].update(ensad=-1)), "adam.ensad"),
     "unequal_adam_t": (_header(_raise_generator_t), "adam"),
@@ -760,11 +765,12 @@ def test_resume_rejects_a_float_header_field_beyond_the_float_range(
     ("gan", "beta2", -0.1, "a finite number in [0, 1)"),
     ("gan", "noise_p0", 1.5, "a finite number in [0, 1]"),
     ("gan", "noise_pt", -0.01, "a finite number in [0, 1]"),
+    ("gan", "d_z", 0, "an integer in [1, 2**64)"),
     ("adapter", "alpha", 1.5, "a finite number in [0, 1]"),
     ("synth", "sigma_source", -0.1, "a finite number in [0, inf)"),
     ("synth", "sigma_trans", -1, "a finite number in [0, inf)"),
 ], ids=["disc_hidden", "tau", "lambda1", "lambda2", "lr", "beta1", "beta2", "noise_p0",
-        "noise_pt", "alpha", "sigma_source", "sigma_trans"])
+        "noise_pt", "d_z", "alpha", "sigma_source", "sigma_trans"])
 def test_out_of_range_config_fields_rejected(dataset_path, tmp_path, capsys, section, field,
                                              value, expected):
     cfg = tmp_path / "cfg.json"
@@ -778,6 +784,61 @@ def test_out_of_range_config_fields_rejected(dataset_path, tmp_path, capsys, sec
     assert (f"error: bad {section} config: {field}: expected {expected}, got {shown!r}\n"
             == capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("gan, expected", [
+    ({"trainable": ["ensad", "x"]},
+     "trainable: expected a subset of ('ensad', 'generator', 'discriminator'), got ['x']"),
+    ({"conditioning": "x"}, "conditioning: expected one of ('ensad', 'zero_shot', "
+     "'translate_test', 'mean_pool'), got 'x'"),
+    ({"conditioning": "zero_shot"},
+     "conditioning: training the adapter requires 'ensad', got 'zero_shot'"),
+], ids=["trainable_unknown", "conditioning_unknown", "adapter_without_ensad"])
+def test_gan_config_membership_rules_rejected(dataset_path, tmp_path, capsys, gan, expected):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gan": {**gan, "steps": 3}}))
+    rc = main(["train", "--data", str(dataset_path), "--out", str(tmp_path / "out.npz"),
+               "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: bad gan config: {expected}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("extra", [[], ["--preset", "ensad_plus_finetune_g",
+                                        "--phase1-steps", "2"]], ids=["train", "pipeline"])
+def test_train_requires_a_run_length(dataset_path, ckpt_path, tmp_path, capsys, monkeypatch,
+                                     extra):
+    def fail(*args, **kwargs):
+        raise AssertionError("an input was read")
+    monkeypatch.setattr("ensad.cli.load_jsonl", fail)
+    monkeypatch.setattr("ensad.cli.load_checkpoint", fail)
+    rc = main(["train", "--data", str(dataset_path), "--out", str(tmp_path / "out.npz"),
+               "--resume", str(ckpt_path), *extra])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --steps (gan.steps): needed to train\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unreadable_config_rejected(tmp_path, capsys, where):
+    cfg = tmp_path / "cfg.json"
+    if where == "directory":
+        cfg.mkdir()
+    rc = main(["synth", "--out", str(tmp_path / "out.jsonl"), "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {cfg}: ")
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_train_rejects_a_dataset_line_that_is_not_an_object(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    header = (GOLDEN / "data.jsonl").read_text().splitlines()[0]
+    data.write_text(header + "\n[1, 2]\n")
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "out.npz"),
+               "--steps", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: line 2: expected a JSON object\n"
+    assert list(tmp_path.iterdir()) == [data]
 
 
 def test_synth_rejects_a_nan_sigma(tmp_path, capsys):
@@ -894,12 +955,12 @@ def test_resume_rejects_unequal_adam_step_counts(dataset_path, train_config, tmp
 
 @pytest.mark.parametrize("command, config, field", [
     ("train", {"gan": {"steps": 3.5}}, "steps"),
-    ("train", {"gan": {"batch": 4.5}}, "batch"),
-    ("train", {"adapter": {"d_hid": 4.5}}, "d_hid"),
-    ("train", {"gan": {"gen_hidden": [8.7]}}, "gen_hidden"),
-    ("train", {"seed": True}, "seed"),
+    ("train", {"gan": {"batch": 4.5, "steps": 3}}, "batch"),
+    ("train", {"adapter": {"d_hid": 4.5}, "gan": {"steps": 3}}, "d_hid"),
+    ("train", {"gan": {"gen_hidden": [8.7], "steps": 3}}, "gen_hidden"),
+    ("train", {"seed": True, "gan": {"steps": 3}}, "seed"),
     ("train", {"gan": {"steps": True}}, "steps"),
-    ("pipeline", {"train": {"phase1_steps": 2.9}}, "phase1_steps"),
+    ("pipeline", {"train": {"phase1_steps": 2.9}, "gan": {"steps": 3}}, "phase1_steps"),
     ("eval", {"eval": {"n_gen": 9.5}}, "n_gen"),
     ("eval", {"eval": {"n_gen": "12"}}, "n_gen"),
     ("synth", {"synth": {"n_items": 3.0, "d": 6, "m": 2, "d_img": 5}}, "n_items"),

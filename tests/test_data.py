@@ -259,6 +259,14 @@ def test_load_reports_item_line_number(tmp_path):
             load_jsonl(path)
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_load_reads_other_line_endings_as_lf(tmp_path, newline):
+    lf = GOLDEN / "data.jsonl"
+    other = tmp_path / "data.jsonl"
+    other.write_bytes(lf.read_bytes().replace(b"\n", newline.encode()))
+    assert same_dataset(load_jsonl(str(other)), load_jsonl(str(lf)))
+
+
 def test_load_rejects_wrong_translation_count(tmp_path):
     bad = json.dumps({"id": "a", "h0": [1.0, 0.0],
                       "translations": [[0.0, 1.0], [1.0, 0.0]],

@@ -364,12 +364,53 @@ def test_frozen_components_bitwise_unchanged():
 
 
 def test_train_requires_ensad_conditioning_for_adapter():
+    # GanConfig holds the rule, so no config that breaks it reaches train;
+    # the default trainable set includes the adapter
+    with pytest.raises(ValueError, match="^conditioning: training the adapter requires "
+                       "'ensad', got 'zero_shot'$"):
+        GanConfig(d=4, conditioning="zero_shot")
+
+
+def test_init_from_and_resume_check_tensor_names_and_shapes():
     ds = toy_dataset()
     ecfg, gcfg, _, _, _ = toy_setup()
-    bad = replace(gcfg, steps=1, trainable=frozenset({"ensad"}),
-                  conditioning="zero_shot")
-    with pytest.raises(ValueError):
-        train(ds, ecfg, bad, 0)
+    ck = train(ds, ecfg, replace(gcfg, steps=1), 0)
+    gen = ck.params["generator"]
+    missing = {**ck.params, "generator": {k: a for k, a in gen.items() if k != "gen_b.0"}}
+    with pytest.raises(ValueError, match=r"^generator: names \['gen_w.0', 'gen_w.1'"):
+        train(ds, ecfg, gcfg, 0, init_from=missing)
+    misshapen = {**ck.params, "generator": {**gen, "gen_w.0": gen["gen_w.0"][:, 1:]}}
+    with pytest.raises(ValueError, match=r"^generator.gen_w.0 has shape \(8, 9\), "
+                       r"expected \(8, 10\)$"):
+        train(ds, ecfg, gcfg, 0, init_from=misshapen)
+    with pytest.raises(ValueError, match=r"^checkpoint field 'params.generator': gen_w.0 has "
+                       r"shape \(8, 9\), expected \(8, 10\)$"):
+        train(ds, ecfg, replace(gcfg, steps=2), 0, resume=replace(ck, params=misshapen))
+    with pytest.raises(ValueError, match=r"^checkpoint field 'params': components \['ensad', "
+                       r"'generator', 'discriminator', 'x'\], expected"):
+        train(ds, ecfg, replace(gcfg, steps=2), 0, resume=replace(ck, params={**ck.params, "x": {}}))
+    with pytest.raises(ValueError, match="^resume and init_from are mutually exclusive$"):
+        train(ds, ecfg, replace(gcfg, steps=2), 0, resume=ck, init_from=ck.params)
+
+
+@pytest.mark.parametrize("where", ["params", "adam"])
+def test_load_and_resume_name_a_bad_tensor_alike(tmp_path, where):
+    # one check serves both readers of a checkpoint; save_checkpoint writes
+    # what it is given without checking it
+    ds = toy_dataset()
+    ecfg, gcfg, _, _, _ = toy_setup()
+    ck = train(ds, ecfg, replace(gcfg, steps=2), 0)
+    tree = ck.params["ensad"] if where == "params" else ck.adam.m["ensad"]
+    tree["wq"][0, 0] = np.nan
+    path = str(tmp_path / "bad.npz")
+    save_checkpoint(ck, path)
+    with pytest.raises(ValueError) as loaded:
+        load_checkpoint(path)
+    with pytest.raises(ValueError) as resumed:
+        train(ds, ecfg, replace(gcfg, steps=3), 0, resume=ck)
+    name = "wq" if where == "params" else "m.wq"
+    assert (str(loaded.value) == str(resumed.value)
+            == f"checkpoint field '{where}.ensad': {name} contains non-finite entries")
 
 
 def test_train_validates_dataset_dims():

@@ -56,3 +56,27 @@ def test_every_src_definition_has_a_program_caller():
                for qualified, name in definitions(tree).items()}
     unused = [key for key, name in defined.items() if name not in used and not is_dunder(name)]
     assert not unused, f"defined in src/ensad but named by no program code: {unused}"
+
+
+def message(node: ast.expr) -> str:
+    """A raised message's literal text, each field or computed part as ``{}``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(message(part) for part in node.values)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return message(node.left) + message(node.right)
+    return "{}"
+
+
+def test_each_error_message_is_raised_in_one_place():
+    raised = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and node.exc.args):
+                text = message(node.exc.args[0])
+                raised.setdefault(text, []).append(f"{path.name}:{node.lineno}")
+    repeated = {text: where for text, where in raised.items()
+                if len(where) > 1 and text.replace("{}", "").strip()}
+    assert not repeated, f"messages raised from more than one place: {repeated}"
