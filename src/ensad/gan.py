@@ -475,9 +475,18 @@ def save_checkpoint(ck: Checkpoint, path: str) -> None:
         moments[comp] for comp in trained for moments in (ck.adam.m, ck.adam.v)]
     tensors = _flatten(trees, _flat_specs(param_shapes(ck.ensad_cfg, ck.gan_cfg), trained))
     header = json.dumps({
-        "version": 2, "step": ck.step, "adam": {comp: ck.adam.t for comp in trained},
-        "configs": {"adapter": _cfg_to_jsonable(ck.ensad_cfg), "gan": _cfg_to_jsonable(ck.gan_cfg)},
-        "rng": {"algorithm": SeededRng.ALGORITHM, "seed": ck.rng_seed, "position": ck.rng_position},
+        "version": 2,
+        "configs": {
+            "adapter": _cfg_to_jsonable(ck.ensad_cfg),
+            "gan": _cfg_to_jsonable(ck.gan_cfg),
+        },
+        "rng": {
+            "algorithm": SeededRng.ALGORITHM,
+            "seed": ck.rng_seed,
+            "position": ck.rng_position,
+        },
+        "step": ck.step,
+        "adam": {comp: ck.adam.t for comp in trained},
     }, sort_keys=True)
     with atomic_write(path) as fh:  # to a path, np.savez would append ".npz"
         np.savez(fh, header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
@@ -537,10 +546,19 @@ def _checkpoint_from_archive(fh, path: str) -> Checkpoint:
     # returned checkpoints hold them
     trees = list(map_tensors(np.copy, _views(tensors, specs)).values())
     moments = trees[len(TRAINABLE_COMPONENTS):]
-    ck = Checkpoint(ensad_cfg, gan_cfg, dict(zip(TRAINABLE_COMPONENTS, trees)),
-                    AdamState(dict(zip(trained, moments[0::2])),
-                              dict(zip(trained, moments[1::2])), max(steps.values(), default=0)),
-                    rng_seed, rng_position, step)
+    ck = Checkpoint(
+        ensad_cfg=ensad_cfg,
+        gan_cfg=gan_cfg,
+        params=dict(zip(TRAINABLE_COMPONENTS, trees)),
+        adam=AdamState(
+            m=dict(zip(trained, moments[0::2])),
+            v=dict(zip(trained, moments[1::2])),
+            t=max(steps.values(), default=0),
+        ),
+        rng_seed=rng_seed,
+        rng_position=rng_position,
+        step=step,
+    )
     _check_state(ck, shapes)
     return ck
 
@@ -760,8 +778,9 @@ def train(
     params = _views(flat, layout)
     params = {comp: params[comp] for comp in TRAINABLE_COMPONENTS}
     size = sum(x.size for comp in trained for x in params[comp].values())
-    m, v = ((_flatten(resume.adam.m, specs), _flatten(resume.adam.v, specs)) if resume
-            else (np.zeros(size), np.zeros(size)))
+    m, v = np.zeros(size), np.zeros(size)
+    if resume is not None:
+        m, v = _flatten(resume.adam.m, specs), _flatten(resume.adam.v, specs)
     grad = np.empty(size)
     moments = _views(m, specs), _views(v, specs)
 

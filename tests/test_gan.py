@@ -363,8 +363,7 @@ def test_frozen_components_bitwise_unchanged():
         assert np.array_equal(a, b)
 
 
-def test_train_requires_ensad_conditioning_for_adapter():
-    # GanConfig holds the rule, so no config that breaks it reaches train;
+def test_gan_config_requires_ensad_conditioning_for_adapter():
     # the default trainable set includes the adapter
     with pytest.raises(ValueError, match="^conditioning: training the adapter requires "
                        "'ensad', got 'zero_shot'$"):
