@@ -18,8 +18,8 @@ import json
 import math
 import tokenize
 import zipfile
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -373,13 +373,17 @@ class TrainingDiverged(RuntimeError):
 
 
 def _cfg_to_jsonable(cfg) -> dict:
-    """A config dataclass as JSON values: sets sorted, tuples as lists."""
-    obj = asdict(cfg)
-    for key, value in obj.items():
+    """A config dataclass as JSON values: sets sorted, tuples as lists. The
+    fields hold scalars, tuples of them and sets of strings, so a shallow
+    walk suffices where ``dataclasses.asdict`` would deep-copy each value."""
+    obj = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
         if isinstance(value, frozenset):
-            obj[key] = sorted(value)
+            value = sorted(value)
         elif isinstance(value, tuple):
-            obj[key] = list(value)
+            value = list(value)
+        obj[f.name] = value
     return obj
 
 
@@ -395,11 +399,12 @@ def _field(path: str):
         raise ValueError(f"checkpoint field {path!r}: {exc}") from exc
 
 
-def _check_state(ck: Checkpoint, shapes: dict) -> None:
-    """Raise ValueError naming the field, ``params.<component>`` or
-    ``adam.<component>``, unless ``ck``'s parameters are of ``shapes``,
-    ``{comp: spec}``, and finite, and so are the Adam moments of the
-    components its config trains, with ``v`` nonnegative."""
+def _check_trees(ck: Checkpoint, shapes: dict) -> None:
+    """Raise ValueError naming the field, ``params``, ``params.<component>``
+    or ``adam.<component>``, unless ``ck``'s parameters, and the Adam moments
+    of the components its config trains, hold the tensors of ``shapes``,
+    ``{comp: spec}``: their names in order, and their shapes. Reads no
+    values; :func:`_check_state` checks those."""
     with _field("params"):
         if list(ck.params) != list(TRAINABLE_COMPONENTS):
             raise ValueError(f"components {list(ck.params)}, expected {list(TRAINABLE_COMPONENTS)}")
@@ -410,7 +415,40 @@ def _check_state(ck: Checkpoint, shapes: dict) -> None:
         with _field(f"adam.{comp}"):
             check_tensors(ck.adam.m[comp], shapes[comp], "m")
             check_tensors(ck.adam.v[comp], shapes[comp], "v")
-            if any(np.any(x < 0) for x in ck.adam.v[comp].values()):
+
+
+def _state_blocks(shapes: dict, trained: list, segments) -> list:
+    """:func:`_check_state`'s blocks for a checkpoint's tensors, given the
+    segments that hold them in format 2's order (see :func:`_flat_specs`):
+    each component's parameters, then the ``m`` and ``v`` moments of each
+    trained component. Faults are named in that order too."""
+    where = [(f"params.{comp}", "", comp) for comp in TRAINABLE_COMPONENTS] + [
+        (f"adam.{comp}", f"{k}.", comp) for comp in trained for k in "mv"]
+    return [(field_, prefix, shapes[comp], seg)
+            for (field_, prefix, comp), seg in zip(where, segments)]
+
+
+def _check_state(vectors: list, blocks: list) -> None:
+    """Raise ValueError naming the first bad tensor of ``blocks`` unless the
+    flat ``vectors`` that hold them are finite and every ``v`` block is
+    nonnegative: one pass over each vector and each ``v`` block, none per
+    tensor. ``blocks`` are ``(field, prefix, spec, segment)`` in the order to
+    name faults in: ``segment`` is the part of a vector laid out as the
+    ``{name: TensorSpec}`` mapping ``spec`` (see :func:`_flatten`), and a
+    fault names the checkpoint ``field`` (unless None) and the tensor's name
+    after ``prefix``, which is ``"v."`` for the second Adam moments."""
+    if all(np.isfinite(vec).all() for vec in vectors) and not any(
+            (seg < 0).any() for _, prefix, _, seg in blocks if prefix == "v."):
+        return
+    for where, prefix, spec, seg in blocks:
+        with _field(where) if where else nullcontext():
+            bad = np.flatnonzero(~np.isfinite(seg))
+            end = 0
+            for name, s in spec.items():
+                start, end = end, end + math.prod(s.shape)
+                if bad.size and bad[0] < end:  # the tensor of the first bad entry
+                    as_f64(seg[start:end], prefix + name)
+            if prefix == "v." and (seg < 0).any():
                 raise ValueError("v contains negative entries")
 
 
@@ -453,6 +491,17 @@ def _flatten(trees, specs: dict, out=None) -> np.ndarray:
     arrays = [trees[key][name] for key, spec in specs.items() for name in spec]
     return np.concatenate(arrays or [np.empty(0)], axis=None, out=out,
                           dtype=np.float64 if out is None else None)
+
+
+def _segments(vec: np.ndarray, specs: dict) -> dict:
+    """The part of the flat vector ``vec`` that holds each key of the
+    ``{key: {name: TensorSpec}}`` mapping ``specs``, as :func:`_flatten`
+    lays them out: ``{key: 1-D view}``."""
+    segments, end = {}, 0
+    for key, spec in specs.items():
+        start, end = end, end + sum(math.prod(s.shape) for s in spec.values())
+        segments[key] = vec[start:end]
+    return segments
 
 
 def _views(vec: np.ndarray, specs: dict) -> dict:
@@ -542,6 +591,8 @@ def _checkpoint_from_archive(fh, path: str) -> Checkpoint:
         if tensors.dtype != np.float64 or tensors.shape != (size,):
             raise ValueError(f"expected {size} float64 values, got "
                              f"{tensors.dtype} {tensors.shape}")
+    # names and shapes hold by construction; the values are checked here
+    _check_state([tensors], _state_blocks(shapes, trained, _segments(tensors, specs).values()))
     # a fresh array per tensor, not a view into the vector, as train's
     # returned checkpoints hold them
     trees = list(map_tensors(np.copy, _views(tensors, specs)).values())
@@ -559,7 +610,6 @@ def _checkpoint_from_archive(fh, path: str) -> Checkpoint:
         rng_position=rng_position,
         step=step,
     )
-    _check_state(ck, shapes)
     return ck
 
 
@@ -751,7 +801,7 @@ def train(
         if resume.rng_seed != seed:
             raise ValueError(f"resume checkpoint was created with seed {resume.rng_seed}, "
                              f"not {seed}")
-        _check_state(resume, shapes)
+        _check_trees(resume, shapes)
         with _field("adam"):
             t = json_uint(resume.adam.t)
         source = resume.params
@@ -775,14 +825,24 @@ def train(
     specs = {comp: shapes[comp] for comp in trained}
     layout = {**specs, **shapes}  # the trained components first
     flat = _flatten(source, layout)
+    segments = _segments(flat, layout)
     params = _views(flat, layout)
     params = {comp: params[comp] for comp in TRAINABLE_COMPONENTS}
-    size = sum(x.size for comp in trained for x in params[comp].values())
+    size = sum(segments[comp].size for comp in trained)
     m, v = np.zeros(size), np.zeros(size)
     if resume is not None:
         m, v = _flatten(resume.adam.m, specs), _flatten(resume.adam.v, specs)
     grad = np.empty(size)
     moments = _views(m, specs), _views(v, specs)
+    # the values of a given state, checked in the vectors they now live in
+    if resume is not None:
+        ms, vs = _segments(m, specs), _segments(v, specs)
+        in_format_2 = [segments[comp] for comp in TRAINABLE_COMPONENTS] + [
+            x[comp] for comp in trained for x in (ms, vs)]
+        _check_state([flat, m, v], _state_blocks(shapes, trained, in_format_2))
+    elif init_from is not None:
+        _check_state([flat], [(None, f"{comp}.", shapes[comp], segments[comp])
+                              for comp in TRAINABLE_COMPONENTS])
 
     proxy = None
     if gan_cfg.enable_clg:

@@ -9,6 +9,9 @@ below which a vector counts as zero, is defined here for the whole package.
 Parameter sets are ordered ``{name: array}`` mappings, nested per component,
 described by matching ``{name: TensorSpec}`` mappings; :func:`init_tensors`,
 :func:`map_tensors` and :func:`check_tensors` initialize, copy and validate.
+Validation walks the structure (names, order, shapes) per tree; the values
+are checked once per flat vector the tensors are laid out in, which still
+names the first bad tensor (``gan._check_state``).
 """
 
 from __future__ import annotations
@@ -259,7 +262,8 @@ def map_tensors(fn, tree: dict) -> dict:
 
 def check_tensors(tree: dict, spec: dict, path: str = "") -> None:
     """Raise ValueError naming the first tensor of ``tree`` that is not
-    what ``spec`` says: names and their order, shapes, finite entries."""
+    what ``spec`` says: names and their order, shapes. Values are not read
+    here but once per flat vector (``gan._check_state``)."""
     if list(tree) != list(spec):
         raise ValueError(f"{path or 'tensors'}: names {list(tree)}, expected {list(spec)}")
     for name, s in spec.items():
@@ -268,5 +272,3 @@ def check_tensors(tree: dict, spec: dict, path: str = "") -> None:
             check_tensors(tree[name], s, where)
         elif np.shape(tree[name]) != s.shape:
             raise ValueError(f"{where} has shape {np.shape(tree[name])}, expected {s.shape}")
-        else:
-            as_f64(tree[name], where)

@@ -392,24 +392,127 @@ def test_init_from_and_resume_check_tensor_names_and_shapes():
         train(ds, ecfg, replace(gcfg, steps=2), 0, resume=ck, init_from=ck.params)
 
 
-@pytest.mark.parametrize("where", ["params", "adam"])
-def test_load_and_resume_name_a_bad_tensor_alike(tmp_path, where):
-    # one check serves both readers of a checkpoint; save_checkpoint writes
-    # what it is given without checking it
+# Where a single bad entry goes, per value: the first entry of a component's
+# first tensor, the last entry of a middle tensor, the first entry of its
+# last tensor, so that every fault sits at a tensor's edge in the flat vector.
+BAD_ENTRIES = [(np.nan, 0, 0), (np.inf, None, -1), (-np.inf, -1, 0)]
+
+
+def trained_everywhere():
+    """A toy dataset, its configs with every component trained, and a
+    2-step checkpoint, so every component has Adam moments."""
     ds = toy_dataset()
     ecfg, gcfg, _, _, _ = toy_setup()
-    ck = train(ds, ecfg, replace(gcfg, steps=2), 0)
-    tree = ck.params["ensad"] if where == "params" else ck.adam.m["ensad"]
-    tree["wq"][0, 0] = np.nan
+    gcfg = replace(gcfg, trainable=frozenset(TRAINABLE_COMPONENTS))
+    return ds, ecfg, gcfg, train(ds, ecfg, replace(gcfg, steps=2), 0)
+
+
+def tensors_of(ck, tree: str, comp: str) -> dict:
+    """``comp``'s tensors in ``ck``'s ``tree``: params, m or v."""
+    return ck.params[comp] if tree == "params" else getattr(ck.adam, tree)[comp]
+
+
+def load_and_resume_errors(tmp_path, ds, ecfg, gcfg, ck):
+    """The messages load_checkpoint (after a save) and train(resume=) give
+    for the checkpoint ``ck``, which must be rejected by both."""
     path = str(tmp_path / "bad.npz")
     save_checkpoint(ck, path)
     with pytest.raises(ValueError) as loaded:
         load_checkpoint(path)
     with pytest.raises(ValueError) as resumed:
+        train(ds, ecfg, replace(gcfg, steps=ck.step + 1), 0, resume=ck)
+    return str(loaded.value), str(resumed.value)
+
+
+@pytest.mark.parametrize("value,tensor,entry", BAD_ENTRIES)
+@pytest.mark.parametrize("tree", ["params", "m", "v"])
+@pytest.mark.parametrize("comp", TRAINABLE_COMPONENTS)
+def test_load_and_resume_name_a_bad_tensor_alike(tmp_path, comp, tree, value, tensor, entry):
+    # one check serves both readers of a checkpoint, and init_from names the
+    # same tensor without the checkpoint field; save_checkpoint writes what
+    # it is given without checking it
+    ds, ecfg, gcfg, ck = trained_everywhere()
+    tensors = tensors_of(ck, tree, comp)
+    names = list(tensors)
+    name = names[len(names) // 2 if tensor is None else tensor]
+    tensors[name].flat[entry] = value
+    field = f"params.{comp}" if tree == "params" else f"adam.{comp}"
+    prefix = "" if tree == "params" else f"{tree}."
+    want = f"checkpoint field '{field}': {prefix}{name} contains non-finite entries"
+    assert load_and_resume_errors(tmp_path, ds, ecfg, gcfg, ck) == (want, want)
+    if tree == "params":
+        with pytest.raises(ValueError) as init:
+            train(ds, ecfg, gcfg, 0, init_from=ck.params)
+        assert str(init.value) == f"{comp}.{name} contains non-finite entries"
+
+
+@pytest.mark.parametrize("comp", TRAINABLE_COMPONENTS)
+def test_load_and_resume_reject_a_negative_second_moment_alike(tmp_path, comp):
+    ds, ecfg, gcfg, ck = trained_everywhere()
+    tensors = ck.adam.v[comp]
+    tensors[list(tensors)[-1]].flat[-1] = -1e-300
+    want = f"checkpoint field 'adam.{comp}': v contains negative entries"
+    assert load_and_resume_errors(tmp_path, ds, ecfg, gcfg, ck) == (want, want)
+
+
+def corrupt(ck, *faults):
+    """``ck`` with ``value`` written to entry 0 of each ``(tree, comp, name,
+    value)`` of ``faults``; ``tree`` is params, m or v."""
+    for tree, comp, name, value in faults:
+        tensors_of(ck, tree, comp)[name].flat[0] = value
+    return ck
+
+
+@pytest.mark.parametrize("faults,named", [
+    # two bad tensors of one component: the first in its spec
+    ([("params", "generator", "gen_b.1", np.nan), ("params", "generator", "gen_w.0", np.inf)],
+     "checkpoint field 'params.generator': gen_w.0 contains non-finite entries"),
+    # every component's parameters before any Adam moment, and the
+    # parameters in component order, although train lays the trained
+    # discriminator out before the frozen generator
+    ([("m", "ensad", "wq", np.nan), ("params", "discriminator", "fd_w", np.nan),
+      ("params", "generator", "gen_w.1", np.nan)],
+     "checkpoint field 'params.generator': gen_w.1 contains non-finite entries"),
+    # per trained component, m, then v's finiteness, then v's sign
+    ([("v", "discriminator", "ds_b", np.nan), ("v", "ensad", "bp", -1.0)],
+     "checkpoint field 'adam.ensad': v contains negative entries"),
+    ([("v", "ensad", "wo", np.inf), ("v", "ensad", "wq", -1.0), ("m", "ensad", "wo", np.nan)],
+     "checkpoint field 'adam.ensad': m.wo contains non-finite entries"),
+])
+def test_load_and_resume_name_the_first_of_several_faults_alike(tmp_path, faults, named):
+    ds = toy_dataset()
+    ecfg, gcfg, _, _, _ = toy_setup()  # trains the adapter and the discriminator
+    ck = corrupt(train(ds, ecfg, replace(gcfg, steps=2), 0), *faults)
+    assert load_and_resume_errors(tmp_path, ds, ecfg, gcfg, ck) == (named, named)
+
+
+def test_resume_names_a_misshapen_tensor_before_a_bad_value():
+    # the names and shapes of every tree are walked before any value is read
+    ds = toy_dataset()
+    ecfg, gcfg, _, _, _ = toy_setup()
+    ck = corrupt(train(ds, ecfg, replace(gcfg, steps=2), 0), ("params", "ensad", "wq", np.nan))
+    ck.adam.m["discriminator"]["ds_b"] = np.zeros(2)
+    with pytest.raises(ValueError, match=r"^checkpoint field 'adam.discriminator': m.ds_b has "
+                       r"shape \(2,\), expected \(\)$"):
         train(ds, ecfg, replace(gcfg, steps=3), 0, resume=ck)
-    name = "wq" if where == "params" else "m.wq"
-    assert (str(loaded.value) == str(resumed.value)
-            == f"checkpoint field '{where}.ensad': {name} contains non-finite entries")
+
+
+@pytest.mark.parametrize("disc_hidden", [(8,), (8, 8, 8, 8)])
+def test_checkpoint_values_are_checked_once_per_vector(tmp_path, monkeypatch, disc_hidden):
+    # one finiteness pass over the loaded tensor vector, and one over each of
+    # the parameter, m and v vectors a resume builds, however many tensors
+    ds = toy_dataset()
+    ecfg, gcfg, _, _, _ = toy_setup(disc_hidden=disc_hidden)
+    ck = train(ds, ecfg, replace(gcfg, steps=2), 0)
+    path = str(tmp_path / "ck.npz")
+    save_checkpoint(ck, path)
+    calls = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda *a, **kw: calls.append(1) or isfinite(*a, **kw))
+    load_checkpoint(path)
+    loads = len(calls)
+    train(ds, ecfg, replace(gcfg, steps=2), 0, resume=ck)  # runs no step
+    assert (loads, len(calls) - loads) == (1, 3)
 
 
 def test_train_validates_dataset_dims():
