@@ -31,28 +31,26 @@ class FrechetStats:
 
 
 def fit_gaussian(feats) -> FrechetStats:
-    """Sample mean and unbiased covariance of row vectors; needs n >= 2."""
+    """Sample mean and unbiased covariance of row vectors; needs n >= 2. An
+    (S, n, d) stack gives S fits, each bit for bit that of its slice alone."""
     x = np.asarray(feats, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
+    if x.ndim < 2 or x.shape[-2] < 2:
         raise ValueError("need a 2-D array with at least two rows")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("features contain non-finite entries")
-    mu = x.mean(axis=0)
-    dev = x - mu
-    sigma = dev.T @ dev / (x.shape[0] - 1)
-    sigma = 0.5 * (sigma + sigma.T)
-    return FrechetStats(mu=mu, sigma=sigma, n=x.shape[0])
+    mu = np.add.reduce(x, axis=-2) / x.shape[-2]  # x.mean's arithmetic
+    dev = x - mu[..., None, :]
+    sigma = dev.swapaxes(-1, -2) @ dev / (x.shape[-2] - 1)
+    sigma = 0.5 * (sigma + sigma.swapaxes(-1, -2))
+    return FrechetStats(mu=mu, sigma=sigma, n=x.shape[-2])
 
 
-def _frechet_raw(a: FrechetStats, b: FrechetStats) -> float:
-    """|mu_a - mu_b|^2 + tr(Sa) + tr(Sb) - 2 tr((Sa^1/2 Sb Sa^1/2)^1/2), with
-    the last trace taken as the sum of the square roots of the eigenvalues,
-    so each pair needs one matrix square root."""
-    if a.mu.shape != b.mu.shape or a.sigma.shape != b.sigma.shape:
-        raise ValueError("statistics have mismatched shapes")
+def _frechet_raw(a: FrechetStats, root_a: np.ndarray, b: FrechetStats) -> float:
+    """|mu_a - mu_b|^2 + tr(Sa) + tr(Sb) - 2 tr((Sa^1/2 Sb Sa^1/2)^1/2), given
+    ``root_a`` = Sa^1/2, with the last trace taken as the sum of the square
+    roots of the eigenvalues; distances from one ``a`` share its root."""
     dmu = a.mu - b.mu
-    root_a = sym_sqrt_psd(a.sigma)
-    cross = np.sum(np.sqrt(psd_eigvalsh(root_a @ b.sigma @ root_a)))
+    cross = np.add.reduce(np.sqrt(psd_eigvalsh(root_a @ b.sigma @ root_a)))
     return float(dmu @ dmu + np.trace(a.sigma) + np.trace(b.sigma) - 2.0 * cross)
 
 
@@ -66,7 +64,9 @@ def _clamped(raw: float) -> float:
 def frechet_distance(a: FrechetStats, b: FrechetStats) -> float:
     """Squared Frechet distance between two Gaussians; tiny negative
     round-off is clamped to zero."""
-    return _clamped(_frechet_raw(a, b))
+    if a.mu.shape != b.mu.shape or a.sigma.shape != b.sigma.shape:
+        raise ValueError("statistics have mismatched shapes")
+    return _clamped(_frechet_raw(a, sym_sqrt_psd(a.sigma), b))
 
 
 @dataclass
@@ -86,23 +86,28 @@ def save_report(report: EvalReport, path: str) -> None:
     save_lines([json.dumps(report.to_jsonable(), sort_keys=True, indent=2)], path)
 
 
-def _real_stats(ck: Checkpoint, ds: Dataset) -> FrechetStats:
-    fd, _, _ = disc_forward_batch(ck.params, ds.images)
-    return fit_gaussian(fd)
+def _fake_features(
+    ck: Checkpoint, ds: Dataset, n_gen: int, strategies: tuple, seed: int
+) -> np.ndarray:
+    """Generated-image features, (S, n_gen, d) for S ``strategies``. The
+    stream gives item indices, then one noise vector per item, drawn once
+    for all strategies; G and D run once over the stacked conditions."""
+    rng = SeededRng(seed)
+    idx = rng.randints_below(np.full(n_gen, len(ds)))
+    zs = rng.gaussian_rows(n_gen, ck.gan_cfg.d_z)
+    rows = ds.rows.take(idx, axis=0)
+    conds = np.empty((len(strategies), n_gen, ds.d))
+    for k, strategy in enumerate(strategies):
+        conds[k] = fuse_batch(rows, ck.params["ensad"], ck.ensad_cfg, strategy)[0]
+    fakes, _ = generate_batch(ck.params, conds, zs)
+    return disc_forward_batch(ck.params, fakes)[0]
 
 
 def _fake_stats(
     ck: Checkpoint, ds: Dataset, n_gen: int, strategy: str, seed: int
 ) -> FrechetStats:
-    """Generated-feature moments. The stream consumes item indices first,
-    then one noise vector per item, so every strategy sees identical draws."""
-    rng = SeededRng(seed)
-    idx = rng.randints_below(np.full(n_gen, len(ds)))
-    zs = rng.gaussian_rows(n_gen, ck.gan_cfg.d_z)
-    conds, _ = fuse_batch(ds.rows[idx], ck.params["ensad"], ck.ensad_cfg, strategy)
-    fakes, _ = generate_batch(ck.params, conds, zs)
-    fd, _, _ = disc_forward_batch(ck.params, fakes)
-    return fit_gaussian(fd)
+    """One strategy's generated-feature moments: its slice of the stacked pass."""
+    return fit_gaussian(_fake_features(ck, ds, n_gen, (strategy,), seed)[0])
 
 
 def evaluate(
@@ -119,8 +124,9 @@ def compare_strategies(
     """Frechet distance between real-image features over the whole dataset
     and features of n_gen images generated from items sampled with
     replacement, one row per entry of ``strategies`` in the given order.
-    Every argument is checked before any features are computed; the rows
-    share one stream and one real-feature fit."""
+    Every argument is checked before any features are computed. The rows
+    share one draw, one G and D pass and one moment fit of the fakes, and
+    the reals' fit and covariance root; each row is bit for bit as if alone."""
     names = () if isinstance(strategies, str) else tuple(strategies)  # iterated twice
     if not names:
         raise ValueError(f"strategies must be a nonempty sequence of names, got {strategies!r}")
@@ -132,9 +138,11 @@ def compare_strategies(
     check_dataset(ds, ck.ensad_cfg, ck.gan_cfg)
     if len(ds) < 2:
         raise ValueError(f"dataset has {len(ds)} item; need at least 2 to fit moments")
-    real = _real_stats(ck, ds)
+    real = fit_gaussian(disc_forward_batch(ck.params, ds.images)[0])
+    fakes = fit_gaussian(_fake_features(ck, ds, n_gen, names, seed))
+    root = sym_sqrt_psd(real.sigma)
     rows = []
-    for strategy in names:
-        raw = _frechet_raw(real, _fake_stats(ck, ds, n_gen, strategy, seed))
+    for strategy, mu, sigma in zip(names, fakes.mu, fakes.sigma):
+        raw = _frechet_raw(real, root, FrechetStats(mu, sigma, n_gen))
         rows.append({"strategy": strategy, "fd": _clamped(raw), "fd_raw": raw})
     return EvalReport(n_gen=n_gen, n_real=len(ds), seed=seed, results=rows)

@@ -173,8 +173,12 @@ def _stack_product(g: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def generate_batch(params: dict, conds: np.ndarray, zs: np.ndarray):
     """Fake images, (n, d_img) with entries in (-1, 1), from (n, d) conditions
-    and (n, d_z) noise, and the generator's per-layer activations."""
-    x = np.concatenate([conds, zs], axis=1)
+    and (n, d_z) noise, and the generator's per-layer activations; (S, n, d)
+    stacked conditions give (S, n, d_img), every slice with the same noise."""
+    d = conds.shape[-1]
+    x = np.empty((*conds.shape[:-1], d + zs.shape[-1]))
+    x[..., :d] = conds
+    x[..., d:] = zs
     return _mlp_forward(list(params["generator"].values()), x)
 
 

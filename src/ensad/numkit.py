@@ -69,7 +69,7 @@ class NotPsdError(ValueError):
 
 def as_f64(x, name: str = "input") -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -112,7 +112,7 @@ def _symmetrized(a: Mat, name: str) -> Mat:
 def _clamp_psd(w: Vec) -> Vec:
     """Eigenvalues in [_EIG_TOL, 0) clamp to zero; anything lower raises
     :class:`NotPsdError`."""
-    lo = float(np.min(w))
+    lo = float(w.min())
     if lo < _EIG_TOL:
         raise NotPsdError(f"eigenvalue {lo:.3e} below PSD tolerance {_EIG_TOL:.0e}")
     return np.maximum(w, 0.0)
@@ -261,9 +261,9 @@ def map_tensors(fn, tree: dict) -> dict:
 
 
 def check_tensors(tree: dict, spec: dict, path: str = "") -> None:
-    """Raise ValueError naming the first tensor of ``tree`` that is not
-    what ``spec`` says: names and their order, shapes. Values are not read
-    here but once per flat vector (``gan._check_state``)."""
+    """Raise ValueError naming the first tensor of ``tree`` that is not what
+    ``spec`` says: names and order, shape, a dtype that casts to float64.
+    Values are not read here but once per flat vector (``gan._check_state``)."""
     if list(tree) != list(spec):
         raise ValueError(f"{path or 'tensors'}: names {list(tree)}, expected {list(spec)}")
     for name, s in spec.items():
@@ -272,3 +272,5 @@ def check_tensors(tree: dict, spec: dict, path: str = "") -> None:
             check_tensors(tree[name], s, where)
         elif np.shape(tree[name]) != s.shape:
             raise ValueError(f"{where} has shape {np.shape(tree[name])}, expected {s.shape}")
+        elif not np.can_cast(dtype := np.asarray(tree[name]).dtype, np.float64, "same_kind"):
+            raise ValueError(f"{where} has dtype {dtype}, which does not cast to float64")

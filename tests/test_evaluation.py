@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -8,8 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ensad import evaluation
-from ensad.adapter import STRATEGIES, EnsAdConfig
+from ensad import evaluation, gan
+from ensad.adapter import STRATEGIES, EnsAdConfig, fuse_batch
 from ensad.data import SyntheticSpec, generate_synthetic, load_jsonl, save_jsonl
 from ensad.gan import GanConfig, disc_forward_batch, load_checkpoint, save_checkpoint, train
 from ensad.evaluation import (
@@ -21,7 +22,7 @@ from ensad.evaluation import (
     frechet_distance,
     save_report,
 )
-from ensad.numkit import NotPsdError, SeededRng
+from ensad.numkit import NotPsdError, SeededRng, psd_eigvalsh, sym_sqrt_psd
 
 
 def stats_1d(mu, var, n=2):
@@ -54,14 +55,26 @@ def test_fit_gaussian_large_sample_moments():
 
 
 def test_fit_gaussian_rejects_bad_input():
-    with pytest.raises(ValueError):
-        fit_gaussian(np.zeros((1, 3)))
-    with pytest.raises(ValueError):
+    rows = "^need a 2-D array with at least two rows$"
+    with pytest.raises(ValueError, match=rows):
         fit_gaussian(np.zeros(3))
-    bad = np.zeros((3, 2))
-    bad[1, 0] = np.nan
-    with pytest.raises(ValueError):
-        fit_gaussian(bad)
+    for stack in [(), (3,)]:  # a matrix, and a stack of them, keep the messages
+        with pytest.raises(ValueError, match=rows):
+            fit_gaussian(np.zeros((*stack, 1, 3)))
+        bad = np.zeros((*stack, 3, 2))
+        bad.flat[-2] = np.nan  # in the last slice
+        with pytest.raises(ValueError, match="^features contain non-finite entries$"):
+            fit_gaussian(bad)
+
+
+def test_fit_gaussian_of_a_stack_is_each_slices_fit():
+    x = SeededRng(6).gaussian_rows(3 * 7, 4).reshape(3, 7, 4) * [1.0, 10.0, 1e-3, 1e3]
+    st = fit_gaussian(x)
+    assert st.mu.shape == (3, 4) and st.sigma.shape == (3, 4, 4) and st.n == 7
+    for k in range(3):
+        alone = fit_gaussian(x[k])
+        assert st.mu[k].tobytes() == alone.mu.tobytes()
+        assert st.sigma[k].tobytes() == alone.sigma.tobytes()
 
 
 def test_frechet_self_distance_zero():
@@ -125,17 +138,39 @@ def test_frechet_rejects_non_psd_covariance():
 
 
 def test_frechet_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^statistics have mismatched shapes$"):
         frechet_distance(stats_1d(0.0, 1.0),
                          FrechetStats(mu=np.zeros(2), sigma=np.eye(2), n=2))
 
 
-def eval_checkpoint(sigma_trans=0.1, sigma_source=0.2, seed=3):
+def test_frechet_rejects_an_undershoot_beyond_round_off():
+    # Eigenvalues down to -1e-8 pass as round-off, but 128 of them in a
+    # covariance's trace sum to -1.152e-6, below the -1e-6 clamp floor
+    d = 128
+    zero = FrechetStats(mu=np.zeros(d), sigma=np.zeros((d, d)), n=2)
+    undershoot = FrechetStats(mu=np.zeros(d), sigma=-0.9e-8 * np.eye(d), n=2)
+    with pytest.raises(ValueError, match=r"^frechet distance computed as -1\.15\d*e-06, "
+                       "beyond round-off$"):
+        frechet_distance(zero, undershoot)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (0, 0), (3,)])
+def test_square_roots_and_eigenvalues_need_a_nonempty_square_matrix(shape):
+    for fn, name in ((sym_sqrt_psd, "sym_sqrt_psd"), (psd_eigvalsh, "psd_eigvalsh")):
+        with pytest.raises(ValueError, match=f"^{name} input must be a nonempty square matrix$"):
+            fn(np.zeros(shape))
+    # statistics of matching but non-square shapes reach the same check
+    bad = FrechetStats(mu=np.zeros(2), sigma=np.zeros(shape), n=2)
+    with pytest.raises(ValueError, match="^sym_sqrt_psd input must be a nonempty square matrix$"):
+        frechet_distance(bad, bad)
+
+
+def eval_checkpoint(sigma_trans=0.1, sigma_source=0.2, seed=3, d=6):
     ds = generate_synthetic(SyntheticSpec(
-        n_items=40, d=6, m=2, d_img=5,
+        n_items=40, d=d, m=2, d_img=5,
         sigma_source=sigma_source, sigma_trans=sigma_trans, seed=seed))
-    ecfg = EnsAdConfig(d=6, d_hid=3, m=2, alpha=0.3)
-    gcfg = GanConfig(d=6, d_z=4, d_img=5, gen_hidden=(8,), disc_hidden=(8,),
+    ecfg = EnsAdConfig(d=d, d_hid=3, m=2, alpha=0.3)
+    gcfg = GanConfig(d=d, d_z=4, d_img=5, gen_hidden=(8,), disc_hidden=(8,),
                      batch=4, steps=5,
                      trainable=frozenset({"ensad", "discriminator"}))
     return train(ds, ecfg, gcfg, 1), ds
@@ -186,7 +221,7 @@ def test_an_unknown_strategy_is_rejected_before_any_features(monkeypatch):
 
     def fail(*args):
         raise AssertionError("features computed before the arguments were checked")
-    monkeypatch.setattr(evaluation, "_real_stats", fail)
+    monkeypatch.setattr(evaluation, "disc_forward_batch", fail)
     with pytest.raises(ValueError, match="'nearest'"):
         compare_strategies(ck, ds, 32, 7, ("ensad", "nearest"))
 
@@ -199,7 +234,7 @@ def test_an_empty_or_string_strategies_is_rejected_before_any_features(monkeypat
 
     def fail(*args):
         raise AssertionError("features computed before the arguments were checked")
-    monkeypatch.setattr(evaluation, "_real_stats", fail)
+    monkeypatch.setattr(evaluation, "disc_forward_batch", fail)
     message = f"strategies must be a nonempty sequence of names, got {strategies!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         compare_strategies(ck, ds, 32, 7, strategies)
@@ -215,8 +250,65 @@ def test_one_call_fits_the_real_features_once(monkeypatch, strategies):
         return disc_forward_batch(*args)
     monkeypatch.setattr(evaluation, "disc_forward_batch", counted)
     compare_strategies(ck, ds, 32, 7, strategies)
-    # one pass over the real images, then one over each strategy's fakes
-    assert len(calls) == 1 + len(strategies)
+    # one pass over the real images, then one over every strategy's fakes
+    assert len(calls) == 2
+
+
+def per_strategy_compare(ck, ds, n_gen, seed, strategies):
+    """compare_strategies' rows, and each row's generated-feature moments,
+    as they were computed before the strategies shared one stacked pass:
+    per strategy its own draws, generator and discriminator pass and
+    moment fit, and per row a square root of the real covariance."""
+    def fit(x):
+        mu = x.mean(axis=0)
+        dev = x - mu
+        sigma = dev.T @ dev / (x.shape[0] - 1)
+        return mu, 0.5 * (sigma + sigma.T)
+
+    real_mu, real_sigma = fit(disc_forward_batch(ck.params, ds.images)[0])
+    rows, moments = [], []
+    for strategy in strategies:
+        rng = SeededRng(seed)
+        idx = rng.randints_below(np.full(n_gen, len(ds)))
+        zs = rng.gaussian_rows(n_gen, ck.gan_cfg.d_z)
+        conds, _ = fuse_batch(ds.rows[idx], ck.params["ensad"], ck.ensad_cfg, strategy)
+        fakes, _ = gan._mlp_forward(list(ck.params["generator"].values()),
+                                    np.concatenate([conds, zs], axis=1))
+        mu, sigma = fit(disc_forward_batch(ck.params, fakes)[0])
+        dmu = real_mu - mu
+        root = sym_sqrt_psd(real_sigma)
+        cross = np.sum(np.sqrt(psd_eigvalsh(root @ sigma @ root)))
+        raw = float(dmu @ dmu + np.trace(real_sigma) + np.trace(sigma) - 2.0 * cross)
+        rows.append({"strategy": strategy, "fd": max(raw, 0.0), "fd_raw": raw})
+        moments.append((mu, sigma))
+    return rows, moments
+
+
+def hexed(rows):
+    return [(row["strategy"], row["fd"].hex(), row["fd_raw"].hex()) for row in rows]
+
+
+# every subset of the strategies in every order, and repeated names
+ORDERS = [names for k in range(1, len(STRATEGIES) + 1)
+          for names in itertools.permutations(STRATEGIES, k)] + [
+    ("ensad", "zero_shot", "ensad"), ("mean_pool", "mean_pool")]
+CORPORA = {"noisy": lambda: eval_checkpoint(sigma_trans=0.3),
+           "noiseless": lambda: eval_checkpoint(sigma_trans=0.0, sigma_source=0.0),
+           "d1": lambda: eval_checkpoint(d=1)}
+
+
+@pytest.mark.parametrize("n_gen", [2, 33, 512])
+@pytest.mark.parametrize("corpus", list(CORPORA))
+def test_the_stacked_pass_gives_every_row_of_the_per_strategy_loop(corpus, n_gen):
+    ck, ds = CORPORA[corpus]()
+    for names in ORDERS:
+        rows, _ = per_strategy_compare(ck, ds, n_gen, 7, names)
+        assert hexed(compare_strategies(ck, ds, n_gen, 7, names).results) == hexed(rows), names
+    _, moments = per_strategy_compare(ck, ds, n_gen, 7, STRATEGIES)
+    for strategy, (mu, sigma) in zip(STRATEGIES, moments):
+        stats = evaluation._fake_stats(ck, ds, n_gen, strategy, 7)
+        assert stats.mu.tobytes() == mu.tobytes() and stats.sigma.tobytes() == sigma.tobytes()
+        assert stats.n == n_gen
 
 
 def test_compare_strategies_rows_and_consistency():

@@ -392,6 +392,34 @@ def test_init_from_and_resume_check_tensor_names_and_shapes():
         train(ds, ecfg, replace(gcfg, steps=2), 0, resume=ck, init_from=ck.params)
 
 
+@pytest.mark.parametrize("cast,dtype", [
+    (lambda a: a.astype(complex), "complex128"),
+    (lambda a: np.full(a.shape, "abc"), "<U3"),
+    (lambda a: a.astype(object), "object"),
+], ids=["complex", "string", "object"])
+def test_init_from_and_resume_reject_a_tensor_that_does_not_cast_to_float64(cast, dtype):
+    # numpy's own cast error, raised while the tensors were flattened, named
+    # neither the checkpoint field nor the tensor
+    ds = toy_dataset()
+    ecfg, gcfg, _, _, _ = toy_setup()
+    ck = train(ds, ecfg, replace(gcfg, steps=1), 0)
+    gen = ck.params["generator"]
+    params = {**ck.params, "generator": {**gen, "gen_b.0": cast(gen["gen_b.0"])}}
+    message = f"gen_b.0 has dtype {dtype}, which does not cast to float64"
+    with pytest.raises(ValueError) as init:
+        train(ds, ecfg, gcfg, 0, init_from=params)
+    assert str(init.value) == f"generator.{message}"
+    with pytest.raises(ValueError) as resumed:
+        train(ds, ecfg, replace(gcfg, steps=2), 0, resume=replace(ck, params=params))
+    assert str(resumed.value) == f"checkpoint field 'params.generator': {message}"
+    moments = replace(ck.adam, m={**ck.adam.m, "ensad": {**ck.adam.m["ensad"],
+                                                         "wq": cast(ck.adam.m["ensad"]["wq"])}})
+    with pytest.raises(ValueError) as resumed:
+        train(ds, ecfg, replace(gcfg, steps=2), 0, resume=replace(ck, adam=moments))
+    assert str(resumed.value) == (f"checkpoint field 'adam.ensad': m.wq has dtype {dtype}, "
+                                  "which does not cast to float64")
+
+
 # Where a single bad entry goes, per value: the first entry of a component's
 # first tensor, the last entry of a middle tensor, the first entry of its
 # last tensor, so that every fault sits at a tensor's edge in the flat vector.
