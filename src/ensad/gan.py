@@ -234,8 +234,6 @@ def loss_adv_disc(logits_real: np.ndarray, logits_fake: np.ndarray) -> float:
 
 def _feature_matrix(feats, name: str) -> np.ndarray:
     arr = as_f64(feats, name)
-    if arr.ndim == 1:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError(f"{name} must be a nonempty list of equal-length vectors")
     return arr

@@ -161,9 +161,6 @@ class SeededRng:
         self.seed = seed
         self.position = position
 
-    def __repr__(self) -> str:
-        return f"SeededRng(seed={self.seed}, position={self.position})"
-
     def _take(self, n: int) -> np.ndarray:
         """The next ``n`` words of the stream, as uint64.
 

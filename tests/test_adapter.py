@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -328,7 +330,7 @@ def test_fuse_select():
     first, _ = fuse_batch(h, None, None, "translate_test")
     assert np.array_equal(src, h[:, 0])
     assert np.array_equal(first, h[:, 1])
-    with pytest.raises(ValueError, match="unknown"):
+    with pytest.raises(ValueError, match="^unknown conditioning mode 'select_2'$"):
         fuse_batch(h, None, None, "select_2")
 
 
@@ -363,3 +365,23 @@ def test_attention_export_record_no_texts():
     rec = attention_export_record("y", np.array([0.6, 0.4]))
     assert rec["scores"] == [0.6, 0.4]
     assert "translation_texts" not in rec
+
+
+def test_attention_export_record_rejects_texts_of_another_length():
+    with pytest.raises(ValueError, match="^translation_texts length does not match scores$"):
+        attention_export_record("a", [0.5, 0.5], ("x",))
+
+
+def test_single_item_calls_reject_a_transposed_or_misshapen_input():
+    cfg = EnsAdConfig(d=16, d_hid=4, m=4, alpha=0.4)
+    rng = SeededRng(17)
+    p = init_params(cfg, rng)
+    h = random_ensemble(cfg, rng)
+    # the rows of an (m+1, d) item, not the (d, m+1) ensemble matrix
+    with pytest.raises(ValueError, match=re.escape(
+            "ensemble matrix has shape (5, 16), expected (16, 5)")):
+        forward(p, cfg, h.T)
+    _, trace = forward(p, cfg, h)
+    with pytest.raises(ValueError, match=re.escape(
+            "grad_h_tilde has shape (16, 1), expected (16,)")):
+        backward(p, cfg, trace, np.ones((16, 1)))

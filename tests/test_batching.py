@@ -240,8 +240,9 @@ def test_randints_below_matches_successive_draws():
     bounds = [1, 2, 3, 1000, 2**40, 7]
     assert a.randints_below(bounds).tolist() == [randint_below(b, k) for k in bounds]
     assert a.position == b.position == len(bounds)
-    with pytest.raises(ValueError):
-        a.randints_below([3, 0])
+    for bad in ([3, 0], [[3]]):
+        with pytest.raises(ValueError, match="^bounds must be a 1-D array of positive ints$"):
+            a.randints_below(bad)
 
 
 def reference_augment(rows, p0, pt, rng):

@@ -12,6 +12,7 @@ import pytest
 import ensad
 from ensad import gan
 from ensad.cli import main
+from ensad.data import load_jsonl
 from ensad.gan import CSV_COLUMNS, load_checkpoint, save_checkpoint
 from test_gan import nan_on_call
 
@@ -209,8 +210,8 @@ def test_train_pipeline_preset_rejects_a_per_phase_gan_field(
                "--config", str(cfg), "--preset", "ensad_plus_finetune_g",
                "--phase1-steps", "2", "--steps", "4", "--seed", "2"])
     assert rc == 2
-    assert (f"{field} is controlled by preset ensad_plus_finetune_g per phase"
-            in capsys.readouterr().err)
+    assert (f"preset/config conflicts: {field} is controlled by preset ensad_plus_finetune_g "
+            "per phase" in capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -446,7 +447,7 @@ def test_eval_rejects_tiny_sample(workdir, dataset_path, ckpt_path, capsys):
     rc = main(["eval", "--ckpt", str(ckpt_path), "--data", str(dataset_path),
                "--n-gen", "1", "--seed", "9"])
     assert rc == 2
-    assert "n_gen" in capsys.readouterr().err
+    assert "error: n_gen must be at least 2 to fit moments" in capsys.readouterr().err
 
 
 def test_eval_rejects_a_one_item_dataset_by_its_count(workdir, ckpt_path, capsys):
@@ -457,7 +458,7 @@ def test_eval_rejects_a_one_item_dataset_by_its_count(workdir, ckpt_path, capsys
     rc = main(["eval", "--ckpt", str(ckpt_path), "--data", str(one), "--n-gen", "8",
                "--out", str(report_path)])
     assert rc == 2
-    assert "dataset has 1 item; need at least 2" in capsys.readouterr().err
+    assert "dataset has 1 item; need at least 2 to fit moments" in capsys.readouterr().err
     assert not report_path.exists()
 
 
@@ -488,6 +489,7 @@ def test_inspect_attn_write_and_limit_validation(workdir, dataset_path,
     rc = main(["inspect-attn", "--ckpt", str(ckpt_path),
                "--data", str(dataset_path), "--limit", "0"])
     assert rc == 2
+    assert "error: limit must be positive" in capsys.readouterr().err
 
 
 def test_param_count_defaults_and_small(capsys):
@@ -570,7 +572,8 @@ def _raise_generator_t(header):
     header["adam"]["generator"] += 1
 
 
-# (mutation of the archive's bytes, the field the message names; None: the path)
+# (mutation of the archive's bytes, the message: "checkpoint field '<field>': ..."
+# or, for None, "checkpoint <path>: not a readable archive: ...")
 FORMAT2_CASES = {
     "truncated": (lambda raw: raw[: len(raw) // 2], None),
     "magic_only": (lambda raw: raw[:4], None),
@@ -587,46 +590,65 @@ FORMAT2_CASES = {
     "pickled_tensors": (_members(lambda h, t: {"header": h, "tensors": t.astype(object)}),
                         None),
     "header_not_json": (_members(lambda h, t: {"header": np.frombuffer(b"{", np.uint8),
-                                               "tensors": t}), "header"),
+                                               "tensors": t}), "checkpoint field 'header'"),
     "header_float64": (_members(lambda h, t: {"header": np.zeros(3), "tensors": t}),
-                       "header"),
-    "version_1": (_header(lambda h: h.update(version=1)), "version"),
-    "version_float": (_header(lambda h: h.update(version=2.0)), "version"),
+                       "checkpoint field 'header': expected a uint8 vector, got float64 (3,)"),
+    "version_1": (_header(lambda h: h.update(version=1)),
+                  "checkpoint field 'version': unsupported checkpoint version 1"),
+    "version_float": (_header(lambda h: h.update(version=2.0)),
+                      "checkpoint field 'version': unsupported checkpoint version 2.0"),
     "header_deeply_nested": (_members(lambda h, t: {
-        "header": np.frombuffer(DEEP_JSON.encode(), np.uint8), "tensors": t}), "header"),
-    "missing_step": (_header(lambda h: h.pop("step")), "step"),
+        "header": np.frombuffer(DEEP_JSON.encode(), np.uint8), "tensors": t}),
+        "checkpoint field 'header'"),
+    "missing_step": (_header(lambda h: h.pop("step")),
+                     "checkpoint field 'step': missing key 'step'"),
     "negative_rng_position": (_header(lambda h: h["rng"].update(position=-3)),
-                              "rng.position"),
+                              "checkpoint field 'rng.position': expected an integer in "
+                              "[0, 2**64), got -3"),
     "unknown_rng_algorithm": (_header(lambda h: h["rng"].update(algorithm="mt19937")),
-                              "rng.algorithm"),
+                              "checkpoint field 'rng.algorithm': unknown rng algorithm "
+                              "'mt19937'"),
     "unknown_gan_key": (_header(lambda h: h["configs"]["gan"].update(width=3)),
-                        "configs.gan"),
+                        "checkpoint field 'configs.gan'"),
     # the golden checkpoint trains the adapter
     "adapter_without_ensad_conditioning": (
-        _header(lambda h: h["configs"]["gan"].update(conditioning="zero_shot")), "configs.gan"),
-    "missing_adam_component": (_header(lambda h: h["adam"].pop("generator")), "adam"),
-    "negative_adam_t": (_header(lambda h: h["adam"].update(ensad=-1)), "adam.ensad"),
-    "unequal_adam_t": (_header(_raise_generator_t), "adam"),
-    "tensors_float32": (_tensors(lambda t: t.astype(np.float32)), "tensors"),
-    "tensors_short": (_tensors(lambda t: t[:-1]), "tensors"),
-    "tensors_2d": (_tensors(lambda t: t.reshape(1, -1)), "tensors"),
-    "nan_parameter": (_tensors(_set_entry(0, np.nan)), "params.ensad"),
-    "inf_generator": (_tensors(_set_entry(200, np.inf)), "params.generator"),
+        _header(lambda h: h["configs"]["gan"].update(conditioning="zero_shot")),
+        "checkpoint field 'configs.gan'"),
+    "missing_adam_component": (_header(lambda h: h["adam"].pop("generator")),
+                               "checkpoint field 'adam': optimizer state for ['discriminator', "
+                               "'ensad'], expected the trainable ['discriminator', 'ensad', "
+                               "'generator']"),
+    "negative_adam_t": (_header(lambda h: h["adam"].update(ensad=-1)),
+                        "checkpoint field 'adam.ensad'"),
+    "unequal_adam_t": (_header(_raise_generator_t),
+                       "checkpoint field 'adam': step counts differ: "
+                       "{'discriminator': 6, 'ensad': 6, 'generator': 7}"),
+    "tensors_float32": (_tensors(lambda t: t.astype(np.float32)),
+                        "checkpoint field 'tensors': expected 1554 float64 values, "
+                        "got float32 (1554,)"),
+    "tensors_short": (_tensors(lambda t: t[:-1]),
+                      "checkpoint field 'tensors': expected 1554 float64 values, "
+                      "got float64 (1553,)"),
+    "tensors_2d": (_tensors(lambda t: t.reshape(1, -1)),
+                   "checkpoint field 'tensors': expected 1554 float64 values, "
+                   "got float64 (1, 1554)"),
+    "nan_parameter": (_tensors(_set_entry(0, np.nan)), "checkpoint field 'params.ensad'"),
+    "inf_generator": (_tensors(_set_entry(200, np.inf)), "checkpoint field 'params.generator'"),
     # the vector ends with the discriminator's v
-    "negative_adam_v": (_tensors(_set_entry(-1, -1.0)), "adam.discriminator"),
+    "negative_adam_v": (_tensors(_set_entry(-1, -1.0)), "checkpoint field 'adam.discriminator'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FORMAT2_CASES))
 def test_eval_rejects_malformed_format2_checkpoint(tmp_path, capsys, case):
-    mutate, field = FORMAT2_CASES[case]
+    mutate, expected = FORMAT2_CASES[case]
     bad = tmp_path / "bad.json"
     bad.write_bytes(mutate((GOLDEN / "ckpt_step6.npz").read_bytes()))
     rc = main(["eval", "--ckpt", str(bad), "--data", str(GOLDEN / "data.jsonl"),
                "--n-gen", "8"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert (f"checkpoint field '{field}'" if field else str(bad)) in err, err
+    assert (expected or f"checkpoint {bad}: not a readable archive: ") in err, err
 
 
 def _on_bytes(mutate):
@@ -736,7 +758,7 @@ def test_float_config_fields_rejected(dataset_path, tmp_path, capsys, config, fi
     rc = main(["train", "--data", str(dataset_path), "--out", str(out), "--config", str(cfg),
                "--preset", "ensad_frozen_g", "--steps", "3"])
     assert rc == 2
-    assert f"bad gan config: {field}: expected a finite number" in capsys.readouterr().err
+    assert f"bad gan config: {field}: expected a finite number in " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -885,7 +907,8 @@ def test_config_errors(workdir, dataset_path, capsys):
                "--out", str(workdir / "x.json"), "--config", str(unknown),
                "--steps", "1"])
     assert rc == 2
-    assert "unknown sections" in capsys.readouterr().err
+    assert (f"config {unknown} has unknown sections ['optimizer']; known sections are "
+            in capsys.readouterr().err)
 
     deep = workdir / "deep.json"
     deep.write_text(DEEP_JSON)
@@ -1005,10 +1028,33 @@ def test_train_rejects_unwritable_output_before_training(
     rc = main(["train", "--data", str(dataset_path), "--out", str(out),
                "--log", str(log), "--steps", "30"])
     assert rc == 2
-    assert str(log if where == "log_is_directory" else out) in capsys.readouterr().err
+    assert {"out_is_directory": f"output path {out} is a directory",
+            "log_is_directory": f"output path {log} is a directory",
+            "parent_is_file": f"cannot write {out}: {tmp_path / 'file'} is not a writable "
+                              "directory"}[where] in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["file", *(["run.json"] * (where == "out_is_directory")),
          *(["run.csv"] * (where == "log_is_directory"))])
+
+
+SMALL_SYNTH = ["--n-items", "3", "--d", "3", "--m", "2", "--d-img", "2"]
+
+
+def test_output_in_missing_directories_is_written(tmp_path):
+    # the check walks up to the nearest existing ancestor; the writer makes the rest
+    out = tmp_path / "new" / "deeper" / "c.jsonl"
+    assert main(["synth", "--out", str(out), *SMALL_SYNTH]) == 0
+    assert len(load_jsonl(out)) == 3
+
+
+def test_output_below_a_file_is_rejected(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = afile / "sub" / "c.jsonl"
+    assert main(["synth", "--out", str(out), *SMALL_SYNTH]) == 2
+    assert (f"error: cannot write {out}: {afile} is not a writable directory\n"
+            == capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [afile] and afile.read_text() == ""
 
 
 def _exit_code(argv):
@@ -1076,7 +1122,7 @@ def test_output_without_a_file_name_rejected_before_any_file(
     }[command]
     assert main(argv + ["--out", spelling]) == 2
     err = capsys.readouterr().err
-    assert f"{role} path {spelling!r}" in err
+    assert f"{role} path {spelling!r} does not end in a file name" in err
     assert [str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")] == ["work"]
 
 
@@ -1100,7 +1146,9 @@ def test_train_rejects_coinciding_output_paths(dataset_path, tmp_path, capsys,
     assert main(argv) == 2
     err = capsys.readouterr().err
     first, second = (str(tmp_path / name) for name in named)
-    assert f"path {first} and " in err and f"path {second} are the same file" in err
+    assert f"path {first} and " in err
+    assert (f"path {second} are the same file; an output may not overwrite another output "
+            "or an input") in err
     assert not (tmp_path / out).exists()
 
 
@@ -1186,7 +1234,7 @@ def test_resume_keeps_the_log_up_to_the_checkpoint(dataset_path, train_config, t
     ("step,loss\n1,0.5\n", "does not start with the header"),
     ("", "does not start with the header"),
     (",".join(CSV_COLUMNS) + "\nx,0.5\n", "line 2: no step number"),
-    (",".join(CSV_COLUMNS) + "\n1,0.5\xff\n", "is not UTF-8 text"),
+    (",".join(CSV_COLUMNS) + "\n1,0.5\xff\n", "is not UTF-8 text: 'utf-8' codec can't decode"),
 ], ids=["other_header", "empty", "bad_step", "not_utf8"])
 def test_resume_rejects_a_foreign_log(dataset_path, train_config, tmp_path, capsys,
                                       log, message):
@@ -1210,7 +1258,8 @@ def test_train_rejects_non_list_trainable(dataset_path, tmp_path, capsys, preset
     argv = ["train", "--data", str(dataset_path), "--out", str(tmp_path / "x.npz"),
             "--config", str(cfg), "--steps", "1"]
     assert main(argv + (["--preset", preset] if preset else [])) == 2
-    assert "trainable" in capsys.readouterr().err
+    assert ("error: bad gan config: trainable: 'int' object is not iterable"
+            in capsys.readouterr().err)
 
 
 def test_missing_data_file(workdir, capsys):

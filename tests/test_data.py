@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import tracemalloc
 import warnings
@@ -302,6 +303,34 @@ def test_load_rejects_unknown_keys(tmp_path):
     path = write_lines(tmp_path, [HEADER, json.dumps(bad)])
     with pytest.raises(DataFormatError, match="unknown"):
         load_jsonl(path)
+
+
+@pytest.mark.parametrize("token", ["1.5", "-1.0000001", "NaN", "Infinity"])
+def test_load_rejects_an_image_entry_outside_the_unit_interval(tmp_path, token):
+    # json.loads reads NaN and Infinity as floats
+    bad = GOOD_ITEM.replace('"image": [0.0, 0.0]', f'"image": [0.0, {token}]')
+    path = write_lines(tmp_path, [HEADER, GOOD_ITEM, bad])
+    with pytest.raises(DataFormatError, match=r"^line 3: image entries must lie in \[-1, 1\]$"):
+        load_jsonl(path)
+
+
+@pytest.mark.parametrize("ids, rows, images, texts, message", [
+    ([], np.zeros((0, 2, 2)), np.zeros((0, 2)), {}, "dataset must be nonempty"),
+    (["a", "b"], np.zeros((2, 2)), np.zeros((2, 2)), {},
+     "expected 2 rows of shape (m+1, d) and 2 images"),
+    (["a", "b"], np.zeros((2, 2, 2)), np.zeros((3, 2)), {},
+     "expected 2 rows of shape (m+1, d) and 2 images"),
+    (["a"], np.zeros((1, 1, 2)), np.zeros((1, 2)), {}, "dataset dimensions must be positive"),
+    (["a"], np.zeros((1, 2, 2)), np.zeros((1, 0)), {}, "dataset dimensions must be positive"),
+    (["a", "b"], np.zeros((2, 2, 2)), np.zeros((2, 2)), {"source_texts": ["x"]},
+     "expected 2 source_texts, got 1"),
+    (["a"], np.zeros((1, 2, 2)), np.zeros((1, 2)), {"translation_texts": [("x",), ("y",)]},
+     "expected 1 translation_texts, got 2"),
+], ids=["empty", "rows_2d", "image_count", "no_translation", "no_image_entry",
+        "source_texts", "translation_texts"])
+def test_dataset_rejects_inconsistent_arrays(ids, rows, images, texts, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Dataset(ids, rows, images, **texts)
 
 
 def test_load_rejects_empty_file(tmp_path):

@@ -188,7 +188,7 @@ def test_evaluate_finite_and_deterministic():
 
 def test_evaluate_validates_args():
     ck, ds = eval_checkpoint()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n_gen must be at least 2 to fit moments$"):
         evaluate(ck, ds, 1, "ensad", 7)
     with pytest.raises(ValueError, match="unknown strategy 'nearest'"):
         evaluate(ck, ds, 32, "nearest", 7)

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import asdict, replace
 
@@ -189,6 +190,33 @@ def test_contrastive_scale_invariance():
                loss_contrastive(3.0 * a, 0.5 * p, 0.5)) < 1e-12
 
 
+@pytest.mark.parametrize("loss, args, message", [
+    (loss_adv_ensad, (np.zeros((2, 2)),), "fake logits must be a nonempty vector"),
+    (loss_adv_ensad, (np.zeros(0),), "fake logits must be a nonempty vector"),
+    (loss_adv_disc, (np.zeros((1, 2)), np.zeros(2)), "logits must be nonempty vectors"),
+    (loss_adv_disc, (np.zeros(2), np.zeros(0)), "logits must be nonempty vectors"),
+    (loss_contrastive, (np.eye(2), np.eye(2), 0.0), "tau must be positive"),
+    (loss_contrastive, (np.eye(2), np.eye(3), 0.5), "anchor and positive counts differ"),
+    (loss_contrastive, (np.zeros((0, 2)), np.zeros((0, 2)), 0.5),
+     "anchor features must be a nonempty list of equal-length vectors"),
+    # one vector is not a list of vectors: a single pair would always score 0
+    (loss_contrastive, (np.array([0.6, 0.8]), np.array([[0.6, 0.8]]), 0.5),
+     "anchor features must be a nonempty list of equal-length vectors"),
+    (loss_contrastive, (np.array([[0.6, 0.8]]), np.array([0.6, 0.8]), 0.5),
+     "positive features must be a nonempty list of equal-length vectors"),
+], ids=["ensad_matrix", "ensad_empty", "disc_matrix", "disc_empty", "tau_zero",
+        "counts_differ", "no_anchors", "anchor_vector", "positive_vector"])
+def test_losses_reject_bad_arguments(loss, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        loss(*args)
+
+
+def test_gan_config_needs_a_discriminator_hidden_layer():
+    with pytest.raises(ValueError,
+                       match=re.escape("disc_hidden: expected at least one hidden layer, got ()")):
+        GanConfig(d=4, disc_hidden=())
+
+
 def test_total_losses_arithmetic():
     parts = LossParts(l_ad_ensad=0.5, l_ad_d=0.7, l_cl=0.1,
                       l_cl_d_fake=0.2, l_cl_d_real=0.3)
@@ -227,7 +255,8 @@ def test_adam_single_step_oracle():
 
 
 def test_adam_rejects_mismatched_shapes():
-    with pytest.raises(ValueError, match="shapes differ"):
+    with pytest.raises(ValueError,
+                       match=re.escape("p, g, m and v shapes differ: [(2,), (3,), (2,), (2,)]")):
         adam_step(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2), 1, 1e-3, 0.0, 0.99)
 
 
@@ -312,7 +341,7 @@ def test_resume_validates_config_and_seed():
     gcfg = replace(gcfg, steps=5, trainable=trainable,
                    conditioning="zero_shot")
     ck = train(ds, ecfg, gcfg, 3)
-    with pytest.raises(ValueError, match="created with seed 3, not 4"):
+    with pytest.raises(ValueError, match="^resume checkpoint was created with seed 3, not 4$"):
         train(ds, ecfg, gcfg, 4, resume=ck)
     # each differing field, but not steps, with the checkpoint's value first
     with pytest.raises(ValueError, match="^resume checkpoint has a different gan config: "
@@ -546,9 +575,13 @@ def test_checkpoint_values_are_checked_once_per_vector(tmp_path, monkeypatch, di
 def test_train_validates_dataset_dims():
     ds = toy_dataset()
     ecfg, gcfg, _, _, _ = toy_setup()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "dataset (d=6, m=2, d_img=5) does not match the configs (adapter d=7, m=2; "
+            "gan d=7, d_img=5)")):
         train(ds, replace(ecfg, d=7), replace(gcfg, d=7), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "dataset (d=6, m=2, d_img=5) does not match the configs (adapter d=6, m=2; "
+            "gan d=6, d_img=9)")):
         train(ds, ecfg, replace(gcfg, d_img=9), 0)
 
 
@@ -665,7 +698,8 @@ def test_checkpoint_rejects_unequal_adam_step_counts(tmp_path):
     # counts must agree; save_checkpoint cannot write unequal ones
     path = tmp_path / "ck.npz"
     rewrite_header(GOLDEN_CKPT, path, lambda h: h["adam"].update(generator=7))
-    with pytest.raises(ValueError, match="checkpoint field 'adam': step counts differ"):
+    with pytest.raises(ValueError, match=re.escape("checkpoint field 'adam': step counts differ: "
+                                       "{'discriminator': 6, 'ensad': 6, 'generator': 7}")):
         load_checkpoint(str(path))
 
 
@@ -927,13 +961,14 @@ def test_pipeline_continues_its_finished_checkpoint(whole_pipeline):
 def test_pipeline_resume_checks_phase2s_start_and_seed(whole_pipeline):
     ds, ecfg, gcfg, whole, _ = whole_pipeline
     # phase 2 began at step 9 - 5 = 4
-    with pytest.raises(ValueError, match="phase 2 began at step 4, not at phase1_steps 3"):
+    with pytest.raises(ValueError, match="^resume checkpoint's phase 2 began at step 4, not at "
+                       "phase1_steps 3$"):
         finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=3, resume=whole)
     # phase 2's own seed continues it too; a seed that derives neither fails
     own = finetune_pipeline(ds, ecfg, gcfg, whole.rng_seed, phase1_steps=4, resume=whole)
     assert checkpoint_bytes(own) == checkpoint_bytes(whole)
-    with pytest.raises(ValueError, match=f"phase 2's seed {whole.rng_seed}, which seed 9 "
-                                         "does not derive"):
+    with pytest.raises(ValueError, match="^resume checkpoint was created with phase 2's seed "
+                                         f"{whole.rng_seed}, which seed 9 does not derive$"):
         finetune_pipeline(ds, ecfg, gcfg, 9, phase1_steps=4, resume=whole)
 
 

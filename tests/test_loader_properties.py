@@ -163,7 +163,7 @@ def test_invalid_utf8_names_its_line(tmp_path, data):
     path = os.path.join(tmp_path, "mutated.jsonl")
     with open(path, "wb") as fh:
         fh.write(b"\n".join(lines) + b"\n")
-    with pytest.raises(DataFormatError, match=f"^line {k}: not valid UTF-8"):
+    with pytest.raises(DataFormatError, match=f"^line {k}: not valid UTF-8: "):
         load_jsonl(path)
 
 

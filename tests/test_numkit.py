@@ -112,7 +112,8 @@ def test_sym_sqrt_reconstruction():
 
 
 def test_sym_sqrt_rejects_negative():
-    with pytest.raises(NotPsdError):
+    with pytest.raises(NotPsdError,
+                       match=r"^eigenvalue -1\.000e\+00 below PSD tolerance -1e-08$"):
         sym_sqrt_psd(np.diag([1.0, -1.0]))
 
 
@@ -184,6 +185,27 @@ def test_rng_position_resume():
     assert np.array_equal(resumed.gaussian(10), rest)
     # and replay from zero reproduces the head
     assert np.array_equal(SeededRng(5).gaussian(10), first)
+
+
+@pytest.mark.parametrize("seed, position, message", [
+    (-1, 0, "seed must fit in an unsigned 64-bit integer"),
+    (2**64, 0, "seed must fit in an unsigned 64-bit integer"),
+    (0, -1, "position must be nonnegative"),
+])
+def test_rng_rejects_a_seed_or_position_out_of_range(seed, position, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SeededRng(seed, position)
+
+
+@pytest.mark.parametrize("rows, n, message", [
+    (1, 0, "sample count must be positive"),
+    (-1, 3, "row count must be nonnegative"),
+])
+def test_gaussian_rows_rejects_bad_counts(rows, n, message):
+    rng = SeededRng(9)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rng.gaussian_rows(rows, n)
+    assert rng.position == 0
 
 
 def test_rng_gaussian_word_consumption():
