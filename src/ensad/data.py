@@ -74,6 +74,12 @@ class Dataset:
             if len(texts) != n:
                 raise ValueError(f"expected {n} {name}, got {len(texts)}")
             setattr(self, name, texts)
+        m = self.m
+        try:
+            for i, fields in enumerate(zip(self.ids, self.source_texts, self.translation_texts)):
+                check_item_texts(*fields, m)
+        except ValueError as exc:
+            raise ValueError(f"item {i}: {exc}") from exc
 
     @property
     def d(self) -> int:
@@ -89,6 +95,24 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+def check_item_texts(item_id, source_text, texts, m: int):
+    """Raise ValueError unless ``item_id`` is a string, ``source_text`` None
+    or a string, and ``texts`` None or a list or tuple of m strings; returns
+    ``texts`` as a tuple, or None. Dataset and load_jsonl check every item
+    with it, so any Dataset saves as a file that loads."""
+    if not isinstance(item_id, str):
+        raise ValueError("id must be a string")
+    if texts is not None:
+        if not isinstance(texts, (list, tuple)) or len(texts) != m or not all(
+            isinstance(t, str) for t in texts
+        ):
+            raise ValueError(f"translation_texts must be {m} strings")
+        texts = tuple(texts)
+    if source_text is not None and not isinstance(source_text, str):
+        raise ValueError("source_text must be a string")
+    return texts
 
 
 @dataclass(frozen=True)
@@ -293,8 +317,11 @@ def load_jsonl(path: str) -> Dataset:
                 img_raw = obj["image"]
             except KeyError as exc:
                 raise DataFormatError(f"line {offset}: missing key {exc}") from exc
-            if not isinstance(item_id, str):
-                raise DataFormatError(f"line {offset}: id must be a string")
+            source_text = obj.get("source_text")
+            try:
+                texts = check_item_texts(item_id, source_text, obj.get("translation_texts"), m)
+            except ValueError as exc:
+                raise DataFormatError(f"line {offset}: {exc}") from exc
             if not isinstance(trans_raw, list) or len(trans_raw) != m:
                 raise DataFormatError(
                     f"line {offset}: expected {m} translations, got "
@@ -306,16 +333,6 @@ def load_jsonl(path: str) -> Dataset:
             image = _floats(img_raw, d_img, offset, "image")
             if not np.all(np.isfinite(image)) or np.any(np.abs(image) > 1.0):
                 raise DataFormatError(f"line {offset}: image entries must lie in [-1, 1]")
-            texts = obj.get("translation_texts")
-            if texts is not None:
-                if not isinstance(texts, list) or len(texts) != m or not all(
-                    isinstance(t, str) for t in texts
-                ):
-                    raise DataFormatError(f"line {offset}: translation_texts must be {m} strings")
-                texts = tuple(texts)
-            source_text = obj.get("source_text")
-            if source_text is not None and not isinstance(source_text, str):
-                raise DataFormatError(f"line {offset}: source_text must be a string")
             ids.append(item_id)
             rows.append(item)
             images.append(image)

@@ -133,10 +133,15 @@ def param_shapes(ensad_cfg: EnsAdConfig, gan_cfg: GanConfig) -> dict:
 def _mlp_forward(layers: list, x):
     """Batched MLP with tanh after every layer; ``layers`` alternates
     weights and biases. Returns output and the per-layer post-activation
-    list (index 0 is the input)."""
+    list (index 0 is the input). Each layer adds its bias and takes its
+    tanh in place in the matmul's output: the values of
+    ``np.tanh(x @ w.T + b)`` without its two temporaries. So every entry of
+    the list is its own buffer, and the input is never written."""
     acts = [x]
     for w, b in zip(layers[0::2], layers[1::2]):
-        x = np.tanh(x @ w.T + b)
+        x = x @ w.T
+        x += b
+        np.tanh(x, out=x)
         acts.append(x)
     return x, acts
 
@@ -188,7 +193,8 @@ def disc_forward_batch(params: dict, imgs: np.ndarray):
     for condition h is ds + h . fd."""
     *backbone, fd_w, fd_b, ds_w, ds_b = params["discriminator"].values()
     r, acts = _mlp_forward(backbone, imgs)
-    fd = r @ fd_w.T + fd_b
+    fd = r @ fd_w.T
+    fd += fd_b
     ds = r @ ds_w + float(ds_b)
     return fd, ds, acts
 
@@ -337,18 +343,34 @@ def adam_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int
     """Standard bias-corrected Adam update number ``t`` (from 1), in place on
     the flat float64 vector ``p`` and its moments ``m`` and ``v``, for the
     gradient ``g``, in slices of numkit.CACHE_BLOCK entries so that each
-    slice's temporaries stay in cache. :func:`train` passes its vectors."""
+    slice's temporaries stay in cache. The temporaries are two slice-sized
+    buffers written with ``out=``, running the ufuncs of
+    ``m += (1 - beta1) g; v += (1 - beta2) g^2;
+    p -= lr (m / b1c) / (sqrt(v / b2c) + eps)`` in their order, so the bits
+    are theirs. :func:`train` passes its vectors."""
     if not np.shape(p) == np.shape(g) == np.shape(m) == np.shape(v):
         raise ValueError(f"p, g, m and v shapes differ: {[np.shape(x) for x in (p, g, m, v)]}")
     b1c = 1.0 - beta1 ** t
     b2c = 1.0 - beta2 ** t
+    size = min(p.size, numkit.CACHE_BLOCK)
+    buf_a, buf_b = np.empty(size), np.empty(size)
     for lo in range(0, p.size, numkit.CACHE_BLOCK):
         pb, gb, mb, vb = (x[lo:lo + numkit.CACHE_BLOCK] for x in (p, g, m, v))
+        a, b = buf_a[:pb.size], buf_b[:pb.size]
         mb *= beta1
-        mb += (1.0 - beta1) * gb
+        np.multiply(gb, 1.0 - beta1, out=a)
+        mb += a
         vb *= beta2
-        vb += (1.0 - beta2) * (gb * gb)
-        pb -= lr * (mb / b1c) / (np.sqrt(vb / b2c) + _ADAM_EPS)
+        np.multiply(gb, gb, out=a)
+        a *= 1.0 - beta2
+        vb += a
+        np.divide(vb, b2c, out=a)
+        np.sqrt(a, out=a)
+        a += _ADAM_EPS
+        np.divide(mb, b1c, out=b)
+        b *= lr
+        b /= a
+        pb -= b
 
 
 @dataclass

@@ -166,13 +166,23 @@ class SeededRng:
 
         Counter-based: word ``i`` mixes ``seed + (i+1)*GAMMA`` (uint64 wrap),
         which equals the sequential generator that advances its state by
-        GAMMA before each mix, so random access is O(1).
+        GAMMA before each mix, so random access is O(1). The mix runs in
+        place in ``z`` and one shift buffer (uint64 arithmetic wraps, so the
+        order of the additions does not matter).
         """
-        idx = np.arange(n).astype(np.uint64)
-        z = np.uint64(self.seed) + (np.uint64(self.position) + idx + _ONE) * _GAMMA
-        z = (z ^ (z >> _R30)) * _MIX1
-        z = (z ^ (z >> _R27)) * _MIX2
-        z = z ^ (z >> _R31)
+        z = np.arange(n, dtype=np.uint64)
+        z += np.uint64(self.position)
+        z += _ONE
+        z *= _GAMMA
+        z += np.uint64(self.seed)
+        t = z >> _R30
+        z ^= t
+        z *= _MIX1
+        np.right_shift(z, _R27, out=t)
+        z ^= t
+        z *= _MIX2
+        np.right_shift(z, _R31, out=t)
+        z ^= t
         self.position += n
         return z
 
@@ -210,18 +220,25 @@ def box_muller(bits: np.ndarray) -> np.ndarray:
     ``bits``' shape, whose last axis pairs words (even, odd). Each pair maps
     by its top 53 bits to (u1, u2) in (0, 1] x [0, 1), u1 excluding zero so
     that the log never sees it, then to r cos(t), r sin(t) with
-    r = sqrt(-2 log u1), t = 2 pi u2. Every step is elementwise on
-    contiguous temporaries, so a normal does not depend on how many words
-    share the call."""
-    hi = (bits[..., 0::2] >> _R11).astype(np.float64)
-    lo = (bits[..., 1::2] >> _R11).astype(np.float64)
-    u1 = (hi + 1.0) * _INV_2_53
-    u2 = lo * _INV_2_53
-    r = np.sqrt(-2.0 * np.log(u1))
-    t = _TWO_PI * u2
+    r = sqrt(-2 log u1), t = 2 pi u2. Every step is elementwise, in place
+    on contiguous temporaries of its own (``bits`` is only read), so a
+    normal does not depend on how many words share the call."""
+    r = (bits[..., 0::2] >> _R11).astype(np.float64)
+    r += 1.0
+    r *= _INV_2_53
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    t = (bits[..., 1::2] >> _R11).astype(np.float64)
+    t *= _INV_2_53
+    t *= _TWO_PI
     out = np.empty(bits.shape)
-    out[..., 0::2] = r * np.cos(t)
-    out[..., 1::2] = r * np.sin(t)
+    cos = np.cos(t)
+    cos *= r
+    out[..., 0::2] = cos
+    np.sin(t, out=t)
+    t *= r
+    out[..., 1::2] = t
     return out
 
 

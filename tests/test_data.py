@@ -326,8 +326,17 @@ def test_load_rejects_an_image_entry_outside_the_unit_interval(tmp_path, token):
      "expected 2 source_texts, got 1"),
     (["a"], np.zeros((1, 2, 2)), np.zeros((1, 2)), {"translation_texts": [("x",), ("y",)]},
      "expected 1 translation_texts, got 2"),
+    # each entry as the loader reads it: a file it would refuse is never saved
+    (["a"], np.zeros((1, 2, 2)), np.zeros((1, 2)), {"translation_texts": [("x", "y", "z")]},
+     "item 0: translation_texts must be 1 strings"),
+    (["a", "b"], np.zeros((2, 2, 2)), np.zeros((2, 2)), {"translation_texts": [None, "x"]},
+     "item 1: translation_texts must be 1 strings"),
+    (["a"], np.zeros((1, 2, 2)), np.zeros((1, 2)), {"source_texts": [5]},
+     "item 0: source_text must be a string"),
+    ([5], np.zeros((1, 2, 2)), np.zeros((1, 2)), {}, "item 0: id must be a string"),
 ], ids=["empty", "rows_2d", "image_count", "no_translation", "no_image_entry",
-        "source_texts", "translation_texts"])
+        "source_texts", "translation_texts", "translation_text_count",
+        "translation_texts_a_string", "source_text_type", "id_type"])
 def test_dataset_rejects_inconsistent_arrays(ids, rows, images, texts, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Dataset(ids, rows, images, **texts)

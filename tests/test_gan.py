@@ -36,7 +36,14 @@ from ensad.gan import (
     total_losses,
     train,
 )
-from ensad.numkit import SeededRng, derive_seed, init_tensors, l2_normalize, map_tensors
+from ensad.numkit import (
+    SeededRng,
+    box_muller,
+    derive_seed,
+    init_tensors,
+    l2_normalize,
+    map_tensors,
+)
 
 
 def checkpoint_bytes(ck):
@@ -132,6 +139,40 @@ def test_disc_forward_batch_heads_per_row():
         fd1, ds1, _ = disc_forward_batch(gp, imgs[i:i + 1])
         assert np.allclose(fd1[0], fd[i], rtol=0, atol=1e-15)
         assert np.allclose(ds1[0], ds[i], rtol=0, atol=1e-15)
+
+
+def test_in_place_kernels_keep_values_and_alias_nothing():
+    """Each layer adds its bias and takes its tanh in the matmul's output,
+    and box_muller works in temporaries of its own: the values are bit for
+    bit those of the plain formulas, the inputs are left as they were, and
+    every activation _mlp_backward reads is its own buffer."""
+    ecfg, gcfg, ep, gp, rng = toy_setup(5)
+    imgs = np.tanh(rng.gaussian_rows(3, 5))
+    for layers, x in ((list(gp["generator"].values()), rng.gaussian_rows(6, 10).reshape(2, 3, 10)),
+                      (list(gp["discriminator"].values())[:-4], imgs)):
+        kept = x.copy()
+        out, acts = gan._mlp_forward(layers, x)
+        assert np.array_equal(x, kept)
+        assert acts[0] is x and out is acts[-1] and len(acts) == len(layers) // 2 + 1
+        for one, other in itertools.combinations(acts, 2):
+            assert not np.shares_memory(one, other)
+        for w, b, act in zip(layers[0::2], layers[1::2], acts[1:]):
+            x = np.tanh(x @ w.T + b)
+            assert x.tobytes() == act.tobytes()
+    fd, _, acts = disc_forward_batch(gp, imgs)
+    assert not any(np.shares_memory(fd, a) for a in acts)
+    disc = gp["discriminator"]
+    assert fd.tobytes() == (acts[-1] @ disc["fd_w"].T + disc["fd_b"]).tobytes()
+    words = rng._take(24).reshape(2, 12)
+    bits = words[:, 2:]  # a strided view, as data.step_batches passes
+    kept = bits.copy()
+    normals = box_muller(bits)
+    assert np.array_equal(bits, kept) and not np.shares_memory(normals, words)
+    u1 = ((bits[:, 0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    t = 6.283185307179586 * ((bits[:, 1::2] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53)
+    r = np.sqrt(-2.0 * np.log(u1))
+    assert normals[:, 0::2].tobytes() == (r * np.cos(t)).tobytes()
+    assert normals[:, 1::2].tobytes() == (r * np.sin(t)).tobytes()
 
 
 def test_adv_loss_oracles():

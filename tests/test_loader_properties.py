@@ -242,6 +242,16 @@ def per_line_load_jsonl(path):
             raise DataFormatError(f"line {offset}: missing key {exc}") from exc
         if not isinstance(item_id, str):
             raise DataFormatError(f"line {offset}: id must be a string")
+        texts = obj.get("translation_texts")
+        if texts is not None:
+            if not isinstance(texts, list) or len(texts) != m or not all(
+                isinstance(t, str) for t in texts
+            ):
+                raise DataFormatError(f"line {offset}: translation_texts must be {m} strings")
+            texts = tuple(texts)
+        source_text = obj.get("source_text")
+        if source_text is not None and not isinstance(source_text, str):
+            raise DataFormatError(f"line {offset}: source_text must be a string")
         if not isinstance(trans_raw, list) or len(trans_raw) != m:
             raise DataFormatError(
                 f"line {offset}: expected {m} translations, got "
@@ -255,16 +265,6 @@ def per_line_load_jsonl(path):
             raise DataFormatError(f"line {offset}: image has wrong dimension")
         if not np.all(np.isfinite(image)) or np.any(np.abs(image) > 1.0):
             raise DataFormatError(f"line {offset}: image entries must lie in [-1, 1]")
-        texts = obj.get("translation_texts")
-        if texts is not None:
-            if not isinstance(texts, list) or len(texts) != m or not all(
-                isinstance(t, str) for t in texts
-            ):
-                raise DataFormatError(f"line {offset}: translation_texts must be {m} strings")
-            texts = tuple(texts)
-        source_text = obj.get("source_text")
-        if source_text is not None and not isinstance(source_text, str):
-            raise DataFormatError(f"line {offset}: source_text must be a string")
         ids.append(item_id)
         rows.append(item)
         images.append(image)
