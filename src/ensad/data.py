@@ -398,8 +398,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
     u = l2_normalize(draws[:, 0])
     rows = np.repeat(u[:, None, :], spec.m + 1, axis=1)
-    if k > 1:
-        rows[:, noisy] = l2_normalize(u[:, None, :] + sigmas[noisy, None] * draws[:, 1:])
+    rows[:, noisy] = l2_normalize(u[:, None, :] + sigmas[noisy, None] * draws[:, 1:])
     images = np.tanh(np.matmul(mix, u[:, :, None])[..., 0])
     ids = [f"syn-{i:06d}" for i in range(spec.n_items)]
     return Dataset(ids=ids, rows=rows, images=images)

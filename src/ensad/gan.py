@@ -18,7 +18,7 @@ import json
 import math
 import tokenize
 import zipfile
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -441,31 +441,21 @@ def _check_trees(ck: Checkpoint, shapes: dict) -> None:
             check_tensors(ck.adam.v[comp], shapes[comp], "v")
 
 
-def _state_blocks(shapes: dict, trained: list, segments) -> list:
-    """:func:`_check_state`'s blocks for a checkpoint's tensors, given the
-    segments that hold them in format 2's order (see :func:`_flat_specs`):
-    each component's parameters, then the ``m`` and ``v`` moments of each
-    trained component. Faults are named in that order too."""
-    where = [(f"params.{comp}", "", comp) for comp in TRAINABLE_COMPONENTS] + [
-        (f"adam.{comp}", f"{k}.", comp) for comp in trained for k in "mv"]
-    return [(field_, prefix, shapes[comp], seg)
-            for (field_, prefix, comp), seg in zip(where, segments)]
-
-
-def _check_state(vectors: list, blocks: list) -> None:
-    """Raise ValueError naming the first bad tensor of ``blocks`` unless the
-    flat ``vectors`` that hold them are finite and every ``v`` block is
-    nonnegative: one pass over each vector and each ``v`` block, none per
-    tensor. ``blocks`` are ``(field, prefix, spec, segment)`` in the order to
-    name faults in: ``segment`` is the part of a vector laid out as the
-    ``{name: TensorSpec}`` mapping ``spec`` (see :func:`_flatten`), and a
-    fault names the checkpoint ``field`` (unless None) and the tensor's name
-    after ``prefix``, which is ``"v."`` for the second Adam moments."""
-    if all(np.isfinite(vec).all() for vec in vectors) and not any(
-            (seg < 0).any() for _, prefix, _, seg in blocks if prefix == "v."):
+def _check_state(vec: np.ndarray, shapes: dict, trained: list) -> None:
+    """Raise ValueError naming the first bad tensor and its checkpoint field
+    unless ``vec``, format 2's tensor vector for the ``{comp: spec}`` mapping
+    ``shapes`` and the ``trained`` components, is finite and its ``v``
+    moments are nonnegative: one ``isfinite`` pass over ``vec`` and one sign
+    test over each ``v`` part, none per tensor."""
+    where = [(f"params.{comp}", "") for comp in TRAINABLE_COMPONENTS] + [
+        (f"adam.{comp}", f"{k}.") for comp in trained for k in "mv"]
+    specs = _flat_specs(shapes, trained)
+    blocks = list(zip(where, specs.values(), _segments(vec, specs).values()))
+    if np.isfinite(vec).all() and not any(
+            (seg < 0).any() for (_, prefix), _, seg in blocks if prefix == "v."):
         return
-    for where, prefix, spec, seg in blocks:
-        with _field(where) if where else nullcontext():
+    for (field_, prefix), spec, seg in blocks:
+        with _field(field_):
             bad = np.flatnonzero(~np.isfinite(seg))
             end = 0
             for name, s in spec.items():
@@ -540,13 +530,19 @@ def _views(vec: np.ndarray, specs: dict) -> dict:
     return views
 
 
+def _tensor_vector(ck: Checkpoint) -> np.ndarray:
+    """Format 2's tensor vector of ``ck``: its parameters and the Adam
+    moments of the components its config trains, as one float64 vector."""
+    trained = _trained(ck.gan_cfg)
+    trees = [ck.params[comp] for comp in TRAINABLE_COMPONENTS] + [
+        moments[comp] for comp in trained for moments in (ck.adam.m, ck.adam.v)]
+    return _flatten(trees, _flat_specs(param_shapes(ck.ensad_cfg, ck.gan_cfg), trained))
+
+
 def save_checkpoint(ck: Checkpoint, path: str) -> None:
     """Write ``ck`` to ``path`` in format 2, atomically, with the Adam state
     of the components its config trains."""
     trained = _trained(ck.gan_cfg)
-    trees = [ck.params[comp] for comp in TRAINABLE_COMPONENTS] + [
-        moments[comp] for comp in trained for moments in (ck.adam.m, ck.adam.v)]
-    tensors = _flatten(trees, _flat_specs(param_shapes(ck.ensad_cfg, ck.gan_cfg), trained))
     header = json.dumps({
         "version": 2,
         "configs": {
@@ -563,7 +559,7 @@ def save_checkpoint(ck: Checkpoint, path: str) -> None:
     }, sort_keys=True)
     with atomic_write(path) as fh:  # to a path, np.savez would append ".npz"
         np.savez(fh, header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
-                 tensors=tensors)
+                 tensors=_tensor_vector(ck))
 
 
 def _checkpoint_from_archive(fh, path: str) -> Checkpoint:
@@ -616,7 +612,7 @@ def _checkpoint_from_archive(fh, path: str) -> Checkpoint:
             raise ValueError(f"expected {size} float64 values, got "
                              f"{tensors.dtype} {tensors.shape}")
     # names and shapes hold by construction; the values are checked here
-    _check_state([tensors], _state_blocks(shapes, trained, _segments(tensors, specs).values()))
+    _check_state(tensors, shapes, trained)
     # a fresh array per tensor, not a view into the vector, as train's
     # returned checkpoints hold them
     trees = list(map_tensors(np.copy, _views(tensors, specs)).values())
@@ -796,9 +792,10 @@ def train(
     constant. Components outside gan_cfg.trainable are never touched.
 
     ``resume`` continues a checkpoint bit-exactly to gan_cfg.steps, which
-    may not lie below its step; every other config field must match;
-    ``init_from`` seeds parameters, a mapping like ``Checkpoint.params``
-    (optimizer and stream start fresh).
+    may not lie below its step; every other config field must match.
+    Without it, train resumes the step-0 checkpoint of the initial draws,
+    or of ``init_from`` (a mapping like ``Checkpoint.params``; no draws):
+    zero Adam moments, and the stream after the draws.
     ``log_fn`` gets each completed step's :data:`CSV_COLUMNS` record after
     its Adam update. A step diverges, raising :class:`TrainingDiverged`
     and logging nothing, when its arithmetic overflows, divides by zero
@@ -810,7 +807,16 @@ def train(
 
     shapes = param_shapes(ensad_cfg, gan_cfg)
     trained = _trained(gan_cfg)
-    if resume is not None:
+    specs = {comp: shapes[comp] for comp in trained}
+    if resume is None:
+        # a fresh start resumes the step-0 checkpoint of the drawn or given
+        # parameters: zero moments, and the stream after the init draws
+        rng = SeededRng(seed)
+        params = init_tensors(shapes, rng) if init_from is None else init_from
+        zeros = map_tensors(lambda s: np.zeros(s.shape), specs)
+        resume = Checkpoint(ensad_cfg, gan_cfg, params, AdamState(zeros, zeros), seed,
+                            rng.position, 0)
+    else:
         for kind, old, new in (("adapter", resume.ensad_cfg, ensad_cfg),
                                ("gan", replace(resume.gan_cfg, steps=gan_cfg.steps), gan_cfg)):
             old, new = _cfg_to_jsonable(old), _cfg_to_jsonable(new)
@@ -825,48 +831,24 @@ def train(
         if resume.rng_seed != seed:
             raise ValueError(f"resume checkpoint was created with seed {resume.rng_seed}, "
                              f"not {seed}")
-        _check_trees(resume, shapes)
-        with _field("adam"):
-            t = json_uint(resume.adam.t)
-        source = resume.params
-        rng = SeededRng(resume.rng_seed, resume.rng_position)
-        start_step = resume.step
-    else:
-        t = 0
-        rng = SeededRng(seed)
-        if init_from is not None:
-            check_tensors(init_from, shapes)
-            source = init_from
-        else:
-            source = init_tensors(shapes, rng)
-        start_step = 0
+    _check_trees(resume, shapes)
+    with _field("adam"):
+        t = json_uint(resume.adam.t)
+    _check_state(_tensor_vector(resume), shapes, trained)
 
     # One float64 vector holds the parameters, the trained components first,
     # each in param_shapes order as in format 2's tensor vector; params[comp]
     # holds named views of it. The trained part's gradients and Adam moments
     # get vectors of its layout, so a step runs one finiteness check and one
     # Adam update for all of them.
-    specs = {comp: shapes[comp] for comp in trained}
     layout = {**specs, **shapes}  # the trained components first
-    flat = _flatten(source, layout)
-    segments = _segments(flat, layout)
+    flat = _flatten(resume.params, layout)
     params = _views(flat, layout)
     params = {comp: params[comp] for comp in TRAINABLE_COMPONENTS}
-    size = sum(segments[comp].size for comp in trained)
-    m, v = np.zeros(size), np.zeros(size)
-    if resume is not None:
-        m, v = _flatten(resume.adam.m, specs), _flatten(resume.adam.v, specs)
-    grad = np.empty(size)
+    m, v = _flatten(resume.adam.m, specs), _flatten(resume.adam.v, specs)
+    grad = np.empty_like(m)
     moments = _views(m, specs), _views(v, specs)
-    # the values of a given state, checked in the vectors they now live in
-    if resume is not None:
-        ms, vs = _segments(m, specs), _segments(v, specs)
-        in_format_2 = [segments[comp] for comp in TRAINABLE_COMPONENTS] + [
-            x[comp] for comp in trained for x in (ms, vs)]
-        _check_state([flat, m, v], _state_blocks(shapes, trained, in_format_2))
-    elif init_from is not None:
-        _check_state([flat], [(None, f"{comp}.", shapes[comp], segments[comp])
-                              for comp in TRAINABLE_COMPONENTS])
+    rng = SeededRng(resume.rng_seed, resume.rng_position)
 
     proxy = None
     if gan_cfg.enable_clg:
@@ -885,8 +867,8 @@ def train(
         )
 
     batches = step_batches(ds, gan_cfg.batch, gan_cfg.noise_p0, gan_cfg.noise_pt,
-                           gan_cfg.d_z, rng, gan_cfg.steps - start_step)
-    for step in range(start_step, gan_cfg.steps):
+                           gan_cfg.d_z, rng, gan_cfg.steps - resume.step)
+    for step in range(resume.step, gan_cfg.steps):
         # where this step's draws start: a diagnostic checkpoint replays it
         position = rng.position
         h, imgs, zs = next(batches)
@@ -913,7 +895,7 @@ def train(
 
         if trained:  # t counts the updates Adam applied
             t += 1
-            adam_step(flat[:size], grad, m, v, t, gan_cfg.lr, gan_cfg.beta1, gan_cfg.beta2)
+            adam_step(flat[:m.size], grad, m, v, t, gan_cfg.lr, gan_cfg.beta1, gan_cfg.beta2)
 
         if log_fn is not None:
             log_fn(record)

@@ -10,7 +10,7 @@ Parameter sets are ordered ``{name: array}`` mappings, nested per component,
 described by matching ``{name: TensorSpec}`` mappings; :func:`init_tensors`,
 :func:`map_tensors` and :func:`check_tensors` initialize, copy and validate.
 Validation walks the structure (names, order, shapes) per tree; the values
-are checked once per flat vector the tensors are laid out in, which still
+are checked once, over a checkpoint's format-2 tensor vector, which still
 names the first bad tensor (``gan._check_state``).
 """
 
@@ -267,24 +267,23 @@ def init_tensors(spec: dict, rng: SeededRng) -> dict:
 
 
 def map_tensors(fn, tree: dict) -> dict:
-    """``fn`` applied to every array of a (nested) ``{name: array}`` mapping,
-    keeping names and order: ``np.copy`` copies it, ``np.zeros_like`` gives
-    zeros of the same shapes."""
+    """``fn`` applied to every leaf of a (nested) ``{name: array}`` or
+    ``{name: TensorSpec}`` mapping, keeping names and order: ``np.copy``
+    copies tensors, ``lambda s: np.zeros(s.shape)`` gives a spec's zeros."""
     return {k: map_tensors(fn, v) if isinstance(v, dict) else fn(v)
             for k, v in tree.items()}
 
 
 def check_tensors(tree: dict, spec: dict, path: str = "") -> None:
-    """Raise ValueError naming the first tensor of ``tree`` that is not what
-    ``spec`` says: names and order, shape, a dtype that casts to float64.
-    Values are not read here but once per flat vector (``gan._check_state``)."""
+    """Raise ValueError naming the first tensor of the ``{name: array}``
+    mapping ``tree`` that is not what ``spec`` says: names and order, shape,
+    a dtype that casts to float64. Values are not read here but once per
+    checkpoint vector (``gan._check_state``)."""
     if list(tree) != list(spec):
         raise ValueError(f"{path or 'tensors'}: names {list(tree)}, expected {list(spec)}")
     for name, s in spec.items():
         where = f"{path}.{name}" if path else name
-        if isinstance(s, dict):
-            check_tensors(tree[name], s, where)
-        elif np.shape(tree[name]) != s.shape:
+        if np.shape(tree[name]) != s.shape:
             raise ValueError(f"{where} has shape {np.shape(tree[name])}, expected {s.shape}")
         elif not np.can_cast(dtype := np.asarray(tree[name]).dtype, np.float64, "same_kind"):
             raise ValueError(f"{where} has dtype {dtype}, which does not cast to float64")

@@ -1,8 +1,9 @@
 """Property tests of the batched adapter forward pass over random shapes,
 mixing weights and unit-norm inputs: the fused rows have unit norm, permuting
 the translations permutes the attention weights, alpha = 0 passes the
-source through bit-exactly, and identical translations get uniform
-attention."""
+source through bit-exactly, identical translations get uniform attention,
+and no weights turn a fused row further from its source than the gate's
+cap."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -66,3 +67,24 @@ def test_identical_translations_get_uniform_attention(setup):
     h[:, 2:] = h[:, 1:2]
     _, trace = forward_batch(p, cfg, h)
     assert np.allclose(trace.s, 1.0 / cfg.m, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+       d=st.integers(2, 16), m=st.integers(1, 6), d_hid=st.integers(1, 8),
+       n=st.integers(1, 4), scale=st.floats(0.0, 20.0), v_eq_k=st.booleans(),
+       seed=st.integers(0, 2**64 - 1))
+def test_fused_rows_stay_within_the_gate_cap(alpha, d, m, d_hid, n, scale, v_eq_k, seed):
+    # the fused row is normalize((1 - alpha) q + alpha c) for unit q and c,
+    # so for alpha < 1/2 no weights can turn it further from its source row
+    # q than asin(alpha / (1 - alpha))
+    cfg = EnsAdConfig(d=d, d_hid=d_hid, m=m, alpha=alpha, variant_v_equals_k=v_eq_k)
+    rng = SeededRng(seed)
+    p = {name: scale * w for name, w in init_params(cfg, rng).items()}
+    h, _ = unit_rows(rng.gaussian_rows(n * (m + 1), d))
+    h = h.reshape(n, m + 1, d)
+    out, _ = forward_batch(p, cfg, h)
+    q = h[:, 0]
+    along = np.einsum("nd,nd->n", out, q)
+    across = np.linalg.norm(out - along[:, None] * q, axis=1)
+    assert (np.arctan2(across, along) <= np.arcsin(alpha / (1 - alpha)) + 1e-12).all()

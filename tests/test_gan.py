@@ -11,6 +11,7 @@ import pytest
 
 from ensad import gan
 from ensad.adapter import EnsAdConfig
+from ensad.cli import PIPELINE_PRESET, PRESETS
 from ensad.data import SyntheticSpec, generate_synthetic
 from ensad.gan import (
     _PHASE2_SALT,
@@ -445,19 +446,21 @@ def test_init_from_and_resume_check_tensor_names_and_shapes():
     ecfg, gcfg, _, _, _ = toy_setup()
     ck = train(ds, ecfg, replace(gcfg, steps=1), 0)
     gen = ck.params["generator"]
-    missing = {**ck.params, "generator": {k: a for k, a in gen.items() if k != "gen_b.0"}}
-    with pytest.raises(ValueError, match=r"^generator: names \['gen_w.0', 'gen_w.1'"):
-        train(ds, ecfg, gcfg, 0, init_from=missing)
-    misshapen = {**ck.params, "generator": {**gen, "gen_w.0": gen["gen_w.0"][:, 1:]}}
-    with pytest.raises(ValueError, match=r"^generator.gen_w.0 has shape \(8, 9\), "
-                       r"expected \(8, 10\)$"):
-        train(ds, ecfg, gcfg, 0, init_from=misshapen)
-    with pytest.raises(ValueError, match=r"^checkpoint field 'params.generator': gen_w.0 has "
-                       r"shape \(8, 9\), expected \(8, 10\)$"):
-        train(ds, ecfg, replace(gcfg, steps=2), 0, resume=replace(ck, params=misshapen))
-    with pytest.raises(ValueError, match=r"^checkpoint field 'params': components \['ensad', "
-                       r"'generator', 'discriminator', 'x'\], expected"):
-        train(ds, ecfg, replace(gcfg, steps=2), 0, resume=replace(ck, params={**ck.params, "x": {}}))
+    # init_from's parameters are checked as a step-0 checkpoint's, so both
+    # name the checkpoint field alike
+    for params, message in [
+        ({**ck.params, "generator": {k: a for k, a in gen.items() if k != "gen_b.0"}},
+         r"^checkpoint field 'params.generator': tensors: names \['gen_w.0', 'gen_w.1'"),
+        ({**ck.params, "generator": {**gen, "gen_w.0": gen["gen_w.0"][:, 1:]}},
+         r"^checkpoint field 'params.generator': gen_w.0 has shape \(8, 9\), "
+         r"expected \(8, 10\)$"),
+        ({**ck.params, "x": {}}, r"^checkpoint field 'params': components \['ensad', "
+         r"'generator', 'discriminator', 'x'\], expected"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            train(ds, ecfg, gcfg, 0, init_from=params)
+        with pytest.raises(ValueError, match=message):
+            train(ds, ecfg, replace(gcfg, steps=2), 0, resume=replace(ck, params=params))
     with pytest.raises(ValueError, match="^resume and init_from are mutually exclusive$"):
         train(ds, ecfg, replace(gcfg, steps=2), 0, resume=ck, init_from=ck.params)
 
@@ -475,13 +478,14 @@ def test_init_from_and_resume_reject_a_tensor_that_does_not_cast_to_float64(cast
     ck = train(ds, ecfg, replace(gcfg, steps=1), 0)
     gen = ck.params["generator"]
     params = {**ck.params, "generator": {**gen, "gen_b.0": cast(gen["gen_b.0"])}}
-    message = f"gen_b.0 has dtype {dtype}, which does not cast to float64"
+    message = ("checkpoint field 'params.generator': gen_b.0 has dtype "
+               f"{dtype}, which does not cast to float64")
     with pytest.raises(ValueError) as init:
         train(ds, ecfg, gcfg, 0, init_from=params)
-    assert str(init.value) == f"generator.{message}"
+    assert str(init.value) == message
     with pytest.raises(ValueError) as resumed:
         train(ds, ecfg, replace(gcfg, steps=2), 0, resume=replace(ck, params=params))
-    assert str(resumed.value) == f"checkpoint field 'params.generator': {message}"
+    assert str(resumed.value) == message
     moments = replace(ck.adam, m={**ck.adam.m, "ensad": {**ck.adam.m["ensad"],
                                                          "wq": cast(ck.adam.m["ensad"]["wq"])}})
     with pytest.raises(ValueError) as resumed:
@@ -526,9 +530,9 @@ def load_and_resume_errors(tmp_path, ds, ecfg, gcfg, ck):
 @pytest.mark.parametrize("tree", ["params", "m", "v"])
 @pytest.mark.parametrize("comp", TRAINABLE_COMPONENTS)
 def test_load_and_resume_name_a_bad_tensor_alike(tmp_path, comp, tree, value, tensor, entry):
-    # one check serves both readers of a checkpoint, and init_from names the
-    # same tensor without the checkpoint field; save_checkpoint writes what
-    # it is given without checking it
+    # one check serves both readers of a checkpoint, and init_from, whose
+    # parameters train checks as a step-0 checkpoint's; save_checkpoint
+    # writes what it is given without checking it
     ds, ecfg, gcfg, ck = trained_everywhere()
     tensors = tensors_of(ck, tree, comp)
     names = list(tensors)
@@ -541,7 +545,7 @@ def test_load_and_resume_name_a_bad_tensor_alike(tmp_path, comp, tree, value, te
     if tree == "params":
         with pytest.raises(ValueError) as init:
             train(ds, ecfg, gcfg, 0, init_from=ck.params)
-        assert str(init.value) == f"{comp}.{name} contains non-finite entries"
+        assert str(init.value) == want
 
 
 @pytest.mark.parametrize("comp", TRAINABLE_COMPONENTS)
@@ -597,8 +601,9 @@ def test_resume_names_a_misshapen_tensor_before_a_bad_value():
 
 @pytest.mark.parametrize("disc_hidden", [(8,), (8, 8, 8, 8)])
 def test_checkpoint_values_are_checked_once_per_vector(tmp_path, monkeypatch, disc_hidden):
-    # one finiteness pass over the loaded tensor vector, and one over each of
-    # the parameter, m and v vectors a resume builds, however many tensors
+    # one finiteness pass over format 2's tensor vector, however many
+    # tensors: the one a load reads, and the one train builds for a resume,
+    # an init_from run or a fresh start (none of which runs a step here)
     ds = toy_dataset()
     ecfg, gcfg, _, _, _ = toy_setup(disc_hidden=disc_hidden)
     ck = train(ds, ecfg, replace(gcfg, steps=2), 0)
@@ -607,10 +612,15 @@ def test_checkpoint_values_are_checked_once_per_vector(tmp_path, monkeypatch, di
     calls = []
     isfinite = np.isfinite
     monkeypatch.setattr(np, "isfinite", lambda *a, **kw: calls.append(1) or isfinite(*a, **kw))
-    load_checkpoint(path)
-    loads = len(calls)
-    train(ds, ecfg, replace(gcfg, steps=2), 0, resume=ck)  # runs no step
-    assert (loads, len(calls) - loads) == (1, 3)
+    counts = []
+    for call in (lambda: load_checkpoint(path),
+                 lambda: train(ds, ecfg, replace(gcfg, steps=2), 0, resume=ck),
+                 lambda: train(ds, ecfg, gcfg, 0, init_from=ck.params),
+                 lambda: train(ds, ecfg, gcfg, 0)):
+        calls.clear()
+        call()
+        counts.append(len(calls))
+    assert counts == [1, 1, 1, 1]
 
 
 def test_train_validates_dataset_dims():
@@ -847,6 +857,37 @@ def test_init_from_starts_fresh_stream():
         gcfg, steps=2, trainable=frozenset({"ensad", "discriminator"})), 11,
         init_from=ints)
     assert ck.params["ensad"]["wq"].dtype == np.float64
+
+
+def step0_checkpoint(ecfg, gcfg, params, seed, position):
+    """The step-0 checkpoint of ``params``: zero Adam moments for the
+    components ``gcfg`` trains, the stream of ``seed`` at ``position``."""
+    zeros = {comp: map_tensors(np.zeros_like, params[comp])
+             for comp in TRAINABLE_COMPONENTS if comp in gcfg.trainable}
+    return Checkpoint(ecfg, gcfg, params, AdamState(zeros, zeros), seed, position, 0)
+
+
+# The gan fields of every preset: the one-phase presets, and each phase of
+# the pipeline preset.
+PRESET_FIELDS = {**{name: f for name, f in PRESETS.items() if name != PIPELINE_PRESET},
+                 **{f"{PIPELINE_PRESET}.{i}": f for i, f in enumerate(PIPELINE_PHASES, 1)}}
+
+
+@pytest.mark.parametrize("preset", PRESET_FIELDS)
+def test_fresh_and_init_from_runs_resume_their_step_0_checkpoint(preset):
+    # train has one way in: without resume it builds the step-0 checkpoint
+    # and resumes it, so the two calls give the same bytes
+    ds = toy_dataset()
+    ecfg, gcfg, _, _, _ = toy_setup()
+    gcfg = replace(gcfg, steps=5, **PRESET_FIELDS[preset])
+    donor = init_tensors(param_shapes(ecfg, gcfg), SeededRng(3))
+    assert checkpoint_bytes(train(ds, ecfg, gcfg, 11, init_from=donor)) == checkpoint_bytes(
+        train(ds, ecfg, gcfg, 11, resume=step0_checkpoint(ecfg, gcfg, donor, 11, 0)))
+    rng = SeededRng(11)
+    drawn = step0_checkpoint(ecfg, gcfg, init_tensors(param_shapes(ecfg, gcfg), rng), 11,
+                             rng.position)
+    assert checkpoint_bytes(train(ds, ecfg, gcfg, 11)) == checkpoint_bytes(
+        train(ds, ecfg, gcfg, 11, resume=drawn))
 
 
 def test_pipeline_phase_splice():
