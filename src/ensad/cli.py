@@ -16,8 +16,8 @@ preset takes --resume, and with it the checkpoint's seed unless one is
 given. No output path may resolve to another output or to an input
 (_check_paths).
 
-Exit codes: 0 success, 2 usage or configuration error, 3 runtime failure.
-All file outputs are written atomically.
+Exit codes: 0 success, 2 usage or configuration error or a size beyond
+memory, 3 runtime failure. All file outputs are written atomically.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import argparse
 import itertools
 import json
 import os
+import stat
 import sys
 
 import numpy as np
@@ -178,18 +179,22 @@ def _apply_preset(section: dict, preset: str | None) -> dict:
 def _check_paths(outputs: dict, inputs: dict, in_place=()) -> None:
     """Before any file is read or written, reject an output path (``outputs``
     and ``inputs`` map a role to a path, or None when not given) that names
-    no file (its last component is empty, "." or ".."), is a directory,
-    whose nearest existing ancestor is not a writable directory, or that
-    resolves to the same file as another output or an input. The (output
-    role, input role) pairs in ``in_place`` may share a file."""
+    no file (its last component is empty, "." or ".."), or whose resolved
+    path (the file atomic_write replaces) exists and is not a regular file,
+    has no writable directory as its nearest existing ancestor, or is the
+    same file as another output or an input. The (output role, input role)
+    pairs in ``in_place`` may share a file."""
     outputs = {role: path for role, path in outputs.items() if path is not None}
     inputs = {role: path for role, path in inputs.items() if path is not None}
     for role, path in outputs.items():
         if os.path.basename(path) in ("", ".", ".."):
             raise UsageError(f"{role} path {path!r} does not end in a file name")
-        if os.path.isdir(path):
-            raise UsageError(f"output path {path} is a directory")
-        parent = os.path.dirname(os.path.abspath(path))
+        real = os.path.realpath(path)
+        if os.path.exists(real) and not os.path.isfile(real):
+            kind = stat.filemode(os.stat(real).st_mode)[0]
+            kind = {"d": "directory", "p": "FIFO", "s": "socket"}.get(kind, "device")
+            raise UsageError(f"output path {path} is a {kind}")
+        parent = os.path.dirname(real)
         while not os.path.exists(parent):
             parent = os.path.dirname(parent)
         if not os.path.isdir(parent) or not os.access(parent, os.W_OK | os.X_OK):
@@ -413,6 +418,10 @@ def main(argv=None) -> int:
     except (NotPsdError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # numpy's message names the size and shape it could not allocate
+        print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
+        return 2
     except (UsageError, ValueError, OSError) as exc:
         # DataFormatError and bad checkpoints are ValueErrors; OSErrors name the path
         print(f"error: {exc}", file=sys.stderr)

@@ -132,11 +132,13 @@ class SyntheticSpec:
 
 @contextmanager
 def atomic_write(path: str):
-    """Yield a binary file that becomes ``path``: a temp file in ``path``'s
-    directory (created if missing) with mode 0666 minus the umask, like
-    ``open(path, "w")``, renamed over ``path`` when the block ends and
-    unlinked if it raises."""
-    directory = os.path.dirname(os.path.abspath(path))
+    """Yield a binary file that becomes ``path``: a temp file in the
+    directory of the file ``path`` resolves to (created if missing) with mode
+    0666 minus the umask, like ``open(path, "w")``, renamed over that file
+    when the block ends and unlinked if it raises. So a symlinked ``path``
+    stays a link, and the file it points to is replaced."""
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".tmp-{os.getpid()}-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import socket
+import stat
 import struct
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from ensad import gan
 from ensad.cli import main
 from ensad.data import load_jsonl
 from ensad.gan import CSV_COLUMNS, load_checkpoint, save_checkpoint
+from ensad.numkit import NotPsdError
 from test_gan import nan_on_call
 
 
@@ -893,6 +896,19 @@ def test_linalg_failure_exits_3(workdir, dataset_path, ckpt_path, capsys,
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_a_covariance_that_is_not_psd_exits_3(workdir, dataset_path, ckpt_path, capsys,
+                                             monkeypatch):
+    # NotPsdError is a ValueError, and it must not take the exit 2 branch
+    def fail(*args, **kwargs):
+        raise NotPsdError("eigenvalue -1.000e-03 below PSD tolerance 1e-08")
+    monkeypatch.setattr("ensad.cli.compare_strategies", fail)
+    rc = main(["eval", "--ckpt", str(ckpt_path), "--data", str(dataset_path),
+               "--n-gen", "8"])
+    assert rc == 3
+    assert capsys.readouterr().err == ("numerical failure: eigenvalue -1.000e-03 below PSD "
+                                       "tolerance 1e-08\n")
+
+
 def test_config_errors(workdir, dataset_path, capsys):
     bad = workdir / "bad.json"
     bad.write_text("{not json")
@@ -1055,6 +1071,57 @@ def test_output_below_a_file_is_rejected(tmp_path, capsys):
     assert (f"error: cannot write {out}: {afile} is not a writable directory\n"
             == capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == [afile] and afile.read_text() == ""
+
+
+def test_a_symlinked_output_updates_its_target_and_keeps_the_link(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    target = tmp_path / "b" / "target.jsonl"
+    target.write_text("old\n")
+    link = tmp_path / "a" / "link.jsonl"
+    link.symlink_to(Path("..") / "b" / "target.jsonl")
+    assert main(["synth", "--out", str(link), *SMALL_SYNTH]) == 0
+    assert link.is_symlink() and os.readlink(link) == os.path.join("..", "b", "target.jsonl")
+    assert len(load_jsonl(target)) == 3
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "b", "link.jsonl",
+                                                         "target.jsonl"]
+
+
+@pytest.mark.parametrize("kind", ["FIFO", "socket"])
+def test_an_output_that_is_not_a_regular_file_exits_2(tmp_path, capsys, monkeypatch, kind):
+    monkeypatch.chdir(tmp_path)  # a short socket address
+    out = "out.jsonl"
+    with socket.socket(socket.AF_UNIX) as sock:
+        if kind == "FIFO":
+            os.mkfifo(out)
+        else:
+            sock.bind(out)
+        assert main(["synth", "--out", out, *SMALL_SYNTH]) == 2
+        assert capsys.readouterr().err == f"error: output path {out} is a {kind}\n"
+        assert [p.name for p in tmp_path.iterdir()] == [out]
+        is_kind = stat.S_ISFIFO if kind == "FIFO" else stat.S_ISSOCK
+        assert is_kind(os.lstat(out).st_mode)
+
+
+@pytest.mark.parametrize("command", ["eval", "synth", "train"])
+def test_a_size_beyond_memory_exits_2(dataset_path, ckpt_path, tmp_path, capsys, command):
+    # each first array needs 1-1.5 EiB: numpy raises MemoryError before allocating
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"adapter": {"d_hid": 2 ** 55}}))  # d 6: 6 * 2**55 words
+    out = tmp_path / "out"
+    argv = {
+        "eval": ["eval", "--ckpt", str(ckpt_path), "--data", str(dataset_path),
+                 "--n-gen", str(2 ** 57)],
+        "synth": ["synth", "--out", str(out), "--n-items", str(2 ** 56), "--d", "2",
+                  "--m", "1", "--d-img", "1"],
+        "train": ["train", "--data", str(dataset_path), "--config", str(cfg),
+                  "--out", str(out), "--steps", "1"],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}: out of memory: Unable to allocate ")
+    assert "shape (" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def _exit_code(argv):

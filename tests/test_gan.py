@@ -691,7 +691,7 @@ def golden_tensors(group: dict) -> dict:
     return named
 
 
-def test_golden_checkpoint_reserializes_to_the_same_bytes():
+def test_golden_json_and_archive_hold_the_same_floats():
     # the archive holds the values of the JSON reference, written by the
     # per-item code, exactly: every field, every float bit for bit
     with open(os.path.join(GOLDEN, "ckpt_step6.json"), encoding="utf-8") as fh:
