@@ -2,11 +2,15 @@
 """Paired benchmark runs of two checkouts, and whether a claimed gain holds.
 
     python3 experiments/bench_pairs.py --parent ../parent --change . --pairs 10
+    python3 experiments/bench_pairs.py --parent ../parent --change . --pairs 10 --first-seed 10
 
 For each workload that the change's ``BENCHMARK.json`` gates and each seed
-0..N-1, runs ``perfbench/run.py --workload W --seed S --trace 0 --seconds
-20`` in both checkouts, one after the other; which side runs first
-alternates from pair to pair. Then, per workload and end-to-end metric, it
+K..K+N-1 (K is ``--first-seed``, 0 unless given), runs ``perfbench/run.py
+--workload W --seed S --trace 0 --seconds 20`` in both checkouts, one
+after the other; the parent runs first in the first pair, and which side
+runs first alternates from pair to pair. A claim is checked again on seeds
+not used while the change was written by giving a ``--first-seed`` past
+them. Then, per workload and end-to-end metric, it
 prints each side's median and quartiles, the pairs the change won (ties
 count for neither side), the gap between the medians relative to the
 parent's, and whether a gain may be claimed: the change wins at least nine
@@ -43,14 +47,15 @@ def run_benchmark(checkout: str, workload: str, seed: int) -> dict:
         return {"correct": False}
 
 
-def run_pairs(parent: str, change: str, workloads: list, pairs: int) -> dict:
+def run_pairs(parent: str, change: str, workloads: list, seeds: range) -> dict:
     """``{workload: {"parent": [result, ...], "change": [...]}}``, one result
-    per seed 0..pairs-1; the parent runs first on even seeds."""
+    per seed of ``seeds``; the parent runs first in the even-numbered pairs,
+    counting from 0."""
     runs = {}
     for workload in workloads:
         sides = {"parent": [], "change": []}
-        for seed in range(pairs):
-            order = ["parent", "change"] if seed % 2 == 0 else ["change", "parent"]
+        for pair, seed in enumerate(seeds):
+            order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
             for side in order:
                 checkout = parent if side == "parent" else change
                 sides[side].append(run_benchmark(checkout, workload, seed))
@@ -85,12 +90,14 @@ def format_row(row: dict) -> str:
             f"{100 * row['gap']:+7.2f}%  {'holds' if row['holds'] else 'no'}")
 
 
-def report(runs: dict, end_to_end: list) -> tuple:
-    """The summary lines for ``runs``, and the count of runs not correct."""
+def report(runs: dict, end_to_end: list, first_seed: int = 0) -> tuple:
+    """The summary lines for ``runs``, whose pairs ran on seeds from
+    ``first_seed`` on, and the count of runs not correct."""
     lines, bad = [], 0
     for workload, sides in runs.items():
         failed = [f"{side} seed {seed}" for side, results in sides.items()
-                  for seed, run in enumerate(results) if not run.get("correct")]
+                  for seed, run in enumerate(results, start=first_seed)
+                  if not run.get("correct")]
         bad += len(failed)
         lines.append(f"{workload}: {len(sides['parent'])} pairs")
         if failed:
@@ -108,10 +115,15 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--change", required=True, help="checkout of the change")
-    ap.add_argument("--pairs", type=int, required=True, help="seeds 0..N-1, N >= 2")
+    ap.add_argument("--pairs", type=int, required=True, help="seeds K..K+N-1, N >= 2")
+    ap.add_argument("--first-seed", type=int, default=0,
+                    help="K, the first seed (default 0); past the seeds used while "
+                         "writing the change, to check a claim again")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2 to give quartiles")
+    if args.first_seed < 0:
+        ap.error("--first-seed must not be negative")
     parent, change = os.path.abspath(args.parent), os.path.abspath(args.change)
     if len(parent) != len(change):
         print(f"bench_pairs.py: checkout paths differ in length ({len(parent)} and "
@@ -119,8 +131,9 @@ def main(argv=None) -> int:
         return 2
     with open(os.path.join(change, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    runs = run_pairs(parent, change, [w["name"] for w in bench["workloads"]], args.pairs)
-    lines, bad = report(runs, bench["end_to_end"])
+    seeds = range(args.first_seed, args.first_seed + args.pairs)
+    runs = run_pairs(parent, change, [w["name"] for w in bench["workloads"]], seeds)
+    lines, bad = report(runs, bench["end_to_end"], args.first_seed)
     print("\n".join(lines))
     if bad:
         print(f"bench_pairs.py: {bad} runs not correct", file=sys.stderr)

@@ -26,7 +26,6 @@ import argparse
 import itertools
 import json
 import os
-import stat
 import sys
 
 import numpy as np
@@ -41,6 +40,7 @@ from .adapter import (
 from .data import (
     JSON_ERRORS,
     SyntheticSpec,
+    check_output_path,
     generate_synthetic,
     json_uint,
     load_jsonl,
@@ -179,21 +179,17 @@ def _apply_preset(section: dict, preset: str | None) -> dict:
 def _check_paths(outputs: dict, inputs: dict, in_place=()) -> None:
     """Before any file is read or written, reject an output path (``outputs``
     and ``inputs`` map a role to a path, or None when not given) that names
-    no file (its last component is empty, "." or ".."), or whose resolved
-    path (the file atomic_write replaces) exists and is not a regular file,
-    has no writable directory as its nearest existing ancestor, or is the
-    same file as another output or an input. The (output role, input role)
+    no file (its last component is empty, "." or ".."), that
+    check_output_path refuses, whose resolved path has no writable directory
+    as its nearest existing ancestor, or that is the same file as another
+    output or an input. The (output role, input role)
     pairs in ``in_place`` may share a file."""
     outputs = {role: path for role, path in outputs.items() if path is not None}
     inputs = {role: path for role, path in inputs.items() if path is not None}
     for role, path in outputs.items():
         if os.path.basename(path) in ("", ".", ".."):
             raise UsageError(f"{role} path {path!r} does not end in a file name")
-        real = os.path.realpath(path)
-        if os.path.exists(real) and not os.path.isfile(real):
-            kind = stat.filemode(os.stat(real).st_mode)[0]
-            kind = {"d": "directory", "p": "FIFO", "s": "socket"}.get(kind, "device")
-            raise UsageError(f"output path {path} is a {kind}")
+        real = check_output_path(path)
         parent = os.path.dirname(real)
         while not os.path.exists(parent):
             parent = os.path.dirname(parent)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -81,6 +82,15 @@ class Dataset:
         except ValueError as exc:
             raise ValueError(f"item {i}: {exc}") from exc
 
+    @classmethod
+    def _checked(cls, ids, rows, images, source_texts, translation_texts):
+        """A Dataset of fields in the form ``__post_init__`` gives them, which
+        load_jsonl has checked line by line: no item is checked again."""
+        ds = cls.__new__(cls)
+        ds.ids, ds.rows, ds.images = ids, rows, images
+        ds.source_texts, ds.translation_texts = source_texts, translation_texts
+        return ds
+
     @property
     def d(self) -> int:
         return self.rows.shape[2]
@@ -100,8 +110,9 @@ class Dataset:
 def check_item_texts(item_id, source_text, texts, m: int):
     """Raise ValueError unless ``item_id`` is a string, ``source_text`` None
     or a string, and ``texts`` None or a list or tuple of m strings; returns
-    ``texts`` as a tuple, or None. Dataset and load_jsonl check every item
-    with it, so any Dataset saves as a file that loads."""
+    ``texts`` as a tuple, or None. Dataset checks every item with it, and
+    load_jsonl every line (once: its Dataset checks none again), so any
+    Dataset saves as a file that loads."""
     if not isinstance(item_id, str):
         raise ValueError("id must be a string")
     if texts is not None:
@@ -130,14 +141,28 @@ class SyntheticSpec:
         check_real_fields(self, {"sigma_source": "[0, inf)", "sigma_trans": "[0, inf)"})
 
 
+def check_output_path(path: str) -> str:
+    """The file ``path`` resolves to, which :func:`atomic_write` replaces;
+    raise ValueError naming ``path`` if that file exists and is not a
+    regular file (a directory, FIFO, socket or device)."""
+    real = os.path.realpath(path)
+    if os.path.exists(real) and not os.path.isfile(real):
+        kind = stat.filemode(os.stat(real).st_mode)[0]
+        kind = {"d": "directory", "p": "FIFO", "s": "socket"}.get(kind, "device")
+        raise ValueError(f"output path {path} is a {kind}")
+    return real
+
+
 @contextmanager
 def atomic_write(path: str):
     """Yield a binary file that becomes ``path``: a temp file in the
     directory of the file ``path`` resolves to (created if missing) with mode
     0666 minus the umask, like ``open(path, "w")``, renamed over that file
     when the block ends and unlinked if it raises. So a symlinked ``path``
-    stays a link, and the file it points to is replaced."""
-    path = os.path.realpath(path)
+    stays a link, and the file it points to is replaced. A ``path`` that is
+    not a regular file is refused by :func:`check_output_path` before
+    anything is written."""
+    path = check_output_path(path)
     directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".tmp-{os.getpid()}-{os.urandom(8).hex()}")
@@ -246,35 +271,56 @@ def _check_embeddings(vectors: np.ndarray, m: int) -> None:
     vectors[drift] = l2_normalize(vectors[drift])
 
 
-def _read_lines(path: str) -> list:
-    """The file's lines, decoded as UTF-8 with universal newlines like a
-    text-mode read; a byte that is not UTF-8 raises DataFormatError naming
-    its line."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _decode(raw: bytes, start: int = 0, end: int | None = None) -> str:
+    """``raw[start:end]`` decoded as UTF-8; a byte that is not UTF-8 raises
+    DataFormatError naming its line, counted by LF bytes."""
     try:
-        text = raw.decode("utf-8")
+        return raw[start:end].decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = raw.count(b"\n", 0, exc.start) + 1
+        line_no = raw.count(b"\n", 0, start + exc.start) + 1
         raise DataFormatError(f"line {line_no}: not valid UTF-8: {exc.reason}") from exc
-    del raw  # at most two copies of the file at a time, as a text-mode read
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
+
+
+def _text_lines(raw: bytes):
+    """Yield the lines of ``raw`` as a text-mode read of it splits them (UTF-8,
+    universal newlines), decoding one LF-ended piece at a time, each with its
+    LF: a truncated character then fails as it would in the whole text, and
+    no copy of the whole text is made."""
+    start = 0
+    while start < len(raw):
+        end = raw.find(b"\n", start) + 1 or len(raw)
+        text = _decode(raw, start, end).removesuffix("\n")
+        start = end
+        if "\r" in text:  # lone CRs end lines too
+            yield from text.removesuffix("\r").replace("\r", "\n").split("\n")
+        else:
+            yield text
 
 
 def load_jsonl(path: str) -> Dataset:
     """Read and validate a dataset file; see the module docstring for the
     schema. Embeddings off the sphere by more than 1e-6 are rejected,
-    smaller drift is renormalized."""
-    lines = _read_lines(path)
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise DataFormatError("line 1: empty file, expected header")
-
+    smaller drift is renormalized. The file's bytes are held once, and its
+    lines decoded and parsed one at a time into arrays sized from the
+    header and the bytes. A byte that is not UTF-8 is named before any
+    other fault, as a reader that decodes the whole file first names it."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        header = json.loads(lines[0])
+        return _parse_jsonl(raw)
+    except DataFormatError:
+        _decode(raw)
+        raise
+
+
+def _parse_jsonl(raw: bytes) -> Dataset:
+    """The dataset whose file holds the bytes ``raw``; see load_jsonl."""
+    lines = enumerate(_text_lines(raw), start=1)
+    _, line = next(lines, (1, None))
+    if line is None:
+        raise DataFormatError("line 1: empty file, expected header")
+    try:
+        header = json.loads(line)
     except JSON_ERRORS as exc:
         raise DataFormatError(f"line 1: bad JSON header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
@@ -289,66 +335,74 @@ def load_jsonl(path: str) -> Dataset:
         except (KeyError, ValueError) as exc:
             raise DataFormatError(f"line 1: header {key!r} missing or bad: {exc}") from exc
     d, m, d_img = dims
-    if len(lines) == 1:
-        raise DataFormatError("line 2: file has a header but no items")
 
-    # Per line: the structural checks and the image range (one vector).
-    # Per-item lists of vectors are stacked at the end (the header's
-    # dimensions are only trusted once a line has vectors of that size) and
-    # the embeddings' numeric checks run once over the stack; on a fault in
-    # the loop, over the vectors read before it, as theirs come first.
-    ids, rows, images, source_texts, translation_texts = [], [], [], [], []
-    item = None  # the vectors of the line being read, once it has some
+    # Items fit in the lines after the header, and a valid item line holds
+    # its k numbers in at least 2k bytes; so the arrays take at most 4 bytes
+    # per byte of the file whatever the header claims. When not one item
+    # fits, no array of the header's sizes is made: none would be written.
+    k = (m + 1) * d + d_img
+    breaks = raw.count(b"\n")
+    if b"\r" in raw:  # lone CRs end lines too
+        breaks += raw.count(b"\r") - raw.count(b"\r\n")
+    n_max = min(breaks - raw.endswith((b"\n", b"\r")), len(raw) // (2 * k))
+    rows = np.empty((n_max, m + 1, d) if n_max else 0)
+    images = np.empty((n_max, d_img) if n_max else 0)
+    # Per line: the structural checks and the image range (one vector). The
+    # embeddings' numeric checks run once over the array; on a fault, over
+    # the vectors read before it, as theirs come first.
+    ids, source_texts, translation_texts = [], [], []
+    n, item = 0, []  # the items read, and the vectors of the line being read
     try:
-        for offset, line in enumerate(lines[1:], start=2):
+        for line_no, line in lines:
             try:
                 obj = json.loads(line)
             except JSON_ERRORS as exc:
-                raise DataFormatError(f"line {offset}: bad JSON: {exc}") from exc
+                raise DataFormatError(f"line {line_no}: bad JSON: {exc}") from exc
             if not isinstance(obj, dict):
-                raise DataFormatError(f"line {offset}: expected a JSON object")
+                raise DataFormatError(f"line {line_no}: expected a JSON object")
             unknown = set(obj) - {
                 "id", "h0", "translations", "image", "source_text", "translation_texts",
             }
             if unknown:
-                raise DataFormatError(f"line {offset}: unknown keys {sorted(unknown)}")
+                raise DataFormatError(f"line {line_no}: unknown keys {sorted(unknown)}")
             try:
                 item_id = obj["id"]
                 h0_raw = obj["h0"]
                 trans_raw = obj["translations"]
                 img_raw = obj["image"]
             except KeyError as exc:
-                raise DataFormatError(f"line {offset}: missing key {exc}") from exc
+                raise DataFormatError(f"line {line_no}: missing key {exc}") from exc
             source_text = obj.get("source_text")
             try:
                 texts = check_item_texts(item_id, source_text, obj.get("translation_texts"), m)
             except ValueError as exc:
-                raise DataFormatError(f"line {offset}: {exc}") from exc
+                raise DataFormatError(f"line {line_no}: {exc}") from exc
             if not isinstance(trans_raw, list) or len(trans_raw) != m:
                 raise DataFormatError(
-                    f"line {offset}: expected {m} translations, got "
+                    f"line {line_no}: expected {m} translations, got "
                     f"{len(trans_raw) if isinstance(trans_raw, list) else type(trans_raw).__name__}"
                 )
-            item = [_floats(h0_raw, d, offset, "h0")]
+            item.append(_floats(h0_raw, d, line_no, "h0"))
             for j, t in enumerate(trans_raw):
-                item.append(_floats(t, d, offset, f"translation {j}"))
-            image = _floats(img_raw, d_img, offset, "image")
-            if not np.all(np.isfinite(image)) or np.any(np.abs(image) > 1.0):
-                raise DataFormatError(f"line {offset}: image entries must lie in [-1, 1]")
+                item.append(_floats(t, d, line_no, f"translation {j}"))
+            image = _floats(img_raw, d_img, line_no, "image")
+            if not (np.abs(image) <= 1.0).all():  # NaN fails too
+                raise DataFormatError(f"line {line_no}: image entries must lie in [-1, 1]")
+            rows[n], images[n] = item, image
             ids.append(item_id)
-            rows.append(item)
-            images.append(image)
             source_texts.append(source_text)
             translation_texts.append(texts)
+            n, item = n + 1, []
     except DataFormatError:
-        vectors = [v for it in rows for v in it]
-        if item is not None and (not rows or item is not rows[-1]):
-            vectors += item
-        _check_embeddings(np.array(vectors).reshape(-1, d), m)
+        if n or item:
+            _check_embeddings(np.vstack([rows[:n].reshape(-1, d), *item]), m)
         raise
-    rows, images = np.array(rows), np.array(images)
+    if not n:
+        raise DataFormatError("line 2: file has a header but no items")
+    rows, images = rows[:n], images[:n]
     _check_embeddings(rows.reshape(-1, d), m)
-    return Dataset(ids, rows, images, source_texts, translation_texts)
+    return Dataset._checked(tuple(ids), rows, images, tuple(source_texts),
+                            tuple(translation_texts))
 
 
 def jsonl_lines(ds: Dataset):

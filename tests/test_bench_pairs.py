@@ -95,6 +95,32 @@ def test_main_runs_alternating_pairs_and_fails_on_a_run_that_is_not_correct(
     assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--pairs", "2"]) == 1
 
 
+def test_first_seed_starts_the_pairs_there_and_names_failed_runs_by_seed(
+        tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+    (change / "BENCHMARK.json").write_text(
+        '{"workloads": [{"name": "w"}], "end_to_end": [{"name": "eval_s", "better": "lower"}]}')
+    calls = []
+
+    def canned(checkout, workload, seed):
+        calls.append((Path(checkout).name, seed))
+        if (Path(checkout), seed) == (change, 12):
+            return {"correct": False}
+        return results({"eval_s": [1.0]})[0]
+    monkeypatch.setattr(bench_pairs, "run_benchmark", canned)
+    argv = ["--parent", str(parent), "--change", str(change), "--pairs", "3"]
+    assert bench_pairs.main([*argv, "--first-seed", "11"]) == 1
+    assert calls == [("parent", 11), ("change", 11), ("change", 12), ("parent", 12),
+                     ("parent", 13), ("change", 13)]
+    assert capsys.readouterr().out.splitlines() == ["w: 3 pairs",
+                                                    "  not correct: change seed 12"]
+    with pytest.raises(SystemExit):
+        bench_pairs.main([*argv, "--first-seed", "-1"])
+    assert "--first-seed must not be negative" in capsys.readouterr().err
+
+
 def test_main_refuses_checkouts_whose_paths_differ_in_length(tmp_path, monkeypatch, capsys):
     def never(*args):
         raise AssertionError("the benchmark ran")

@@ -14,10 +14,12 @@ from ensad.data import (
     Dataset,
     SyntheticSpec,
     atomic_write,
+    check_item_texts,
     generate_synthetic,
     jsonl_lines,
     load_jsonl,
     save_jsonl,
+    save_lines,
 )
 from ensad.numkit import SeededRng, derive_seed, l2_normalize
 
@@ -224,6 +226,20 @@ def test_load_rejects_bad_header(tmp_path):
             load_jsonl(path)
 
 
+@pytest.mark.parametrize("key, message", [
+    ("d", "h0 has wrong dimension"),
+    ("m", f"expected {2 ** 64 - 1} translations, got 1"),
+    ("d_img", "image has wrong dimension"),
+])
+def test_load_names_the_item_line_when_a_header_size_fits_no_array(tmp_path, key, message):
+    # the largest size a header may give; a d of 2**63 or more used to end in
+    # numpy's "Maximum allowed dimension exceeded", naming no line
+    hdr = {**json.loads(HEADER), key: 2 ** 64 - 1}
+    path = write_lines(tmp_path, [json.dumps(hdr), GOOD_ITEM])
+    with pytest.raises(DataFormatError, match=f"^line 2: {re.escape(message)}$"):
+        load_jsonl(path)
+
+
 def test_load_names_the_header_line_of_an_overlong_integer(tmp_path):
     path = write_lines(tmp_path, [HEADER.replace('"d": 2', f'"d": {LONG_INT}'), GOOD_ITEM])
     with pytest.raises(DataFormatError, match="^line 1: bad JSON header: Exceeds the limit"):
@@ -302,6 +318,14 @@ def test_load_rejects_unknown_keys(tmp_path):
     bad["extra"] = 1
     path = write_lines(tmp_path, [HEADER, json.dumps(bad)])
     with pytest.raises(DataFormatError, match="unknown"):
+        load_jsonl(path)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_load_rejects_a_non_finite_embedding_entry(tmp_path, token):
+    bad = GOOD_ITEM.replace('"translations": [[0.0, 1.0]]', f'"translations": [[{token}, 1.0]]')
+    path = write_lines(tmp_path, [HEADER, GOOD_ITEM, bad])
+    with pytest.raises(DataFormatError, match="^line 3: translation 0 has non-finite entries$"):
         load_jsonl(path)
 
 
@@ -468,6 +492,49 @@ def test_save_jsonl_streams_its_lines(tmp_path):
         tracemalloc.stop()
     assert os.path.getsize(path) > 3_000_000
     assert peak < 1_000_000
+
+
+def test_load_jsonl_holds_the_file_once(tmp_path):
+    # a whole-file decode held the bytes, the text, and the text split into
+    # lines: a traced peak of 2.25 times the file
+    ds = generate_synthetic(SyntheticSpec(n_items=520, d=16, m=4, d_img=12,
+                                          sigma_source=0.4, sigma_trans=0.2))
+    path = str(tmp_path / "corpus.jsonl")
+    save_jsonl(ds, path)
+    size = os.path.getsize(path)
+    tracemalloc.start()
+    try:
+        back = load_jsonl(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same_dataset(back, ds)
+    assert 1_000_000 < size < 1_100_000
+    assert peak < 1.75 * size
+
+
+def test_load_checks_each_item_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return check_item_texts(*args)
+    monkeypatch.setattr("ensad.data.check_item_texts", counted)
+    ds = generate_synthetic(small_spec())
+    path = str(tmp_path / "corpus.jsonl")
+    save_jsonl(ds, path)
+    calls.clear()
+    assert load_jsonl(path).ids == ds.ids
+    assert calls == list(ds.ids)
+
+
+def test_save_lines_refuses_a_fifo_and_leaves_it(tmp_path):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    with pytest.raises(ValueError, match=f"^output path {re.escape(str(fifo))} is a FIFO$"):
+        save_lines(["x"], str(fifo))
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["out.fifo"]
 
 
 def test_ensemble_matrix_layout(tmp_path):

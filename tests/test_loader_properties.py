@@ -1,8 +1,9 @@
 """Property tests of the loaders. JSONL: a saved dataset loads back field
 for field, a mutated item line raises only DataFormatError, naming that
-line, and the batched loader agrees with a per-line reference loader on
-arrays and on every error message. Checkpoints: a corrupted format-2
-archive raises only ValueError."""
+line, and the loader agrees with a reference loader that decodes the whole
+file first and checks each vector as its line is read, on arrays and on
+every error message, whatever the line endings. Checkpoints: a corrupted
+format-2 archive raises only ValueError."""
 
 import io
 import json
@@ -21,7 +22,6 @@ from ensad.data import (
     NORM_REJECT,
     DataFormatError,
     Dataset,
-    _read_lines,
     json_uint,
     jsonl_lines,
     load_jsonl,
@@ -151,6 +151,12 @@ def test_non_number_entry_raises_data_format_error(tmp_path, data):
         load_jsonl(path)
 
 
+# Bytes that are not UTF-8: a stray byte, a lone continuation byte, a lead
+# byte followed by ASCII, an encoded surrogate, and a lead byte cut short
+# (by the line ending, or at the end of the file)
+BAD_UTF8 = [b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\xe2\x82"]
+
+
 @SETTINGS
 @given(data=st.data())
 def test_invalid_utf8_names_its_line(tmp_path, data):
@@ -158,7 +164,7 @@ def test_invalid_utf8_names_its_line(tmp_path, data):
     lines = [line.encode("utf-8") for line in jsonl_lines(ds)]
     k = data.draw(st.integers(1, len(lines)))
     pos = data.draw(st.integers(0, len(lines[k - 1])))
-    bad = data.draw(st.sampled_from([b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80"]))
+    bad = data.draw(st.sampled_from(BAD_UTF8))
     lines[k - 1] = lines[k - 1][:pos] + bad + lines[k - 1][pos:]
     path = os.path.join(tmp_path, "mutated.jsonl")
     with open(path, "wb") as fh:
@@ -195,10 +201,27 @@ def _per_line_embedding(vec, d, line_no, what):
     raise DataFormatError(f"line {line_no}: {what} norm deviates by {dev:.2e}")
 
 
+def read_lines(path):
+    """The file's lines, decoded as UTF-8 with universal newlines like a
+    text-mode read, from one decode of the whole file; a byte that is not
+    UTF-8 raises DataFormatError naming its line, counted by LF bytes."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"line {line_no}: not valid UTF-8: {exc.reason}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def per_line_load_jsonl(path):
-    """The JSONL reader as it was before its numeric checks were batched:
+    """The JSONL reader as it was before its numeric checks were batched and
+    its lines decoded one at a time: the whole file decoded first, then
     every vector checked, and renormalized, as its line is read."""
-    lines = _read_lines(path)
+    lines = read_lines(path)
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -284,8 +307,15 @@ def outcome(load, path):
             *((a.dtype, a.shape, a.tobytes()) for a in (ds.rows, ds.images)))
 
 
-def assert_loaders_agree(tmp_path, lines):
-    path = write(os.path.join(tmp_path, "ds.jsonl"), "\n".join(lines) + "\n")
+def assert_loaders_agree(tmp_path, lines, data):
+    """Both loaders make the same of ``lines`` (each a str or UTF-8 bytes)
+    joined by LF, CRLF or CR, with or without a last line ending."""
+    newline = data.draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    raw = newline.join(line if isinstance(line, bytes) else line.encode("utf-8")
+                       for line in lines)
+    path = os.path.join(tmp_path, "ds.jsonl")
+    with open(path, "wb") as fh:
+        fh.write(raw + newline * data.draw(st.booleans()))
     assert outcome(load_jsonl, path) == outcome(per_line_load_jsonl, path)
 
 
@@ -320,7 +350,7 @@ def test_valid_file_loads_as_the_per_line_reader_loads_it(tmp_path, data):
         lines[k] = json.dumps(obj)
     path = write(os.path.join(tmp_path, "ds.jsonl"), "\n".join(lines) + "\n")
     assert not isinstance(outcome(load_jsonl, path)[0], type)  # it loads
-    assert_loaders_agree(tmp_path, lines)
+    assert_loaders_agree(tmp_path, lines, data)
 
 
 # Entries and scalings that fail the numeric checks, or pass them
@@ -350,8 +380,25 @@ def test_mutated_file_fails_as_the_per_line_reader_fails(tmp_path, data):
     ds = data.draw(datasets())
     lines = list(jsonl_lines(ds))
     kind = data.draw(st.sampled_from(["one_line", "two_lines", "numeric_then_type",
-                                      "norm_then_entry"]))
-    if kind == "norm_then_entry":
+                                      "norm_then_entry", "bad_byte_and_fault"]))
+    if kind == "bad_byte_and_fault":
+        # a byte that is not UTF-8 on one line and, before or after it, bad
+        # JSON, a mutated item or a numeric fault on another: the byte is
+        # named first wherever it is
+        bad, k = data.draw(st.lists(st.integers(1, len(lines)), min_size=2, max_size=2,
+                                    unique=True))
+        fault = data.draw(st.sampled_from(["json", "item", "numeric"]) if k > 1 else
+                          st.just("json"))
+        if fault == "json":
+            lines[k - 1] = lines[k - 1][:data.draw(st.integers(0, len(lines[k - 1]) - 1))]
+        elif fault == "item":
+            lines[k - 1] = data.draw(mutated_item(json.loads(lines[k - 1])))
+        else:
+            lines[k - 1] = json.dumps(data.draw(numeric_fault(json.loads(lines[k - 1]))))
+        line = lines[bad - 1].encode("utf-8")
+        pos = data.draw(st.integers(0, len(line)))
+        lines[bad - 1] = line[:pos] + data.draw(st.sampled_from(BAD_UTF8)) + line[pos:]
+    elif kind == "norm_then_entry":
         # a vector off the sphere by 1e-3 and, later in the file, a bad
         # entry: the first is reported, though only its norm shows it
         objs = [json.loads(line) for line in lines[1:]]
@@ -387,7 +434,7 @@ def test_mutated_file_fails_as_the_per_line_reader_fails(tmp_path, data):
                 lines[k - 1] = json.dumps(data.draw(numeric_fault(obj)))
             else:
                 lines[k - 1] = data.draw(mutated_item(obj))
-    assert_loaders_agree(tmp_path, lines)
+    assert_loaders_agree(tmp_path, lines, data)
 
 
 GOLDEN_CKPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
