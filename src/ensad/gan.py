@@ -14,10 +14,13 @@ the trained components first, each laid out as in format 2's tensor vector.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import struct
 import tokenize
 import zipfile
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
@@ -474,18 +477,71 @@ def _check_state(vec: np.ndarray, shapes: dict, trained: list) -> None:
 #            each trainable component (one count, so all must be equal);
 #   tensors  one float64 vector: every parameter in param_shapes order,
 #            then the m and then the v moments of each trainable component.
-# A file that does not start with the zip magic is rejected before np.load
-# sees it. Equal checkpoints give equal bytes (np.savez fixes the zip
-# timestamps).
+# Equal checkpoints give equal bytes (np.savez fixes the zip timestamps).
+# The reader refuses a file without the zip magic, and a member that is not
+# stored unencrypted, whose local header, size or CRC-32 disagrees with the
+# zip directory, or whose npy header (1.0 or 2.0, no objects) does not
+# account for its bytes exactly.
 _ZIP_MAGIC = b"PK\x03\x04"
 _MEMBERS = ["header", "tensors"]
-# What np.load raises on a truncated or corrupted archive: the zip reader's
-# errors, a member that runs past the end of the file (EOFError), a seek
-# before its start (OSError), a compression or encryption flag it cannot
-# honour (RuntimeError), and an npy header that does not parse (SyntaxError,
+# The central directory's flag bits for encryption (0), compressed patched
+# data (5) and strong encryption (6), which zipfile refuses to read
+_UNREADABLE_FLAGS = 0x61
+# A zip local file header: signature, flag bits, name and extra lengths
+_LOCAL_HEADER = struct.Struct("<4s2xH18xHH")
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+# What the reader raises on a truncated or corrupted archive: zipfile's
+# errors on the central directory (BadZipFile, and NotImplementedError for
+# a zip version it cannot read), a local header cut short (struct.error),
+# a bad member name or npy header (ValueError), and the tokenizer numpy
+# falls back on for an npy header that does not parse (SyntaxError,
 # TokenError)
-_ARCHIVE_ERRORS = (zipfile.BadZipFile, EOFError, OSError, RuntimeError, SyntaxError,
+_ARCHIVE_ERRORS = (zipfile.BadZipFile, NotImplementedError, struct.error, SyntaxError,
                    ValueError, tokenize.TokenError)
+
+
+def _read_npz(raw: bytes, names: list) -> list:
+    """The arrays of the uncompressed npz archive ``raw``, read-only views
+    of it, in the order of ``names``: the sorted names of its members as
+    np.load gives them, without ".npy". Raises one of _ARCHIVE_ERRORS
+    unless the archive passes the checks of format 2's comment."""
+    buf = io.BytesIO(raw)
+    with zipfile.ZipFile(buf) as archive:
+        infos = archive.infolist()
+    found = sorted(info.filename.removesuffix(".npy") for info in infos)
+    if found != names:
+        raise ValueError(f"members {found}, expected {names}")
+    members = {info.filename.removesuffix(".npy"): info for info in infos}
+    view, arrays = memoryview(raw), []
+    for info in map(members.get, names):
+        what = f"member {info.filename!r}"
+        if (info.compress_type != zipfile.ZIP_STORED or info.compress_size != info.file_size
+                or info.flag_bits & _UNREADABLE_FLAGS):
+            raise ValueError(f"{what} is not stored uncompressed and unencrypted")
+        buf.seek(info.header_offset)
+        magic, flags, name_len, extra_len = _LOCAL_HEADER.unpack(buf.read(_LOCAL_HEADER.size))
+        # flag bit 11: the name is UTF-8, else code page 437
+        name = buf.read(name_len).decode("utf-8" if flags & 0x800 else "cp437")
+        if magic != _ZIP_MAGIC or name != info.orig_filename:
+            raise ValueError(f"{what}: local header does not match the directory")
+        start = buf.seek(extra_len, io.SEEK_CUR)
+        data = view[start:start + info.file_size]
+        if zlib.crc32(data) != info.CRC:
+            raise ValueError(f"{what}: CRC-32 mismatch")
+        version = np.lib.format.read_magic(buf)
+        if version not in _NPY_HEADERS:
+            raise ValueError(f"{what}: unsupported npy version {version}")
+        shape, fortran_order, dtype = _NPY_HEADERS[version](buf)
+        if dtype.hasobject:
+            raise ValueError(f"{what}: object arrays are not read")
+        offset, count = buf.tell() - start, math.prod(shape)
+        if min(shape, default=0) < 0 or count * dtype.itemsize != len(data) - offset:
+            raise ValueError(f"{what}: {len(data) - offset} data bytes for a "
+                             f"{dtype.str} array of shape {shape}")
+        array = np.frombuffer(data, dtype, count, offset)
+        arrays.append(array.reshape(shape[::-1]).T if fortran_order else array.reshape(shape))
+    return arrays
 
 
 def _trained(gan_cfg: GanConfig) -> list:
@@ -562,13 +618,10 @@ def save_checkpoint(ck: Checkpoint, path: str) -> None:
                  tensors=_tensor_vector(ck))
 
 
-def _checkpoint_from_archive(fh, path: str) -> Checkpoint:
-    """Parse and validate a format-2 checkpoint read from ``fh``."""
+def _checkpoint_from_archive(raw: bytes, path: str) -> Checkpoint:
+    """Parse and validate the format-2 checkpoint ``raw``."""
     try:
-        with np.load(fh, allow_pickle=False) as archive:
-            if sorted(archive.files) != _MEMBERS:
-                raise ValueError(f"members {sorted(archive.files)}, expected {_MEMBERS}")
-            header, tensors = archive["header"], archive["tensors"]
+        header, tensors = _read_npz(raw, _MEMBERS)
     except _ARCHIVE_ERRORS as exc:
         raise ValueError(f"checkpoint {path}: not a readable archive: {exc}") from exc
     with _field("header"):
@@ -613,9 +666,9 @@ def _checkpoint_from_archive(fh, path: str) -> Checkpoint:
                              f"{tensors.dtype} {tensors.shape}")
     # names and shapes hold by construction; the values are checked here
     _check_state(tensors, shapes, trained)
-    # a fresh array per tensor, not a view into the vector, as train's
-    # returned checkpoints hold them
-    trees = list(map_tensors(np.copy, _views(tensors, specs)).values())
+    # views of one writable copy of the vector: it is private to this
+    # checkpoint, unlike train's live one
+    trees = list(_views(tensors.copy(), specs).values())
     moments = trees[len(TRAINABLE_COMPONENTS):]
     ck = Checkpoint(
         ensad_cfg=ensad_cfg,
@@ -636,13 +689,12 @@ def _checkpoint_from_archive(fh, path: str) -> Checkpoint:
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a format-2 checkpoint; a malformed file raises ValueError naming
     the path or the field. A file without the zip magic (an empty file, an
-    ``.npy`` array, JSON) names the path: np.load would read an ``.npy``
-    file as a bare array."""
+    ``.npy`` array, JSON) is refused as not a format-2 archive."""
     with open(path, "rb") as fh:
-        if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
-            raise ValueError(f"checkpoint {path}: not a format-2 archive")
-        fh.seek(0)
-        return _checkpoint_from_archive(fh, path)
+        raw = fh.read()
+    if not raw.startswith(_ZIP_MAGIC):
+        raise ValueError(f"checkpoint {path}: not a format-2 archive")
+    return _checkpoint_from_archive(raw, path)
 
 
 @dataclass

@@ -6,6 +6,7 @@ import stat
 import struct
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from ensad.data import load_jsonl
 from ensad.gan import CSV_COLUMNS, load_checkpoint, save_checkpoint
 from ensad.numkit import NotPsdError
 from test_gan import nan_on_call
+from test_loader_properties import rezip, savez_compressed
 
 
 @pytest.fixture(scope="module")
@@ -561,6 +563,16 @@ _CENTRAL_DIR = b"PK\x01\x02"
 _END_OF_DIR = b"PK\x05\x06"
 
 
+def _in_tensors(mutate):
+    """A change to the tensors member's npy bytes, the zip CRC-32 kept
+    matching, so that the npy header parser sees it."""
+    def apply(raw):
+        with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+            npy = archive.read("tensors.npy")
+        return rezip(raw, tensors=mutate(npy))
+    return apply
+
+
 def _overlong_tensors(raw):
     """The tensor vector claims more values, and its member more bytes, than
     the file holds."""
@@ -575,23 +587,32 @@ def _raise_generator_t(header):
     header["adam"]["generator"] += 1
 
 
-# (mutation of the archive's bytes, the message: "checkpoint field '<field>': ..."
-# or, for None, "checkpoint <path>: not a readable archive: ...")
+# (mutation of the archive's bytes, the message: "checkpoint field '<field>': ...",
+# or the reason after "checkpoint <path>: not a readable archive: ", or, for
+# None, that prefix)
 FORMAT2_CASES = {
     "truncated": (lambda raw: raw[: len(raw) // 2], None),
     "magic_only": (lambda raw: raw[:4], None),
-    "crc_mismatch": (lambda raw: raw[:200] + bytes([raw[200] ^ 1]) + raw[201:], None),
-    # what the zip and npy readers raise besides BadZipFile and ValueError
-    "encrypted_flag": (_poke(_CENTRAL_DIR, 8, lambda b: b | 1), None),
+    "crc_mismatch": (lambda raw: raw[:200] + bytes([raw[200] ^ 1]) + raw[201:],
+                     "not a readable archive: member 'header.npy': CRC-32 mismatch"),
+    "local_name_differs": (lambda raw: raw.replace(b"tensors.npy", b"tensorz.npy", 1),
+                           "member 'tensors.npy': local header does not match the directory"),
+    # np.load reads these two; the first crashed the loader
+    "member_not_npy": (lambda raw: rezip(raw, tensors=b"tensors"), None),
+    "compressed": (savez_compressed,
+                   "member 'header.npy' is not stored uncompressed and unencrypted"),
+    # faults in the zip directory and the npy header
+    "encrypted_flag": (_poke(_CENTRAL_DIR, 8, lambda b: b | 1),
+                       "member 'tensors.npy' is not stored uncompressed and unencrypted"),
     "zip_version_10_9": (_poke(_CENTRAL_DIR, 6, lambda b: 109), None),
     "directory_offset_plus_1": (_poke(_END_OF_DIR, 16, lambda b: b + 1), None),
-    "npy_header_cut_short": (_poke(b"\x93NUMPY", 8, lambda b: 54), None),
-    "npy_descr_syntax": (lambda raw: raw.replace(b"'<f8'", b"',f8'", 1), None),
+    "npy_header_cut_short": (_in_tensors(_poke(b"\x93NUMPY", 8, lambda b: 54)), None),
+    "npy_descr_syntax": (_in_tensors(lambda npy: npy.replace(b"'<f8'", b"',f8'")), None),
     "member_past_end": (_overlong_tensors, None),
     "missing_header": (_members(lambda h, t: {"tensors": t}), None),
     "extra_member": (_members(lambda h, t: {"header": h, "tensors": t, "x": t}), None),
     "pickled_tensors": (_members(lambda h, t: {"header": h, "tensors": t.astype(object)}),
-                        None),
+                        "member 'tensors.npy': object arrays are not read"),
     "header_not_json": (_members(lambda h, t: {"header": np.frombuffer(b"{", np.uint8),
                                                "tensors": t}), "checkpoint field 'header'"),
     "header_float64": (_members(lambda h, t: {"header": np.zeros(3), "tensors": t}),

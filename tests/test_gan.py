@@ -785,6 +785,20 @@ def test_format2_round_trip_is_bit_exact(tmp_path):
         ck.ensad_cfg, ck.gan_cfg, ck.rng_seed, ck.rng_position, ck.step)
 
 
+def test_loaded_checkpoint_tensors_are_writable_and_disjoint():
+    # a loaded checkpoint's tensors are views of one private vector: writing
+    # into one changes no other tensor and no later load of the file
+    leaves = tensor_leaves(load_checkpoint(GOLDEN_CKPT))
+    before = {key: arr.copy() for key, arr in leaves.items()}
+    assert all(arr.flags.writeable and arr.size for arr in leaves.values())
+    for i, arr in enumerate(leaves.values()):
+        arr[...] = i
+    assert all((arr == i).all() for i, arr in enumerate(leaves.values()))
+    fresh = tensor_leaves(load_checkpoint(GOLDEN_CKPT))
+    assert fresh.keys() == before.keys()
+    assert all(fresh[key].tobytes() == arr.tobytes() for key, arr in before.items())
+
+
 def test_golden_checkpoint_through_format2_reserializes_to_the_same_bytes(tmp_path):
     # pins format 2's bytes: the archive was written by an earlier version
     path = str(tmp_path / "ck.npz")

@@ -3,12 +3,17 @@ for field, a mutated item line raises only DataFormatError, naming that
 line, and the loader agrees with a reference loader that decodes the whole
 file first and checks each vector as its line is read, on arrays and on
 every error message, whatever the line endings. Checkpoints: a corrupted
-format-2 archive raises only ValueError."""
+format-2 archive raises only ValueError, and the npz reader beneath it
+agrees with np.load: on the archives np.savez writes it reads the same
+arrays, and it accepts no archive, whole or corrupted, that np.load
+refuses."""
 
 import io
 import json
 import math
 import os
+import re
+import struct
 import zipfile
 
 import numpy as np
@@ -26,7 +31,7 @@ from ensad.data import (
     jsonl_lines,
     load_jsonl,
 )
-from ensad.gan import load_checkpoint
+from ensad.gan import _ARCHIVE_ERRORS, _read_npz, load_checkpoint
 from ensad.numkit import l2_normalize
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -459,22 +464,28 @@ def rewrite(raw, **changes):
     return buf.getvalue()
 
 
+def corrupt(data, raw, kind):
+    """``raw`` cut short ("truncate") or with one byte flipped ("flip"):
+    anywhere, or in the first 200 bytes of a member (its zip and npy
+    headers) or the last 200 (the zip directory)."""
+    if kind == "truncate":
+        return raw[:data.draw(st.integers(0, len(raw) - 1))]
+    with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+        starts = [info.header_offset for info in archive.infolist()] + [len(raw) - 200]
+    near = st.sampled_from(starts).flatmap(
+        lambda a: st.integers(max(a, 0), min(a + 199, len(raw) - 1)))
+    pos = data.draw(st.integers(0, len(raw) - 1) | near)
+    return raw[:pos] + bytes([raw[pos] ^ data.draw(st.integers(1, 255))]) + raw[pos + 1:]
+
+
 @SETTINGS
 @given(data=st.data())
 def test_corrupted_checkpoint_raises_only_value_error(tmp_path, format2_bytes, data):
     raw = format2_bytes
     tensors = members(raw)["tensors"]
     kind = data.draw(st.sampled_from(["truncate", "flip", "dtype", "shape", "header"]))
-    if kind == "truncate":
-        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
-    elif kind == "flip":
-        # anywhere, or in the first 200 bytes of a member (its zip and npy
-        # headers) or the last 200 (the zip directory)
-        with zipfile.ZipFile(io.BytesIO(raw)) as archive:
-            starts = [info.header_offset for info in archive.infolist()] + [len(raw) - 200]
-        near = st.sampled_from(starts).flatmap(lambda a: st.integers(a, a + 199))
-        pos = data.draw(st.integers(0, len(raw) - 1) | near)
-        raw = raw[:pos] + bytes([raw[pos] ^ data.draw(st.integers(1, 255))]) + raw[pos + 1:]
+    if kind in ("truncate", "flip"):
+        raw = corrupt(data, raw, kind)
     elif kind == "dtype":
         dtype = data.draw(st.sampled_from(["<f4", ">f8", "<i8", "<c16", "|b1", "|O"]))
         raw = rewrite(raw, tensors=tensors.astype(dtype))
@@ -500,3 +511,130 @@ def test_corrupted_checkpoint_raises_only_value_error(tmp_path, format2_bytes, d
         load_checkpoint(path)
     if kind == "truncate":
         assert path in str(exc.value)
+
+
+# dtypes np.savez writes as they are, and one it pickles
+NPZ_DTYPES = ["<f8", ">f8", "<f2", ">i2", "<u8", "|i1", "|b1", ">c8", "<U2", "|S3",
+              "<i4,>f8", "|O"]
+
+
+@st.composite
+def npz_arrays(draw):
+    """Arrays of any shape, 0-d and empty included, C or Fortran order,
+    with arbitrary bytes; an object array holds ints."""
+    dtype = np.dtype(draw(st.sampled_from(NPZ_DTYPES)))
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    if dtype.hasobject:
+        return np.arange(math.prod(shape)).astype(object).reshape(shape)
+    size = math.prod(shape) * dtype.itemsize
+    arr = np.frombuffer(draw(st.binary(min_size=size, max_size=size)), dtype).reshape(shape)
+    return np.asfortranarray(arr) if arr.ndim > 1 and draw(st.booleans()) else arr.copy()
+
+
+# np.savez's own keywords cannot name a member, "\0" ends a zip member
+# name, and a surrogate has no UTF-8 bytes
+member_names = st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\0"),
+                       max_size=6).filter(lambda name: name not in ("file", "allow_pickle"))
+
+
+def np_load_arrays(raw, names):
+    """The arrays np.load reads from ``raw``, in the order of the sorted
+    member names ``names``, or None where it refuses the archive or a
+    member is not an array."""
+    try:
+        with np.load(io.BytesIO(raw), allow_pickle=False) as archive:
+            if sorted(archive.files) != names:
+                return None
+            arrays = [archive[name] for name in names]
+    except Exception:  # whatever np.load raises is a refusal
+        return None
+    return arrays if all(isinstance(arr, np.ndarray) for arr in arrays) else None
+
+
+@SETTINGS
+@given(data=st.data())
+def test_npz_reader_reads_what_np_load_reads(format2_bytes, data):
+    if data.draw(st.booleans()):
+        arrays = data.draw(st.dictionaries(member_names, npz_arrays(), min_size=1, max_size=3))
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        raw, names = buf.getvalue(), sorted(arrays)
+        pickled = any(arr.dtype.hasobject for arr in arrays.values())
+    else:
+        raw, names, pickled = format2_bytes, ["header", "tensors"], False
+    kind = data.draw(st.sampled_from(["whole", "truncate", "flip"]))
+    if kind != "whole":
+        raw = corrupt(data, raw, kind)
+    want = np_load_arrays(raw, names)
+    try:
+        got = _read_npz(raw, names)
+    except _ARCHIVE_ERRORS:
+        got = None
+    if kind == "whole":
+        assert (got is None) == (want is None) == pickled
+    if got is not None:
+        assert want is not None
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+def rezip(raw, **replace):
+    """The zip archive ``raw`` rewritten by zipfile, stored, with the bytes
+    of the members named in ``replace`` replaced."""
+    out = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(raw)) as src, zipfile.ZipFile(out, "w") as dst:
+        for info in src.infolist():
+            dst.writestr(info.filename, replace.get(info.filename[:-4], src.read(info)))
+    return out.getvalue()
+
+
+def npy_bytes(arr, version=None):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr, version=version)
+    return buf.getvalue()
+
+
+def savez_compressed(raw):
+    buf = io.BytesIO()
+    np.savez_compressed(buf, **members(raw))
+    return buf.getvalue()
+
+
+def stored_size_past_data(raw):
+    """The last member's compressed size in the zip directory one past its
+    uncompressed size; zipfile reads only the uncompressed size."""
+    at = raw.rindex(b"PK\x01\x02") + 20
+    raw = bytearray(raw)
+    struct.pack_into("<I", raw, at, struct.unpack_from("<I", raw, at + 4)[0] + 1)
+    return bytes(raw)
+
+
+# The archives np.load reads and the npz reader refuses, each with the
+# reader's message
+NP_LOAD_ONLY = {
+    "savez_compressed": (savez_compressed,
+                         "member 'header.npy' is not stored uncompressed and unencrypted"),
+    "stored_size_past_data": (stored_size_past_data,
+                              "member 'tensors.npy' is not stored uncompressed and "
+                              "unencrypted"),
+    "npy_version_3": (lambda raw: rezip(raw, tensors=npy_bytes(members(raw)["tensors"], (3, 0))),
+                      "member 'tensors.npy': unsupported npy version (3, 0)"),
+    "trailing_byte": (lambda raw: rezip(raw, tensors=npy_bytes(members(raw)["tensors"]) + b"\0"),
+                      "member 'tensors.npy': 12433 data bytes for a <f8 array of shape (1554,)"),
+    "zero_itemsize": (lambda raw: rezip(raw, tensors=npy_bytes(np.zeros(3, "V0"))),
+                      "itemsize cannot be zero"),
+    # np.load gives the bytes of a member that is not an npy file
+    "not_npy": (lambda raw: rezip(raw, tensors=b"tensors"), "the magic string is not correct"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NP_LOAD_ONLY))
+def test_npz_reader_refuses_what_np_load_reads(format2_bytes, case):
+    mutate, message = NP_LOAD_ONLY[case]
+    raw = mutate(format2_bytes)
+    with np.load(io.BytesIO(raw), allow_pickle=False) as archive:
+        assert sorted(archive.files) == ["header", "tensors"]
+        # every member reads: as an array, or as the bytes of one not in npy format
+        assert all(isinstance(archive[name], (np.ndarray, bytes)) for name in archive.files)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _read_npz(raw, ["header", "tensors"])
