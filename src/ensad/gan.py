@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 import struct
 import tokenize
 import zipfile
@@ -444,28 +445,22 @@ def _check_trees(ck: Checkpoint, shapes: dict) -> None:
             check_tensors(ck.adam.v[comp], shapes[comp], "v")
 
 
-def _check_state(vec: np.ndarray, shapes: dict, trained: list) -> None:
+def _check_state(vec: np.ndarray, layout: list) -> None:
     """Raise ValueError naming the first bad tensor and its checkpoint field
-    unless ``vec``, format 2's tensor vector for the ``{comp: spec}`` mapping
-    ``shapes`` and the ``trained`` components, is finite and its ``v``
-    moments are nonnegative: one ``isfinite`` pass over ``vec`` and one sign
-    test over each ``v`` part, none per tensor."""
-    where = [(f"params.{comp}", "") for comp in TRAINABLE_COMPONENTS] + [
-        (f"adam.{comp}", f"{k}.") for comp in trained for k in "mv"]
-    specs = _flat_specs(shapes, trained)
-    blocks = list(zip(where, specs.values(), _segments(vec, specs).values()))
+    unless ``vec``, format 2's tensor vector as ``layout`` (:func:`_layout`)
+    lays it out, is finite and its ``v`` moments are nonnegative: one
+    ``isfinite`` pass and one sign test per ``v`` part. Reads the parts'
+    spans, and their fields, prefixes and tensor spans only to name a fault."""
     if np.isfinite(vec).all() and not any(
-            (seg < 0).any() for (_, prefix), _, seg in blocks if prefix == "v."):
+            (vec[start:end] < 0).any() for _, prefix, start, end, _ in layout if prefix == "v."):
         return
-    for (field_, prefix), spec, seg in blocks:
+    first = next(iter(np.flatnonzero(~np.isfinite(vec))), vec.size)
+    for field_, prefix, start, end, tensors in layout:
         with _field(field_):
-            bad = np.flatnonzero(~np.isfinite(seg))
-            end = 0
-            for name, s in spec.items():
-                start, end = end, end + math.prod(s.shape)
-                if bad.size and bad[0] < end:  # the tensor of the first bad entry
-                    as_f64(seg[start:end], prefix + name)
-            if prefix == "v." and (seg < 0).any():
+            for name, (_, lo, hi) in tensors.items():
+                if lo <= first < hi:  # the tensor of the first bad entry
+                    as_f64(vec[lo:hi], prefix + name)
+            if prefix == "v." and (vec[start:end] < 0).any():
                 raise ValueError("v contains negative entries")
 
 
@@ -481,7 +476,9 @@ def _check_state(vec: np.ndarray, shapes: dict, trained: list) -> None:
 # The reader refuses a file without the zip magic, and a member that is not
 # stored unencrypted, whose local header, size or CRC-32 disagrees with the
 # zip directory, or whose npy header (1.0 or 2.0, no objects) does not
-# account for its bytes exactly.
+# account for its bytes exactly. Only the npy 1.0 headers numpy writes for
+# 1-D vectors of bool or numeric dtypes, as in save_checkpoint's files, skip
+# numpy's parser (_NPY_VECTOR); it reads any other header.
 _ZIP_MAGIC = b"PK\x03\x04"
 _MEMBERS = ["header", "tensors"]
 # The central directory's flag bits for encryption (0), compressed patched
@@ -489,6 +486,12 @@ _MEMBERS = ["header", "tensors"]
 _UNREADABLE_FLAGS = 0x61
 # A zip local file header: signature, flag bits, name and extra lengths
 _LOCAL_HEADER = struct.Struct("<4s2xH18xHH")
+# npy 1.0's header of a 1-D vector, and the bool and numeric dtypes its descr may name
+_NPY_VECTOR = re.compile(
+    rb"(?s)\x93NUMPY\x01\x00(..)\{'descr': '([<>|][a-z][1-9][0-9]?)', 'fortran_order': False, "
+    rb"'shape': \((0|[1-9][0-9]{0,17}),\), \} {0,63}\n")
+_VECTOR_DTYPES = {dt.str.encode(): dt for code in "?" + np.typecodes["AllInteger"]
+                  + np.typecodes["AllFloat"] for dt in map(np.dtype(code).newbyteorder, "<>")}
 _NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
                 (2, 0): np.lib.format.read_array_header_2_0}
 # What the reader raises on a truncated or corrupted archive: zipfile's
@@ -519,20 +522,27 @@ def _read_npz(raw: bytes, names: list) -> list:
         if (info.compress_type != zipfile.ZIP_STORED or info.compress_size != info.file_size
                 or info.flag_bits & _UNREADABLE_FLAGS):
             raise ValueError(f"{what} is not stored uncompressed and unencrypted")
-        buf.seek(info.header_offset)
-        magic, flags, name_len, extra_len = _LOCAL_HEADER.unpack(buf.read(_LOCAL_HEADER.size))
+        magic, flags, name_len, extra_len = _LOCAL_HEADER.unpack_from(raw, info.header_offset)
+        start = info.header_offset + _LOCAL_HEADER.size
         # flag bit 11: the name is UTF-8, else code page 437
-        name = buf.read(name_len).decode("utf-8" if flags & 0x800 else "cp437")
-        if magic != _ZIP_MAGIC or name != info.orig_filename:
+        name = raw[start:start + name_len].decode("utf-8" if flags & 0x800 else "cp437")
+        # unpack_from counts a negative offset from the end, where a seek refuses it
+        if info.header_offset < 0 or magic != _ZIP_MAGIC or name != info.orig_filename:
             raise ValueError(f"{what}: local header does not match the directory")
-        start = buf.seek(extra_len, io.SEEK_CUR)
+        start += name_len + extra_len
         data = view[start:start + info.file_size]
         if zlib.crc32(data) != info.CRC:
             raise ValueError(f"{what}: CRC-32 mismatch")
-        version = np.lib.format.read_magic(buf)
-        if version not in _NPY_HEADERS:
-            raise ValueError(f"{what}: unsupported npy version {version}")
-        shape, fortran_order, dtype = _NPY_HEADERS[version](buf)
+        m = _NPY_VECTOR.match(raw, start, start + info.file_size)
+        if m and m[2] in _VECTOR_DTYPES and int.from_bytes(m[1], "little") == m.end() - m.end(1):
+            shape, fortran_order, dtype = (int(m[3]),), False, _VECTOR_DTYPES[m[2]]
+            buf.seek(m.end())
+        else:  # numpy's parser reads any other header
+            buf.seek(start)
+            version = np.lib.format.read_magic(buf)
+            if version not in _NPY_HEADERS:
+                raise ValueError(f"{what}: unsupported npy version {version}")
+            shape, fortran_order, dtype = _NPY_HEADERS[version](buf)
         if dtype.hasobject:
             raise ValueError(f"{what}: object arrays are not read")
         offset, count = buf.tell() - start, math.prod(shape)
@@ -548,30 +558,29 @@ def _trained(gan_cfg: GanConfig) -> list:
     return [comp for comp in TRAINABLE_COMPONENTS if comp in gan_cfg.trainable]
 
 
-def _flat_specs(shapes: dict, trained: list) -> dict:
-    """The specs of format 2's tensor vector, in order, keyed by position."""
-    return dict(enumerate([shapes[comp] for comp in TRAINABLE_COMPONENTS] + [
-        shapes[comp] for comp in trained for _ in ("m", "v")]))
+def _layout(shapes: dict, trained: list) -> list:
+    """Format 2's tensor vector for ``shapes``, ``{comp: spec}``, and the
+    ``trained`` components, in one walk: per part, in order, its checkpoint
+    field (``params.<comp>`` or ``adam.<comp>``), name prefix ("", "m." or
+    "v."), span ``start, end`` and ``{name: (shape, lo, hi)}`` per tensor."""
+    parts, end = [], 0
+    for field_, prefix, comp in [(f"params.{c}", "", c) for c in TRAINABLE_COMPONENTS] + [
+            (f"adam.{c}", f"{k}.", c) for c in trained for k in "mv"]:
+        start, tensors = end, {}
+        for name, s in shapes[comp].items():
+            lo, end = end, end + math.prod(s.shape)
+            tensors[name] = s.shape, lo, end
+        parts.append((field_, prefix, start, end, tensors))
+    return parts
 
 
 def _flatten(trees, specs: dict, out=None) -> np.ndarray:
     """The tensors ``trees[key][name]`` as one float64 vector (or into
-    ``out``), walking the keys and names of the ``{key: {name: TensorSpec}}``
+    ``out``), walking the keys and names of the ``{key: {name: ...}}``
     mapping ``specs`` in its order, whatever the trees' own order."""
     arrays = [trees[key][name] for key, spec in specs.items() for name in spec]
     return np.concatenate(arrays or [np.empty(0)], axis=None, out=out,
                           dtype=np.float64 if out is None else None)
-
-
-def _segments(vec: np.ndarray, specs: dict) -> dict:
-    """The part of the flat vector ``vec`` that holds each key of the
-    ``{key: {name: TensorSpec}}`` mapping ``specs``, as :func:`_flatten`
-    lays them out: ``{key: 1-D view}``."""
-    segments, end = {}, 0
-    for key, spec in specs.items():
-        start, end = end, end + sum(math.prod(s.shape) for s in spec.values())
-        segments[key] = vec[start:end]
-    return segments
 
 
 def _views(vec: np.ndarray, specs: dict) -> dict:
@@ -592,7 +601,8 @@ def _tensor_vector(ck: Checkpoint) -> np.ndarray:
     trained = _trained(ck.gan_cfg)
     trees = [ck.params[comp] for comp in TRAINABLE_COMPONENTS] + [
         moments[comp] for comp in trained for moments in (ck.adam.m, ck.adam.v)]
-    return _flatten(trees, _flat_specs(param_shapes(ck.ensad_cfg, ck.gan_cfg), trained))
+    layout = _layout(param_shapes(ck.ensad_cfg, ck.gan_cfg), trained)
+    return _flatten(trees, dict(enumerate(tensors for *_, tensors in layout)))
 
 
 def save_checkpoint(ck: Checkpoint, path: str) -> None:
@@ -657,18 +667,18 @@ def _checkpoint_from_archive(raw: bytes, path: str) -> Checkpoint:
     with _field("adam"):
         if len(set(steps.values())) > 1:
             raise ValueError(f"step counts differ: {steps}")
-    shapes = param_shapes(ensad_cfg, gan_cfg)
-    specs = _flat_specs(shapes, trained)
-    size = sum(math.prod(s.shape) for spec in specs.values() for s in spec.values())
+    layout = _layout(param_shapes(ensad_cfg, gan_cfg), trained)
+    size = layout[-1][3]
     with _field("tensors"):
         if tensors.dtype != np.float64 or tensors.shape != (size,):
             raise ValueError(f"expected {size} float64 values, got "
                              f"{tensors.dtype} {tensors.shape}")
     # names and shapes hold by construction; the values are checked here
-    _check_state(tensors, shapes, trained)
+    _check_state(tensors, layout)
     # views of one writable copy of the vector: it is private to this
     # checkpoint, unlike train's live one
-    trees = list(_views(tensors.copy(), specs).values())
+    vec = tensors.copy()
+    trees = [{n: vec[lo:hi].reshape(s) for n, (s, lo, hi) in part.items()} for *_, part in layout]
     moments = trees[len(TRAINABLE_COMPONENTS):]
     ck = Checkpoint(
         ensad_cfg=ensad_cfg,
@@ -886,7 +896,7 @@ def train(
     _check_trees(resume, shapes)
     with _field("adam"):
         t = json_uint(resume.adam.t)
-    _check_state(_tensor_vector(resume), shapes, trained)
+    _check_state(_tensor_vector(resume), _layout(shapes, trained))
 
     # One float64 vector holds the parameters, the trained components first,
     # each in param_shapes order as in format 2's tensor vector; params[comp]

@@ -6,7 +6,8 @@ every error message, whatever the line endings. Checkpoints: a corrupted
 format-2 archive raises only ValueError, and the npz reader beneath it
 agrees with np.load: on the archives np.savez writes it reads the same
 arrays, and it accepts no archive, whole or corrupted, that np.load
-refuses."""
+refuses. It reads the npy headers of the vectors save_checkpoint writes
+without numpy's header parser, and hands any other header to it."""
 
 import io
 import json
@@ -31,7 +32,8 @@ from ensad.data import (
     jsonl_lines,
     load_jsonl,
 )
-from ensad.gan import _ARCHIVE_ERRORS, _read_npz, load_checkpoint
+from ensad import gan
+from ensad.gan import _ARCHIVE_ERRORS, _read_npz, load_checkpoint, save_checkpoint
 from ensad.numkit import l2_normalize
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -609,6 +611,30 @@ def stored_size_past_data(raw):
     return bytes(raw)
 
 
+def npy_edit(arr, old: bytes, new: bytes) -> bytes:
+    """The npy 1.0 bytes of ``arr`` with ``old`` in the header replaced."""
+    raw = npy_bytes(arr, (1, 0))
+    assert old in raw[:raw.index(b"\n") + 1]
+    return raw.replace(old, new, 1)
+
+
+def npy_length(arr, delta: int) -> bytes:
+    """The npy 1.0 bytes of ``arr``, the header length field off by ``delta``."""
+    raw = bytearray(npy_bytes(arr, (1, 0)))
+    struct.pack_into("<H", raw, 8, struct.unpack_from("<H", raw, 8)[0] + delta)
+    return bytes(raw)
+
+
+def npy_long_shape() -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "|u1", "fortran_order": False, "shape": (10 ** 18,)})
+    return buf.getvalue() + b"\0" * 8
+
+
+VEC = np.arange(5.0)
+
+
 # The archives np.load reads and the npz reader refuses, each with the
 # reader's message
 NP_LOAD_ONLY = {
@@ -621,6 +647,9 @@ NP_LOAD_ONLY = {
                       "member 'tensors.npy': unsupported npy version (3, 0)"),
     "trailing_byte": (lambda raw: rezip(raw, tensors=npy_bytes(members(raw)["tensors"]) + b"\0"),
                       "member 'tensors.npy': 12433 data bytes for a <f8 array of shape (1554,)"),
+    # np.load reads the header and then data from its last byte on
+    "npy_length_short": (lambda raw: rezip(raw, tensors=npy_length(VEC, -1)),
+                         "member 'tensors.npy': 41 data bytes for a <f8 array of shape (5,)"),
     "zero_itemsize": (lambda raw: rezip(raw, tensors=npy_bytes(np.zeros(3, "V0"))),
                       "itemsize cannot be zero"),
     # np.load gives the bytes of a member that is not an npy file
@@ -637,4 +666,100 @@ def test_npz_reader_refuses_what_np_load_reads(format2_bytes, case):
         # every member reads: as an array, or as the bytes of one not in npy format
         assert all(isinstance(archive[name], (np.ndarray, bytes)) for name in archive.files)
     with pytest.raises(ValueError, match=re.escape(message)):
+        _read_npz(raw, ["header", "tensors"])
+
+
+@pytest.fixture
+def npy_header_calls(monkeypatch):
+    """The npy versions whose header numpy's parser reads, one entry per
+    call the npz reader makes to it."""
+    calls = []
+    for version, parse in list(gan._NPY_HEADERS.items()):
+        monkeypatch.setitem(gan._NPY_HEADERS, version,
+                            lambda fp, version=version, parse=parse:
+                            calls.append(version) or parse(fp))
+    return calls
+
+
+def reads_as_np_load(raw, names) -> bool:
+    """Whether the npz reader reads ``raw``; it must read it as np.load
+    does, or refuse it where np.load does."""
+    want = np_load_arrays(raw, names)
+    try:
+        got = _read_npz(raw, names)
+    except _ARCHIVE_ERRORS:
+        assert want is None
+        return False
+    assert want is not None
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+    return True
+
+
+@pytest.mark.parametrize("length", [0, 1, 9, 10, 99, 100, 1000])
+@pytest.mark.parametrize("dtype", ["<f8", ">f8", "|u1", ">i2", "|b1", "<c16", "<f2"])
+def test_npz_reader_reads_vectors_without_numpys_header_parser(npy_header_calls, dtype, length):
+    dtype = np.dtype(dtype)
+    vec = np.frombuffer(np.random.default_rng(length).bytes(length * dtype.itemsize), dtype)
+    buf = io.BytesIO()
+    np.savez(buf, vec=vec)
+    assert reads_as_np_load(buf.getvalue(), ["vec"])
+    assert npy_header_calls == []
+
+
+# npy members whose header differs in one place from the one numpy writes
+# for a vector of a plain dtype, so that numpy's parser reads it; a length
+# field one byte short is in NP_LOAD_ONLY
+NEAR_MISSES = {
+    "leading_zero": (lambda: npy_edit(VEC, b"(5,), } ", b"(05,), }"), False),
+    "fortran_order": (lambda: npy_edit(VEC, b"False, 'shape': (5,), }", b"True, 'shape': (5,), } "),
+                      True),
+    "matrix": (lambda: npy_bytes(np.arange(6.0).reshape(2, 3)), True),
+    "scalar": (lambda: npy_bytes(np.array(1.5)), True),
+    "npy_version_2": (lambda: npy_bytes(VEC, (2, 0)), True),
+    "length_long": (lambda: npy_length(VEC, 1), False),
+    "tab_in_padding": (lambda: npy_edit(VEC, b" \n", b"\t\n"), True),
+    "unknown_descr": (lambda: npy_edit(VEC, b"'<f8'", b"'<f3'"), False),
+    "timedelta": (lambda: npy_bytes(np.arange(3).astype("<m8")), True),
+    "unicode": (lambda: npy_bytes(np.array(["ab", "c"], "<U2")), True),
+    "bytes": (lambda: npy_bytes(np.array([b"abc", b"d"], "|S3")), True),
+    "nineteen_digit_length": (npy_long_shape, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_MISSES))
+def test_npz_reader_reads_near_misses_as_np_load(format2_bytes, npy_header_calls, case):
+    member, reads = NEAR_MISSES[case]
+    assert reads_as_np_load(rezip(format2_bytes, tensors=member()), ["header", "tensors"]) == reads
+    assert npy_header_calls == [(2, 0) if case == "npy_version_2" else (1, 0)]
+
+
+def test_saved_checkpoint_loads_without_numpys_header_parser(tmp_path, format2_bytes,
+                                                             npy_header_calls):
+    ck = load_checkpoint(GOLDEN_CKPT)
+    path = os.path.join(tmp_path, "ck.npz")
+    save_checkpoint(ck, path)
+    with open(path, "rb") as fh:
+        assert fh.read() == format2_bytes
+    load_checkpoint(path)
+    assert npy_header_calls == []
+    with open(path, "wb") as fh:
+        fh.write(rezip(format2_bytes, tensors=npy_bytes(members(format2_bytes)["tensors"],
+                                                        (2, 0))))
+    load_checkpoint(path)
+    assert npy_header_calls == [(2, 0)]
+
+
+def test_npz_reader_refuses_local_headers_found_from_the_end(format2_bytes):
+    # the directory's offset moved one file length on: every member's offset
+    # is negative, and counted from the end it lands on the member's local
+    # header; a seek refuses it, so np.load does
+    raw = bytearray(format2_bytes)
+    at = raw.rindex(b"PK\x05\x06") + 16
+    struct.pack_into("<I", raw, at, struct.unpack_from("<I", raw, at)[0] + len(raw))
+    raw = bytes(raw)
+    assert np_load_arrays(raw, ["header", "tensors"]) is None
+    with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+        assert all(info.header_offset < 0 for info in archive.infolist())
+    with pytest.raises(ValueError, match="local header does not match the directory"):
         _read_npz(raw, ["header", "tensors"])
