@@ -19,7 +19,6 @@ import json
 import math
 import re
 import struct
-import tokenize
 import zipfile
 import zlib
 from contextlib import contextmanager
@@ -475,10 +474,10 @@ def _check_state(vec: np.ndarray, layout: list) -> None:
 # Equal checkpoints give equal bytes (np.savez fixes the zip timestamps).
 # The reader refuses a file without the zip magic, and a member that is not
 # stored unencrypted, whose local header, size or CRC-32 disagrees with the
-# zip directory, or whose npy header (1.0 or 2.0, no objects) does not
-# account for its bytes exactly. Only the npy 1.0 headers numpy writes for
-# 1-D vectors of bool or numeric dtypes, as in save_checkpoint's files, skip
-# numpy's parser (_NPY_VECTOR); it reads any other header.
+# zip directory, or whose npy header does not account for its bytes exactly.
+# It reads one npy header form (_NPY_VECTOR): the npy 1.0 header numpy
+# writes for a 1-D vector of a bool or numeric dtype, as both members of a
+# save_checkpoint file carry. It refuses any other, which np.load may read.
 _ZIP_MAGIC = b"PK\x03\x04"
 _MEMBERS = ["header", "tensors"]
 # The central directory's flag bits for encryption (0), compressed patched
@@ -492,16 +491,11 @@ _NPY_VECTOR = re.compile(
     rb"'shape': \((0|[1-9][0-9]{0,17}),\), \} {0,63}\n")
 _VECTOR_DTYPES = {dt.str.encode(): dt for code in "?" + np.typecodes["AllInteger"]
                   + np.typecodes["AllFloat"] for dt in map(np.dtype(code).newbyteorder, "<>")}
-_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
-                (2, 0): np.lib.format.read_array_header_2_0}
 # What the reader raises on a truncated or corrupted archive: zipfile's
 # errors on the central directory (BadZipFile, and NotImplementedError for
 # a zip version it cannot read), a local header cut short (struct.error),
-# a bad member name or npy header (ValueError), and the tokenizer numpy
-# falls back on for an npy header that does not parse (SyntaxError,
-# TokenError)
-_ARCHIVE_ERRORS = (zipfile.BadZipFile, NotImplementedError, struct.error, SyntaxError,
-                   ValueError, tokenize.TokenError)
+# and a bad member name or npy header (ValueError)
+_ARCHIVE_ERRORS = (zipfile.BadZipFile, NotImplementedError, struct.error, ValueError)
 
 
 def _read_npz(raw: bytes, names: list) -> list:
@@ -509,8 +503,7 @@ def _read_npz(raw: bytes, names: list) -> list:
     of it, in the order of ``names``: the sorted names of its members as
     np.load gives them, without ".npy". Raises one of _ARCHIVE_ERRORS
     unless the archive passes the checks of format 2's comment."""
-    buf = io.BytesIO(raw)
-    with zipfile.ZipFile(buf) as archive:
+    with zipfile.ZipFile(io.BytesIO(raw)) as archive:
         infos = archive.infolist()
     found = sorted(info.filename.removesuffix(".npy") for info in infos)
     if found != names:
@@ -534,23 +527,14 @@ def _read_npz(raw: bytes, names: list) -> list:
         if zlib.crc32(data) != info.CRC:
             raise ValueError(f"{what}: CRC-32 mismatch")
         m = _NPY_VECTOR.match(raw, start, start + info.file_size)
-        if m and m[2] in _VECTOR_DTYPES and int.from_bytes(m[1], "little") == m.end() - m.end(1):
-            shape, fortran_order, dtype = (int(m[3]),), False, _VECTOR_DTYPES[m[2]]
-            buf.seek(m.end())
-        else:  # numpy's parser reads any other header
-            buf.seek(start)
-            version = np.lib.format.read_magic(buf)
-            if version not in _NPY_HEADERS:
-                raise ValueError(f"{what}: unsupported npy version {version}")
-            shape, fortran_order, dtype = _NPY_HEADERS[version](buf)
-        if dtype.hasobject:
-            raise ValueError(f"{what}: object arrays are not read")
-        offset, count = buf.tell() - start, math.prod(shape)
-        if min(shape, default=0) < 0 or count * dtype.itemsize != len(data) - offset:
+        if not (m and m[2] in _VECTOR_DTYPES
+                and int.from_bytes(m[1], "little") == m.end() - m.end(1)):
+            raise ValueError(f"{what}: not an npy 1.0 vector of a bool or numeric dtype")
+        dtype, count, offset = _VECTOR_DTYPES[m[2]], int(m[3]), m.end() - start
+        if count * dtype.itemsize != len(data) - offset:
             raise ValueError(f"{what}: {len(data) - offset} data bytes for a "
-                             f"{dtype.str} array of shape {shape}")
-        array = np.frombuffer(data, dtype, count, offset)
-        arrays.append(array.reshape(shape[::-1]).T if fortran_order else array.reshape(shape))
+                             f"{dtype.str} array of shape ({count},)")
+        arrays.append(np.frombuffer(data, dtype, count, offset))
     return arrays
 
 
@@ -635,7 +619,7 @@ def _checkpoint_from_archive(raw: bytes, path: str) -> Checkpoint:
     except _ARCHIVE_ERRORS as exc:
         raise ValueError(f"checkpoint {path}: not a readable archive: {exc}") from exc
     with _field("header"):
-        if header.dtype != np.uint8 or header.ndim != 1:
+        if header.dtype != np.uint8:
             raise ValueError(f"expected a uint8 vector, got {header.dtype} {header.shape}")
         obj = json.loads(header.tobytes().decode("utf-8"))
     with _field("version"):

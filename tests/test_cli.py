@@ -19,7 +19,7 @@ from ensad.data import load_jsonl
 from ensad.gan import CSV_COLUMNS, load_checkpoint, save_checkpoint
 from ensad.numkit import NotPsdError
 from test_gan import nan_on_call
-from test_loader_properties import rezip, savez_compressed
+from test_loader_properties import NOT_A_VECTOR, members, npy_bytes, rezip, savez_compressed
 
 
 @pytest.fixture(scope="module")
@@ -611,8 +611,13 @@ FORMAT2_CASES = {
     "member_past_end": (_overlong_tensors, None),
     "missing_header": (_members(lambda h, t: {"tensors": t}), None),
     "extra_member": (_members(lambda h, t: {"header": h, "tensors": t, "x": t}), None),
+    # np.load reads these three; the reader reads only the npy 1.0 header of
+    # a vector of a bool or numeric dtype, as save_checkpoint writes it
     "pickled_tensors": (_members(lambda h, t: {"header": h, "tensors": t.astype(object)}),
-                        "member 'tensors.npy': object arrays are not read"),
+                        "not a readable archive: " + NOT_A_VECTOR),
+    "tensors_2d": (_tensors(lambda t: t.reshape(1, -1)), "not a readable archive: " + NOT_A_VECTOR),
+    "npy_version_2": (lambda raw: rezip(raw, tensors=npy_bytes(members(raw)["tensors"], (2, 0))),
+                      "not a readable archive: " + NOT_A_VECTOR),
     "header_not_json": (_members(lambda h, t: {"header": np.frombuffer(b"{", np.uint8),
                                                "tensors": t}), "checkpoint field 'header'"),
     "header_float64": (_members(lambda h, t: {"header": np.zeros(3), "tensors": t}),
@@ -653,9 +658,6 @@ FORMAT2_CASES = {
     "tensors_short": (_tensors(lambda t: t[:-1]),
                       "checkpoint field 'tensors': expected 1554 float64 values, "
                       "got float64 (1553,)"),
-    "tensors_2d": (_tensors(lambda t: t.reshape(1, -1)),
-                   "checkpoint field 'tensors': expected 1554 float64 values, "
-                   "got float64 (1, 1554)"),
     "nan_parameter": (_tensors(_set_entry(0, np.nan)), "checkpoint field 'params.ensad'"),
     "inf_generator": (_tensors(_set_entry(200, np.inf)), "checkpoint field 'params.generator'"),
     # the vector ends with the discriminator's v
