@@ -14,12 +14,9 @@ the trained components first, each laid out as in format 2's tensor vector.
 
 from __future__ import annotations
 
-import io
 import json
 import math
-import re
 import struct
-import zipfile
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -463,79 +460,53 @@ def _check_state(vec: np.ndarray, layout: list) -> None:
                 raise ValueError("v contains negative entries")
 
 
-# Checkpoint format 2, the one on-disk checkpoint, is an uncompressed
-# np.savez archive of exactly two members:
+# Checkpoint format 2, the one on-disk checkpoint, is the uncompressed zip
+# archive np.savez writes for two members, each an npy 1.0 vector:
 #   header   the UTF-8 bytes of a JSON object, as a uint8 vector: "version"
 #            (2), "configs", "rng" and "step" as save_checkpoint writes
 #            them, and "adam", the Adam step count t under the name of
 #            each trainable component (one count, so all must be equal);
 #   tensors  one float64 vector: every parameter in param_shapes order,
 #            then the m and then the v moments of each trainable component.
-# Equal checkpoints give equal bytes (np.savez fixes the zip timestamps).
-# The reader refuses a file without the zip magic, and a member that is not
-# stored unencrypted, whose local header, size or CRC-32 disagrees with the
-# zip directory, or whose npy header does not account for its bytes exactly.
-# It reads one npy header form (_NPY_VECTOR): the npy 1.0 header numpy
-# writes for a 1-D vector of a bool or numeric dtype, as both members of a
-# save_checkpoint file carry. It refuses any other, which np.load may read.
+# _archive is its one definition: save_checkpoint writes its bytes, and the
+# reader loads a file only when it is those bytes for the members it holds.
+# The zip dates are fixed, so equal checkpoints give equal bytes. The layout
+# covers archives under 4 GiB; a paper-shape checkpoint is 49 MB.
 _ZIP_MAGIC = b"PK\x03\x04"
-_MEMBERS = ["header", "tensors"]
-# The central directory's flag bits for encryption (0), compressed patched
-# data (5) and strong encryption (6), which zipfile refuses to read
-_UNREADABLE_FLAGS = 0x61
-# A zip local file header: signature, flag bits, name and extra lengths
-_LOCAL_HEADER = struct.Struct("<4s2xH18xHH")
-# npy 1.0's header of a 1-D vector, and the bool and numeric dtypes its descr may name
-_NPY_VECTOR = re.compile(
-    rb"(?s)\x93NUMPY\x01\x00(..)\{'descr': '([<>|][a-z][1-9][0-9]?)', 'fortran_order': False, "
-    rb"'shape': \((0|[1-9][0-9]{0,17}),\), \} {0,63}\n")
-_VECTOR_DTYPES = {dt.str.encode(): dt for code in "?" + np.typecodes["AllInteger"]
-                  + np.typecodes["AllFloat"] for dt in map(np.dtype(code).newbyteorder, "<>")}
-# What the reader raises on a truncated or corrupted archive: zipfile's
-# errors on the central directory (BadZipFile, and NotImplementedError for
-# a zip version it cannot read), a local header cut short (struct.error),
-# and a bad member name or npy header (ValueError)
-_ARCHIVE_ERRORS = (zipfile.BadZipFile, NotImplementedError, struct.error, ValueError)
 
 
-def _read_npz(raw: bytes, names: list) -> list:
-    """The arrays of the uncompressed npz archive ``raw``, read-only views
-    of it, in the order of ``names``: the sorted names of its members as
-    np.load gives them, without ".npy". Raises one of _ARCHIVE_ERRORS
-    unless the archive passes the checks of format 2's comment."""
-    with zipfile.ZipFile(io.BytesIO(raw)) as archive:
-        infos = archive.infolist()
-    found = sorted(info.filename.removesuffix(".npy") for info in infos)
-    if found != names:
-        raise ValueError(f"members {found}, expected {names}")
-    members = {info.filename.removesuffix(".npy"): info for info in infos}
-    view, arrays = memoryview(raw), []
-    for info in map(members.get, names):
-        what = f"member {info.filename!r}"
-        if (info.compress_type != zipfile.ZIP_STORED or info.compress_size != info.file_size
-                or info.flag_bits & _UNREADABLE_FLAGS):
-            raise ValueError(f"{what} is not stored uncompressed and unencrypted")
-        magic, flags, name_len, extra_len = _LOCAL_HEADER.unpack_from(raw, info.header_offset)
-        start = info.header_offset + _LOCAL_HEADER.size
-        # flag bit 11: the name is UTF-8, else code page 437
-        name = raw[start:start + name_len].decode("utf-8" if flags & 0x800 else "cp437")
-        # unpack_from counts a negative offset from the end, where a seek refuses it
-        if info.header_offset < 0 or magic != _ZIP_MAGIC or name != info.orig_filename:
-            raise ValueError(f"{what}: local header does not match the directory")
-        start += name_len + extra_len
-        data = view[start:start + info.file_size]
-        if zlib.crc32(data) != info.CRC:
-            raise ValueError(f"{what}: CRC-32 mismatch")
-        m = _NPY_VECTOR.match(raw, start, start + info.file_size)
-        if not (m and m[2] in _VECTOR_DTYPES
-                and int.from_bytes(m[1], "little") == m.end() - m.end(1)):
-            raise ValueError(f"{what}: not an npy 1.0 vector of a bool or numeric dtype")
-        dtype, count, offset = _VECTOR_DTYPES[m[2]], int(m[3]), m.end() - start
-        if count * dtype.itemsize != len(data) - offset:
-            raise ValueError(f"{what}: {len(data) - offset} data bytes for a "
-                             f"{dtype.str} array of shape ({count},)")
-        arrays.append(np.frombuffer(data, dtype, count, offset))
-    return arrays
+def _npy_vector(descr: str, n: int) -> bytes:
+    """numpy's npy 1.0 header of a vector of ``n`` values of dtype ``descr``:
+    the dict, room for a 21-digit length, then spaces and a newline up to a
+    64-byte boundary."""
+    text = f"{{'descr': '{descr}', 'fortran_order': False, 'shape': ({n},), }}"
+    text += " " * (21 - len(str(n)))
+    size = 64 * ((len(text) + 11) // 64 + 1)
+    return (b"\x93NUMPY\x01\x00" + struct.pack("<H", size - 10)
+            + text.ljust(size - 11).encode() + b"\n")
+
+
+def _archive(header: bytes, tensors: np.ndarray) -> list:
+    """Format 2's bytes for the members ``header`` and ``tensors``, in file
+    order, as five pieces: the framing at even indexes (each member's zip64
+    local header and npy header, then the zip directory and end record) and
+    the members' data, as given, at odd ones."""
+    pieces, directory, at = [], b"", 0
+    for name, data in (b"header.npy", np.frombuffer(header, np.uint8)), (b"tensors.npy", tensors):
+        npy = _npy_vector(data.dtype.str, data.size)
+        size = len(npy) + data.nbytes
+        # version 45, no flags, stored, DOS date 1980-01-01 and time 0, CRC-32;
+        # the local header's sizes are in its zip64 extra field (tag 1)
+        entry = struct.pack("<5HI", 45, 0, 0, 0, 0x21, zlib.crc32(data, zlib.crc32(npy)))
+        pieces += [_ZIP_MAGIC + entry + struct.pack("<2I2H", 2**32 - 1, 2**32 - 1, len(name), 20)
+                   + name + struct.pack("<2H2Q", 1, 16, size, size) + npy, data]
+        # made by 0x32d, no extra field, external attributes: mode 0600
+        directory += (b"PK\x01\x02" + struct.pack("<H", 0x32D) + entry
+                      + struct.pack("<2I5H2I", size, size, len(name), 0, 0, 0, 0, 0x1800000, at)
+                      + name)
+        at += len(pieces[-2]) + data.nbytes
+    return pieces + [directory + b"PK\x05\x06"
+                     + struct.pack("<4H2IH", 0, 0, 2, 2, len(directory), at, 0)]
 
 
 def _trained(gan_cfg: GanConfig) -> list:
@@ -607,21 +578,35 @@ def save_checkpoint(ck: Checkpoint, path: str) -> None:
         "step": ck.step,
         "adam": {comp: ck.adam.t for comp in trained},
     }, sort_keys=True)
-    with atomic_write(path) as fh:  # to a path, np.savez would append ".npz"
-        np.savez(fh, header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
-                 tensors=_tensor_vector(ck))
+    with atomic_write(path) as fh:
+        fh.writelines(_archive(header.encode("utf-8"), _tensor_vector(ck)))
 
 
 def _checkpoint_from_archive(raw: bytes, path: str) -> Checkpoint:
-    """Parse and validate the format-2 checkpoint ``raw``."""
-    try:
-        header, tensors = _read_npz(raw, _MEMBERS)
-    except _ARCHIVE_ERRORS as exc:
-        raise ValueError(f"checkpoint {path}: not a readable archive: {exc}") from exc
+    """Parse and validate the format-2 checkpoint ``raw``: find the members
+    through their zip64 local headers, and refuse the file unless
+    :func:`_archive` lays out its framing for them, byte for byte."""
+    def uint(at, n):  # the little-endian unsigned field of raw at ``at``, 0 past its end
+        return int.from_bytes(raw[at:at + n], "little")
+    view, at, data = memoryview(raw), 0, []
+    for _ in range(2):  # name and extra lengths, the zip64 size, the npy header length
+        name_end = at + 30 + uint(at + 26, 2)
+        start = name_end + uint(at + 28, 2)
+        at = start + uint(name_end + 4, 8)
+        data.append(view[start + 10 + uint(start + 8, 2):at])
+    header, tensors = data[0].tobytes(), np.frombuffer(data[1], np.float64, len(data[1]) // 8)
+    at = 0
+    for i, piece in enumerate(_archive(header, tensors)):
+        # the data are the file's own bytes, and the framing's CRC-32s cover
+        # them; the zip directory must end the file
+        end = at + memoryview(piece).nbytes if i < 4 else len(raw)
+        if i % 2 == 0 and raw[at:end] != piece:
+            what = ("header.npy headers", "tensors.npy headers", "zip directory")[i // 2]
+            raise ValueError(f"checkpoint {path}: not a readable archive: "
+                             f"bytes {at}-{end} ({what}) differ from format 2's layout")
+        at = end
     with _field("header"):
-        if header.dtype != np.uint8:
-            raise ValueError(f"expected a uint8 vector, got {header.dtype} {header.shape}")
-        obj = json.loads(header.tobytes().decode("utf-8"))
+        obj = json.loads(header.decode("utf-8"))
     with _field("version"):
         # a JSON integer: 2.0 equals 2 but is not a version
         if type(obj["version"]) is not int or obj["version"] != 2:
@@ -654,7 +639,7 @@ def _checkpoint_from_archive(raw: bytes, path: str) -> Checkpoint:
     layout = _layout(param_shapes(ensad_cfg, gan_cfg), trained)
     size = layout[-1][3]
     with _field("tensors"):
-        if tensors.dtype != np.float64 or tensors.shape != (size,):
+        if tensors.size != size:
             raise ValueError(f"expected {size} float64 values, got "
                              f"{tensors.dtype} {tensors.shape}")
     # names and shapes hold by construction; the values are checked here

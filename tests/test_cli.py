@@ -19,7 +19,9 @@ from ensad.data import load_jsonl
 from ensad.gan import CSV_COLUMNS, load_checkpoint, save_checkpoint
 from ensad.numkit import NotPsdError
 from test_gan import nan_on_call
-from test_loader_properties import NOT_A_VECTOR, members, npy_bytes, rezip, savez_compressed
+from test_loader_properties import (
+    HEADER_NPY, TENSORS_NPY, members, npy_bytes, rezip, savez_compressed,
+)
 
 
 @pytest.fixture(scope="module")
@@ -565,7 +567,7 @@ _END_OF_DIR = b"PK\x05\x06"
 
 def _in_tensors(mutate):
     """A change to the tensors member's npy bytes, the zip CRC-32 kept
-    matching, so that the npy header parser sees it."""
+    matching, so that the npy header is what differs."""
     def apply(raw):
         with zipfile.ZipFile(io.BytesIO(raw)) as archive:
             npy = archive.read("tensors.npy")
@@ -589,21 +591,20 @@ def _raise_generator_t(header):
 
 # (mutation of the archive's bytes, the message: "checkpoint field '<field>': ...",
 # or the reason after "checkpoint <path>: not a readable archive: ", or, for
-# None, that prefix)
+# None, that prefix and "bytes ")
 FORMAT2_CASES = {
     "truncated": (lambda raw: raw[: len(raw) // 2], None),
     "magic_only": (lambda raw: raw[:4], None),
-    "crc_mismatch": (lambda raw: raw[:200] + bytes([raw[200] ^ 1]) + raw[201:],
-                     "not a readable archive: member 'header.npy': CRC-32 mismatch"),
+    # a changed byte of the header's JSON changes its CRC-32
+    "crc_mismatch": (lambda raw: raw[:200] + bytes([raw[200] ^ 1]) + raw[201:], HEADER_NPY),
     "local_name_differs": (lambda raw: raw.replace(b"tensors.npy", b"tensorz.npy", 1),
-                           "member 'tensors.npy': local header does not match the directory"),
+                           TENSORS_NPY),
     # np.load reads these two; the first crashed the loader
     "member_not_npy": (lambda raw: rezip(raw, tensors=b"tensors"), None),
-    "compressed": (savez_compressed,
-                   "member 'header.npy' is not stored uncompressed and unencrypted"),
+    "compressed": (savez_compressed, HEADER_NPY),
     # faults in the zip directory and the npy header
     "encrypted_flag": (_poke(_CENTRAL_DIR, 8, lambda b: b | 1),
-                       "member 'tensors.npy' is not stored uncompressed and unencrypted"),
+                       "bytes 13388-13523 (zip directory) differ from format 2's layout"),
     "zip_version_10_9": (_poke(_CENTRAL_DIR, 6, lambda b: 109), None),
     "directory_offset_plus_1": (_poke(_END_OF_DIR, 16, lambda b: b + 1), None),
     "npy_header_cut_short": (_in_tensors(_poke(b"\x93NUMPY", 8, lambda b: 54)), None),
@@ -611,17 +612,18 @@ FORMAT2_CASES = {
     "member_past_end": (_overlong_tensors, None),
     "missing_header": (_members(lambda h, t: {"tensors": t}), None),
     "extra_member": (_members(lambda h, t: {"header": h, "tensors": t, "x": t}), None),
-    # np.load reads these three; the reader reads only the npy 1.0 header of
-    # a vector of a bool or numeric dtype, as save_checkpoint writes it
+    # np.load reads these; the reader reads only the members' npy 1.0
+    # headers save_checkpoint writes: a uint8 header and a float64 tensors
+    # vector
     "pickled_tensors": (_members(lambda h, t: {"header": h, "tensors": t.astype(object)}),
-                        "not a readable archive: " + NOT_A_VECTOR),
-    "tensors_2d": (_tensors(lambda t: t.reshape(1, -1)), "not a readable archive: " + NOT_A_VECTOR),
+                        TENSORS_NPY),
+    "tensors_2d": (_tensors(lambda t: t.reshape(1, -1)), TENSORS_NPY),
     "npy_version_2": (lambda raw: rezip(raw, tensors=npy_bytes(members(raw)["tensors"], (2, 0))),
-                      "not a readable archive: " + NOT_A_VECTOR),
+                      TENSORS_NPY),
     "header_not_json": (_members(lambda h, t: {"header": np.frombuffer(b"{", np.uint8),
                                                "tensors": t}), "checkpoint field 'header'"),
     "header_float64": (_members(lambda h, t: {"header": np.zeros(3), "tensors": t}),
-                       "checkpoint field 'header': expected a uint8 vector, got float64 (3,)"),
+                       HEADER_NPY),
     "version_1": (_header(lambda h: h.update(version=1)),
                   "checkpoint field 'version': unsupported checkpoint version 1"),
     "version_float": (_header(lambda h: h.update(version=2.0)),
@@ -652,9 +654,7 @@ FORMAT2_CASES = {
     "unequal_adam_t": (_header(_raise_generator_t),
                        "checkpoint field 'adam': step counts differ: "
                        "{'discriminator': 6, 'ensad': 6, 'generator': 7}"),
-    "tensors_float32": (_tensors(lambda t: t.astype(np.float32)),
-                        "checkpoint field 'tensors': expected 1554 float64 values, "
-                        "got float32 (1554,)"),
+    "tensors_float32": (_tensors(lambda t: t.astype(np.float32)), TENSORS_NPY),
     "tensors_short": (_tensors(lambda t: t[:-1]),
                       "checkpoint field 'tensors': expected 1554 float64 values, "
                       "got float64 (1553,)"),
@@ -674,7 +674,7 @@ def test_eval_rejects_malformed_format2_checkpoint(tmp_path, capsys, case):
                "--n-gen", "8"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert (expected or f"checkpoint {bad}: not a readable archive: ") in err, err
+    assert (expected or f"checkpoint {bad}: not a readable archive: bytes ") in err, err
 
 
 def _on_bytes(mutate):

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -8,6 +9,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensad import gan
 from ensad.adapter import EnsAdConfig
@@ -807,6 +810,40 @@ def test_golden_checkpoint_through_format2_reserializes_to_the_same_bytes(tmp_pa
         assert fh.read() == golden.read()
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_save_checkpoint_writes_the_bytes_np_savez_writes(tmp_path_factory, data):
+    # save_checkpoint lays format 2 out itself; np.savez of its two members
+    # must give the same bytes, and np.load must read them, for any config,
+    # trained set and step count
+    dims = st.integers(1, 5)
+    hidden = st.lists(dims, max_size=3).map(tuple)
+    trainable = data.draw(st.sets(st.sampled_from(TRAINABLE_COMPONENTS)))
+    ecfg = EnsAdConfig(d=data.draw(dims), d_hid=data.draw(dims), m=data.draw(dims))
+    gcfg = GanConfig(d=ecfg.d, d_z=data.draw(dims), d_img=data.draw(dims),
+                     gen_hidden=data.draw(hidden), disc_hidden=data.draw(hidden.filter(bool)),
+                     trainable=trainable, steps=data.draw(st.integers(0, 10 ** 6)))
+    words = st.integers(0, 2 ** 64 - 1)
+    t = data.draw(words)
+    rng = SeededRng(data.draw(words))
+    shapes = param_shapes(ecfg, gcfg)
+    trained = {comp: shapes[comp] for comp in TRAINABLE_COMPONENTS if comp in trainable}
+    ck = Checkpoint(ecfg, gcfg, init_tensors(shapes, rng), AdamState(
+        m=init_tensors(trained, rng), v=map_tensors(np.abs, init_tensors(trained, rng)), t=t),
+        rng_seed=data.draw(words), rng_position=data.draw(words), step=data.draw(words))
+    path = tmp_path_factory.mktemp("pin") / "ck.npz"
+    save_checkpoint(ck, str(path))
+    raw = path.read_bytes()
+    with np.load(path) as archive:
+        header, tensors = archive["header"], archive["tensors"]
+    buf = io.BytesIO()
+    np.savez(buf, header=header, tensors=tensors)
+    assert raw == buf.getvalue()
+    assert json.loads(header.tobytes())["adam"] == dict.fromkeys(trained, t)
+    assert tensors.tobytes() == gan._tensor_vector(ck).tobytes()
+    assert checkpoint_bytes(load_checkpoint(path)) == raw
+
+
 def test_save_checkpoint_walks_the_spec_not_the_dicts_order():
     # format 2 lays tensors out in param_shapes order, whatever order the
     # checkpoint's dicts list them in
@@ -838,12 +875,13 @@ def test_format2_equal_checkpoints_give_equal_bytes(tmp_path):
 def test_failed_checkpoint_save_keeps_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "ck.npz"
     path.write_bytes(b"old checkpoint")
-    savez = np.savez
 
-    def savez_then_fail(fh, **members):
-        savez(fh, **members)
-        raise OSError("disk full")
-    monkeypatch.setattr(np, "savez", savez_then_fail)
+    class FullDisk(io.FileIO):
+        """A file whose first write lands and then fails."""
+        def write(self, data):
+            super().write(data)
+            raise OSError("disk full")
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: FullDisk(fd, mode))
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(load_checkpoint(GOLDEN_CKPT), str(path))
     assert path.read_bytes() == b"old checkpoint"

@@ -3,14 +3,14 @@ for field, a mutated item line raises only DataFormatError, naming that
 line, and the loader agrees with a reference loader that decodes the whole
 file first and checks each vector as its line is read, on arrays and on
 every error message, whatever the line endings. Checkpoints: a corrupted
-format-2 archive raises only ValueError, and the npz reader beneath it
-agrees with np.load: it accepts no archive, whole or corrupted, that
-np.load refuses, and reads the arrays np.load reads. Of the archives
-np.savez writes, it reads exactly those whose members are all 1-D vectors
-of a bool or numeric dtype, as save_checkpoint's are, and refuses any
-other npy header with one message."""
+format-2 archive raises only ValueError, and every one-byte change and
+every cut of a saved checkpoint is refused naming the path. The reader
+accepts no archive, whole or corrupted, that np.load refuses: it reads a
+file only when it is, byte for byte, what save_checkpoint writes for the
+members it holds, and refuses the archives np.load reads that are not."""
 
 import io
+import itertools
 import json
 import math
 import os
@@ -33,8 +33,9 @@ from ensad.data import (
     jsonl_lines,
     load_jsonl,
 )
-from ensad.gan import _ARCHIVE_ERRORS, _read_npz, load_checkpoint
+from ensad.gan import _checkpoint_from_archive, load_checkpoint
 from ensad.numkit import l2_normalize
+from test_gan import checkpoint_bytes
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -480,6 +481,14 @@ def corrupt(data, raw, kind):
     return raw[:pos] + bytes([raw[pos] ^ data.draw(st.integers(1, 255))]) + raw[pos + 1:]
 
 
+def load_bytes(tmp_path, raw):
+    """load_checkpoint of a file holding ``raw``."""
+    path = os.path.join(tmp_path, "ck.npz")
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    return load_checkpoint(path)
+
+
 @SETTINGS
 @given(data=st.data())
 def test_corrupted_checkpoint_raises_only_value_error(tmp_path, format2_bytes, data):
@@ -500,19 +509,29 @@ def test_corrupted_checkpoint_raises_only_value_error(tmp_path, format2_bytes, d
         header = json.loads(members(raw)["header"].tobytes())
         header[data.draw(st.sampled_from(sorted(header)))] = data.draw(json_values)
         raw = rewrite(raw, header=np.frombuffer(json.dumps(header).encode(), np.uint8))
-    path = os.path.join(tmp_path, "ck.json")
-    with open(path, "wb") as fh:
-        fh.write(raw)
-    if kind == "flip" or kind == "header":
+    path = os.path.join(tmp_path, "ck.npz")
+    if kind == "header":
         try:
-            load_checkpoint(path)
+            load_bytes(tmp_path, raw)
         except ValueError:
             pass
         return
+    # every one-byte change and every cut of the file is refused by path
     with pytest.raises(ValueError) as exc:
-        load_checkpoint(path)
-    if kind == "truncate":
+        load_bytes(tmp_path, raw)
+    if kind in ("truncate", "flip"):
         assert path in str(exc.value)
+
+
+def test_no_flipped_bit_and_no_cut_of_a_checkpoint_loads(format2_bytes):
+    # bit 0 and bit 7 of each byte of the golden archive, and every length
+    # short of it: each file is refused as an archive, before any field
+    raw = format2_bytes
+    flips = (raw[:at] + bytes([raw[at] ^ bit]) + raw[at + 1:]
+             for at in range(len(raw)) for bit in (1, 128))
+    for bad in itertools.chain(flips, (raw[:n] for n in range(len(raw)))):
+        with pytest.raises(ValueError, match="^checkpoint p: not a readable archive: bytes "):
+            _checkpoint_from_archive(bad, "p")
 
 
 # dtypes np.savez writes as they are, and one it pickles
@@ -555,38 +574,40 @@ def np_load_arrays(raw, names):
 
 @SETTINGS
 @given(data=st.data())
-def test_npz_reader_reads_what_np_load_reads(format2_bytes, data):
-    if data.draw(st.booleans()):
+def test_npz_reader_reads_what_np_load_reads(tmp_path, format2_bytes, data):
+    golden = data.draw(st.booleans())
+    if golden:
+        raw, names = format2_bytes, ["header", "tensors"]
+    else:
         arrays = data.draw(st.dictionaries(member_names, npz_arrays(), min_size=1, max_size=3))
         buf = io.BytesIO()
         np.savez(buf, **arrays)
         raw, names = buf.getvalue(), sorted(arrays)
-        vectors = all(arr.ndim == 1 and arr.dtype.kind in "biufc" for arr in arrays.values())
-    else:
-        raw, names, vectors = format2_bytes, ["header", "tensors"], True
     kind = data.draw(st.sampled_from(["whole", "truncate", "flip"]))
     if kind != "whole":
         raw = corrupt(data, raw, kind)
     want = np_load_arrays(raw, names)
     try:
-        got = _read_npz(raw, names)
-    except _ARCHIVE_ERRORS:
+        got = load_bytes(tmp_path, raw)
+    except ValueError:
         got = None
-    if kind == "whole":
-        assert (got is not None) == vectors
+    # of these archives the reader reads the golden checkpoint alone, and
+    # what it reads, save_checkpoint writes back byte for byte
+    assert (got is not None) == (golden and kind == "whole")
     if got is not None:
         assert want is not None
-        for g, w in zip(got, want):
-            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+        assert checkpoint_bytes(got) == raw
 
 
 def rezip(raw, **replace):
-    """The zip archive ``raw`` rewritten by zipfile, stored, with the bytes
-    of the members named in ``replace`` replaced."""
+    """The zip archive ``raw`` with the bytes of the members named in
+    ``replace`` replaced, each member written as np.savez writes it:
+    stored, under a zip64 local header, dated 1980."""
     out = io.BytesIO()
     with zipfile.ZipFile(io.BytesIO(raw)) as src, zipfile.ZipFile(out, "w") as dst:
         for info in src.infolist():
-            dst.writestr(info.filename, replace.get(info.filename[:-4], src.read(info)))
+            with dst.open(info.filename, "w", force_zip64=True) as fh:
+                fh.write(replace.get(info.filename[:-4], src.read(info)))
     return out.getvalue()
 
 
@@ -633,34 +654,39 @@ def npy_long_shape() -> bytes:
 
 
 VEC = np.arange(5.0)
-# The reader's refusal of any npy header but the one numpy writes for a
-# vector of a bool or numeric dtype
-NOT_A_VECTOR = "member 'tensors.npy': not an npy 1.0 vector of a bool or numeric dtype"
+# The reader's refusal of a tensors member whose zip or npy header is not
+# the one save_checkpoint writes for its bytes, anywhere and in the golden
+# archive; and of the golden archive's header member
+NOT_TENSORS = "(tensors.npy headers) differ from format 2's layout"
+TENSORS_NPY = "bytes 767-956 " + NOT_TENSORS
+HEADER_NPY = "bytes 0-188 (header.npy headers) differ from format 2's layout"
 
 
-# The archives np.load reads and the npz reader refuses, each with the
+# The archives np.load reads and load_checkpoint refuses, each with the
 # reader's message
 NP_LOAD_ONLY = {
-    "savez_compressed": (savez_compressed,
-                         "member 'header.npy' is not stored uncompressed and unencrypted"),
+    "savez_compressed": (savez_compressed, HEADER_NPY),
     "stored_size_past_data": (stored_size_past_data,
-                              "member 'tensors.npy' is not stored uncompressed and "
-                              "unencrypted"),
+                              "bytes 13388-13523 (zip directory) differ from format 2's layout"),
     "npy_version_3": (lambda raw: rezip(raw, tensors=npy_bytes(members(raw)["tensors"], (3, 0))),
-                      NOT_A_VECTOR),
+                      TENSORS_NPY),
     "trailing_byte": (lambda raw: rezip(raw, tensors=npy_bytes(members(raw)["tensors"]) + b"\0"),
-                      "member 'tensors.npy': 12433 data bytes for a <f8 array of shape (1554,)"),
+                      TENSORS_NPY),
     # np.load reads the header and then data from its last byte on
-    "npy_length_short": (lambda raw: rezip(raw, tensors=npy_length(VEC, -1)), NOT_A_VECTOR),
+    "npy_length_short": (lambda raw: rezip(raw, tensors=npy_length(VEC, -1)),
+                         TENSORS_NPY),
     "zero_itemsize": (lambda raw: rezip(raw, tensors=npy_bytes(np.zeros(3, "V0"))),
-                      NOT_A_VECTOR),
+                      TENSORS_NPY),
     # np.load gives the bytes of a member that is not an npy file
-    "not_npy": (lambda raw: rezip(raw, tensors=b"tensors"), NOT_A_VECTOR),
+    "not_npy": (lambda raw: rezip(raw, tensors=b"tensors"), TENSORS_NPY),
+    # zipfile finds the end record short of the file's end
+    "byte_after_the_end_record": (lambda raw: raw + b"\0",
+                                  "bytes 13388-13524 (zip directory) differ from format 2's layout"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NP_LOAD_ONLY))
-def test_npz_reader_refuses_what_np_load_reads(format2_bytes, case):
+def test_npz_reader_refuses_what_np_load_reads(tmp_path, format2_bytes, case):
     mutate, message = NP_LOAD_ONLY[case]
     raw = mutate(format2_bytes)
     with np.load(io.BytesIO(raw), allow_pickle=False) as archive:
@@ -668,32 +694,25 @@ def test_npz_reader_refuses_what_np_load_reads(format2_bytes, case):
         # every member reads: as an array, or as the bytes of one not in npy format
         assert all(isinstance(archive[name], (np.ndarray, bytes)) for name in archive.files)
     with pytest.raises(ValueError, match=re.escape(message)):
-        _read_npz(raw, ["header", "tensors"])
-
-
-def reads_as_np_load(raw, names) -> bool:
-    """Whether the npz reader reads ``raw``; it must read it as np.load
-    does, or refuse it where np.load does."""
-    want = np_load_arrays(raw, names)
-    try:
-        got = _read_npz(raw, names)
-    except _ARCHIVE_ERRORS:
-        assert want is None
-        return False
-    assert want is not None
-    for g, w in zip(got, want):
-        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
-    return True
+        load_bytes(tmp_path, raw)
 
 
 @pytest.mark.parametrize("length", [0, 1, 9, 10, 99, 100, 1000])
 @pytest.mark.parametrize("dtype", ["<f8", ">f8", "|u1", ">i2", "|b1", "<c16", "<f2"])
-def test_npz_reader_reads_vectors_without_numpys_header_parser(dtype, length):
+def test_npz_reader_reads_vectors_without_numpys_header_parser(tmp_path, format2_bytes,
+                                                               dtype, length):
+    # the golden archive with np.savez's tensors member for a vector of
+    # `length` values: the reader lays out that member's npy header itself,
+    # and reads a float64 vector of any length, as np.load reads it, up to
+    # the field check; any other dtype is refused as an archive
     dtype = np.dtype(dtype)
     vec = np.frombuffer(np.random.default_rng(length).bytes(length * dtype.itemsize), dtype)
-    buf = io.BytesIO()
-    np.savez(buf, vec=vec)
-    assert reads_as_np_load(buf.getvalue(), ["vec"])
+    raw = rewrite(format2_bytes, tensors=vec)
+    assert np_load_arrays(raw, ["header", "tensors"])[1].shape == (length,)
+    message = (f"checkpoint field 'tensors': expected 1554 float64 values, got float64 ({length},)"
+               if dtype == np.float64 else NOT_TENSORS)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_bytes(tmp_path, raw)
 
 
 # npy members whose header differs in one place from the one numpy writes
@@ -717,15 +736,18 @@ NEAR_MISSES = {
 
 
 @pytest.mark.parametrize("case", sorted(NEAR_MISSES))
-def test_npz_reader_reads_near_misses_as_np_load(format2_bytes, case):
+def test_npz_reader_reads_near_misses_as_np_load(tmp_path, format2_bytes, case):
+    # rezip writes the header member as save_checkpoint does, so what the
+    # reader refuses is the tensors member
+    assert rezip(format2_bytes) == format2_bytes
     member, np_load_reads = NEAR_MISSES[case]
     raw = rezip(format2_bytes, tensors=member())
     assert (np_load_arrays(raw, ["header", "tensors"]) is not None) == np_load_reads
-    with pytest.raises(ValueError, match=re.escape(NOT_A_VECTOR)):
-        _read_npz(raw, ["header", "tensors"])
+    with pytest.raises(ValueError, match=re.escape(NOT_TENSORS)):
+        load_bytes(tmp_path, raw)
 
 
-def test_npz_reader_refuses_local_headers_found_from_the_end(format2_bytes):
+def test_npz_reader_refuses_local_headers_found_from_the_end(tmp_path, format2_bytes):
     # the directory's offset moved one file length on: every member's offset
     # is negative, and counted from the end it lands on the member's local
     # header; a seek refuses it, so np.load does
@@ -736,5 +758,5 @@ def test_npz_reader_refuses_local_headers_found_from_the_end(format2_bytes):
     assert np_load_arrays(raw, ["header", "tensors"]) is None
     with zipfile.ZipFile(io.BytesIO(raw)) as archive:
         assert all(info.header_offset < 0 for info in archive.infolist())
-    with pytest.raises(ValueError, match="local header does not match the directory"):
-        _read_npz(raw, ["header", "tensors"])
+    with pytest.raises(ValueError, match=re.escape("(zip directory) differ from format 2's")):
+        load_bytes(tmp_path, raw)
