@@ -173,6 +173,10 @@ _FUSIONS = {
     "mean_pool": lambda h, p, cfg: (unit_rows(h.mean(axis=1))[0], None),
 }
 STRATEGIES = tuple(_FUSIONS)
+# The rows of an ensemble each strategy's fusion reads, as a slice of its
+# m+1 rows; training augments only these (data.step_batches).
+READ_ROWS = {"ensad": slice(None), "zero_shot": slice(0, 1), "translate_test": slice(1, 2),
+             "mean_pool": slice(None)}
 
 
 def fuse_batch(

@@ -483,21 +483,24 @@ def _fisher_yates(picks: list) -> list:
 
 
 def step_batches(ds: Dataset, batch: int, p0: float, pt: float, d_z: int,
-                 rng: SeededRng, steps: int):
+                 rng: SeededRng, steps: int, reads: slice):
     """The inputs of ``steps`` training steps, one ``(rows, images, zs)``
     per step: the (batch, m+1, d) rows of the first ``batch`` slots of a
-    partial Fisher-Yates shuffle of the dataset, after noise augmentation,
-    their (batch, d_img) images, and (batch, d_z) generator noise.
+    partial Fisher-Yates shuffle of the dataset, their (batch, d_img)
+    images, and (batch, d_z) generator noise. The rows in ``reads``, a
+    slice of the m+1 (adapter.READ_ROWS of the conditioning), are the
+    dataset's after noise augmentation; the others are zero.
 
     A step takes W words: one index word per item, reduced modulo
     ``len(ds) - k`` for slot k, then ``2*ceil(d/2)`` per augmented row item
     by item, then ``2*ceil(d_z/2)`` per item for z, as the tests' per-step
     samplers (``sample_indices``, ``augment_rows``, ``rng.gaussian_rows``)
-    take them.
-    The words of as many whole steps as fit in numkit.CACHE_BLOCK words (at
-    least one, never past ``steps``) come from one stream fill; their
+    take them; of the noise words, only those of the rows in ``reads`` are
+    made, and the others are skipped.
+    As many whole steps as span numkit.CACHE_BLOCK words (at least one,
+    never past ``steps``) take their words from one stream fill, their
     normals from one Box-Muller call, their rows and images from one
-    gather, their augmentation from one noise mix. After each yield the
+    gather, and their augmentation from one noise mix. After each yield the
     stream stands where the per-step calls would leave it, start + s * W
     after s steps, so a caller can read where a step's draws start.
 
@@ -510,23 +513,35 @@ def step_batches(ds: Dataset, batch: int, p0: float, pt: float, d_z: int,
     n, d = batch, ds.d
     k = int(np.count_nonzero(noisy))
     wd, wz = 2 * ((d + 1) // 2), 2 * ((d_z + 1) // 2)
-    aug = n * k * wd
-    w = n + aug + n * wz
+    w = n + n * k * wd + n * wz
+    # the offsets in a step's W words of those it uses: the index words, per
+    # item the noise words of each read augmented row, and the z words
+    mixed = np.zeros(ds.m + 1, dtype=bool)
+    mixed[reads] = True
+    mixed &= noisy
+    slots = np.arange(n)[:, None] * k + (np.cumsum(noisy) - 1)[mixed]
+    noise = (n + wd * slots[..., None] + np.arange(wd)).ravel()
+    used = np.concatenate([np.arange(n), noise, np.arange(w - n * wz, w)]).astype(np.uint64)
     per_block = max(1, numkit.CACHE_BLOCK // w)
     bounds = np.arange(len(ds), len(ds) - n, -1).astype(np.uint64)
     for first in range(0, steps, per_block):
         size = min(per_block, steps - first)
-        # read ahead on a copy, so that rng advances one step per yield
-        words = SeededRng(rng.seed, rng.position)._take(size * w).reshape(size, w)
+        # read ahead without moving rng, so that it advances one step per yield
+        words = np.add.outer(np.arange(0, size * w, w, dtype=np.uint64), used)
+        words += np.uint64(rng.position)
+        words = rng.words_at(words)
         picks = ((words[:, :n] % bounds).astype(np.int64) + np.arange(n)).tolist()
         idx = np.array([_fisher_yates(row) for row in picks])
         normals = box_muller(words[:, n:])
-        rows = ds.rows[idx]
-        if k:
-            _mix_noise(rows.reshape(size * n, ds.m + 1, d), p, noisy,
-                       normals[:, :aug].reshape(size * n, k, wd)[..., :d])
+        rows = ds.rows[idx, reads]
+        if noise.size:
+            _mix_noise(rows.reshape(size * n, -1, d), p[reads], noisy[reads],
+                       normals[:, :noise.size].reshape(size * n, -1, wd)[..., :d])
+        if rows.shape[2] <= ds.m:  # the rows not read are zero
+            rows, read = np.zeros((size, n, ds.m + 1, d)), rows
+            rows[:, :, reads] = read
         images = ds.images[idx]
-        zs = normals[:, aug:].reshape(size, n, wz)[..., :d_z]
+        zs = normals[:, noise.size:].reshape(size, n, wz)[..., :d_z]
         for i in range(size):
             rng.position += w
             yield rows[i], images[i], zs[i]

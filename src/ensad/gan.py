@@ -20,6 +20,7 @@ import struct
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -699,11 +700,72 @@ class StepGrads:
     grad_conds: np.ndarray | None = None
 
 
+class _StepPlan(NamedTuple):
+    """What :func:`step_losses_and_grads` computes for one GanConfig, which
+    stays fixed through a run, so :func:`train` builds it once."""
+
+    cfg: GanConfig
+    terms: tuple  # the active contrastive terms' LossParts fields
+    # the terms' anchors, then their positives, as indices into (fd of the
+    # fakes, fd of the reals, the fused conditions, the fakes' proxy features)
+    feats: tuple
+    # the discriminator backward's rows as indices into the stack [fakes,
+    # reals]: the fakes toward the adapter and generator (D frozen), then the
+    # fakes and the reals toward D (fakes and conditions held constant); and
+    # per row, (1,) where its logit's target is real, else (0,)
+    rows: np.ndarray
+    targets: np.ndarray
+    # (row, λ, gradient) per contrastive term a row's fd gradient takes, and
+    # (λ, gradient) per term the fused conditions' gradient takes; a gradient
+    # indexes the stack of the terms' anchor, then positive, gradients
+    fd_terms: tuple
+    htil_terms: tuple
+    to_gen: bool  # the adapter or the generator is trained
+    to_disc: bool  # the discriminator is trained
+
+
+def _step_plan(gan_cfg: GanConfig) -> _StepPlan:
+    """The step plan of ``gan_cfg``; see :class:`_StepPlan`."""
+    lam1, lam2 = gan_cfg.lambda1, gan_cfg.lambda2
+    terms = (("l_cl_g" if gan_cfg.enable_clg else "l_cl",) if lam1 > 0 else ()) + (
+        ("l_cl_d_fake", "l_cl_d_real") if lam2 > 0 else ())
+    pairs = {"l_cl": (1, 0), "l_cl_g": (3, 2), "l_cl_d_fake": (0, 2), "l_cl_d_real": (1, 2)}
+    # each active term's anchor ("a") and positive ("p") gradient
+    grad = {(side, name): t + len(terms) * (side == "p")
+            for t, name in enumerate(terms) for side in "ap"}
+
+    def take(*wanted):  # the active ones of (λ, side, term)
+        return tuple((lam, grad[side, name]) for lam, side, name in wanted
+                     if (side, name) in grad)
+
+    to_gen = bool(gan_cfg.trainable & {"ensad", "generator"})
+    to_disc = "discriminator" in gan_cfg.trainable
+    # per row: its stack index, its target and its fd terms
+    rows = [(0, 1.0, take((lam1, "p", "l_cl"), (lam2, "a", "l_cl_d_fake")))] * to_gen + [
+        (0, 0.0, take((lam1, "p", "l_cl"))),
+        (1, 1.0, take((lam1, "a", "l_cl"), (lam2, "a", "l_cl_d_real")))] * to_disc
+    return _StepPlan(
+        cfg=gan_cfg, terms=terms, feats=tuple(pairs[name][k] for k in (0, 1) for name in terms),
+        rows=np.array([r[0] for r in rows], dtype=np.intp),
+        targets=np.array([r[1] for r in rows]).reshape(-1, 1),
+        fd_terms=tuple((i, lam, g) for i, r in enumerate(rows) for lam, g in r[2]),
+        htil_terms=take((lam1, "p", "l_cl_g"), (lam2, "p", "l_cl_d_fake")),
+        to_gen=to_gen, to_disc=to_disc)
+
+
+# The three adversarial softplus terms as one stack: of the fake logits
+# negated (the adapter side), then of the real ones negated and of the fake
+# ones (the discriminator side).
+_ADV_ROWS = np.array([0, 1, 0])
+_ADV_SIGNS = np.array([[-1.0], [-1.0], [1.0]])
+
+
 def step_losses_and_grads(h: np.ndarray, imgs_real: np.ndarray, zs: np.ndarray, params: dict,
-                          ensad_cfg: EnsAdConfig, gan_cfg: GanConfig,
+                          ensad_cfg: EnsAdConfig, plan: _StepPlan,
                           proxy: np.ndarray | None = None) -> StepGrads:
     """One full training step's math, pure: forward everything, total both
-    losses, and differentiate each trainable component. The adapter and
+    losses, and differentiate each trainable component, as ``plan``
+    (:func:`_step_plan` of the gan config) says. The adapter and
     generator see the discriminator frozen; the discriminator half holds
     fakes and conditions constant. ``train`` applies these gradients with
     Adam; calling this directly gives the exact training gradients for
@@ -712,70 +774,52 @@ def step_losses_and_grads(h: np.ndarray, imgs_real: np.ndarray, zs: np.ndarray, 
     ``h`` is the (n, m+1, d) batch of rows, source first. Inputs are not
     validated here.
     """
-    n = h.shape[0]
-    lam1, lam2, clg, trainable = (gan_cfg.lambda1, gan_cfg.lambda2, gan_cfg.enable_clg,
-                                  gan_cfg.trainable)
-    htil, trace = adapter.fuse_batch(h, params["ensad"], ensad_cfg, gan_cfg.conditioning)
+    n, cfg = h.shape[0], plan.cfg
+    htil, trace = adapter.fuse_batch(h, params["ensad"], ensad_cfg, cfg.conditioning)
     fakes, gen_acts = generate_batch(params, htil, zs)
     # one discriminator pass over the stack [fakes, reals]
     fd, ds, acts = disc_forward_batch(params, np.array([fakes, imgs_real]))
     logits = ds + np.add.reduce(fd * htil, axis=-1)
 
-    parts = LossParts(l_ad_ensad=_adv_ensad(logits[0]), l_ad_d=_adv_disc(logits[1], logits[0]))
-    # the active contrastive terms, {LossParts field: (anchors, positives)},
-    # in one call over their stack
-    pairs = {}
-    if lam1 > 0:
-        pairs["l_cl_g" if clg else "l_cl"] = (fakes @ proxy.T, htil) if clg else (fd[1], fd[0])
-    if lam2 > 0:
-        pairs["l_cl_d_fake"] = fd[0], htil
-        pairs["l_cl_d_real"] = fd[1], htil
-    cl_a = cl_p = {}
-    if pairs:
-        anchors, positives = (np.array(side) for side in zip(*pairs.values()))
-        losses, grad_a, grad_p = _contrastive_with_grads(_unit_rows(anchors),
-                                                         _unit_rows(positives), gan_cfg.tau)
-        for name, loss in zip(pairs, losses):
-            setattr(parts, name, float(loss))
-        cl_a, cl_p = dict(zip(pairs, grad_a)), dict(zip(pairs, grad_p))
-    res = StepGrads(parts, *total_losses(parts, gan_cfg), trace=trace)
+    adv = np.add.reduce(_softplus(_ADV_SIGNS * logits[_ADV_ROWS]), axis=-1) / n
+    parts = LossParts(l_ad_ensad=float(adv[0]), l_ad_d=float(adv[1] + adv[2]))
+    if plan.terms:  # the active contrastive terms, in one call over their stack
+        feats = (*fd, htil, fakes @ proxy.T if "l_cl_g" in plan.terms else None)
+        unit, inv = _unit_rows(np.array([feats[i] for i in plan.feats]))
+        j = len(plan.terms)
+        losses, grad_a, grad_p = _contrastive_with_grads((unit[:j], inv[:j]),
+                                                         (unit[j:], inv[j:]), cfg.tau)
+        for name, loss in zip(plan.terms, losses.tolist()):
+            setattr(parts, name, loss)
+        cl_grads = np.array([grad_a, grad_p]).reshape(2 * j, *htil.shape)
+    res = StepGrads(parts, *total_losses(parts, cfg), trace=trace)
 
-    # The rows of the discriminator backward, each its logit gradient and
-    # the contrastive terms its fd gradient takes where active: the fakes
-    # toward the adapter and generator (D frozen, gradients flow through it;
-    # the real-feature anchors of l_cl only touch frozen D weights), then
-    # the fakes and the reals toward D (fakes and conditions held constant).
-    to_gen, to_disc = bool(trainable & {"ensad", "generator"}), "discriminator" in trainable
+    # the discriminator backward: per row of plan.rows, its logit gradient
+    # and the contrastive gradients its fd gradient takes
+    to_gen, to_disc = plan.to_gen, plan.to_disc
     if not (to_gen or to_disc):
         return res
-    sig = _sigmoid(logits)
-    rows = [((sig[0] - 1.0) / n, [(lam1, cl_p, "l_cl"), (lam2, cl_a, "l_cl_d_fake")])] * to_gen + [
-        (sig[0] / n, [(lam1, cl_p, "l_cl")]),
-        ((sig[1] - 1.0) / n, [(lam1, cl_a, "l_cl"), (lam2, cl_a, "l_cl_d_real")])] * to_disc
-    grad_ds = np.array([g for g, _ in rows])
+    grad_ds = (_sigmoid(logits)[plan.rows] - plan.targets) / n
     grad_fd = grad_ds[..., None] * htil
-    for row, (_, terms) in zip(grad_fd, rows):
-        for lam, side, name in terms:
-            if name in side:
-                row += lam * side[name]
+    for row, lam, g in plan.fd_terms:
+        grad_fd[row] += lam * cl_grads[g]
     *backbone, fd_w, _, ds_w, _ = params["discriminator"].values()
     k = int(to_gen)  # the first D-side row
-    grads_d, grad_fakes = _mlp_backward(
-        backbone, acts, grad_fd @ fd_w + grad_ds[..., None] * ds_w,
-        [0, 0, 1] if to_gen and to_disc else slice(0, 1 + to_disc), k, to_disc, to_gen)
+    grads_d, grad_fakes = _mlp_backward(backbone, acts, grad_fd @ fd_w + grad_ds[..., None] * ds_w,
+                                        plan.rows, k, to_disc, to_gen)
 
+    trainable = cfg.trainable
     if to_gen:
-        if "l_cl_g" in cl_a:
-            grad_fakes += lam1 * (cl_a["l_cl_g"] @ proxy)
+        if "l_cl_g" in plan.terms:  # the first term when active
+            grad_fakes += cfg.lambda1 * (cl_grads[0] @ proxy)
         gen = params["generator"]
         gen_grads, grad_x = _mlp_backward(list(gen.values()), [a[None] for a in gen_acts],
                                           grad_fakes[None], to_params="generator" in trainable,
                                           to_input="ensad" in trainable)
     if "ensad" in trainable:
         grad_htil = grad_ds[0][:, None] * fd[0]
-        for lam, name in ((lam1, "l_cl_g"), (lam2, "l_cl_d_fake")):
-            if name in cl_p:
-                grad_htil += lam * cl_p[name]
+        for lam, g in plan.htil_terms:
+            grad_htil += lam * cl_grads[g]
         grad_htil += grad_x[:, :ensad_cfg.d]
         res.grad_conds = grad_htil
         res.grads["ensad"], _ = adapter.backward_batch(params["ensad"], ensad_cfg, trace,
@@ -897,8 +941,10 @@ def train(
             step=step_count,
         )
 
+    plan = _step_plan(gan_cfg)
     batches = step_batches(ds, gan_cfg.batch, gan_cfg.noise_p0, gan_cfg.noise_pt,
-                           gan_cfg.d_z, rng, gan_cfg.steps - resume.step)
+                           gan_cfg.d_z, rng, gan_cfg.steps - resume.step,
+                           adapter.READ_ROWS[gan_cfg.conditioning])
     for step in range(resume.step, gan_cfg.steps):
         # where this step's draws start: a diagnostic checkpoint replays it
         position = rng.position
@@ -906,7 +952,7 @@ def train(
 
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                res = step_losses_and_grads(h, imgs, zs, params, ensad_cfg, gan_cfg, proxy)
+                res = step_losses_and_grads(h, imgs, zs, params, ensad_cfg, plan, proxy)
             p = res.parts
             record = dict(zip(CSV_COLUMNS, (step + 1, res.loss_ensad, res.loss_disc, p.l_ad_ensad,
                                             p.l_ad_d, p.l_cl, p.l_cl_d_fake, p.l_cl_g)))

@@ -50,12 +50,14 @@ _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
 #   parameters of the paper's shape an adam_step took 10.7-11.7 ms on one
 #   vector, 8.3-8.5 ms per tensor and 6.6-6.9 ms in these 11 blocks
 #   (medians of 100, 2-core Xeon VM, numpy 2.4.6).
-# - ``data.step_batches`` draws the stream words of as many whole training
+# - ``data.step_batches`` takes the stream span of as many whole training
 #   steps as fit, at least one: 42 steps of 1,552 words at desk shape, one
-#   step of 106,768 words at the paper's shape. Blocks of 8,192 words (5
-#   desk steps) kept the desk throughput but raised the p90 step time from
-#   0.93-0.99 to 1.40-1.49 ms (3 benchmark pairs, desk_pretrain, 2-core
-#   Xeon VM), as one step in five carried a block's draws.
+#   step of 106,768 words at the paper's shape. It makes only the words of
+#   the rows a step reads: 528 of the 1,552 on a desk zero_shot step.
+#   Blocks of 8,192 words (5 desk steps) kept the desk throughput but
+#   raised the p90 step time from 0.93-0.99 to 1.40-1.49 ms (3 benchmark
+#   pairs, desk_pretrain, 2-core Xeon VM), as one step in five carried a
+#   block's draws.
 CACHE_BLOCK = 1 << 16
 
 # Eigenvalues of a PSD matrix in [_EIG_TOL, 0) are round-off; lower ones
@@ -162,7 +164,15 @@ class SeededRng:
         self.position = position
 
     def _take(self, n: int) -> np.ndarray:
-        """The next ``n`` words of the stream, as uint64.
+        """The next ``n`` words of the stream, as uint64."""
+        z = np.arange(n, dtype=np.uint64)
+        z += np.uint64(self.position)
+        self.position += n
+        return self.words_at(z)
+
+    def words_at(self, z: np.ndarray) -> np.ndarray:
+        """The stream's words at the positions ``z``, a uint64 array that is
+        overwritten with them; the stream does not move.
 
         Counter-based: word ``i`` mixes ``seed + (i+1)*GAMMA`` (uint64 wrap),
         which equals the sequential generator that advances its state by
@@ -170,8 +180,6 @@ class SeededRng:
         place in ``z`` and one shift buffer (uint64 arithmetic wraps, so the
         order of the additions does not matter).
         """
-        z = np.arange(n, dtype=np.uint64)
-        z += np.uint64(self.position)
         z += _ONE
         z *= _GAMMA
         z += np.uint64(self.seed)
@@ -183,7 +191,6 @@ class SeededRng:
         z *= _MIX2
         np.right_shift(z, _R31, out=t)
         z ^= t
-        self.position += n
         return z
 
     def next_u64(self) -> int:

@@ -23,6 +23,7 @@ from ensad.evaluation import FrechetStats, compare_strategies, frechet_distance
 from ensad.gan import (
     GanConfig,
     LossParts,
+    _step_plan,
     loss_adv_disc,
     loss_adv_ensad,
     loss_contrastive,
@@ -155,8 +156,8 @@ def test_criterion_03_gradients_vs_finite_differences(verdict):
     imgs = ds.images[:4]
     zs = np.stack([rng.gaussian(4) for _ in range(4)])
 
-    res = step_losses_and_grads(ensembles, imgs, zs, params, ecfg, gcfg)
-    frozen = replace(gcfg, trainable=frozenset())
+    res = step_losses_and_grads(ensembles, imgs, zs, params, ecfg, _step_plan(gcfg))
+    frozen = _step_plan(replace(gcfg, trainable=frozenset()))
 
     def loss():
         return step_losses_and_grads(

@@ -11,12 +11,15 @@ word for word; ``test_train_reference`` builds its training loop on them."""
 import numpy as np
 import pytest
 
-from ensad import numkit
-from ensad.adapter import EnsAdConfig, backward, backward_batch, forward, init_params
+from ensad import data, numkit
+from ensad.adapter import (
+    READ_ROWS, STRATEGIES, EnsAdConfig, backward, backward_batch, forward, fuse_batch,
+    init_params,
+)
 from ensad.data import (
     SyntheticSpec, _fisher_yates, _mix_noise, generate_synthetic, step_batches,
 )
-from ensad.gan import GanConfig, param_shapes, step_losses_and_grads
+from ensad.gan import GanConfig, _step_plan, param_shapes, step_losses_and_grads
 from ensad.numkit import SeededRng, init_tensors, l2_normalize
 
 
@@ -170,7 +173,7 @@ def test_step_matches_per_item_adapter_calls(cfg):
     imgs = np.tanh(rng.gaussian_rows(n, gcfg.d_img))
     zs = rng.gaussian_rows(n, gcfg.d_z)
 
-    res = step_losses_and_grads(h, imgs, zs, params, cfg, gcfg)
+    res = step_losses_and_grads(h, imgs, zs, params, cfg, _step_plan(gcfg))
     assert "ensad" in res.grads
     _, grad_h_batch = backward_batch(ep, cfg, res.trace, res.grad_conds)
 
@@ -275,29 +278,70 @@ def test_augment_rows_matches_per_vector_draws(p0, pt):
         assert np.array_equal(got[:, 1:], h[:, 1:])
 
 
-@pytest.mark.parametrize("per_block", [None, 1, 3])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_read_rows_are_the_rows_each_fusion_reads(strategy):
+    # a strategy's fused conditions move when a row in READ_ROWS moves, and
+    # only then: the sampler augments no row a fusion needs, and no other
+    cfg = EnsAdConfig(d=5, d_hid=3, m=3, alpha=0.3)
+    rng = SeededRng(12)
+    params = init_params(cfg, rng)
+    h = l2_normalize(rng.gaussian_rows(8, 5)).reshape(2, 4, 5)
+    read = np.zeros(4, dtype=bool)
+    read[READ_ROWS[strategy]] = True
+    fused, _ = fuse_batch(h, params, cfg, strategy)
+    for j in range(4):
+        moved = h.copy()
+        moved[:, j] = l2_normalize(rng.gaussian_rows(2, 5))
+        assert (fuse_batch(moved, params, cfg, strategy)[0] != fused).any() == read[j], j
+
+
+# Steps per block (None: all 8 in one), and the strategy whose rows the steps
+# read; ensad's are all m+1 rows.
+BLOCKS_AND_READS = [pytest.param(block, strategy,
+                                 id=str(block) if strategy == "ensad" else f"{block}-{strategy}")
+                    for block in (None, 1, 3) for strategy in STRATEGIES]
+
+
+@pytest.mark.parametrize("per_block,strategy", BLOCKS_AND_READS)
 @pytest.mark.parametrize("d,d_z,p0,pt", [(6, 4, 0.1, 0.01), (5, 3, 0.0, 0.2),
                                          (5, 3, 0.3, 0.0), (4, 1, 0.0, 0.0)])
-def test_step_batches_match_per_step_draws(d, d_z, p0, pt, per_block, monkeypatch):
+def test_step_batches_match_per_step_draws(d, d_z, p0, pt, per_block, strategy, monkeypatch):
     ds = generate_synthetic(SyntheticSpec(n_items=9, d=d, m=3, d_img=2, sigma_source=0.2,
                                           sigma_trans=0.1, seed=4))
     n, steps = 4, 8
     noisy = (p0 > 0) + 3 * (pt > 0)
-    words = n + n * noisy * 2 * ((d + 1) // 2) + n * 2 * ((d_z + 1) // 2)
+    wd, wz = 2 * ((d + 1) // 2), 2 * ((d_z + 1) // 2)
+    words = n + n * noisy * wd + n * wz
     if per_block is not None:  # 3 steps per block ends 8 steps on a short block
         monkeypatch.setattr(numkit, "CACHE_BLOCK", per_block * words)
+    read = np.zeros(4, dtype=bool)
+    read[READ_ROWS[strategy]] = True
+    normals = []  # the words each Box-Muller call transforms
+
+    def box_muller(bits):
+        normals.append(bits.size)
+        return numkit.box_muller(bits)
+
+    monkeypatch.setattr(data, "box_muller", box_muller)
     a, b = SeededRng(19, 5), SeededRng(19, 5)
-    got = step_batches(ds, n, p0, pt, d_z, a, steps)
+    got = step_batches(ds, n, p0, pt, d_z, a, steps, READ_ROWS[strategy])
     indices = sample_indices(len(ds), n, b)
     for s in range(1, steps + 1):
         rows, images, zs = next(got)
         idx = next(indices)
-        assert rows.tobytes() == augment_rows(ds.rows[idx], p0, pt, b).tobytes()
+        want = augment_rows(ds.rows[idx], p0, pt, b)
+        assert rows[:, read].tobytes() == want[:, read].tobytes()
+        assert rows.shape == want.shape and not rows[:, ~read].any()  # unread rows are zero
         assert images.tobytes() == ds.images[idx].tobytes()
         assert zs.tobytes() == b.gaussian_rows(n, d_z).tobytes()
         assert a.position == b.position == 5 + s * words
     assert next(got, None) is None
     assert a.position == 5 + steps * words
+    # only the noise words of the rows read, and z's, become normals
+    mixed = np.count_nonzero(read & (np.array([p0, pt, pt, pt]) != 0.0))
+    assert sum(normals) == steps * n * (mixed * wd + wz)
+    if strategy == "zero_shot":
+        assert sum(normals) == steps * n * ((wd if p0 > 0 else 0) + wz)
 
 
 def test_step_batches_check_their_arguments():
@@ -305,5 +349,5 @@ def test_step_batches_check_their_arguments():
     ds = generate_synthetic(SyntheticSpec(n_items=5, d=3, m=2, d_img=2))
     for batch in (0, 6):
         with pytest.raises(ValueError, match=f"batch size {batch} out of range"):
-            next(step_batches(ds, batch, 0.1, 0.0, 2, SeededRng(0), 3))
-    assert list(step_batches(ds, 2, 0.1, 0.0, 2, SeededRng(0), 0)) == []
+            next(step_batches(ds, batch, 0.1, 0.0, 2, SeededRng(0), 3, slice(None)))
+    assert list(step_batches(ds, 2, 0.1, 0.0, 2, SeededRng(0), 0, slice(None))) == []

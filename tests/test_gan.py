@@ -25,6 +25,7 @@ from ensad.gan import (
     Checkpoint,
     GanConfig,
     TrainingDiverged,
+    _step_plan,
     adam_step,
     disc_forward_batch,
     finetune_pipeline,
@@ -1240,13 +1241,13 @@ def test_step_grads_adapter_end_to_end_vs_fd(enable_clg):
         proxy = SeededRng(99).gaussian(8 * 6).reshape(8, 6) / np.sqrt(6.0)
     ensembles, imgs, zs = batch_inputs(ds, ecfg, gcfg, 31)
 
-    res = step_losses_and_grads(ensembles, imgs, zs, gp, ecfg, gcfg,
+    res = step_losses_and_grads(ensembles, imgs, zs, gp, ecfg, _step_plan(gcfg),
                                 proxy)
     grads = res.grads["ensad"]
 
     def value():
         r = step_losses_and_grads(ensembles, imgs, zs, gp, ecfg,
-                                  replace(gcfg, trainable=frozenset()),
+                                  _step_plan(replace(gcfg, trainable=frozenset())),
                                   proxy)
         return r.loss_ensad
 
@@ -1282,8 +1283,8 @@ def test_step_grads_generator_and_disc_vs_fd():
     gp = init_tensors(param_shapes(ecfg, gcfg), rng)
     ensembles, imgs, zs = batch_inputs(ds, ecfg, gcfg, 34)
 
-    res = step_losses_and_grads(ensembles, imgs, zs, gp, ecfg, gcfg)
-    frozen = replace(gcfg, trainable=frozenset())
+    res = step_losses_and_grads(ensembles, imgs, zs, gp, ecfg, _step_plan(gcfg))
+    frozen = _step_plan(replace(gcfg, trainable=frozenset()))
     eps = 1e-5
 
     def check(tensors, grads, pick_loss):
@@ -1329,7 +1330,7 @@ def test_step_grads_match_train_first_update():
     ensembles = ds.rows[idx]
     imgs = ds.images[idx]
     zs = np.stack([rng.gaussian(gcfg.d_z) for _ in range(gcfg.batch)])
-    res = step_losses_and_grads(ensembles, imgs, zs, p0, ecfg, gcfg)
+    res = step_losses_and_grads(ensembles, imgs, zs, p0, ecfg, _step_plan(gcfg))
 
     before = [t.copy() for t in p0["ensad"].values()]
     after = [t for t in ck.params["ensad"].values()]

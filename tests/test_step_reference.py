@@ -32,6 +32,7 @@ from ensad.gan import (
     _adv_ensad,
     _contrastive_with_grads,
     _sigmoid,
+    _step_plan,
     _unit_rows,
     disc_forward_batch,
     generate_batch,
@@ -159,7 +160,7 @@ def test_step_matches_the_per_pass_step_bitwise(trainable, enable_clg, disc_hidd
     h, imgs, zs = batch_inputs(ds, ecfg, base, 37)
     for lambda1, lambda2 in product((0.0, 4.0), (0.0, 2.0)):
         gcfg = replace(base, lambda1=lambda1, lambda2=lambda2)
-        got = step_losses_and_grads(h, imgs, zs, params, ecfg, gcfg, proxy)
+        got = step_losses_and_grads(h, imgs, zs, params, ecfg, _step_plan(gcfg), proxy)
         want = reference_step(h, imgs, zs, params, ecfg, gcfg, proxy)
         case = (lambda1, lambda2)
         assert got.parts == want.parts, case
@@ -237,7 +238,8 @@ def test_adapter_step_runs_no_numpy_dispatch_wrappers(trainable, enable_clg):
     h[3, 1:] = h[3, 0]  # one item's value rows are zero and its context vanishes
 
     assert dispatch_frames(np.sum, h)[1], "the hook sees no np.sum"
-    res, frames = dispatch_frames(step_losses_and_grads, h, imgs, zs, params, ecfg, gcfg, proxy)
+    res, frames = dispatch_frames(step_losses_and_grads, h, imgs, zs, params, ecfg,
+                                  _step_plan(gcfg), proxy)
     assert frames == {}
     assert list(res.grads) == [c for c in TRAINABLE_COMPONENTS if c in trainable]
     assert "grad_h" not in {f.name for f in fields(StepGrads)}

@@ -28,6 +28,7 @@ from ensad.gan import (
     AdamState,
     GanConfig,
     TrainingDiverged,
+    _step_plan,
     finetune_pipeline,
     load_checkpoint,
     param_shapes,
@@ -117,11 +118,12 @@ def reference_train(ds, ecfg, gcfg, seed, resume=None, init_from=None):
         proxy = SeededRng(derive_seed(seed, _PROXY_SALT)).gaussian(
             ecfg.d * gcfg.d_img).reshape(ecfg.d, gcfg.d_img) / np.sqrt(gcfg.d_img)
     batches = sample_indices(len(ds), gcfg.batch, rng)
+    plan = _step_plan(gcfg)
     for _ in range(start, gcfg.steps):
         idx = next(batches)
         h = augment_rows(ds.rows[idx], gcfg.noise_p0, gcfg.noise_pt, rng)
         zs = rng.gaussian_rows(gcfg.batch, gcfg.d_z)
-        res = step_losses_and_grads(h, ds.images[idx], zs, params, ecfg, gcfg, proxy)
+        res = step_losses_and_grads(h, ds.images[idx], zs, params, ecfg, plan, proxy)
         for comp in trained:
             reference_adam_step(params[comp], res.grads[comp], adam[comp],
                                 gcfg.lr, gcfg.beta1, gcfg.beta2)
@@ -173,15 +175,28 @@ def test_train_matches_the_per_tensor_loop(preset, block, monkeypatch):
     assert ck.rng_position == init_words(ecfg, gcfg, 5) + STEPS * step_words(ecfg, gcfg)
 
 
-@pytest.mark.parametrize("block", [None, "five"])
+# The draws' block layout, and the conditioning: ensad with the default
+# trainable components, or a baseline, which reads one row or all, with G
+# and D trained.
+BLOCKS_AND_CONDITIONING = [
+    pytest.param(block, cond, id=str(block) if cond == "ensad" else f"{block}-{cond}")
+    for block in (None, "five") for cond in ("ensad", "zero_shot", "translate_test", "mean_pool")]
+
+
+@pytest.mark.parametrize("block,conditioning", BLOCKS_AND_CONDITIONING)
 @pytest.mark.parametrize("noise", [(0.1, 0.01), (0.0, 0.01), (0.1, 0.0), (0.0, 0.0)])
-def test_odd_shapes_and_noiseless_rows_keep_the_stream_layout(noise, block, monkeypatch):
+def test_odd_shapes_and_noiseless_rows_keep_the_stream_layout(noise, block, conditioning,
+                                                              monkeypatch):
     # odd d and d_z pad each Gaussian row to an even word count; a zero
-    # proportion draws no words for its rows
+    # proportion draws no words for its rows, and the words of rows the
+    # conditioning does not read are skipped, not drawn
     ds = toy_dataset(d=5)
     ecfg = EnsAdConfig(d=5, d_hid=3, m=2, alpha=0.3)
     gcfg = GanConfig(d=5, d_z=3, d_img=5, gen_hidden=(8, 8), disc_hidden=(8,), batch=3,
                      noise_p0=noise[0], noise_pt=noise[1])
+    if conditioning != "ensad":
+        gcfg = replace(gcfg, conditioning=conditioning,
+                       trainable=frozenset({"generator", "discriminator"}))
     set_block(monkeypatch, ecfg, gcfg, block)
     for steps in (1, 7, STEPS):
         g = replace(gcfg, steps=steps)
