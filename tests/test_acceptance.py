@@ -36,6 +36,9 @@ from ensad.numkit import SeededRng, l2_normalize, sym_sqrt_psd
 from test_adapter import reference_forward
 from test_batching import randint_below
 from test_gan import checkpoint_bytes
+from test_protocol import load_experiment
+
+protocol = load_experiment("protocol")
 
 
 @pytest.fixture
@@ -314,45 +317,20 @@ def test_criterion_07_determinism_and_freezing(verdict):
 
 @pytest.fixture(scope="session")
 def desk_scale_runs():
-    """Three seeds of the desk-scale protocol: pre-train G and D on
-    source-conditioning over a clean corpus, then train the adapter against
-    a frozen G on a source-noisy corpus, and score every fusion strategy."""
-    corpus_a = generate_synthetic(SyntheticSpec(
-        n_items=2000, d=16, m=4, d_img=12,
-        sigma_source=0.0, sigma_trans=0.2, seed=100))
-    corpus_b = generate_synthetic(SyntheticSpec(
-        n_items=2000, d=16, m=4, d_img=12,
-        sigma_source=0.4, sigma_trans=0.2, seed=100))
-    ecfg = EnsAdConfig(d=16, d_hid=8, m=4, alpha=0.4)
-    base = GanConfig(d=16, d_z=16, d_img=12, gen_hidden=(64, 64),
-                     disc_hidden=(32, 32), batch=16)
-
+    """Three seeds of criterion 8's protocol (``experiments/protocol.py``),
+    each fine-tuned checkpoint scored on every fusion strategy."""
     start = time.monotonic()
     runs = []
     for seed in (11, 12, 13):
-        pre_cfg = replace(
-            base, steps=2000, lr=5e-4,
-            trainable=frozenset({"generator", "discriminator"}),
-            conditioning="zero_shot")
-        ck_pre = train(corpus_a, ecfg, pre_cfg, seed)
-
-        rows = []
-        ft_cfg = replace(
-            base, steps=2000, lr=1e-3,
-            trainable=frozenset({"ensad", "discriminator"}),
-            conditioning="ensad")
-        ck = train(corpus_b, ecfg, ft_cfg, seed + 500,
-                   init_from=ck_pre.params,
-                   log_fn=rows.append)
-
+        run = protocol.desk_protocol(seed)
         all_finite = all(
-            math.isfinite(row[key]) for row in rows
+            math.isfinite(row[key]) for row in run.rows
             for key in ("loss_ensad", "loss_disc"))
         moved = any(
             not np.array_equal(a, b)
-            for a, b in zip(ck.params["ensad"].values(),
-                            ck_pre.params["ensad"].values()))
-        report = compare_strategies(ck, corpus_b, 512, 777)
+            for a, b in zip(run.finetuned.params["ensad"].values(),
+                            run.pretrained.params["ensad"].values()))
+        report = compare_strategies(run.finetuned, run.noisy, 512, 777)
         fds = {row["strategy"]: row["fd"] for row in report.results}
         runs.append({"seed": seed, "fds": fds, "all_finite": all_finite,
                      "param_movement": moved})

@@ -1,15 +1,13 @@
 """``experiments/bench_pairs.py`` on canned benchmark results: its summary,
 its gain rule and its exit codes, without starting the benchmark."""
 
-import importlib.util
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-SPEC = importlib.util.spec_from_file_location("bench_pairs", ROOT / "experiments" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(SPEC)
-SPEC.loader.exec_module(bench_pairs)
+from test_protocol import load_experiment
+
+bench_pairs = load_experiment("bench_pairs")
 
 
 def results(values: dict) -> list:

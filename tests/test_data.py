@@ -24,6 +24,9 @@ from ensad.data import (
 from ensad.numkit import SeededRng, derive_seed, l2_normalize
 
 from test_batching import augment_rows, sample_indices
+from test_protocol import load_experiment
+
+protocol = load_experiment("protocol")
 
 
 def small_spec(**kw):
@@ -129,6 +132,15 @@ def test_synthetic_first_item_latent_shared_across_sigmas():
     assert not np.array_equal(clean.rows[0, 0], noisy.rows[0, 0])
     # later items see shifted streams
     assert not np.array_equal(clean.images[1], noisy.images[1])
+    # criterion 8's corpora: per item the clean stream takes 5 rows (the
+    # latent and 4 translation noises) and the noisy one 6, so they share
+    # item 0's latent and no other item's, and clean item 6 draws the
+    # latent of noisy item 5
+    u_clean, u_noisy = protocol.latents(protocol.CLEAN), protocol.latents(protocol.NOISY)
+    assert (protocol.CLEAN.seed, protocol.CLEAN.sigma_source, protocol.NOISY.sigma_source) == (
+        100, 0.0, 0.4)
+    assert [i for i in range(len(u_clean)) if np.array_equal(u_clean[i], u_noisy[i])] == [0]
+    assert np.array_equal(u_clean[6], u_noisy[5])
 
 
 def test_synthetic_mean_cosine_band():

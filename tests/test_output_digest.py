@@ -1,16 +1,11 @@
 """Smoke test of ``experiments/output_digest.py``: its runs are deterministic
 and write the files it is meant to digest."""
 
-import importlib.util
-from pathlib import Path
-
-SCRIPT = Path(__file__).resolve().parent.parent / "experiments" / "output_digest.py"
+from test_protocol import load_experiment
 
 
 def test_output_digest_is_repeatable():
-    spec = importlib.util.spec_from_file_location("output_digest", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_experiment("output_digest")
     first = module.digests()
     # the corpus; a checkpoint, its header and tensors members, and a CSV
     # for each of the 7 presets, the resumed run, the two-phase run, the

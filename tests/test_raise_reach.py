@@ -6,10 +6,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-SPEC = importlib.util.spec_from_file_location("raise_reach", ROOT / "experiments" / "raise_reach.py")
-raise_reach = importlib.util.module_from_spec(SPEC)
-SPEC.loader.exec_module(raise_reach)
+from test_protocol import load_experiment
+
+raise_reach = load_experiment("raise_reach")
 
 # line numbers: 6 def check, 7 if, 8-9 raise, 10 return; 13 class Box,
 # 14 size, 16 def grow, 17 if, 18 raise, 19 return with a comprehension
