@@ -254,7 +254,10 @@ def _check_embeddings(vectors: np.ndarray, m: int) -> None:
     peak = np.maximum(vectors.max(axis=1), -vectors.min(axis=1))  # NaN where a row has one
     off = np.flatnonzero(~(peak <= 1.0 + NORM_REJECT))
     head = vectors[:off[0]] if off.size else vectors  # no squared norm may overflow
-    dev = np.abs(np.sqrt(np.matmul(head[:, None, :], head[:, :, None])[:, 0, 0]) - 1.0)
+    # the norms 512 rows at a time, so that unit_rows' temporaries stay small
+    # beside the file; the blocks span vectors, so an empty head gives one
+    dev = np.abs(np.concatenate([unit_rows(head[i:i + 512])[1]
+                                 for i in range(0, len(vectors), 512)]) - 1.0)
     far = np.flatnonzero(dev > NORM_REJECT)
     if far.size or off.size:
         e = far[0] if far.size else off[0]

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .adapter import STRATEGIES, fuse_batch
-from .data import Dataset, save_lines
+from .data import Dataset, json_uint, save_lines
 from .gan import Checkpoint, check_dataset, disc_forward_batch, generate_batch
 from .numkit import SeededRng, psd_eigvalsh, sym_sqrt_psd
 
@@ -135,6 +135,7 @@ def compare_strategies(
             raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     if n_gen < 2:
         raise ValueError("n_gen must be at least 2 to fit moments")
+    seed = json_uint(seed, 0, "seed")
     check_dataset(ds, ck.ensad_cfg, ck.gan_cfg)
     if len(ds) < 2:
         raise ValueError(f"dataset has {len(ds)} item; need at least 2 to fit moments")

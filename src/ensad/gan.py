@@ -5,6 +5,7 @@ checkpoints.
 The discriminator is D(img, cond) = ds(backbone(img)) + cond . fd(backbone(img)):
 an unconditional realness head plus a condition-feature inner product over a
 shared backbone. fd doubles as the feature extractor for evaluation.
+The contrastive losses normalize features by :func:`numkit.unit_rows`.
 
 Parameters are one ``{component: {tensor name: array}}`` mapping, keyed by
 TRAINABLE_COMPONENTS; :func:`param_shapes` says what each component holds.
@@ -31,7 +32,7 @@ from .data import (
 )
 from .numkit import (
     NORM_EPS, SeededRng, TensorSpec, as_f64, check_tensors, derive_seed, init_tensors,
-    map_tensors,
+    map_tensors, unit_rows,
 )
 
 # The parameter components, in the order of param_shapes and init draws.
@@ -246,24 +247,12 @@ def _feature_matrix(feats, name: str) -> np.ndarray:
     return arr
 
 
-def _unit_rows(x: np.ndarray):
-    """The rows of ``x`` (..., n, k) scaled to unit norm, and the inverse
-    norms (0 for a row of norm below NORM_EPS, which becomes zero). The norm
-    is np.linalg.norm's arithmetic along the last axis, without its dispatch.
-    Unlike numkit.unit_rows it multiplies by the inverse norm: the
-    contrastive losses and gradients, and so every trained checkpoint and
-    ``tests/golden``, depend on these bits."""
-    norm = np.sqrt(np.add.reduce(x * x, axis=-1))
-    inv = np.where(norm < NORM_EPS, 0.0, 1.0 / np.maximum(norm, NORM_EPS))
-    return x * inv[..., None], inv
-
-
 def loss_contrastive(anchor_feats, positive_feats, tau: float) -> float:
     """Temperature-scaled cross-entropy over cosine similarities.
 
     Column i (the i-th positive) is softmax-normalized over all anchors j,
-    and the diagonal pair is the target. Cosines involving a zero vector
-    are defined as 0.
+    and the diagonal pair is the target. A row of norm below NORM_EPS passes
+    :func:`numkit.unit_rows` unchanged, and no gradient flows through it.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -271,19 +260,19 @@ def loss_contrastive(anchor_feats, positive_feats, tau: float) -> float:
     p = _feature_matrix(positive_feats, "positive features")
     if a.shape[0] != p.shape[0]:
         raise ValueError("anchor and positive counts differ")
-    loss, _, _ = _contrastive_with_grads(_unit_rows(a), _unit_rows(p), tau)
-    return float(loss)
+    losses, _ = _contrastive_with_grads(*unit_rows(np.array([a, p])), tau)
+    return float(losses[0])
 
 
-def _contrastive_with_grads(a: tuple, p: tuple, tau: float):
-    """Loss of :func:`loss_contrastive` and its gradients w.r.t. the (n, k)
-    anchor and positive matrices, which the caller has checked, each given
-    as its :func:`_unit_rows`. Leading axes stack independent pairs: a
-    (j, n, k) stack gives j losses, and each pair's arithmetic is that of
-    its own 2-D call."""
-    (ahat, inv_a), (phat, inv_p) = a, p
-    n = ahat.shape[-2]
-    # rows: anchors j; columns: positives i; zero-vector pairs score 0
+def _contrastive_with_grads(unit: np.ndarray, norm: np.ndarray, tau: float):
+    """Losses of :func:`loss_contrastive` and their gradients, for ``unit``
+    and ``norm``, the :func:`numkit.unit_rows` of a (2j, n, k) stack of j
+    anchor matrices, then their j positive matrices, which the caller has
+    checked. Returns the j losses and the (2j, n, k) gradients w.r.t. the
+    stack; each pair's arithmetic is that of a stack of it alone."""
+    j, n = unit.shape[0] // 2, unit.shape[-2]
+    ahat, phat = unit[:j], unit[j:]
+    # rows: anchors j; columns: positives i
     sim = ahat @ phat.swapaxes(-1, -2)
     x = sim / tau
     mx = np.maximum.reduce(x, axis=-2, keepdims=True)
@@ -299,9 +288,11 @@ def _contrastive_with_grads(a: tuple, p: tuple, tau: float):
     weighted = dsim * sim
     cols = np.add.reduce(weighted, axis=-2)[..., None]
     rows = np.add.reduce(weighted, axis=-1, keepdims=True)
-    grad_a = (dsim @ phat - rows * ahat) * inv_a[..., None]
-    grad_p = (dsim.swapaxes(-1, -2) @ ahat - cols * phat) * inv_p[..., None]
-    return loss, grad_a, grad_p
+    grads = np.concatenate([dsim @ phat - rows * ahat,
+                            dsim.swapaxes(-1, -2) @ ahat - cols * phat])
+    # d unit / d row is (I - unit unit^T) / norm, and zero below NORM_EPS
+    grads *= (1.0 / np.where(norm < NORM_EPS, np.inf, norm))[..., None]
+    return loss, grads
 
 
 @dataclass
@@ -785,13 +776,10 @@ def step_losses_and_grads(h: np.ndarray, imgs_real: np.ndarray, zs: np.ndarray, 
     parts = LossParts(l_ad_ensad=float(adv[0]), l_ad_d=float(adv[1] + adv[2]))
     if plan.terms:  # the active contrastive terms, in one call over their stack
         feats = (*fd, htil, fakes @ proxy.T if "l_cl_g" in plan.terms else None)
-        unit, inv = _unit_rows(np.array([feats[i] for i in plan.feats]))
-        j = len(plan.terms)
-        losses, grad_a, grad_p = _contrastive_with_grads((unit[:j], inv[:j]),
-                                                         (unit[j:], inv[j:]), cfg.tau)
+        losses, cl_grads = _contrastive_with_grads(
+            *unit_rows(np.array([feats[i] for i in plan.feats])), cfg.tau)
         for name, loss in zip(plan.terms, losses.tolist()):
             setattr(parts, name, loss)
-        cl_grads = np.array([grad_a, grad_p]).reshape(2 * j, *htil.shape)
     res = StepGrads(parts, *total_losses(parts, cfg), trace=trace)
 
     # the discriminator backward: per row of plan.rows, its logit gradient
@@ -877,6 +865,7 @@ def train(
     or goes invalid, or a loss or a trained gradient is non-finite.
     """
     check_dataset(ds, ensad_cfg, gan_cfg)
+    seed = json_uint(seed, 0, "seed")
     if resume is not None and init_from is not None:
         raise ValueError("resume and init_from are mutually exclusive")
 
@@ -892,6 +881,9 @@ def train(
         resume = Checkpoint(ensad_cfg, gan_cfg, params, AdamState(zeros, zeros), seed,
                             rng.position, 0)
     else:
+        for name in ("rng_seed", "rng_position", "step"):  # named as load_checkpoint names them
+            with _field(name.replace("_", ".")):
+                resume = replace(resume, **{name: json_uint(getattr(resume, name))})
         for kind, old, new in (("adapter", resume.ensad_cfg, ensad_cfg),
                                ("gan", replace(resume.gan_cfg, steps=gan_cfg.steps), gan_cfg)):
             old, new = _cfg_to_jsonable(old), _cfg_to_jsonable(new)
@@ -1008,6 +1000,7 @@ def finetune_pipeline(
         raise ValueError(f"phase1_steps {phase1_steps} must lie in [0, steps {gan_cfg.steps}]")
     g1 = replace(gan_cfg, steps=phase1_steps, **PIPELINE_PHASES[0])
     g2 = replace(gan_cfg, **PIPELINE_PHASES[1])
+    seed = json_uint(seed, 0, "seed")
     seed2 = derive_seed(seed, _PHASE2_SALT)
     if resume is not None and resume.gan_cfg.trainable == g2.trainable:
         began = resume.step - resume.adam.t

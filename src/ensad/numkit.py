@@ -4,7 +4,8 @@ Vectors and matrices are plain float64 numpy arrays (``Vec``/``Mat`` are
 aliases, 1-D and 2-D row-major respectively). Everything here is pure except
 :class:`SeededRng`, the counter-based splitmix64 stream with its Box-Muller
 normals, which owns a mutable stream position. :data:`NORM_EPS`, the norm
-below which a vector counts as zero, is defined here for the whole package.
+below which a vector counts as zero, and :func:`unit_rows`, the package's
+one normalization, are defined here for the whole package.
 
 Parameter sets are ordered ``{name: array}`` mappings, nested per component,
 described by matching ``{name: TensorSpec}`` mappings; :func:`init_tensors`,
@@ -77,29 +78,16 @@ def as_f64(x, name: str = "input") -> np.ndarray:
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale ``v``, or each vector of a stack of them (the last axis), to
-    unit Euclidean norm; returns a new array.
-
-    Vectors with norm below 1e-12 are returned unchanged (zero-vector
-    convention), so the operation is total. Each squared norm is one
-    ``np.matmul`` of a (1, d) by a (d, 1) view, which numpy runs as the
-    same dot product as ``np.dot(v, v)``, so every vector of a stack comes
-    out bit for bit as it would alone. The synthetic corpora (and so
-    ``tests/golden``) and the renormalization on load depend on these bits.
-    """
-    arr = as_f64(v, "l2_normalize input")
-    nrm = np.sqrt(np.matmul(arr[..., None, :], arr[..., :, None])[..., 0])
-    return arr / np.where(nrm < NORM_EPS, 1.0, nrm)
+    """:func:`unit_rows` of ``v``, a vector or a stack of them (the last
+    axis), after a check that every entry is finite; returns a new array."""
+    return unit_rows(as_f64(v, "l2_normalize input"))[0]
 
 
 def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows (last axis) of ``x`` scaled to unit norm, and their norms,
-    for batched hot paths: the zero-vector convention of
-    :func:`l2_normalize`, no input checks. The norm is a pairwise
-    ``np.add.reduce`` (``np.sum``'s arithmetic, without its dispatch), not
-    a dot product, so a row can differ from :func:`l2_normalize` in the
-    last bit; the adapter, mean pooling, augmentation and the stored
-    benchmark references depend on this form."""
+    """The rows (last axis) of ``x`` scaled to unit norm, and their norms
+    ``sqrt(np.add.reduce(x * x, axis=-1))``: a pairwise sum without BLAS, so
+    a row's bits depend on neither its stack nor the BLAS kernel. A row of
+    norm below NORM_EPS passes through, with zero derivative. No input checks."""
     norm = np.sqrt(np.add.reduce(x * x, axis=-1))
     return x / np.where(norm < NORM_EPS, 1.0, norm)[..., None], norm
 

@@ -3,9 +3,11 @@
 numpy's OpenBLAS picks its kernels by CPU type, and ``OPENBLAS_CORETYPE``
 makes it run another type's. Outputs are byte-stable on one kernel, but
 another kernel sums matrix products in another order. Two child processes
-train one short desk-scale ``ensad_frozen_g`` run and score it with
-``compare_strategies``: one on the default core type, one on another. The
-tolerances:
+build a synthetic corpus, train one short desk-scale ``ensad_frozen_g`` run
+on it and score it with ``compare_strategies``: one on the default core
+type, one on another. The corpus's embedding rows are normalized without
+BLAS (``numkit.unit_rows``), so they must agree byte for byte; its images
+are tanh of a matrix product and are not compared. The tolerances:
 - each segment of the checkpoint's format-2 tensor vector (one
   component's parameters, first moments or second moments): max|a - b| is
   at most 1e-9 * max|a|. An elementwise rtol would fail on the entries at
@@ -30,7 +32,7 @@ from ensad.gan import load_checkpoint
 ROOT = Path(__file__).resolve().parent.parent
 
 CHILD = '''
-import ctypes, glob, json, os, sys
+import ctypes, glob, hashlib, json, os, sys
 import numpy as np
 from ensad.adapter import EnsAdConfig
 from ensad.data import SyntheticSpec, generate_synthetic
@@ -53,7 +55,8 @@ gcfg = GanConfig(d=16, d_z=16, d_img=12, gen_hidden=(64, 64), disc_hidden=(32, 3
 ck = train(ds, ecfg, gcfg, 11)
 save_checkpoint(ck, sys.argv[1])
 report = compare_strategies(ck, ds, 512, 777)
-json.dump({"core": corename().decode(), "rows": report.results}, sys.stdout)
+json.dump({"core": corename().decode(), "rows": report.results,
+           "corpus_rows": hashlib.sha256(ds.rows.tobytes()).hexdigest()}, sys.stdout)
 '''
 
 
@@ -86,6 +89,7 @@ def test_results_agree_across_blas_core_types(tmp_path):
     other_core = "Sandybridge" if default["core"] == "Haswell" else "Haswell"
     other = run_child(tmp_path / "other.npz", other_core)
     assert default["core"] != other["core"] == other_core
+    assert default["corpus_rows"] == other["corpus_rows"]
 
     a = segments(load_checkpoint(tmp_path / "default.npz"))
     b = segments(load_checkpoint(tmp_path / "other.npz"))

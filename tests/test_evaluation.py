@@ -198,6 +198,17 @@ def test_evaluate_validates_args():
         evaluate(ck, other, 32, "ensad", 7)
 
 
+@pytest.mark.parametrize("seed", [3.5, 3.0, -1])
+def test_compare_strategies_rejects_a_seed_that_is_not_a_uint64(seed):
+    # 3.5 drew with seed 3 and reported 3.5
+    ck, ds = eval_checkpoint()
+    message = f"seed: expected an integer in [0, 2**64), got {seed!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compare_strategies(ck, ds, 32, seed)
+    report = compare_strategies(ck, ds, 32, np.uint64(3))
+    assert type(report.seed) is int and report == compare_strategies(ck, ds, 32, 3)
+
+
 def test_a_one_item_dataset_is_rejected_by_its_count():
     ck, _ = eval_checkpoint()
     one = generate_synthetic(SyntheticSpec(n_items=1, d=6, m=2, d_img=5, seed=0))

@@ -48,6 +48,7 @@ from ensad.numkit import (
     init_tensors,
     l2_normalize,
     map_tensors,
+    unit_rows,
 )
 
 
@@ -411,6 +412,51 @@ def test_resume_rejects_steps_below_the_checkpoint():
         train(ds, ecfg, replace(gcfg, steps=4), 3, resume=ck)
     assert checkpoint_bytes(train(ds, ecfg, replace(gcfg, steps=6), 3, resume=ck)) == (
         checkpoint_bytes(ck))
+
+
+UINT_MESSAGE = r"expected an integer in \[0, 2\*\*64\), got "
+
+
+@pytest.mark.parametrize("seed", [7.5, 7.0, "7", True, -1, 2**64])
+def test_train_rejects_a_seed_that_is_not_a_uint64(seed):
+    # 7.5 trained on seed 7 and recorded 7.5, which load_checkpoint refused
+    ds = toy_dataset()
+    ecfg, gcfg, _, _, _ = toy_setup(steps=2)
+    with pytest.raises(ValueError, match=f"^seed: {UINT_MESSAGE}{re.escape(repr(seed))}$"):
+        train(ds, ecfg, gcfg, seed)
+
+
+def test_a_numpy_integer_seed_trains_as_its_int(tmp_path):
+    # np.uint64(7) was recorded as given, and save_checkpoint raised TypeError
+    ds = toy_dataset()
+    ecfg, gcfg, _, _, _ = toy_setup(steps=3)
+    ck = train(ds, ecfg, gcfg, np.uint64(7))
+    assert type(ck.rng_seed) is int
+    assert checkpoint_bytes(ck) == checkpoint_bytes(train(ds, ecfg, gcfg, 7))
+    save_checkpoint(ck, tmp_path / "ck.npz")
+    assert checkpoint_bytes(load_checkpoint(tmp_path / "ck.npz")) == checkpoint_bytes(ck)
+
+
+@pytest.mark.parametrize("field,path,shift", [
+    ("step", "step", 0.0),  # 2.0 raised TypeError from range
+    ("rng_position", "rng.position", 0.5),  # x + 0.5 was truncated to x
+    ("rng_seed", "rng.seed", 0.0),
+    ("step", "step", 0.5),
+])
+def test_resume_names_a_counter_that_is_not_a_uint64(field, path, shift):
+    ds = toy_dataset()
+    ecfg, gcfg, _, _, _ = toy_setup(steps=4)
+    ck = train(ds, ecfg, replace(gcfg, steps=2), 3)
+    bad = replace(ck, **{field: getattr(ck, field) + shift})
+    assert type(getattr(bad, field)) is float
+    message = f"checkpoint field '{path}': {UINT_MESSAGE}{re.escape(repr(getattr(bad, field)))}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train(ds, ecfg, gcfg, 3, resume=bad)
+    # numpy integers are integers: the run continues as from the plain ints
+    same = replace(ck, **{name: np.uint64(getattr(ck, name))
+                          for name in ("rng_seed", "rng_position", "step")})
+    assert checkpoint_bytes(train(ds, ecfg, gcfg, 3, resume=same)) == (
+        checkpoint_bytes(train(ds, ecfg, gcfg, 3, resume=ck)))
 
 
 def test_frozen_components_bitwise_unchanged():
@@ -1107,6 +1153,14 @@ def test_pipeline_resume_checks_phase2s_start_and_seed(whole_pipeline):
         finetune_pipeline(ds, ecfg, gcfg, 9, phase1_steps=4, resume=whole)
 
 
+def test_pipeline_rejects_a_seed_that_is_not_a_uint64(whole_pipeline):
+    # 8.5 derived phase 2's seed from 8, so it continued seed 8's checkpoint
+    ds, ecfg, gcfg, whole, _ = whole_pipeline
+    for resume in (None, whole):
+        with pytest.raises(ValueError, match=f"^seed: {UINT_MESSAGE}8.5$"):
+            finetune_pipeline(ds, ecfg, gcfg, 8.5, phase1_steps=4, resume=resume)
+
+
 def test_pipeline_resume_rejects_another_presets_checkpoint(whole_pipeline):
     ds, ecfg, gcfg, _, _ = whole_pipeline
     frozen_g = train(ds, ecfg, replace(gcfg, steps=2), 8)
@@ -1157,11 +1211,11 @@ def batch_inputs(ds, ecfg, gcfg, seed):
 
 
 def test_contrastive_grads_vs_finite_differences():
-    from ensad.gan import _contrastive_with_grads, _unit_rows
+    from ensad.gan import _contrastive_with_grads
     rng = SeededRng(12)
     a = rng.gaussian(15).reshape(3, 5)
     p = rng.gaussian(15).reshape(3, 5)
-    _, ga, gp_ = _contrastive_with_grads(_unit_rows(a), _unit_rows(p), 0.5)
+    _, (ga, gp_) = _contrastive_with_grads(*unit_rows(np.array([a, p])), 0.5)
     eps = 1e-6
     for mat, grad in ((a, ga), (p, gp_)):
         for i in range(mat.shape[0]):
@@ -1179,14 +1233,15 @@ def test_contrastive_grads_vs_finite_differences():
 
 def reference_contrastive(a, p, tau):
     """The contrastive loss and gradients in the form that normalized both
-    matrices inside every term: np.linalg.norm, np.diag and np.mean."""
+    matrices inside every term: np.linalg.norm, np.diag and np.mean. A row
+    of norm below 1e-12 passes through and gets a zero gradient."""
     n = a.shape[0]
-    inv_a = np.linalg.norm(a, axis=1)
-    inv_p = np.linalg.norm(p, axis=1)
-    inv_a = np.where(inv_a < 1e-12, 0.0, 1.0 / np.maximum(inv_a, 1e-12))
-    inv_p = np.where(inv_p < 1e-12, 0.0, 1.0 / np.maximum(inv_p, 1e-12))
-    ahat = a * inv_a[:, None]
-    phat = p * inv_p[:, None]
+    norm_a = np.linalg.norm(a, axis=1)
+    norm_p = np.linalg.norm(p, axis=1)
+    ahat = a / np.where(norm_a < 1e-12, 1.0, norm_a)[:, None]
+    phat = p / np.where(norm_p < 1e-12, 1.0, norm_p)[:, None]
+    inv_a = np.where(norm_a < 1e-12, 0.0, 1.0 / np.maximum(norm_a, 1e-12))
+    inv_p = np.where(norm_p < 1e-12, 0.0, 1.0 / np.maximum(norm_p, 1e-12))
     sim = ahat @ phat.T
     x = sim / tau
     mx = x.max(axis=0)
@@ -1206,7 +1261,7 @@ def reference_contrastive(a, p, tau):
 
 @pytest.mark.parametrize("n,k", [(1, 3), (4, 5), (16, 16), (16, 7)])
 def test_contrastive_matches_the_per_term_normalization_bitwise(n, k):
-    from ensad.gan import _contrastive_with_grads, _unit_rows
+    from ensad.gan import _contrastive_with_grads
     rng = SeededRng(40 + n + k)
     for trial in range(4):
         a = rng.gaussian_rows(n, k) * (1.0 + trial)
@@ -1216,10 +1271,10 @@ def test_contrastive_matches_the_per_term_normalization_bitwise(n, k):
             p[-1] = 1e-13
         for tau in (0.5, 0.07):
             want = reference_contrastive(a, p, tau)
-            got = _contrastive_with_grads(_unit_rows(a), _unit_rows(p), tau)
-            assert got[0] == want[0]
-            assert got[1].tobytes() == want[1].tobytes()
-            assert got[2].tobytes() == want[2].tobytes()
+            loss, grads = _contrastive_with_grads(*unit_rows(np.array([a, p])), tau)
+            assert loss[0] == want[0]
+            assert grads[0].tobytes() == want[1].tobytes()
+            assert grads[1].tobytes() == want[2].tobytes()
             assert loss_contrastive(a, p, tau) == want[0]
 
 

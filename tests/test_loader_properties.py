@@ -200,7 +200,7 @@ def _per_line_embedding(vec, d, line_no, what):
     if peak > 1.0 + NORM_REJECT:
         raise DataFormatError(
             f"line {line_no}: {what} norm deviates by at least {peak - 1.0:.2e}")
-    nrm = math.sqrt(float(np.dot(arr, arr)))
+    nrm = math.sqrt(float(np.sum(arr * arr)))  # numkit.unit_rows' pairwise norm
     dev = abs(nrm - 1.0)
     if dev <= NORM_INVARIANT:
         return arr

@@ -63,7 +63,7 @@ def test_stacked_l2_normalize_matches_each_vector_alone(x):
     for i, j in np.ndindex(x.shape[:2]):
         v = x[i, j]
         alone = l2_normalize(v)
-        nrm = math.sqrt(float(np.dot(v, v)))  # the one-vector definition
+        nrm = math.sqrt(float(np.sum(v * v)))  # the one-vector definition: a pairwise sum
         reference = v.copy() if nrm < NORM_EPS else v / nrm
         assert out[i, j].tobytes() == alone.tobytes() == reference.tobytes()
 

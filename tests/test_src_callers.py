@@ -11,6 +11,10 @@ Each raised message's longest fixed fragment must appear in a string
 literal under ``tests/``, as is or with regex escapes, so that a test
 notices when the message is reworded or its check deleted. That a test
 also reaches the ``raise`` is checked by ``experiments/raise_reach.py``.
+
+Every row norm is taken by ``numkit.unit_rows``: no other function of the
+package takes the square root of a sum or a product, or calls
+``np.linalg.norm``.
 """
 
 import ast
@@ -113,3 +117,68 @@ def test_each_error_message_is_pinned_by_a_test():
         if fragment and not any(pattern.search(literal) for literal in literals):
             unpinned[where] = fragment
     assert not unpinned, f"raised messages that no test quotes: {unpinned}"
+
+
+# The calls whose result, under a square root, is a norm: the reductions
+# and the products.
+SUM_CALLS = {"reduce", "sum", "matmul", "dot", "vdot", "inner", "einsum", "tensordot"}
+# The one function that takes row norms.
+NORMALISER = "numkit.py:unit_rows"
+
+
+def call_name(node: ast.Call):
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def sums(node: ast.AST) -> bool:
+    """Whether the expression computes a reduction or a product at its top
+    level: a call of SUM_CALLS or ``@``, under any operators or subscripts
+    but not inside another function's call."""
+    if isinstance(node, ast.Call):
+        return call_name(node) in SUM_CALLS
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        return True
+    return any(sums(child) for child in ast.iter_child_nodes(node))
+
+
+def row_norms(tree: ast.Module, module: str) -> list:
+    """``module:function`` for each function (or ``<module>``) that takes
+    the square root of a sum or a product, or calls ``linalg.norm``."""
+    found = []
+    scopes = [(f"{module}:<module>", [n for n in tree.body if not isinstance(
+        n, (ast.FunctionDef, ast.ClassDef))])]
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        scopes += [(f"{module}:{fn.name}", [fn]) for fn in body if isinstance(fn, ast.FunctionDef)]
+    for where, nodes in scopes:
+        if any(isinstance(node, ast.Call) and (
+                call_name(node) == "norm"
+                or call_name(node) == "sqrt" and node.args and sums(node.args[0]))
+               for top in nodes for node in ast.walk(top)):
+            found.append(where)
+    return found
+
+
+def test_the_guard_finds_the_norms_it_forbids():
+    # the forms that took row norms beside unit_rows, and forms that do not
+    src = """
+def by_dot(arr):
+    return np.sqrt(np.matmul(arr[..., None, :], arr[..., :, None])[..., 0])
+def by_reduce(x):
+    norm = np.sqrt(np.add.reduce(x * x, axis=-1))
+def by_operator(x, eps):
+    return math.sqrt(x @ x + eps)
+def by_numpy(x):
+    return np.linalg.norm(x, axis=1)
+def not_a_norm(a, b, w):
+    return np.add.reduce(np.sqrt(eigvalsh(a @ b))) + np.sqrt(w, out=w) + np.sqrt(a.shape[-1])
+"""
+    assert row_norms(ast.parse(src), "m.py") == [
+        "m.py:by_dot", "m.py:by_reduce", "m.py:by_operator", "m.py:by_numpy"]
+
+
+def test_unit_rows_takes_every_row_norm():
+    found = [where for path in sorted(PACKAGE.glob("*.py"))
+             for where in row_norms(parse(path), path.name)]
+    assert found == [NORMALISER], f"row norms taken outside {NORMALISER}: {found}"

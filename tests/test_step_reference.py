@@ -33,14 +33,13 @@ from ensad.gan import (
     _contrastive_with_grads,
     _sigmoid,
     _step_plan,
-    _unit_rows,
     disc_forward_batch,
     generate_batch,
     param_shapes,
     step_losses_and_grads,
     total_losses,
 )
-from ensad.numkit import SeededRng, init_tensors
+from ensad.numkit import SeededRng, init_tensors, unit_rows
 
 try:
     from numpy._core import _methods, fromnumeric, numeric
@@ -90,16 +89,19 @@ def reference_step(h, imgs_real, zs, params, ensad_cfg, gan_cfg, proxy=None):
 
     parts = LossParts(l_ad_ensad=_adv_ensad(logits_f), l_ad_d=_adv_disc(logits_r, logits_f))
     cl_a = cl_p = cldf_a = cldf_p = cldr_a = clg_a = clg_p = None
-    unit_r, unit_f, unit_h = _unit_rows(fd_r), _unit_rows(fd_f), _unit_rows(htil)
+
+    def pair(a, p):  # one contrastive term alone: its loss and both gradients
+        losses, grads = _contrastive_with_grads(*unit_rows(np.array([a, p])), gan_cfg.tau)
+        return losses[0], grads[0], grads[1]
+
     if gan_cfg.lambda1 > 0:
         if gan_cfg.enable_clg:
-            parts.l_cl_g, clg_a, clg_p = _contrastive_with_grads(
-                _unit_rows(fakes @ proxy.T), unit_h, gan_cfg.tau)
+            parts.l_cl_g, clg_a, clg_p = pair(fakes @ proxy.T, htil)
         else:
-            parts.l_cl, cl_a, cl_p = _contrastive_with_grads(unit_r, unit_f, gan_cfg.tau)
+            parts.l_cl, cl_a, cl_p = pair(fd_r, fd_f)
     if gan_cfg.lambda2 > 0:
-        parts.l_cl_d_fake, cldf_a, cldf_p = _contrastive_with_grads(unit_f, unit_h, gan_cfg.tau)
-        parts.l_cl_d_real, cldr_a, _ = _contrastive_with_grads(unit_r, unit_h, gan_cfg.tau)
+        parts.l_cl_d_fake, cldf_a, cldf_p = pair(fd_f, htil)
+        parts.l_cl_d_real, cldr_a, _ = pair(fd_r, htil)
     for name in ("l_cl", "l_cl_d_fake", "l_cl_d_real", "l_cl_g"):
         setattr(parts, name, float(getattr(parts, name)))
     loss_e, loss_d = total_losses(parts, gan_cfg)
@@ -188,13 +190,13 @@ def test_stacked_contrastive_matches_one_call_per_pair_bitwise(n, k):
         a[1, 0] = 0.0
         p[2, -1] = 1e-13
     for tau in (0.5, 0.07):
-        losses, grad_a, grad_p = _contrastive_with_grads(_unit_rows(a), _unit_rows(p), tau)
-        assert losses.shape == (3,) and grad_a.shape == grad_p.shape == (3, n, k)
+        losses, grads = _contrastive_with_grads(*unit_rows(np.concatenate([a, p])), tau)
+        assert losses.shape == (3,) and grads.shape == (6, n, k)
         for j in range(3):
-            loss, ga, gp = _contrastive_with_grads(_unit_rows(a[j]), _unit_rows(p[j]), tau)
-            assert losses[j] == loss
-            assert ga.tobytes() == grad_a[j].tobytes()
-            assert gp.tobytes() == grad_p[j].tobytes()
+            loss, (ga, gp) = _contrastive_with_grads(*unit_rows(np.array([a[j], p[j]])), tau)
+            assert losses[j] == loss[0]
+            assert ga.tobytes() == grads[j].tobytes()
+            assert gp.tobytes() == grads[3 + j].tobytes()
 
 
 # The modules whose Python-level wrappers dispatch to a ufunc reduction or a
