@@ -43,9 +43,9 @@ class EnsAdConfig:
 
 def tensor_specs(cfg: EnsAdConfig) -> dict:
     """The adapter's tensors, in the order of their gradients, Adam moments
-    and initial draws. ``wp`` is the single score-projection row and ``bp``
-    its scalar bias, kept as a 0-d array so the optimizer can update it in
-    place like every other tensor."""
+    and initial draws. ``wp`` is the single score-projection row. The score
+    has no bias: the softmax over the m translations does not change when
+    every score shifts by the same amount, so a bias would get no gradient."""
     d, dh = cfg.d, cfg.d_hid
     return {
         "wq": TensorSpec((dh, d)),
@@ -53,7 +53,6 @@ def tensor_specs(cfg: EnsAdConfig) -> dict:
         "wv": TensorSpec((dh, d)),
         "b": TensorSpec((dh,), zero=True),
         "wp": TensorSpec((dh,)),
-        "bp": TensorSpec((), zero=True),
         "wo": TensorSpec((d, d)),
     }
 
@@ -66,7 +65,7 @@ def init_params(cfg: EnsAdConfig, rng: SeededRng) -> dict:
 
 def param_count(cfg: EnsAdConfig) -> int:
     """Total scalar count: three query/key/value maps, two hidden-width
-    bias/projection vectors, one scalar score bias, one d x d output map."""
+    bias/projection vectors and one d x d output map."""
     return sum(math.prod(s.shape) for s in tensor_specs(cfg).values())
 
 
@@ -147,7 +146,7 @@ def forward_batch(
 
     a = _matmul(k, p["wk"].T) + _matmul(v, p["wv"].T) + (q @ p["wq"].T + p["b"])[:, None, :]
     t = np.tanh(a)
-    logits = t @ p["wp"] + float(p["bp"])
+    logits = t @ p["wp"]
     e = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
     s = e / np.add.reduce(e, axis=1, keepdims=True)
 
@@ -225,7 +224,6 @@ def backward_batch(
     grads = {"wq": colsum.T @ q, "wk": _outer_sum(grad_a, k),
              "wv": _outer_sum(grad_a, trace.v), "b": np.add.reduce(colsum, axis=0),
              "wp": np.dot(grad_logits.reshape(1, -1), t.reshape(-1, t.shape[-1]))[0],
-             "bp": np.asarray(np.add.reduce(grad_logits, axis=None)),
              "wo": _outer_sum(grad_wov, trace.v)}
     if not to_input:
         return grads, None

@@ -42,7 +42,6 @@ from .data import (
     SyntheticSpec,
     check_output_path,
     generate_synthetic,
-    json_uint,
     load_jsonl,
     save_jsonl,
     save_lines,
@@ -59,7 +58,7 @@ from .gan import (
     save_checkpoint,
     train,
 )
-from .numkit import NotPsdError
+from .numkit import NotPsdError, json_uint
 
 # Named training setups, each a set of gan-config fields written over the
 # config file's gan section; a section that sets one of them to another

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .numkit import SeededRng, box_muller, derive_seed, l2_normalize, unit_rows
+from .numkit import SeededRng, box_muller, derive_seed, json_uint, l2_normalize, unit_rows
 
 FORMAT_NAME = "ensad-jsonl"
 FORMAT_VERSION = 1
@@ -184,17 +184,6 @@ def save_lines(lines, path: str) -> None:
         for line in lines:
             fh.write(line.encode("utf-8"))
             fh.write(b"\n")
-
-
-def json_uint(value, lo: int = 0, name: str | None = None) -> int:
-    """``value`` as an int if it is an integer in [lo, 2**64): a JSON one or
-    a numpy scalar. Floats such as 9.5 or 6.0, strings and booleans raise
-    ValueError, naming ``name`` when given."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        if lo <= int(value) < 1 << 64:
-            return int(value)
-    prefix = f"{name}: " if name else ""
-    raise ValueError(f"{prefix}expected an integer in [{lo}, 2**64), got {value!r}")
 
 
 def set_uint_fields(cfg, lows: dict) -> None:

@@ -11,9 +11,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .adapter import STRATEGIES, fuse_batch
-from .data import Dataset, json_uint, save_lines
+from .data import Dataset, save_lines
 from .gan import Checkpoint, check_dataset, disc_forward_batch, generate_batch
-from .numkit import SeededRng, psd_eigvalsh, sym_sqrt_psd
+from .numkit import SeededRng, json_uint, psd_eigvalsh, sym_sqrt_psd
 
 FEATURE_SPACE = "disc_fd"
 SAMPLING = "with_replacement"
@@ -133,8 +133,7 @@ def compare_strategies(
     for strategy in names:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    if n_gen < 2:
-        raise ValueError("n_gen must be at least 2 to fit moments")
+    n_gen = json_uint(n_gen, 2, "n_gen")
     seed = json_uint(seed, 0, "seed")
     check_dataset(ds, ck.ensad_cfg, ck.gan_cfg)
     if len(ds) < 2:

@@ -28,11 +28,11 @@ import numpy as np
 from . import adapter, numkit
 from .adapter import STRATEGIES, EnsAdConfig, ForwardTrace
 from .data import (
-    Dataset, atomic_write, check_real_fields, json_uint, set_uint_fields, step_batches,
+    Dataset, atomic_write, check_real_fields, set_uint_fields, step_batches,
 )
 from .numkit import (
     NORM_EPS, SeededRng, TensorSpec, as_f64, check_tensors, derive_seed, init_tensors,
-    map_tensors, unit_rows,
+    json_uint, map_tensors, unit_rows,
 )
 
 # The parameter components, in the order of param_shapes and init draws.

@@ -47,7 +47,7 @@ _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
 # Blocked hot loops handle at most this many 8-byte entries at a time, so
 # that each block's temporaries stay in cache:
 # - ``gan.adam_step`` walks the flat vectors ``gan.train`` passes it in
-#   blocks of this size: one block at desk scale. For the 655,873 adapter
+#   blocks of this size: one block at desk scale. For the 655,872 adapter
 #   parameters of the paper's shape an adam_step took 10.7-11.7 ms on one
 #   vector, 8.3-8.5 ms per tensor and 6.6-6.9 ms in these 11 blocks
 #   (medians of 100, 2-core Xeon VM, numpy 2.4.6).
@@ -123,6 +123,17 @@ def sym_sqrt_psd(a: Mat) -> Mat:
     return (root + root.T) / 2.0
 
 
+def json_uint(value, lo: int = 0, name: str | None = None) -> int:
+    """``value`` as an int if it is an integer in [lo, 2**64): a JSON one or
+    a numpy scalar. Floats such as 9.5 or 6.0, strings and booleans raise
+    ValueError, naming ``name`` when given."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if lo <= int(value) < _U64:
+            return int(value)
+    prefix = f"{name}: " if name else ""
+    raise ValueError(f"{prefix}expected an integer in [{lo}, 2**64), got {value!r}")
+
+
 def derive_seed(seed: int, salt: int) -> int:
     """Independent child seed: word ``salt`` of the parent's stream."""
     return SeededRng(seed, salt).next_u64()
@@ -142,14 +153,8 @@ class SeededRng:
     ALGORITHM = "splitmix64-boxmuller"
 
     def __init__(self, seed: int, position: int = 0):
-        seed = int(seed)
-        position = int(position)
-        if not 0 <= seed < _U64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if position < 0:
-            raise ValueError("position must be nonnegative")
-        self.seed = seed
-        self.position = position
+        self.seed = json_uint(seed, 0, "seed")
+        self.position = json_uint(position, 0, "position")
 
     def _take(self, n: int) -> np.ndarray:
         """The next ``n`` words of the stream, as uint64."""

@@ -58,14 +58,14 @@ def verdict(request):
 
 def test_criterion_01_parameter_count(verdict):
     verdict["n"] = 1
-    assert param_count(EnsAdConfig(d=512, d_hid=256, m=12)) == 655873
-    assert param_count(EnsAdConfig(d=2, d_hid=1, m=4)) == 13
-    assert param_count(EnsAdConfig(d=1, d_hid=1, m=1)) == 7
+    assert param_count(EnsAdConfig(d=512, d_hid=256, m=12)) == 655872
+    assert param_count(EnsAdConfig(d=2, d_hid=1, m=4)) == 12
+    assert param_count(EnsAdConfig(d=1, d_hid=1, m=1)) == 6
     # the count is m-independent and matches the allocated tensors
     cfg = EnsAdConfig(d=512, d_hid=256, m=3)
-    assert param_count(cfg) == 655873
+    assert param_count(cfg) == 655872
     params = init_params(cfg, SeededRng(0))
-    assert sum(a.size for a in params.values()) == 655873
+    assert sum(a.size for a in params.values()) == 655872
     verdict["ok"] = True
 
 
@@ -84,8 +84,11 @@ def test_criterion_02_forward_oracle_equivalence(verdict):
         params = init_params(cfg, rng)
         h = np.stack(
             [l2_normalize(rng.gaussian(d)) for _ in range(m + 1)], axis=1)
+        # the paper's score bias: the adapter omits it, as the softmax
+        # cannot see it, so the reference adds a nonzero one
+        bp = float(rng.gaussian(1)[0])
         h_tilde, trace = forward(params, cfg, h)
-        ref_h, ref_s = reference_forward(params, cfg, h)
+        ref_h, ref_s = reference_forward(params, cfg, h, bp)
         assert np.max(np.abs(h_tilde - ref_h)) <= 1e-12
         assert np.max(np.abs(attention_scores(trace) - ref_s)) <= 1e-12
         cases += 1

@@ -17,10 +17,12 @@ from ensad.adapter import (
 from ensad.numkit import SeededRng, l2_normalize
 
 
-def reference_forward(p, cfg, h_matrix):
+def reference_forward(p, cfg, h_matrix, bp=0.0):
     """Straight-line reimplementation of the fusion math, written
     independently of the kernel (plain column-wise numpy, no shared code).
-    Only the fused output is produced."""
+    Only the fused output is produced. ``bp`` is the paper's scalar score
+    bias, which the adapter leaves out: the softmax over the translations
+    does not change when every score shifts by the same amount."""
     d, m, alpha = cfg.d, cfg.m, cfg.alpha
     q = h_matrix[:, 0].astype(float)
     k = h_matrix[:, 1:].astype(float)
@@ -35,7 +37,7 @@ def reference_forward(p, cfg, h_matrix):
             v[:, j] = diff if n < 1e-12 else diff / n
 
     a = (p["wq"] @ q)[:, None] + p["wk"] @ k + p["wv"] @ v + p["b"][:, None]
-    logits = p["wp"] @ np.tanh(a) + float(p["bp"])
+    logits = p["wp"] @ np.tanh(a) + bp
     e = np.exp(logits - logits.max())
     s = e / e.sum()
 
@@ -61,12 +63,12 @@ def random_ensemble(cfg, rng):
 
 
 def test_param_count_full_scale():
-    assert param_count(EnsAdConfig(d=512, d_hid=256, m=12)) == 655_873
+    assert param_count(EnsAdConfig(d=512, d_hid=256, m=12)) == 655_872
 
 
 def test_param_count_small_configs():
-    assert param_count(EnsAdConfig(d=2, d_hid=1, m=3)) == 13
-    assert param_count(EnsAdConfig(d=1, d_hid=1, m=1)) == 7
+    assert param_count(EnsAdConfig(d=2, d_hid=1, m=3)) == 12
+    assert param_count(EnsAdConfig(d=1, d_hid=1, m=1)) == 6
 
 
 def test_param_count_matches_tensor_sizes():
@@ -85,7 +87,6 @@ def test_init_determinism_and_zero_biases():
         assert n1 == n2
         assert np.array_equal(t1, t2)
     assert np.array_equal(p1["b"], np.zeros(4))
-    assert float(p1["bp"]) == 0.0
 
 
 def test_init_variance_band():

@@ -25,9 +25,8 @@ def setups(draw, alpha=st.floats(0.0, 1.0)):
     n = draw(st.integers(1, 4))
     rng = SeededRng(draw(st.integers(0, 2**64 - 1)))
     p = init_params(cfg, rng)
-    # nonzero biases too, which init leaves at zero
+    # a nonzero bias too, which init leaves at zero
     p["b"] = rng.gaussian(cfg.d_hid)
-    p["bp"] = np.asarray(rng.gaussian(1)[0])
     h, _ = unit_rows(rng.gaussian_rows(n * (cfg.m + 1), cfg.d))
     return p, cfg, h.reshape(n, cfg.m + 1, cfg.d)
 

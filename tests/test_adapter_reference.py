@@ -62,7 +62,7 @@ def reference_forward_batch(p, cfg, h):
     a = (reference_matmul(k, p["wk"].T) + reference_matmul(v, p["wv"].T)
          + (q @ p["wq"].T + p["b"])[:, None, :])
     t = np.tanh(a)
-    logits = t @ p["wp"] + float(p["bp"])
+    logits = t @ p["wp"]
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     s = e / e.sum(axis=1, keepdims=True)
 
@@ -97,7 +97,6 @@ def reference_backward_batch(p, cfg, trace, g):
 
     grad_logits = trace.s * (grad_s - np.sum(trace.s * grad_s, axis=1, keepdims=True))
     grad_wp = np.tensordot(grad_logits, trace.t, axes=2)
-    grad_bp = np.asarray(np.sum(grad_logits))
     grad_a = grad_logits[:, :, None] * p["wp"] * (1.0 - trace.t * trace.t)
 
     colsum = np.sum(grad_a, axis=1)
@@ -118,7 +117,7 @@ def reference_backward_batch(p, cfg, trace, g):
 
     grad_h = np.concatenate([grad_q[:, None, :], grad_k], axis=1)
     grads = {"wq": grad_wq, "wk": grad_wk, "wv": grad_wv, "b": grad_b,
-             "wp": grad_wp, "bp": grad_bp, "wo": grad_wo}
+             "wp": grad_wp, "wo": grad_wo}
     return grads, grad_h
 
 
@@ -172,7 +171,6 @@ def test_kernels_match_the_reference_bitwise(cfg, kinds, upstream):
     rng = SeededRng(71 + len(kinds))
     p = init_params(cfg, rng)
     p["b"] = rng.gaussian(cfg.d_hid) / 2.0
-    p["bp"] = np.asarray(0.3)
     h = batch(cfg, rng, kinds)
     g = rng.gaussian_rows(len(kinds), cfg.d)
     if upstream == "zero":

@@ -116,7 +116,7 @@ def per_item_reference(p, cfg, rows, g):
         else:
             v[j], vraw_n[j] = unit(k[j] - q)
     t = np.tanh(k @ p["wk"].T + v @ p["wv"].T + (p["wq"] @ q + p["b"]))
-    logits = t @ p["wp"] + float(p["bp"])
+    logits = t @ p["wp"]
     e = np.exp(logits - logits.max())
     s = e / e.sum()
     u = np.tanh(v @ p["wo"].T)
@@ -153,7 +153,7 @@ def per_item_reference(p, cfg, rows, g):
             grad_k[j] += gr
             grad_q -= gr
     grads = [np.outer(colsum, q), grad_a.T @ k, grad_a.T @ v, colsum,
-             grad_logits @ t, np.asarray(grad_logits.sum()), grad_wov.T @ v]
+             grad_logits @ t, grad_wov.T @ v]
     return h_tilde, s, grads, np.vstack([grad_q, grad_k])
 
 

@@ -8,12 +8,9 @@ on it and score it with ``compare_strategies``: one on the default core
 type, one on another. The corpus's embedding rows are normalized without
 BLAS (``numkit.unit_rows``), so they must agree byte for byte; its images
 are tanh of a matrix product and are not compared. The tolerances:
-- each segment of the checkpoint's format-2 tensor vector (one
-  component's parameters, first moments or second moments): max|a - b| is
-  at most 1e-9 * max|a|. An elementwise rtol would fail on the entries at
-  round-off level, and so would a per-tensor one on the adapter's score
-  bias ``bp``, whose gradient is zero in exact arithmetic (a softmax does
-  not see a shift of all its scores): its trained value is round-off alone;
+- each tensor of the checkpoint (a parameter, or a trained one's first or
+  second Adam moment): max|a - b| is at most 1e-9 * max|a|. An elementwise
+  rtol would fail on the entries at round-off level;
 - each Frechet distance agrees to 1e-9 relative, and the strategies rank
   alike.
 """
@@ -71,15 +68,14 @@ def run_child(ckpt: Path, core: str | None) -> dict:
     return json.loads(run.stdout)
 
 
-def segments(ck) -> dict:
-    """The checkpoint's format-2 segments: each component's parameters,
-    then each trained component's first and then second moments, flat."""
+def tensors(ck) -> dict:
+    """The checkpoint's tensors by field and name: each component's
+    parameters, then each trained component's first and second moments."""
     found = {f"params.{comp}": tree for comp, tree in ck.params.items()}
     for part in ("m", "v"):
         found.update((f"adam.{part}.{comp}", tree)
                      for comp, tree in getattr(ck.adam, part).items())
-    return {name: np.concatenate([a.ravel() for a in tree.values()])
-            for name, tree in found.items()}
+    return {f"{field}.{name}": arr for field, tree in found.items() for name, arr in tree.items()}
 
 
 def test_results_agree_across_blas_core_types(tmp_path):
@@ -91,12 +87,12 @@ def test_results_agree_across_blas_core_types(tmp_path):
     assert default["core"] != other["core"] == other_core
     assert default["corpus_rows"] == other["corpus_rows"]
 
-    a = segments(load_checkpoint(tmp_path / "default.npz"))
-    b = segments(load_checkpoint(tmp_path / "other.npz"))
+    a = tensors(load_checkpoint(tmp_path / "default.npz"))
+    b = tensors(load_checkpoint(tmp_path / "other.npz"))
     assert list(a) == list(b)
     apart = {name: float(np.max(np.abs(a[name] - b[name]))) for name in a
              if np.max(np.abs(a[name] - b[name])) > 1e-9 * np.max(np.abs(a[name]))}
-    assert not apart, f"segments beyond 1e-9 of their largest entry: {apart}"
+    assert not apart, f"tensors beyond 1e-9 of their largest entry: {apart}"
 
     rows_a, rows_b = default["rows"], other["rows"]
     assert [r["strategy"] for r in rows_a] == [r["strategy"] for r in rows_b]

@@ -454,7 +454,7 @@ def test_eval_rejects_tiny_sample(workdir, dataset_path, ckpt_path, capsys):
     rc = main(["eval", "--ckpt", str(ckpt_path), "--data", str(dataset_path),
                "--n-gen", "1", "--seed", "9"])
     assert rc == 2
-    assert "error: n_gen must be at least 2 to fit moments" in capsys.readouterr().err
+    assert "error: n_gen: expected an integer in [2, 2**64), got 1" in capsys.readouterr().err
 
 
 def test_eval_rejects_a_one_item_dataset_by_its_count(workdir, ckpt_path, capsys):
@@ -501,9 +501,9 @@ def test_inspect_attn_write_and_limit_validation(workdir, dataset_path,
 
 def test_param_count_defaults_and_small(capsys):
     assert main(["param-count"]) == 0
-    assert capsys.readouterr().out.strip() == "655873"
+    assert capsys.readouterr().out.strip() == "655872"
     assert main(["param-count", "--d", "2", "--d-hid", "1", "--m", "5"]) == 0
-    assert capsys.readouterr().out.strip() == "13"
+    assert capsys.readouterr().out.strip() == "12"
 
 
 def test_param_count_rejects_bad_dims(capsys):
@@ -584,6 +584,21 @@ def _overlong_tensors(raw):
     return raw[:at] + struct.pack("<II", len(raw), len(raw)) + raw[at + 8:]
 
 
+def _with_score_bias(raw):
+    """The golden archive as written before the adapter dropped its score
+    bias ``bp``: bp's trained value and Adam moments back after ``wp`` in
+    the adapter's parameters, ``m`` and ``v``, framed by ``gan._archive``."""
+    got = members(raw)
+    params = load_checkpoint(GOLDEN / "ckpt_step6.npz").params
+    n_params = sum(t.size for tree in params.values() for t in tree.values())
+    wp_end = sum(params["ensad"][name].size for name in ("wq", "wk", "wv", "b", "wp"))
+    at = n_params + wp_end  # the adapter's m comes first among the moments
+    n_ensad = sum(t.size for t in params["ensad"].values())
+    tensors = np.insert(got["tensors"], [wp_end, at, at + n_ensad],
+                        [2.016616038407186e-12, -1.214306433183765e-17, 1.1995363431062412e-35])
+    return b"".join(gan._archive(got["header"].tobytes(), tensors))
+
+
 def _raise_generator_t(header):
     """One trained component's Adam step count one past the others'."""
     header["adam"]["generator"] += 1
@@ -604,7 +619,7 @@ FORMAT2_CASES = {
     "compressed": (savez_compressed, HEADER_NPY),
     # faults in the zip directory and the npy header
     "encrypted_flag": (_poke(_CENTRAL_DIR, 8, lambda b: b | 1),
-                       "bytes 13388-13523 (zip directory) differ from format 2's layout"),
+                       "bytes 13364-13499 (zip directory) differ from format 2's layout"),
     "zip_version_10_9": (_poke(_CENTRAL_DIR, 6, lambda b: 109), None),
     "directory_offset_plus_1": (_poke(_END_OF_DIR, 16, lambda b: b + 1), None),
     "npy_header_cut_short": (_in_tensors(_poke(b"\x93NUMPY", 8, lambda b: 54)), None),
@@ -656,8 +671,12 @@ FORMAT2_CASES = {
                        "{'discriminator': 6, 'ensad': 6, 'generator': 7}"),
     "tensors_float32": (_tensors(lambda t: t.astype(np.float32)), TENSORS_NPY),
     "tensors_short": (_tensors(lambda t: t[:-1]),
-                      "checkpoint field 'tensors': expected 1554 float64 values, "
-                      "got float64 (1553,)"),
+                      "checkpoint field 'tensors': expected 1551 float64 values, "
+                      "got float64 (1550,)"),
+    # an archive written while the adapter had a score bias: no migration
+    "score_bias_bp": (_with_score_bias,
+                      "checkpoint field 'tensors': expected 1551 float64 values, "
+                      "got float64 (1554,)"),
     "nan_parameter": (_tensors(_set_entry(0, np.nan)), "checkpoint field 'params.ensad'"),
     "inf_generator": (_tensors(_set_entry(200, np.inf)), "checkpoint field 'params.generator'"),
     # the vector ends with the discriminator's v
@@ -1367,4 +1386,4 @@ def test_module_entry_point(workdir):
          "--d", "1", "--d-hid", "1", "--m", "1"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "7"
+    assert proc.stdout.strip() == "6"

@@ -188,8 +188,11 @@ def test_evaluate_finite_and_deterministic():
 
 def test_evaluate_validates_args():
     ck, ds = eval_checkpoint()
-    with pytest.raises(ValueError, match="^n_gen must be at least 2 to fit moments$"):
-        evaluate(ck, ds, 1, "ensad", 7)
+    # 32.5 raised numpy's TypeError from the draw
+    for n_gen in (1, 32.5):
+        message = f"n_gen: expected an integer in [2, 2**64), got {n_gen!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(ck, ds, n_gen, "ensad", 7)
     with pytest.raises(ValueError, match="unknown strategy 'nearest'"):
         evaluate(ck, ds, 32, "nearest", 7)
     other = generate_synthetic(SyntheticSpec(

@@ -626,7 +626,7 @@ def corrupt(ck, *faults):
       ("params", "generator", "gen_w.1", np.nan)],
      "checkpoint field 'params.generator': gen_w.1 contains non-finite entries"),
     # per trained component, m, then v's finiteness, then v's sign
-    ([("v", "discriminator", "ds_b", np.nan), ("v", "ensad", "bp", -1.0)],
+    ([("v", "discriminator", "ds_b", np.nan), ("v", "ensad", "b", -1.0)],
      "checkpoint field 'adam.ensad': v contains negative entries"),
     ([("v", "ensad", "wo", np.inf), ("v", "ensad", "wq", -1.0), ("m", "ensad", "wo", np.nan)],
      "checkpoint field 'adam.ensad': m.wo contains non-finite entries"),
@@ -755,6 +755,12 @@ def test_golden_json_and_archive_hold_the_same_floats():
     # sets as sorted lists, tuples as lists
     assert ref["configs"] == json.loads(json.dumps(
         {"adapter": asdict(ck.ensad_cfg), "gan": asdict(ck.gan_cfg)}, default=sorted))
+    # the JSON still holds the adapter's old score bias bp, which the
+    # softmax cannot see and the archive leaves out: by name in the params,
+    # and at index 5 of the adapter's Adam lists (wq, wk, wv, b, wp, bp, wo)
+    dropped = [ref["params"]["ensad"].pop("bp")]
+    dropped += [ref["adam"]["ensad"][key].pop(5) for key in ("m", "v")]
+    assert all(abs(value) < 1e-11 for value in dropped), dropped
     groups = {"ensad": ck.params["ensad"],
               "gan": {**ck.params["generator"], **ck.params["discriminator"]}}
     for group, tensors in groups.items():
@@ -816,9 +822,9 @@ def tensor_leaves(ck):
 
 def test_format2_round_trip_is_bit_exact(tmp_path):
     # the golden checkpoint trains all three components, so the
-    # 0-d bp and ds_b have Adam moments too; a negative zero keeps its sign
+    # 0-d ds_b has Adam moments too; a negative zero keeps its sign
     ck = load_checkpoint(GOLDEN_CKPT)
-    ck.params["ensad"]["bp"] = np.array(-0.0)
+    ck.params["discriminator"]["ds_b"] = np.array(-0.0)
     path = str(tmp_path / "ck.json")
     save_checkpoint(ck, path)
     with open(path, "rb") as fh:
@@ -826,7 +832,7 @@ def test_format2_round_trip_is_bit_exact(tmp_path):
     back = load_checkpoint(path)
     want, got = tensor_leaves(ck), tensor_leaves(back)
     assert got.keys() == want.keys()
-    assert ("params", "discriminator", "ds_b") in got and ("v", "ensad", "bp") in got
+    assert ("params", "discriminator", "ds_b") in got and ("v", "discriminator", "ds_b") in got
     for key, arr in want.items():
         assert got[key].dtype == np.float64 and got[key].shape == arr.shape, key
         assert got[key].tobytes() == arr.tobytes(), key
@@ -850,7 +856,7 @@ def test_loaded_checkpoint_tensors_are_writable_and_disjoint():
 
 
 def test_golden_checkpoint_through_format2_reserializes_to_the_same_bytes(tmp_path):
-    # pins format 2's bytes: the archive was written by an earlier version
+    # pins format 2's bytes: today's code writes the golden archive again
     path = str(tmp_path / "ck.npz")
     save_checkpoint(load_checkpoint(GOLDEN_CKPT), path)
     with open(path, "rb") as fh, open(GOLDEN_CKPT, "rb") as golden:

@@ -7,8 +7,10 @@ padded to an even word count), and the losses of steps 7-12 with the
 stream position after step 12. These were written by the code before the
 training step was batched; the checkpoint as ``ckpt_step6.json``, a JSON
 object with each MLP's layers as one list. ``ckpt_step6.npz``, which this
-test resumes, is a lossless format-2 re-save of it, made at commit 92ad9cc
-(``test_gan`` checks, value by value, that the two hold the same floats).
+test resumes, is a format-2 re-save of it, first made at commit 92ad9cc and
+re-saved without the adapter's score bias ``bp`` and its Adam moments when
+the adapter dropped that tensor (``test_gan`` checks, value by value, that
+the two hold the same floats, and that the dropped ones are round-off).
 A refactor must keep the RNG word stream exactly and the math within
 round-off of that code.
 """

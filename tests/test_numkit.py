@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,14 +188,24 @@ def test_rng_position_resume():
     assert np.array_equal(SeededRng(5).gaussian(10), first)
 
 
-@pytest.mark.parametrize("seed, position, message", [
-    (-1, 0, "seed must fit in an unsigned 64-bit integer"),
-    (2**64, 0, "seed must fit in an unsigned 64-bit integer"),
-    (0, -1, "position must be nonnegative"),
+@pytest.mark.parametrize("seed, position, field", [
+    (-1, 0, "seed"),
+    (2**64, 0, "seed"),
+    (0, -1, "position"),
+    # these were truncated or coerced: 7.5, "7" and True seeded as 7, 7 and 1
+    (7.5, 0, "seed"),
+    ("7", 0, "seed"),
+    (True, 0, "seed"),
+    (0, 2.5, "position"),
 ])
-def test_rng_rejects_a_seed_or_position_out_of_range(seed, position, message):
+def test_rng_rejects_a_seed_or_position_out_of_range(seed, position, field):
+    value = seed if field == "seed" else position
+    message = re.escape(f"{field}: expected an integer in [0, 2**64), got {value!r}")
     with pytest.raises(ValueError, match=f"^{message}$"):
         SeededRng(seed, position)
+    if field == "seed":
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            derive_seed(seed, 1)
 
 
 @pytest.mark.parametrize("rows, n, message", [
