@@ -320,14 +320,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_inspect_attn(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise UsageError("limit must be positive")
     _check_paths({"records": args.out}, {"checkpoint": args.ckpt, "dataset": args.data})
     ck = load_checkpoint(args.ckpt)
     ds = load_jsonl(args.data)
     check_dataset(ds, ck.ensad_cfg, ck.gan_cfg)
-    limit = args.limit if args.limit is not None else len(ds)
-    if limit < 1:
-        raise UsageError("limit must be positive")
-    _, trace = forward_batch(ck.params["ensad"], ck.ensad_cfg, ds.rows[:limit])
+    _, trace = forward_batch(ck.params["ensad"], ck.ensad_cfg, ds.rows[:args.limit])
     lines = [json.dumps(attention_export_record(item_id, scores, texts))
              for item_id, scores, texts
              in zip(ds.ids, attention_scores(trace), ds.translation_texts)]

@@ -9,8 +9,8 @@ The contrastive losses normalize features by :func:`numkit.unit_rows`.
 
 Parameters are one ``{component: {tensor name: array}}`` mapping, keyed by
 TRAINABLE_COMPONENTS; :func:`param_shapes` says what each component holds.
-Inside :func:`train` all tensors are named views into one float64 vector,
-the trained components first, each laid out as in format 2's tensor vector.
+Inside :func:`train` parameters and Adam moments are named views into one
+float64 vector, laid out by :func:`_layout` like format 2's tensor vector.
 """
 
 from __future__ import annotations
@@ -339,7 +339,7 @@ def adam_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int
     buffers written with ``out=``, running the ufuncs of
     ``m += (1 - beta1) g; v += (1 - beta2) g^2;
     p -= lr (m / b1c) / (sqrt(v / b2c) + eps)`` in their order, so the bits
-    are theirs. :func:`train` passes its vectors."""
+    are theirs. :func:`train` passes three spans of its state vector."""
     if not np.shape(p) == np.shape(g) == np.shape(m) == np.shape(v):
         raise ValueError(f"p, g, m and v shapes differ: {[np.shape(x) for x in (p, g, m, v)]}")
     b1c = 1.0 - beta1 ** t
@@ -424,27 +424,24 @@ def _check_trees(ck: Checkpoint, shapes: dict) -> None:
     with _field("params"):
         if list(ck.params) != list(TRAINABLE_COMPONENTS):
             raise ValueError(f"components {list(ck.params)}, expected {list(TRAINABLE_COMPONENTS)}")
-    for comp, tree in ck.params.items():
-        with _field(f"params.{comp}"):
-            check_tensors(tree, shapes[comp])
-    for comp in _trained(ck.gan_cfg):
-        with _field(f"adam.{comp}"):
-            check_tensors(ck.adam.m[comp], shapes[comp], "m")
-            check_tensors(ck.adam.v[comp], shapes[comp], "v")
+    trees = {"": ck.params, "m.": ck.adam.m, "v.": ck.adam.v}
+    for prefix, comp, *_ in _format2(ck.ensad_cfg, ck.gan_cfg):
+        with _field(f"adam.{comp}" if prefix else f"params.{comp}"):
+            check_tensors(trees[prefix][comp], shapes[comp], prefix[:1])
 
 
 def _check_state(vec: np.ndarray, layout: list) -> None:
     """Raise ValueError naming the first bad tensor and its checkpoint field
-    unless ``vec``, format 2's tensor vector as ``layout`` (:func:`_layout`)
+    unless ``vec``, format 2's tensor vector as ``layout`` (:func:`_format2`)
     lays it out, is finite and its ``v`` moments are nonnegative: one
     ``isfinite`` pass and one sign test per ``v`` part. Reads the parts'
-    spans, and their fields, prefixes and tensor spans only to name a fault."""
+    spans, and their components and tensor spans only to name a fault."""
     if np.isfinite(vec).all() and not any(
-            (vec[start:end] < 0).any() for _, prefix, start, end, _ in layout if prefix == "v."):
+            (vec[start:end] < 0).any() for prefix, _, start, end, _ in layout if prefix == "v."):
         return
     first = next(iter(np.flatnonzero(~np.isfinite(vec))), vec.size)
-    for field_, prefix, start, end, tensors in layout:
-        with _field(field_):
+    for prefix, comp, start, end, tensors in layout:
+        with _field(f"adam.{comp}" if prefix else f"params.{comp}"):
             for name, (_, lo, hi) in tensors.items():
                 if lo <= first < hi:  # the tensor of the first bad entry
                     as_f64(vec[lo:hi], prefix + name)
@@ -505,51 +502,49 @@ def _trained(gan_cfg: GanConfig) -> list:
     return [comp for comp in TRAINABLE_COMPONENTS if comp in gan_cfg.trainable]
 
 
-def _layout(shapes: dict, trained: list) -> list:
-    """Format 2's tensor vector for ``shapes``, ``{comp: spec}``, and the
-    ``trained`` components, in one walk: per part, in order, its checkpoint
-    field (``params.<comp>`` or ``adam.<comp>``), name prefix ("", "m." or
-    "v."), span ``start, end`` and ``{name: (shape, lo, hi)}`` per tensor."""
-    parts, end = [], 0
-    for field_, prefix, comp in [(f"params.{c}", "", c) for c in TRAINABLE_COMPONENTS] + [
-            (f"adam.{c}", f"{k}.", c) for c in trained for k in "mv"]:
+def _layout(shapes: dict, parts: list) -> list:
+    """The float64 vector of ``shapes``, ``{comp: spec}``, for ``parts``,
+    ``(prefix, comp)`` pairs in order (prefix "" for parameters, "m." or
+    "v." for Adam moments): per part, its prefix, component, span ``start,
+    end`` and ``{name: (shape, lo, hi)}`` per tensor."""
+    layout, end = [], 0
+    for prefix, comp in parts:
         start, tensors = end, {}
         for name, s in shapes[comp].items():
             lo, end = end, end + math.prod(s.shape)
             tensors[name] = s.shape, lo, end
-        parts.append((field_, prefix, start, end, tensors))
-    return parts
+        layout.append((prefix, comp, start, end, tensors))
+    return layout
 
 
-def _flatten(trees, specs: dict, out=None) -> np.ndarray:
-    """The tensors ``trees[key][name]`` as one float64 vector (or into
-    ``out``), walking the keys and names of the ``{key: {name: ...}}``
-    mapping ``specs`` in its order, whatever the trees' own order."""
-    arrays = [trees[key][name] for key, spec in specs.items() for name in spec]
+def _format2(ensad_cfg: EnsAdConfig, gan_cfg: GanConfig) -> list:
+    """Format 2's tensor vector as :func:`_layout` lays it out."""
+    return _layout(param_shapes(ensad_cfg, gan_cfg), [("", c) for c in TRAINABLE_COMPONENTS] + [
+        (k, c) for c in _trained(gan_cfg) for k in ("m.", "v.")])
+
+
+def _vector(trees: dict, layout: list, out=None) -> np.ndarray:
+    """The tensors ``trees[prefix][comp][name]`` of ``layout`` as one float64
+    vector (or into ``out``), in the layout's order, not the trees' own."""
+    arrays = [trees[prefix][comp][name] for prefix, comp, *_, tensors in layout for name in tensors]
     return np.concatenate(arrays or [np.empty(0)], axis=None, out=out,
                           dtype=np.float64 if out is None else None)
 
 
-def _views(vec: np.ndarray, specs: dict) -> dict:
-    """Named views of the flat vector ``vec``, ``{key: {name: view}}`` for
-    the ``{key: {name: TensorSpec}}`` mapping ``specs``: the inverse of
-    :func:`_flatten`."""
-    views, end = {key: {} for key in specs}, 0
-    for key, spec in specs.items():
-        for name, s in spec.items():
-            start, end = end, end + math.prod(s.shape)
-            views[key][name] = vec[start:end].reshape(s.shape)
-    return views
+def _trees(vec: np.ndarray, layout: list) -> dict:
+    """Named views of ``vec`` as ``layout`` lays it out, ``{prefix: {comp:
+    {name: view}}}`` with all three prefixes: the inverse of :func:`_vector`."""
+    trees = {"": {}, "m.": {}, "v.": {}}
+    for prefix, comp, _, _, tensors in layout:
+        trees[prefix][comp] = {n: vec[lo:hi].reshape(s) for n, (s, lo, hi) in tensors.items()}
+    return trees
 
 
 def _tensor_vector(ck: Checkpoint) -> np.ndarray:
     """Format 2's tensor vector of ``ck``: its parameters and the Adam
     moments of the components its config trains, as one float64 vector."""
-    trained = _trained(ck.gan_cfg)
-    trees = [ck.params[comp] for comp in TRAINABLE_COMPONENTS] + [
-        moments[comp] for comp in trained for moments in (ck.adam.m, ck.adam.v)]
-    layout = _layout(param_shapes(ck.ensad_cfg, ck.gan_cfg), trained)
-    return _flatten(trees, dict(enumerate(tensors for *_, tensors in layout)))
+    return _vector({"": ck.params, "m.": ck.adam.m, "v.": ck.adam.v},
+                   _format2(ck.ensad_cfg, ck.gan_cfg))
 
 
 def save_checkpoint(ck: Checkpoint, path: str) -> None:
@@ -628,7 +623,7 @@ def _checkpoint_from_archive(raw: bytes, path: str) -> Checkpoint:
     with _field("adam"):
         if len(set(steps.values())) > 1:
             raise ValueError(f"step counts differ: {steps}")
-    layout = _layout(param_shapes(ensad_cfg, gan_cfg), trained)
+    layout = _format2(ensad_cfg, gan_cfg)
     size = layout[-1][3]
     with _field("tensors"):
         if tensors.size != size:
@@ -638,23 +633,16 @@ def _checkpoint_from_archive(raw: bytes, path: str) -> Checkpoint:
     _check_state(tensors, layout)
     # views of one writable copy of the vector: it is private to this
     # checkpoint, unlike train's live one
-    vec = tensors.copy()
-    trees = [{n: vec[lo:hi].reshape(s) for n, (s, lo, hi) in part.items()} for *_, part in layout]
-    moments = trees[len(TRAINABLE_COMPONENTS):]
-    ck = Checkpoint(
+    trees = _trees(tensors.copy(), layout)
+    return Checkpoint(
         ensad_cfg=ensad_cfg,
         gan_cfg=gan_cfg,
-        params=dict(zip(TRAINABLE_COMPONENTS, trees)),
-        adam=AdamState(
-            m=dict(zip(trained, moments[0::2])),
-            v=dict(zip(trained, moments[1::2])),
-            t=max(steps.values(), default=0),
-        ),
+        params=trees[""],
+        adam=AdamState(trees["m."], trees["v."], max(steps.values(), default=0)),
         rng_seed=rng_seed,
         rng_position=rng_position,
         step=step,
     )
-    return ck
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -871,13 +859,12 @@ def train(
 
     shapes = param_shapes(ensad_cfg, gan_cfg)
     trained = _trained(gan_cfg)
-    specs = {comp: shapes[comp] for comp in trained}
     if resume is None:
         # a fresh start resumes the step-0 checkpoint of the drawn or given
         # parameters: zero moments, and the stream after the init draws
         rng = SeededRng(seed)
         params = init_tensors(shapes, rng) if init_from is None else init_from
-        zeros = map_tensors(lambda s: np.zeros(s.shape), specs)
+        zeros = map_tensors(lambda s: np.zeros(s.shape), {c: shapes[c] for c in trained})
         resume = Checkpoint(ensad_cfg, gan_cfg, params, AdamState(zeros, zeros), seed,
                             rng.position, 0)
     else:
@@ -901,20 +888,22 @@ def train(
     _check_trees(resume, shapes)
     with _field("adam"):
         t = json_uint(resume.adam.t)
-    _check_state(_tensor_vector(resume), _layout(shapes, trained))
+    _check_state(_tensor_vector(resume), _format2(ensad_cfg, gan_cfg))
 
-    # One float64 vector holds the parameters, the trained components first,
-    # each in param_shapes order as in format 2's tensor vector; params[comp]
-    # holds named views of it. The trained part's gradients and Adam moments
-    # get vectors of its layout, so a step runs one finiteness check and one
-    # Adam update for all of them.
-    layout = {**specs, **shapes}  # the trained components first
-    flat = _flatten(resume.params, layout)
-    params = _views(flat, layout)
-    params = {comp: params[comp] for comp in TRAINABLE_COMPONENTS}
-    m, v = _flatten(resume.adam.m, specs), _flatten(resume.adam.v, specs)
-    grad = np.empty_like(m)
-    moments = _views(m, specs), _views(v, specs)
+    # One float64 vector holds the state: the trained components'
+    # parameters, their m and their v moments, then the other parameters,
+    # each component in param_shapes order. trees holds named views of it,
+    # and the trained components' gradients get a vector of the first
+    # span's layout, so a step runs one finiteness check and one Adam
+    # update, over three aligned spans, for all of them.
+    layout = _layout(shapes, [(k, c) for k in ("", "m.", "v.") for c in trained] + [
+        ("", c) for c in TRAINABLE_COMPONENTS if c not in trained])
+    state = _vector({"": resume.params, "m.": resume.adam.m, "v.": resume.adam.v}, layout)
+    trees = _trees(state, layout)
+    params = {comp: trees[""][comp] for comp in TRAINABLE_COMPONENTS}
+    n = layout[len(trained)][2]  # the trained parameters end where the next part starts
+    p, m, v = state[:3 * n].reshape(3, n)
+    grad = np.empty(n)
     rng = SeededRng(resume.rng_seed, resume.rng_position)
 
     proxy = None
@@ -927,7 +916,7 @@ def train(
             ensad_cfg=ensad_cfg,
             gan_cfg=gan_cfg,
             params=map_tensors(np.copy, params),
-            adam=AdamState(*(map_tensors(np.copy, x) for x in moments), t),
+            adam=AdamState(map_tensors(np.copy, trees["m."]), map_tensors(np.copy, trees["v."]), t),
             rng_seed=seed,
             rng_position=position,
             step=step_count,
@@ -945,10 +934,10 @@ def train(
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 res = step_losses_and_grads(h, imgs, zs, params, ensad_cfg, plan, proxy)
-            p = res.parts
-            record = dict(zip(CSV_COLUMNS, (step + 1, res.loss_ensad, res.loss_disc, p.l_ad_ensad,
-                                            p.l_ad_d, p.l_cl, p.l_cl_d_fake, p.l_cl_g)))
-            _flatten(res.grads, specs, out=grad)
+            lp = res.parts
+            record = dict(zip(CSV_COLUMNS, (step + 1, res.loss_ensad, res.loss_disc, lp.l_ad_ensad,
+                                            lp.l_ad_d, lp.l_cl, lp.l_cl_d_fake, lp.l_cl_g)))
+            _vector({"": res.grads}, layout[:len(trained)], out=grad)
             # an inf already present passes *, +, tanh and exp without raising
             # a flag, and Adam, outside the errstate because a half-applied
             # in-place update cannot be undone, can leave one behind
@@ -964,7 +953,7 @@ def train(
 
         if trained:  # t counts the updates Adam applied
             t += 1
-            adam_step(flat[:m.size], grad, m, v, t, gan_cfg.lr, gan_cfg.beta1, gan_cfg.beta2)
+            adam_step(p, grad, m, v, t, gan_cfg.lr, gan_cfg.beta1, gan_cfg.beta2)
 
         if log_fn is not None:
             log_fn(record)

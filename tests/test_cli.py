@@ -498,6 +498,13 @@ def test_inspect_attn_write_and_limit_validation(workdir, dataset_path,
     assert rc == 2
     assert "error: limit must be positive" in capsys.readouterr().err
 
+    # the flag is checked before any file is read
+    rc = main(["inspect-attn", "--ckpt", str(workdir / "missing.npz"),
+               "--data", str(workdir / "missing.jsonl"), "--limit", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: limit must be positive" in err and "missing" not in err
+
 
 def test_param_count_defaults_and_small(capsys):
     assert main(["param-count"]) == 0

@@ -107,6 +107,21 @@ def test_synthetic_matches_per_vector_draws_at_scale(fields):
         assert got.images.tobytes() == want.images.tobytes()
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("sigma_source, sigma_trans",
+                         [(0.0, 0.0), (0.4, 0.0), (0.0, 0.2), (0.4, 0.2)])
+def test_synthetic_is_prefix_stable(m, sigma_source, sigma_trans):
+    # the first n items of an (n+k)-item corpus are the n-item corpus, bit
+    # for bit, so held-out items can be appended without moving the rest
+    for d in (7, 8):
+        small, big = (generate_synthetic(small_spec(
+            n_items=n, d=d, m=m, sigma_source=sigma_source, sigma_trans=sigma_trans, seed=11))
+            for n in (50, 80))
+        assert big.ids[:50] == small.ids
+        assert big.rows[:50].tobytes() == small.rows.tobytes()
+        assert big.images[:50].tobytes() == small.images.tobytes()
+
+
 def test_synthetic_seed_sensitivity():
     a = generate_synthetic(small_spec(seed=5))
     b = generate_synthetic(small_spec(seed=6))

@@ -14,7 +14,8 @@ also reaches the ``raise`` is checked by ``experiments/raise_reach.py``.
 
 Every row norm is taken by ``numkit.unit_rows``: no other function of the
 package takes the square root of a sum or a product, or calls
-``np.linalg.norm``.
+``np.linalg.norm``. Every tensor vector is written by ``gan._vector``: no
+other function calls ``np.concatenate`` with ``axis=None``.
 """
 
 import ast
@@ -142,22 +143,24 @@ def sums(node: ast.AST) -> bool:
     return any(sums(child) for child in ast.iter_child_nodes(node))
 
 
-def row_norms(tree: ast.Module, module: str) -> list:
-    """``module:function`` for each function (or ``<module>``) that takes
-    the square root of a sum or a product, or calls ``linalg.norm``."""
-    found = []
+def calling(tree: ast.Module, module: str, matches) -> list:
+    """``module:function`` for each function, method or ``<module>`` (the
+    code outside them) with a call for which ``matches(call)`` holds."""
     scopes = [(f"{module}:<module>", [n for n in tree.body if not isinstance(
         n, (ast.FunctionDef, ast.ClassDef))])]
     for node in tree.body:
         body = node.body if isinstance(node, ast.ClassDef) else [node]
         scopes += [(f"{module}:{fn.name}", [fn]) for fn in body if isinstance(fn, ast.FunctionDef)]
-    for where, nodes in scopes:
-        if any(isinstance(node, ast.Call) and (
-                call_name(node) == "norm"
-                or call_name(node) == "sqrt" and node.args and sums(node.args[0]))
-               for top in nodes for node in ast.walk(top)):
-            found.append(where)
-    return found
+    return [where for where, nodes in scopes
+            if any(isinstance(node, ast.Call) and matches(node)
+                   for top in nodes for node in ast.walk(top))]
+
+
+def row_norms(tree: ast.Module, module: str) -> list:
+    """``module:function`` for each function (or ``<module>``) that takes
+    the square root of a sum or a product, or calls ``linalg.norm``."""
+    return calling(tree, module, lambda node: call_name(node) == "norm"
+                   or call_name(node) == "sqrt" and node.args and sums(node.args[0]))
 
 
 def test_the_guard_finds_the_norms_it_forbids():
@@ -182,3 +185,41 @@ def test_unit_rows_takes_every_row_norm():
     found = [where for path in sorted(PACKAGE.glob("*.py"))
              for where in row_norms(parse(path), path.name)]
     assert found == [NORMALISER], f"row norms taken outside {NORMALISER}: {found}"
+
+
+# The one function that writes a tensor vector.
+VECTOR_WRITER = "gan.py:_vector"
+
+
+def is_none(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def flattens(node: ast.Call) -> bool:
+    """Whether the call is ``concatenate`` with ``axis=None``, by keyword or
+    as its second argument."""
+    return call_name(node) == "concatenate" and (
+        len(node.args) > 1 and is_none(node.args[1])
+        or any(kw.arg == "axis" and is_none(kw.value) for kw in node.keywords))
+
+
+def test_the_guard_finds_the_flattening_it_forbids():
+    src = """
+def by_keyword(trees):
+    return np.concatenate([t for t in trees], axis=None, dtype=np.float64)
+def by_position(a, b):
+    return np.concatenate((a, b), None)
+class Holder:
+    def method(self, a):
+        return numpy.concatenate(a, out=self.buf, axis=None)
+def not_flat(a, b):
+    return np.concatenate([a, b]) + np.concatenate([a, b], axis=1) + np.ravel(a)
+"""
+    assert calling(ast.parse(src), "m.py", flattens) == [
+        "m.py:by_keyword", "m.py:by_position", "m.py:method"]
+
+
+def test_vector_writes_every_tensor_vector():
+    found = [where for path in sorted(PACKAGE.glob("*.py"))
+             for where in calling(parse(path), path.name, flattens)]
+    assert found == [VECTOR_WRITER], f"tensor vectors written outside {VECTOR_WRITER}: {found}"
