@@ -303,7 +303,7 @@ def _cmd_eval(args) -> int:
     config = _load_config(args.config)
     section = _section(config, "eval", args, ("n_gen",))
     _only(section, "eval", ("n_gen",))
-    n_gen = json_uint(section.get("n_gen", 512), 0, "eval n_gen")
+    n_gen = json_uint(section.get("n_gen", 512), 2, "eval n_gen")
     seed = _pick_seed(args, config)
     ck = load_checkpoint(args.ckpt)
     ds = load_jsonl(args.data)

@@ -10,7 +10,8 @@ The contrastive losses normalize features by :func:`numkit.unit_rows`.
 Parameters are one ``{component: {tensor name: array}}`` mapping, keyed by
 TRAINABLE_COMPONENTS; :func:`param_shapes` says what each component holds.
 Inside :func:`train` parameters and Adam moments are named views into one
-float64 vector, laid out by :func:`_layout` like format 2's tensor vector.
+float64 vector laid out by :func:`_layout`; every checkpoint this module
+returns holds views of a format-2 vector of its own, built by :func:`_unpack`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .data import (
 )
 from .numkit import (
     NORM_EPS, SeededRng, TensorSpec, as_f64, check_tensors, derive_seed, init_tensors,
-    json_uint, map_tensors, unit_rows,
+    json_uint, unit_rows,
 )
 
 # The parameter components, in the order of param_shapes and init draws.
@@ -540,6 +541,16 @@ def _trees(vec: np.ndarray, layout: list) -> dict:
     return trees
 
 
+def _unpack(vec: np.ndarray, layout: list, ensad_cfg: EnsAdConfig, gan_cfg: GanConfig, t: int,
+            rng_seed: int, rng_position: int, step: int) -> Checkpoint:
+    """The checkpoint that owns ``vec``, format 2's tensor vector as ``layout``
+    lays it out, as :func:`_trees` views; no one else may hold ``vec``. Every
+    checkpoint that train, finetune_pipeline and load_checkpoint return is built here."""
+    trees = _trees(vec, layout)
+    return Checkpoint(ensad_cfg, gan_cfg, trees[""], AdamState(trees["m."], trees["v."], t),
+                      rng_seed, rng_position, step)
+
+
 def _tensor_vector(ck: Checkpoint) -> np.ndarray:
     """Format 2's tensor vector of ``ck``: its parameters and the Adam
     moments of the components its config trains, as one float64 vector."""
@@ -631,18 +642,8 @@ def _checkpoint_from_archive(raw: bytes, path: str) -> Checkpoint:
                              f"{tensors.dtype} {tensors.shape}")
     # names and shapes hold by construction; the values are checked here
     _check_state(tensors, layout)
-    # views of one writable copy of the vector: it is private to this
-    # checkpoint, unlike train's live one
-    trees = _trees(tensors.copy(), layout)
-    return Checkpoint(
-        ensad_cfg=ensad_cfg,
-        gan_cfg=gan_cfg,
-        params=trees[""],
-        adam=AdamState(trees["m."], trees["v."], max(steps.values(), default=0)),
-        rng_seed=rng_seed,
-        rng_position=rng_position,
-        step=step,
-    )
+    return _unpack(tensors.copy(), layout, ensad_cfg, gan_cfg, max(steps.values(), default=0),
+                   rng_seed, rng_position, step)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -851,6 +852,7 @@ def train(
     its Adam update. A step diverges, raising :class:`TrainingDiverged`
     and logging nothing, when its arithmetic overflows, divides by zero
     or goes invalid, or a loss or a trained gradient is non-finite.
+    Its checkpoints, returned or raised, are built by :func:`_unpack`.
     """
     check_dataset(ds, ensad_cfg, gan_cfg)
     seed = json_uint(seed, 0, "seed")
@@ -864,7 +866,7 @@ def train(
         # parameters: zero moments, and the stream after the init draws
         rng = SeededRng(seed)
         params = init_tensors(shapes, rng) if init_from is None else init_from
-        zeros = map_tensors(lambda s: np.zeros(s.shape), {c: shapes[c] for c in trained})
+        zeros = {c: {name: np.zeros(s.shape) for name, s in shapes[c].items()} for c in trained}
         resume = Checkpoint(ensad_cfg, gan_cfg, params, AdamState(zeros, zeros), seed,
                             rng.position, 0)
     else:
@@ -888,7 +890,8 @@ def train(
     _check_trees(resume, shapes)
     with _field("adam"):
         t = json_uint(resume.adam.t)
-    _check_state(_tensor_vector(resume), _format2(ensad_cfg, gan_cfg))
+    fmt2 = _format2(ensad_cfg, gan_cfg)
+    _check_state(_tensor_vector(resume), fmt2)
 
     # One float64 vector holds the state: the trained components'
     # parameters, their m and their v moments, then the other parameters,
@@ -911,16 +914,8 @@ def train(
         proxy = SeededRng(derive_seed(seed, _PROXY_SALT)).gaussian(
             ensad_cfg.d * gan_cfg.d_img).reshape(ensad_cfg.d, -1) / np.sqrt(gan_cfg.d_img)
 
-    def snapshot(step_count: int, position: int) -> Checkpoint:
-        return Checkpoint(
-            ensad_cfg=ensad_cfg,
-            gan_cfg=gan_cfg,
-            params=map_tensors(np.copy, params),
-            adam=AdamState(map_tensors(np.copy, trees["m."]), map_tensors(np.copy, trees["v."]), t),
-            rng_seed=seed,
-            rng_position=position,
-            step=step_count,
-        )
+    def snapshot(done: int, position: int) -> Checkpoint:
+        return _unpack(_vector(trees, fmt2), fmt2, ensad_cfg, gan_cfg, t, seed, position, done)
 
     plan = _step_plan(gan_cfg)
     batches = step_batches(ds, gan_cfg.batch, gan_cfg.noise_p0, gan_cfg.noise_pt,

@@ -8,8 +8,8 @@ below which a vector counts as zero, and :func:`unit_rows`, the package's
 one normalization, are defined here for the whole package.
 
 Parameter sets are ordered ``{name: array}`` mappings, nested per component,
-described by matching ``{name: TensorSpec}`` mappings; :func:`init_tensors`,
-:func:`map_tensors` and :func:`check_tensors` initialize, copy and validate.
+described by matching ``{name: TensorSpec}`` mappings; :func:`init_tensors`
+and :func:`check_tensors` initialize and validate them.
 Validation walks the structure (names, order, shapes) per tree; the values
 are checked once, over a checkpoint's format-2 tensor vector, which still
 names the first bad tensor (``gan._check_state``).
@@ -264,14 +264,6 @@ def init_tensors(spec: dict, rng: SeededRng) -> dict:
             flat = rng.gaussian(math.prod(s.shape))
             out[name] = flat.reshape(s.shape) / np.sqrt(s.shape[-1])
     return out
-
-
-def map_tensors(fn, tree: dict) -> dict:
-    """``fn`` applied to every leaf of a (nested) ``{name: array}`` or
-    ``{name: TensorSpec}`` mapping, keeping names and order: ``np.copy``
-    copies tensors, ``lambda s: np.zeros(s.shape)`` gives a spec's zeros."""
-    return {k: map_tensors(fn, v) if isinstance(v, dict) else fn(v)
-            for k, v in tree.items()}
 
 
 def check_tensors(tree: dict, spec: dict, path: str = "") -> None:

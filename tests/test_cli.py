@@ -454,7 +454,15 @@ def test_eval_rejects_tiny_sample(workdir, dataset_path, ckpt_path, capsys):
     rc = main(["eval", "--ckpt", str(ckpt_path), "--data", str(dataset_path),
                "--n-gen", "1", "--seed", "9"])
     assert rc == 2
-    assert "error: n_gen: expected an integer in [2, 2**64), got 1" in capsys.readouterr().err
+    assert "error: eval n_gen: expected an integer in [2, 2**64), got 1" in capsys.readouterr().err
+
+    # the count is checked before any file is read
+    rc = main(["eval", "--ckpt", str(workdir / "missing.npz"),
+               "--data", str(workdir / "missing.jsonl"), "--n-gen", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: eval n_gen: expected an integer in [2, 2**64), got 1" in err
+    assert "missing" not in err
 
 
 def test_eval_rejects_a_one_item_dataset_by_its_count(workdir, ckpt_path, capsys):

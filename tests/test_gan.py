@@ -47,7 +47,6 @@ from ensad.numkit import (
     derive_seed,
     init_tensors,
     l2_normalize,
-    map_tensors,
     unit_rows,
 )
 
@@ -60,6 +59,11 @@ def checkpoint_bytes(ck):
         save_checkpoint(ck, path)
         with open(path, "rb") as fh:
             return fh.read()
+
+
+def map_tensors(fn, tree):
+    """``fn`` of every leaf of a nested ``{name: array}`` mapping, by name, in order."""
+    return {k: map_tensors(fn, v) if isinstance(v, dict) else fn(v) for k, v in tree.items()}
 
 
 TOY_GAN = dict(d=6, d_z=4, d_img=5, gen_hidden=(8, 8), disc_hidden=(8,),
@@ -841,18 +845,43 @@ def test_format2_round_trip_is_bit_exact(tmp_path):
         ck.ensad_cfg, ck.gan_cfg, ck.rng_seed, ck.rng_position, ck.step)
 
 
-def test_loaded_checkpoint_tensors_are_writable_and_disjoint():
-    # a loaded checkpoint's tensors are views of one private vector: writing
-    # into one changes no other tensor and no later load of the file
-    leaves = tensor_leaves(load_checkpoint(GOLDEN_CKPT))
-    before = {key: arr.copy() for key, arr in leaves.items()}
-    assert all(arr.flags.writeable and arr.size for arr in leaves.values())
+def returned_checkpoint(how):
+    """``(checkpoint, sources)``: a checkpoint that ``load_checkpoint``,
+    ``train`` (fresh, resumed or diverged) or ``finetune_pipeline`` returns,
+    by ``how``, and the checkpoints it was made from."""
+    if how == "load_checkpoint":
+        return load_checkpoint(GOLDEN_CKPT), ()
+    ds = toy_dataset()
+    ecfg, gcfg, _, _, _ = toy_setup(steps=6)
+    if how == "finetune_pipeline":
+        return finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=3), ()
+    if how == "diverged":
+        with pytest.raises(TrainingDiverged) as exc:
+            train(ds, ecfg, replace(gcfg, lr=1e300, trainable=frozenset(TRAINABLE_COMPONENTS)), 8)
+        return exc.value.checkpoint, ()
+    part = train(ds, ecfg, replace(gcfg, steps=3), 8)
+    return (part, ()) if how == "train" else (train(ds, ecfg, gcfg, 8, resume=part), (part,))
+
+
+@pytest.mark.parametrize("how", ["load_checkpoint", "train", "train_resumed", "diverged",
+                                 "finetune_pipeline"])
+def test_returned_checkpoint_tensors_are_writable_and_disjoint(how):
+    # a returned checkpoint's tensors are views of one vector that it alone
+    # holds: writing into one changes no other tensor, no checkpoint it was
+    # made from and no later run from the same inputs
+    ck, sources = returned_checkpoint(how)
+    leaves = tensor_leaves(ck)
+    base = next(iter(leaves.values())).base
+    assert base.flags.owndata and base.size == sum(arr.size for arr in leaves.values())
+    assert all(arr.base is base and arr.flags.writeable for arr in leaves.values())
+    assert not any(np.shares_memory(base, arr) for source in sources
+                   for arr in tensor_leaves(source).values())
+    before, kept = checkpoint_bytes(ck), [checkpoint_bytes(source) for source in sources]
     for i, arr in enumerate(leaves.values()):
         arr[...] = i
     assert all((arr == i).all() for i, arr in enumerate(leaves.values()))
-    fresh = tensor_leaves(load_checkpoint(GOLDEN_CKPT))
-    assert fresh.keys() == before.keys()
-    assert all(fresh[key].tobytes() == arr.tobytes() for key, arr in before.items())
+    assert [checkpoint_bytes(source) for source in sources] == kept
+    assert checkpoint_bytes(returned_checkpoint(how)[0]) == before
 
 
 def test_golden_checkpoint_through_format2_reserializes_to_the_same_bytes(tmp_path):

@@ -2,9 +2,10 @@
 it raises is raised in one place and quoted by a test.
 
 Each top-level function, class and constant of the package, and each
-method, must be referenced from ``src/ensad`` or ``perfbench``, or be
-re-exported by ``src/ensad/__init__.py``. Code that only tests call belongs
-in ``tests/``. The scan matches names, not bindings: it finds what no
+method, must be referenced from ``src/ensad`` or ``perfbench``, outside its
+own body, or be re-exported by ``src/ensad/__init__.py``. Code that only
+tests call belongs in ``tests/``, and a function that only calls itself
+serves no one. The scan matches names, not bindings: it finds what no
 program code names at all.
 
 Each raised message's longest fixed fragment must appear in a string
@@ -20,6 +21,7 @@ other function calls ``np.concatenate`` with ``axis=None``.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,42 +33,71 @@ def parse(path: Path) -> ast.Module:
 
 
 def definitions(tree: ast.Module) -> dict:
-    """``{qualified name: name}`` for the module's top-level functions,
-    classes and assigned names, and its classes' methods."""
+    """``{qualified name: (name, node)}`` for the module's top-level
+    functions, classes and assigned names, and its classes' methods: each
+    with the node that defines it, whose references to its own name do not
+    count as callers."""
     found = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            found[node.name] = node.name
+            found[node.name] = node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            found.update((name.id, name.id) for target in targets
+            found.update((name.id, (name.id, node)) for target in targets
                          for name in ast.walk(target) if isinstance(name, ast.Name))
         if isinstance(node, ast.ClassDef):
-            found.update((f"{node.name}.{item.name}", item.name) for item in node.body
+            found.update((f"{node.name}.{item.name}", (item.name, item)) for item in node.body
                          if isinstance(item, ast.FunctionDef))
     return found
 
 
-def references(tree: ast.Module) -> set:
-    """The names the module reads, bare or as an attribute."""
-    return {node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+def references(tree: ast.AST) -> Counter:
+    """How often the tree reads each name, bare or as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load))
 
 
 def is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def uncalled(modules: dict, callers=()) -> list:
+    """``module:qualified name`` for each definition of ``modules``, ``{file
+    name: tree}``, that neither they nor the trees ``callers`` name outside
+    its own body, and that ``__init__.py`` does not re-export."""
+    used = sum(map(references, [*modules.values(), *callers]), Counter())
+    exported = {alias.name for node in modules["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return [f"{module}:{qualified}" for module, tree in modules.items()
+            for qualified, (name, node) in definitions(tree).items()
+            if used[name] == references(node)[name] and name not in exported
+            and not is_dunder(name)]
+
+
+def test_the_guard_finds_the_uncalled_definitions_it_forbids():
+    # a function or method whose only reference is to itself has no caller;
+    # one that recurses and has another caller has
+    src = """
+def recurses(tree):
+    return {k: recurses(v) for k, v in tree.items()}
+class Walker:
+    def walk(self, node):
+        return [self.walk(child) for child in node]
+    def size(self, node):
+        return len(node)
+def depth(node):
+    return 1 + max(map(depth, node), default=0)
+def run(node):
+    return Walker().size(node) + depth(node)
+"""
+    modules = {"__init__.py": ast.parse("from .m import run"), "m.py": ast.parse(src)}
+    assert uncalled(modules) == ["m.py:recurses", "m.py:Walker.walk"]
+
+
 def test_every_src_definition_has_a_program_caller():
     modules = {path.name: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
-    used = set().union(*map(references, modules.values()),
-                       *(references(parse(path)) for path in (ROOT / "perfbench").glob("*.py")))
-    used |= {alias.name for node in modules["__init__.py"].body
-             if isinstance(node, ast.ImportFrom) for alias in node.names}
-    defined = {f"{module}:{qualified}": name for module, tree in modules.items()
-               for qualified, name in definitions(tree).items()}
-    unused = [key for key, name in defined.items() if name not in used and not is_dunder(name)]
+    unused = uncalled(modules, [parse(path) for path in (ROOT / "perfbench").glob("*.py")])
     assert not unused, f"defined in src/ensad but named by no program code: {unused}"
 
 

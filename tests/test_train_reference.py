@@ -36,10 +36,10 @@ from ensad.gan import (
     step_losses_and_grads,
     train,
 )
-from ensad.numkit import SeededRng, derive_seed, init_tensors, map_tensors
+from ensad.numkit import SeededRng, derive_seed, init_tensors
 
 from test_batching import augment_rows, sample_indices
-from test_gan import toy_dataset, toy_setup
+from test_gan import map_tensors, toy_dataset, toy_setup
 
 STEPS = 24
 # Every preset that trains in one phase; the pipeline has its own test.
@@ -246,11 +246,12 @@ def checkpoint_arrays(ck):
 
 
 def assert_owned(ck):
-    # each tensor its own allocation, not a view into a buffer of train's
+    # every tensor a view of one vector that owns its data, and no two overlap
     arrays = checkpoint_arrays(ck)
     assert len(arrays) == sum(len(spec) for spec in param_shapes(
         ck.ensad_cfg, ck.gan_cfg).values()) + 2 * sum(len(m) for m in ck.adam.m.values())
-    assert all(a.flags.owndata for a in arrays)
+    base = arrays[0].base
+    assert base.flags.owndata and all(a.base is base for a in arrays)
     for a, b in combinations(arrays, 2):
         assert not np.shares_memory(a, b)
 
