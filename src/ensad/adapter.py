@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import check_real_fields, set_uint_fields
+from .data import check_real_fields, set_bool_fields, set_uint_fields
 from .numkit import NORM_EPS, SeededRng, TensorSpec, as_f64, init_tensors, unit_rows
 
 
@@ -39,6 +39,7 @@ class EnsAdConfig:
     def __post_init__(self):
         set_uint_fields(self, {"d": 1, "d_hid": 1, "m": 1})
         check_real_fields(self, {"alpha": "[0, 1]"})
+        set_bool_fields(self, ["variant_v_equals_k"])
 
 
 def tensor_specs(cfg: EnsAdConfig) -> dict:

@@ -112,7 +112,8 @@ def check_item_texts(item_id, source_text, texts, m: int):
     or a string, and ``texts`` None or a list or tuple of m strings; returns
     ``texts`` as a tuple, or None. Dataset checks every item with it, and
     load_jsonl every line (once: its Dataset checks none again), so any
-    Dataset saves as a file that loads."""
+    Dataset's ids and texts save as fields that load. Its embeddings and
+    images are checked only when a file is loaded."""
     if not isinstance(item_id, str):
         raise ValueError("id must be a string")
     if texts is not None:
@@ -197,6 +198,16 @@ def set_uint_fields(cfg, lows: dict) -> None:
         else:
             value = json_uint(value, lo, name)
         object.__setattr__(cfg, name, value)
+
+
+def set_bool_fields(cfg, names) -> None:
+    """Check that each field ``name`` of the frozen dataclass ``cfg`` is a
+    boolean, a JSON one or a numpy bool, and store it as a bool."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name}: expected a boolean, got {value!r}")
+        object.__setattr__(cfg, name, bool(value))
 
 
 def check_real_fields(cfg, ranges: dict) -> None:

@@ -29,7 +29,7 @@ import numpy as np
 from . import adapter, numkit
 from .adapter import STRATEGIES, EnsAdConfig, ForwardTrace
 from .data import (
-    Dataset, atomic_write, check_real_fields, set_uint_fields, step_batches,
+    Dataset, atomic_write, check_real_fields, set_bool_fields, set_uint_fields, step_batches,
 )
 from .numkit import (
     NORM_EPS, SeededRng, TensorSpec, as_f64, check_tensors, derive_seed, init_tensors,
@@ -83,14 +83,17 @@ class GanConfig:
     noise_pt: float = 0.01
 
     def __post_init__(self):
-        object.__setattr__(self, "gen_hidden", tuple(self.gen_hidden))
-        object.__setattr__(self, "disc_hidden", tuple(self.disc_hidden))
-        object.__setattr__(self, "trainable", frozenset(self.trainable))
+        for name, kind in (("gen_hidden", tuple), ("disc_hidden", tuple), ("trainable", frozenset)):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple, set, frozenset)):
+                raise ValueError(f"{name}: expected a list, got {value!r}")
+            object.__setattr__(self, name, kind(value))
         set_uint_fields(self, {"d": 1, "d_z": 1, "d_img": 1, "gen_hidden": 1,
                                "disc_hidden": 1, "batch": 1, "steps": 0})
         check_real_fields(self, {
             "tau": "(0, inf)", "lambda1": "[0, inf)", "lambda2": "[0, inf)", "lr": "(0, inf)",
             "beta1": "[0, 1)", "beta2": "[0, 1)", "noise_p0": "[0, 1]", "noise_pt": "[0, 1]"})
+        set_bool_fields(self, ["enable_clg"])
         if not self.disc_hidden:
             raise ValueError("disc_hidden: expected at least one hidden layer, got ()")
         unknown = self.trainable - set(TRAINABLE_COMPONENTS)

@@ -675,6 +675,15 @@ FORMAT2_CASES = {
     "adapter_without_ensad_conditioning": (
         _header(lambda h: h["configs"]["gan"].update(conditioning="zero_shot")),
         "checkpoint field 'configs.gan'"),
+    "variant_not_boolean": (
+        _header(lambda h: h["configs"]["adapter"].update(variant_v_equals_k="false")),
+        "checkpoint field 'configs.adapter': variant_v_equals_k: expected a boolean, got 'false'"),
+    "enable_clg_not_boolean": (_header(lambda h: h["configs"]["gan"].update(enable_clg=1)),
+                               "checkpoint field 'configs.gan': enable_clg: expected a boolean, "
+                               "got 1"),
+    **{f"{name}_not_a_list": (_header(lambda h, name=name: h["configs"]["gan"].update({name: 8})),
+                              f"checkpoint field 'configs.gan': {name}: expected a list, got 8")
+       for name in ("gen_hidden", "disc_hidden", "trainable")},
     "missing_adam_component": (_header(lambda h: h["adam"].pop("generator")),
                                "checkpoint field 'adam': optimizer state for ['discriminator', "
                                "'ensad'], expected the trainable ['discriminator', 'ensad', "
@@ -848,11 +857,16 @@ def test_resume_rejects_a_float_header_field_beyond_the_float_range(
     ("gan", "noise_p0", 1.5, "a finite number in [0, 1]"),
     ("gan", "noise_pt", -0.01, "a finite number in [0, 1]"),
     ("gan", "d_z", 0, "an integer in [1, 2**64)"),
+    ("gan", "gen_hidden", 8, "a list"),
+    ("gan", "disc_hidden", 8, "a list"),
+    ("gan", "enable_clg", 1, "a boolean"),
     ("adapter", "alpha", 1.5, "a finite number in [0, 1]"),
+    ("adapter", "variant_v_equals_k", "false", "a boolean"),
     ("synth", "sigma_source", -0.1, "a finite number in [0, inf)"),
     ("synth", "sigma_trans", -1, "a finite number in [0, inf)"),
 ], ids=["disc_hidden", "tau", "lambda1", "lambda2", "lr", "beta1", "beta2", "noise_p0",
-        "noise_pt", "d_z", "alpha", "sigma_source", "sigma_trans"])
+        "noise_pt", "d_z", "gen_hidden_int", "disc_hidden_int", "enable_clg_int", "alpha",
+        "variant_v_equals_k_str", "sigma_source", "sigma_trans"])
 def test_out_of_range_config_fields_rejected(dataset_path, tmp_path, capsys, section, field,
                                              value, expected):
     cfg = tmp_path / "cfg.json"

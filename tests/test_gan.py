@@ -268,6 +268,17 @@ def test_gan_config_needs_a_discriminator_hidden_layer():
         GanConfig(d=4, disc_hidden=())
 
 
+def test_config_booleans_and_lists_are_stored_as_python_types():
+    # a numpy bool is a boolean, as json_uint takes a numpy integer
+    gcfg = GanConfig(d=4, gen_hidden=[3], disc_hidden=[5, 2], trainable=["ensad"],
+                     enable_clg=np.bool_(True))
+    assert (gcfg.gen_hidden, gcfg.disc_hidden, gcfg.trainable) == ((3,), (5, 2),
+                                                                   frozenset({"ensad"}))
+    assert gcfg.enable_clg is True
+    assert EnsAdConfig(d=4, d_hid=2, m=1, variant_v_equals_k=np.bool_(False)
+                       ).variant_v_equals_k is False
+
+
 def test_total_losses_arithmetic():
     parts = LossParts(l_ad_ensad=0.5, l_ad_d=0.7, l_cl=0.1,
                       l_cl_d_fake=0.2, l_cl_d_real=0.3)
@@ -859,12 +870,14 @@ def returned_checkpoint(how):
         with pytest.raises(TrainingDiverged) as exc:
             train(ds, ecfg, replace(gcfg, lr=1e300, trainable=frozenset(TRAINABLE_COMPONENTS)), 8)
         return exc.value.checkpoint, ()
+    if how == "train_g_and_d_resumed":  # what finetune_g_text trains
+        gcfg = replace(gcfg, **PIPELINE_PHASES[0])
     part = train(ds, ecfg, replace(gcfg, steps=3), 8)
     return (part, ()) if how == "train" else (train(ds, ecfg, gcfg, 8, resume=part), (part,))
 
 
-@pytest.mark.parametrize("how", ["load_checkpoint", "train", "train_resumed", "diverged",
-                                 "finetune_pipeline"])
+@pytest.mark.parametrize("how", ["load_checkpoint", "train", "train_resumed",
+                                 "train_g_and_d_resumed", "diverged", "finetune_pipeline"])
 def test_returned_checkpoint_tensors_are_writable_and_disjoint(how):
     # a returned checkpoint's tensors are views of one vector that it alone
     # holds: writing into one changes no other tensor, no checkpoint it was

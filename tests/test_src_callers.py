@@ -2,11 +2,12 @@
 it raises is raised in one place and quoted by a test.
 
 Each top-level function, class and constant of the package, and each
-method, must be referenced from ``src/ensad`` or ``perfbench``, outside its
-own body, or be re-exported by ``src/ensad/__init__.py``. Code that only
-tests call belongs in ``tests/``, and a function that only calls itself
-serves no one. The scan matches names, not bindings: it finds what no
-program code names at all.
+method, must be referenced from ``src/ensad``, ``perfbench`` or the
+acceptance criteria (``tests/test_acceptance.py``), outside its own body.
+An import is not a reference, so re-exporting a name gives it no caller.
+Code that only other tests call belongs in ``tests/``, and a function
+that only calls itself serves no one. The scan matches names, not bindings: it finds what no program
+code names at all.
 
 Each raised message's longest fixed fragment must appear in a string
 literal under ``tests/``, as is or with regex escapes, so that a test
@@ -65,14 +66,11 @@ def is_dunder(name: str) -> bool:
 def uncalled(modules: dict, callers=()) -> list:
     """``module:qualified name`` for each definition of ``modules``, ``{file
     name: tree}``, that neither they nor the trees ``callers`` name outside
-    its own body, and that ``__init__.py`` does not re-export."""
+    its own body. An import reads no name, so it calls nothing."""
     used = sum(map(references, [*modules.values(), *callers]), Counter())
-    exported = {alias.name for node in modules["__init__.py"].body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
     return [f"{module}:{qualified}" for module, tree in modules.items()
             for qualified, (name, node) in definitions(tree).items()
-            if used[name] == references(node)[name] and name not in exported
-            and not is_dunder(name)]
+            if used[name] == references(node)[name] and not is_dunder(name)]
 
 
 def test_the_guard_finds_the_uncalled_definitions_it_forbids():
@@ -91,13 +89,19 @@ def depth(node):
 def run(node):
     return Walker().size(node) + depth(node)
 """
-    modules = {"__init__.py": ast.parse("from .m import run"), "m.py": ast.parse(src)}
-    assert uncalled(modules) == ["m.py:recurses", "m.py:Walker.walk"]
+    modules = {"__init__.py": ast.parse(""), "m.py": ast.parse(src)}
+    callers = [ast.parse("run(tree)")]
+    assert uncalled(modules, callers) == ["m.py:recurses", "m.py:Walker.walk"]
+    # a re-export is not a caller; a name read only by the callers is called
+    modules["__init__.py"] = ast.parse("from .m import run")
+    assert uncalled(modules) == ["m.py:recurses", "m.py:Walker.walk", "m.py:run"]
+    assert uncalled(modules, callers) == ["m.py:recurses", "m.py:Walker.walk"]
 
 
 def test_every_src_definition_has_a_program_caller():
     modules = {path.name: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
-    unused = uncalled(modules, [parse(path) for path in (ROOT / "perfbench").glob("*.py")])
+    callers = [*(ROOT / "perfbench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    unused = uncalled(modules, map(parse, callers))
     assert not unused, f"defined in src/ensad but named by no program code: {unused}"
 
 

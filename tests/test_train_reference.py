@@ -12,7 +12,6 @@ parameter, moment and stream position must agree bit for bit.
 """
 
 from dataclasses import replace
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -39,7 +38,7 @@ from ensad.gan import (
 from ensad.numkit import SeededRng, derive_seed, init_tensors
 
 from test_batching import augment_rows, sample_indices
-from test_gan import map_tensors, toy_dataset, toy_setup
+from test_gan import map_tensors, tensor_leaves, toy_dataset, toy_setup
 
 STEPS = 24
 # Every preset that trains in one phase; the pipeline has its own test.
@@ -238,47 +237,6 @@ def test_resume_split_at_step_7_matches_the_unsplit_run(preset, monkeypatch):
         assert_bitwise(whole, *reference_train(ds, ecfg, gcfg, 3, resume=part))
 
 
-def checkpoint_arrays(ck):
-    arrays = [a for tree in ck.params.values() for a in tree.values()]
-    for comp, m in ck.adam.m.items():
-        arrays += [*m.values(), *ck.adam.v[comp].values()]
-    return arrays
-
-
-def assert_owned(ck):
-    # every tensor a view of one vector that owns its data, and no two overlap
-    arrays = checkpoint_arrays(ck)
-    assert len(arrays) == sum(len(spec) for spec in param_shapes(
-        ck.ensad_cfg, ck.gan_cfg).values()) + 2 * sum(len(m) for m in ck.adam.m.values())
-    base = arrays[0].base
-    assert base.flags.owndata and all(a.base is base for a in arrays)
-    for a, b in combinations(arrays, 2):
-        assert not np.shares_memory(a, b)
-
-
-@pytest.mark.parametrize("preset", ["ensad_frozen_g", "finetune_g_text"])
-def test_returned_checkpoints_own_their_arrays(preset):
-    ds = toy_dataset()
-    ecfg, gcfg = preset_cfgs(preset, steps=6)
-    part = train(ds, ecfg, replace(gcfg, steps=3), 2)
-    assert_owned(part)
-    resumed = train(ds, ecfg, gcfg, 2, resume=part)
-    assert_owned(resumed)
-    for a in checkpoint_arrays(resumed):
-        for b in checkpoint_arrays(part):
-            assert not np.shares_memory(a, b)
-
-
-def test_diverged_checkpoint_owns_its_arrays():
-    ds = toy_dataset()
-    ecfg, gcfg = preset_cfgs("ensad_frozen_g", steps=50)
-    gcfg = replace(gcfg, lr=1e300, trainable=frozenset(TRAINABLE_COMPONENTS))
-    with pytest.raises(TrainingDiverged) as exc:
-        train(ds, ecfg, gcfg, 0)
-    assert exc.value.checkpoint.adam.m.keys() == set(TRAINABLE_COMPONENTS)
-    assert_owned(exc.value.checkpoint)
-
-
 @pytest.mark.parametrize("preset,train_all", [("ensad_frozen_g", False), ("ablate_none", True)])
 def test_diverged_checkpoint_replays_the_failed_step(preset, train_all):
     # the diagnostic checkpoint holds the parameters and the stream position
@@ -386,11 +344,11 @@ def test_mutating_a_returned_checkpoint_changes_no_later_resume(tmp_path):
     save_checkpoint(part, path)
     first = train(ds, ecfg, gcfg, 4, resume=part)
     want = map_tensors(np.copy, first.params), per_component(first.adam), first.rng_position
-    for a in checkpoint_arrays(first):
+    for a in tensor_leaves(first).values():
         a[...] = np.nan
     assert_bitwise(train(ds, ecfg, gcfg, 4, resume=part), *want)
     assert_same_checkpoint(part, load_checkpoint(path))
-    for a in checkpoint_arrays(part):
+    for a in tensor_leaves(part).values():
         a[...] = np.nan
     assert_bitwise(train(ds, ecfg, gcfg, 4, resume=load_checkpoint(path)), *want)
 
