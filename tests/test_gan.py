@@ -856,6 +856,19 @@ def test_format2_round_trip_is_bit_exact(tmp_path):
         ck.ensad_cfg, ck.gan_cfg, ck.rng_seed, ck.rng_position, ck.step)
 
 
+def assert_owns_its_tensors(ck, sources=()):
+    """Assert that every tensor of ``ck`` is a writable view of one vector
+    that owns its data and shares no memory with ``sources``; return the
+    tensors by path."""
+    leaves = tensor_leaves(ck)
+    base = next(iter(leaves.values())).base
+    assert base.flags.owndata and base.size == sum(arr.size for arr in leaves.values())
+    assert all(arr.base is base and arr.flags.writeable for arr in leaves.values())
+    assert not any(np.shares_memory(base, arr) for source in sources
+                   for arr in tensor_leaves(source).values())
+    return leaves
+
+
 def returned_checkpoint(how):
     """``(checkpoint, sources)``: a checkpoint that ``load_checkpoint``,
     ``train`` (fresh, resumed or diverged) or ``finetune_pipeline`` returns,
@@ -883,12 +896,7 @@ def test_returned_checkpoint_tensors_are_writable_and_disjoint(how):
     # holds: writing into one changes no other tensor, no checkpoint it was
     # made from and no later run from the same inputs
     ck, sources = returned_checkpoint(how)
-    leaves = tensor_leaves(ck)
-    base = next(iter(leaves.values())).base
-    assert base.flags.owndata and base.size == sum(arr.size for arr in leaves.values())
-    assert all(arr.base is base and arr.flags.writeable for arr in leaves.values())
-    assert not any(np.shares_memory(base, arr) for source in sources
-                   for arr in tensor_leaves(source).values())
+    leaves = assert_owns_its_tensors(ck, sources)
     before, kept = checkpoint_bytes(ck), [checkpoint_bytes(source) for source in sources]
     for i, arr in enumerate(leaves.values()):
         arr[...] = i

@@ -38,7 +38,7 @@ from ensad.gan import (
 from ensad.numkit import SeededRng, derive_seed, init_tensors
 
 from test_batching import augment_rows, sample_indices
-from test_gan import map_tensors, tensor_leaves, toy_dataset, toy_setup
+from test_gan import assert_owns_its_tensors, map_tensors, tensor_leaves, toy_dataset, toy_setup
 
 STEPS = 24
 # Every preset that trains in one phase; the pipeline has its own test.
@@ -235,6 +235,26 @@ def test_resume_split_at_step_7_matches_the_unsplit_run(preset, monkeypatch):
         part = train(ds, ecfg, replace(gcfg, steps=7), 3)
         assert_same_checkpoint(train(ds, ecfg, gcfg, 3, resume=part), whole)
         assert_bitwise(whole, *reference_train(ds, ecfg, gcfg, 3, resume=part))
+
+
+# finetune_g_text's case is test_gan's [train_g_and_d_resumed]
+@pytest.mark.parametrize("preset", ["ensad_frozen_g"])
+def test_returned_checkpoints_own_their_arrays(preset):
+    ds = toy_dataset()
+    ecfg, gcfg = preset_cfgs(preset, steps=6)
+    part = train(ds, ecfg, replace(gcfg, steps=3), 2)
+    assert_owns_its_tensors(part)
+    assert_owns_its_tensors(train(ds, ecfg, gcfg, 2, resume=part), (part,))
+
+
+def test_diverged_checkpoint_owns_its_arrays():
+    ds = toy_dataset()
+    ecfg, gcfg = preset_cfgs("ensad_frozen_g", steps=50)
+    gcfg = replace(gcfg, lr=1e300, trainable=frozenset(TRAINABLE_COMPONENTS))
+    with pytest.raises(TrainingDiverged) as exc:
+        train(ds, ecfg, gcfg, 0)
+    assert exc.value.checkpoint.adam.m.keys() == set(TRAINABLE_COMPONENTS)
+    assert_owns_its_tensors(exc.value.checkpoint)
 
 
 @pytest.mark.parametrize("preset,train_all", [("ensad_frozen_g", False), ("ablate_none", True)])
