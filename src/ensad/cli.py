@@ -151,21 +151,25 @@ def _build(cls, section: dict, name: str):
         raise UsageError(f"bad {name} config: {exc}") from exc
 
 
+def _matches(given, wanted) -> bool:
+    """Whether the config value ``given`` is the preset's ``wanted``; a list
+    of names, in any order, is the set of them."""
+    if isinstance(wanted, frozenset):
+        return (isinstance(given, list) and all(isinstance(n, str) for n in given)
+                and set(given) == wanted)
+    return given == wanted
+
+
 def _apply_preset(section: dict, preset: str | None) -> dict:
     """The gan section with the preset's fields written over it; a field
     the section sets to another value, or any field the pipeline preset
     sets per phase, is a conflict."""
-    if "trainable" in section:
-        try:
-            section = {**section, "trainable": frozenset(section["trainable"])}
-        except TypeError as exc:
-            raise UsageError(f"bad gan config: trainable: {exc}") from exc
     if preset is None:
         return section
     conflicts = [
         f"{key}: preset {preset} wants {value!r}, config sets {section[key]!r}"
         for key, value in PRESETS[preset].items()
-        if key in section and section[key] != value
+        if key in section and not _matches(section[key], value)
     ]
     if preset == PIPELINE_PRESET:
         conflicts += [f"{key} is controlled by preset {preset} per phase"

@@ -13,8 +13,8 @@ import json
 import math
 import os
 import stat
-from contextlib import contextmanager
-from dataclasses import dataclass
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -77,8 +77,8 @@ class Dataset:
             setattr(self, name, texts)
         m = self.m
         try:
-            for i, fields in enumerate(zip(self.ids, self.source_texts, self.translation_texts)):
-                check_item_texts(*fields, m)
+            for i, item in enumerate(zip(self.ids, self.source_texts, self.translation_texts)):
+                check_item_texts(*item, m)
         except ValueError as exc:
             raise ValueError(f"item {i}: {exc}") from exc
 
@@ -138,8 +138,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        set_uint_fields(self, {"n_items": 1, "d": 1, "m": 1, "d_img": 1, "seed": 0})
-        check_real_fields(self, {"sigma_source": "[0, inf)", "sigma_trans": "[0, inf)"})
+        check_fields(self, {"n_items": 1, "d": 1, "m": 1, "d_img": 1, "seed": 0,
+                            "sigma_source": "[0, inf)", "sigma_trans": "[0, inf)"})
 
 
 def check_output_path(path: str) -> str:
@@ -187,48 +187,58 @@ def save_lines(lines, path: str) -> None:
             fh.write(b"\n")
 
 
-def set_uint_fields(cfg, lows: dict) -> None:
-    """Check each integer field ``name`` of the frozen dataclass ``cfg`` by
-    :func:`json_uint` against its lower bound ``lows[name]``, and store it as
-    an int; a tuple field is checked entry by entry."""
-    for name, lo in lows.items():
-        value = getattr(cfg, name)
-        if isinstance(value, tuple):
-            value = tuple(json_uint(v, lo, name) for v in value)
-        else:
-            value = json_uint(value, lo, name)
+def check_fields(cfg, bounds: dict) -> None:
+    """Check each field of the frozen dataclass ``cfg`` by its declared type
+    and store it as that type, raising ValueError that names the first bad
+    field in declaration order and its value. An ``int`` is checked by
+    :func:`json_uint` from the lower bound ``bounds[name]``, a ``tuple`` is a
+    list or tuple of such, a ``float`` a finite number (not a boolean; a numpy
+    one is stored as its Python number) in the interval ``bounds[name]``, as
+    "[0, 1)", a ``bool`` a JSON or numpy boolean, a ``frozenset`` a list, tuple
+    or set of names from ``bounds[name]`` and a ``str`` one of them. Another
+    type, or a missing bound, raises TypeError: no field goes unchecked."""
+    for f in fields(cfg):
+        name, kind, value = f.name, f.type, getattr(cfg, f.name)
+        if kind != "bool" and name not in bounds:
+            raise TypeError(f"{name}: no bound given for this {kind} field")
+        bound = bounds.get(name)
+        # a list of layers has an order, so a set is refused; a set of names has none
+        containers = (list, tuple) if kind == "tuple" else (list, tuple, set, frozenset)
+        if kind in ("tuple", "frozenset") and not isinstance(value, containers):
+            raise ValueError(f"{name}: expected a list, got {value!r}")
+        if kind == "int":
+            value = json_uint(value, bound, name)
+        elif kind == "tuple":
+            value = tuple(json_uint(v, bound, name) for v in value)
+        elif kind == "float":
+            try:
+                real = (isinstance(value, (int, float, np.integer, np.floating))
+                        and not isinstance(value, bool) and math.isfinite(value))
+            except OverflowError:  # an integer beyond the float range
+                real = False
+            if real:
+                lo, hi = (float(end) for end in bound[1:-1].split(","))
+                real = ((lo < value if bound[0] == "(" else lo <= value)
+                        and (value < hi if bound[-1] == ")" else value <= hi))
+            if not real:
+                raise ValueError(f"{name}: expected a finite number in {bound}, got {value!r}")
+            value = value.item() if isinstance(value, np.generic) else value
+        elif kind == "bool":
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name}: expected a boolean, got {value!r}")
+            value = bool(value)
+        elif kind == "frozenset":
+            unknown = [entry for entry in value if entry not in bound]
+            if unknown:
+                with suppress(TypeError):  # an unhashable entry, or two that do not order
+                    unknown = sorted(set(unknown))
+                raise ValueError(f"{name}: expected a subset of {bound}, got {unknown}")
+            value = frozenset(value)
+        elif kind != "str":
+            raise TypeError(f"{name}: no check for fields of type {kind}")
+        elif value not in bound:
+            raise ValueError(f"{name}: expected one of {bound}, got {value!r}")
         object.__setattr__(cfg, name, value)
-
-
-def set_bool_fields(cfg, names) -> None:
-    """Check that each field ``name`` of the frozen dataclass ``cfg`` is a
-    boolean, a JSON one or a numpy bool, and store it as a bool."""
-    for name in names:
-        value = getattr(cfg, name)
-        if not isinstance(value, (bool, np.bool_)):
-            raise ValueError(f"{name}: expected a boolean, got {value!r}")
-        object.__setattr__(cfg, name, bool(value))
-
-
-def check_real_fields(cfg, ranges: dict) -> None:
-    """Raise ValueError naming the field and its value unless each field
-    ``name`` of ``cfg`` is a finite number within the float range (an int, a
-    float or a numpy scalar, not a boolean) in the interval ``ranges[name]``,
-    written as "[0, 1)" or "(0, inf)". The value is kept as given."""
-    for name, interval in ranges.items():
-        value = getattr(cfg, name)
-        real = (isinstance(value, (int, float, np.integer, np.floating))
-                and not isinstance(value, bool))
-        try:
-            real = real and math.isfinite(value)
-        except OverflowError:  # an integer beyond the float range
-            real = False
-        if real:
-            lo, hi = (float(bound) for bound in interval[1:-1].split(","))
-            real = ((lo < value if interval[0] == "(" else lo <= value)
-                    and (value < hi if interval[-1] == ")" else value <= hi))
-        if not real:
-            raise ValueError(f"{name}: expected a finite number in {interval}, got {value!r}")
 
 
 def _floats(value, size: int, line_no: int, what: str) -> np.ndarray:

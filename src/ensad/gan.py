@@ -28,9 +28,7 @@ import numpy as np
 
 from . import adapter, numkit
 from .adapter import STRATEGIES, EnsAdConfig, ForwardTrace
-from .data import (
-    Dataset, atomic_write, check_real_fields, set_bool_fields, set_uint_fields, step_batches,
-)
+from .data import Dataset, atomic_write, check_fields, step_batches
 from .numkit import (
     NORM_EPS, SeededRng, TensorSpec, as_f64, check_tensors, derive_seed, init_tensors,
     json_uint, unit_rows,
@@ -83,26 +81,13 @@ class GanConfig:
     noise_pt: float = 0.01
 
     def __post_init__(self):
-        for name, kind in (("gen_hidden", tuple), ("disc_hidden", tuple), ("trainable", frozenset)):
-            value = getattr(self, name)
-            if not isinstance(value, (list, tuple, set, frozenset)):
-                raise ValueError(f"{name}: expected a list, got {value!r}")
-            object.__setattr__(self, name, kind(value))
-        set_uint_fields(self, {"d": 1, "d_z": 1, "d_img": 1, "gen_hidden": 1,
-                               "disc_hidden": 1, "batch": 1, "steps": 0})
-        check_real_fields(self, {
-            "tau": "(0, inf)", "lambda1": "[0, inf)", "lambda2": "[0, inf)", "lr": "(0, inf)",
-            "beta1": "[0, 1)", "beta2": "[0, 1)", "noise_p0": "[0, 1]", "noise_pt": "[0, 1]"})
-        set_bool_fields(self, ["enable_clg"])
+        check_fields(self, {
+            "d": 1, "d_z": 1, "d_img": 1, "gen_hidden": 1, "disc_hidden": 1, "tau": "(0, inf)",
+            "lambda1": "[0, inf)", "lambda2": "[0, inf)", "lr": "(0, inf)", "beta1": "[0, 1)",
+            "beta2": "[0, 1)", "batch": 1, "steps": 0, "trainable": TRAINABLE_COMPONENTS,
+            "conditioning": STRATEGIES, "noise_p0": "[0, 1]", "noise_pt": "[0, 1]"})
         if not self.disc_hidden:
             raise ValueError("disc_hidden: expected at least one hidden layer, got ()")
-        unknown = self.trainable - set(TRAINABLE_COMPONENTS)
-        if unknown:
-            raise ValueError(
-                f"trainable: expected a subset of {TRAINABLE_COMPONENTS}, got {sorted(unknown)}")
-        if self.conditioning not in STRATEGIES:
-            raise ValueError(f"conditioning: expected one of {STRATEGIES}, "
-                             f"got {self.conditioning!r}")
         if "ensad" in self.trainable and self.conditioning != "ensad":
             raise ValueError("conditioning: training the adapter requires 'ensad', "
                              f"got {self.conditioning!r}")

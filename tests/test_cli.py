@@ -14,7 +14,7 @@ import pytest
 
 import ensad
 from ensad import gan
-from ensad.cli import main
+from ensad.cli import PRESETS, main
 from ensad.data import load_jsonl
 from ensad.gan import CSV_COLUMNS, load_checkpoint, save_checkpoint
 from ensad.numkit import NotPsdError
@@ -684,6 +684,10 @@ FORMAT2_CASES = {
     **{f"{name}_not_a_list": (_header(lambda h, name=name: h["configs"]["gan"].update({name: 8})),
                               f"checkpoint field 'configs.gan': {name}: expected a list, got 8")
        for name in ("gen_hidden", "disc_hidden", "trainable")},
+    "trainable_unhashable": (
+        _header(lambda h: h["configs"]["gan"].update(trainable=[["ensad"]])),
+        "checkpoint field 'configs.gan': trainable: expected a subset of ('ensad', "
+        "'generator', 'discriminator'), got [['ensad']]"),
     "missing_adam_component": (_header(lambda h: h["adam"].pop("generator")),
                                "checkpoint field 'adam': optimizer state for ['discriminator', "
                                "'ensad'], expected the trainable ['discriminator', 'ensad', "
@@ -1389,15 +1393,50 @@ def test_resume_rejects_a_foreign_log(dataset_path, train_config, tmp_path, caps
     assert ck.read_bytes() == before and csv.read_bytes() == log.encode("latin-1")
 
 
-@pytest.mark.parametrize("preset", [None, "ensad_frozen_g"])
-def test_train_rejects_non_list_trainable(dataset_path, tmp_path, capsys, preset):
+def rejects_trainable(dataset_path, tmp_path, capsys, preset, value, message):
+    """Train with the config's ``trainable`` set to ``value``: without a
+    preset it exits 2 with ``bad gan config: trainable: <message>``, and a
+    preset that sets trainable finds a conflict, not its own value."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"gan": {"trainable": 5}}))
+    cfg.write_text(json.dumps({"gan": {"trainable": value}}))
     argv = ["train", "--data", str(dataset_path), "--out", str(tmp_path / "x.npz"),
             "--config", str(cfg), "--steps", "1"]
     assert main(argv + (["--preset", preset] if preset else [])) == 2
-    assert ("error: bad gan config: trainable: 'int' object is not iterable"
-            in capsys.readouterr().err)
+    if preset:
+        message = (f"preset/config conflicts: trainable: preset {preset} wants "
+                   f"{PRESETS[preset]['trainable']!r}, config sets {value!r}")
+    else:
+        message = f"bad gan config: trainable: {message}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("preset", [None, "ensad_frozen_g"])
+def test_train_rejects_non_list_trainable(dataset_path, tmp_path, capsys, preset):
+    # GanConfig alone converts trainable, with the message a checkpoint
+    # header gets; the CLI's own conversion read "'int' object is not iterable"
+    rejects_trainable(dataset_path, tmp_path, capsys, preset, 5, "expected a list, got 5")
+
+
+@pytest.mark.parametrize("preset", [None, "ensad_frozen_g"])
+def test_train_rejects_a_trainable_entry_that_is_not_a_name(dataset_path, tmp_path, capsys,
+                                                             preset):
+    # an unhashable entry read "unhashable type: 'list'", naming no field
+    rejects_trainable(dataset_path, tmp_path, capsys, preset, [["ensad"]],
+                      "expected a subset of ('ensad', 'generator', 'discriminator'), "
+                      "got [['ensad']]")
+
+
+def test_train_preset_takes_its_trainable_set_as_a_list_in_any_order(
+        dataset_path, train_config, tmp_path):
+    config = json.loads(train_config.read_text())
+    config["gan"]["trainable"] = ["discriminator", "ensad", "ensad"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x.npz"
+    assert main(["train", "--data", str(dataset_path), "--out", str(out), "--config", str(cfg),
+                 "--preset", "ensad_frozen_g", "--steps", "1"]) == 0
+    assert load_checkpoint(out).gan_cfg.trainable == PRESETS["ensad_frozen_g"]["trainable"]
 
 
 def test_missing_data_file(workdir, capsys):

@@ -4,6 +4,7 @@ import re
 import stat
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from ensad.data import (
     Dataset,
     SyntheticSpec,
     atomic_write,
+    check_fields,
     check_item_texts,
     generate_synthetic,
     jsonl_lines,
@@ -42,6 +44,41 @@ def same_dataset(a, b):
             and a.translation_texts == b.translation_texts
             and all(x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
                     for x, y in ((a.rows, b.rows), (a.images, b.images))))
+
+
+def test_check_fields_refuses_a_field_it_cannot_check():
+    # a field without a bound, or of a type the checker does not know, would
+    # go unchecked: the config raises at its first construction instead
+    @dataclass(frozen=True)
+    class Unbounded:
+        on: "bool" = False  # a boolean takes no bound
+        n: "int" = 1
+
+        def __post_init__(self):
+            check_fields(self, {})
+
+    @dataclass(frozen=True)
+    class Untyped:
+        n: "int" = 1
+        table: "dict" = None
+
+        def __post_init__(self):
+            check_fields(self, {"n": 1, "table": 0})
+
+    with pytest.raises(TypeError, match="^n: no bound given for this int field$"):
+        Unbounded()
+    with pytest.raises(TypeError, match="^table: no check for fields of type dict$"):
+        Untyped()
+
+
+def test_synthetic_spec_checks_and_stores_its_fields():
+    spec = SyntheticSpec(n_items=np.int64(3), d=4, m=1, d_img=2,
+                         sigma_source=np.float32(0.5), sigma_trans=1)
+    assert (type(spec.n_items), spec.sigma_source, spec.sigma_trans) == (int, 0.5, 1)
+    assert type(spec.sigma_source) is float and type(spec.sigma_trans) is int
+    # the first bad field in declaration order is named
+    with pytest.raises(ValueError, match=r"^n_items: expected an integer in \[1, 2\*\*64\)"):
+        SyntheticSpec(n_items=0, d=4, m=1, d_img=2, sigma_source=-1.0)
 
 
 def test_synthetic_shapes_and_norms():

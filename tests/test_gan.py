@@ -279,6 +279,45 @@ def test_config_booleans_and_lists_are_stored_as_python_types():
                        ).variant_v_equals_k is False
 
 
+def test_gan_config_refuses_a_set_of_layers():
+    # a set has no order: {8, 64, 16} built the layers (8, 16, 64)
+    layers = {8, 64, 16}
+    for field in ("gen_hidden", "disc_hidden"):
+        message = f"{field}: expected a list, got {layers!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GanConfig(d=4, **{field: layers})
+    # a set of names has no order to lose
+    assert GanConfig(d=4, trainable={"ensad"}).trainable == frozenset({"ensad"})
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(d=0, trainable=5), "d: expected an integer in [1, 2**64), got 0"),
+    (dict(lr=0, batch=0), "lr: expected a finite number in (0, inf), got 0"),
+    (dict(conditioning="x", noise_p0=2),
+     "conditioning: expected one of ('ensad', 'zero_shot', 'translate_test', 'mean_pool'), "
+     "got 'x'"),
+], ids=["d_before_trainable", "lr_before_batch", "conditioning_before_noise_p0"])
+def test_gan_config_names_the_first_bad_field_in_declaration_order(kw, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GanConfig(**{"d": 4, **kw})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", np.float32(1e-3)), ("tau", np.float16(0.5)), ("lr", np.int64(1)),
+], ids=["lr_float32", "tau_float16", "lr_int64"])
+def test_numpy_real_config_fields_are_stored_as_python_numbers(tmp_path, field, value):
+    # a numpy scalar was stored as given: the run trained, and then
+    # save_checkpoint raised TypeError, as JSON has no numpy types
+    ds = toy_dataset()
+    ecfg, gcfg, _, _, _ = toy_setup(steps=1, **{field: value})
+    save_checkpoint(train(ds, ecfg, gcfg, 0), tmp_path / "ck.npz")
+    assert load_checkpoint(tmp_path / "ck.npz").gan_cfg == gcfg
+    assert type(getattr(gcfg, field)) is type(value.item())
+    assert getattr(gcfg, field) == value.item()
+    # a Python int is kept as given, so a header writes 4, not 4.0
+    assert type(GanConfig(d=4, lambda1=4).lambda1) is int
+
+
 def test_total_losses_arithmetic():
     parts = LossParts(l_ad_ensad=0.5, l_ad_d=0.7, l_cl=0.1,
                       l_cl_d_fake=0.2, l_cl_d_real=0.3)

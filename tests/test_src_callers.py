@@ -17,7 +17,9 @@ also reaches the ``raise`` is checked by ``experiments/raise_reach.py``.
 Every row norm is taken by ``numkit.unit_rows``: no other function of the
 package takes the square root of a sum or a product, or calls
 ``np.linalg.norm``. Every tensor vector is written by ``gan._vector``: no
-other function calls ``np.concatenate`` with ``axis=None``.
+other function calls ``np.concatenate`` with ``axis=None``. Every config
+field is stored by ``data.check_fields``: no other function calls
+``object.__setattr__``.
 """
 
 import ast
@@ -258,3 +260,62 @@ def test_vector_writes_every_tensor_vector():
     found = [where for path in sorted(PACKAGE.glob("*.py"))
              for where in calling(parse(path), path.name, flattens)]
     assert found == [VECTOR_WRITER], f"tensor vectors written outside {VECTOR_WRITER}: {found}"
+
+
+# The one function that stores a frozen config's fields.
+FIELD_WRITER = "data.py:check_fields"
+
+
+def sets_attributes(node: ast.Call) -> bool:
+    """Whether the call is ``__setattr__``, as ``object.__setattr__`` stores
+    a field of a frozen dataclass."""
+    return call_name(node) == "__setattr__"
+
+
+def test_the_guard_finds_the_field_stores_it_forbids():
+    # the three places that stored config fields beside check_fields, and
+    # assignments that store none
+    data = """
+def set_uint_fields(cfg, lows: dict) -> None:
+    for name, lo in lows.items():
+        value = getattr(cfg, name)
+        if isinstance(value, tuple):
+            value = tuple(json_uint(v, lo, name) for v in value)
+        else:
+            value = json_uint(value, lo, name)
+        object.__setattr__(cfg, name, value)
+def set_bool_fields(cfg, names) -> None:
+    for name in names:
+        value = getattr(cfg, name)
+        if not isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name}: expected a boolean, got {value!r}")
+        object.__setattr__(cfg, name, bool(value))
+def check_real_fields(cfg, ranges: dict) -> None:
+    for name, interval in ranges.items():
+        if not math.isfinite(getattr(cfg, name)):
+            raise ValueError(f"{name}: expected a finite number in {interval}")
+class Dataset:
+    def __post_init__(self):
+        self.ids = tuple(self.ids)
+        setattr(self, "source_texts", (None,) * len(self.ids))
+"""
+    gan = """
+class GanConfig:
+    def __post_init__(self):
+        for name, kind in (("gen_hidden", tuple), ("disc_hidden", tuple),
+                           ("trainable", frozenset)):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple, set, frozenset)):
+                raise ValueError(f"{name}: expected a list, got {value!r}")
+            object.__setattr__(self, name, kind(value))
+        set_uint_fields(self, {"d": 1, "gen_hidden": 1, "disc_hidden": 1})
+"""
+    assert calling(ast.parse(data), "data.py", sets_attributes) == [
+        "data.py:set_uint_fields", "data.py:set_bool_fields"]
+    assert calling(ast.parse(gan), "gan.py", sets_attributes) == ["gan.py:__post_init__"]
+
+
+def test_check_fields_stores_every_config_field():
+    found = [where for path in sorted(PACKAGE.glob("*.py"))
+             for where in calling(parse(path), path.name, sets_attributes)]
+    assert found == [FIELD_WRITER], f"config fields stored outside {FIELD_WRITER}: {found}"
