@@ -6,15 +6,17 @@ inspect-attn (per-item attention weights), param-count (adapter size).
 
 Each subcommand declares only the options it reads. synth, train and eval
 take --config and --seed; each setting is its config section with the
-flags that were given written over it (_section). A preset writes its
-gan fields over the gan section and rejects a config that sets them to
-other values. train needs --steps (gan.steps), the length of the whole run
-for every preset; the pipeline preset also needs --phase1-steps
-(train.phase1_steps), the steps its first phase takes, and every other
-preset rejects it. The config classes check their own fields. Every
-preset takes --resume, and with it the checkpoint's seed unless one is
-given. No output path may resolve to another output or to an input
-(_check_paths).
+flags that were given written over it (_section). train builds its
+adapter and gan configs from these sections, so every given value is
+checked by its type before it is compared with the dataset's dimensions
+and the preset's gan fields; a section that sets one of them to another
+value is rejected, and a preset run keeps the preset's values. train
+needs --steps (gan.steps), the length of the whole run for every preset;
+the pipeline preset also needs --phase1-steps (train.phase1_steps), the
+steps its first phase takes, and every other preset rejects it. The
+config classes check their own fields. Every preset takes --resume, and
+with it the checkpoint's seed unless one is given. No output path may
+resolve to another output or to an input (_check_paths).
 
 Exit codes: 0 success, 2 usage or configuration error or a size beyond
 memory, 3 runtime failure. All file outputs are written atomically.
@@ -60,9 +62,9 @@ from .gan import (
 )
 from .numkit import NotPsdError, json_uint
 
-# Named training setups, each a set of gan-config fields written over the
-# config file's gan section; a section that sets one of them to another
-# value is rejected before training starts.
+# Named training setups, each a set of gan-config fields under the config
+# file's gan section; a section that sets one of them to another value is
+# rejected before training starts.
 _FROZEN_G_BASE = {
     "trainable": frozenset({"ensad", "discriminator"}),
     "conditioning": "ensad",
@@ -132,18 +134,6 @@ def _only(section: dict, name: str, keys) -> None:
         raise UsageError(f"unknown {name}-section keys {sorted(unknown)}")
 
 
-def _from_dataset(section: dict, name: str, dims: dict) -> dict:
-    """``section`` with the dataset's dimensions ``dims``; a section that
-    sets one of them to another value is rejected."""
-    for key, value in dims.items():
-        if key in section and section[key] != value:
-            raise UsageError(
-                f"{name} config {key}={section[key]} conflicts with dataset "
-                f"{key}={value}"
-            )
-    return {**section, **dims}
-
-
 def _build(cls, section: dict, name: str):
     try:
         return cls(**section)
@@ -151,32 +141,16 @@ def _build(cls, section: dict, name: str):
         raise UsageError(f"bad {name} config: {exc}") from exc
 
 
-def _matches(given, wanted) -> bool:
-    """Whether the config value ``given`` is the preset's ``wanted``; a list
-    of names, in any order, is the set of them."""
-    if isinstance(wanted, frozenset):
-        return (isinstance(given, list) and all(isinstance(n, str) for n in given)
-                and set(given) == wanted)
-    return given == wanted
+def _differing(cfg, fixed: dict, section: dict) -> list:
+    """The keys of ``fixed`` that ``section`` sets and that ``cfg``, built
+    from ``section`` (so every given value was checked by its type first),
+    holds at another value."""
+    return [key for key, value in fixed.items() if key in section and getattr(cfg, key) != value]
 
 
-def _apply_preset(section: dict, preset: str | None) -> dict:
-    """The gan section with the preset's fields written over it; a field
-    the section sets to another value, or any field the pipeline preset
-    sets per phase, is a conflict."""
-    if preset is None:
-        return section
-    conflicts = [
-        f"{key}: preset {preset} wants {value!r}, config sets {section[key]!r}"
-        for key, value in PRESETS[preset].items()
-        if key in section and not _matches(section[key], value)
-    ]
-    if preset == PIPELINE_PRESET:
-        conflicts += [f"{key} is controlled by preset {preset} per phase"
-                      for key in _PHASE_FIELDS if key in section]
+def _reject_conflicts(conflicts: list) -> None:
     if conflicts:
         raise UsageError("preset/config conflicts: " + "; ".join(conflicts))
-    return {**section, **PRESETS[preset]}
 
 
 def _check_paths(outputs: dict, inputs: dict, in_place=()) -> None:
@@ -262,12 +236,14 @@ def _cmd_train(args) -> int:
                   "config": args.config},
                  in_place={("checkpoint", "resumed checkpoint")})
     config = _load_config(args.config)
-    gan_section = _apply_preset(_section(config, "gan", args, ("steps",)), args.preset)
+    gan_section = _section(config, "gan", args, ("steps",))
+    pipeline = args.preset == PIPELINE_PRESET
+    _reject_conflicts([f"{key} is controlled by preset {args.preset} per phase"
+                       for key in _PHASE_FIELDS if pipeline and key in gan_section])
     if "steps" not in gan_section:
         raise UsageError("--steps (gan.steps): needed to train")
     phases = _section(config, "train", args, ("phase1_steps",))
     _only(phases, "train", ("phase1_steps",))
-    pipeline = args.preset == PIPELINE_PRESET
     if pipeline != ("phase1_steps" in phases):
         raise UsageError("--phase1-steps (train.phase1_steps): " + (
             "needed by" if pipeline else "only for") + f" preset {PIPELINE_PRESET}")
@@ -278,10 +254,21 @@ def _cmd_train(args) -> int:
         seed = resume.rng_seed if resume else 0
     lines = _resumed_log(csv_path, resume.step) if resume else [",".join(CSV_COLUMNS)]
     ds = load_jsonl(args.data)
-    adapter_cfg = _build(EnsAdConfig, _from_dataset(
-        config.get("adapter", {}), "adapter", {"d": ds.d, "m": ds.m}), "adapter")
-    gan_cfg = _build(GanConfig, _from_dataset(
-        gan_section, "gan", {"d": ds.d, "d_img": ds.d_img}), "gan")
+    adapter_section, fields = config.get("adapter", {}), PRESETS.get(args.preset, {})
+    adapter_cfg = _build(EnsAdConfig, {"d": ds.d, "m": ds.m, **adapter_section}, "adapter")
+    gan_dims = {"d": ds.d, "d_img": ds.d_img}
+    # An empty trainable set meets GanConfig's conditioning rule, so this
+    # refuses a given value for itself alone, not beside a preset's field.
+    given = _build(GanConfig, {**gan_dims, "trainable": (), **gan_section}, "gan")
+    dims = {**gan_dims, "m": ds.m}
+    for name, cfg, section in (("adapter", adapter_cfg, adapter_section),
+                               ("gan", given, gan_section)):
+        for key in _differing(cfg, dims, section):
+            raise UsageError(f"{name} config {key}={section[key]} conflicts with dataset "
+                             f"{key}={dims[key]}")
+    _reject_conflicts([f"{key}: preset {args.preset} wants {fields[key]!r}, config sets "
+                       f"{gan_section[key]!r}" for key in _differing(given, fields, gan_section)])
+    gan_cfg = _build(GanConfig, {**gan_dims, **gan_section, **fields}, "gan")
 
     def log_row(row):
         lines.append(",".join(str(row["step"]) if col == "step" else repr(float(row[col]))

@@ -1017,8 +1017,29 @@ def test_config_errors(workdir, dataset_path, capsys):
     ("pipeline", '{"train": {"phase1_steps": 2, "phase2_steps": 2}}',
      "unknown train-section keys ['phase2_steps']"),
     ("train", '{"adapter": {"d": 7}}', "adapter config d=7 conflicts with dataset d=6"),
+    # a value equal to the preset's or the dataset's under == is still
+    # checked by its type first
+    ("ablate_no_cl", '{"gan": {"lambda1": false}}',
+     "bad gan config: lambda1: expected a finite number in [0, inf), got False"),
+    ("lafite_setup", '{"gan": {"enable_clg": 1}}',
+     "bad gan config: enable_clg: expected a boolean, got 1"),
+    ("train", '{"adapter": {"d": 6.0}}',
+     "bad adapter config: d: expected an integer in [1, 2**64), got 6.0"),
+    ("train", '{"gan": {"d": 6.0}}',
+     "bad gan config: d: expected an integer in [1, 2**64), got 6.0"),
+    ("train", '{"adapter": {"m": 2.0}}',
+     "bad adapter config: m: expected an integer in [1, 2**64), got 2.0"),
+    # a value that with the preset's other field would break GanConfig's
+    # conditioning rule is a conflict, not a broken rule
+    ("ensad_frozen_g", '{"gan": {"conditioning": "mean_pool"}}',
+     "preset/config conflicts: conditioning: preset ensad_frozen_g wants 'ensad', "
+     "config sets 'mean_pool'"),
+    ("finetune_g_meanpool", '{"gan": {"trainable": ["ensad"]}}',
+     "preset/config conflicts: trainable: preset finetune_g_meanpool wants frozenset({{"),
 ], ids=["not_an_object", "section_not_an_object", "unknown_eval_key",
-        "train_phase2_steps", "adapter_d_not_the_datasets"])
+        "train_phase2_steps", "adapter_d_not_the_datasets", "preset_lambda1_false",
+        "preset_enable_clg_int", "adapter_d_float", "gan_d_float", "adapter_m_float",
+        "preset_conditioning_under_rule", "preset_trainable_under_rule"])
 def test_config_errors_name_the_field_or_path(dataset_path, ckpt_path, tmp_path, capsys,
                                               command, text, message):
     cfg = tmp_path / "cfg.json"
@@ -1029,7 +1050,7 @@ def test_config_errors_name_the_field_or_path(dataset_path, ckpt_path, tmp_path,
         "train": train,
         "pipeline": train + ["--preset", "ensad_plus_finetune_g"],
         "eval": ["eval", "--ckpt", str(ckpt_path), "--data", str(dataset_path)],
-    }[command]
+    }.get(command, train + ["--preset", command])  # or a preset's name
     assert main(argv + ["--out", str(out), "--config", str(cfg)]) == 2
     assert message.format(cfg=cfg) in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]
@@ -1210,7 +1231,7 @@ def _exit_code(argv):
 @pytest.mark.parametrize("case", [
     "param_count_seed", "param_count_config", "inspect_attn_seed",
     "inspect_attn_config", "one_phase_phase1_steps", "one_phase_config_phase1_steps",
-    "one_phase_phase2_steps", "pipeline_phase2_steps"])
+    "one_phase_phase2_steps", "pipeline_phase2_steps", "pipeline_per_phase_field"])
 def test_ignored_options_rejected_before_any_file(dataset_path, ckpt_path, tmp_path,
                                                   capsys, monkeypatch, case):
     def fail(*args, **kwargs):
@@ -1219,6 +1240,8 @@ def test_ignored_options_rejected_before_any_file(dataset_path, ckpt_path, tmp_p
         monkeypatch.setattr(f"ensad.cli.{name}", fail)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gan": {"steps": 5}, "train": {"phase1_steps": 2}}))
+    phase_cfg = tmp_path / "phase.json"
+    phase_cfg.write_text(json.dumps({"gan": {"conditioning": "ensad"}}))
     out = tmp_path / "out.npz"
     inspect = ["inspect-attn", "--ckpt", str(ckpt_path), "--data", str(dataset_path)]
     train = ["train", "--data", str(dataset_path), "--out", str(out)]
@@ -1236,10 +1259,14 @@ def test_ignored_options_rejected_before_any_file(dataset_path, ckpt_path, tmp_p
                                    "--phase2-steps"),
         "pipeline_phase2_steps": (pipeline + ["--steps", "4", "--phase1-steps", "2",
                                               "--phase2-steps", "2"], "--phase2-steps"),
+        "pipeline_per_phase_field": (pipeline + ["--steps", "4", "--phase1-steps", "2",
+                                                 "--config", str(phase_cfg)],
+                                     "conditioning is controlled by preset "
+                                     "ensad_plus_finetune_g per phase"),
     }[case]
     assert _exit_code(argv) == 2
     assert flag in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == [cfg]
+    assert sorted(tmp_path.iterdir()) == [cfg, phase_cfg]
 
 
 @pytest.mark.parametrize("spelling", ["newdir/", "", "nd/."])
@@ -1394,20 +1421,16 @@ def test_resume_rejects_a_foreign_log(dataset_path, train_config, tmp_path, caps
 
 
 def rejects_trainable(dataset_path, tmp_path, capsys, preset, value, message):
-    """Train with the config's ``trainable`` set to ``value``: without a
-    preset it exits 2 with ``bad gan config: trainable: <message>``, and a
-    preset that sets trainable finds a conflict, not its own value."""
+    """Train with the config's ``trainable`` set to ``value``: with or
+    without a preset that sets trainable, it exits 2 with ``bad gan config:
+    trainable: <message>``, since a value is checked by its type before it
+    is compared with the preset's."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gan": {"trainable": value}}))
     argv = ["train", "--data", str(dataset_path), "--out", str(tmp_path / "x.npz"),
             "--config", str(cfg), "--steps", "1"]
     assert main(argv + (["--preset", preset] if preset else [])) == 2
-    if preset:
-        message = (f"preset/config conflicts: trainable: preset {preset} wants "
-                   f"{PRESETS[preset]['trainable']!r}, config sets {value!r}")
-    else:
-        message = f"bad gan config: trainable: {message}"
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: bad gan config: trainable: {message}\n"
     assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -1437,6 +1460,20 @@ def test_train_preset_takes_its_trainable_set_as_a_list_in_any_order(
     assert main(["train", "--data", str(dataset_path), "--out", str(out), "--config", str(cfg),
                  "--preset", "ensad_frozen_g", "--steps", "1"]) == 0
     assert load_checkpoint(out).gan_cfg.trainable == PRESETS["ensad_frozen_g"]["trainable"]
+
+
+def test_train_preset_run_keeps_the_presets_values(dataset_path, train_config, tmp_path):
+    # a lambda1 of 0 equals ablate_no_cl's 0.0, and the checkpoint records
+    # the preset's 0.0: byte for byte the run whose config leaves it out
+    config = json.loads(train_config.read_text())
+    outs = []
+    for name, gan in (("left_out", {}), ("int_zero", {"lambda1": 0})):
+        cfg, out = tmp_path / f"{name}.json", tmp_path / f"{name}.npz"
+        cfg.write_text(json.dumps({**config, "gan": {**config["gan"], **gan}}))
+        assert main(["train", "--data", str(dataset_path), "--out", str(out), "--config",
+                     str(cfg), "--preset", "ablate_no_cl", "--steps", "1"]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_missing_data_file(workdir, capsys):

@@ -219,6 +219,22 @@ def test_a_one_item_dataset_is_rejected_by_its_count():
         compare_strategies(ck, one, 32, 7)
 
 
+def test_a_two_item_dataset_is_scored():
+    # the accepted edge of the count bound: one finite row per strategy
+    ck, _ = eval_checkpoint()
+    two = generate_synthetic(SyntheticSpec(n_items=2, d=6, m=2, d_img=5, seed=0))
+    report = compare_strategies(ck, two, 32, 7)
+    assert [row["strategy"] for row in report.results] == list(STRATEGIES)
+    assert all(math.isfinite(row["fd"]) and row["fd"] >= 0.0 for row in report.results)
+
+
+def test_clamped_accepts_the_floor_and_refuses_one_ulp_below():
+    assert evaluation._clamped(-1e-6) == 0.0
+    with pytest.raises(ValueError, match=r"^frechet distance computed as -1\.0+\d*e-06, "
+                       "beyond round-off$"):
+        evaluation._clamped(np.nextafter(-1e-6, -1))
+
+
 def test_a_strategy_subset_gives_the_full_report_rows_in_its_order():
     ck, ds = eval_checkpoint(sigma_trans=0.3)
     full = {row["strategy"]: row for row in compare_strategies(ck, ds, 32, 7).results}

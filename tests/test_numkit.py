@@ -10,6 +10,7 @@ from ensad.numkit import (
     NORM_EPS,
     NotPsdError,
     SeededRng,
+    _clamp_psd,
     derive_seed,
     l2_normalize,
     sym_sqrt_psd,
@@ -217,6 +218,19 @@ def test_gaussian_rows_rejects_bad_counts(rows, n, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         rng.gaussian_rows(rows, n)
     assert rng.position == 0
+
+
+def test_gaussian_rows_takes_zero_rows():
+    # the accepted edge of the row-count bound: an empty draw takes no word
+    rng = SeededRng(3, 5)
+    rows = rng.gaussian_rows(0, 4)
+    assert rows.shape == (0, 4) and rng.position == 5
+
+
+def test_clamp_psd_accepts_the_tolerance_and_refuses_one_ulp_below():
+    assert _clamp_psd(np.array([-1e-8, 1.0])).tolist() == [0.0, 1.0]
+    with pytest.raises(NotPsdError, match=r"^eigenvalue -1\.000e-08 below PSD tolerance"):
+        _clamp_psd(np.array([np.nextafter(-1e-8, -1), 1.0]))
 
 
 def test_rng_gaussian_word_consumption():
