@@ -8,15 +8,17 @@ Each subcommand declares only the options it reads. synth, train and eval
 take --config and --seed; each setting is its config section with the
 flags that were given written over it (_section). train builds its
 adapter and gan configs from these sections, so every given value is
-checked by its type before it is compared with the dataset's dimensions
-and the preset's gan fields; a section that sets one of them to another
-value is rejected, and a preset run keeps the preset's values. train
-needs --steps (gan.steps), the length of the whole run for every preset;
-the pipeline preset also needs --phase1-steps (train.phase1_steps), the
-steps its first phase takes, and every other preset rejects it. The
-config classes check their own fields. Every preset takes --resume, and
-with it the checkpoint's seed unless one is given. No output path may
-resolve to another output or to an input (_check_paths).
+checked by its type before it is compared with the preset's gan fields
+and then, by gan.check_dataset, with the dataset's dimensions; a section
+that sets one of them to another value is rejected with one
+gan.conflicts clause per such field, and a preset run keeps the preset's
+values. train needs --steps (gan.steps), the length of the whole run for
+every preset; the pipeline preset also needs --phase1-steps
+(train.phase1_steps), the steps its first phase takes, and every other
+preset rejects it. The config classes check their own fields. Every
+preset takes --resume, and with it the checkpoint's seed unless one is
+given. No output path may resolve to another output or to an input
+(_check_paths).
 
 Exit codes: 0 success, 2 usage or configuration error or a size beyond
 memory, 3 runtime failure. All file outputs are written atomically.
@@ -55,6 +57,7 @@ from .gan import (
     GanConfig,
     TrainingDiverged,
     check_dataset,
+    conflicts,
     finetune_pipeline,
     load_checkpoint,
     save_checkpoint,
@@ -64,7 +67,7 @@ from .numkit import NotPsdError, json_uint
 
 # Named training setups, each a set of gan-config fields under the config
 # file's gan section; a section that sets one of them to another value is
-# rejected before training starts.
+# rejected before training starts, naming each such field (gan.conflicts).
 _FROZEN_G_BASE = {
     "trainable": frozenset({"ensad", "discriminator"}),
     "conditioning": "ensad",
@@ -141,16 +144,9 @@ def _build(cls, section: dict, name: str):
         raise UsageError(f"bad {name} config: {exc}") from exc
 
 
-def _differing(cfg, fixed: dict, section: dict) -> list:
-    """The keys of ``fixed`` that ``section`` sets and that ``cfg``, built
-    from ``section`` (so every given value was checked by its type first),
-    holds at another value."""
-    return [key for key, value in fixed.items() if key in section and getattr(cfg, key) != value]
-
-
-def _reject_conflicts(conflicts: list) -> None:
-    if conflicts:
-        raise UsageError("preset/config conflicts: " + "; ".join(conflicts))
+def _reject_conflicts(clauses: list) -> None:
+    if clauses:
+        raise UsageError("preset/config conflicts: " + "; ".join(clauses))
 
 
 def _check_paths(outputs: dict, inputs: dict, in_place=()) -> None:
@@ -258,16 +254,11 @@ def _cmd_train(args) -> int:
     adapter_cfg = _build(EnsAdConfig, {"d": ds.d, "m": ds.m, **adapter_section}, "adapter")
     gan_dims = {"d": ds.d, "d_img": ds.d_img}
     # An empty trainable set meets GanConfig's conditioning rule, so this
-    # refuses a given value for itself alone, not beside a preset's field.
+    # types a given value for itself alone, not beside a preset's field;
+    # train checks the built configs against the dataset.
     given = _build(GanConfig, {**gan_dims, "trainable": (), **gan_section}, "gan")
-    dims = {**gan_dims, "m": ds.m}
-    for name, cfg, section in (("adapter", adapter_cfg, adapter_section),
-                               ("gan", given, gan_section)):
-        for key in _differing(cfg, dims, section):
-            raise UsageError(f"{name} config {key}={section[key]} conflicts with dataset "
-                             f"{key}={dims[key]}")
-    _reject_conflicts([f"{key}: preset {args.preset} wants {fields[key]!r}, config sets "
-                       f"{gan_section[key]!r}" for key in _differing(given, fields, gan_section)])
+    _reject_conflicts(conflicts(given, {key: value for key, value in fields.items()
+                                        if key in gan_section}, f"preset {args.preset}"))
     gan_cfg = _build(GanConfig, {**gan_dims, **gan_section, **fields}, "gan")
 
     def log_row(row):

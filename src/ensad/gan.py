@@ -21,7 +21,7 @@ import math
 import struct
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -377,19 +377,13 @@ class TrainingDiverged(RuntimeError):
         self.step = checkpoint.step
 
 
-def _cfg_to_jsonable(cfg) -> dict:
-    """A config dataclass as JSON values: sets sorted, tuples as lists. The
-    fields hold scalars, tuples of them and sets of strings, so a shallow
-    walk suffices where ``dataclasses.asdict`` would deep-copy each value."""
-    obj = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, frozenset):
-            value = sorted(value)
-        elif isinstance(value, tuple):
-            value = list(value)
-        obj[f.name] = value
-    return obj
+def conflicts(cfg, fixed: dict, where: str) -> list:
+    """One clause, ``<key>: <fixed value> in <where>, <cfg's value> given``,
+    for each key of ``fixed`` that the config ``cfg`` holds at another
+    value. Both values are written as JSON, a set as its sorted list."""
+    return [f"{key}: {json.dumps(value, default=sorted)} in {where}, "
+            f"{json.dumps(getattr(cfg, key), default=sorted)} given"
+            for key, value in fixed.items() if getattr(cfg, key) != value]
 
 
 @contextmanager
@@ -552,10 +546,7 @@ def save_checkpoint(ck: Checkpoint, path: str) -> None:
     trained = _trained(ck.gan_cfg)
     header = json.dumps({
         "version": 2,
-        "configs": {
-            "adapter": _cfg_to_jsonable(ck.ensad_cfg),
-            "gan": _cfg_to_jsonable(ck.gan_cfg),
-        },
+        "configs": {"adapter": vars(ck.ensad_cfg), "gan": vars(ck.gan_cfg)},
         "rng": {
             "algorithm": SeededRng.ALGORITHM,
             "seed": ck.rng_seed,
@@ -563,7 +554,7 @@ def save_checkpoint(ck: Checkpoint, path: str) -> None:
         },
         "step": ck.step,
         "adam": {comp: ck.adam.t for comp in trained},
-    }, sort_keys=True)
+    }, sort_keys=True, default=sorted)  # a set as its sorted list
     with atomic_write(path) as fh:
         fh.writelines(_archive(header.encode("utf-8"), _tensor_vector(ck)))
 
@@ -801,14 +792,14 @@ def step_losses_and_grads(h: np.ndarray, imgs_real: np.ndarray, zs: np.ndarray, 
 
 
 def check_dataset(ds: Dataset, ensad_cfg: EnsAdConfig, gan_cfg: GanConfig) -> None:
-    """Raise ValueError unless the dataset's d, m and d_img are those of the
-    adapter and gan configs."""
-    if (ds.d, ds.m, ds.d_img) != (ensad_cfg.d, ensad_cfg.m, gan_cfg.d_img) or gan_cfg.d != ds.d:
-        raise ValueError(
-            f"dataset (d={ds.d}, m={ds.m}, d_img={ds.d_img}) does not match the "
-            f"configs (adapter d={ensad_cfg.d}, m={ensad_cfg.m}; "
-            f"gan d={gan_cfg.d}, d_img={gan_cfg.d_img})"
-        )
+    """Raise ValueError, naming each field that differs, unless the
+    dataset's d, m and d_img are those of the adapter and gan configs."""
+    diff = [f"{name} config {clause}" for name, cfg, dims in (
+        ("adapter", ensad_cfg, {"d": ds.d, "m": ds.m}),
+        ("gan", gan_cfg, {"d": ds.d, "d_img": ds.d_img}),
+    ) for clause in conflicts(cfg, dims, "the dataset")]
+    if diff:
+        raise ValueError("configs conflict with the dataset: " + "; ".join(diff))
 
 
 def train(
@@ -863,9 +854,7 @@ def train(
                 resume = replace(resume, **{name: json_uint(getattr(resume, name))})
         for kind, old, new in (("adapter", resume.ensad_cfg, ensad_cfg),
                                ("gan", replace(resume.gan_cfg, steps=gan_cfg.steps), gan_cfg)):
-            old, new = _cfg_to_jsonable(old), _cfg_to_jsonable(new)
-            diff = [f"{key}: {json.dumps(old[key])} in the checkpoint, {json.dumps(new[key])} "
-                    "given" for key in old if old[key] != new[key]]
+            diff = conflicts(new, vars(old), "the checkpoint")
             if diff:
                 raise ValueError(f"resume checkpoint has a different {kind} config: "
                                  + "; ".join(diff))
@@ -968,7 +957,8 @@ def finetune_pipeline(
     ``ck.step - ck.adam.t``) at ``phase1_steps``, and ``seed`` must derive
     ``ck.rng_seed`` or equal it. Any other fails :func:`train`'s config check.
     """
-    if not 0 <= phase1_steps <= gan_cfg.steps:
+    phase1_steps = json_uint(phase1_steps, 0, "phase1_steps")
+    if phase1_steps > gan_cfg.steps:
         raise ValueError(f"phase1_steps {phase1_steps} must lie in [0, steps {gan_cfg.steps}]")
     g1 = replace(gan_cfg, steps=phase1_steps, **PIPELINE_PHASES[0])
     g2 = replace(gan_cfg, **PIPELINE_PHASES[1])

@@ -477,6 +477,23 @@ def test_eval_rejects_a_one_item_dataset_by_its_count(workdir, ckpt_path, capsys
     assert not report_path.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "inspect-attn"])
+def test_reading_commands_name_the_dimensions_a_corpus_does_not_share(
+        tmp_path, ckpt_path, capsys, command):
+    # the checkpoint was trained on a corpus of d 6, m 2 and d_img 5
+    corpus = tmp_path / "d7.jsonl"
+    assert main(["synth", "--out", str(corpus), "--n-items", "4", "--d", "7", "--m", "2",
+                 "--d-img", "5", "--seed", "3"]) == 0
+    capsys.readouterr()
+    rc = main([command, "--ckpt", str(ckpt_path), "--data", str(corpus),
+               "--out", str(tmp_path / "out.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: configs conflict with the dataset: adapter config d: 7 in the dataset, "
+        "6 given; gan config d: 7 in the dataset, 6 given\n")
+    assert list(tmp_path.iterdir()) == [corpus]
+
+
 def test_inspect_attn_outputs_sorted_weights(workdir, dataset_path,
                                              ckpt_path, capsys):
     rc = main(["inspect-attn", "--ckpt", str(ckpt_path),
@@ -1016,7 +1033,11 @@ def test_config_errors(workdir, dataset_path, capsys):
     ("eval", '{"eval": {"n_gem": 8}}', "unknown eval-section keys ['n_gem']"),
     ("pipeline", '{"train": {"phase1_steps": 2, "phase2_steps": 2}}',
      "unknown train-section keys ['phase2_steps']"),
-    ("train", '{"adapter": {"d": 7}}', "adapter config d=7 conflicts with dataset d=6"),
+    ("train", '{"adapter": {"d": 7}}',
+     "configs conflict with the dataset: adapter config d: 6 in the dataset, 7 given\n"),
+    ("train", '{"adapter": {"d": 7}, "gan": {"d": 8}}',
+     "configs conflict with the dataset: adapter config d: 6 in the dataset, 7 given; "
+     "gan config d: 6 in the dataset, 8 given\n"),
     # a value equal to the preset's or the dataset's under == is still
     # checked by its type first
     ("ablate_no_cl", '{"gan": {"lambda1": false}}',
@@ -1032,12 +1053,14 @@ def test_config_errors(workdir, dataset_path, capsys):
     # a value that with the preset's other field would break GanConfig's
     # conditioning rule is a conflict, not a broken rule
     ("ensad_frozen_g", '{"gan": {"conditioning": "mean_pool"}}',
-     "preset/config conflicts: conditioning: preset ensad_frozen_g wants 'ensad', "
-     "config sets 'mean_pool'"),
+     'preset/config conflicts: conditioning: "ensad" in preset ensad_frozen_g, '
+     '"mean_pool" given\n'),
     ("finetune_g_meanpool", '{"gan": {"trainable": ["ensad"]}}',
-     "preset/config conflicts: trainable: preset finetune_g_meanpool wants frozenset({{"),
+     'preset/config conflicts: trainable: ["discriminator", "generator"] in preset '
+     'finetune_g_meanpool, ["ensad"] given\n'),
 ], ids=["not_an_object", "section_not_an_object", "unknown_eval_key",
-        "train_phase2_steps", "adapter_d_not_the_datasets", "preset_lambda1_false",
+        "train_phase2_steps", "adapter_d_not_the_datasets",
+        "adapter_and_gan_d_not_the_datasets", "preset_lambda1_false",
         "preset_enable_clg_int", "adapter_d_float", "gan_d_float", "adapter_m_float",
         "preset_conditioning_under_rule", "preset_trainable_under_rule"])
 def test_config_errors_name_the_field_or_path(dataset_path, ckpt_path, tmp_path, capsys,
@@ -1482,13 +1505,32 @@ def test_missing_data_file(workdir, capsys):
     assert rc == 2
 
 
-def test_module_entry_point(workdir):
-    # the child imports the package this process imported, installed or not
+def run_cli(*args, **env) -> subprocess.CompletedProcess:
+    """``python -m ensad.cli`` with ``args`` in a child process, under the
+    environment variables ``env``. The child imports the package this
+    process imported, installed or not."""
     pkg_root = str(Path(ensad.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ensad.cli", "param-count",
-         "--d", "1", "--d-hid", "1", "--m", "1"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-m", "ensad.cli", *map(str, args)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **env})
+
+
+def test_module_entry_point(workdir):
+    proc = run_cli("param-count", "--d", "1", "--d-hid", "1", "--m", "1")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "6"
+
+
+def test_preset_conflict_message_is_the_same_under_any_hash_seed(tmp_path, dataset_path):
+    # a set's repr follows the process's string hash seed; its sorted list does not
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gan": {"trainable": ["ensad"]}}))
+    runs = [run_cli("train", "--data", dataset_path, "--out", tmp_path / "out.npz",
+                    "--config", cfg, "--steps", "2", "--preset", "finetune_g_meanpool",
+                    PYTHONHASHSEED=seed) for seed in ("1", "2", "3")]
+    assert [run.returncode for run in runs] == [2, 2, 2]
+    assert [run.stderr for run in runs] == 3 * [
+        'error: preset/config conflicts: trainable: ["discriminator", "generator"] in preset '
+        'finetune_g_meanpool, ["ensad"] given\n']
+    assert list(tmp_path.iterdir()) == [cfg]

@@ -728,16 +728,17 @@ def test_checkpoint_values_are_checked_once_per_vector(tmp_path, monkeypatch, di
 
 
 def test_train_validates_dataset_dims():
+    # every differing field is named, adapter before gan
     ds = toy_dataset()
     ecfg, gcfg, _, _, _ = toy_setup()
-    with pytest.raises(ValueError, match=re.escape(
-            "dataset (d=6, m=2, d_img=5) does not match the configs (adapter d=7, m=2; "
-            "gan d=7, d_img=5)")):
-        train(ds, replace(ecfg, d=7), replace(gcfg, d=7), 0)
-    with pytest.raises(ValueError, match=re.escape(
-            "dataset (d=6, m=2, d_img=5) does not match the configs (adapter d=6, m=2; "
-            "gan d=6, d_img=9)")):
-        train(ds, ecfg, replace(gcfg, d_img=9), 0)
+    for adapter_cfg, gan_cfg, clauses in (
+            (replace(ecfg, d=7, m=3), replace(gcfg, d=7),
+             "adapter config d: 6 in the dataset, 7 given; adapter config m: 2 in the dataset, "
+             "3 given; gan config d: 6 in the dataset, 7 given"),
+            (ecfg, replace(gcfg, d_img=9), "gan config d_img: 5 in the dataset, 9 given")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"configs conflict with the dataset: {clauses}") + "$"):
+            train(ds, adapter_cfg, gan_cfg, 0)
 
 
 def test_divergence_raises_with_checkpoint():
@@ -1256,6 +1257,14 @@ def test_pipeline_rejects_a_seed_that_is_not_a_uint64(whole_pipeline):
             finetune_pipeline(ds, ecfg, gcfg, 8.5, phase1_steps=4, resume=resume)
 
 
+@pytest.mark.parametrize("phase1", [2.0, True, "2"])
+def test_pipeline_rejects_phase1_steps_that_are_not_a_uint64(whole_pipeline, phase1):
+    ds, ecfg, gcfg, _, _ = whole_pipeline
+    message = f"^phase1_steps: {UINT_MESSAGE}{re.escape(repr(phase1))}$"
+    with pytest.raises(ValueError, match=message):
+        finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=phase1)
+
+
 def test_pipeline_resume_rejects_another_presets_checkpoint(whole_pipeline):
     ds, ecfg, gcfg, _, _ = whole_pipeline
     frozen_g = train(ds, ecfg, replace(gcfg, steps=2), 8)
@@ -1265,9 +1274,11 @@ def test_pipeline_resume_rejects_another_presets_checkpoint(whole_pipeline):
 
 @pytest.mark.parametrize("phase1", [-1, 6])
 def test_pipeline_rejects_phase1_steps_outside_the_run(phase1):
+    # a negative count is no uint64, so the type check names it first
     ds = toy_dataset()
     ecfg, gcfg, _, _, _ = toy_setup(steps=5)
-    with pytest.raises(ValueError, match=rf"phase1_steps {phase1} must lie in \[0, steps 5\]"):
+    with pytest.raises(ValueError, match=f"^phase1_steps: {UINT_MESSAGE}-1$" if phase1 < 0
+                       else rf"^phase1_steps 6 must lie in \[0, steps 5\]$"):
         finetune_pipeline(ds, ecfg, gcfg, 8, phase1_steps=phase1)
     # either end of the range is a run: all of it in one phase
     for phase1 in (0, 5):

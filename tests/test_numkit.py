@@ -78,6 +78,15 @@ def test_unit_rows_passes_a_row_below_norm_eps_through():
     assert unit[1:].tobytes() == x[1:].tobytes()
 
 
+def test_unit_rows_normalises_a_row_of_norm_eps_and_passes_one_ulp_below():
+    below = np.nextafter(NORM_EPS, 0)
+    x = np.array([[NORM_EPS, 0.0, 0.0], [below, 0.0, 0.0]])
+    unit, norm = unit_rows(x)
+    assert norm.tolist() == [NORM_EPS, below]
+    assert unit[0].tolist() == [1.0, 0.0, 0.0]
+    assert unit[1].tobytes() == x[1].tobytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(x=vector_stacks())
 def test_unit_rows_is_the_pairwise_norm_row_by_row(x):
